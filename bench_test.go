@@ -276,6 +276,7 @@ func BenchmarkNativeParallelTiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
 	g := grid.New(256, 1)
 	ex := cpuexec.New(0)
+	defer ex.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ex.Run(k, g, 16); err != nil {
@@ -288,6 +289,7 @@ func BenchmarkNativeParallelUntiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
 	g := grid.New(256, 1)
 	ex := cpuexec.New(0)
+	defer ex.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ex.Run(k, g, 1); err != nil {
@@ -363,6 +365,7 @@ func BenchmarkEstimateHybrid(b *testing.B) {
 	sys := hw.I7_2600K()
 	inst := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
 	par := plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Estimate(sys, inst, par, engine.Options{}); err != nil {
@@ -383,16 +386,23 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 	}
 }
 
+// BenchmarkExhaustiveQuickSearch times the quick-space search that trains
+// a lazily built tuner, once per Table 4 system: the dual-GPU systems
+// evaluate about three times as many configurations as the single-GPU
+// i3-540.
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
-	sys := hw.I3_540()
 	space := core.QuickSpace()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(sr.Evaluations()), "evals")
+	for _, sys := range hw.Systems() {
+		b.Run(sys.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(sr.Evaluations()), "evals")
+			}
+		})
 	}
 }
 

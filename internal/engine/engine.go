@@ -10,9 +10,18 @@
 //     the same modeled costs. Tests assert that both paths agree, so the
 //     cheap path is trustworthy.
 //
-// Both derive every duration from the hw cost models; the choreography
-// (phases, per-period device lockstep, halo swap schedule, transfer sizes)
-// is defined once in this package.
+// Both derive every duration from the hw cost models. The GPU phase's
+// choreography (swap periods, per-period device lockstep, each device's
+// kernel launches, halo swaps, transfer sizes) is defined once, as the
+// gpuSchedule walk. Estimate folds each launch into its Result as the walk
+// yields it, without allocating. Simulate collects the same launches, with
+// their row segments, into simcl kernel requests.
+//
+// Estimate's output is bit-identical across refactors: the golden tests
+// hash every quick-space search point and a set of full breakdowns, so
+// any change to a float expression or to a summation order must be
+// deliberate. Trained tuners, served runtimes and efficiencies all rest
+// on those bits.
 package engine
 
 import (
@@ -115,7 +124,7 @@ func cpuPhaseNs(sys hw.System, inst plan.Instance, ct, lo, hi int) float64 {
 	// triangular and sparse workloads.
 	per := sys.CPU.PointNs(inst.TSize, ct, inst.ElemBytes()) * inst.LiveFrac()
 	total := 0.0
-	for _, td := range plan.CPUTileDiagsRect(rows, cols, ct, lo, hi) {
+	for td := range plan.CPUTileDiagsRect(rows, cols, ct, lo, hi) {
 		p := math.Min(float64(td.NTiles), sys.CPU.EffParallel)
 		total += float64(td.Cells)*per/p + sys.CPU.TileBarrierNs
 	}
@@ -184,32 +193,34 @@ func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, s
 	return ns, steps, err
 }
 
-// gpuSchedule captures the device-side choreography of the GPU phase so
-// the analytic and functional paths walk identical structures.
+// gpuSchedule is the device-side choreography of a plan's GPU phase: the
+// devices taking part, their transfers, and — through walk — the swap
+// periods and kernel launches. Estimate and Simulate both consume walk, so
+// the analytic and functional paths cannot drift apart.
 type gpuSchedule struct {
-	nGPU     int
-	xferIn   []int // bytes per device
-	xferOut  []int
-	swapByte int
-	periods  []gpuPeriod
+	pl         *plan.Plan
+	rows, cols int
+	nGPU       int
+	inBytes    int // the two predecessor diagonals feeding the band
+	outCells   int // the band region returned to the host
+	elem       int
+	swapByte   int
+	period     int // diagonals between halo exchanges
+	gpuTile    int
+	syncSteps  int
+	inflate    float64
+	liveFrac   float64
 }
 
-type gpuPeriod struct {
-	// launches[dev] is the launch list of one device for this period.
-	launches [][]launchSpec
-	// swapAfter is true when a halo exchange follows the period; each of
-	// the nGPU-1 partition boundaries then moves swapByte bytes through
-	// the host (2 transfers per boundary).
-	swapAfter bool
-}
-
-// launchSpec is one kernel launch covering the device's partitions of a
-// chunk of consecutive diagonals (chunk length = gpu-tile).
-type launchSpec struct {
+// launch is one kernel launch covering device dev's partitions of a chunk
+// of consecutive diagonals (chunk length = gpu-tile).
+type launch struct {
+	dev       int
 	points    int
 	syncSteps int
 	inflate   float64
-	// segs lists the covered row segments for functional execution.
+	// segs lists the covered row segments for functional execution; walk
+	// fills it only when asked to.
 	segs []diagSeg
 }
 
@@ -217,139 +228,119 @@ type diagSeg struct {
 	d, rowLo, rowHi int // rows [rowLo, rowHi] of diagonal d; empty if lo>hi
 }
 
-// buildGPUSchedule constructs the phase-2 choreography for a plan.
-// wantGPUs > 2 widens a dual-GPU configuration to that many devices.
-func buildGPUSchedule(pl *plan.Plan, functional bool, wantGPUs int) *gpuSchedule {
+// buildGPUSchedule sets up the phase-2 choreography for a plan; ok is false
+// when the plan has no GPU phase. wantGPUs > 2 widens a dual-GPU
+// configuration to that many devices.
+func buildGPUSchedule(pl *plan.Plan, wantGPUs int) (sch gpuSchedule, ok bool) {
 	nGPU := pl.Par.GPUCount()
 	if nGPU == 2 && wantGPUs > 2 {
 		nGPU = wantGPUs
 	}
 	if nGPU == 0 || pl.GPUDiags() == 0 {
-		return nil
+		return gpuSchedule{}, false
 	}
-	inst := pl.Inst
-	rows, cols := inst.Shape()
-	elem := inst.ElemBytes()
-	sch := &gpuSchedule{nGPU: nGPU, xferIn: make([]int, nGPU), xferOut: make([]int, nGPU)}
-
-	// Input: the two predecessor diagonals feeding the band, split across
-	// devices.
-	inBytes := (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * elem
-	for dev := 0; dev < nGPU; dev++ {
-		sch.xferIn[dev] = inBytes / nGPU
+	rows, cols := pl.Inst.Shape()
+	elem := pl.Inst.ElemBytes()
+	sch = gpuSchedule{
+		pl: pl, rows: rows, cols: cols, nGPU: nGPU,
+		inBytes:  (grid.DiagLenRect(rows, cols, pl.GLo-1) + grid.DiagLenRect(rows, cols, pl.GLo-2)) * elem,
+		outCells: pl.GPUCells(),
+		elem:     elem,
+		period:   pl.GPUDiags(),
+		gpuTile:  pl.Par.GPUTile,
+		inflate:  1,
+		liveFrac: pl.Inst.LiveFrac(),
 	}
-	// Output: the full band region returns to the host; the last device
-	// absorbs the rounding remainder.
-	outCells := pl.GPUCells()
-	for dev := 0; dev < nGPU; dev++ {
-		sch.xferOut[dev] = outCells / nGPU * elem
-	}
-	sch.xferOut[nGPU-1] = (outCells - (nGPU-1)*(outCells/nGPU)) * elem
-
-	h := pl.Par.Halo
-	period := pl.GPUDiags()
 	if nGPU >= 2 {
-		period = pl.SwapPeriod()
-		swapElems := h
-		if swapElems < 1 {
-			swapElems = 1
-		}
-		sch.swapByte = swapElems * elem
+		sch.period = pl.SwapPeriod()
+		sch.swapByte = max(pl.Par.Halo, 1) * sch.elem
 	}
-	g := pl.Par.GPUTile
-	inflate := 1.0
-	sync := 0
-	if g > 1 {
-		inflate = float64(2*g-1) / float64(g)
-		sync = 2*g - 1
+	if g := sch.gpuTile; g > 1 {
+		sch.inflate = float64(2*g-1) / float64(g)
+		sch.syncSteps = 2*g - 1
 	}
+	return sch, true
+}
 
-	for ds := pl.GLo; ds <= pl.GHi; ds += period {
-		m := period
-		if ds+m-1 > pl.GHi {
-			m = pl.GHi - ds + 1
-		}
-		p := gpuPeriod{launches: make([][]launchSpec, nGPU)}
-		p.swapAfter = nGPU >= 2 && ds+m <= pl.GHi
-		// Partition boundary rows for this period, cut from its first
-		// diagonal: bounds[j] is the first row of device j's share.
-		a0 := grid.DiagStartRowRect(rows, cols, ds)
-		l0 := grid.DiagLenRect(rows, cols, ds)
-		bounds := make([]int, nGPU+1)
-		for j := 0; j <= nGPU; j++ {
-			bounds[j] = a0 + j*l0/nGPU
-		}
-		for dev := 0; dev < nGPU; dev++ {
-			for c0 := 0; c0 < m; c0 += g {
-				cn := g
-				if c0+cn > m {
-					cn = m - c0
-				}
-				spec := launchSpec{inflate: inflate}
-				if g > 1 {
-					spec.syncSteps = sync
-				}
-				for k := c0; k < c0+cn; k++ {
-					d := ds + k
-					lo, hi := devRows(rows, cols, d, dev, nGPU, bounds, m-1-k)
+// xferIn returns each device's equal share of the input transfer.
+func (s *gpuSchedule) xferIn() int { return s.inBytes / s.nGPU }
+
+// xferOut returns device dev's share of the output transfer; the last
+// device absorbs the rounding remainder.
+func (s *gpuSchedule) xferOut(dev int) int {
+	if dev == s.nGPU-1 {
+		return (s.outCells - (s.nGPU-1)*(s.outCells/s.nGPU)) * s.elem
+	}
+	return s.outCells / s.nGPU * s.elem
+}
+
+// walk runs the GPU phase in execution order: for each swap period, every
+// device's launches (device 0 first, each device's in diagonal order),
+// then endPeriod, told whether a halo exchange follows the period; each of
+// the nGPU-1 partition boundaries then moves swapByte bytes through the
+// host (2 transfers per boundary). The walk stops when endPeriod returns
+// false. Launches carry their row segments only when segs is set; without
+// them the walk allocates nothing.
+func (s *gpuSchedule) walk(segs bool, onLaunch func(l launch), endPeriod func(swapAfter bool) bool) {
+	pl := s.pl
+	for ds := pl.GLo; ds <= pl.GHi; ds += s.period {
+		m := min(s.period, pl.GHi-ds+1)
+		// Partition boundaries for this period are cut from its first
+		// diagonal.
+		a0 := grid.DiagStartRowRect(s.rows, s.cols, ds)
+		l0 := grid.DiagLenRect(s.rows, s.cols, ds)
+		for dev := 0; dev < s.nGPU; dev++ {
+			for c0 := 0; c0 < m; c0 += s.gpuTile {
+				l := launch{dev: dev, syncSteps: s.syncSteps, inflate: s.inflate}
+				for k := c0; k < min(c0+s.gpuTile, m); k++ {
+					lo, hi := s.devRows(ds+k, dev, a0, l0, m-1-k)
 					if hi < lo {
 						continue
 					}
-					spec.points += hi - lo + 1
-					if functional {
-						spec.segs = append(spec.segs, diagSeg{d: d, rowLo: lo, rowHi: hi})
+					l.points += hi - lo + 1
+					if segs {
+						l.segs = append(l.segs, diagSeg{d: ds + k, rowLo: lo, rowHi: hi})
 					}
 				}
-				if lf := inst.LiveFrac(); lf < 1 && spec.points > 0 {
+				if s.liveFrac < 1 && l.points > 0 {
 					// Charge the launch for the live share of its covered
 					// cells. The functional segs still span every cell —
 					// masked kernels write their dead region's zeros, so
 					// the simulated matrix stays identical to a dense
 					// sweep — but timing reflects real work only.
-					scaled := int(math.Round(float64(spec.points) * lf))
-					if scaled < 1 {
-						scaled = 1
-					}
-					spec.points = scaled
+					l.points = max(int(math.Round(float64(l.points)*s.liveFrac)), 1)
 				}
-				if spec.points > 0 {
-					p.launches[dev] = append(p.launches[dev], spec)
+				if l.points > 0 {
+					onLaunch(l)
 				}
 			}
 		}
-		sch.periods = append(sch.periods, p)
+		if !endPeriod(s.nGPU >= 2 && ds+m <= pl.GHi) {
+			return
+		}
 	}
-	return sch
 }
 
 // devRows returns the inclusive row range device dev computes on diagonal
-// d of a rows x cols grid. bounds holds the period's partition cut rows
-// (bounds[j] is the first row of device j's share). A device below a
-// partition boundary additionally computes a shrinking overlap of ov rows
-// above its cut (the redundant halo computation of Section 2.1), because
-// the wavefront dependencies point towards lower rows. With one device the
-// whole diagonal is returned.
-func devRows(rows, cols, d, dev, nGPU int, bounds []int, ov int) (lo, hi int) {
-	a := grid.DiagStartRowRect(rows, cols, d)
-	b := a + grid.DiagLenRect(rows, cols, d) - 1
-	if nGPU == 1 {
+// d. The period's partition cuts come from its first diagonal, which
+// starts at row a0 and has l0 cells: device j's share starts at row
+// a0 + j*l0/nGPU. A device below a partition boundary additionally
+// computes a shrinking overlap of ov rows above its cut (the redundant
+// halo computation of Section 2.1), because the wavefront dependencies
+// point towards lower rows. With one device the whole diagonal is
+// returned.
+func (s *gpuSchedule) devRows(d, dev, a0, l0, ov int) (lo, hi int) {
+	a := grid.DiagStartRowRect(s.rows, s.cols, d)
+	b := a + grid.DiagLenRect(s.rows, s.cols, d) - 1
+	if s.nGPU == 1 {
 		return a, b
 	}
-	if dev == 0 {
-		lo = a
-	} else {
-		lo = bounds[dev] - ov
-		if lo < a {
-			lo = a
-		}
+	lo, hi = a, b
+	if dev > 0 {
+		lo = max(a0+dev*l0/s.nGPU-ov, a)
 	}
-	if dev == nGPU-1 {
-		hi = b
-	} else {
-		hi = bounds[dev+1] - 1
-		if hi > b {
-			hi = b
-		}
+	if dev < s.nGPU-1 {
+		hi = min(a0+(dev+1)*l0/s.nGPU-1, b)
 	}
 	return lo, hi
 }
@@ -385,7 +376,7 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		return res, nil
 	}
 
-	if sch := buildGPUSchedule(pl, false, opts.GPUs); sch != nil {
+	if sch, ok := buildGPUSchedule(pl, opts.GPUs); ok {
 		gpuStart := res.RTimeNs
 		// Startup is concurrent across devices; identical models per
 		// system make max == single value, but take max for generality.
@@ -397,37 +388,53 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		res.RTimeNs += startup
 		// Input transfers serialize on the link.
 		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferIn[dev])
+			x := sys.Link.XferNs(sch.xferIn())
 			res.XferNs += x
 			res.RTimeNs += x
 		}
-		for _, p := range sch.periods {
-			var span float64
-			for dev := 0; dev < sch.nGPU; dev++ {
-				var devNs float64
-				for _, l := range p.launches[dev] {
-					dur := sys.GPUs[dev].LaunchDurationNs(sys.CPU, l.points, inst.TSize,
-						inst.DSize, l.syncSteps, l.inflate)
-					devNs += dur
-					res.Kernels++
-					res.LaunchNs += sys.GPUs[dev].LaunchNs
-					res.ComputeNs += dur - sys.GPUs[dev].LaunchNs
-				}
+		// Each device's launch cost model is bound once, not per launch.
+		// Systems have a handful of devices, so the table stays on the
+		// stack.
+		var table [4]hw.LaunchCost
+		costs := table[:0]
+		for dev := 0; dev < sch.nGPU; dev++ {
+			costs = append(costs, sys.GPUs[dev].LaunchCost(inst.TSize, sys.CPU.PerIterNs, inst.DSize))
+		}
+		// Devices run each period in lockstep: the period lasts as long as
+		// its busiest device (span), each device's time being the sum of
+		// its launches (devNs).
+		var span, devNs float64
+		dev := -1
+		cut := false
+		sch.walk(false, func(l launch) {
+			if l.dev != dev {
 				span = math.Max(span, devNs)
+				devNs = 0
+				dev = l.dev
 			}
-			res.RTimeNs += span
-			if p.swapAfter {
+			c := &costs[dev]
+			dur := c.DurationNs(l.points, l.syncSteps, l.inflate)
+			devNs += dur
+			res.Kernels++
+			res.LaunchNs += c.LaunchNs
+			res.ComputeNs += dur - c.LaunchNs
+		}, func(swapAfter bool) bool {
+			res.RTimeNs += math.Max(span, devNs)
+			span, devNs, dev = 0, 0, -1
+			if swapAfter {
 				s := float64(2*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
 				res.SwapNs += s
 				res.RTimeNs += s
 				res.Swaps++
 			}
-			if over() {
-				return res, nil
-			}
+			cut = over()
+			return !cut
+		})
+		if cut {
+			return res, nil
 		}
 		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferOut[dev])
+			x := sys.Link.XferNs(sch.xferOut(dev))
 			res.XferNs += x
 			res.RTimeNs += x
 		}
@@ -490,7 +497,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	}
 	eng := p.Eng
 
-	sch := buildGPUSchedule(pl, true, opts.GPUs)
+	sch, gpu := buildGPUSchedule(pl, opts.GPUs)
 	var steps []func(next func())
 
 	// Phase 1: leading CPU triangle.
@@ -508,7 +515,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	}
 
 	// Phase 2: the offloaded band.
-	if sch != nil {
+	if gpu {
 		var gpuT0 float64
 		steps = append(steps,
 			func(next func()) {
@@ -521,38 +528,36 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 			func(next func()) {
 				arrive := eng.Barrier(sch.nGPU, next)
 				for dev := 0; dev < sch.nGPU; dev++ {
-					p.Devs[dev].EnqueueXfer(sch.xferIn[dev], arrive)
+					p.Devs[dev].EnqueueXfer(sch.xferIn(), arrive)
 				}
 			})
-		for _, period := range sch.periods {
-			period := period
+		// Each period enqueues its launches behind one barrier; a halo
+		// exchange, when due, follows as its own step.
+		var launches []launch
+		sch.walk(true, func(l launch) { launches = append(launches, l) }, func(swapAfter bool) bool {
+			period := launches
+			launches = nil
 			steps = append(steps, func(next func()) {
-				total := 0
-				for dev := 0; dev < sch.nGPU; dev++ {
-					total += len(period.launches[dev])
-				}
-				arrive := eng.Barrier(total, next)
-				for dev := 0; dev < sch.nGPU; dev++ {
-					for _, l := range period.launches[dev] {
-						segs := l.segs
-						p.Devs[dev].EnqueueKernel(simcl.KernelReq{
-							Points:    l.points,
-							TSize:     inst.TSize,
-							DSize:     inst.DSize,
-							SyncSteps: l.syncSteps,
-							Inflate:   l.inflate,
-							Body: func() {
-								for _, s := range segs {
-									for r := s.rowLo; r <= s.rowHi; r++ {
-										k.Compute(g, r, s.d-r)
-									}
+				arrive := eng.Barrier(len(period), next)
+				for _, l := range period {
+					segs := l.segs
+					p.Devs[l.dev].EnqueueKernel(simcl.KernelReq{
+						Points:    l.points,
+						TSize:     inst.TSize,
+						DSize:     inst.DSize,
+						SyncSteps: l.syncSteps,
+						Inflate:   l.inflate,
+						Body: func() {
+							for _, s := range segs {
+								for r := s.rowLo; r <= s.rowHi; r++ {
+									k.Compute(g, r, s.d-r)
 								}
-							},
-						}, arrive)
-					}
+							}
+						},
+					}, arrive)
 				}
 			})
-			if period.swapAfter {
+			if swapAfter {
 				steps = append(steps, func(next func()) {
 					// At each partition boundary the upper device's edge
 					// rows go to the host and on to the device below; the
@@ -571,14 +576,15 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 					chain(0)
 				})
 			}
-		}
+			return true
+		})
 		steps = append(steps, func(next func()) {
 			arrive := eng.Barrier(sch.nGPU, func() {
 				res.GPUNs = eng.Now() - gpuT0
 				next()
 			})
 			for dev := 0; dev < sch.nGPU; dev++ {
-				p.Devs[dev].EnqueueXfer(sch.xferOut[dev], arrive)
+				p.Devs[dev].EnqueueXfer(sch.xferOut(dev), arrive)
 			}
 		})
 	}
@@ -599,7 +605,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	res.RTimeNs = eng.Run()
 
 	// Fold device statistics into the breakdown.
-	if sch != nil {
+	if gpu {
 		for dev := 0; dev < sch.nGPU; dev++ {
 			st := p.Devs[dev].Stats
 			res.Kernels += st.Kernels
@@ -608,7 +614,7 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 			res.ComputeNs += st.KernelNs
 		}
 		for dev := 0; dev < sch.nGPU; dev++ {
-			res.XferNs += sys.Link.XferNs(sch.xferIn[dev]) + sys.Link.XferNs(sch.xferOut[dev])
+			res.XferNs += sys.Link.XferNs(sch.xferIn()) + sys.Link.XferNs(sch.xferOut(dev))
 		}
 		res.SwapNs = float64(2*res.Swaps*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
 		res.RedundantPoints = pl.RedundantPoints()

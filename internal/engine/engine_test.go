@@ -349,3 +349,32 @@ func TestSimulateCollectsTrace(t *testing.T) {
 		t.Error("trace collected without the option")
 	}
 }
+
+func TestEstimateAllocationFree(t *testing.T) {
+	// The exhaustive search calls Estimate once per point, so the walk of
+	// the GPU phase must not allocate: the returned plan is the only
+	// allocation. The first case is BenchmarkEstimateHybrid's dual-GPU
+	// configuration.
+	for _, c := range []struct {
+		sys  hw.System
+		inst plan.Instance
+		par  plan.Params
+		opts Options
+	}{
+		{hw.I7_2600K(), plan.Instance{Dim: 1900, TSize: 2000, DSize: 1},
+			plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}, Options{}},
+		{hw.WithGPUCount(hw.I7_2600K(), 4), plan.Instance{Dim: 1100, TSize: 500, DSize: 3},
+			plan.Params{CPUTile: 4, Band: 900, GPUTile: 8, Halo: 6}, Options{GPUs: 4}},
+		{hw.I3_540(), plan.Instance{Rows: 600, Cols: 1400, TSize: 100, DSize: 1, LiveCells: 400000},
+			plan.Params{CPUTile: 8, Band: 700, GPUTile: 4, Halo: -1}, Options{ThresholdNs: DefaultThresholdNs}},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := Estimate(c.sys, c.inst, c.par, c.opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("%v %v: Estimate makes %v allocations per call, want <= 2", c.inst, c.par, allocs)
+		}
+	}
+}

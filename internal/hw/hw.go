@@ -116,8 +116,9 @@ func (g GPUModel) EffFactor(dsize int) float64 {
 
 // PaddedPoints returns points rounded up to a whole number of SIMT passes:
 // a diagonal shorter than the device width still occupies a full pass.
-func (g GPUModel) PaddedPoints(points int) int {
-	w := g.Width()
+func (g GPUModel) PaddedPoints(points int) int { return padPoints(points, g.Width()) }
+
+func padPoints(points, w int) int {
 	passes := (points + w - 1) / w
 	return passes * w
 }
@@ -126,7 +127,8 @@ func (g GPUModel) PaddedPoints(points int) int {
 // given number of points at granularity tsize, excluding launch overhead.
 // cpuPerIterNs is the host CPU's per-iteration time, the tsize unit.
 func (g GPUModel) KernelNs(points int, tsize, cpuPerIterNs float64, dsize int) float64 {
-	return float64(g.PaddedPoints(points)) * tsize * cpuPerIterNs / g.EffFactor(dsize)
+	c := g.LaunchCost(tsize, cpuPerIterNs, dsize)
+	return c.kernelNs(points)
 }
 
 // LinkModel describes the PCIe interconnect shared by all devices.

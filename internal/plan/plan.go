@@ -6,6 +6,7 @@ package plan
 
 import (
 	"fmt"
+	"iter"
 	"strconv"
 
 	"repro/internal/grid"
@@ -454,44 +455,39 @@ type TileDiag struct {
 	Cells  int
 }
 
-// CPUTileDiags enumerates the tile-diagonals of the CPU phase of a square
-// dim-sized grid; see CPUTileDiagsRect.
-func CPUTileDiags(dim, ct, lo, hi int) []TileDiag {
-	return CPUTileDiagsRect(dim, dim, ct, lo, hi)
-}
-
-// CPUTileDiagsRect enumerates the tile-diagonals of the CPU phase covering
+// CPUTileDiagsRect yields the tile-diagonals of the CPU phase covering
 // cell-diagonals [lo, hi] of a rows x cols grid with square tiles of side
-// ct. Tile-diagonal t groups the cells whose diagonal index lies in
-// [t*ct, (t+1)*ct-1] — these spans partition the diagonal space, so the
-// Cells fields sum exactly to the region size. NTiles is the width of the
-// tile wavefront at t, which bounds the parallelism available to the
-// executor.
-func CPUTileDiagsRect(rows, cols, ct, lo, hi int) []TileDiag {
-	if hi < lo {
-		return nil
+// ct, in execution order. Tile-diagonal t groups the cells whose diagonal
+// index lies in [t*ct, (t+1)*ct-1] — these spans partition the diagonal
+// space, so the Cells fields sum exactly to the region size. NTiles is the
+// width of the tile wavefront at t, which bounds the parallelism available
+// to the executor. An empty region (hi < lo) yields nothing.
+func CPUTileDiagsRect(rows, cols, ct, lo, hi int) iter.Seq[TileDiag] {
+	return func(yield func(TileDiag) bool) {
+		if hi < lo {
+			return
+		}
+		nTr := (rows + ct - 1) / ct
+		nTc := (cols + ct - 1) / ct
+		for t := lo / ct; t <= hi/ct; t++ {
+			cLo, cHi := t*ct, (t+1)*ct-1
+			if cLo < lo {
+				cLo = lo
+			}
+			if cHi > hi {
+				cHi = hi
+			}
+			cells := grid.CellsInDiagRangeRect(rows, cols, cLo, cHi)
+			if cells == 0 {
+				continue
+			}
+			n := min(min(t+1, nTr+nTc-1-t), min(nTr, nTc))
+			if n < 1 {
+				n = 1
+			}
+			if !yield(TileDiag{NTiles: n, Cells: cells}) {
+				return
+			}
+		}
 	}
-	nTr := (rows + ct - 1) / ct
-	nTc := (cols + ct - 1) / ct
-	tLo, tHi := lo/ct, hi/ct
-	out := make([]TileDiag, 0, tHi-tLo+1)
-	for t := tLo; t <= tHi; t++ {
-		cLo, cHi := t*ct, (t+1)*ct-1
-		if cLo < lo {
-			cLo = lo
-		}
-		if cHi > hi {
-			cHi = hi
-		}
-		cells := grid.CellsInDiagRangeRect(rows, cols, cLo, cHi)
-		if cells == 0 {
-			continue
-		}
-		n := min(min(t+1, nTr+nTc-1-t), min(nTr, nTc))
-		if n < 1 {
-			n = 1
-		}
-		out = append(out, TileDiag{NTiles: n, Cells: cells})
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,7 +230,7 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		sum := 0
-		for _, td := range CPUTileDiags(dim, ct, lo, hi) {
+		for td := range CPUTileDiagsRect(dim, dim, ct, lo, hi) {
 			if td.NTiles < 1 {
 				return false
 			}
@@ -243,15 +244,15 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 }
 
 func TestCPUTileDiagsEmptyRegion(t *testing.T) {
-	if got := CPUTileDiags(100, 4, 5, 4); got != nil {
-		t.Errorf("empty region must yield nil, got %v", got)
+	if got := slices.Collect(CPUTileDiagsRect(100, 100, 4, 5, 4)); got != nil {
+		t.Errorf("empty region must yield nothing, got %v", got)
 	}
 }
 
 func TestCPUTileDiagsUntiled(t *testing.T) {
 	// ct=1: one tile-diagonal per cell-diagonal, NTiles = diagonal length.
 	dim := 10
-	tds := CPUTileDiags(dim, 1, 0, grid.NumDiags(dim)-1)
+	tds := slices.Collect(CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiags(dim)-1))
 	if len(tds) != grid.NumDiags(dim) {
 		t.Fatalf("got %d tile-diagonals, want %d", len(tds), grid.NumDiags(dim))
 	}
@@ -259,6 +260,16 @@ func TestCPUTileDiagsUntiled(t *testing.T) {
 		if td.NTiles != grid.DiagLen(dim, i) || td.Cells != grid.DiagLen(dim, i) {
 			t.Fatalf("tile-diag %d = %+v, want NTiles=Cells=%d", i, td, grid.DiagLen(dim, i))
 		}
+	}
+	// Stopping early ends the walk.
+	n := 0
+	for range CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiags(dim)-1) {
+		if n++; n == 3 {
+			break
+		}
+	}
+	if n != 3 {
+		t.Errorf("early break visited %d tile-diagonals, want 3", n)
 	}
 }
 

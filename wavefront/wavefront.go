@@ -160,7 +160,9 @@ func RunSerial(k Kernel, g *Grid) time.Duration {
 // <= 0 selects GOMAXPROCS) and returns the wall-clock time.
 func RunParallel(k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error) {
 	start := time.Now()
-	err := cpuexec.New(workers).Run(k, g, cpuTile)
+	ex := cpuexec.New(workers)
+	defer ex.Close()
+	err := ex.Run(k, g, cpuTile)
 	return time.Since(start), err
 }
 

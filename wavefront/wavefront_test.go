@@ -1,6 +1,7 @@
 package wavefront
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -14,6 +15,22 @@ func TestNativeSerialVsParallel(t *testing.T) {
 	}
 	if !a.Equal(b) {
 		t.Error("parallel result differs from serial through the public API")
+	}
+}
+
+func TestRunParallelReleasesWorkers(t *testing.T) {
+	// Each call owns its executor: once it returns, no worker goroutine
+	// (and so no reference to the grid) may outlive it.
+	k := NewSynthetic(3, 1)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := RunParallel(k, NewGrid(40, 1), 4, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close waits for the workers to exit, so the count is exact here.
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after 20 RunParallel calls, want at most the %d before", n, base)
 	}
 }
 
