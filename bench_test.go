@@ -277,6 +277,7 @@ func BenchmarkNativeParallelTiled(b *testing.B) {
 	g := grid.New(256, 1)
 	ex := cpuexec.New(0)
 	defer ex.Close()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ex.Run(k, g, 16); err != nil {
@@ -302,7 +303,7 @@ func BenchmarkNativeParallelUntiled(b *testing.B) {
 // the dense sweep through the frontier abstraction must stay within
 // tolerance of the closed-form anti-diagonal path it generalizes. The
 // serial pair compares RunSerialDiagRange against RunSerialFrontier's
-// DiagFrontier fast path; the pooled pair compares the tile-diagonal
+// DiagFrontier fast path; the pooled pair compares the tile dataflow
 // executor against RunFrontier over the same grid.
 func BenchmarkFrontierDense(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
@@ -351,6 +352,7 @@ func BenchmarkFrontierIrregular(b *testing.B) {
 	ctx := context.Background()
 	for _, ct := range []int{1, 16} {
 		b.Run(fmt.Sprintf("ct=%d", ct), func(b *testing.B) {
+			b.ReportAllocs()
 			g := grid.New(256, k.DSize())
 			for i := 0; i < b.N; i++ {
 				if err := ex.RunIrregular(ctx, k, g, ct); err != nil {

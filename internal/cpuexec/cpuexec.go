@@ -1,19 +1,22 @@
 // Package cpuexec executes wavefront computations on the real host CPU.
 // It provides the serial reference sweep and the tiled parallel executor
 // described in Section 2 of the paper: the grid is partitioned into square
-// cpu-tile x cpu-tile tiles, tiles on the same tile-diagonal are
-// independent and run concurrently on a goroutine worker pool, and a
-// barrier separates consecutive tile-diagonals. Grids may be rectangular
-// (rows != cols); tiles at the edges are clipped.
+// cpu-tile x cpu-tile tiles, and the tiles run on a goroutine worker pool
+// as a dataflow graph. A tile is released the moment its north and west
+// neighbours finish, so no barrier separates tile-diagonals and no worker
+// idles on the wavefront's ramp while a ready tile exists. Grids may be
+// rectangular (rows != cols); tiles at the edges are clipped.
 //
 // This is the "threads to control CPU phases" half of the paper's library;
-// the simulated platforms use the same tile-diagonal schedule via package
+// the simulated platforms model the same tile decomposition via package
 // plan, so native runs and modeled runs share one decomposition.
 package cpuexec
 
 import (
+	"context"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/kernels"
@@ -73,84 +76,92 @@ func (e *Executor) Close() { e.pl.close() }
 // Workers returns the pool size.
 func (e *Executor) Workers() int { return e.workers }
 
-// Run computes the whole grid with square tiles of side ct.
+// Run computes the whole grid with square tiles of side ct. A kernel
+// whose stencil points only up and left — every catalog kernel — runs
+// through the tile dataflow scheduler. A kernel declaring any other
+// offset is scheduled per cell by frontier propagation instead, since a
+// row-major tile would read its up-right dependencies before they are
+// computed; a cyclic stencil then fails with ErrFrontierStuck.
 func (e *Executor) Run(k kernels.Kernel, g *grid.Grid, ct int) error {
-	return e.RunDiagRange(k, g, ct, 0, g.NumDiags()-1)
-}
-
-// RunDiagRange computes the cells of g whose diagonal index lies in
-// [lo, hi], using tiles of side ct. Tiles are processed tile-diagonal by
-// tile-diagonal; within a tile, cells are visited row-major and clipped to
-// the diagonal range, so the executor is usable for the CPU phases of the
-// three-phase strategy.
-func (e *Executor) RunDiagRange(k kernels.Kernel, g *grid.Grid, ct, lo, hi int) error {
 	rows, cols := g.Rows(), g.Cols()
-	maxSide := rows
-	if cols > maxSide {
-		maxSide = cols
-	}
-	if ct < 1 || ct > maxSide {
+	if maxSide := max(rows, cols); ct < 1 || ct > maxSide {
 		return fmt.Errorf("cpuexec: cpu-tile %d outside [1,%d]", ct, maxSide)
 	}
+	if st := kernels.StencilOf(k); !monotone(st) {
+		return e.RunFrontier(context.Background(), k, g, grid.NewIrregularFrontier(rows, cols, st, nil))
+	}
+	return e.runTiles(context.Background(), k, g, ct, nil)
+}
+
+// runTiles is the tile scheduler behind Run and the tiled branch of
+// RunIrregular. Tile (I,J) waits on its north and west neighbours and is
+// released the moment both finish; by induction every tile up and to the
+// left of it is then done, so every monotone stencil is honoured
+// (knapsack's long-range column read included). Released tiles go to one
+// shared queue sized to the tile count, and a worker keeps one released
+// successor for itself, for locality. Within a tile, the cells live
+// reports (nil = all) are computed row-major. ctx is checked once per
+// tile; after cancellation the remaining tiles drain uncomputed and the
+// run returns ctx.Err().
+func (e *Executor) runTiles(ctx context.Context, k kernels.Kernel, g *grid.Grid, ct int, live func(r, c int) bool) error {
 	if e.pl.isClosed() {
 		return ErrClosed
 	}
-	if lo < 0 {
-		lo = 0
+	nTc := (g.Cols() + ct - 1) / ct
+	nT := (g.Rows() + ct - 1) / ct * nTc
+	// wait[t] counts the unfinished north and west neighbours of the
+	// tile with row-major index t.
+	wait := make([]atomic.Int32, nT)
+	for t := range wait {
+		wait[t].Store(int32(min(t/nTc, 1) + min(t%nTc, 1)))
 	}
-	if hi > g.NumDiags()-1 {
-		hi = g.NumDiags() - 1
-	}
-	if hi < lo {
-		return nil
-	}
-	nTr := (rows + ct - 1) / ct
-	nTc := (cols + ct - 1) / ct
-	// Tile (I,J) holds cell diagonals [ (I+J)*ct, (I+J+2)*ct-2 ]; it can
-	// only contain region cells when (I+J)*ct <= hi and its max diagonal
-	// reaches lo.
-	tLo := 0
-	if lo >= 2*ct-1 {
-		tLo = (lo - (2*ct - 2) + ct - 1) / ct
-		if tLo < 0 {
-			tLo = 0
+	ready := make(chan int32, nT) // every tile is queued at most once
+	ready <- 0
+	var cancelled atomic.Bool
+	// finish retires tile t and returns a released successor for the
+	// caller to run next (-1 if none), queueing a second one. The
+	// bottom-right tile depends on every other, so it finishes last and
+	// closes the queue.
+	finish := func(t int) int {
+		if t == nT-1 {
+			close(ready)
+			return -1
 		}
-	}
-	tHi := hi / ct
-	if tHi > nTr+nTc-2 {
-		tHi = nTr + nTc - 2
-	}
-	for t := tLo; t <= tHi; t++ {
-		if err := e.runTileDiag(k, g, ct, nTr, nTc, t, lo, hi); err != nil {
-			return err
+		next := -1
+		if s := t + nTc; s < nT && wait[s].Add(-1) == 0 {
+			next = s
 		}
+		if s := t + 1; s%nTc != 0 && wait[s].Add(-1) == 0 {
+			if next >= 0 {
+				ready <- int32(next)
+			}
+			next = s
+		}
+		return next
 	}
-	return nil
-}
-
-// runTileDiag executes all tiles with I+J == t in parallel and waits.
-// A tile-diagonal is the dense special case of a frontier work set: the
-// tiles are mutually independent, and runItems provides the barrier.
-func (e *Executor) runTileDiag(k kernels.Kernel, g *grid.Grid, ct, nTr, nTc, t, lo, hi int) error {
-	iMin := 0
-	if t-(nTc-1) > 0 {
-		iMin = t - (nTc - 1)
-	}
-	iMax := t
-	if iMax > nTr-1 {
-		iMax = nTr - 1
-	}
-	return e.runItems(iMax-iMin+1, func(idx int) {
-		i := iMin + idx
-		computeTile(k, g, i*ct, (t-i)*ct, ct, lo, hi)
+	err := e.runItems(e.workers, func(int) {
+		for queued := range ready {
+			for t := int(queued); t >= 0; t = finish(t) {
+				if cancelled.Load() {
+					continue
+				}
+				if ctxErr(ctx) != nil {
+					cancelled.Store(true)
+					continue
+				}
+				computeTileMasked(k, g, t/nTc*ct, t%nTc*ct, ct, live)
+			}
+		}
 	})
+	if err == nil && cancelled.Load() {
+		err = ctx.Err()
+	}
+	return err
 }
 
-// runItems is the executor's work-set primitive, shared by the dense
-// tile-diagonal schedule and the frontier paths: it runs fn(0..n-1)
-// across the pool and blocks until all items complete (the inter-step
-// barrier). A single item — the wavefront ramp — runs inline to skip
-// the barrier cost.
+// runItems is the executor's work-set primitive: it runs fn(0..n-1)
+// across the pool and blocks until all items complete. A single item, or
+// a single-worker executor, runs inline on the caller.
 func (e *Executor) runItems(n int, fn func(i int)) error {
 	if n <= 0 {
 		return nil
@@ -164,20 +175,14 @@ func (e *Executor) runItems(n int, fn func(i int)) error {
 	return e.pl.run(n, fn)
 }
 
-// computeTile evaluates the cells of the tile with top-left corner
-// (r0, c0), restricted to diagonals [lo, hi].
-func computeTile(k kernels.Kernel, g *grid.Grid, r0, c0, ct, lo, hi int) {
-	rMax := r0 + ct
-	if rMax > g.Rows() {
-		rMax = g.Rows()
-	}
-	cMax := c0 + ct
-	if cMax > g.Cols() {
-		cMax = g.Cols()
-	}
+// computeTileMasked evaluates the live cells (nil = all) of the tile with
+// top-left corner (r0, c0) in row-major order.
+func computeTileMasked(k kernels.Kernel, g *grid.Grid, r0, c0, ct int, live func(r, c int) bool) {
+	rMax := min(r0+ct, g.Rows())
+	cMax := min(c0+ct, g.Cols())
 	for r := r0; r < rMax; r++ {
 		for c := c0; c < cMax; c++ {
-			if d := r + c; d < lo || d > hi {
+			if live != nil && !live(r, c) {
 				continue
 			}
 			k.Compute(g, r, c)

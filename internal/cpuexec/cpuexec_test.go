@@ -1,6 +1,7 @@
 package cpuexec
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -54,35 +55,28 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 }
 
 func TestThreePhaseComposition(t *testing.T) {
-	// Running the three phases of the hybrid strategy back to back on the
-	// CPU must equal one full sweep: phase boundaries cut along diagonals.
+	// Running the three phases of the hybrid strategy back to back must
+	// equal one full sweep: phase boundaries cut along diagonals.
 	k := kernels.NewSynthetic(2, 1)
 	dim := 25
 	want := grid.New(dim, 1)
 	RunSerial(k, want)
 
 	got := grid.New(dim, 1)
-	ex := New(3)
 	d := grid.NumDiags(dim)
-	if err := ex.RunDiagRange(k, got, 4, 0, 9); err != nil {
-		t.Fatal(err)
-	}
-	RunSerialDiagRange(k, got, 10, 30) // the "GPU" band, serial here
-	if err := ex.RunDiagRange(k, got, 4, 31, d-1); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, got, 0, 9)
+	RunSerialDiagRange(k, got, 10, 30) // the "GPU" band
+	RunSerialDiagRange(k, got, 31, d-1)
 	if !got.Equal(want) {
 		t.Error("three-phase composition differs from full sweep")
 	}
 }
 
-func TestRunDiagRangeOnlyTouchesRange(t *testing.T) {
+func TestRunSerialDiagRangeOnlyTouchesRange(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	dim := 12
 	g := grid.New(dim, 0)
-	if err := New(2).RunDiagRange(k, g, 3, 5, 8); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, g, 5, 8)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			d := r + c
@@ -96,13 +90,11 @@ func TestRunDiagRangeOnlyTouchesRange(t *testing.T) {
 	}
 }
 
-func TestRunDiagRangeClampsBounds(t *testing.T) {
+func TestRunSerialDiagRangeClampsBounds(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	g := grid.New(8, 0)
 	// Out-of-range lo/hi must clamp rather than fail.
-	if err := New(2).RunDiagRange(k, g, 2, -5, 1000); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, g, -5, 1000)
 	want := grid.New(8, 0)
 	RunSerial(k, want)
 	if !g.Equal(want) {
@@ -110,16 +102,85 @@ func TestRunDiagRangeClampsBounds(t *testing.T) {
 	}
 }
 
-func TestRunDiagRangeEmpty(t *testing.T) {
+func TestRunSerialDiagRangeEmpty(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	g := grid.New(8, 0)
-	if err := New(2).RunDiagRange(k, g, 2, 6, 5); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, g, 6, 5)
 	for _, v := range g.IntA {
 		if v != 0 {
 			t.Fatal("empty range must compute nothing")
 		}
+	}
+}
+
+// upRightKernel declares a causal stencil that is not monotone: besides
+// its west and north neighbours, cell (r, c) reads (r-2, c+1), which a
+// row-major tile reaches before the tile to its right has computed it.
+// It counts every read of a cell not yet computed.
+type upRightKernel struct {
+	cols  int
+	done  []atomic.Bool
+	early atomic.Int64
+}
+
+var upRightStencil = grid.Stencil{{DR: 0, DC: -1}, {DR: -1, DC: 0}, {DR: -2, DC: 1}}
+
+func newUpRightKernel(rows, cols int) *upRightKernel {
+	return &upRightKernel{cols: cols, done: make([]atomic.Bool, rows*cols)}
+}
+
+func (k *upRightKernel) Name() string { return "upright" }
+
+func (k *upRightKernel) TSize() float64 { return 1 }
+
+func (k *upRightKernel) DSize() int { return 0 }
+
+func (k *upRightKernel) Stencil() grid.Stencil { return upRightStencil }
+
+func (k *upRightKernel) Compute(g *grid.Grid, r, c int) {
+	sum := int64(r*k.cols + c)
+	for _, o := range upRightStencil {
+		pr, pc := r+o.DR, c+o.DC
+		if pr < 0 || pc < 0 || pc >= k.cols {
+			continue
+		}
+		if !k.done[pr*k.cols+pc].Load() {
+			k.early.Add(1)
+			continue
+		}
+		sum = sum*31 + g.A(pr, pc)
+	}
+	g.SetA(r, c, sum)
+	k.done[r*k.cols+c].Store(true)
+}
+
+// TestRunGatesNonMonotoneStencil: Run schedules a kernel whose stencil
+// points up and right cell by cell, so no cell is read before it is
+// computed at any worker count or tile size.
+func TestRunGatesNonMonotoneStencil(t *testing.T) {
+	const rows, cols = 21, 26
+	ref := newUpRightKernel(rows, cols)
+	want := grid.NewRect(rows, cols, ref.DSize())
+	RunSerial(ref, want)
+	if n := ref.early.Load(); n != 0 {
+		t.Fatalf("serial reference read %d cells before computing them", n)
+	}
+	for _, w := range []int{1, 2, 4} {
+		ex := New(w)
+		for _, ct := range []int{1, 2, 3, 8} {
+			k := newUpRightKernel(rows, cols)
+			got := grid.NewRect(rows, cols, k.DSize())
+			if err := ex.Run(k, got, ct); err != nil {
+				t.Fatalf("w=%d ct=%d: %v", w, ct, err)
+			}
+			if n := k.early.Load(); n != 0 {
+				t.Errorf("w=%d ct=%d: %d reads of cells not yet computed", w, ct, n)
+			}
+			if !got.Equal(want) {
+				t.Errorf("w=%d ct=%d: result differs from serial", w, ct)
+			}
+		}
+		ex.Close()
 	}
 }
 

@@ -9,15 +9,14 @@ import (
 	"repro/internal/kernels"
 )
 
-// This file is the frontier half of the executor: where cpuexec.go walks
-// the closed-form anti-diagonals of a dense rectangle, the entry points
-// here drain any grid.Frontier — one ready set per step, a barrier
-// between steps — so irregular live regions (Nussinov's triangle,
-// morphological reconstruction on a mask) run through the same worker
-// pool as the dense sweeps. The dense diagonal path remains the fast
-// special case: a *grid.DiagFrontier is recognized and short-circuited
-// into the closed-form enumeration, so regular workloads pay nothing for
-// the generalization.
+// This file is the frontier half of the executor: the entry points here
+// drain any grid.Frontier — one ready set per step, a barrier between
+// steps — so irregular live regions (Nussinov's triangle, morphological
+// reconstruction on a mask) under any causal stencil run through the
+// same worker pool as the tiled sweeps. RunIrregular sends kernels with
+// a monotone stencil to the tile scheduler of cpuexec.go instead, and
+// RunSerialFrontier short-circuits a dense *grid.DiagFrontier into the
+// closed-form diagonal sweep.
 
 // ErrFrontierStuck is returned when a frontier exhausts before covering
 // the region it promised: some live cells never became ready, which
@@ -81,11 +80,10 @@ const frontierChunk = 16
 
 // RunFrontier drains f on the executor's worker pool: each ready set is
 // split into contiguous chunks computed concurrently, with a barrier
-// before the next step — exactly the discipline the tile-diagonal path
-// uses, applied to explicit work sets. ctx is checked between steps, so
-// cancellation takes effect at the next barrier; a nil ctx never
-// cancels. Returns ErrFrontierStuck when f dead-ends before covering its
-// region, and ErrClosed after Close.
+// before the next step. ctx is checked between steps, so cancellation
+// takes effect at the next barrier; a nil ctx never cancels. Returns
+// ErrFrontierStuck when f dead-ends before covering its region, and
+// ErrClosed after Close.
 func (e *Executor) RunFrontier(ctx context.Context, k kernels.Kernel, g *grid.Grid, f grid.Frontier) error {
 	if e.pl.isClosed() {
 		return ErrClosed
@@ -132,10 +130,10 @@ func (e *Executor) RunFrontier(ctx context.Context, k kernels.Kernel, g *grid.Gr
 }
 
 // monotone reports whether every offset of st points weakly up and left
-// (DR <= 0 and DC <= 0, excluding the empty and self cases). A monotone
-// stencil can never create cycles between tiles, so the tiled irregular
-// path is safe; causal-but-not-monotone stencils (for example an
-// up-right offset) are scheduled per cell instead.
+// (DR <= 0 and DC <= 0, excluding the empty and self cases). These are
+// the stencils the tile scheduler honours; causal-but-not-monotone
+// stencils (for example an up-right offset) are scheduled per cell
+// instead.
 func monotone(st grid.Stencil) bool {
 	for _, o := range st {
 		if o.DR > 0 || o.DC > 0 || (o.DR == 0 && o.DC == 0) {
@@ -145,15 +143,12 @@ func monotone(st grid.Stencil) bool {
 	return len(st) > 0
 }
 
-// RunIrregular computes the live region of k on g by frontier
-// propagation, using the stencil and mask the kernel declares (dense
-// stencil and full rectangle when it declares none). For ct > 1 with a
-// monotone stencil, scheduling happens per tile: tiles of side ct are
-// the work items, their dependency edges are derived from the actual
-// cell-level edges that cross tile boundaries, and per-tile in-degree
-// counting releases tiles level by level — the irregular generalization
-// of the tile-diagonal schedule. Otherwise (ct <= 1, or a stencil with
-// rightward offsets) cells are scheduled individually.
+// RunIrregular computes the live region of k on g, using the stencil and
+// mask the kernel declares (dense stencil and full rectangle when it
+// declares none). For ct > 1 with a monotone stencil, tiles of side ct
+// run through the same barrier-free tile scheduler as Run, computing
+// only live cells. Otherwise (ct <= 1, or a stencil with rightward
+// offsets) cells are scheduled individually by frontier propagation.
 //
 // Dead cells are skipped, never computed; because masked kernels write
 // only the grid's zero initial values in their dead region, the result
@@ -165,120 +160,5 @@ func (e *Executor) RunIrregular(ctx context.Context, k kernels.Kernel, g *grid.G
 	if ct <= 1 || !monotone(st) {
 		return e.RunFrontier(ctx, k, g, grid.NewIrregularFrontier(rows, cols, st, live))
 	}
-	return e.runTileFrontier(ctx, k, g, ct, st, live)
-}
-
-// runTileFrontier is the tiled irregular scheduler: per-tile in-degree
-// counting over the dependency edges that actually cross tile
-// boundaries, with the pool computing the ready tiles of each level
-// concurrently. Within a tile, live cells are visited row-major, which
-// respects every monotone stencil.
-func (e *Executor) runTileFrontier(ctx context.Context, k kernels.Kernel, g *grid.Grid, ct int, st grid.Stencil, live func(r, c int) bool) error {
-	if e.pl.isClosed() {
-		return ErrClosed
-	}
-	rows, cols := g.Rows(), g.Cols()
-	nTr := (rows + ct - 1) / ct
-	nTc := (cols + ct - 1) / ct
-	nT := nTr * nTc
-	liveTile := make([]bool, nT)
-	tileOf := func(r, c int) int { return (r/ct)*nTc + c/ct }
-	isLive := func(r, c int) bool { return live == nil || live(r, c) }
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if isLive(r, c) {
-				liveTile[tileOf(r, c)] = true
-			}
-		}
-	}
-	// Derive tile edges from the cell edges that cross tile boundaries,
-	// deduplicated so each predecessor tile contributes one unit of
-	// in-degree.
-	indeg := make([]int32, nT)
-	adj := make([][]int32, nT)
-	seen := make(map[int64]struct{})
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if !isLive(r, c) {
-				continue
-			}
-			ti := tileOf(r, c)
-			for _, o := range st {
-				pr, pc := r+o.DR, c+o.DC
-				if pr < 0 || pr >= rows || pc < 0 || pc >= cols || !isLive(pr, pc) {
-					continue
-				}
-				tp := tileOf(pr, pc)
-				if tp == ti {
-					continue
-				}
-				key := int64(tp)*int64(nT) + int64(ti)
-				if _, dup := seen[key]; dup {
-					continue
-				}
-				seen[key] = struct{}{}
-				adj[tp] = append(adj[tp], int32(ti))
-				indeg[ti]++
-			}
-		}
-	}
-	total := 0
-	var ready, next []int32
-	for t := 0; t < nT; t++ {
-		if !liveTile[t] {
-			continue
-		}
-		total++
-		if indeg[t] == 0 {
-			ready = append(ready, int32(t))
-		}
-	}
-	done := 0
-	for len(ready) > 0 {
-		if err := ctxErr(ctx); err != nil {
-			return err
-		}
-		done += len(ready)
-		err := e.runItems(len(ready), func(i int) {
-			t := int(ready[i])
-			computeTileMasked(k, g, (t/nTc)*ct, (t%nTc)*ct, ct, live)
-		})
-		if err != nil {
-			return err
-		}
-		next = next[:0]
-		for _, t := range ready {
-			for _, s := range adj[t] {
-				if indeg[s]--; indeg[s] == 0 {
-					next = append(next, s)
-				}
-			}
-		}
-		ready, next = next, ready
-	}
-	if done != total {
-		return fmt.Errorf("%w: completed %d of %d live tiles", ErrFrontierStuck, done, total)
-	}
-	return nil
-}
-
-// computeTileMasked evaluates the live cells of the tile with top-left
-// corner (r0, c0) in row-major order.
-func computeTileMasked(k kernels.Kernel, g *grid.Grid, r0, c0, ct int, live func(r, c int) bool) {
-	rMax := r0 + ct
-	if rMax > g.Rows() {
-		rMax = g.Rows()
-	}
-	cMax := c0 + ct
-	if cMax > g.Cols() {
-		cMax = g.Cols()
-	}
-	for r := r0; r < rMax; r++ {
-		for c := c0; c < cMax; c++ {
-			if live != nil && !live(r, c) {
-				continue
-			}
-			k.Compute(g, r, c)
-		}
-	}
+	return e.runTiles(ctx, k, g, ct, live)
 }

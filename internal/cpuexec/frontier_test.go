@@ -3,7 +3,10 @@ package cpuexec
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/grid"
@@ -205,15 +208,119 @@ func TestRunFrontierClosed(t *testing.T) {
 	}
 }
 
-// TestFrontierSchedulerStress drives several executors through irregular
-// and dense frontiers concurrently; run under -race it shakes out data
-// races in the work-set scheduling (CI runs it explicitly in the race
-// job).
+// cancellingKernel computes like the kernel it wraps and cancels a
+// context once it has computed after cells, so cancellation lands in
+// the middle of a tiled run.
+type cancellingKernel struct {
+	kernels.Kernel
+	cancel   context.CancelFunc
+	after    int64
+	computed atomic.Int64
+}
+
+func (k *cancellingKernel) Compute(g *grid.Grid, r, c int) {
+	if k.computed.Add(1) == k.after {
+		k.cancel()
+	}
+	k.Kernel.Compute(g, r, c)
+}
+
+// TestRunIrregularCancelMidRun: a kernel cancels its context partway
+// through a tiled run. The run returns context.Canceled with cells left
+// uncomputed, the same executor's next run equals serial, and closing
+// the executor leaves no goroutine behind.
+func TestRunIrregularCancelMidRun(t *testing.T) {
+	const rows, cols = 48, 40
+	inner := kernels.NewSynthetic(2, 1)
+	want := grid.NewRect(rows, cols, inner.DSize())
+	RunSerial(inner, want)
+	before := runtime.NumGoroutine()
+	ex := New(3)
+	for _, ct := range []int{2, 8} {
+		ctx, cancel := context.WithCancel(context.Background())
+		k := &cancellingKernel{Kernel: inner, cancel: cancel, after: 200}
+		err := ex.RunIrregular(ctx, k, grid.NewRect(rows, cols, inner.DSize()), ct)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("ct=%d: err = %v, want context.Canceled", ct, err)
+		}
+		if n := k.computed.Load(); n >= rows*cols {
+			t.Errorf("ct=%d: all %d cells computed despite cancellation", ct, n)
+		}
+		got := grid.NewRect(rows, cols, inner.DSize())
+		if err := ex.RunIrregular(context.Background(), inner, got, ct); err != nil {
+			t.Fatalf("ct=%d: run after cancellation: %v", ct, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("ct=%d: run after cancellation differs from serial", ct)
+		}
+	}
+	ex.Close()
+	// Close returns once every worker has signalled its exit; give the
+	// last ones a few scheduler turns to finish unwinding.
+	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
+		runtime.Gosched()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, want at most the %d before", n, before)
+	}
+}
+
+// TestRunIrregularSetupAllocs: the tiled irregular path sets up in a
+// constant number of allocations, whatever the cell count — no per-cell
+// dependency graph and no per-tile adjacency lists.
+func TestRunIrregularSetupAllocs(t *testing.T) {
+	k := kernels.NewMorphRecon(-1, 1)
+	g := grid.New(256, k.DSize())
+	ex := New(2)
+	defer ex.Close()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := ex.RunIrregular(ctx, k, g, 16); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("RunIrregular on 256x256 at ct=16 made %.0f allocations, want at most 16", allocs)
+	}
+}
+
+// TestFrontierSchedulerStress drives several executors concurrently
+// through the tile dataflow scheduler (Executor.Run and tiled
+// RunIrregular) and the per-cell frontier; run under -race it shakes out
+// data races in the scheduling (CI runs it explicitly in the race job).
+// Run sees random rectangles, tiles from one cell up to the longer side
+// (so past the shorter one), and pools with more workers than tiles.
 func TestFrontierSchedulerStress(t *testing.T) {
 	ks := frontierKernels()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
-		wg.Add(1)
+		wg.Add(2)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			k := ks[i%len(ks)]
+			ex := New(2 + 3*i)
+			defer ex.Close()
+			for rep := 0; rep < 8; rep++ {
+				rows, cols := 1+rng.Intn(40), 1+rng.Intn(40)
+				ct := 1 + rng.Intn(max(rows, cols))
+				if rep == 0 {
+					ct = max(rows, cols) // one tile: every worker but one idles
+				}
+				want := grid.NewRect(rows, cols, k.DSize())
+				RunSerial(k, want)
+				got := grid.NewRect(rows, cols, k.DSize())
+				if err := ex.Run(k, got, ct); err != nil {
+					t.Errorf("Run goroutine %d rep %d (%dx%d ct=%d): %v", i, rep, rows, cols, ct, err)
+					return
+				}
+				if !got.Equal(want) {
+					t.Errorf("Run goroutine %d rep %d (%dx%d ct=%d): result differs from serial", i, rep, rows, cols, ct)
+					return
+				}
+			}
+		}(i)
 		go func(i int) {
 			defer wg.Done()
 			k := ks[i%len(ks)]

@@ -6,14 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// ErrClosed is returned by Run/RunDiagRange when the executor's pool has
+// ErrClosed is returned by the executor's entry points once its pool has
 // been closed.
 var ErrClosed = errors.New("cpuexec: executor is closed")
 
 // pool is a persistent worker pool used by the executor: workers live for
-// the pool's lifetime and pick tile indices off a shared atomic counter,
-// so a wavefront of many small tile-diagonals does not pay a goroutine
-// spawn per barrier.
+// the pool's lifetime and pick work items off a shared atomic counter,
+// so no run pays a goroutine spawn per parallel region — the tile
+// scheduler's one region per run, or the frontier executor's one per
+// step.
 type pool struct {
 	workers int
 

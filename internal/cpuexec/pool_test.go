@@ -37,9 +37,6 @@ func TestRunAfterCloseReturnsError(t *testing.T) {
 		if err := ex.Run(k, g, 4); !errors.Is(err, ErrClosed) {
 			t.Errorf("Run after Close = %v, want ErrClosed", err)
 		}
-		if err := ex.RunDiagRange(k, g, 4, 0, 10); !errors.Is(err, ErrClosed) {
-			t.Errorf("RunDiagRange after Close = %v, want ErrClosed", err)
-		}
 	})
 }
 

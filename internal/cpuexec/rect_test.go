@@ -102,16 +102,10 @@ func TestRectThreePhaseComposition(t *testing.T) {
 	RunSerial(k, want)
 
 	got := grid.NewRect(rows, cols, 1)
-	ex := New(3)
-	defer ex.Close()
 	d := grid.NumDiagsRect(rows, cols)
-	if err := ex.RunDiagRange(k, got, 4, 0, 11); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, got, 0, 11)
 	RunSerialDiagRange(k, got, 12, 30)
-	if err := ex.RunDiagRange(k, got, 4, 31, d-1); err != nil {
-		t.Fatal(err)
-	}
+	RunSerialDiagRange(k, got, 31, d-1)
 	if !got.Equal(want) {
 		t.Error("rect three-phase composition differs from full sweep")
 	}

@@ -129,9 +129,17 @@ func TestSlowJobLogsSpanTree(t *testing.T) {
 	}
 	await(t, m, j.ID)
 
-	mu.Lock()
-	defer mu.Unlock()
-	joined := strings.Join(lines, "\n")
+	// The span tree is logged just after the job is published as
+	// finished, so wait for that line rather than racing it.
+	var joined string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		joined = strings.Join(lines, "\n")
+		mu.Unlock()
+		if strings.Contains(joined, " slow (") || time.Now().After(deadline) {
+			break
+		}
+	}
 	for _, want := range []string{"slow", "job.execute", "plan.fetch", "engine.measure", "request_id=req-slow"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("slow-job log missing %q:\n%s", want, joined)

@@ -63,7 +63,10 @@ type Config struct {
 	// Source.Tuner).
 	Champion func(sys hw.System) (core.Predictor, error)
 	// Promote atomically installs a winning challenger and returns the
-	// new model generation (typically Source.Promote).
+	// new model generation (typically Source.Promote). It runs, with
+	// Invalidate, under the lock Stats takes, so no snapshot shows the
+	// new generation before the promotion's status; neither hook may
+	// call Stats.
 	Promote func(system string, t core.Predictor) uint64
 	// Generation, when set, reports a system's current generation for
 	// Stats (typically Source.Generation).
@@ -329,7 +332,7 @@ func (r *Retrainer) runSystem(sys hw.System) {
 	scan, err := st.cursor.Scan()
 	now := time.Now()
 	if err != nil {
-		r.finishAttempt(sys.Name, st, scan, 0, fmt.Errorf("scan: %w", err), Verdict{}, "", "", 0)
+		r.finishAttempt(sys.Name, st, scan, nil, fmt.Errorf("scan: %w", err), Verdict{}, "", "")
 		return
 	}
 	r.mu.Lock()
@@ -358,16 +361,11 @@ func (r *Retrainer) runSystem(sys hw.System) {
 	}
 	r.metricsEvent(sys.Name, "trained", kind)
 
-	promotedGen := uint64(0)
-	dropped := 0
-	if err == nil && verdict.Promote {
-		promotedGen = r.cfg.Promote(sys.Name, challenger)
-		if r.cfg.Invalidate != nil {
-			dropped = r.cfg.Invalidate(sys.Name)
-		}
+	if err != nil || !verdict.Promote {
+		challenger = nil
 	}
+	promotedGen, dropped := r.finishAttempt(sys.Name, st, scan, challenger, err, verdict, genID, kind)
 	r.logDecision(sys.Name, genID, verdict, err, promotedGen, dropped)
-	r.finishAttempt(sys.Name, st, scan, promotedGen, err, verdict, genID, kind, dropped)
 }
 
 // evaluate reads the accumulated log, trains the challenger on the
@@ -445,8 +443,12 @@ func predictionErrors(t core.Predictor, held []core.Point) ([]float64, error) {
 }
 
 // finishAttempt updates a system's status after a retrain attempt (or a
-// scan failure) and commits the consumed scan.
-func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan, promotedGen uint64, err error, v Verdict, genID, kind string, dropped int) {
+// scan failure) and commits the consumed scan. A non-nil winner is
+// promoted, and the system's cached plans dropped, inside the critical
+// section that records the outcome, so Stats never reports the new
+// generation without its promotion. It returns the generation promoted
+// to (0 when none) and the number of plans dropped.
+func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan, winner core.Predictor, err error, v Verdict, genID, kind string) (promotedGen uint64, dropped int) {
 	if err == nil || genID != "" {
 		// The attempt consumed the scanned rows (even a failed attempt:
 		// retrying the same poisoned rows forever would wedge the loop) —
@@ -474,7 +476,11 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		s.Errors++
 		s.LastVerdict = "error: " + err.Error()
 		r.metricsEvent(system, "error", kind)
-	case promotedGen > 0:
+	case winner != nil:
+		promotedGen = r.cfg.Promote(system, winner)
+		if r.cfg.Invalidate != nil {
+			dropped = r.cfg.Invalidate(system)
+		}
 		s.Promotions++
 		s.Generation = promotedGen
 		s.ModelKind = kind
@@ -489,6 +495,7 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		s.Verdict = &v
 		r.metricsEvent(system, "rejected", kind)
 	}
+	return promotedGen, dropped
 }
 
 // logDecision emits the structured one-line decision log.

@@ -194,6 +194,43 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestStatsNeverTornDuringPromotion: a Stats call that lands while a
+// promotion is being applied — the source already serves the new
+// generation — must not see that generation without the promotion's
+// counters and verdict.
+func TestStatsNeverTornDuringPromotion(t *testing.T) {
+	_, _, bad := fixtures(t)
+	dir := t.TempDir()
+	seedLog(t, dir, 24)
+
+	src := NewSource(staticTunerSource{bad})
+	cfg := testConfig(t, dir, src)
+	var r *Retrainer
+	polled := make(chan SystemStatus, 1)
+	cfg.Promote = func(system string, tun core.Predictor) uint64 {
+		gen := src.Promote(system, tun)
+		go func() { polled <- r.Stats().Systems[system] }()
+		// Hold the promotion open until the poll returns, or long enough
+		// that it is waiting for the promotion to be published.
+		select {
+		case st := <-polled:
+			polled <- st
+		case <-time.After(100 * time.Millisecond):
+		}
+		return gen
+	}
+	var err error
+	if r, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	r.RunOnce(context.Background())
+
+	st := <-polled
+	if st.Generation != 2 || st.Promotions != 1 || st.Retrains != 1 || st.Verdict == nil || !st.Verdict.Promote {
+		t.Fatalf("Stats during a promotion saw a half-applied status: %+v", st)
+	}
+}
+
 // TestRetrainTrainingErrorKeepsChampion injects a training failure (an
 // all-rectangular log — sampling yields no training instances) and
 // proves the champion keeps serving, the failure is counted, and the

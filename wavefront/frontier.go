@@ -4,10 +4,11 @@ package wavefront
 // from dense anti-diagonal sweeps to arbitrary ready-set propagation.
 // Dense wavefronts remain the closed-form special case (DiagFrontier);
 // masked and irregular workloads — Nussinov's triangle, morphological
-// reconstruction over a mask — run through IrregularFrontier's per-cell
-// in-degree scheduling. Kernels opt in by implementing KernelStencil
-// and KernelMask; undeclared kernels default to the dense W/N/NW cone
-// over the full rectangle.
+// reconstruction over a mask — run through RunIrregular, which tiles
+// them like RunParallel or schedules single cells by IrregularFrontier's
+// per-cell in-degree counting. Kernels opt in by implementing
+// KernelStencil and KernelMask; undeclared kernels default to the dense
+// W/N/NW cone over the full rectangle.
 
 import (
 	"context"
@@ -95,11 +96,11 @@ func RunFrontier(ctx context.Context, k Kernel, g *Grid, f Frontier, workers int
 }
 
 // RunIrregular computes the live region kernel k declares (dense over
-// the full rectangle when it declares none) by frontier propagation on
-// the host CPU, and returns the wall-clock time. cpuTile > 1 schedules
-// tiles of that side through per-tile in-degree counting, the irregular
-// generalization of the tile-diagonal wavefront; cpuTile <= 1 schedules
-// individual cells.
+// the full rectangle when it declares none) on the host CPU, and returns
+// the wall-clock time. cpuTile > 1 runs tiles of that side through the
+// same barrier-free tile scheduler as RunParallel, computing only live
+// cells; cpuTile <= 1, or a stencil that points up and right, schedules
+// individual cells by frontier propagation.
 func RunIrregular(ctx context.Context, k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error) {
 	start := time.Now()
 	ex := cpuexec.New(workers)

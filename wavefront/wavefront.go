@@ -157,7 +157,9 @@ func RunSerial(k Kernel, g *Grid) time.Duration {
 
 // RunParallel computes the grid with k on the host CPU using the tiled
 // wavefront executor (cpuTile-sided tiles, workers goroutines; workers
-// <= 0 selects GOMAXPROCS) and returns the wall-clock time.
+// <= 0 selects GOMAXPROCS) and returns the wall-clock time. A tile
+// starts as soon as its north and west neighbours finish; no barrier
+// separates tile-diagonals.
 func RunParallel(k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error) {
 	start := time.Now()
 	ex := cpuexec.New(workers)
