@@ -86,16 +86,18 @@ type SearchOptions struct {
 	// Workers bounds host parallelism (default GOMAXPROCS).
 	Workers int
 
-	// estimate is a test seam for the point evaluator; nil selects
-	// engine.Estimate.
+	// estimate is a test seam for the point evaluator; nil selects each
+	// worker's engine.Sweep.
 	estimate func(hw.System, plan.Instance, plan.Params, engine.Options) (engine.Result, error)
 }
 
 // Exhaustive evaluates every configuration of the space for every
 // instance on sys through the analytic estimator, in parallel across host
-// cores, with deterministic output order. The first estimation error
-// cancels the remaining work promptly: in-flight workers stop at their
-// next configuration and queued instances are never started.
+// cores, with deterministic output order. Each worker sweeps one instance
+// at a time with its own engine.Sweep, so configurations that differ only
+// in cpu-tile share one walk of their GPU schedule. The first estimation
+// error cancels the remaining work promptly: every worker checks before
+// each configuration and stops, and unstarted instances are never begun.
 //
 // On error the result is not discarded: the returned SearchResult holds
 // every instance whose full configuration sweep had already completed
@@ -107,10 +109,7 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 	if opts.ThresholdNs == 0 {
 		opts.ThresholdNs = engine.DefaultThresholdNs
 	}
-	estimate := opts.estimate
-	if estimate == nil {
-		estimate = engine.Estimate
-	}
+	eopts := engine.Options{ThresholdNs: opts.ThresholdNs}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -126,38 +125,56 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 	var firstErr error
 	var mu sync.Mutex
 	var stop atomic.Bool
-	sem := make(chan struct{}, workers)
-	for i, inst := range insts {
-		if stop.Load() {
-			break
+	// sweep evaluates every configuration of instance i with the worker's
+	// sw, stopping early on the first error anywhere in the search.
+	sweep := func(sw *engine.Sweep, i int) {
+		inst := insts[i]
+		configs := space.Configs(inst, sys)
+		ir := InstanceResult{
+			Inst: inst, SerialNs: engine.SerialNs(sys, inst),
+			Points: make([]Point, 0, len(configs)),
 		}
-		i, inst := i, inst
+		sw.Reset(sys, inst, eopts)
+		for _, par := range configs {
+			if stop.Load() {
+				return
+			}
+			var res engine.Result
+			var err error
+			if opts.estimate != nil {
+				res, err = opts.estimate(sys, inst, par, eopts)
+			} else {
+				res, err = sw.Estimate(par)
+			}
+			if err != nil {
+				stop.Store(true)
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("core: estimating %v %v: %w", inst, par, err)
+				}
+				mu.Unlock()
+				return
+			}
+			ir.Points = append(ir.Points, Point{
+				Inst: inst, Par: par, RTimeNs: res.RTimeNs, Censored: res.Censored,
+			})
+		}
+		out.Instances[i] = ir
+		completed[i] = true
+	}
+	var next atomic.Int64
+	for range min(workers, len(insts)) {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			defer func() { <-sem }()
-			ir := InstanceResult{Inst: inst, SerialNs: engine.SerialNs(sys, inst)}
-			for _, par := range space.Configs(inst, sys) {
-				if stop.Load() {
+			var sw engine.Sweep
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(insts) {
 					return
 				}
-				res, err := estimate(sys, inst, par, engine.Options{ThresholdNs: opts.ThresholdNs})
-				if err != nil {
-					stop.Store(true)
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: estimating %v %v: %w", inst, par, err)
-					}
-					mu.Unlock()
-					return
-				}
-				ir.Points = append(ir.Points, Point{
-					Inst: inst, Par: par, RTimeNs: res.RTimeNs, Censored: res.Censored,
-				})
+				sweep(&sw, i)
 			}
-			out.Instances[i] = ir
-			completed[i] = true
 		}()
 	}
 	wg.Wait()

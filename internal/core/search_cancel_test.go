@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -135,5 +136,26 @@ func TestExhaustiveSucceedsWithoutHook(t *testing.T) {
 	}
 	if sr.Evaluations() != tinySpace().Size(sys) {
 		t.Errorf("evaluations = %d, want %d", sr.Evaluations(), tinySpace().Size(sys))
+	}
+}
+
+// TestQuickSearchTotalAlloc bounds what one lazily trained tuner's search
+// allocates. Workers reuse their sweep's tape storage across instances,
+// so sharing GPU schedules must not trade the time it saves for garbage:
+// the search stays within twice the 2.64 MB that evaluating each point
+// on its own allocated (i7-2600K, two workers).
+func TestQuickSearchTotalAlloc(t *testing.T) {
+	const limit = 2 * 2_638_136
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sr, err := Exhaustive(hw.I7_2600K(), QuickSpace(), SearchOptions{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Errorf("quick-space search allocated %d bytes for %d points, want <= %d",
+			got, sr.Evaluations(), limit)
 	}
 }

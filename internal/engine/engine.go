@@ -2,9 +2,10 @@
 // heterogeneous systems. It provides two equivalent views of a run:
 //
 //   - Estimate: a fast analytic walk of the plan that returns virtual time
-//     and a cost breakdown without touching any data. The exhaustive
-//     search evaluates hundreds of thousands of configurations through
-//     this path.
+//     and a cost breakdown without touching any data. A Sweep gives the
+//     same answers for many configurations of one instance; the
+//     exhaustive search evaluates hundreds of thousands of
+//     configurations through it.
 //   - Simulate: a functional discrete-event simulation through the simcl
 //     runtime that computes real cell values while accumulating exactly
 //     the same modeled costs. Tests assert that both paths agree, so the
@@ -13,15 +14,23 @@
 // Both derive every duration from the hw cost models. The GPU phase's
 // choreography (swap periods, per-period device lockstep, each device's
 // kernel launches, halo swaps, transfer sizes) is defined once, as the
-// gpuSchedule walk. Estimate folds each launch into its Result as the walk
-// yields it, without allocating. Simulate collects the same launches, with
-// their row segments, into simcl kernel requests.
+// gpuSchedule walk. Simulate collects its launches, with their row
+// segments, into simcl kernel requests. For the analytic path a meter
+// times the launches into period lengths, and a clock sums the run in
+// execution order: Phase 1, GPU start-up and input transfers, each
+// period and its halo swap with the censoring check at its end, output
+// transfers, Phase 3. Estimate feeds the clock from the live walk,
+// without allocating. A Sweep walks each distinct GPU schedule once per
+// instance, since a schedule never depends on the cpu-tile, and records
+// a tape of period lengths and launch counters; every configuration
+// sharing the schedule replays the tape through the same clock from its
+// own Phase 1 time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
-// hash every quick-space search point and a set of full breakdowns, so
-// any change to a float expression or to a summation order must be
-// deliberate. Trained tuners, served runtimes and efficiencies all rest
-// on those bits.
+// hash every quick-space search point and a set of full breakdowns,
+// through both Estimate and a Sweep, so any change to a float
+// expression or to a summation order must be deliberate. Trained tuners,
+// served runtimes and efficiencies all rest on those bits.
 package engine
 
 import (
@@ -195,8 +204,8 @@ func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, s
 
 // gpuSchedule is the device-side choreography of a plan's GPU phase: the
 // devices taking part, their transfers, and — through walk — the swap
-// periods and kernel launches. Estimate and Simulate both consume walk, so
-// the analytic and functional paths cannot drift apart.
+// periods and kernel launches. Estimate, Sweep and Simulate all consume
+// walk, so the analytic and functional paths cannot drift apart.
 type gpuSchedule struct {
 	pl         *plan.Plan
 	rows, cols int
@@ -345,109 +354,178 @@ func (s *gpuSchedule) devRows(d, dev, a0, l0, ov int) (lo, hi int) {
 	return lo, hi
 }
 
+// prepare validates a configuration against sys and builds its plan.
+func prepare(sys hw.System, inst plan.Instance, par plan.Params, opts Options) (*plan.Plan, error) {
+	if err := validate(sys, par); err != nil {
+		return nil, err
+	}
+	if opts.GPUs > len(sys.GPUs) {
+		return nil, fmt.Errorf("engine: %d GPUs requested but %s has %d",
+			opts.GPUs, sys.Name, len(sys.GPUs))
+	}
+	return plan.Build(inst, par)
+}
+
+// clock sums a run's virtual time in execution order and applies the
+// censoring rule at each check point. It is the one place where a run's
+// time is added up: Estimate drives its GPU phase from the live walk and
+// a Sweep from a recorded tape, so both produce the same bits.
+type clock struct {
+	res         *Result
+	thresholdNs float64
+	gpuStart    float64 // RTimeNs when the GPU phase began
+	swapNs      float64 // one halo exchange: 2 transfers per boundary
+}
+
+// over censors the run once it has passed the threshold.
+func (c *clock) over() bool {
+	if c.thresholdNs > 0 && c.res.RTimeNs > c.thresholdNs {
+		c.res.RTimeNs = c.thresholdNs
+		c.res.Censored = true
+		return true
+	}
+	return false
+}
+
+// cpuPhase records a CPU phase of ns in *phase and adds it to the clock;
+// it reports whether the run is censored.
+func (c *clock) cpuPhase(phase *float64, ns float64) bool {
+	*phase = ns
+	c.res.RTimeNs += ns
+	return c.over()
+}
+
+// startGPU adds the GPU phase's device start-up, which is concurrent
+// across devices, and its input transfers, which serialize on the link.
+func (c *clock) startGPU(sys hw.System, sch *gpuSchedule) {
+	res := c.res
+	c.gpuStart = res.RTimeNs
+	// Identical models per system make max == single value, but take max
+	// for generality.
+	var startup float64
+	for dev := 0; dev < sch.nGPU; dev++ {
+		startup = math.Max(startup, sys.GPUs[dev].StartupNs)
+		res.StartupNs += sys.GPUs[dev].StartupNs
+	}
+	res.RTimeNs += startup
+	for dev := 0; dev < sch.nGPU; dev++ {
+		x := sys.Link.XferNs(sch.xferIn())
+		res.XferNs += x
+		res.RTimeNs += x
+	}
+	if sch.nGPU >= 2 {
+		c.swapNs = float64(2*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
+	}
+}
+
+// period adds one swap period lasting ns, then its halo exchange when one
+// follows; it reports whether the run is censored.
+func (c *clock) period(ns float64, swapAfter bool) bool {
+	res := c.res
+	res.RTimeNs += ns
+	if swapAfter {
+		res.SwapNs += c.swapNs
+		res.RTimeNs += c.swapNs
+		res.Swaps++
+	}
+	return c.over()
+}
+
+// finishGPU adds the output transfers and closes the GPU phase; it
+// reports whether the run is censored.
+func (c *clock) finishGPU(sys hw.System, sch *gpuSchedule) bool {
+	res := c.res
+	for dev := 0; dev < sch.nGPU; dev++ {
+		x := sys.Link.XferNs(sch.xferOut(dev))
+		res.XferNs += x
+		res.RTimeNs += x
+	}
+	res.RedundantPoints = sch.pl.RedundantPoints()
+	res.GPUNs = res.RTimeNs - c.gpuStart
+	return c.over()
+}
+
+// launchTotals are the GPU phase's per-launch breakdown counters.
+type launchTotals struct {
+	kernels             int
+	launchNs, computeNs float64
+}
+
+// fold copies the counters into a breakdown.
+func (t launchTotals) fold(res *Result) {
+	res.Kernels, res.LaunchNs, res.ComputeNs = t.kernels, t.launchNs, t.computeNs
+}
+
+// meter times a walk's launches. Devices run each period in lockstep: the
+// period lasts as long as its busiest device (span), each device's time
+// being the sum of its launches (devNs).
+type meter struct {
+	costs       []hw.LaunchCost // per device, bound once rather than per launch
+	span, devNs float64
+	dev         int
+	launchTotals
+}
+
+// launchCosts binds sys's first n devices to inst's granularity,
+// appending to dst.
+func launchCosts(dst []hw.LaunchCost, sys hw.System, inst plan.Instance, n int) []hw.LaunchCost {
+	for _, g := range sys.GPUs[:n] {
+		dst = append(dst, g.LaunchCost(inst.TSize, sys.CPU.PerIterNs, inst.DSize))
+	}
+	return dst
+}
+
+func (m *meter) launch(l launch) {
+	if l.dev != m.dev {
+		m.span = math.Max(m.span, m.devNs)
+		m.devNs = 0
+		m.dev = l.dev
+	}
+	c := &m.costs[m.dev]
+	dur := c.DurationNs(l.points, l.syncSteps, l.inflate)
+	m.devNs += dur
+	m.kernels++
+	m.launchNs += c.LaunchNs
+	m.computeNs += dur - c.LaunchNs
+}
+
+// endPeriod returns the finished period's duration and resets the span.
+func (m *meter) endPeriod() float64 {
+	ns := math.Max(m.span, m.devNs)
+	m.span, m.devNs, m.dev = 0, 0, -1
+	return ns
+}
+
 // Estimate models a run of inst with parameters par on sys and returns
 // its virtual time and breakdown without computing any data.
 func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) (Result, error) {
-	if err := validate(sys, par); err != nil {
-		return Result{}, err
-	}
-	if opts.GPUs > len(sys.GPUs) {
-		return Result{}, fmt.Errorf("engine: %d GPUs requested but %s has %d",
-			opts.GPUs, sys.Name, len(sys.GPUs))
-	}
-	pl, err := plan.Build(inst, par)
+	pl, err := prepare(sys, inst, par, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Plan: pl}
 	res.FrontierSteps = inst.NumDiags()
-	over := func() bool {
-		if opts.ThresholdNs > 0 && res.RTimeNs > opts.ThresholdNs {
-			res.RTimeNs = opts.ThresholdNs
-			res.Censored = true
-			return true
-		}
-		return false
-	}
-
-	res.Phase1Ns = cpuPhaseNs(sys, inst, par.CPUTile, pl.P1Lo, pl.P1Hi)
-	res.RTimeNs += res.Phase1Ns
-	if over() {
+	clk := clock{res: &res, thresholdNs: opts.ThresholdNs}
+	if clk.cpuPhase(&res.Phase1Ns, cpuPhaseNs(sys, inst, par.CPUTile, pl.P1Lo, pl.P1Hi)) {
 		return res, nil
 	}
-
 	if sch, ok := buildGPUSchedule(pl, opts.GPUs); ok {
-		gpuStart := res.RTimeNs
-		// Startup is concurrent across devices; identical models per
-		// system make max == single value, but take max for generality.
-		var startup float64
-		for dev := 0; dev < sch.nGPU; dev++ {
-			startup = math.Max(startup, sys.GPUs[dev].StartupNs)
-			res.StartupNs += sys.GPUs[dev].StartupNs
-		}
-		res.RTimeNs += startup
-		// Input transfers serialize on the link.
-		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferIn())
-			res.XferNs += x
-			res.RTimeNs += x
-		}
-		// Each device's launch cost model is bound once, not per launch.
-		// Systems have a handful of devices, so the table stays on the
-		// stack.
+		clk.startGPU(sys, &sch)
+		// Systems have a handful of devices, so the cost table stays on
+		// the stack.
 		var table [4]hw.LaunchCost
-		costs := table[:0]
-		for dev := 0; dev < sch.nGPU; dev++ {
-			costs = append(costs, sys.GPUs[dev].LaunchCost(inst.TSize, sys.CPU.PerIterNs, inst.DSize))
-		}
-		// Devices run each period in lockstep: the period lasts as long as
-		// its busiest device (span), each device's time being the sum of
-		// its launches (devNs).
-		var span, devNs float64
-		dev := -1
+		m := meter{costs: launchCosts(table[:0], sys, inst, sch.nGPU), dev: -1}
 		cut := false
-		sch.walk(false, func(l launch) {
-			if l.dev != dev {
-				span = math.Max(span, devNs)
-				devNs = 0
-				dev = l.dev
-			}
-			c := &costs[dev]
-			dur := c.DurationNs(l.points, l.syncSteps, l.inflate)
-			devNs += dur
-			res.Kernels++
-			res.LaunchNs += c.LaunchNs
-			res.ComputeNs += dur - c.LaunchNs
-		}, func(swapAfter bool) bool {
-			res.RTimeNs += math.Max(span, devNs)
-			span, devNs, dev = 0, 0, -1
-			if swapAfter {
-				s := float64(2*(sch.nGPU-1)) * sys.Link.XferNs(sch.swapByte)
-				res.SwapNs += s
-				res.RTimeNs += s
-				res.Swaps++
-			}
-			cut = over()
+		sch.walk(false, m.launch, func(swapAfter bool) bool {
+			cut = clk.period(m.endPeriod(), swapAfter)
 			return !cut
 		})
-		if cut {
-			return res, nil
-		}
-		for dev := 0; dev < sch.nGPU; dev++ {
-			x := sys.Link.XferNs(sch.xferOut(dev))
-			res.XferNs += x
-			res.RTimeNs += x
-		}
-		res.RedundantPoints = pl.RedundantPoints()
-		res.GPUNs = res.RTimeNs - gpuStart
-		if over() {
+		m.fold(&res)
+		if cut || clk.finishGPU(sys, &sch) {
 			return res, nil
 		}
 	}
-
-	res.Phase3Ns = cpuPhaseNs(sys, inst, par.CPUTile, pl.P3Lo, pl.P3Hi)
-	res.RTimeNs += res.Phase3Ns
-	over()
+	clk.cpuPhase(&res.Phase3Ns, cpuPhaseNs(sys, inst, par.CPUTile, pl.P3Lo, pl.P3Hi))
 	return res, nil
 }
 
@@ -474,14 +552,7 @@ func SimulateRect(sys hw.System, rows, cols int, k kernels.Kernel, par plan.Para
 // granularity parameters (TSize, DSize) are always taken from the kernel.
 func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
 	inst.TSize, inst.DSize = k.TSize(), k.DSize()
-	if err := validate(sys, par); err != nil {
-		return Result{}, nil, err
-	}
-	if opts.GPUs > len(sys.GPUs) {
-		return Result{}, nil, fmt.Errorf("engine: %d GPUs requested but %s has %d",
-			opts.GPUs, sys.Name, len(sys.GPUs))
-	}
-	pl, err := plan.Build(inst, par)
+	pl, err := prepare(sys, inst, par, opts)
 	if err != nil {
 		return Result{}, nil, err
 	}

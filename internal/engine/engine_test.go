@@ -351,9 +351,9 @@ func TestSimulateCollectsTrace(t *testing.T) {
 }
 
 func TestEstimateAllocationFree(t *testing.T) {
-	// The exhaustive search calls Estimate once per point, so the walk of
-	// the GPU phase must not allocate: the returned plan is the only
-	// allocation. The first case is BenchmarkEstimateHybrid's dual-GPU
+	// Served misses, jobs and refine probes estimate one point at a time,
+	// so the live walk of the GPU phase must not allocate: the returned
+	// plan is the only allocation. The first case is BenchmarkEstimateHybrid's dual-GPU
 	// configuration.
 	for _, c := range []struct {
 		sys  hw.System

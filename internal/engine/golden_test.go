@@ -136,26 +136,41 @@ func TestGoldenEstimateBreakdowns(t *testing.T) {
 		{"censored-90s", hw.I3_540(), plan.Instance{Dim: 3100, TSize: 12000, DSize: 5},
 			engine.Options{ThresholdNs: engine.DefaultThresholdNs}, 0xe649496236549c09},
 	} {
-		g := newGoldenHash()
-		censored := 0
-		configs := core.QuickSpace().Configs(c.inst, c.sys)
-		for _, par := range configs {
-			r, err := engine.Estimate(c.sys, c.inst, par, c.opts)
-			if err != nil {
-				t.Fatalf("%s %v: %v", c.name, par, err)
+		// The same hash must come out of a single-point Estimate per
+		// configuration and out of one Sweep over the instance.
+		var sw engine.Sweep
+		sw.Reset(c.sys, c.inst, c.opts)
+		for _, path := range []struct {
+			name     string
+			estimate func(plan.Params) (engine.Result, error)
+		}{
+			{"Estimate", func(par plan.Params) (engine.Result, error) {
+				return engine.Estimate(c.sys, c.inst, par, c.opts)
+			}},
+			{"Sweep", sw.Estimate},
+		} {
+			g := newGoldenHash()
+			censored := 0
+			configs := core.QuickSpace().Configs(c.inst, c.sys)
+			for _, par := range configs {
+				r, err := path.estimate(par)
+				if err != nil {
+					t.Fatalf("%s %s %v: %v", c.name, path.name, par, err)
+				}
+				g.par(par)
+				g.result(r)
+				if r.Censored {
+					censored++
+				}
 			}
-			g.par(par)
-			g.result(r)
-			if r.Censored {
-				censored++
+			if c.opts.ThresholdNs > 0 && (censored == 0 || censored == len(configs)) {
+				t.Errorf("%s: %d of %d configs censored; the case must cover both outcomes",
+					c.name, censored, len(configs))
 			}
-		}
-		if c.opts.ThresholdNs > 0 && (censored == 0 || censored == len(configs)) {
-			t.Errorf("%s: %d of %d configs censored; the case must cover both outcomes",
-				c.name, censored, len(configs))
-		}
-		if got := g.h.Sum64(); got != c.want {
-			t.Errorf("%s: breakdown hash %#x, want %#x (%d configs)", c.name, got, c.want, len(configs))
+			if got := g.h.Sum64(); got != c.want {
+				t.Errorf("%s through %s: breakdown hash %#x, want %#x (%d configs)",
+					c.name, path.name, got, c.want, len(configs))
+			}
 		}
 	}
 }

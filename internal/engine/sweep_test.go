@@ -1,0 +1,167 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/hw"
+	"repro/internal/plan"
+)
+
+// sameResult reports whether two estimates agree in every field, plan
+// contents included. Formatting with %#v distinguishes every float bit
+// pattern that an == comparison would merge (-0 and 0).
+func sameResult(a, b Result) bool {
+	if (a.Plan == nil) != (b.Plan == nil) || a.Plan != nil && *a.Plan != *b.Plan {
+		return false
+	}
+	a.Plan, b.Plan = nil, nil
+	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
+// censorPoint names where a run was cut off, read from its breakdown.
+func censorPoint(r Result) string {
+	switch {
+	case !r.Censored:
+		return "none"
+	case r.Phase3Ns > 0:
+		return "phase 3"
+	case r.GPUNs > 0:
+		return "after output transfer"
+	case r.Kernels > 0:
+		return "mid GPU phase"
+	default:
+		return "phase 1"
+	}
+}
+
+// outXferNs is the GPU phase's total output transfer time under par.
+func outXferNs(t *testing.T, sys hw.System, inst plan.Instance, par plan.Params, opts Options) float64 {
+	pl, err := plan.Build(inst, par)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch, ok := buildGPUSchedule(pl, opts.GPUs)
+	if !ok {
+		return 0
+	}
+	ns := 0.0
+	for dev := 0; dev < sch.nGPU; dev++ {
+		ns += sys.Link.XferNs(sch.xferOut(dev))
+	}
+	return ns
+}
+
+// TestSweepMatchesEstimate compares a Sweep with single-point Estimate on
+// random instances and configurations, field by field. Configurations
+// share GPU schedules across cpu-tiles so replays run, and the
+// thresholds are aimed at every point where a run can be censored.
+func TestSweepMatchesEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	wide := hw.WithGPUCount(hw.I7_2600K(), 4)
+	systems := []struct {
+		sys  hw.System
+		gpus int
+	}{
+		{hw.I7_2600K(), 0}, {hw.I3_540(), 0}, {wide, 3}, {wide, 4},
+	}
+	censors := map[string]int{}
+	var sw Sweep // reused across every instance, as a search worker does
+	compared := 0
+	for trial := 0; trial < 24; trial++ {
+		s := systems[trial%len(systems)]
+		rows, cols := 50+rng.Intn(700), 50+rng.Intn(700)
+		inst := plan.Instance{
+			TSize: []float64{10, 100, 1000, 4000}[rng.Intn(4)],
+			DSize: []int{1, 3, 5}[rng.Intn(3)],
+		}
+		switch trial / len(systems) % 3 {
+		case 0:
+			inst.Dim = rows
+		case 1:
+			inst.Rows, inst.Cols = rows, cols
+		default:
+			inst.Rows, inst.Cols = rows, cols
+			inst.LiveCells = 1 + rng.Intn(rows*cols)
+		}
+		// A few GPU schedules, each crossed with several cpu-tiles.
+		var configs []plan.Params
+		for k := 0; k < 6; k++ {
+			band := rng.Intn(inst.MaxUsefulBand()+2) - 1
+			halo := -1
+			if s.sys.MaxGPUs() >= 2 && band >= 0 && rng.Intn(3) > 0 {
+				halo = rng.Intn(plan.MaxHaloFor(inst, band) + 1)
+			}
+			gt := []int{1, 4, 8, 25}[rng.Intn(4)]
+			for _, ct := range []int{1, 3, 8} {
+				configs = append(configs, plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: halo})
+			}
+		}
+		// Thresholds aimed inside each phase of some configurations' runs,
+		// plus no threshold at all.
+		thresholds := []float64{0}
+		for _, par := range configs[:6] {
+			opts := Options{GPUs: s.gpus}
+			r, err := Estimate(s.sys, inst, par, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gpuEnd := r.Phase1Ns + r.GPUNs
+			thresholds = append(thresholds,
+				r.Phase1Ns/2,
+				r.Phase1Ns+r.GPUNs/2,
+				gpuEnd-outXferNs(t, s.sys, inst, par, opts)/2,
+				gpuEnd+r.Phase3Ns/2,
+				r.RTimeNs*rng.Float64())
+		}
+		for _, th := range thresholds {
+			opts := Options{ThresholdNs: th, GPUs: s.gpus}
+			sw.Reset(s.sys, inst, opts)
+			for _, par := range configs {
+				want, err := Estimate(s.sys, inst, par, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := sw.Estimate(par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameResult(got, want) {
+					t.Fatalf("%v %v %+v:\nsweep    %+v\nestimate %+v\nplans %+v / %+v",
+						inst, par, opts, got, want, *got.Plan, *want.Plan)
+				}
+				censors[censorPoint(want)]++
+				compared++
+			}
+		}
+	}
+	for _, p := range []string{"none", "phase 1", "mid GPU phase", "after output transfer", "phase 3"} {
+		if censors[p] == 0 {
+			t.Errorf("no run censored at %q (%d compared: %v)", p, compared, censors)
+		}
+	}
+}
+
+// TestSweepErrorsMatchEstimate: configurations Estimate rejects are
+// rejected by a Sweep with the same message.
+func TestSweepErrorsMatchEstimate(t *testing.T) {
+	inst := plan.Instance{Dim: 300, TSize: 100, DSize: 1}
+	for _, c := range []struct {
+		sys  hw.System
+		par  plan.Params
+		opts Options
+	}{
+		{hw.I3_540(), plan.Params{CPUTile: 4, Band: 100, GPUTile: 1, Halo: 3}, Options{}},
+		{hw.I7_2600K(), plan.Params{CPUTile: 0, Band: 100, GPUTile: 1, Halo: -1}, Options{}},
+		{hw.I7_2600K(), plan.Params{CPUTile: 4, Band: 100, GPUTile: 1, Halo: 3}, Options{GPUs: 4}},
+	} {
+		_, want := Estimate(c.sys, inst, c.par, c.opts)
+		var sw Sweep
+		sw.Reset(c.sys, inst, c.opts)
+		_, got := sw.Estimate(c.par)
+		if want == nil || got == nil || got.Error() != want.Error() {
+			t.Errorf("%v %+v: sweep error %v, Estimate error %v", c.par, c.opts, got, want)
+		}
+	}
+}

@@ -793,9 +793,22 @@ func (s *Server) ListenAndServe(addr string) error {
 	return s.Serve(l)
 }
 
+// Connection timeouts of Serve: a client that stalls mid-header, or
+// leaves a keep-alive connection idle, is disconnected. Both are
+// generous, so no healthy client takes that long over one request's
+// headers or waits that long between requests. readHeaderTimeout is a
+// variable so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
+
 // Serve serves on l until Shutdown.
 func (s *Server) Serve(l net.Listener) error {
-	srv := &http.Server{Handler: s.handler}
+	srv := &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.httpMu.Lock()
 	if s.shutDown {
 		// Shutdown already ran (e.g. a signal raced ahead of the serve

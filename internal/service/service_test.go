@@ -417,6 +417,52 @@ func TestServeShutdownLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeCutsStalledHeader: a client that sends half a request header
+// and then goes quiet is disconnected once the header timeout passes,
+// and the server goes on answering other clients.
+func TestServeCutsStalledHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	s, err := New(Config{Systems: []hw.System{hw.I7_2600K()}, Tuners: NewStaticSource(tinyTuner(t))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(l) }()
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: waved\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled connection not closed by the server: %v", err)
+	}
+
+	resp, err := http.Get("http://" + l.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/healthz status %d after cutting a stalled client", resp.StatusCode)
+	}
+}
+
 // TestShutdownBeforeServe: a signal racing ahead of the serve goroutine
 // must not leave an unstoppable server behind — Serve called after
 // Shutdown returns immediately.

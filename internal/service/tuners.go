@@ -103,9 +103,9 @@ func (l *lazySource) Ready(name string) bool {
 // TrainingSourceOptions configure NewTrainingSource.
 type TrainingSourceOptions struct {
 	// Space is the exhaustive search space to train on; empty selects
-	// core.QuickSpace(), whose search takes 0.02 s (i3-540) to 0.15 s
-	// (the dual-GPU systems) on a 2-vCPU Xeon; see
-	// BenchmarkExhaustiveQuickSearch. Use core.DefaultSpace() for
+	// core.QuickSpace(), whose search takes about 0.013 s (i3-540) to
+	// 0.08 s (the dual-GPU systems) with two workers on a 2-vCPU Xeon;
+	// see BenchmarkExhaustiveQuickSearch. Use core.DefaultSpace() for
 	// paper-scale tuners.
 	Space core.Space
 	// TrainOpts configure model fitting; the zero value selects
