@@ -9,6 +9,8 @@ import (
 	"os"
 	"strings"
 	"sync"
+
+	"repro/internal/atomicfile"
 )
 
 // LogCursor tracks how far an observation-log CSV has been consumed, so
@@ -172,14 +174,13 @@ func (c *LogCursor) Commit(s LogScan) error {
 	if err != nil {
 		return fmt.Errorf("core: log cursor: %w", err)
 	}
-	// Write-temp-then-rename keeps the checkpoint atomic: a crash
-	// mid-commit leaves the previous checkpoint intact (worst case the
-	// same rows are re-counted), never a torn JSON file.
-	tmp := c.ckpt + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("core: log cursor: %w", err)
-	}
-	if err := os.Rename(tmp, c.ckpt); err != nil {
+	// An atomic replace keeps the checkpoint whole: a crash mid-commit
+	// leaves the previous checkpoint intact (worst case the same rows are
+	// re-counted), never a torn JSON file.
+	if err := atomicfile.Write(c.ckpt, 0o644, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("core: log cursor: %w", err)
 	}
 	c.cur = s.next

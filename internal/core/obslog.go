@@ -178,7 +178,7 @@ func (l *ObservationLog) Append(system string, obs ...Observation) error {
 		return err
 	}
 	for i, o := range obs {
-		if _, err := plan.Build(o.Inst, o.Par); err != nil {
+		if err := plan.Check(o.Inst, o.Par); err != nil {
 			return fmt.Errorf("core: observation %d: %w", i, err)
 		}
 		if !(o.RTimeNs > 0) {

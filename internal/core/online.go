@@ -114,7 +114,7 @@ func (o *OnlineTuner) RefineFromContext(ctx context.Context, inst plan.Instance,
 	}
 	sys := o.Base.System()
 	measure := func(p plan.Params) (float64, bool) {
-		if _, err := plan.Build(inst, p); err != nil {
+		if err := plan.Check(inst, p); err != nil {
 			return 0, false
 		}
 		if p.GPUCount() > sys.MaxGPUs() {

@@ -3,8 +3,10 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/hw"
 	"repro/internal/ml"
 )
@@ -159,7 +161,12 @@ func savePredictorFile(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("core: encoding tuner: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	// Replace the file atomically: a crash mid-save must leave the
+	// previous tuner loadable, never a torn one.
+	if err := atomicfile.Write(path, 0o644, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("core: writing tuner: %w", err)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -157,5 +158,25 @@ func TestQuickSearchTotalAlloc(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Errorf("quick-space search allocated %d bytes for %d points, want <= %d",
 			got, sr.Evaluations(), limit)
+	}
+}
+
+// TestExhaustiveWorkerCountIndependent: which instances a worker sweeps,
+// and so which of them share its shape tapes, depends on the worker
+// count; the search's output must not.
+func TestExhaustiveWorkerCountIndependent(t *testing.T) {
+	sys := hw.I7_2600K()
+	want, err := Exhaustive(sys, QuickSpace(), SearchOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 7} {
+		got, err := Exhaustive(sys, QuickSpace(), SearchOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Instances, want.Instances) {
+			t.Errorf("%d workers: search differs from one worker's", workers)
+		}
 	}
 }

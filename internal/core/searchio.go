@@ -253,7 +253,7 @@ func ReadObservationLog(r io.Reader, system string) (*SearchResult, int, error) 
 			bad++
 			continue
 		}
-		if _, err := plan.Build(row.Inst, row.Par); err != nil {
+		if err := plan.Check(row.Inst, row.Par); err != nil {
 			bad++
 			continue
 		}

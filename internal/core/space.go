@@ -111,10 +111,7 @@ func (s Space) Configs(inst plan.Instance, sys hw.System) []plan.Params {
 		if seen[p] {
 			return
 		}
-		if _, err := plan.Build(inst, p); err != nil {
-			return
-		}
-		if p.GPUCount() > sys.MaxGPUs() {
+		if plan.Check(inst, p) != nil || p.GPUCount() > sys.MaxGPUs() {
 			return
 		}
 		seen[p] = true

@@ -20,11 +20,17 @@
 // execution order: Phase 1, GPU start-up and input transfers, each
 // period and its halo swap with the censoring check at its end, output
 // transfers, Phase 3. Estimate feeds the clock from the live walk,
-// without allocating. A Sweep walks each distinct GPU schedule once per
-// instance, since a schedule never depends on the cpu-tile, and records
-// a tape of period lengths and launch counters; every configuration
-// sharing the schedule replays the tape through the same clock from its
-// own Phase 1 time.
+// without allocating. A Sweep keeps a two-level tape per distinct GPU
+// schedule, since a schedule never depends on the cpu-tile. The shape
+// tape holds the launch structure (each launch's device and SIMT pass
+// count, and the period boundaries), which depends only on the grid
+// shape; it is walked once per shape and run-length encoded, with
+// consecutive identical periods stored once with a repeat count. The
+// instance tape replays it with the instance's launch costs, reading
+// each launch's duration from a per-(device, gpu-tile) table indexed by
+// pass count, into period lengths and launch counters. Every
+// configuration sharing the schedule replays the instance tape through
+// the same clock from its own Phase 1 time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
 // hash every quick-space search point and a set of full breakdowns,
@@ -151,21 +157,16 @@ func SerialNs(sys hw.System, inst plan.Instance) float64 {
 	return float64(inst.WorkCells()) * per
 }
 
-// MeasureNs returns the modeled runtime of actually executing a tuning
-// decision on sys — the stand-in for wall-clock timing a real run, used
-// by the job executor: the optimized sequential baseline when serial is
-// set, otherwise the uncensored hybrid estimate of par.
-func MeasureNs(sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, error) {
-	ns, _, err := MeasureStepsNs(sys, inst, serial, par)
-	return ns, err
-}
-
-// MeasureStepsNs is MeasureNs extended with the executed schedule's
-// wavefront step count: the modeled run's FrontierSteps for a hybrid
-// execution, and 1 for the serial baseline (a single uninterrupted
-// row-major sweep has no inter-step barriers). Progress and throughput
-// reporting must derive step totals from here rather than recomputing
-// NumDiags from the shape, which misstates irregular runs.
+// MeasureStepsNs returns the modeled runtime of actually executing a
+// tuning decision on sys — the stand-in for wall-clock timing a real run,
+// used by the job executor: the optimized sequential baseline when serial
+// is set, otherwise the uncensored hybrid estimate of par. It also returns
+// the executed schedule's wavefront step count: the modeled run's
+// FrontierSteps for a hybrid execution, and 1 for the serial baseline (a
+// single uninterrupted row-major sweep has no inter-step barriers).
+// Progress and throughput reporting must derive step totals from here
+// rather than recomputing NumDiags from the shape, which misstates
+// irregular runs.
 func MeasureStepsNs(sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
 	if serial {
 		return SerialNs(sys, inst), 1, nil
@@ -475,18 +476,25 @@ func launchCosts(dst []hw.LaunchCost, sys hw.System, inst plan.Instance, n int) 
 	return dst
 }
 
+// launch times a launch of the live walk.
 func (m *meter) launch(l launch) {
-	if l.dev != m.dev {
+	m.add(l.dev, m.costs[l.dev].DurationNs(l.points, l.syncSteps, l.inflate))
+}
+
+// add accounts one launch on device dev lasting dur. It is the only place
+// a launch is folded into a period and the breakdown counters, for the
+// live walk and a Sweep's replay alike.
+func (m *meter) add(dev int, dur float64) {
+	if dev != m.dev {
 		m.span = math.Max(m.span, m.devNs)
 		m.devNs = 0
-		m.dev = l.dev
+		m.dev = dev
 	}
-	c := &m.costs[m.dev]
-	dur := c.DurationNs(l.points, l.syncSteps, l.inflate)
+	launchNs := m.costs[dev].LaunchNs
 	m.devNs += dur
 	m.kernels++
-	m.launchNs += c.LaunchNs
-	m.computeNs += dur - c.LaunchNs
+	m.launchNs += launchNs
+	m.computeNs += dur - launchNs
 }
 
 // endPeriod returns the finished period's duration and resets the span.

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
@@ -8,12 +10,31 @@ import (
 // A Sweep estimates many configurations of one instance, sharing the work
 // they have in common. A plan's GPU phase depends on its band, halo,
 // gpu-tile and device count but never on its cpu-tile, and a CPU phase
-// depends only on its cpu-tile and diagonal range. So a Sweep walks each
-// distinct GPU schedule once and records a tape of it, computes each
-// distinct CPU phase once, and replays those records into every
-// configuration that shares them.
+// depends only on its cpu-tile and diagonal range. So a Sweep computes
+// each distinct CPU phase once and keeps a two-level tape of each distinct
+// GPU schedule:
 //
-// A replay starts from the configuration's own Phase 1 time and adds the
+//   - The shape tape holds the schedule's launch structure, which depends
+//     only on the grid shape: which device covers how many SIMT passes in
+//     each launch, and where the periods end. It is run-length encoded
+//     twice over: consecutive launches of one device with the same pass
+//     count form one run, and consecutive periods with identical runs are
+//     stored once with a repeat count (on a halo-0 dual-GPU schedule every
+//     period is one diagonal, so most periods repeat their neighbour). A
+//     schedule is walked once per shape: shape tapes survive Reset for as
+//     long as the rows, columns, live fraction, Options.GPUs and device
+//     widths stay the same, so the instances of one shape that differ
+//     only in tsize or dsize share them.
+//   - The instance tape replays a shape tape with the bound instance's
+//     launch costs into each period's lockstep duration and the launch
+//     counters. A launch's duration depends on its points only through
+//     its pass count, so it is read from a per-(device, gpu-tile) table
+//     indexed by passes, each entry computed once by hw.LaunchCost; the
+//     replay divides nothing. Every launch still goes through the meter
+//     once, in walk order, repeated periods included, so the counters
+//     add up in the same order as in a live walk.
+//
+// A configuration's estimate starts from its own Phase 1 time and adds the
 // GPU phase in exactly the order Estimate does (start-up, input
 // transfers, then each period's lockstep time and halo exchange with the
 // censoring check at its end, then the output transfers), through the same
@@ -24,41 +45,87 @@ import (
 //
 // The zero value is ready for Reset. A Sweep is not safe for concurrent
 // use; give each worker its own, and reuse it across instances so its
-// tape storage is reused too.
+// tapes and their storage are reused too.
 type Sweep struct {
 	sys   hw.System
 	inst  plan.Instance
 	opts  Options
 	costs []hw.LaunchCost
 
-	cpu   map[cpuKey]float64
-	index map[gpuKey]int
-	tapes []gpuTape
-	// periods backs every tape's period durations, so one growing buffer
-	// serves all the instances a worker sweeps.
-	periods []float64
+	// Shape level: kept across Reset while the shape key is unchanged.
+	shape  shapeKey
+	widths []int // each device's SIMT width
+	index  map[gpuKey]int
+	shapes []shapeTape
+	// spans backs every shape tape's periods and runs every period's
+	// launches, so two growing buffers serve every shape a worker sweeps.
+	spans []periodSpan
+	runs  []launchRun
+
+	// Instance level: rebuilt by each Reset.
+	cpu     map[cpuKey]float64
+	tapes   []gpuTape // tapes[i] replays shapes[i]
+	periods []periodNs
+	durs    []durTable
+	devDur  []int // per device, the durs entry of the schedule being replayed
 }
 
 // cpuKey identifies a CPU phase of the bound instance.
 type cpuKey struct{ ct, lo, hi int }
 
-// gpuKey holds everything a GPU schedule walk reads beyond the bound
-// instance and system.
+// gpuKey holds everything a GPU schedule walk reads beyond the shape key.
 type gpuKey struct{ gLo, gHi, period, gpuTile, nGPU int }
 
-// gpuTape records one walk of a GPU schedule: each period's lockstep
-// duration, at Sweep.periods[off:end], and the full walk's launch
-// counters. A halo exchange follows every period but the last on a
-// multi-GPU schedule, so the first swaps periods are the ones followed by
-// one.
-type gpuTape struct {
+// shapeKey holds what a shape tape depends on besides its gpuKey and the
+// device widths.
+type shapeKey struct {
+	rows, cols int
+	liveFrac   float64
+	gpus       int
+}
+
+// shapeTape records the launch structure of one walk of a GPU schedule:
+// its periods, at Sweep.spans[off:end]. A halo exchange follows every
+// period but the last on a multi-GPU schedule, so the first swaps periods
+// are the ones followed by one.
+type shapeTape struct {
 	off, end int
 	swaps    int
+}
+
+// periodSpan is n consecutive periods that each launch Sweep.runs[off:end].
+type periodSpan struct{ off, end, n int32 }
+
+// launchRun is n consecutive launches on device dev of passes SIMT passes
+// each.
+type launchRun struct{ dev, passes, n int32 }
+
+// gpuTape is a shape tape replayed with the bound instance's launch
+// costs: its periods' lockstep durations, at Sweep.periods[off:end], and
+// the full walk's launch counters. ok is unset until the replay.
+type gpuTape struct {
+	off, end int
+	ok       bool
 	launchTotals
 }
 
-// Reset binds the sweep to one instance, system and option set, keeping
-// the storage of earlier instances for reuse.
+// periodNs is n consecutive periods lasting ns each.
+type periodNs struct {
+	ns float64
+	n  int
+}
+
+// durTable holds the durations of a launch on device dev of a schedule
+// with the given gpu-tile (which fixes its sync steps and inflation),
+// indexed by SIMT pass count.
+type durTable struct {
+	dev, gpuTile int
+	ns           []float64
+}
+
+// Reset binds the sweep to one instance, system and option set. Shape
+// tapes are kept when the shape key and device widths match the previous
+// binding; all storage is kept for reuse.
 func (s *Sweep) Reset(sys hw.System, inst plan.Instance, opts Options) {
 	s.sys, s.inst, s.opts = sys, inst, opts
 	s.costs = launchCosts(s.costs[:0], sys, inst, len(sys.GPUs))
@@ -67,9 +134,36 @@ func (s *Sweep) Reset(sys hw.System, inst plan.Instance, opts Options) {
 		s.index = make(map[gpuKey]int)
 	}
 	clear(s.cpu)
-	clear(s.index)
-	s.tapes = s.tapes[:0]
+	rows, cols := inst.Shape()
+	shape := shapeKey{rows: rows, cols: cols, liveFrac: inst.LiveFrac(), gpus: opts.GPUs}
+	if shape != s.shape || !s.sameWidths() {
+		s.shape = shape
+		s.widths = s.widths[:0]
+		for i := range s.costs {
+			s.widths = append(s.widths, s.costs[i].Width())
+		}
+		clear(s.index)
+		s.shapes, s.spans, s.runs = s.shapes[:0], s.spans[:0], s.runs[:0]
+		s.tapes = s.tapes[:0]
+	}
+	clear(s.tapes)
 	s.periods = s.periods[:0]
+	for i := range s.durs {
+		s.durs[i].ns = s.durs[i].ns[:0]
+	}
+}
+
+// sameWidths reports whether the bound devices have the recorded widths.
+func (s *Sweep) sameWidths() bool {
+	if len(s.widths) != len(s.costs) {
+		return false
+	}
+	for i, w := range s.widths {
+		if s.costs[i].Width() != w {
+			return false
+		}
+	}
+	return true
 }
 
 // Estimate is Estimate(sys, inst, par, opts) for the bound sys, inst and
@@ -86,11 +180,15 @@ func (s *Sweep) Estimate(par plan.Params) (Result, error) {
 		return res, nil
 	}
 	if sch, ok := buildGPUSchedule(pl, s.opts.GPUs); ok {
-		t := s.tape(&sch)
+		t, swaps := s.tape(&sch)
 		clk.startGPU(s.sys, &sch)
-		for i, ns := range s.periods[t.off:t.end] {
-			if clk.period(ns, i < t.swaps) {
-				return Estimate(s.sys, s.inst, par, s.opts)
+		i := 0
+		for _, p := range s.periods[t.off:t.end] {
+			for range p.n {
+				if clk.period(p.ns, i < swaps) {
+					return Estimate(s.sys, s.inst, par, s.opts)
+				}
+				i++
 			}
 		}
 		t.fold(&res)
@@ -114,24 +212,103 @@ func (s *Sweep) cpuPhase(ct, lo, hi int) float64 {
 	return ns
 }
 
-// tape returns the recorded walk of sch, walking it on first use.
-func (s *Sweep) tape(sch *gpuSchedule) *gpuTape {
+// tape returns the instance tape of sch and its swap count, recording
+// the shape tape on the schedule's first use on this shape and replaying
+// it on its first use by this instance.
+func (s *Sweep) tape(sch *gpuSchedule) (*gpuTape, int) {
 	k := gpuKey{sch.pl.GLo, sch.pl.GHi, sch.period, sch.gpuTile, sch.nGPU}
-	if i, ok := s.index[k]; ok {
-		return &s.tapes[i]
+	i, ok := s.index[k]
+	if !ok {
+		i = len(s.shapes)
+		s.index[k] = i
+		s.shapes = append(s.shapes, s.record(sch))
+		s.tapes = append(s.tapes, gpuTape{})
 	}
-	t := gpuTape{off: len(s.periods)}
-	m := meter{costs: s.costs, dev: -1}
-	sch.walk(false, m.launch, func(swapAfter bool) bool {
-		s.periods = append(s.periods, m.endPeriod())
+	if !s.tapes[i].ok {
+		s.tapes[i] = s.replay(sch, s.shapes[i])
+	}
+	return &s.tapes[i], s.shapes[i].swaps
+}
+
+// record walks sch and appends its launch structure to the shape-level
+// buffers.
+func (s *Sweep) record(sch *gpuSchedule) shapeTape {
+	t := shapeTape{off: len(s.spans)}
+	first := len(s.runs) // the current period's first run
+	sch.walk(false, func(l launch) {
+		dev, passes := int32(l.dev), int32(s.costs[l.dev].Passes(l.points))
+		if n := len(s.runs); n > first && s.runs[n-1].dev == dev && s.runs[n-1].passes == passes {
+			s.runs[n-1].n++
+			return
+		}
+		s.runs = append(s.runs, launchRun{dev: dev, passes: passes, n: 1})
+	}, func(swapAfter bool) bool {
 		if swapAfter {
 			t.swaps++
 		}
+		if k := len(s.spans); k > t.off {
+			prev := &s.spans[k-1]
+			if slices.Equal(s.runs[prev.off:prev.end], s.runs[first:]) {
+				prev.n++
+				s.runs = s.runs[:first]
+				return true
+			}
+		}
+		s.spans = append(s.spans, periodSpan{off: int32(first), end: int32(len(s.runs)), n: 1})
+		first = len(s.runs)
 		return true
 	})
+	t.end = len(s.spans)
+	return t
+}
+
+// replay costs shape tape sh of schedule sch with the bound instance's
+// launch costs and appends its periods to the instance-level buffer.
+func (s *Sweep) replay(sch *gpuSchedule, sh shapeTape) gpuTape {
+	s.devDur = s.devDur[:0]
+	for dev := 0; dev < sch.nGPU; dev++ {
+		s.devDur = append(s.devDur, s.durTable(dev, sch.gpuTile))
+	}
+	t := gpuTape{off: len(s.periods), ok: true}
+	m := meter{costs: s.costs, dev: -1}
+	for _, sp := range s.spans[sh.off:sh.end] {
+		runs := s.runs[sp.off:sp.end]
+		var ns float64
+		for range sp.n {
+			for _, r := range runs {
+				dur := s.durationNs(sch, r)
+				for range r.n {
+					m.add(int(r.dev), dur)
+				}
+			}
+			ns = m.endPeriod()
+		}
+		s.periods = append(s.periods, periodNs{ns: ns, n: int(sp.n)})
+	}
 	t.end = len(s.periods)
 	t.launchTotals = m.launchTotals
-	s.index[k] = len(s.tapes)
-	s.tapes = append(s.tapes, t)
-	return &s.tapes[len(s.tapes)-1]
+	return t
+}
+
+// durTable returns the index in durs of dev's table at gpuTile, adding an
+// empty one on first use.
+func (s *Sweep) durTable(dev, gpuTile int) int {
+	for i := range s.durs {
+		if s.durs[i].dev == dev && s.durs[i].gpuTile == gpuTile {
+			return i
+		}
+	}
+	s.durs = append(s.durs, durTable{dev: dev, gpuTile: gpuTile})
+	return len(s.durs) - 1
+}
+
+// durationNs returns the duration of one launch of run r of schedule sch,
+// filling the device's table up to r's pass count on first need.
+func (s *Sweep) durationNs(sch *gpuSchedule, r launchRun) float64 {
+	t := &s.durs[s.devDur[r.dev]]
+	c := &s.costs[r.dev]
+	for p := len(t.ns); p <= int(r.passes); p++ {
+		t.ns = append(t.ns, c.DurationNs(p*c.Width(), sch.syncSteps, sch.inflate))
+	}
+	return t.ns[r.passes]
 }

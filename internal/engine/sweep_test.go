@@ -165,3 +165,82 @@ func TestSweepErrorsMatchEstimate(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepAcrossResets drives one Sweep through a sequence of bindings
+// that keep, change and restore the shape tape's key, comparing every
+// configuration with Estimate field by field. Shape tapes must survive a
+// Reset that keeps the shape (only tsize or dsize change) and be dropped
+// on any change the tapes depend on: the shape, a masked live fraction,
+// Options.GPUs, or the devices of a system that keeps its name.
+func TestSweepAcrossResets(t *testing.T) {
+	i7 := hw.I7_2600K()
+	wide := hw.WithGPUCount(i7, 4)
+	if wide.Name != i7.Name {
+		t.Fatalf("WithGPUCount renamed %q to %q", i7.Name, wide.Name)
+	}
+	rect := func(ts float64, ds int) plan.Instance {
+		return plan.Instance{Rows: 300, Cols: 420, TSize: ts, DSize: ds}
+	}
+	masked := rect(100, 1)
+	masked.LiveCells = 300 * 420 / 2
+	steps := []struct {
+		name string
+		sys  hw.System
+		inst plan.Instance
+		gpus int
+		keep bool // the previous step's shape tapes must be kept
+	}{
+		{"first binding", i7, rect(100, 1), 0, false},
+		{"new tsize and dsize", i7, rect(4000, 5), 0, true},
+		{"new tsize", i7, rect(10, 5), 0, true},
+		{"new shape", i7, plan.Instance{Dim: 360, TSize: 10, DSize: 5}, 0, false},
+		{"shape back", i7, rect(1000, 3), 0, false},
+		{"wider system, same name", wide, rect(1000, 3), 0, false},
+		{"three GPUs", wide, rect(1000, 3), 3, false},
+		{"four GPUs", wide, rect(12000, 1), 4, false},
+		{"four GPUs, new dsize", wide, rect(12000, 3), 4, true},
+		{"two-GPU system again", i7, rect(12000, 3), 0, false},
+		{"masked", i7, masked, 0, false},
+		{"masked, new tsize", i7, plan.Instance{Rows: 300, Cols: 420, TSize: 50, DSize: 1, LiveCells: masked.LiveCells}, 0, true},
+		{"dense again", i7, rect(50, 1), 0, false},
+	}
+	var sw Sweep
+	for _, st := range steps {
+		// A spread of GPU schedules (single and multi-GPU, halo 0, whose
+		// periods repeat, up to the largest halo), each at two cpu-tiles.
+		var configs []plan.Params
+		maxBand := st.inst.MaxUsefulBand()
+		for _, band := range []int{-1, 0, maxBand / 4, maxBand / 2, maxBand} {
+			maxHalo := plan.MaxHaloFor(st.inst, band)
+			for _, halo := range []int{-1, 0, 1, maxHalo / 3, maxHalo} {
+				for _, gt := range []int{1, 8, 25} {
+					for _, ct := range []int{1, 4} {
+						configs = append(configs, plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: halo})
+					}
+				}
+			}
+		}
+		opts := Options{GPUs: st.gpus}
+		kept := len(sw.shapes)
+		sw.Reset(st.sys, st.inst, opts)
+		if got := len(sw.shapes); st.keep && (got != kept || got == 0) || !st.keep && got != 0 {
+			t.Errorf("%s: %d shape tapes after Reset, had %d, keep=%v", st.name, got, kept, st.keep)
+		}
+		for _, par := range configs {
+			if plan.Check(st.inst, par) != nil {
+				continue
+			}
+			want, err := Estimate(st.sys, st.inst, par, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.Estimate(par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(got, want) {
+				t.Fatalf("%s: %v %v:\nsweep    %+v\nestimate %+v", st.name, st.inst, par, got, want)
+			}
+		}
+	}
+}

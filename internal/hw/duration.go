@@ -38,6 +38,14 @@ func (g GPUModel) LaunchCost(tsize, cpuPerIterNs float64, dsize int) LaunchCost 
 	}
 }
 
+// Width returns the device's SIMT width: the points one pass covers.
+func (c *LaunchCost) Width() int { return c.width }
+
+// Passes returns the number of SIMT passes a launch of points takes. A
+// launch's duration depends on its points only through this count, so
+// DurationNs(Passes(p)*Width(), …) equals DurationNs(p, …) bit for bit.
+func (c *LaunchCost) Passes(points int) int { return passes(points, c.width) }
+
 // kernelNs returns the on-device execution time of a kernel covering the
 // given number of points, excluding launch overhead.
 func (c *LaunchCost) kernelNs(points int) float64 {

@@ -118,18 +118,10 @@ func (g GPUModel) EffFactor(dsize int) float64 {
 // a diagonal shorter than the device width still occupies a full pass.
 func (g GPUModel) PaddedPoints(points int) int { return padPoints(points, g.Width()) }
 
-func padPoints(points, w int) int {
-	passes := (points + w - 1) / w
-	return passes * w
-}
+func padPoints(points, w int) int { return passes(points, w) * w }
 
-// KernelNs returns the on-device execution time of a kernel covering the
-// given number of points at granularity tsize, excluding launch overhead.
-// cpuPerIterNs is the host CPU's per-iteration time, the tsize unit.
-func (g GPUModel) KernelNs(points int, tsize, cpuPerIterNs float64, dsize int) float64 {
-	c := g.LaunchCost(tsize, cpuPerIterNs, dsize)
-	return c.kernelNs(points)
-}
+// passes returns the number of SIMT passes of width w that cover points.
+func passes(points, w int) int { return (points + w - 1) / w }
 
 // LinkModel describes the PCIe interconnect shared by all devices.
 type LinkModel struct {

@@ -86,12 +86,13 @@ func TestKernelNsScaling(t *testing.T) {
 	pi := I7_2600K().CPU.PerIterNs
 	// Doubling tsize doubles kernel time; padding makes short diagonals
 	// cost a full pass.
-	a := g.KernelNs(512, 100, pi, 1)
-	b := g.KernelNs(512, 200, pi, 1)
+	c100, c200 := g.LaunchCost(100, pi, 1), g.LaunchCost(200, pi, 1)
+	a := c100.kernelNs(512)
+	b := c200.kernelNs(512)
 	if b != 2*a {
 		t.Errorf("kernel time must scale linearly with tsize: %v vs %v", a, b)
 	}
-	if g.KernelNs(1, 100, pi, 1) != a {
+	if c100.kernelNs(1) != a {
 		t.Error("a 1-point kernel must cost a full SIMT pass")
 	}
 }

@@ -268,26 +268,43 @@ type Plan struct {
 
 // Build validates inst and par and constructs the three-phase plan.
 func Build(inst Instance, par Params) (*Plan, error) {
-	if err := inst.Validate(); err != nil {
+	pl, err := layout(inst, par)
+	if err != nil {
 		return nil, err
 	}
+	return &pl, nil
+}
+
+// Check returns the error Build would return for inst and par, without
+// allocating a plan: searches validate their candidates through it.
+func Check(inst Instance, par Params) error {
+	_, err := layout(inst, par)
+	return err
+}
+
+// layout validates inst and par and lays out the three phases; it is the
+// one validity check behind Build and Check.
+func layout(inst Instance, par Params) (Plan, error) {
+	if err := inst.Validate(); err != nil {
+		return Plan{}, err
+	}
 	if par.CPUTile < 1 {
-		return nil, fmt.Errorf("plan: cpu-tile %d < 1", par.CPUTile)
+		return Plan{}, fmt.Errorf("plan: cpu-tile %d < 1", par.CPUTile)
 	}
 	if par.CPUTile > inst.MaxSide() {
-		return nil, fmt.Errorf("plan: cpu-tile %d exceeds max side %d", par.CPUTile, inst.MaxSide())
+		return Plan{}, fmt.Errorf("plan: cpu-tile %d exceeds max side %d", par.CPUTile, inst.MaxSide())
 	}
 	maxBand := inst.NumDiags()
 	if par.Band < -1 || par.Band > maxBand {
-		return nil, fmt.Errorf("plan: band %d outside [-1,%d]", par.Band, maxBand)
+		return Plan{}, fmt.Errorf("plan: band %d outside [-1,%d]", par.Band, maxBand)
 	}
 	if par.GPUTile < 1 || par.GPUTile > 64 {
-		return nil, fmt.Errorf("plan: gpu-tile %d outside [1,64]", par.GPUTile)
+		return Plan{}, fmt.Errorf("plan: gpu-tile %d outside [1,64]", par.GPUTile)
 	}
 	par = par.Normalize()
 
 	d := inst.NumDiags()
-	pl := &Plan{Inst: inst, Par: par}
+	pl := Plan{Inst: inst, Par: par}
 	if par.Band < 0 {
 		// All-CPU: one CPU phase covering everything; GPU and phase 3 empty.
 		pl.P1Lo, pl.P1Hi = 0, d-1
@@ -310,11 +327,11 @@ func Build(inst Instance, par Params) (*Plan, error) {
 
 	if par.Halo >= 0 {
 		if max := pl.MaxHalo(); par.Halo > max {
-			return nil, fmt.Errorf("plan: halo %d exceeds max %d (half of first offloaded diagonal)",
+			return Plan{}, fmt.Errorf("plan: halo %d exceeds max %d (half of first offloaded diagonal)",
 				par.Halo, max)
 		}
 	} else if par.Halo < -1 {
-		return nil, fmt.Errorf("plan: halo %d < -1", par.Halo)
+		return Plan{}, fmt.Errorf("plan: halo %d < -1", par.Halo)
 	}
 	return pl, nil
 }

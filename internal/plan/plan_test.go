@@ -118,8 +118,13 @@ func TestBuildRejectsInvalid(t *testing.T) {
 		{CPUTile: 4, Band: 5, GPUTile: 1, Halo: 1000},
 		{CPUTile: 4, Band: 5, GPUTile: 1, Halo: -3},
 	} {
-		if _, err := Build(inst, par); err == nil {
+		_, err := Build(inst, par)
+		if err == nil {
 			t.Errorf("Build accepted invalid %v", par)
+			continue
+		}
+		if cerr := Check(inst, par); cerr == nil || cerr.Error() != err.Error() {
+			t.Errorf("Check(%v) = %v, Build error %v", par, cerr, err)
 		}
 	}
 	if _, err := Build(Instance{Dim: 0, TSize: 1}, Params{CPUTile: 1, Band: -1, Halo: -1}); err == nil {
@@ -127,6 +132,19 @@ func TestBuildRejectsInvalid(t *testing.T) {
 	}
 	if _, err := Build(Instance{Dim: 5, TSize: 0}, Params{CPUTile: 1, Band: -1, Halo: -1}); err == nil {
 		t.Error("Build accepted tsize=0")
+	}
+}
+
+// TestCheckAllocationFree: searches validate every candidate through
+// Check, which must not allocate the plan Build returns.
+func TestCheckAllocationFree(t *testing.T) {
+	inst := Instance{Rows: 300, Cols: 420, TSize: 10, DSize: 1}
+	par := Params{CPUTile: 4, Band: 100, GPUTile: 8, Halo: 20}
+	if err := Check(inst, par); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = Check(inst, par) }); n != 0 {
+		t.Errorf("Check allocated %v times per call, want 0", n)
 	}
 }
 

@@ -56,7 +56,10 @@ func TestKernelDurationModel(t *testing.T) {
 	p := newTestPlatform()
 	d := p.Devs[0]
 	req := KernelReq{Points: 512, TSize: 100, DSize: 1}
-	want := d.Model.LaunchNs + d.Model.KernelNs(512, 100, p.Sys.CPU.PerIterNs, 1)
+	// Launch overhead plus whole SIMT passes at the device's effective
+	// throughput.
+	m := d.Model
+	want := m.LaunchNs + float64(m.PaddedPoints(512))*100*p.Sys.CPU.PerIterNs/m.EffFactor(1)
 	if got := d.Duration(req); got != want {
 		t.Errorf("Duration = %v, want %v", got, want)
 	}

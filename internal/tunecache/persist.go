@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 
+	"repro/internal/atomicfile"
 	"repro/internal/plan"
 )
 
@@ -147,7 +147,7 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 		if err := inst.Validate(); err != nil {
 			return 0, fmt.Errorf("tunecache: entry %d: %w", i, err)
 		}
-		if _, err := plan.Build(inst, p.Par); err != nil {
+		if err := plan.Check(inst, p.Par); err != nil {
 			return 0, fmt.Errorf("tunecache: entry %d: %w", i, err)
 		}
 		entries = append(entries, staged{sys: d.System, inst: inst, p: p})
@@ -161,27 +161,12 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 	return len(entries), nil
 }
 
-// SaveFile writes the cache to path atomically (unique temp file +
-// rename), so a crash mid-write can never leave a truncated file behind
-// for the next start to choke on, and concurrent savers cannot corrupt
-// each other's temp file — last rename wins whole.
+// SaveFile writes the cache to path atomically (unique synced temp file +
+// rename + directory sync), so a crash mid-write can never leave a
+// truncated file behind for the next start to choke on, and concurrent
+// savers cannot corrupt each other's temp file — last rename wins whole.
 func (c *Cache) SaveFile(path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("tunecache: %w", err)
-	}
-	tmp := f.Name()
-	if err := c.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("tunecache: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, 0o600, c.Save); err != nil {
 		return fmt.Errorf("tunecache: %w", err)
 	}
 	return nil
