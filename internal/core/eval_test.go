@@ -1,0 +1,78 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/hw"
+	"repro/internal/kernels"
+	"repro/internal/plan"
+)
+
+// perConfigEval is the reference evaluator: one engine.Estimate per
+// configuration of the space, keeping the first fastest uncensored one.
+func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, error) {
+	sys := t.System()
+	e := EvalPoint{Inst: inst, SerialNs: engine.SerialNs(sys, inst)}
+	found := false
+	for _, par := range space.Configs(inst, sys) {
+		res, err := engine.Estimate(sys, inst, par, engine.Options{ThresholdNs: engine.DefaultThresholdNs})
+		if err != nil {
+			return e, err
+		}
+		if !res.Censored && (!found || res.RTimeNs < e.BestNs) {
+			e.BestNs, e.BestPar, found = res.RTimeNs, par, true
+		}
+	}
+	e.AllCensored = !found
+	e.Pred = t.Predict(inst)
+	auto, err := t.RTimeFor(inst, e.Pred)
+	e.AutoNs = auto
+	return e, err
+}
+
+// TestEvaluateMatchesPerConfigEstimate: Evaluate's points equal, bit for
+// bit in every field, those of a per-configuration Estimate loop, on the
+// quick-space Figure 10 instances of every system plus a rectangular and
+// a masked instance.
+func TestEvaluateMatchesPerConfigEstimate(t *testing.T) {
+	space := QuickSpace()
+	var insts []plan.Instance
+	for _, dim := range []int{700, 1900} {
+		for _, rounds := range []int{1, 8} {
+			k := kernels.NewNash(rounds)
+			insts = append(insts, plan.Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()})
+		}
+	}
+	insts = append(insts,
+		plan.Instance{Rows: 600, Cols: 1400, TSize: 1000, DSize: 1},
+		plan.Instance{Dim: 1100, TSize: 1000, DSize: 1, LiveCells: 1100 * 1101 / 2})
+	for _, sys := range hw.Systems() {
+		sr, err := Exhaustive(sys, space, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuner, err := Train(sr, DefaultTrainOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Evaluate(tuner, space, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(insts) {
+			t.Fatalf("%s: %d points for %d instances", sys.Name, len(got), len(insts))
+		}
+		for i, inst := range insts {
+			want, err := perConfigEval(tuner, space, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// %#v tells apart every float bit pattern == would merge.
+			if g, w := fmt.Sprintf("%#v", got[i]), fmt.Sprintf("%#v", want); g != w {
+				t.Errorf("%s %v:\nEvaluate  %s\nper-config %s", sys.Name, inst, g, w)
+			}
+		}
+	}
+}
