@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/engine"
-	"repro/internal/plan"
-)
+import "repro/internal/plan"
 
 // EvalPoint compares the tuner against the exhaustive optimum on one
 // instance, the measurement behind Figures 10 and 11.
@@ -46,44 +43,24 @@ func (e EvalPoint) Efficiency() float64 {
 	return e.AutoSpeedup() / e.BestSpeedup()
 }
 
-// EvaluateInstance runs the exhaustive search for one instance (using the
-// space's tunable grids) and compares the tuner's prediction against the
-// optimum.
-func EvaluateInstance(t Predictor, space Space, inst plan.Instance) (EvalPoint, error) {
-	sys := t.System()
-	e := EvalPoint{Inst: inst, SerialNs: engine.SerialNs(sys, inst)}
-	bestFound := false
-	for _, par := range space.Configs(inst, sys) {
-		res, err := engine.Estimate(sys, inst, par, engine.Options{ThresholdNs: engine.DefaultThresholdNs})
-		if err != nil {
-			return e, err
-		}
-		if res.Censored {
-			continue
-		}
-		if !bestFound || res.RTimeNs < e.BestNs {
-			e.BestNs = res.RTimeNs
-			e.BestPar = par
-			bestFound = true
-		}
-	}
-	e.AllCensored = !bestFound
-
-	e.Pred = t.Predict(inst)
-	auto, err := t.RTimeFor(inst, e.Pred)
-	if err != nil {
-		return e, err
-	}
-	e.AutoNs = auto
-	return e, nil
-}
-
-// Evaluate runs EvaluateInstance over a list of instances.
+// Evaluate compares the tuner's prediction against the exhaustive optimum
+// on each instance. The optimum comes from the exhaustive search over the
+// space's configurations of the listed instances: the first fastest
+// uncensored point, as InstanceResult.Best picks it.
 func Evaluate(t Predictor, space Space, insts []plan.Instance) ([]EvalPoint, error) {
+	sr, err := search(t.System(), space, insts, SearchOptions{})
+	if err != nil {
+		return nil, err
+	}
 	out := make([]EvalPoint, 0, len(insts))
-	for _, inst := range insts {
-		e, err := EvaluateInstance(t, space, inst)
-		if err != nil {
+	for _, ir := range sr.Instances {
+		best, ok := ir.Best()
+		e := EvalPoint{
+			Inst: ir.Inst, SerialNs: ir.SerialNs,
+			BestNs: best.RTimeNs, BestPar: best.Par, AllCensored: !ok,
+			Pred: t.Predict(ir.Inst),
+		}
+		if e.AutoNs, err = t.RTimeFor(ir.Inst, e.Pred); err != nil {
 			return nil, err
 		}
 		out = append(out, e)

@@ -95,7 +95,8 @@ type SearchOptions struct {
 // instance on sys through the analytic estimator, in parallel across host
 // cores, with deterministic output order. Each worker sweeps one instance
 // at a time with its own engine.Sweep, so configurations that differ only
-// in cpu-tile share one walk of their GPU schedule. The first estimation
+// in cpu-tile share one walk of their GPU schedule, and asks it for each
+// point's runtime and censoring alone (Sweep.RTime). The first estimation
 // error cancels the remaining work promptly: every worker checks before
 // each configuration and stops, and unstarted instances are never begun.
 //
@@ -106,6 +107,12 @@ type SearchOptions struct {
 // or inspect. Callers that only care about complete searches keep their
 // `if err != nil` handling unchanged.
 func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, error) {
+	return search(sys, space, space.Instances(), opts)
+}
+
+// search is Exhaustive over an explicit list of instances; Evaluate
+// passes its own.
+func search(sys hw.System, space Space, insts []plan.Instance, opts SearchOptions) (*SearchResult, error) {
 	if opts.ThresholdNs == 0 {
 		opts.ThresholdNs = engine.DefaultThresholdNs
 	}
@@ -114,7 +121,6 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	insts := space.Instances()
 	out := &SearchResult{Sys: sys, Space: space, Instances: make([]InstanceResult, len(insts))}
 	// completed marks instances whose full configuration sweep finished;
 	// each index is written by exactly one goroutine (like
@@ -139,12 +145,14 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 			if stop.Load() {
 				return
 			}
-			var res engine.Result
+			var p Point
 			var err error
 			if opts.estimate != nil {
+				var res engine.Result
 				res, err = opts.estimate(sys, inst, par, eopts)
+				p.RTimeNs, p.Censored = res.RTimeNs, res.Censored
 			} else {
-				res, err = sw.Estimate(par)
+				p.RTimeNs, p.Censored, err = sw.RTime(par)
 			}
 			if err != nil {
 				stop.Store(true)
@@ -155,9 +163,8 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 				mu.Unlock()
 				return
 			}
-			ir.Points = append(ir.Points, Point{
-				Inst: inst, Par: par, RTimeNs: res.RTimeNs, Censored: res.Censored,
-			})
+			p.Inst, p.Par = inst, par
+			ir.Points = append(ir.Points, p)
 		}
 		out.Instances[i] = ir
 		completed[i] = true

@@ -28,9 +28,11 @@
 // consecutive identical periods stored once with a repeat count. The
 // instance tape replays it with the instance's launch costs, reading
 // each launch's duration from a per-(device, gpu-tile) table indexed by
-// pass count, into period lengths and launch counters. Every
-// configuration sharing the schedule replays the instance tape through
-// the same clock from its own Phase 1 time.
+// pass count, into period lengths, timing each run of identical periods
+// once; the launch counters are summed over the full walk only when a
+// breakdown first needs them. Every configuration sharing the schedule
+// replays the instance tape through the same clock from its own Phase 1
+// time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
 // hash every quick-space search point and a set of full breakdowns,

@@ -135,11 +135,32 @@ func TestGoldenEstimateBreakdowns(t *testing.T) {
 		{"censored", hw.I7_2600K(), plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}, censor, 0x259465976f05849b},
 		{"censored-90s", hw.I3_540(), plan.Instance{Dim: 3100, TSize: 12000, DSize: 5},
 			engine.Options{ThresholdNs: engine.DefaultThresholdNs}, 0xe649496236549c09},
+		// Halo-0 dual-GPU schedules swap after every diagonal, so at the
+		// largest quick-space dim their periods repeat the most.
+		{"dual-gpu-2700", hw.I7_2600K(), plan.Instance{Dim: 2700, TSize: 1000, DSize: 1}, engine.Options{}, 0x77cb7d85faa4d91f},
 	} {
-		// The same hash must come out of a single-point Estimate per
-		// configuration and out of one Sweep over the instance.
+		configs := core.QuickSpace().Configs(c.inst, c.sys)
+		// The time-only entry point must give Estimate's runtime and
+		// censoring bits at every configuration. It runs first, so the
+		// Sweep path below counts launches on tapes RTime replayed.
 		var sw engine.Sweep
 		sw.Reset(c.sys, c.inst, c.opts)
+		for _, par := range configs {
+			want, err := engine.Estimate(c.sys, c.inst, par, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ns, censored, err := sw.RTime(par)
+			if err != nil {
+				t.Fatalf("%s RTime %v: %v", c.name, par, err)
+			}
+			if math.Float64bits(ns) != math.Float64bits(want.RTimeNs) || censored != want.Censored {
+				t.Errorf("%s RTime %v: %v censored=%v, Estimate %v censored=%v",
+					c.name, par, ns, censored, want.RTimeNs, want.Censored)
+			}
+		}
+		// The same hash must come out of a single-point Estimate per
+		// configuration and out of one Sweep over the instance.
 		for _, path := range []struct {
 			name     string
 			estimate func(plan.Params) (engine.Result, error)
@@ -151,7 +172,6 @@ func TestGoldenEstimateBreakdowns(t *testing.T) {
 		} {
 			g := newGoldenHash()
 			censored := 0
-			configs := core.QuickSpace().Configs(c.inst, c.sys)
 			for _, par := range configs {
 				r, err := path.estimate(par)
 				if err != nil {

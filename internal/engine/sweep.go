@@ -26,22 +26,28 @@ import (
 //     widths stay the same, so the instances of one shape that differ
 //     only in tsize or dsize share them.
 //   - The instance tape replays a shape tape with the bound instance's
-//     launch costs into each period's lockstep duration and the launch
-//     counters. A launch's duration depends on its points only through
-//     its pass count, so it is read from a per-(device, gpu-tile) table
-//     indexed by passes, each entry computed once by hw.LaunchCost; the
-//     replay divides nothing. Every launch still goes through the meter
-//     once, in walk order, repeated periods included, so the counters
-//     add up in the same order as in a live walk.
+//     launch costs into each period's lockstep duration. A launch's
+//     duration depends on its points only through its pass count, so it
+//     is read from a per-(device, gpu-tile) table indexed by passes, each
+//     entry computed once by hw.LaunchCost; the replay divides nothing.
+//     The meter resets at every period end, so each run of identical
+//     periods goes through it once: one pass gives the length, with the
+//     same bits, of every repetition.
+//   - The launch counters of the breakdown (Kernels, LaunchNs, ComputeNs)
+//     are float sums in walk order, so they need every launch of every
+//     repeated period. That counting pass runs once per instance tape,
+//     and only when Estimate first needs it; RTime, which the exhaustive
+//     search calls, never does.
 //
 // A configuration's estimate starts from its own Phase 1 time and adds the
 // GPU phase in exactly the order Estimate does (start-up, input
 // transfers, then each period's lockstep time and halo exchange with the
 // censoring check at its end, then the output transfers), through the same
 // clock. Sweep.Estimate therefore returns what Estimate returns, bit for
-// bit. The one exception would be a run censored part-way through its GPU
-// phase, whose breakdown holds partial launch counters that a full-walk
-// tape cannot give; such a point is recomputed with Estimate.
+// bit, and RTime its runtime and censoring. The one exception would be a
+// run censored part-way through its GPU phase, whose breakdown holds
+// partial launch counters that a full-walk tape cannot give; such a point
+// is recomputed with Estimate.
 //
 // The zero value is ready for Reset. A Sweep is not safe for concurrent
 // use; give each worker its own, and reuse it across instances so its
@@ -102,10 +108,11 @@ type launchRun struct{ dev, passes, n int32 }
 
 // gpuTape is a shape tape replayed with the bound instance's launch
 // costs: its periods' lockstep durations, at Sweep.periods[off:end], and
-// the full walk's launch counters. ok is unset until the replay.
+// the full walk's launch counters. ok is unset until the replay, and
+// counted until the counters are first needed.
 type gpuTape struct {
-	off, end int
-	ok       bool
+	off, end    int
+	ok, counted bool
 	launchTotals
 }
 
@@ -169,6 +176,21 @@ func (s *Sweep) sameWidths() bool {
 // Estimate is Estimate(sys, inst, par, opts) for the bound sys, inst and
 // opts.
 func (s *Sweep) Estimate(par plan.Params) (Result, error) {
+	return s.estimate(par, true)
+}
+
+// RTime returns the RTimeNs and Censored fields of Estimate(par) alone,
+// which is all the exhaustive search keeps. It skips the launch counters
+// of the breakdown, and with them the per-launch walk of every repeated
+// period.
+func (s *Sweep) RTime(par plan.Params) (ns float64, censored bool, err error) {
+	res, err := s.estimate(par, false)
+	return res.RTimeNs, res.Censored, err
+}
+
+// estimate is Estimate; the launch counters (Kernels, LaunchNs,
+// ComputeNs) are filled only when counters is set.
+func (s *Sweep) estimate(par plan.Params, counters bool) (Result, error) {
 	pl, err := prepare(s.sys, s.inst, par, s.opts)
 	if err != nil {
 		return Result{}, err
@@ -180,18 +202,24 @@ func (s *Sweep) Estimate(par plan.Params) (Result, error) {
 		return res, nil
 	}
 	if sch, ok := buildGPUSchedule(pl, s.opts.GPUs); ok {
-		t, swaps := s.tape(&sch)
+		i := s.tape(&sch)
+		t, swaps := &s.tapes[i], s.shapes[i].swaps
 		clk.startGPU(s.sys, &sch)
-		i := 0
+		k := 0
 		for _, p := range s.periods[t.off:t.end] {
 			for range p.n {
-				if clk.period(p.ns, i < swaps) {
+				if clk.period(p.ns, k < swaps) {
 					return Estimate(s.sys, s.inst, par, s.opts)
 				}
-				i++
+				k++
 			}
 		}
-		t.fold(&res)
+		if counters {
+			if !t.counted {
+				t.launchTotals, t.counted = s.count(&sch, s.shapes[i]), true
+			}
+			t.fold(&res)
+		}
 		if clk.finishGPU(s.sys, &sch) {
 			return res, nil
 		}
@@ -212,10 +240,10 @@ func (s *Sweep) cpuPhase(ct, lo, hi int) float64 {
 	return ns
 }
 
-// tape returns the instance tape of sch and its swap count, recording
+// tape returns the index of sch's shape and instance tapes, recording
 // the shape tape on the schedule's first use on this shape and replaying
 // it on its first use by this instance.
-func (s *Sweep) tape(sch *gpuSchedule) (*gpuTape, int) {
+func (s *Sweep) tape(sch *gpuSchedule) int {
 	k := gpuKey{sch.pl.GLo, sch.pl.GHi, sch.period, sch.gpuTile, sch.nGPU}
 	i, ok := s.index[k]
 	if !ok {
@@ -227,7 +255,7 @@ func (s *Sweep) tape(sch *gpuSchedule) (*gpuTape, int) {
 	if !s.tapes[i].ok {
 		s.tapes[i] = s.replay(sch, s.shapes[i])
 	}
-	return &s.tapes[i], s.shapes[i].swaps
+	return i
 }
 
 // record walks sch and appends its launch structure to the shape-level
@@ -263,31 +291,52 @@ func (s *Sweep) record(sch *gpuSchedule) shapeTape {
 }
 
 // replay costs shape tape sh of schedule sch with the bound instance's
-// launch costs and appends its periods to the instance-level buffer.
+// launch costs and appends its periods to the instance-level buffer. The
+// meter resets at every period end, so one pass over a span's launches
+// gives the length of each of its identical periods.
 func (s *Sweep) replay(sch *gpuSchedule, sh shapeTape) gpuTape {
+	s.bindDurs(sch)
+	t := gpuTape{off: len(s.periods), ok: true}
+	m := meter{costs: s.costs, dev: -1}
+	for _, sp := range s.spans[sh.off:sh.end] {
+		s.feed(&m, sch, s.runs[sp.off:sp.end])
+		s.periods = append(s.periods, periodNs{ns: m.endPeriod(), n: int(sp.n)})
+	}
+	t.end = len(s.periods)
+	return t
+}
+
+// count returns the launch counters of schedule sch's full walk: every
+// launch of every repeated period goes through the meter, in walk order,
+// so the counters add up in the same order as in a live walk.
+func (s *Sweep) count(sch *gpuSchedule, sh shapeTape) launchTotals {
+	s.bindDurs(sch)
+	m := meter{costs: s.costs, dev: -1}
+	for _, sp := range s.spans[sh.off:sh.end] {
+		for range sp.n {
+			s.feed(&m, sch, s.runs[sp.off:sp.end])
+			m.endPeriod()
+		}
+	}
+	return m.launchTotals
+}
+
+// feed runs one period's launches of schedule sch through m.
+func (s *Sweep) feed(m *meter, sch *gpuSchedule, runs []launchRun) {
+	for _, r := range runs {
+		dur := s.durationNs(sch, r)
+		for range r.n {
+			m.add(int(r.dev), dur)
+		}
+	}
+}
+
+// bindDurs points each of sch's devices at its duration table.
+func (s *Sweep) bindDurs(sch *gpuSchedule) {
 	s.devDur = s.devDur[:0]
 	for dev := 0; dev < sch.nGPU; dev++ {
 		s.devDur = append(s.devDur, s.durTable(dev, sch.gpuTile))
 	}
-	t := gpuTape{off: len(s.periods), ok: true}
-	m := meter{costs: s.costs, dev: -1}
-	for _, sp := range s.spans[sh.off:sh.end] {
-		runs := s.runs[sp.off:sp.end]
-		var ns float64
-		for range sp.n {
-			for _, r := range runs {
-				dur := s.durationNs(sch, r)
-				for range r.n {
-					m.add(int(r.dev), dur)
-				}
-			}
-			ns = m.endPeriod()
-		}
-		s.periods = append(s.periods, periodNs{ns: ns, n: int(sp.n)})
-	}
-	t.end = len(s.periods)
-	t.launchTotals = m.launchTotals
-	return t
 }
 
 // durTable returns the index in durs of dev's table at gpuTile, adding an

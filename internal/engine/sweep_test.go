@@ -123,6 +123,16 @@ func TestSweepMatchesEstimate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// The time-only call replays the tape first, so the
+				// Estimate after it counts the launches lazily.
+				ns, censored, err := sw.RTime(par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprintf("%#v %v", ns, censored) != fmt.Sprintf("%#v %v", want.RTimeNs, want.Censored) {
+					t.Fatalf("%v %v %+v: RTime %v censored=%v, Estimate %v censored=%v",
+						inst, par, opts, ns, censored, want.RTimeNs, want.Censored)
+				}
 				got, err := sw.Estimate(par)
 				if err != nil {
 					t.Fatal(err)
@@ -241,6 +251,39 @@ func TestSweepAcrossResets(t *testing.T) {
 			if !sameResult(got, want) {
 				t.Fatalf("%s: %v %v:\nsweep    %+v\nestimate %+v", st.name, st.inst, par, got, want)
 			}
+		}
+	}
+}
+
+// TestSweepRTimeAllocationFree: once a Sweep has the tapes of an
+// instance's schedule, the search's time-only call allocates nothing but
+// the plan that prepare builds.
+func TestSweepRTimeAllocationFree(t *testing.T) {
+	for _, c := range []struct {
+		sys  hw.System
+		inst plan.Instance
+		par  plan.Params
+		opts Options
+	}{
+		{hw.I7_2600K(), plan.Instance{Dim: 2700, TSize: 1000, DSize: 1},
+			plan.Params{CPUTile: 8, Band: 1900, GPUTile: 1, Halo: 0}, Options{ThresholdNs: DefaultThresholdNs}},
+		{hw.WithGPUCount(hw.I7_2600K(), 4), plan.Instance{Dim: 1100, TSize: 500, DSize: 3},
+			plan.Params{CPUTile: 4, Band: 900, GPUTile: 8, Halo: 6}, Options{GPUs: 4}},
+		{hw.I3_540(), plan.Instance{Rows: 600, Cols: 1400, TSize: 100, DSize: 1, LiveCells: 400000},
+			plan.Params{CPUTile: 8, Band: 700, GPUTile: 4, Halo: -1}, Options{ThresholdNs: DefaultThresholdNs}},
+	} {
+		var sw Sweep
+		sw.Reset(c.sys, c.inst, c.opts)
+		if _, _, err := sw.RTime(c.par); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, _, err := sw.RTime(c.par); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("%v %v: RTime makes %v allocations per call, want <= 1", c.inst, c.par, allocs)
 		}
 	}
 }

@@ -88,23 +88,18 @@ func (c *Context) ExtOnline(sys hw.System) ([]OnlineRow, error) {
 		return nil, err
 	}
 	online := core.NewOnlineTuner(t)
+	evals, err := core.Evaluate(t, c.Cfg.Space, c.NashInstances())
+	if err != nil {
+		return nil, err
+	}
 	var rows []OnlineRow
-	for _, inst := range c.NashInstances() {
-		offPred := t.Predict(inst)
-		offNs, err := t.RTimeFor(inst, offPred)
-		if err != nil {
-			return nil, err
-		}
-		_, st, err := online.Refine(inst)
-		if err != nil {
-			return nil, err
-		}
-		e, err := core.EvaluateInstance(t, c.Cfg.Space, inst)
+	for _, e := range evals {
+		_, st, err := online.Refine(e.Inst)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, OnlineRow{
-			Inst: inst, OfflineNs: offNs, OnlineNs: st.FinalNs,
+			Inst: e.Inst, OfflineNs: e.AutoNs, OnlineNs: st.FinalNs,
 			Probes: st.Probes, BestNs: e.BestNs,
 		})
 	}

@@ -152,15 +152,25 @@ func (in Instance) ShapeString() string {
 // rendering, so keys are reproducible across processes.
 func (in Instance) CacheKey() string {
 	n := in.Normalize()
-	key := fmt.Sprintf("%s|t=%s|d=%d",
-		n.ShapeString(), strconv.FormatFloat(n.TSize, 'g', -1, 64), n.DSize)
+	// Appended on the stack: the returned string is the one allocation.
+	var buf [64]byte
+	key := strconv.AppendInt(buf[:0], int64(n.Rows), 10)
+	if n.Rows != n.Cols {
+		key = append(key, 'x')
+		key = strconv.AppendInt(key, int64(n.Cols), 10)
+	}
+	key = append(key, "|t="...)
+	key = strconv.AppendFloat(key, n.TSize, 'g', -1, 64)
+	key = append(key, "|d="...)
+	key = strconv.AppendInt(key, int64(n.DSize), 10)
 	if n.LiveCells > 0 {
 		// Masked instances tune differently from dense ones of the same
 		// shape, so the live-cell count participates in the key. Dense
 		// instances keep the historical key unchanged.
-		key += fmt.Sprintf("|live=%d", n.LiveCells)
+		key = append(key, "|live="...)
+		key = strconv.AppendInt(key, int64(n.LiveCells), 10)
 	}
-	return key
+	return string(key)
 }
 
 // Validate reports whether the instance is well-formed.

@@ -338,6 +338,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// logging reports whether logf writes anywhere.
+func (s *Server) logging() bool { return s.cfg.Logger != nil || s.cfg.Logf != nil }
+
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Logf(format, args...)
@@ -466,9 +469,11 @@ type errorResponse struct {
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	// MarshalIndent plus a newline is what an indenting json.Encoder
+	// writes, without allocating an encoder and its buffer per response.
+	if b, err := json.MarshalIndent(v, "", " "); err == nil {
+		_, _ = w.Write(append(b, '\n'))
+	}
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
@@ -491,7 +496,7 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 // 415 itself and reports whether the caller may proceed.
 func (s *Server) checkJSONBody(w http.ResponseWriter, r *http.Request) bool {
 	ct := r.Header.Get("Content-Type")
-	if ct == "" {
+	if ct == "" || ct == "application/json" {
 		return true
 	}
 	mt, _, err := mime.ParseMediaType(ct)
@@ -663,7 +668,10 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := tuneResponseFor(req.System, inst, p, outcome)
-	s.logf("tune %s %s -> %s (%s)", req.System, inst, p.Par, outcome)
+	if s.logging() {
+		// Guarded: boxing the arguments allocates even when nothing logs.
+		s.logf("tune %s %s -> %s (%s)", req.System, inst, p.Par, outcome)
+	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

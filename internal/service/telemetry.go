@@ -306,7 +306,9 @@ func (w *statusWriter) Flush() {
 func (s *Server) withTelemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := routeOf(r.URL.Path)
-		id := r.Header.Get("X-Request-ID")
+		// The canonical spelling of X-Request-ID skips a per-call
+		// canonicalization of the key.
+		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = telemetry.NewRequestID()
 		}
@@ -314,7 +316,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		ctx, span := telemetry.StartRootSpan(ctx, "http.request")
 		span.Annotate("route", route).Annotate("method", r.Method).
 			Annotate("path", r.URL.Path).Annotate("request_id", id)
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, route: route, requestID: id}
 
 		s.m.inflight.Add(1)

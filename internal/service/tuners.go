@@ -103,8 +103,8 @@ func (l *lazySource) Ready(name string) bool {
 // TrainingSourceOptions configure NewTrainingSource.
 type TrainingSourceOptions struct {
 	// Space is the exhaustive search space to train on; empty selects
-	// core.QuickSpace(), whose search takes about 0.007 s (i3-540) to
-	// 0.04 s (the dual-GPU systems) with two workers on a 2-vCPU Xeon;
+	// core.QuickSpace(), whose search takes about 0.006 s (i3-540) to
+	// 0.02 s (the dual-GPU systems) with two workers on a 2-vCPU Xeon;
 	// see BenchmarkExhaustiveQuickSearch. Use core.DefaultSpace() for
 	// paper-scale tuners.
 	Space core.Space
