@@ -344,12 +344,21 @@ func BenchmarkFrontierDense(b *testing.B) {
 
 // BenchmarkFrontierIrregular measures the irregular substrate on the
 // masked catalog workload it exists for: morphological reconstruction
-// over a half-open mask, scheduled cell-level and tile-level.
+// over a half-open 256² mask. "count" builds the kernel's frontier and
+// counts its steps and cells (the set-up host runs pay before they
+// compute); "ct=1" runs it cell-level, frontier build included, and
+// "ct=16" through the tile scheduler.
 func BenchmarkFrontierIrregular(b *testing.B) {
 	k := kernels.NewMorphRecon(-1, 1)
 	ex := cpuexec.New(0)
 	defer ex.Close()
 	ctx := context.Background()
+	b.Run("count", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			grid.CountFrontier(grid.NewIrregularFrontier(256, 256, kernels.StencilOf(k), kernels.LiveOf(k, 256, 256)))
+		}
+	})
 	for _, ct := range []int{1, 16} {
 		b.Run(fmt.Sprintf("ct=%d", ct), func(b *testing.B) {
 			b.ReportAllocs()

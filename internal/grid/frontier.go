@@ -19,16 +19,12 @@ import "fmt"
 //   - IrregularFrontier: the general case, in the spirit of the irregular
 //     wavefront propagation patterns of Teodoro et al. The live region is
 //     an arbitrary subset of the rectangle (a mask), dependencies are a
-//     declared Stencil, and readiness is tracked with per-cell in-degree
-//     counting: the constructor seeds a ready queue with the cells that
-//     have no live predecessors, and completing a step decrements the
-//     in-degrees of its successors, releasing the next ready set.
+//     declared Stencil, and each live cell is delivered at its wavefront
+//     level, computed once at construction.
 //
-// A frontier over a masked region can dead-end: if the stencil induces a
-// dependency cycle (or a self-dependency), some live cells never become
-// ready. Frontiers report their intended coverage via Cells so executors
-// can detect this and fail instead of silently under-computing (or
-// hanging).
+// A frontier can dead-end: a stencil inducing a dependency cycle (or a
+// self-dependency) leaves some live cells never ready. Cells reports the
+// intended coverage, so executors can fail instead of under-computing.
 
 // Cell identifies one grid cell by row and column.
 type Cell struct{ R, C int }
@@ -77,8 +73,8 @@ type Frontier interface {
 	// deliver. Executors compare it against the delivered count to
 	// detect frontiers that dead-end before covering their region.
 	Cells() int
-	// Steps returns the total number of steps when it is known in closed
-	// form (the dense diagonal case), and -1 otherwise.
+	// Steps returns the total number of steps when it is known without
+	// draining (closed-form diagonals, irregular levels), and -1 otherwise.
 	Steps() int
 }
 
@@ -150,28 +146,33 @@ func (f *DiagFrontier) Steps() int {
 	return f.hi - f.lo + 1
 }
 
-// IrregularFrontier propagates over an arbitrary live region with
-// per-cell in-degree counting: a work queue seeded from the cells with
-// no live predecessors, released level by level as dependencies
-// complete. This is the general substrate behind masked workloads
-// (Nussinov's triangle, morphological reconstruction on a mask).
+// unlevelled marks a dead cell, or a live one no step releases.
+const unlevelled = -1
+
+// IrregularFrontier schedules an arbitrary live region (Nussinov's
+// triangle, morphological reconstruction on a mask) by wavefront level:
+// a live cell is delivered at 1 + the highest level among its live
+// stencil predecessors (0 without any). Levels are computed at
+// construction; Next buckets them on its first call.
 type IrregularFrontier struct {
 	rows, cols int
-	stencil    Stencil
-	live       []bool
-	indeg      []int32
-	ready      []Cell
-	next       []Cell
-	total      int
-	started    bool
+	level      []int32 // per cell, row-major
+	total      int     // live cells
+	steps      int     // levels
+	delivered  int     // levelled cells
+	order      []int32 // levelled cells' row-major indices, by level
+	start      []int32 // level l is order[start[l]:start[l+1]]
+	next       int     // the level Next serves next
+	buf        []Cell  // the current step
 }
 
 // NewIrregularFrontier builds the frontier over the cells of a
 // rows x cols grid for which live returns true (a nil live keeps the
-// whole rectangle), depending on each other through the given stencil.
-// Construction is O(cells x |stencil|); on a full rectangle with the
-// dense stencil the resulting steps are exactly the anti-diagonals, so
-// the irregular path is a strict generalization of the dense one.
+// whole rectangle) under the given stencil. Causal stencils are
+// levelled in one row-major pass, others by in-degree propagation,
+// which leaves a dependency cycle and the cells behind it unlevelled:
+// the frontier comes out stuck. On a full rectangle with the dense
+// stencil the levels are exactly the anti-diagonals.
 func NewIrregularFrontier(rows, cols int, st Stencil, live func(r, c int) bool) *IrregularFrontier {
 	if rows < 1 || cols < 1 {
 		panic(fmt.Sprintf("grid: frontier shape must be positive, got %dx%d", rows, cols))
@@ -179,85 +180,161 @@ func NewIrregularFrontier(rows, cols int, st Stencil, live func(r, c int) bool) 
 	if len(st) == 0 {
 		st = DenseStencil()
 	}
-	f := &IrregularFrontier{
-		rows: rows, cols: cols, stencil: st,
-		live:  make([]bool, rows*cols),
-		indeg: make([]int32, rows*cols),
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if live == nil || live(r, c) {
-				f.live[r*cols+c] = true
-				f.total++
-			}
-		}
-	}
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			i := r*cols + c
-			if !f.live[i] {
-				continue
-			}
-			for _, o := range st {
-				pr, pc := r+o.DR, c+o.DC
-				if pr >= 0 && pr < rows && pc >= 0 && pc < cols && f.live[pr*cols+pc] {
-					f.indeg[i]++
-				}
-			}
-			if f.indeg[i] == 0 {
-				f.ready = append(f.ready, Cell{R: r, C: c})
-			}
-		}
+	f := &IrregularFrontier{rows: rows, cols: cols, level: make([]int32, rows*cols)}
+	if st.Causal() {
+		f.levelCausal(st, live)
+	} else {
+		f.propagate(st, live)
 	}
 	return f
 }
 
-// Next implements Frontier: it returns the current ready level and
-// releases the cells whose last dependency it contains. Levels are
-// deterministic: cells enter a level in row-major order of their final
-// releasing dependency scan.
-func (f *IrregularFrontier) Next() ([]Cell, bool) {
-	if f.started {
-		// Completing the previous step releases its successors: a
-		// dependency (r+DR, c+DC) -> (r, c) reversed is (r-DR, c-DC).
-		f.next = f.next[:0]
-		for _, cell := range f.ready {
-			for _, o := range f.stencil {
-				sr, sc := cell.R-o.DR, cell.C-o.DC
-				if sr < 0 || sr >= f.rows || sc < 0 || sc >= f.cols {
-					continue
+// index returns the row-major index of (r, c) and whether it lies
+// inside the grid.
+func (f *IrregularFrontier) index(r, c int) (int, bool) {
+	return r*f.cols + c, r >= 0 && r < f.rows && c >= 0 && c < f.cols
+}
+
+// levelCausal levels the cells in one row-major pass, which reaches a
+// causal stencil's predecessors before their cell. Interior cells read
+// them through linear index deltas; only cells within the stencil's
+// reach of an edge are bounds-checked.
+func (f *IrregularFrontier) levelCausal(st Stencil, live func(r, c int) bool) {
+	deltas := make([]int, len(st))
+	top, left, right := 0, 0, 0 // the stencil's reach up, left and right
+	for i, o := range st {
+		deltas[i] = o.DR*f.cols + o.DC
+		top, left, right = max(top, -o.DR), max(left, -o.DC), max(right, o.DC)
+	}
+	for r := 0; r < f.rows; r++ {
+		for c := 0; c < f.cols; c++ {
+			i := r*f.cols + c
+			m := int32(unlevelled)
+			if live != nil && !live(r, c) {
+				f.level[i] = m
+				continue
+			}
+			if r >= top && c >= left && c < f.cols-right {
+				for _, d := range deltas {
+					m = max(m, f.level[i+d])
 				}
-				j := sr*f.cols + sc
-				if !f.live[j] {
-					continue
+			} else {
+				for _, o := range st {
+					if j, ok := f.index(r+o.DR, c+o.DC); ok {
+						m = max(m, f.level[j])
+					}
 				}
-				if f.indeg[j]--; f.indeg[j] == 0 {
-					f.next = append(f.next, Cell{R: sr, C: sc})
+			}
+			f.level[i] = m + 1
+			f.steps = max(f.steps, int(m)+2) // the highest level, plus one
+			f.total++
+		}
+	}
+	f.delivered = f.total
+}
+
+// propagate levels the cells by in-degree propagation, for stencils
+// that are not causal: the live cells without live predecessors form
+// level 0, and each level releases the cells whose last live
+// predecessor it holds.
+func (f *IrregularFrontier) propagate(st Stencil, live func(r, c int) bool) {
+	indeg := make([]int32, len(f.level)) // -1 marks a dead cell
+	for i := range f.level {
+		f.level[i] = unlevelled
+		if live != nil && !live(i/f.cols, i%f.cols) {
+			indeg[i] = -1
+		} else {
+			f.total++
+		}
+	}
+	var ready, next []int32
+	for i := range indeg {
+		for _, o := range st {
+			if j, ok := f.index(i/f.cols+o.DR, i%f.cols+o.DC); ok && indeg[i] >= 0 && indeg[j] >= 0 {
+				indeg[i]++
+			}
+		}
+		if indeg[i] == 0 {
+			ready = append(ready, int32(i))
+		}
+	}
+	for ; len(ready) > 0; f.steps++ {
+		next = next[:0]
+		for _, i := range ready {
+			f.level[i] = int32(f.steps)
+			// A dependency (r+DR, c+DC) -> (r, c) reversed is (r-DR, c-DC).
+			for _, o := range st {
+				j, ok := f.index(int(i)/f.cols-o.DR, int(i)%f.cols-o.DC)
+				if ok && indeg[j] > 0 {
+					if indeg[j]--; indeg[j] == 0 {
+						next = append(next, int32(j))
+					}
 				}
 			}
 		}
-		f.ready, f.next = f.next, f.ready
+		f.delivered += len(ready)
+		ready, next = next, ready
 	}
-	f.started = true
-	if len(f.ready) == 0 {
+}
+
+// bucket sorts the levelled cells by level in one counting pass, which
+// keeps each level's cells in row-major order.
+func (f *IrregularFrontier) bucket() {
+	f.start = make([]int32, f.steps+1)
+	for _, lv := range f.level {
+		if lv >= 0 {
+			f.start[lv+1]++
+		}
+	}
+	widest := int32(0)
+	for l := 1; l <= f.steps; l++ {
+		widest = max(widest, f.start[l])
+		f.start[l] += f.start[l-1]
+	}
+	fill := append([]int32(nil), f.start...)
+	f.order = make([]int32, f.delivered)
+	for i, lv := range f.level {
+		if lv >= 0 {
+			f.order[fill[lv]] = int32(i)
+			fill[lv]++
+		}
+	}
+	f.buf = make([]Cell, 0, widest)
+}
+
+// Next implements Frontier: the cells of the next level, in row-major
+// order.
+func (f *IrregularFrontier) Next() ([]Cell, bool) {
+	if f.start == nil {
+		f.bucket()
+	}
+	if f.next >= f.steps {
 		return nil, false
 	}
-	return f.ready, true
+	f.buf = f.buf[:0]
+	for _, i := range f.order[f.start[f.next]:f.start[f.next+1]] {
+		f.buf = append(f.buf, Cell{R: int(i) / f.cols, C: int(i) % f.cols})
+	}
+	f.next++
+	return f.buf, true
 }
 
 // Cells implements Frontier: the size of the live region.
 func (f *IrregularFrontier) Cells() int { return f.total }
 
-// Steps implements Frontier: level counts of irregular regions have no
-// closed form, so it returns -1; use CountFrontier to measure one.
-func (f *IrregularFrontier) Steps() int { return -1 }
+// Steps implements Frontier: the exact number of levels, fewer than the
+// region needs when the frontier is stuck.
+func (f *IrregularFrontier) Steps() int { return f.steps }
 
-// CountFrontier drains f and returns the number of steps and cells it
-// delivered. It is the way to obtain the true wavefront step count of an
-// irregular region — progress accounting must use it (or the executor's
-// delivered counts) rather than NumDiags, which only equals the step
-// count for dense rectangles. The frontier is consumed.
+// CountFrontier returns the number of steps and cells a fresh f
+// delivers: the true step count of an irregular region, which progress
+// accounting must use rather than NumDiags. An IrregularFrontier
+// answers from its levels, unconsumed, counting only the cells it
+// releases when stuck; any other frontier is drained.
 func CountFrontier(f Frontier) (steps, cells int) {
+	if irr, ok := f.(*IrregularFrontier); ok {
+		return irr.steps, irr.delivered
+	}
 	for {
 		step, ok := f.Next()
 		if !ok {
@@ -266,21 +343,4 @@ func CountFrontier(f Frontier) (steps, cells int) {
 		steps++
 		cells += len(step)
 	}
-}
-
-// LiveCellsRect counts the cells of a rows x cols grid for which live
-// returns true (the whole rectangle when live is nil).
-func LiveCellsRect(rows, cols int, live func(r, c int) bool) int {
-	if live == nil {
-		return rows * cols
-	}
-	n := 0
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			if live(r, c) {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -142,6 +142,7 @@ func TestIrregularFrontierMatchesInDegreeReference(t *testing.T) {
 		{"dense", grid.DenseStencil()},
 		{"up-right", grid.Stencil{{DR: -1, DC: 1}, {DR: 0, DC: -1}}},
 		{"long-reach", grid.Stencil{{DR: -1, DC: 0}, {DR: -1, DC: -3}}},
+		{"two-up", grid.Stencil{{DR: -2, DC: 1}, {DR: 0, DC: -2}}},
 		{"south-west", grid.Stencil{{DR: 1, DC: 0}, {DR: 0, DC: -1}}},
 	}
 	shapes := [][2]int{{1, 1}, {1, 17}, {17, 1}, {2, 9}, {7, 13}, {13, 7}, {20, 20}}
@@ -204,5 +205,24 @@ func TestIrregularFrontierStuckMatchesReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIrregularCountAllocs: building a masked frontier and counting it
+// makes a constant number of allocations, whatever the cell count — no
+// per-step slices and no per-cell Cells.
+func TestIrregularCountAllocs(t *testing.T) {
+	k := kernels.NewMorphRecon(-1, 1)
+	count := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			f := grid.NewIrregularFrontier(n, n, kernels.StencilOf(k), kernels.LiveOf(k, n, n))
+			if _, cells := grid.CountFrontier(f); cells == 0 {
+				t.Fatal("empty morphrecon frontier")
+			}
+		})
+	}
+	small, large := count(64), count(256)
+	if large != small || large > 8 {
+		t.Errorf("KernelFrontier + CountFrontier made %.0f allocations at 64² and %.0f at 256², want the same count, at most 8", small, large)
 	}
 }

@@ -58,12 +58,19 @@ func TestDiagRangeFrontierClamps(t *testing.T) {
 }
 
 // TestIrregularDenseEquivalence: on a full rectangle with the dense
-// stencil, the irregular frontier's levels are exactly the anti-diagonals.
+// stencil, the irregular frontier's levels are exactly the anti-diagonals,
+// and its counts are known up front without consuming it.
 func TestIrregularDenseEquivalence(t *testing.T) {
 	rows, cols := 5, 8
 	f := NewIrregularFrontier(rows, cols, DenseStencil(), nil)
 	if f.Cells() != rows*cols {
 		t.Fatalf("Cells = %d, want %d", f.Cells(), rows*cols)
+	}
+	if f.Steps() != NumDiagsRect(rows, cols) {
+		t.Errorf("Steps = %d, want %d", f.Steps(), NumDiagsRect(rows, cols))
+	}
+	if steps, cells := CountFrontier(f); steps != NumDiagsRect(rows, cols) || cells != rows*cols {
+		t.Errorf("CountFrontier = (%d, %d), want (%d, %d)", steps, cells, NumDiagsRect(rows, cols), rows*cols)
 	}
 	d := 0
 	for {
@@ -102,8 +109,8 @@ func TestIrregularMaskedTriangle(t *testing.T) {
 	}
 	// The triangle's boundary diagonal is entirely dependency-free, so
 	// the levels are diagonals n-1 .. 2n-2: n of them.
-	if steps != n {
-		t.Errorf("steps = %d, want %d", steps, n)
+	if steps != n || f.Steps() != n {
+		t.Errorf("steps = %d, Steps = %d, want %d", steps, f.Steps(), n)
 	}
 }
 
@@ -165,15 +172,5 @@ func TestStencilCausal(t *testing.T) {
 	}
 	if !(Stencil{{-1, 2}, {0, -3}}).Causal() {
 		t.Error("long causal offsets must be causal")
-	}
-}
-
-// TestLiveCellsRect pins the counting helper.
-func TestLiveCellsRect(t *testing.T) {
-	if n := LiveCellsRect(4, 5, nil); n != 20 {
-		t.Errorf("nil live = %d, want 20", n)
-	}
-	if n := LiveCellsRect(4, 5, func(r, c int) bool { return (r+c)%2 == 0 }); n != 10 {
-		t.Errorf("checkerboard = %d, want 10", n)
 	}
 }

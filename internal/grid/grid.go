@@ -24,8 +24,7 @@ import "fmt"
 // Grid is a rectangular wavefront array with structure-of-arrays storage:
 // two int64 variables and DSize float64 values per cell, matching the
 // paper's synthetic element of "two int variables and a varying number of
-// floats". Storage is row-major; diagonal-major views are provided for
-// GPU-style access.
+// floats". Storage is row-major.
 type Grid struct {
 	rows  int
 	cols  int
@@ -90,11 +89,6 @@ func (g *Grid) NumDiags() int { return NumDiagsRect(g.rows, g.cols) }
 
 // Index returns the row-major index of cell (r, c).
 func (g *Grid) Index(r, c int) int { return r*g.cols + c }
-
-// InBounds reports whether (r, c) lies inside the grid.
-func (g *Grid) InBounds(r, c int) bool {
-	return r >= 0 && r < g.rows && c >= 0 && c < g.cols
-}
 
 // Float returns the k-th float of cell (r, c).
 func (g *Grid) Float(r, c, k int) float64 {
@@ -183,9 +177,6 @@ func DiagCellRect(rows, cols, d, i int) (r, c int) {
 	return r, d - r
 }
 
-// DiagOf returns the anti-diagonal index of cell (r, c).
-func DiagOf(r, c int) int { return r + c }
-
 // CellsUpToDiag returns the number of cells of a dim x dim grid on
 // diagonals [0, d], i.e. the size of the leading region computed before
 // diagonal d+1 starts.
@@ -234,57 +225,6 @@ func CellsInDiagRangeRect(rows, cols, lo, hi int) int {
 	}
 	return CellsUpToDiagRect(rows, cols, hi) - CellsUpToDiagRect(rows, cols, lo-1)
 }
-
-// DiagView is a diagonal-major addressing scheme for a contiguous range of
-// anti-diagonals, as used when staging a band of diagonals in GPU memory.
-// Diagonals are laid out back to back, each ordered by increasing row.
-type DiagView struct {
-	Rows, Cols int
-	Lo, Hi     int   // inclusive diagonal range
-	offsets    []int // offsets[i] = cells before diagonal Lo+i
-	total      int
-}
-
-// NewDiagView builds the diagonal-major layout for diagonals [lo, hi] of a
-// square dim-sized grid. It panics on an invalid range: layout
-// construction with impossible bounds indicates a planner bug, not a
-// runtime condition.
-func NewDiagView(dim, lo, hi int) *DiagView { return NewDiagViewRect(dim, dim, lo, hi) }
-
-// NewDiagViewRect builds the diagonal-major layout for diagonals [lo, hi]
-// of a rows x cols grid. It panics on an invalid range.
-func NewDiagViewRect(rows, cols, lo, hi int) *DiagView {
-	if lo < 0 || hi >= NumDiagsRect(rows, cols) || hi < lo {
-		panic(fmt.Sprintf("grid: invalid diagonal range [%d,%d] for shape %dx%d",
-			lo, hi, rows, cols))
-	}
-	v := &DiagView{Rows: rows, Cols: cols, Lo: lo, Hi: hi}
-	v.offsets = make([]int, hi-lo+2)
-	sum := 0
-	for d := lo; d <= hi; d++ {
-		v.offsets[d-lo] = sum
-		sum += DiagLenRect(rows, cols, d)
-	}
-	v.offsets[hi-lo+1] = sum
-	v.total = sum
-	return v
-}
-
-// Total returns the number of cells covered by the view.
-func (v *DiagView) Total() int { return v.total }
-
-// Offset returns the linear offset of the i-th cell of diagonal d within
-// the view's packed layout.
-func (v *DiagView) Offset(d, i int) int {
-	return v.offsets[d-v.Lo] + i
-}
-
-// DiagOffset returns the linear offset at which diagonal d starts.
-func (v *DiagView) DiagOffset(d int) int { return v.offsets[d-v.Lo] }
-
-// Bytes returns the modeled byte size of the packed view for elements of
-// the given dsize.
-func (v *DiagView) Bytes(dsize int) int { return v.total * ElemBytes(dsize) }
 
 // Clone returns a deep copy of the grid, used to compare executor outputs
 // against the serial reference.

@@ -49,8 +49,8 @@ type Kernel interface {
 }
 
 // Stenciled is implemented by kernels that declare the exact dependency
-// stencil of their recurrence. The irregular frontier path uses it for
-// in-degree scheduling; kernels without it get grid.DenseStencil.
+// stencil of their recurrence. The irregular frontier path levels the
+// live cells by it; kernels without it get grid.DenseStencil.
 type Stenciled interface {
 	// Stencil returns the relative offsets a cell reads.
 	Stencil() grid.Stencil

@@ -143,7 +143,7 @@ func TestMorphReconInterfaces(t *testing.T) {
 	if live == nil {
 		t.Fatal("LiveOf returned nil for a Masked kernel")
 	}
-	n := grid.LiveCellsRect(16, 16, live)
+	n := grid.NewIrregularFrontier(16, 16, StencilOf(m), live).Cells()
 	if n <= 0 || n >= 256 {
 		t.Errorf("live cells = %d, want a strict subset of 256", n)
 	}

@@ -6,7 +6,7 @@ package wavefront
 // masked and irregular workloads — Nussinov's triangle, morphological
 // reconstruction over a mask — run through RunIrregular, which tiles
 // them like RunParallel or schedules single cells by IrregularFrontier's
-// per-cell in-degree counting. Kernels opt in by implementing
+// per-cell wavefront levels. Kernels opt in by implementing
 // KernelStencil and KernelMask; undeclared kernels default to the dense
 // W/N/NW cone over the full rectangle.
 
@@ -37,7 +37,8 @@ type StencilOffset = grid.Offset
 type DiagFrontier = grid.DiagFrontier
 
 // IrregularFrontier schedules an arbitrary live region by per-cell
-// in-degree counting.
+// wavefront level: one row-major pass for a causal stencil, in-degree
+// propagation otherwise, with per-level buckets built on the first Next.
 type IrregularFrontier = grid.IrregularFrontier
 
 // KernelStencil is implemented by kernels that declare a dependency
@@ -77,9 +78,10 @@ func KernelFrontier(k Kernel, rows, cols int) *IrregularFrontier {
 	return grid.NewIrregularFrontier(rows, cols, kernels.StencilOf(k), kernels.LiveOf(k, rows, cols))
 }
 
-// CountFrontier drains f and returns its true step and cell counts —
+// CountFrontier returns the true step and cell counts of a fresh f —
 // the step total progress reporting must use for irregular regions,
-// where NumDiags overstates the denominator. The frontier is consumed.
+// where NumDiags overstates the denominator. An IrregularFrontier knows
+// its counts and is not consumed; any other frontier is drained.
 func CountFrontier(f Frontier) (steps, cells int) { return grid.CountFrontier(f) }
 
 // RunFrontier computes the cells of f with k on the host CPU (workers
