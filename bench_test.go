@@ -676,48 +676,41 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkTuneBatchEndpoint measures POST /v1/tune/batch end to end on
-// a warm cache: one round trip answering a full batch of shapes.
+// a warm cache: one round trip answering a full batch of shapes. The
+// "tree" sub-benchmark name keeps older BENCH_*.json rows comparable.
 func BenchmarkTuneBatchEndpoint(b *testing.B) {
-	for _, backend := range []struct {
-		name  string
-		tuner func(*testing.B) wavefront.Predictor
-	}{
-		{"tree", func(b *testing.B) wavefront.Predictor { return benchTuner(b) }},
-		{"bilinear", func(b *testing.B) wavefront.Predictor { return benchBilinear(b) }},
-	} {
-		b.Run(backend.name, func(b *testing.B) {
-			srv, err := wavefront.NewTuningServer(wavefront.TuningConfig{
-				Systems: []wavefront.System{hw.I7_2600K()},
-				Tuners:  wavefront.NewStaticTunerSource(backend.tuner(b)),
-			})
+	b.Run("tree", func(b *testing.B) {
+		srv, err := wavefront.NewTuningServer(wavefront.TuningConfig{
+			Systems: []wavefront.System{hw.I7_2600K()},
+			Tuners:  wavefront.NewStaticTunerSource(benchTuner(b)),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		req := wavefront.BatchTuneRequest{System: "i7-2600K"}
+		for i := 0; i < 32; i++ {
+			tsz, dsz := 2000.0, 1
+			req.Items = append(req.Items, wavefront.TuneRequest{Dim: 300 + 50*(i%16), TSize: &tsz, DSize: &dsz})
+		}
+		// Warm pass outside the timed section.
+		if _, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			out, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			req := wavefront.BatchTuneRequest{System: "i7-2600K"}
-			for i := 0; i < 32; i++ {
-				tsz, dsz := 2000.0, 1
-				req.Items = append(req.Items, wavefront.TuneRequest{Dim: 300 + 50*(i%16), TSize: &tsz, DSize: &dsz})
+			if out.Errors != 0 {
+				b.Fatalf("batch errors: %+v", out)
 			}
-			// Warm pass outside the timed section.
-			if _, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Errors != 0 {
-					b.Fatalf("batch errors: %+v", out)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N*len(req.Items))/b.Elapsed().Seconds(), "items/s")
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N*len(req.Items))/b.Elapsed().Seconds(), "items/s")
+	})
 }
 
 // benchTuner trains (once) the quick-space tuner the serving benchmarks
@@ -732,37 +725,13 @@ func benchTuner(b *testing.B) *core.Tuner {
 	return t
 }
 
-// benchBilinear trains (once) the bilinear counterpart from the same
-// quick-space search result.
-var (
-	benchBilinearOnce sync.Once
-	benchBilinearTun  *core.BilinearTuner
-)
-
-func benchBilinear(b *testing.B) *core.BilinearTuner {
-	b.Helper()
-	ctx := benchContext(b)
-	sr, err := ctx.Search(hw.I7_2600K())
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBilinearOnce.Do(func() {
-		benchBilinearTun, err = core.TrainBilinear(sr, ctx.Cfg.TrainOpts)
-	})
-	if err != nil || benchBilinearTun == nil {
-		b.Fatalf("training bilinear backend: %v", err)
-	}
-	return benchBilinearTun
-}
-
 // predictBackendSink keeps Predict calls observable to the compiler.
 var predictBackendSink core.Prediction
 
-// BenchmarkPredictBackend compares one uncached model evaluation across
-// the two prediction backends: the paper's SVM+M5/REP tree ensemble
-// versus the WaveTune-style bilinear dot products. Both run the same
-// gate/clamp/Normalize deployment pipeline; the bilinear backend should
-// be several times faster per prediction at zero allocations.
+// BenchmarkPredictBackend times one uncached model evaluation of the
+// paper's SVM+M5/REP tree ensemble, gate/clamp/Normalize included, at
+// zero allocations. The "tree" sub-benchmark name keeps older
+// BENCH_*.json rows comparable.
 func BenchmarkPredictBackend(b *testing.B) {
 	insts := []plan.Instance{
 		{Dim: 500, TSize: 200, DSize: 1},
@@ -770,20 +739,13 @@ func BenchmarkPredictBackend(b *testing.B) {
 		{Dim: 1900, TSize: 40, DSize: 3},
 		{Dim: 2900, TSize: 11000, DSize: 1},
 	}
-	for _, backend := range []struct {
-		name string
-		p    core.Predictor
-	}{
-		{"tree", benchTuner(b)},
-		{"bilinear", benchBilinear(b)},
-	} {
-		b.Run(backend.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				predictBackendSink = backend.p.Predict(insts[i%len(insts)])
-			}
-		})
-	}
+	tree := benchTuner(b)
+	b.Run("tree", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			predictBackendSink = tree.Predict(insts[i%len(insts)])
+		}
+	})
 }
 
 // BenchmarkJobThroughput measures end-to-end submit→complete job

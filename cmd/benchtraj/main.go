@@ -58,8 +58,8 @@ type benchGroup struct {
 // defaultGroups selects the trajectory set: the frontier substrate
 // including its dense-parity pairs (ms-scale ops, so a fixed 20
 // iterations is already ~1s of measurement), and the serving hot paths
-// — plan-cache hits, batch tuning across both prediction backends, the
-// per-backend predict microbenchmark, job and pipeline throughput, the
+// — plan-cache hits, batch tuning, the predict microbenchmark, job and
+// pipeline throughput, the
 // metrics-overhead probe pricing the telemetry layer — whose µs-scale
 // ops need a time budget to average out scheduler stalls.
 var defaultGroups = []benchGroup{

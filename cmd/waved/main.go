@@ -29,7 +29,6 @@
 //
 //	waved [-addr :8080] [-systems i7-2600K,i3-540] [-tuners dir]
 //	      [-cache 512] [-cache-shards 0] [-cache-file plans.json] [-full]
-//	      [-model tree|bilinear]
 //	      [-batch-limit 64] [-workers 4] [-queue-depth 64]
 //	      [-refine-budget 12] [-train-log dir] [-max-pipelines 16]
 //	      [-retrain-off] [-retrain-interval 5m] [-retrain-min-obs 32]
@@ -115,7 +114,6 @@ func main() {
 	cacheFile := flag.String("cache-file", "", "persist the plan cache to this file across restarts")
 	batchLimit := flag.Int("batch-limit", 0, "max items per /v1/tune/batch request (0 = default)")
 	full := flag.Bool("full", false, "train lazily on the full Table 3 space instead of the quick one")
-	model := flag.String("model", "", "prediction backend for lazily trained tuners and retrain challengers: tree or bilinear (default tree; with -tuners the file's kind wins and -model only steers retraining)")
 	workers := flag.Int("workers", 0, "job worker pool size (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0, "job queue bound; overflow answers 429 (0 = default)")
 	refineBudget := flag.Int("refine-budget", 0, "probe budget per refine job (0 = default)")
@@ -134,11 +132,6 @@ func main() {
 	format, err := wavefront.ParseLogFormat(*logFormat)
 	if err != nil {
 		log.Fatal(err)
-	}
-	switch *model {
-	case "", wavefront.ModelKindTree, wavefront.ModelKindBilinear:
-	default:
-		log.Fatalf("unknown model kind %q (want tree or bilinear)", *model)
 	}
 
 	cfg := wavefront.TuningConfig{
@@ -159,7 +152,6 @@ func main() {
 			Interval:        *retrainInterval,
 			MinObservations: *retrainMinObs,
 			Holdout:         *retrainHoldout,
-			Kind:            *model,
 		},
 		Logger:      wavefront.NewStructuredLogger(os.Stderr, format),
 		SlowRequest: *slowRequest,
@@ -182,11 +174,6 @@ func main() {
 	case *full:
 		cfg.Tuners = wavefront.NewTrainingTunerSource(wavefront.TrainingSourceOptions{
 			Space: wavefront.DefaultSpace(),
-			Kind:  *model,
-		})
-	case *model != "":
-		cfg.Tuners = wavefront.NewTrainingTunerSource(wavefront.TrainingSourceOptions{
-			Kind: *model,
 		})
 	}
 

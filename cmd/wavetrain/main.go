@@ -1,12 +1,11 @@
 // Command wavetrain trains the machine-learned autotuner for a modeled
 // system from an exhaustive search of the synthetic application
 // (Section 3.1), reports cross-validated model quality, and prints the
-// learned halo model (the Figure 9 model tree for the tree backend, the
-// fitted bilinear formula otherwise).
+// learned halo model (the Figure 9 model tree).
 //
 // Usage:
 //
-//	wavetrain [-system i7-2600K] [-full] [-model tree|bilinear]
+//	wavetrain [-system i7-2600K] [-full] [-from sweep.csv] [-save tuner.json]
 package main
 
 import (
@@ -27,20 +26,13 @@ func main() {
 	full := flag.Bool("full", false, "use the full Table 3 space")
 	save := flag.String("save", "", "write the trained tuner to this JSON file")
 	from := flag.String("from", "", "train from a wavesweep CSV instead of searching")
-	model := flag.String("model", core.KindTree,
-		"prediction backend: tree (the paper's SVM+M5/REP ensemble) or bilinear (WaveTune-style ridge regressions)")
 	flag.Parse()
 
-	switch *model {
-	case core.KindTree, core.KindBilinear:
-	default:
-		log.Fatalf("unknown model kind %q (want tree or bilinear)", *model)
-	}
 	sys, ok := hw.ByName(*sysName)
 	if !ok {
 		log.Fatalf("unknown system %q", *sysName)
 	}
-	var tuner core.Predictor
+	var tuner *core.Tuner
 	var ctx *experiments.Context
 	if *from != "" {
 		f, err := os.Open(*from)
@@ -55,8 +47,7 @@ func main() {
 		if sr.Sys.Name != sys.Name {
 			log.Fatalf("CSV was swept on %s, not %s", sr.Sys.Name, sys.Name)
 		}
-		tuner, err = core.TrainPredictor(*model, sr, core.DefaultTrainOptions())
-		if err != nil {
+		if tuner, err = core.Train(sr, core.DefaultTrainOptions()); err != nil {
 			log.Fatal(err)
 		}
 	} else {
@@ -67,44 +58,31 @@ func main() {
 		cfg.Systems = []hw.System{sys}
 		ctx = experiments.NewContext(cfg)
 		var err error
-		if *model == core.KindTree {
-			tuner, err = ctx.Tuner(sys)
-		} else {
-			var sr *core.SearchResult
-			if sr, err = ctx.Search(sys); err == nil {
-				tuner, err = core.TrainPredictor(*model, sr, cfg.TrainOpts)
-			}
-		}
-		if err != nil {
+		if tuner, err = ctx.Tuner(sys); err != nil {
 			log.Fatal(err)
 		}
 	}
-	report := tuner.Quality()
-	fmt.Printf("trained %s tuner for %s (explored %d model configurations)\n",
-		tuner.Kind(), sys.Name, report.Configs)
+	report := tuner.Report
+	fmt.Printf("trained tuner for %s (explored %d model configurations)\n",
+		sys.Name, report.Configs)
 	fmt.Printf("cross-validated accuracy: parallel=%.2f cpu-tile=%.2f gpu-tile=%.2f band=%.2f halo=%.2f (gate: 0.90)\n\n",
 		report.ParallelAcc, report.CPUTileAcc, report.GPUTileAcc,
 		report.BandAcc, report.HaloAcc)
 
-	switch t := tuner.(type) {
-	case *core.Tuner:
-		if ctx != nil {
-			fig9, err := ctx.Fig9(sys)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(fig9)
-		} else {
-			fmt.Println(t.Halo.Render("halo"))
+	if ctx != nil {
+		fig9, err := ctx.Fig9(sys)
+		if err != nil {
+			log.Fatal(err)
 		}
-	case *core.BilinearTuner:
-		fmt.Printf("halo = %s\n", t.Halo)
+		fmt.Println(fig9)
+	} else {
+		fmt.Println(tuner.Halo.Render("halo"))
 	}
 
 	if *save != "" {
 		if err := core.SavePredictor(*save, tuner); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("saved %s tuner to %s\n", tuner.Kind(), *save)
+		fmt.Printf("saved tuner to %s\n", *save)
 	}
 }

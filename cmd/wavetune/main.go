@@ -67,9 +67,7 @@ func main() {
 		return nil
 	})
 	full := flag.Bool("full", false, "train on the full Table 3 space")
-	model := flag.String("model", core.KindTree,
-		"prediction backend when training locally: tree or bilinear")
-	tunerPath := flag.String("tuner", "", "load a pre-trained tuner JSON of any kind (skips training)")
+	tunerPath := flag.String("tuner", "", "load a pre-trained tuner JSON (skips training)")
 	run := flag.Bool("run", false, "execute the tuned configuration functionally (small dims only)")
 	batchPath := flag.String("batch", "", "file of shapes (one per line: 1900 or 600x1400) to tune in one daemon call")
 	addr := flag.String("addr", "http://localhost:8080", "waved base URL for -batch mode")
@@ -80,11 +78,6 @@ func main() {
 	if *list {
 		fmt.Print(apps.RenderCatalog())
 		return
-	}
-	switch *model {
-	case core.KindTree, core.KindBilinear:
-	default:
-		log.Fatalf("unknown model kind %q (want tree or bilinear)", *model)
 	}
 	explicitFlags := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicitFlags[f.Name] = true })
@@ -148,22 +141,13 @@ func main() {
 			cfg = experiments.Full()
 		}
 		cfg.Systems = []hw.System{sys}
-		ctx := experiments.NewContext(cfg)
-		if *model == core.KindTree {
-			tuner, err = ctx.Tuner(sys)
-		} else {
-			var sr *core.SearchResult
-			if sr, err = ctx.Search(sys); err == nil {
-				tuner, err = core.TrainPredictor(*model, sr, cfg.TrainOpts)
-			}
-		}
-		if err != nil {
+		if tuner, err = experiments.NewContext(cfg).Tuner(sys); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	pred := tuner.Predict(inst)
-	fmt.Printf("application: %s (%v) on %s [%s model]\n", a.Name, inst, sys.Name, tuner.Kind())
+	fmt.Printf("application: %s (%v) on %s\n", a.Name, inst, sys.Name)
 	fmt.Printf("prediction: %v\n\n", pred)
 
 	serial := engine.SerialNs(sys, inst)

@@ -57,10 +57,10 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "tuner.json")
-	if err := tuner.Save(path); err != nil {
+	if err := core.SavePredictor(path, tuner); err != nil {
 		t.Fatal(err)
 	}
-	deployed, err := core.LoadTuner(path)
+	deployed, err := core.LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}

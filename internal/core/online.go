@@ -36,7 +36,7 @@ func (s RefineStats) Improvement() float64 {
 	return s.StartNs / s.FinalNs
 }
 
-// NewOnlineTuner wraps an offline predictor of any backend kind.
+// NewOnlineTuner wraps an offline predictor.
 func NewOnlineTuner(base Predictor) *OnlineTuner {
 	return &OnlineTuner{Base: base, Budget: 12}
 }

@@ -7,11 +7,11 @@ import (
 	"repro/internal/hw"
 )
 
-// FuzzTunerLoad fuzzes the versioned tuner-file decoder across both
-// backend kinds. Properties: UnmarshalPredictor never panics on
-// arbitrary input; a successful decode yields a predictor with a known
-// kind and a resolvable system; and re-marshaling a decoded predictor
-// produces a file that decodes again to the same kind and system.
+// FuzzTunerLoad fuzzes the versioned tuner-file decoder. Properties:
+// UnmarshalPredictor never panics on arbitrary input; a successful
+// decode yields a predictor with a resolvable system; and re-marshaling
+// a decoded predictor produces a file that decodes again to the same
+// system.
 func FuzzTunerLoad(f *testing.F) {
 	sr, err := Exhaustive(hw.I7_2600K(), tinySpace(), SearchOptions{})
 	if err != nil {
@@ -21,22 +21,14 @@ func FuzzTunerLoad(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	bilinear, err := TrainBilinear(sr, DefaultTrainOptions())
-	if err != nil {
-		f.Fatal(err)
-	}
 	treeJSON, err := json.Marshal(tree)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bilinearJSON, err := json.Marshal(bilinear)
 	if err != nil {
 		f.Fatal(err)
 	}
 	seeds := []string{
 		string(treeJSON),
-		string(bilinearJSON),
-		// Error paths the decoder must reject without panicking.
+		// Error paths the decoder must reject without panicking,
+		// including the retired v1 and bilinear spellings.
 		`{"system":"nonexistent","version":1}`,
 		`{"system":"i3-540","version":99}`,
 		`{"system":"i3-540","version":1}`,
@@ -44,6 +36,7 @@ func FuzzTunerLoad(f *testing.F) {
 		`{"system":"i3-540","version":1,"kind":"bilinear"}`,
 		`{"version":2,"kind":"bilinear"}`,
 		`{}`,
+		`null`,
 		``,
 		`not json`,
 		`[1,2,3]`,
@@ -57,9 +50,6 @@ func FuzzTunerLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if p.Kind() != KindTree && p.Kind() != KindBilinear {
-			t.Fatalf("decoded predictor has unknown kind %q", p.Kind())
-		}
 		if _, ok := hw.ByName(p.System().Name); !ok {
 			t.Fatalf("decoded predictor bound to unknown system %q", p.System().Name)
 		}
@@ -71,9 +61,8 @@ func FuzzTunerLoad(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshaled file does not decode: %v", err)
 		}
-		if back.Kind() != p.Kind() || back.System().Name != p.System().Name {
-			t.Fatalf("round trip changed identity: %s/%s vs %s/%s",
-				p.Kind(), p.System().Name, back.Kind(), back.System().Name)
+		if back.System().Name != p.System().Name {
+			t.Fatalf("round trip changed system: %s vs %s", p.System().Name, back.System().Name)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,17 +21,17 @@ func TestTunerSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "tuner.json")
-	if err := orig.Save(path); err != nil {
+	if err := SavePredictor(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadTuner(path)
+	back, err := LoadPredictor(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Sys.Name != sys.Name {
-		t.Errorf("system = %q, want %q", back.Sys.Name, sys.Name)
+	if back.System().Name != sys.Name {
+		t.Errorf("system = %q, want %q", back.System().Name, sys.Name)
 	}
-	if back.Report != orig.Report {
+	if back.Quality() != orig.Report {
 		t.Error("training report changed across round trip")
 	}
 	// Predictions must be identical for a spread of instances.
@@ -50,22 +49,22 @@ func TestTunerSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadTunerErrors(t *testing.T) {
-	if _, err := LoadTuner(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := LoadPredictor(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	writeFile(t, bad, `{"system":"nonexistent","version":1}`)
-	if _, err := LoadTuner(bad); err == nil {
+	writeFile(t, bad, `{"system":"nonexistent","version":2,"kind":"tree"}`)
+	if _, err := LoadPredictor(bad); err == nil {
 		t.Error("unknown system must error")
 	}
 	verMismatch := filepath.Join(t.TempDir(), "ver.json")
-	writeFile(t, verMismatch, `{"system":"i3-540","version":99}`)
-	if _, err := LoadTuner(verMismatch); err == nil {
+	writeFile(t, verMismatch, `{"system":"i3-540","version":99,"kind":"tree"}`)
+	if _, err := LoadPredictor(verMismatch); err == nil {
 		t.Error("version mismatch must error")
 	}
 	missingModels := filepath.Join(t.TempDir(), "empty.json")
-	writeFile(t, missingModels, `{"system":"i3-540","version":1}`)
-	if _, err := LoadTuner(missingModels); err == nil {
+	writeFile(t, missingModels, `{"system":"i3-540","version":2,"kind":"tree"}`)
+	if _, err := LoadPredictor(missingModels); err == nil {
 		t.Error("missing models must error")
 	}
 }
@@ -77,92 +76,26 @@ func writeFile(t *testing.T, path, content string) {
 	}
 }
 
-// TestV1TunerLoadsAsTree pins backward compatibility: a v1 file (no
-// "kind" discriminator) must load through UnmarshalPredictor as a tree
-// tuner predicting identically to its v2 form.
-func TestV1TunerLoadsAsTree(t *testing.T) {
-	tree, _ := trainedBackends(t)
-	data, err := json.Marshal(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	m["version"] = json.RawMessage("1")
-	delete(m, "kind")
-	v1, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := UnmarshalPredictor(v1)
-	if err != nil {
-		t.Fatalf("v1 file must load: %v", err)
-	}
-	if p.Kind() != KindTree {
-		t.Fatalf("v1 file decoded as %q, want %q", p.Kind(), KindTree)
-	}
-	inst := plan.Instance{Dim: 900, TSize: 777, DSize: 3}
-	if got, want := p.Predict(inst), tree.Predict(inst); got != want {
-		t.Errorf("v1 prediction %v, want %v", got, want)
-	}
-}
-
-// TestUnmarshalPredictorKindErrors covers the kind-discriminator error
-// paths: unknown kinds are rejected by name, and a bilinear model cannot
-// masquerade as a v1 file (the format that predates it).
+// TestUnmarshalPredictorKindErrors covers the envelope error paths: a
+// tuner file must be version 2 with kind "tree". Kind errors name the
+// kind; null fails the version check.
 func TestUnmarshalPredictorKindErrors(t *testing.T) {
-	if _, err := UnmarshalPredictor([]byte(`{"system":"i3-540","version":2,"kind":"quadratic"}`)); err == nil {
-		t.Error("unknown kind must error")
-	} else if !strings.Contains(err.Error(), "quadratic") {
-		t.Errorf("error %q does not name the unknown kind", err)
+	for _, kind := range []string{"bilinear", "quadratic"} {
+		doc := `{"system":"i3-540","version":2,"kind":"` + kind + `"}`
+		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
+			t.Errorf("kind %q must error", kind)
+		} else if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not name the kind %q", err, kind)
+		}
 	}
-	if _, err := UnmarshalPredictor([]byte(`{"system":"i3-540","version":1,"kind":"bilinear"}`)); err == nil {
-		t.Error("bilinear kind in a v1 envelope must error")
-	}
-	// Loading a bilinear file through the tree-only loader must fail
-	// with the kind mismatch, not a decode crash.
-	_, bilinear := trainedBackends(t)
-	path := filepath.Join(t.TempDir(), "bilinear.json")
-	if err := SavePredictor(path, bilinear); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadTuner(path); err == nil {
-		t.Error("LoadTuner must reject a bilinear file")
-	}
-}
-
-// TestBilinearSaveLoadRoundTrip mirrors the tree round-trip test for the
-// bilinear backend through the kind-dispatching loader.
-func TestBilinearSaveLoadRoundTrip(t *testing.T) {
-	_, orig := trainedBackends(t)
-	path := filepath.Join(t.TempDir(), "bilinear.json")
-	if err := SavePredictor(path, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadPredictor(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind() != KindBilinear {
-		t.Fatalf("kind = %q, want %q", back.Kind(), KindBilinear)
-	}
-	if back.System().Name != orig.Sys.Name {
-		t.Errorf("system = %q, want %q", back.System().Name, orig.Sys.Name)
-	}
-	if back.Quality() != orig.Report {
-		t.Error("training report changed across round trip")
-	}
-	for _, inst := range []plan.Instance{
-		{Dim: 500, TSize: 10, DSize: 1},
-		{Dim: 900, TSize: 777, DSize: 3},
-		{Dim: 2500, TSize: 11000, DSize: 5},
-		{Dim: 1500, TSize: 0.5, DSize: 0},
+	for _, doc := range []string{
+		`{"system":"i3-540","version":2}`,
+		`{"system":"i3-540","version":1,"kind":"tree"}`,
+		`{"system":"i3-540","version":1}`,
+		`null`,
 	} {
-		a, b := orig.Predict(inst), back.Predict(inst)
-		if a != b {
-			t.Errorf("%v: prediction changed: %v vs %v", inst, a, b)
+		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
+			t.Errorf("%s must error", doc)
 		}
 	}
 }

@@ -3,33 +3,20 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
 
-// Model kinds understood by the prediction stack. The kind is the
-// discriminator in version-2 tuner files and the value of the
-// model_kind telemetry label.
-const (
-	// KindTree is the paper's backend: an SVM parallelism gate, M5
-	// model trees for cpu-tile/band/halo and a REP tree for gpu-tile.
-	KindTree = "tree"
-	// KindBilinear is the WaveTune-style backend: one ridge regression
-	// per target over bilinear interaction features, so deployment is a
-	// handful of dot products.
-	KindBilinear = "bilinear"
-)
+// KindTree names the paper's model: an SVM parallelism gate, M5 model
+// trees for cpu-tile/band/halo and a REP tree for gpu-tile. It is the
+// only model kind, and the "kind" field of every tuner file.
+const KindTree = "tree"
 
-// Predictor is a deployed tuning model for one system. The tree
-// ensemble (Tuner) and the bilinear cost model (BilinearTuner) both
-// implement it; everything above core — the plan cache, the service,
-// refine jobs, champion/challenger retraining — programs against this
-// interface so backends can be swapped, compared and serialized by
-// kind rather than by concrete struct.
+// Predictor is a deployed tuning model for one system. Tuner is its
+// only implementation; everything above core — the plan cache, the
+// service, refine jobs, champion/challenger retraining — programs
+// against this interface.
 type Predictor interface {
-	// Kind identifies the backend (KindTree or KindBilinear).
-	Kind() string
 	// System is the hardware model the predictor was trained for.
 	System() hw.System
 	// Quality reports cross-validated per-target training accuracy.
@@ -45,24 +32,19 @@ type Predictor interface {
 	RTimeFor(inst plan.Instance, pred Prediction) (float64, error)
 }
 
-// TrainPredictor fits a predictor of the given kind from an exhaustive
-// search result. An empty kind selects the tree ensemble, the historical
-// default.
+// TrainPredictor fits a predictor from an exhaustive search result.
+// kind must be "" or KindTree; any other kind is rejected by name.
 func TrainPredictor(kind string, sr *SearchResult, opts TrainOptions) (Predictor, error) {
-	switch kind {
-	case "", KindTree:
-		return Train(sr, opts)
-	case KindBilinear:
-		return TrainBilinear(sr, opts)
-	default:
+	if kind != "" && kind != KindTree {
 		return nil, fmt.Errorf("core: unknown predictor kind %q", kind)
 	}
+	return Train(sr, opts)
 }
 
-// The deployment clamps shared by every backend: regression outputs may
-// land outside the searched grid (that is how the paper's tuner found
-// super-optimal points on the i3-540), so predictions are clamped to
-// validity, never snapped to the grid.
+// The deployment clamps: regression outputs may land outside the
+// searched grid (that is how the paper's tuner found super-optimal
+// points on the i3-540), so predictions are clamped to validity, never
+// snapped to the grid.
 
 // clampGPUTile bounds a work-group tile to the searched [1, 25] range.
 func clampGPUTile(gt int) int {
@@ -97,18 +79,4 @@ func clampHalo(halo int, inst plan.Instance, band int) int {
 		halo = m
 	}
 	return halo
-}
-
-// modeledRTime is the shared RTimeFor implementation: the serial
-// baseline when the gate said serial, otherwise the estimated hybrid
-// runtime.
-func modeledRTime(sys hw.System, inst plan.Instance, pred Prediction) (float64, error) {
-	if pred.Serial {
-		return engine.SerialNs(sys, inst), nil
-	}
-	res, err := engine.Estimate(sys, inst, pred.Par, engine.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return res.RTimeNs, nil
 }

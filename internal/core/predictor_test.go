@@ -9,9 +9,8 @@ import (
 	"repro/internal/plan"
 )
 
-// trainedBackends trains both prediction backends on the same exhaustive
-// search result, so cross-backend tests compare like with like.
-func trainedBackends(t *testing.T) (*Tuner, *BilinearTuner) {
+// trainedTree trains a tree tuner on the tiny i7-2600K search space.
+func trainedTree(t *testing.T) *Tuner {
 	t.Helper()
 	sr, err := Exhaustive(hw.I7_2600K(), tinySpace(), SearchOptions{})
 	if err != nil {
@@ -21,11 +20,7 @@ func trainedBackends(t *testing.T) (*Tuner, *BilinearTuner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bilinear, err := TrainBilinear(sr, DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, bilinear
+	return tree
 }
 
 // registryInstances builds one mid-sized instance per registered
@@ -58,29 +53,25 @@ func registryInstances(t *testing.T, dim int) map[string]plan.Instance {
 	return out
 }
 
-// TestBackendParityAcrossRegistryApps is the cross-backend parity suite:
-// both backends, trained on the same search result, must produce valid,
-// clamped, Normalize-stable predictions for every registered
-// application.
+// TestBackendParityAcrossRegistryApps checks that the tree tuner
+// produces valid, clamped, Normalize-stable predictions for every
+// registered application.
 func TestBackendParityAcrossRegistryApps(t *testing.T) {
-	tree, bilinear := trainedBackends(t)
+	tree := trainedTree(t)
 	for _, dim := range []int{700, 1500} {
 		for name, inst := range registryInstances(t, dim) {
-			for _, p := range []Predictor{tree, bilinear} {
-				pred := p.Predict(inst)
-				checkPrediction(t, p.Kind()+"/"+name, inst, pred)
-				if _, rtime, _, err := p.PredictTimed(inst); err != nil {
-					t.Errorf("%s/%s %v: PredictTimed: %v", p.Kind(), name, inst, err)
-				} else if rtime <= 0 {
-					t.Errorf("%s/%s %v: rtime = %v, want > 0", p.Kind(), name, inst, rtime)
-				}
+			checkPrediction(t, name, inst, tree.Predict(inst))
+			if _, rtime, _, err := tree.PredictTimed(inst); err != nil {
+				t.Errorf("%s %v: PredictTimed: %v", name, inst, err)
+			} else if rtime <= 0 {
+				t.Errorf("%s %v: rtime = %v, want > 0", name, inst, rtime)
 			}
 		}
 	}
 }
 
-// checkPrediction asserts the deployment invariants shared by every
-// backend: clamped parameters, Normalize stability, buildability.
+// checkPrediction asserts the deployment invariants: clamped
+// parameters, Normalize stability, buildability.
 func checkPrediction(t *testing.T, label string, inst plan.Instance, pred Prediction) {
 	t.Helper()
 	par := pred.Par
@@ -116,20 +107,18 @@ func checkPrediction(t *testing.T, label string, inst plan.Instance, pred Predic
 // allocation test and benchmarks.
 var predictSink Prediction
 
-// TestPredictZeroAlloc pins the hot-path guarantee both backends
-// advertise: a Predict call performs no heap allocation.
+// TestPredictZeroAlloc pins the hot-path guarantee: a Predict call
+// performs no heap allocation.
 func TestPredictZeroAlloc(t *testing.T) {
-	tree, bilinear := trainedBackends(t)
+	tree := trainedTree(t)
 	insts := []plan.Instance{
 		{Dim: 700, TSize: 200, DSize: 1}, // parallel, GPU candidates
 		{Dim: 1500, TSize: 3000, DSize: 5},
 		{Dim: 300, TSize: 10, DSize: 1}, // small/serial-leaning
 	}
-	for _, p := range []Predictor{tree, bilinear} {
-		for _, inst := range insts {
-			if n := testing.AllocsPerRun(100, func() { predictSink = p.Predict(inst) }); n != 0 {
-				t.Errorf("%s backend: Predict(%v) allocates %.0f times per run, want 0", p.Kind(), inst, n)
-			}
+	for _, inst := range insts {
+		if n := testing.AllocsPerRun(100, func() { predictSink = tree.Predict(inst) }); n != 0 {
+			t.Errorf("Predict(%v) allocates %.0f times per run, want 0", inst, n)
 		}
 	}
 }
@@ -139,18 +128,16 @@ func TestTrainPredictorUnknownKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TrainPredictor("quadratic", sr, DefaultTrainOptions()); err == nil {
-		t.Fatal("unknown kind must error")
-	} else if !strings.Contains(err.Error(), "quadratic") {
-		t.Errorf("error %q does not name the unknown kind", err)
-	}
-	for kind, want := range map[string]string{"": KindTree, KindTree: KindTree, KindBilinear: KindBilinear} {
-		p, err := TrainPredictor(kind, sr, DefaultTrainOptions())
-		if err != nil {
-			t.Fatalf("TrainPredictor(%q): %v", kind, err)
+	for _, kind := range []string{"quadratic", "bilinear"} {
+		if _, err := TrainPredictor(kind, sr, DefaultTrainOptions()); err == nil {
+			t.Fatalf("kind %q must error", kind)
+		} else if !strings.Contains(err.Error(), kind) {
+			t.Errorf("error %q does not name the unknown kind", err)
 		}
-		if p.Kind() != want {
-			t.Errorf("TrainPredictor(%q).Kind() = %q, want %q", kind, p.Kind(), want)
+	}
+	for _, kind := range []string{"", KindTree} {
+		if _, err := TrainPredictor(kind, sr, DefaultTrainOptions()); err != nil {
+			t.Fatalf("TrainPredictor(%q): %v", kind, err)
 		}
 	}
 }

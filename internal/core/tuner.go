@@ -151,9 +151,6 @@ func (p Prediction) String() string {
 	return p.Par.String()
 }
 
-// Kind implements Predictor.
-func (t *Tuner) Kind() string { return KindTree }
-
 // System implements Predictor.
 func (t *Tuner) System() hw.System { return t.Sys }
 
@@ -230,5 +227,12 @@ func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, 
 // system: the serial baseline when the gate said serial, otherwise the
 // estimated hybrid runtime.
 func (t *Tuner) RTimeFor(inst plan.Instance, pred Prediction) (float64, error) {
-	return modeledRTime(t.Sys, inst, pred)
+	if pred.Serial {
+		return engine.SerialNs(t.Sys, inst), nil
+	}
+	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
+	if err != nil {
+		return 0, err
+	}
+	return res.RTimeNs, nil
 }

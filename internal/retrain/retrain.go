@@ -53,11 +53,6 @@ type Config struct {
 	// are sparse, irregular grids — unlike factory sweeps there is
 	// nothing to decimate.
 	TrainOpts core.TrainOptions
-	// ChallengerKind selects the backend the challenger is trained with
-	// (core.KindTree or core.KindBilinear). Empty matches the champion's
-	// kind, so a bilinear deployment retrains bilinear — and setting it
-	// explicitly lets the guardrail compare across backend kinds.
-	ChallengerKind string
 
 	// Champion resolves the currently serving predictor (typically
 	// Source.Tuner).
@@ -71,9 +66,6 @@ type Config struct {
 	// Generation, when set, reports a system's current generation for
 	// Stats (typically Source.Generation).
 	Generation func(system string) uint64
-	// Kind, when set, reports a system's serving backend kind for Stats
-	// (typically Source.Kind).
-	Kind func(system string) string
 	// Invalidate, when set, drops the system's cached plans after a
 	// promotion and returns how many went (typically
 	// tunecache.Cache.InvalidateSystem).
@@ -90,10 +82,8 @@ type Config struct {
 type Metrics struct {
 	// Cycles counts RunOnce passes over the system list.
 	Cycles *telemetry.Counter
-	// Events counts per-system outcomes, labeled (system, event,
-	// model_kind) with event one of "trained", "promoted", "rejected",
-	// "error" and model_kind the challenger's backend kind ("unknown"
-	// when the attempt failed before a challenger existed).
+	// Events counts per-system outcomes, labeled (system, event) with
+	// event one of "trained", "promoted", "rejected", "error".
 	Events *telemetry.CounterVec
 	// TrainSec observes the duration of one retrain attempt (log read,
 	// challenger training, shadow evaluation).
@@ -102,12 +92,9 @@ type Metrics struct {
 	BadRows *telemetry.Counter
 }
 
-func (m *Metrics) event(system, event, kind string) {
+func (m *Metrics) event(system, event string) {
 	if m != nil && m.Events != nil {
-		if kind == "" {
-			kind = "unknown"
-		}
-		m.Events.With(system, event, kind).Inc()
+		m.Events.With(system, event).Inc()
 	}
 }
 
@@ -117,13 +104,6 @@ type SystemStatus struct {
 	// Generation is the serving model generation (1 = the factory
 	// champion, +1 per promotion).
 	Generation uint64 `json:"generation"`
-	// ModelKind is the serving champion's backend kind ("tree" or
-	// "bilinear"); empty until the system first resolves a model.
-	ModelKind string `json:"model_kind,omitempty"`
-	// LastChallengerKind is the backend kind of the last trained
-	// challenger, which may differ from the champion's when
-	// ChallengerKind crosses backends.
-	LastChallengerKind string `json:"last_challenger_kind,omitempty"`
 	// LastVerdict is the outcome of the last retrain attempt: a verdict
 	// reason, or "error: ..." when the attempt failed outright.
 	LastVerdict string `json:"last_verdict,omitempty"`
@@ -201,11 +181,6 @@ func New(cfg Config) (*Retrainer, error) {
 	}
 	if cfg.Champion == nil || cfg.Promote == nil {
 		return nil, fmt.Errorf("retrain: Champion and Promote are required")
-	}
-	switch cfg.ChallengerKind {
-	case "", core.KindTree, core.KindBilinear:
-	default:
-		return nil, fmt.Errorf("retrain: unknown challenger kind %q", cfg.ChallengerKind)
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
@@ -332,7 +307,7 @@ func (r *Retrainer) runSystem(sys hw.System) {
 	scan, err := st.cursor.Scan()
 	now := time.Now()
 	if err != nil {
-		r.finishAttempt(sys.Name, st, scan, nil, fmt.Errorf("scan: %w", err), Verdict{}, "", "")
+		r.finishAttempt(sys.Name, st, scan, nil, fmt.Errorf("scan: %w", err), Verdict{}, "")
 		return
 	}
 	r.mu.Lock()
@@ -355,41 +330,35 @@ func (r *Retrainer) runSystem(sys hw.System) {
 
 	genID := telemetry.NewRequestID()
 	start := time.Now()
-	verdict, challenger, kind, err := r.evaluate(sys)
+	verdict, challenger, err := r.evaluate(sys)
 	if r.cfg.Metrics != nil && r.cfg.Metrics.TrainSec != nil {
 		r.cfg.Metrics.TrainSec.Observe(time.Since(start).Seconds())
 	}
-	r.metricsEvent(sys.Name, "trained", kind)
+	r.cfg.Metrics.event(sys.Name, "trained")
 
 	if err != nil || !verdict.Promote {
 		challenger = nil
 	}
-	promotedGen, dropped := r.finishAttempt(sys.Name, st, scan, challenger, err, verdict, genID, kind)
+	promotedGen, dropped := r.finishAttempt(sys.Name, st, scan, challenger, err, verdict, genID)
 	r.logDecision(sys.Name, genID, verdict, err, promotedGen, dropped)
 }
 
 // evaluate reads the accumulated log, trains the challenger on the
 // training split, and scores champion vs challenger on the held-out
-// split. Returns the guardrail verdict, the challenger and its backend
-// kind. The comparison is kind-agnostic — a bilinear challenger can
-// unseat a tree champion (or vice versa) purely on held-out error.
-func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, string, error) {
+// split. Returns the guardrail verdict and the challenger.
+func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
 	f, err := os.Open(obsLogPath(r.cfg.LogDir, sys.Name))
 	if err != nil {
-		return Verdict{}, nil, "", fmt.Errorf("open log: %w", err)
+		return Verdict{}, nil, fmt.Errorf("open log: %w", err)
 	}
 	sr, _, err := core.ReadObservationLog(f, sys.Name)
 	f.Close()
 	if err != nil {
-		return Verdict{}, nil, "", fmt.Errorf("read log: %w", err)
+		return Verdict{}, nil, fmt.Errorf("read log: %w", err)
 	}
 	champion, err := r.cfg.Champion(sys)
 	if err != nil {
-		return Verdict{}, nil, "", fmt.Errorf("champion: %w", err)
-	}
-	kind := r.cfg.ChallengerKind
-	if kind == "" {
-		kind = champion.Kind()
+		return Verdict{}, nil, fmt.Errorf("champion: %w", err)
 	}
 	trainSet, held := core.SplitHoldout(sr, r.cfg.Holdout, r.cfg.Seed)
 	// Only measured, uncensored rows can score a prediction.
@@ -400,19 +369,19 @@ func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, string, er
 		}
 	}
 	held = kept
-	challenger, err := core.TrainPredictor(kind, trainSet, r.cfg.TrainOpts)
+	challenger, err := core.Train(trainSet, r.cfg.TrainOpts)
 	if err != nil {
-		return Verdict{}, nil, kind, fmt.Errorf("train: %w", err)
+		return Verdict{}, nil, fmt.Errorf("train: %w", err)
 	}
 	champErrs, err := predictionErrors(champion, held)
 	if err != nil {
-		return Verdict{}, nil, kind, fmt.Errorf("champion predict: %w", err)
+		return Verdict{}, nil, fmt.Errorf("champion predict: %w", err)
 	}
 	challErrs, err := predictionErrors(challenger, held)
 	if err != nil {
-		return Verdict{}, nil, kind, fmt.Errorf("challenger predict: %w", err)
+		return Verdict{}, nil, fmt.Errorf("challenger predict: %w", err)
 	}
-	return Decide(champErrs, challErrs, r.cfg.Guardrail), challenger, kind, nil
+	return Decide(champErrs, challErrs, r.cfg.Guardrail), challenger, nil
 }
 
 // predictionErrors scores a predictor on held-out observations: for
@@ -448,7 +417,7 @@ func predictionErrors(t core.Predictor, held []core.Point) ([]float64, error) {
 // section that records the outcome, so Stats never reports the new
 // generation without its promotion. It returns the generation promoted
 // to (0 when none) and the number of plans dropped.
-func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan, winner core.Predictor, err error, v Verdict, genID, kind string) (promotedGen uint64, dropped int) {
+func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan, winner core.Predictor, err error, v Verdict, genID string) (promotedGen uint64, dropped int) {
 	if err == nil || genID != "" {
 		// The attempt consumed the scanned rows (even a failed attempt:
 		// retrying the same poisoned rows forever would wedge the loop) —
@@ -469,13 +438,12 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 	if genID != "" {
 		s.LastGenerationID = genID
 		s.Retrains++
-		s.LastChallengerKind = kind
 	}
 	switch {
 	case err != nil:
 		s.Errors++
 		s.LastVerdict = "error: " + err.Error()
-		r.metricsEvent(system, "error", kind)
+		r.cfg.Metrics.event(system, "error")
 	case winner != nil:
 		promotedGen = r.cfg.Promote(system, winner)
 		if r.cfg.Invalidate != nil {
@@ -483,17 +451,16 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		}
 		s.Promotions++
 		s.Generation = promotedGen
-		s.ModelKind = kind
 		s.LastVerdict = v.Reason
 		s.Verdict = &v
 		s.LastPromotionUnix = time.Now().Unix()
 		s.InvalidatedPlans += uint64(dropped)
-		r.metricsEvent(system, "promoted", kind)
+		r.cfg.Metrics.event(system, "promoted")
 	default:
 		s.Rejections++
 		s.LastVerdict = v.Reason
 		s.Verdict = &v
-		r.metricsEvent(system, "rejected", kind)
+		r.cfg.Metrics.event(system, "rejected")
 	}
 	return promotedGen, dropped
 }
@@ -514,10 +481,6 @@ func (r *Retrainer) logDecision(system, genID string, v Verdict, err error, gen 
 	}
 }
 
-func (r *Retrainer) metricsEvent(system, event, kind string) {
-	r.cfg.Metrics.event(system, event, kind)
-}
-
 // Stats returns a snapshot of the retrainer's state.
 func (r *Retrainer) Stats() Stats {
 	out := Stats{Cycles: r.cycles.Load(), Systems: make(map[string]SystemStatus, len(r.cfg.Systems))}
@@ -529,11 +492,6 @@ func (r *Retrainer) Stats() Stats {
 			s.Generation = r.cfg.Generation(name)
 		} else if s.Generation == 0 {
 			s.Generation = 1
-		}
-		if r.cfg.Kind != nil {
-			if k := r.cfg.Kind(name); k != "" {
-				s.ModelKind = k
-			}
 		}
 		if s.Verdict != nil {
 			v := *s.Verdict

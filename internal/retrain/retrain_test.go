@@ -457,52 +457,3 @@ func TestRetrainerStartStopNotify(t *testing.T) {
 	}
 	r2.Stop() // never started: must not hang
 }
-
-// TestRetrainCrossKindChallenger promotes across backend kinds: a tree
-// champion is beaten by a bilinear challenger when the config pins
-// ChallengerKind, and the promoted predictor's kind is visible in the
-// status and through the source's kind tracker.
-func TestRetrainCrossKindChallenger(t *testing.T) {
-	_, _, bad := fixtures(t)
-	dir := t.TempDir()
-	seedLog(t, dir, 24)
-
-	src := NewSource(staticTunerSource{bad})
-	cfg := testConfig(t, dir, src)
-	cfg.ChallengerKind = core.KindBilinear
-	cfg.Kind = src.Kind
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.RunOnce(context.Background())
-
-	st := r.Stats().Systems["i7-2600K"]
-	if st.LastVerdict != "promote" {
-		t.Fatalf("verdict = %q, want promote (%+v)", st.LastVerdict, st)
-	}
-	if st.ModelKind != core.KindBilinear || st.LastChallengerKind != core.KindBilinear {
-		t.Fatalf("kinds not tracked: %+v", st)
-	}
-	tun, err := src.Tuner(hw.I7_2600K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tun.Kind() != core.KindBilinear {
-		t.Fatalf("promoted champion kind = %q, want %q", tun.Kind(), core.KindBilinear)
-	}
-	if got := src.Kind("i7-2600K"); got != core.KindBilinear {
-		t.Fatalf("source kind = %q, want %q", got, core.KindBilinear)
-	}
-}
-
-// TestRetrainUnknownChallengerKindRejected pins the config validation.
-func TestRetrainUnknownChallengerKindRejected(t *testing.T) {
-	_, good, _ := fixtures(t)
-	src := NewSource(staticTunerSource{good})
-	cfg := testConfig(t, t.TempDir(), src)
-	cfg.ChallengerKind = "quadratic"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "quadratic") {
-		t.Fatalf("New must reject unknown challenger kind, got %v", err)
-	}
-}

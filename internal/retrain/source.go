@@ -28,13 +28,8 @@ type Source struct {
 
 	mu       sync.RWMutex
 	promoted map[string]core.Predictor
-	// kind remembers the backend kind last seen serving each system —
-	// the promoted model's, or the base champion's observed on resolve —
-	// so stats and the waved_model_generation metric can report the
-	// backend mix without forcing a lazy source to train at scrape time.
-	kind    map[string]string
-	gen     map[string]uint64
-	promoAt map[string]time.Time
+	gen      map[string]uint64
+	promoAt  map[string]time.Time
 }
 
 // NewSource wraps base with promotion support.
@@ -42,7 +37,6 @@ func NewSource(base TunerSource) *Source {
 	return &Source{
 		base:     base,
 		promoted: make(map[string]core.Predictor),
-		kind:     make(map[string]string),
 		gen:      make(map[string]uint64),
 		promoAt:  make(map[string]time.Time),
 	}
@@ -57,37 +51,7 @@ func (s *Source) Tuner(sys hw.System) (core.Predictor, error) {
 	if t != nil {
 		return t, nil
 	}
-	t, err := s.base.Tuner(sys)
-	if err == nil && t != nil {
-		s.noteKind(sys.Name, t.Kind())
-	}
-	return t, err
-}
-
-// noteKind records the serving backend kind for a system, cheaply: the
-// write lock is only taken when the recorded kind actually changes, so
-// the serving path stays RLock-cheap.
-func (s *Source) noteKind(system, kind string) {
-	s.mu.RLock()
-	known := s.kind[system] == kind
-	s.mu.RUnlock()
-	if known {
-		return
-	}
-	s.mu.Lock()
-	if s.promoted[system] == nil {
-		s.kind[system] = kind
-	}
-	s.mu.Unlock()
-}
-
-// Kind returns the backend kind last seen serving the named system
-// ("tree" or "bilinear"), or "" when the system has not resolved yet.
-// It never triggers a resolve, so it is safe at metrics-scrape time.
-func (s *Source) Kind(system string) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.kind[system]
+	return s.base.Tuner(sys)
 }
 
 // Ready reports whether the named system can serve without training or
@@ -114,7 +78,6 @@ func (s *Source) Promote(system string, t core.Predictor) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.promoted[system] = t
-	s.kind[system] = t.Kind()
 	g := s.gen[system]
 	if g == 0 {
 		g = 1

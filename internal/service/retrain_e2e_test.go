@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +132,18 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 	}
 	if last.LastPromotionUnix == 0 || last.LastGenerationID == "" {
 		t.Fatalf("promotion provenance missing: %+v", last)
+	}
+
+	// The promotion is visible on /metrics under the label sets README.md
+	// documents: {system} for the generation, {system,event} for events.
+	text := scrapeMetrics(t, ts.URL)
+	for _, want := range []string{
+		`waved_model_generation{system="i7-2600K"} 2`,
+		`waved_retrain_events_total{system="i7-2600K",event="promoted"} 1`,
+	} {
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("exposition missing line %q", want)
+		}
 	}
 
 	// The jobs warmed plan-cache entries for the champion; the promotion

@@ -163,9 +163,6 @@ type RetrainOptions struct {
 	// TrainOpts are the challenger's training options; the zero value
 	// selects the retrain default (core defaults with Stride 1).
 	TrainOpts core.TrainOptions
-	// Kind selects the challenger's prediction backend (core.KindTree or
-	// core.KindBilinear); empty matches the serving champion's kind.
-	Kind string
 }
 
 // Server is the tuning daemon: an http.Handler plus the plan cache and
@@ -274,11 +271,9 @@ func New(cfg Config) (*Server, error) {
 			Holdout:         cfg.Retrain.Holdout,
 			Guardrail:       cfg.Retrain.Guardrail,
 			TrainOpts:       cfg.Retrain.TrainOpts,
-			ChallengerKind:  cfg.Retrain.Kind,
 			Champion:        s.retrainSrc.Tuner,
 			Promote:         s.retrainSrc.Promote,
 			Generation:      s.retrainSrc.Generation,
-			Kind:            s.retrainSrc.Kind,
 			Invalidate:      s.cache.InvalidateSystem,
 			Logf:            s.logf,
 			Metrics:         s.m.retrain,
@@ -394,7 +389,7 @@ func (s *Server) predict(ctx context.Context, system string, inst plan.Instance)
 	t0 := time.Now()
 	pred, rtime, serial, err := t.PredictTimed(inst)
 	span.End()
-	s.m.predictHist(t.Kind()).Observe(time.Since(t0).Seconds())
+	s.m.predictSec.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return tunecache.Plan{}, err
 	}

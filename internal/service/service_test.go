@@ -357,7 +357,7 @@ func TestLazyTrainingSource(t *testing.T) {
 func TestDirSource(t *testing.T) {
 	dir := t.TempDir()
 	tun := tinyTuner(t)
-	if err := tun.Save(filepath.Join(dir, tun.Sys.Name+".json")); err != nil {
+	if err := core.SavePredictor(filepath.Join(dir, tun.Sys.Name+".json"), tun); err != nil {
 		t.Fatal(err)
 	}
 	src := NewDirSource(dir)

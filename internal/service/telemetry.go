@@ -18,7 +18,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/retrain"
 	"repro/internal/telemetry"
@@ -77,12 +76,8 @@ type serverMetrics struct {
 	inflight  *telemetry.Gauge
 
 	// Stage histograms of the tune hot path, fed by span durations.
-	// predictSec is labeled by model_kind; the per-kind handles for the
-	// known backends are pre-resolved so the hot path skips the vec's
-	// label lookup.
-	cacheLookupSec   *telemetry.Histogram
-	predictSec       *telemetry.HistogramVec
-	predictSecByKind map[string]*telemetry.Histogram
+	cacheLookupSec *telemetry.Histogram
+	predictSec     *telemetry.Histogram
 
 	// jobs holds the histograms the job manager feeds (queue wait,
 	// execution, pipeline waves, engine measurements).
@@ -112,8 +107,8 @@ func newServerMetrics() *serverMetrics {
 			"Requests currently being served."),
 		cacheLookupSec: reg.Histogram("waved_cache_lookup_duration_seconds",
 			"Plan-cache lookup latency on the tune path (resident hit through full predict).", nil),
-		predictSec: reg.HistogramVec("waved_tuner_predict_duration_seconds",
-			"Tuner model evaluation latency on cache misses, by prediction backend.", nil, "model_kind"),
+		predictSec: reg.Histogram("waved_tuner_predict_duration_seconds",
+			"Tuner model evaluation latency on cache misses.", nil),
 		jobs: &jobs.Metrics{
 			QueueWaitSec: reg.Histogram("waved_job_queue_wait_seconds",
 				"Job admission-to-start latency (time spent queued).", nil),
@@ -128,17 +123,13 @@ func newServerMetrics() *serverMetrics {
 			Cycles: reg.Counter("waved_retrain_cycles_total",
 				"Retrainer passes over the system list."),
 			Events: reg.CounterVec("waved_retrain_events_total",
-				"Retrain attempt outcomes, by system, event (trained, promoted, rejected, error) and challenger model kind.",
-				"system", "event", "model_kind"),
+				"Retrain attempt outcomes, by system and event (trained, promoted, rejected, error).",
+				"system", "event"),
 			TrainSec: reg.Histogram("waved_retrain_train_seconds",
 				"Retrain attempt duration: log read, challenger training, shadow evaluation.", nil),
 			BadRows: reg.Counter("waved_retrain_bad_rows_total",
 				"Malformed observation rows consumed by retrain attempts."),
 		},
-	}
-	m.predictSecByKind = map[string]*telemetry.Histogram{
-		core.KindTree:     m.predictSec.With(core.KindTree),
-		core.KindBilinear: m.predictSec.With(core.KindBilinear),
 	}
 	reqVec := reg.CounterVec("waved_http_requests_total",
 		"Requests handled, by route (counted inside the handler, like /v1/stats).", "route")
@@ -150,16 +141,6 @@ func newServerMetrics() *serverMetrics {
 		m.latency[r] = latVec.With(r)
 	}
 	return m
-}
-
-// predictHist returns the predict-latency histogram for a backend kind,
-// using the pre-resolved handle for known kinds so the per-request path
-// avoids the vec's label lookup.
-func (m *serverMetrics) predictHist(kind string) *telemetry.Histogram {
-	if h, ok := m.predictSecByKind[kind]; ok {
-		return h
-	}
-	return m.predictSec.With(kind)
 }
 
 // registerCollectors surfaces the subsystem-owned counters (cache
@@ -209,17 +190,10 @@ func (s *Server) registerCollectors() {
 		})
 	if s.retrainSrc != nil {
 		reg.CollectFunc("waved_model_generation",
-			"Serving model generation, by system and model kind (1 = the factory champion, +1 per promotion).",
-			telemetry.TypeGauge, []string{"system", "model_kind"}, func(emit telemetry.Emit) {
+			"Serving model generation, by system (1 = the factory champion, +1 per promotion).",
+			telemetry.TypeGauge, []string{"system"}, func(emit telemetry.Emit) {
 				for _, sys := range s.cfg.Systems {
-					// Kind never triggers a resolve, so scraping /metrics
-					// cannot start a training run; before the first resolve
-					// the backend is not yet known.
-					kind := s.retrainSrc.Kind(sys.Name)
-					if kind == "" {
-						kind = "unknown"
-					}
-					emit(float64(s.retrainSrc.Generation(sys.Name)), sys.Name, kind)
+					emit(float64(s.retrainSrc.Generation(sys.Name)), sys.Name)
 				}
 			})
 	}

@@ -111,15 +111,11 @@ type TrainingSourceOptions struct {
 	// TrainOpts configure model fitting; the zero value selects
 	// core.DefaultTrainOptions().
 	TrainOpts core.TrainOptions
-	// Kind selects the prediction backend (core.KindTree or
-	// core.KindBilinear); empty selects the tree ensemble.
-	Kind string
 }
 
 // NewTrainingSource returns a source that trains a predictor per system
 // on first use: an exhaustive search of the options' space followed by
-// the configured backend's model pipeline, exactly the "factory" path of
-// wavetrain.
+// the model pipeline, exactly the "factory" path of wavetrain.
 func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 	space := opts.Space
 	if len(space.Dims) == 0 && len(space.Rects) == 0 {
@@ -130,17 +126,14 @@ func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 		if err != nil {
 			return nil, fmt.Errorf("searching %s: %w", sys.Name, err)
 		}
-		// core.TrainPredictor applies per-field defaults to zero
-		// TrainOptions.
-		return core.TrainPredictor(opts.Kind, sr, opts.TrainOpts)
+		// core.Train applies per-field defaults to zero TrainOptions.
+		return core.Train(sr, opts.TrainOpts)
 	})
 }
 
 // NewDirSource returns a source that loads "<dir>/<system>.json" files
-// written by Save (wavetrain -save) on first use; the file's kind
-// discriminator selects the backend, with v1 files loading as trees. A
-// file trained for a different system than its name indicates is
-// rejected.
+// written by wavetrain -save on first use. A file trained for a
+// different system than its name indicates is rejected.
 func NewDirSource(dir string) TunerSource {
 	return newLazySource(func(sys hw.System) (core.Predictor, error) {
 		path := filepath.Join(dir, sys.Name+".json")

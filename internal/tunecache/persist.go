@@ -13,8 +13,7 @@ import (
 
 // Cache persistence follows the style of the tuner files written by
 // core.SavePredictor: a versioned JSON document with explicit snake_case
-// fields (and, there, a kind discriminator), small enough to inspect by
-// hand. Instance shapes keep both
+// fields, small enough to inspect by hand. Instance shapes keep both
 // square and rectangular spellings, mirroring the search-CSV dim column
 // (Instance.ShapeString).
 //

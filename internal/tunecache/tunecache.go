@@ -42,8 +42,7 @@ const DefaultCapacity = 512
 const minShardCapacity = 8
 
 // Plan is a cached tuning decision: the predictor's output plus the
-// modeled runtimes that contextualize it. The plan is backend-agnostic —
-// tree and bilinear predictors fill the same fields.
+// modeled runtimes that contextualize it.
 type Plan struct {
 	// Serial is true when the parallelism gate chose the sequential
 	// baseline.
@@ -59,7 +58,7 @@ type Plan struct {
 }
 
 // PredictFunc computes a tuned plan on a cache miss — typically one
-// core.Predictor evaluation, whatever the backend kind. It is called
+// core.Predictor evaluation. It is called
 // exactly once per missing key regardless of how many callers are
 // waiting.
 type PredictFunc func(system string, inst plan.Instance) (Plan, error)

@@ -147,14 +147,14 @@ func NewTrainingTunerSource(opts TrainingSourceOptions) TunerSource {
 }
 
 // NewDirTunerSource returns a TunerSource that loads
-// "<dir>/<system>.json" tuner files written by Tuner.Save
+// "<dir>/<system>.json" tuner files written by SavePredictor
 // (wavetrain -save).
 func NewDirTunerSource(dir string) TunerSource {
 	return service.NewDirSource(dir)
 }
 
-// NewStaticTunerSource serves the given pre-built predictors of any
-// backend kind, indexed by system name.
+// NewStaticTunerSource serves the given pre-built predictors, indexed
+// by system name.
 func NewStaticTunerSource(tuners ...Predictor) TunerSource {
 	return service.NewStaticSource(tuners...)
 }

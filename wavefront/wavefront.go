@@ -74,27 +74,18 @@ type Space = core.Space
 // SearchResult holds an exhaustive exploration.
 type SearchResult = core.SearchResult
 
-// Tuner is a trained autotuner for one system (the paper's tree
-// ensemble, ModelKindTree).
+// Tuner is a trained autotuner for one system: the paper's SVM gate,
+// REP tree and M5 model trees.
 type Tuner = core.Tuner
 
-// BilinearTuner is the WaveTune-style analytic backend
-// (ModelKindBilinear): per-target ridge regressions over bilinear
-// interaction features, so prediction is a handful of dot products.
-type BilinearTuner = core.BilinearTuner
-
-// Predictor is a deployed tuning model of any backend kind; Tuner and
-// BilinearTuner both implement it, and every serving layer (tuner
-// sources, refine jobs, champion/challenger retraining) programs
-// against it.
+// Predictor is a deployed tuning model. Tuner implements it, and every
+// serving layer (tuner sources, refine jobs, champion/challenger
+// retraining) programs against it.
 type Predictor = core.Predictor
 
-// Model kinds accepted wherever a prediction backend is selected (the
-// CLIs' -model flag, training sources, tuner files).
-const (
-	ModelKindTree     = core.KindTree
-	ModelKindBilinear = core.KindBilinear
-)
+// ModelKindTree names the Tuner's model, the only kind TrainPredictor
+// accepts besides "".
+const ModelKindTree = core.KindTree
 
 // Prediction is a deployed tuning decision.
 type Prediction = core.Prediction
@@ -221,23 +212,15 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 	return core.Train(sr, opts)
 }
 
-// TrainBilinear fits the WaveTune-style bilinear backend on an
-// exhaustive search result.
-func TrainBilinear(sr *SearchResult, opts TrainOptions) (*BilinearTuner, error) {
-	return core.TrainBilinear(sr, opts)
-}
-
-// TrainPredictor fits a predictor of the given model kind; an empty
-// kind selects the tree ensemble.
+// TrainPredictor fits a predictor; kind must be "" or ModelKindTree.
 func TrainPredictor(kind string, sr *SearchResult, opts TrainOptions) (Predictor, error) {
 	return core.TrainPredictor(kind, sr, opts)
 }
 
-// LoadPredictor reads a saved tuner file of any kind, dispatching on
-// its version-2 kind discriminator (v1 files load as trees).
+// LoadPredictor reads a tuner file written by SavePredictor.
 func LoadPredictor(path string) (Predictor, error) { return core.LoadPredictor(path) }
 
-// SavePredictor writes any predictor to path as JSON.
+// SavePredictor writes a predictor to path as JSON.
 func SavePredictor(path string, p Predictor) error { return core.SavePredictor(path, p) }
 
 // DefaultTrainOptions returns the standard training configuration.
