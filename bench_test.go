@@ -30,6 +30,8 @@ import (
 	"repro/internal/ml"
 	"repro/internal/plan"
 	"repro/internal/retrain"
+	"repro/internal/service"
+	"repro/internal/telemetry"
 	"repro/internal/tunecache"
 	"repro/wavefront"
 )
@@ -302,18 +304,12 @@ func BenchmarkNativeParallelUntiled(b *testing.B) {
 // BenchmarkFrontierDense pins the tentpole's perf acceptance: driving
 // the dense sweep through the frontier abstraction must stay within
 // tolerance of the closed-form anti-diagonal path it generalizes. The
-// serial pair compares RunSerialDiagRange against RunSerialFrontier's
-// DiagFrontier fast path; the pooled pair compares the tile dataflow
-// executor against RunFrontier over the same grid.
+// serial row times RunSerialFrontier's DiagFrontier fast path; the
+// pooled pair compares the tile dataflow executor against RunFrontier
+// over the same grid.
 func BenchmarkFrontierDense(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	b.Run("serial/diag", func(b *testing.B) {
-		g := grid.New(256, 1)
-		for i := 0; i < b.N; i++ {
-			cpuexec.RunSerialDiagRange(k, g, 0, g.NumDiags()-1)
-		}
-	})
-	b.Run("serial/frontier", func(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
 		g := grid.New(256, 1)
 		for i := 0; i < b.N; i++ {
 			if err := cpuexec.RunSerialFrontier(k, g, grid.NewDiagFrontier(256, 256)); err != nil {
@@ -502,8 +498,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 // champion, invalidating its cache entries and re-warming them every
 // half millisecond. Targeted invalidation means the served system's
 // entries stay resident throughout, so the medians should land within a
-// few percent of BenchmarkPlanCacheHitParallel's sharded variant — the
-// CI trajectory gates the gap at 10%.
+// few percent of BenchmarkPlanCacheHitParallel's sharded variant.
 func BenchmarkTuneDuringPromotion(b *testing.B) {
 	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
@@ -534,7 +529,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 	// Resolve the challenger before the clock starts: benchTuner may
 	// train the shared bench context on first use.
 	challenger := benchTuner(b)
-	src := retrain.NewSource(wavefront.NewStaticTunerSource(challenger))
+	src := retrain.NewSource(service.NewStaticSource(challenger))
 	// One synchronous promotion before the clock starts, so the swap
 	// path is exercised even on the harness's N=1 sizing pass.
 	src.Promote("i3-540", challenger)
@@ -593,8 +588,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 // variant runs the real thing — POST /v1/tune on a warm cache through
 // the fully instrumented daemon — whose per-request time dwarfs that
 // delta, keeping the telemetry share of the serving hot path well
-// under 5% (the CI trajectory separately gates
-// BenchmarkPlanCacheHitParallel at 5%).
+// under 5%.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
@@ -622,19 +616,19 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 		if _, _, err := c.Get("i7-2600K", inst); err != nil {
 			b.Fatal(err)
 		}
-		reg := wavefront.NewMetricsRegistry()
+		reg := telemetry.NewRegistry()
 		requests := reg.CounterVec("waved_http_requests_total",
 			"Requests handled, by route.", "route").With("tune")
 		latency := reg.HistogramVec("waved_http_request_duration_seconds",
 			"End-to-end request latency, by route.", nil, "route").With("tune")
 		lookupSec := reg.Histogram("waved_cache_lookup_duration_seconds",
 			"Plan-cache lookup latency on the tune path.", nil)
-		base := wavefront.WithRequestID(context.Background(), wavefront.NewRequestID())
+		base := telemetry.WithRequestID(context.Background(), telemetry.NewRequestID())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ctx, span := wavefront.StartRootTraceSpan(base, "http.request")
+			ctx, span := telemetry.StartRootSpan(base, "http.request")
 			span.Annotate("route", "tune")
-			lctx, lookup := wavefront.StartTraceSpan(ctx, "cache.lookup")
+			lctx, lookup := telemetry.StartSpan(ctx, "cache.lookup")
 			_, out, err := c.GetCtx(lctx, "i7-2600K", inst)
 			lookupSec.Observe(lookup.End().Seconds())
 			if err != nil || out != tunecache.Hit {
@@ -648,7 +642,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	b.Run("served", func(b *testing.B) {
 		srv, err := wavefront.NewTuningServer(wavefront.TuningConfig{
 			Systems: []wavefront.System{hw.I7_2600K()},
-			Tuners:  wavefront.NewStaticTunerSource(benchTuner(b)),
+			Tuners:  service.NewStaticSource(benchTuner(b)),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -676,41 +670,38 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 }
 
 // BenchmarkTuneBatchEndpoint measures POST /v1/tune/batch end to end on
-// a warm cache: one round trip answering a full batch of shapes. The
-// "tree" sub-benchmark name keeps older BENCH_*.json rows comparable.
+// a warm cache: one round trip answering a full batch of shapes.
 func BenchmarkTuneBatchEndpoint(b *testing.B) {
-	b.Run("tree", func(b *testing.B) {
-		srv, err := wavefront.NewTuningServer(wavefront.TuningConfig{
-			Systems: []wavefront.System{hw.I7_2600K()},
-			Tuners:  wavefront.NewStaticTunerSource(benchTuner(b)),
-		})
+	srv, err := wavefront.NewTuningServer(wavefront.TuningConfig{
+		Systems: []wavefront.System{hw.I7_2600K()},
+		Tuners:  service.NewStaticSource(benchTuner(b)),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req := wavefront.BatchTuneRequest{System: "i7-2600K"}
+	for i := 0; i < 32; i++ {
+		tsz, dsz := 2000.0, 1
+		req.Items = append(req.Items, wavefront.TuneRequest{Dim: 300 + 50*(i%16), TSize: &tsz, DSize: &dsz})
+	}
+	// Warm pass outside the timed section.
+	if _, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		req := wavefront.BatchTuneRequest{System: "i7-2600K"}
-		for i := 0; i < 32; i++ {
-			tsz, dsz := 2000.0, 1
-			req.Items = append(req.Items, wavefront.TuneRequest{Dim: 300 + 50*(i%16), TSize: &tsz, DSize: &dsz})
+		if out.Errors != 0 {
+			b.Fatalf("batch errors: %+v", out)
 		}
-		// Warm pass outside the timed section.
-		if _, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			out, err := wavefront.TuneBatch(context.Background(), nil, ts.URL, req)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if out.Errors != 0 {
-				b.Fatalf("batch errors: %+v", out)
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N*len(req.Items))/b.Elapsed().Seconds(), "items/s")
-	})
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*len(req.Items))/b.Elapsed().Seconds(), "items/s")
 }
 
 // benchTuner trains (once) the quick-space tuner the serving benchmarks
@@ -730,8 +721,7 @@ var predictBackendSink core.Prediction
 
 // BenchmarkPredictBackend times one uncached model evaluation of the
 // paper's SVM+M5/REP tree ensemble, gate/clamp/Normalize included, at
-// zero allocations. The "tree" sub-benchmark name keeps older
-// BENCH_*.json rows comparable.
+// zero allocations.
 func BenchmarkPredictBackend(b *testing.B) {
 	insts := []plan.Instance{
 		{Dim: 500, TSize: 200, DSize: 1},
@@ -740,12 +730,11 @@ func BenchmarkPredictBackend(b *testing.B) {
 		{Dim: 2900, TSize: 11000, DSize: 1},
 	}
 	tree := benchTuner(b)
-	b.Run("tree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			predictBackendSink = tree.Predict(insts[i%len(insts)])
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		predictBackendSink = tree.Predict(insts[i%len(insts)])
+	}
 }
 
 // BenchmarkJobThroughput measures end-to-end submit→complete job

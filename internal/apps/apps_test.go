@@ -217,7 +217,9 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			cpuexec.RunSerial(k, ref)
 
 			diag := grid.NewRect(rows, cols, k.DSize())
-			cpuexec.RunSerialDiagRange(k, diag, 0, diag.NumDiags()-1)
+			if err := cpuexec.RunSerialFrontier(k, diag, grid.NewDiagFrontier(rows, cols)); err != nil {
+				t.Fatal(err)
+			}
 			if !ref.Equal(diag) {
 				t.Error("anti-diagonal order diverges from row-major")
 			}

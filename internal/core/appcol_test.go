@@ -35,34 +35,19 @@ func TestSearchCSVAppColumn(t *testing.T) {
 	}
 }
 
-// TestReadCSVLegacyFormat: pre-app-column files (old header, 10-field
-// rows) must keep loading, and so must files where an observation log
-// appended 11-field rows below a legacy header.
+// TestReadCSVLegacyFormat: pre-app-column files (10-field header and
+// rows) no longer load; nothing in the repository writes them.
 func TestReadCSVLegacyFormat(t *testing.T) {
-	legacy := strings.Join([]string{
-		legacySearchCSVHeader,
-		"i7-2600K,700,10,1,8,-1,1,-1,2.5e8,false",
-		"i7-2600K,700,10,1,8,300,4,-1,1.5e8,false",
-	}, "\n")
-	sr, err := ReadCSV(strings.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("legacy CSV rejected: %v", err)
+	const header = "system,dim,tsize,dsize,cpu_tile,band,gpu_tile,halo,rtime_ns,censored"
+	row := "i7-2600K,700,10,1,8,-1,1,-1,2.5e8,false"
+	if _, err := ReadCSV(strings.NewReader(header + "\n" + row)); err == nil {
+		t.Error("10-field header accepted")
 	}
-	if sr.Evaluations() != 2 {
-		t.Fatalf("evaluations = %d, want 2", sr.Evaluations())
+	if _, err := ReadCSV(strings.NewReader(searchCSVHeader + "\n" + row)); err == nil {
+		t.Error("10-field row accepted")
 	}
-
-	mixed := legacy + "\n" + "i7-2600K,700,10,1,4,-1,1,-1,3e8,false,nash"
-	sr, err = ReadCSV(strings.NewReader(mixed))
-	if err != nil {
-		t.Fatalf("mixed legacy/current rows rejected: %v", err)
-	}
-	if sr.Evaluations() != 3 {
-		t.Fatalf("evaluations = %d, want 3", sr.Evaluations())
-	}
-
-	if _, err := ReadCSV(strings.NewReader(legacySearchCSVHeader + "\n" + "too,few,fields")); err == nil {
-		t.Error("malformed row accepted")
+	if _, err := ParseSearchRow(row); err == nil {
+		t.Error("ParseSearchRow accepted a 10-field row")
 	}
 }
 

@@ -141,7 +141,7 @@ func (c *LogCursor) Scan() (LogScan, error) {
 		}
 		consumed += int64(len(line))
 		t := strings.TrimSpace(line)
-		if t == "" || t == searchCSVHeader || t == legacySearchCSVHeader {
+		if t == "" || t == searchCSVHeader {
 			continue
 		}
 		if _, perr := parseSearchRow(t); perr != nil {

@@ -21,12 +21,8 @@ import (
 // searchCSVHeader is the current column layout; the trailing app column
 // names the application the row was measured under ("synthetic" for
 // exhaustive sweeps, the submitted app for observation-log rows, empty
-// when unknown). legacySearchCSVHeader is the pre-app-column layout,
-// still accepted by ReadCSV so old sweeps keep loading.
-const (
-	searchCSVHeader       = "system,dim,tsize,dsize,cpu_tile,band,gpu_tile,halo,rtime_ns,censored,app"
-	legacySearchCSVHeader = "system,dim,tsize,dsize,cpu_tile,band,gpu_tile,halo,rtime_ns,censored"
-)
+// when unknown).
+const searchCSVHeader = "system,dim,tsize,dsize,cpu_tile,band,gpu_tile,halo,rtime_ns,censored,app"
 
 // shapeField renders the dim column: a bare integer for square instances
 // (the original format) and "rowsxcols" for rectangular ones. The
@@ -89,8 +85,7 @@ type SearchRow struct {
 }
 
 // ParseSearchRow parses one data row (not the header) of the search-CSV
-// format, accepting both the legacy 10-field and current 11-field
-// layouts. It inverts writeSearchRow: a row that parses re-renders to a
+// format. It inverts writeSearchRow: a row that parses re-renders to a
 // row that parses to the same values.
 func ParseSearchRow(text string) (SearchRow, error) {
 	row, err := parseSearchRow(strings.TrimSpace(text))
@@ -104,8 +99,8 @@ func ParseSearchRow(text string) (SearchRow, error) {
 // can wrap errors with line numbers instead.
 func parseSearchRow(text string) (SearchRow, error) {
 	f := strings.Split(text, ",")
-	if len(f) != 10 && len(f) != 11 {
-		return SearchRow{}, fmt.Errorf("%d fields, want 10 or 11", len(f))
+	if len(f) != 11 {
+		return SearchRow{}, fmt.Errorf("%d fields, want 11", len(f))
 	}
 	shape, err := parseShapeField(f[1])
 	if err != nil {
@@ -131,13 +126,10 @@ func parseSearchRow(text string) (SearchRow, error) {
 	if err != nil {
 		return SearchRow{}, err
 	}
-	row := SearchRow{System: f[0], RTimeNs: rtime, Censored: censored}
+	row := SearchRow{System: f[0], RTimeNs: rtime, Censored: censored, App: f[10]}
 	row.Inst = shape
 	row.Inst.TSize, row.Inst.DSize = tsize, ints[0]
 	row.Par = plan.Params{CPUTile: ints[1], Band: ints[2], GPUTile: ints[3], Halo: ints[4]}
-	if len(f) == 11 {
-		row.App = f[10]
-	}
 	return row, nil
 }
 
@@ -164,7 +156,7 @@ func ReadCSV(r io.Reader) (*SearchResult, error) {
 	if !sc.Scan() {
 		return nil, fmt.Errorf("core: empty search CSV")
 	}
-	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader && got != legacySearchCSVHeader {
+	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader {
 		return nil, fmt.Errorf("core: unexpected CSV header %q", got)
 	}
 	var sr *SearchResult
@@ -177,10 +169,8 @@ func ReadCSV(r io.Reader) (*SearchResult, error) {
 		if text == "" {
 			continue
 		}
-		// Rows may be legacy 10-field or current 11-field (the trailing
-		// app name); both can appear in one file when an observation log
-		// appended to a pre-app-column file. The app field is metadata
-		// for humans and tooling; training ignores it.
+		// The trailing app field is metadata for humans and tooling;
+		// training ignores it.
 		row, err := parseSearchRow(text)
 		if err != nil {
 			return nil, fmt.Errorf("core: line %d: %v", line, err)
@@ -236,7 +226,7 @@ func ReadObservationLog(r io.Reader, system string) (*SearchResult, int, error) 
 	if !sc.Scan() {
 		return nil, 0, fmt.Errorf("core: empty observation log")
 	}
-	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader && got != legacySearchCSVHeader {
+	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader {
 		return nil, 0, fmt.Errorf("core: unexpected observation-log header %q", got)
 	}
 	sr := &SearchResult{Sys: sys}
@@ -245,7 +235,7 @@ func ReadObservationLog(r io.Reader, system string) (*SearchResult, int, error) 
 	bad := 0
 	for sc.Scan() {
 		text := strings.TrimSpace(sc.Text())
-		if text == "" || text == searchCSVHeader || text == legacySearchCSVHeader {
+		if text == "" || text == searchCSVHeader {
 			continue
 		}
 		row, err := parseSearchRow(text)

@@ -17,12 +17,13 @@ func FuzzObservationLogRead(f *testing.F) {
 	seeds := []string{
 		// Current 11-field row with app column, square shape.
 		"i7-2600K,1900,200,1,8,96,64,2,5.5e+08,false,synthetic",
-		// Legacy 10-field row without app column.
+		// A 10-field row without the app column: rejected.
 		"i7-2600K,1900,200,1,8,96,64,2,5.5e+08,false",
 		// Rectangular shape, censored, named app.
 		"i3-540,600x1400,3000,5,16,0,0,0,1.25e+09,true,lu",
 		searchCSVHeader,
-		legacySearchCSVHeader,
+		// The 10-field header without the app column: rejected.
+		"system,dim,tsize,dsize,cpu_tile,band,gpu_tile,halo,rtime_ns,censored",
 		"",
 		"not,a,row",
 		"i7-2600K,19f00,200,1,8,96,64,2,5.5e+08,false,app",

@@ -33,24 +33,6 @@ func RunSerial(k kernels.Kernel, g *grid.Grid) {
 	}
 }
 
-// RunSerialDiagRange computes the cells on diagonals [lo, hi] of g in
-// anti-diagonal order. It is the reference for phase-restricted execution.
-func RunSerialDiagRange(k kernels.Kernel, g *grid.Grid, lo, hi int) {
-	rows, cols := g.Rows(), g.Cols()
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > g.NumDiags()-1 {
-		hi = g.NumDiags() - 1
-	}
-	for d := lo; d <= hi; d++ {
-		for i := 0; i < grid.DiagLenRect(rows, cols, d); i++ {
-			r, c := grid.DiagCellRect(rows, cols, d, i)
-			k.Compute(g, r, c)
-		}
-	}
-}
-
 // Executor runs tiled parallel wavefront sweeps on a persistent
 // fixed-size worker pool. An Executor is safe for sequential reuse across
 // many runs; Close releases its workers, after which Run returns

@@ -54,6 +54,16 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 	}
 }
 
+// runDiags computes diagonals [lo, hi] of g serially through a
+// diagonal-range frontier, the phase-restricted reference the engine
+// uses for phases 1 and 3.
+func runDiags(t *testing.T, k kernels.Kernel, g *grid.Grid, lo, hi int) {
+	t.Helper()
+	if err := RunSerialFrontier(k, g, grid.NewDiagRangeFrontier(g.Rows(), g.Cols(), lo, hi)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestThreePhaseComposition(t *testing.T) {
 	// Running the three phases of the hybrid strategy back to back must
 	// equal one full sweep: phase boundaries cut along diagonals.
@@ -64,9 +74,9 @@ func TestThreePhaseComposition(t *testing.T) {
 
 	got := grid.New(dim, 1)
 	d := grid.NumDiags(dim)
-	RunSerialDiagRange(k, got, 0, 9)
-	RunSerialDiagRange(k, got, 10, 30) // the "GPU" band
-	RunSerialDiagRange(k, got, 31, d-1)
+	runDiags(t, k, got, 0, 9)
+	runDiags(t, k, got, 10, 30) // the "GPU" band
+	runDiags(t, k, got, 31, d-1)
 	if !got.Equal(want) {
 		t.Error("three-phase composition differs from full sweep")
 	}
@@ -76,7 +86,7 @@ func TestRunSerialDiagRangeOnlyTouchesRange(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	dim := 12
 	g := grid.New(dim, 0)
-	RunSerialDiagRange(k, g, 5, 8)
+	runDiags(t, k, g, 5, 8)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			d := r + c
@@ -94,7 +104,7 @@ func TestRunSerialDiagRangeClampsBounds(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	g := grid.New(8, 0)
 	// Out-of-range lo/hi must clamp rather than fail.
-	RunSerialDiagRange(k, g, -5, 1000)
+	runDiags(t, k, g, -5, 1000)
 	want := grid.New(8, 0)
 	RunSerial(k, want)
 	if !g.Equal(want) {
@@ -105,7 +115,7 @@ func TestRunSerialDiagRangeClampsBounds(t *testing.T) {
 func TestRunSerialDiagRangeEmpty(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	g := grid.New(8, 0)
-	RunSerialDiagRange(k, g, 6, 5)
+	runDiags(t, k, g, 6, 5)
 	for _, v := range g.IntA {
 		if v != 0 {
 			t.Fatal("empty range must compute nothing")
@@ -210,7 +220,7 @@ func TestSerialDiagRangeMatchesRowMajorPrefix(t *testing.T) {
 	k := kernels.NewSeqCompare()
 	dim := 16
 	a := grid.New(dim, 0)
-	RunSerialDiagRange(k, a, 0, 12)
+	runDiags(t, k, a, 0, 12)
 	b := grid.New(dim, 0)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {

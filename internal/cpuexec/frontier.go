@@ -47,12 +47,19 @@ func ctxErr(ctx context.Context) error {
 
 // RunSerialFrontier drains f on a single goroutine, computing each ready
 // set in delivery order. A dense *grid.DiagFrontier short-circuits into
-// the closed-form diagonal sweep. It returns ErrFrontierStuck when f
+// the closed-form diagonal sweep over its (clamped) range, the reference
+// for phase-restricted execution. It returns ErrFrontierStuck when f
 // dead-ends before covering its region.
 func RunSerialFrontier(k kernels.Kernel, g *grid.Grid, f grid.Frontier) error {
 	if df, ok := f.(*grid.DiagFrontier); ok {
+		rows, cols := g.Rows(), g.Cols()
 		lo, hi := df.DiagRange()
-		RunSerialDiagRange(k, g, lo, hi)
+		for d := lo; d <= hi; d++ {
+			for i := 0; i < grid.DiagLenRect(rows, cols, d); i++ {
+				r, c := grid.DiagCellRect(rows, cols, d, i)
+				k.Compute(g, r, c)
+			}
+		}
 		return nil
 	}
 	delivered := 0

@@ -79,7 +79,7 @@ func TestRectSerialDiagRangeCoversPrefix(t *testing.T) {
 	k := kernels.NewSeqCompare()
 	rows, cols := 9, 21
 	a := grid.NewRect(rows, cols, 0)
-	RunSerialDiagRange(k, a, 0, 14)
+	runDiags(t, k, a, 0, 14)
 	b := grid.NewRect(rows, cols, 0)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
@@ -103,9 +103,9 @@ func TestRectThreePhaseComposition(t *testing.T) {
 
 	got := grid.NewRect(rows, cols, 1)
 	d := grid.NumDiagsRect(rows, cols)
-	RunSerialDiagRange(k, got, 0, 11)
-	RunSerialDiagRange(k, got, 12, 30)
-	RunSerialDiagRange(k, got, 31, d-1)
+	runDiags(t, k, got, 0, 11)
+	runDiags(t, k, got, 12, 30)
+	runDiags(t, k, got, 31, d-1)
 	if !got.Equal(want) {
 		t.Error("rect three-phase composition differs from full sweep")
 	}

@@ -17,21 +17,13 @@ import (
 // square and rectangular spellings, mirroring the search-CSV dim column
 // (Instance.ShapeString).
 //
-// Format history:
-//
-//   - Version 1: entries of a single-lock cache, least recently used
-//     first (positional recency).
-//   - Version 2: written by the sharded cache. The entry layout is
-//     unchanged and still positional (least recently used first), but
-//     the order is the *global* recency merge across shards (via the
-//     cache's logical clock), and the document records the writer's
-//     shard count as an informational "shards" field. Load accepts both
-//     versions, and a file round-trips across any shard-count change —
-//     the order does not depend on how keys hashed onto shards.
-const (
-	cacheFormatVersion   = 2
-	cacheFormatVersionV1 = 1
-)
+// The current format is version 2, written by the sharded cache:
+// entries in positional order, least recently used first, where the
+// order is the *global* recency merge across shards (via the cache's
+// logical clock), plus the writer's shard count as an informational
+// "shards" field. A file round-trips across any shard-count change —
+// the order does not depend on how keys hashed onto shards.
+const cacheFormatVersion = 2
 
 // entryDTO is the on-disk form of one cached plan.
 type entryDTO struct {
@@ -55,8 +47,8 @@ type entryDTO struct {
 // cacheDTO is the on-disk form of the whole cache.
 type cacheDTO struct {
 	Version int `json:"version"`
-	// Shards records the writer's shard count (version >= 2;
-	// informational — a file loads into a cache of any shard count).
+	// Shards records the writer's shard count (informational — a file
+	// loads into a cache of any shard count).
 	Shards  int        `json:"shards,omitempty"`
 	Entries []entryDTO `json:"entries"`
 }
@@ -107,9 +99,8 @@ func (c *Cache) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a document written by Save — the current version-2 format
-// or a version-1 file from a pre-sharding daemon (the entry layout is
-// identical) — and warms the cache with its entries, in order. It
+// Load reads a document written by Save and warms the cache with its
+// entries, in order. It
 // returns the number of plans loaded. Loading is all-or-nothing: every
 // entry is validated — the instance, and the params via plan.Build, so a
 // corrupt file cannot inject settings the library itself rejects —
@@ -122,9 +113,9 @@ func (c *Cache) Load(r io.Reader) (int, error) {
 	if err := json.NewDecoder(r).Decode(&dto); err != nil {
 		return 0, fmt.Errorf("tunecache: decoding cache: %w", err)
 	}
-	if dto.Version != cacheFormatVersion && dto.Version != cacheFormatVersionV1 {
-		return 0, fmt.Errorf("tunecache: cache format version %d, want %d or %d",
-			dto.Version, cacheFormatVersionV1, cacheFormatVersion)
+	if dto.Version != cacheFormatVersion {
+		return 0, fmt.Errorf("tunecache: cache format version %d, want %d",
+			dto.Version, cacheFormatVersion)
 	}
 	type staged struct {
 		sys  string

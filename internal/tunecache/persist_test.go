@@ -110,12 +110,12 @@ func TestLoadRejectsBadInput(t *testing.T) {
 		t.Error("wrong version must fail")
 	}
 	if _, err := c.Load(strings.NewReader(
-		`{"version":1,"entries":[{"system":"s","dim":0,"tsize":1,"dsize":0}]}`)); err == nil {
+		`{"version":2,"entries":[{"system":"s","dim":0,"tsize":1,"dsize":0}]}`)); err == nil {
 		t.Error("invalid instance must fail")
 	}
 	// Params the library itself rejects (cpu_tile 0) must not load.
 	if _, err := c.Load(strings.NewReader(
-		`{"version":1,"entries":[{"system":"s","dim":500,"tsize":1,"dsize":0,"cpu_tile":0,"band":-1,"gpu_tile":1,"halo":-1}]}`)); err == nil {
+		`{"version":2,"entries":[{"system":"s","dim":500,"tsize":1,"dsize":0,"cpu_tile":0,"band":-1,"gpu_tile":1,"halo":-1}]}`)); err == nil {
 		t.Error("invalid params must fail")
 	}
 	if st := c.Stats(); st.Size != 0 {
@@ -127,7 +127,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 // load nothing, so the warm-or-cold decision never lands in between.
 func TestLoadIsAtomic(t *testing.T) {
 	c := New(4, nil)
-	doc := `{"version":1,"entries":[
+	doc := `{"version":2,"entries":[
 	 {"system":"s","dim":500,"tsize":10,"dsize":1,"cpu_tile":8,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":1},
 	 {"system":"s","dim":700,"tsize":10,"dsize":1,"cpu_tile":0,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":1}]}`
 	n, err := c.Load(strings.NewReader(doc))

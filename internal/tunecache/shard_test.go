@@ -3,7 +3,6 @@ package tunecache
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -299,30 +298,17 @@ func TestPersistenceAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// TestLoadVersion1: files written by a pre-sharding daemon (version 1)
-// must keep loading.
+// TestLoadVersion1: version-1 files (from the pre-sharding cache) no
+// longer load; nothing in the repository writes them.
 func TestLoadVersion1(t *testing.T) {
 	doc := `{"version":1,"entries":[
-	 {"system":"s","dim":500,"tsize":10,"dsize":1,"cpu_tile":8,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":5},
-	 {"system":"s","rows":600,"cols":1400,"tsize":10,"dsize":1,"cpu_tile":4,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":7}]}`
+	 {"system":"s","dim":500,"tsize":10,"dsize":1,"cpu_tile":8,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":5}]}`
 	c := NewSharded(64, 4, nil)
 	n, err := c.Load(strings.NewReader(doc))
-	if err != nil || n != 2 {
-		t.Fatalf("Load v1 = (%d, %v), want (2, nil)", n, err)
+	if err == nil || n != 0 || c.Len() != 0 {
+		t.Fatalf("Load v1 = (%d, %v) with %d resident, want a version error and nothing loaded", n, err, c.Len())
 	}
-	if _, out, _ := c.Get("s", plan.Instance{Dim: 500, TSize: 10, DSize: 1}); out != Hit {
-		t.Errorf("square v1 entry: outcome %v, want hit", out)
-	}
-	p, out, _ := c.Get("s", plan.Instance{Rows: 600, Cols: 1400, TSize: 10, DSize: 1})
-	if out != Hit || p.RTimeNs != 7 {
-		t.Errorf("rect v1 entry: (%+v, %v), want resident with rtime 7", p, out)
-	}
-	// A fresh Save upgrades the document to the current version.
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), fmt.Sprintf(`"version": %d`, cacheFormatVersion)) {
-		t.Errorf("re-save kept the old version:\n%s", buf.String())
+	if !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("error %q does not name the rejected version", err)
 	}
 }

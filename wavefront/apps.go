@@ -4,15 +4,10 @@ package wavefront
 // names to kernels, paper-scale granularity, parameter schemas and shape
 // constraints. The daemon resolves named tune/job requests through it
 // and lists it on GET /v1/apps; RegisterApp lets downstream code plug a
-// custom wavefront workload into all of that without forking. As with
-// the rest of this package, the types are aliases of the internal
-// implementation so downstream code never imports repro/internal/...
-// directly.
+// custom wavefront workload into all of that without forking, and
+// NewAppKernel builds any registered kernel by name.
 
-import (
-	"repro/internal/apps"
-	"repro/internal/kernels"
-)
+import "repro/internal/apps"
 
 // App describes one registered wavefront application: its name, catalog
 // description, parameter schema, granularity derivation and kernel
@@ -27,11 +22,6 @@ type AppParam = apps.ParamSpec
 // AppValues{"rounds": 2}).
 type AppValues = apps.Values
 
-// AppRegistry is an isolated named-application catalog; the package
-// functions (RegisterApp, Apps, AppByName) operate on the process-wide
-// default registry that the daemon and the CLIs consult.
-type AppRegistry = apps.Registry
-
 // RegisterApp adds a to the process-wide application catalog, making it
 // resolvable by name in POST /v1/tune and POST /v1/jobs, listed in
 // GET /v1/apps and the CLI catalogs, and constructible via
@@ -40,22 +30,8 @@ type AppRegistry = apps.Registry
 // rejected.
 func RegisterApp(a App) error { return apps.Register(a) }
 
-// Apps returns the registered application catalog sorted by name.
-func Apps() []App { return apps.All() }
-
-// AppNames returns the sorted registered application names.
-func AppNames() []string { return apps.Names() }
-
 // AppByName looks up a registered application.
 func AppByName(name string) (App, bool) { return apps.Lookup(name) }
-
-// AppCatalog renders the catalog as an aligned text table (what
-// wavetune -list prints).
-func AppCatalog() string { return apps.RenderCatalog() }
-
-// NewAppRegistry returns an empty isolated registry (embedders that
-// want a catalog independent of the process-wide one).
-func NewAppRegistry() *AppRegistry { return apps.NewRegistry() }
 
 // NewAppKernel resolves values against the named registered
 // application's schema and constructs its kernel for the given shape.
@@ -65,53 +41,4 @@ func NewAppKernel(name string, rows, cols int, v AppValues) (Kernel, error) {
 		return nil, apps.UnknownAppError(name)
 	}
 	return a.NewKernel(rows, cols, v)
-}
-
-// CalibrateTSize measures a kernel's task granularity empirically
-// against the synthetic unit on the host CPU — the paper's Section
-// 3.2.1 tsize mapping done by measurement, for placing a custom kernel
-// on the scale before registering it. The result is a wall-clock
-// estimate; round it sensibly.
-func CalibrateTSize(k Kernel) float64 { return apps.CalibrateTSize(k) }
-
-// The four extended catalog kernels, constructible directly (the
-// registry spelling NewAppKernel("swaffine", ...) is equivalent).
-
-// NewSWAffine returns the affine-gap Smith-Waterman kernel (Gotoh;
-// tsize 1.5, dsize 2).
-func NewSWAffine() *kernels.SWAffine { return kernels.NewSWAffine() }
-
-// NewSWAffineWith aligns two explicit sequences with affine gaps.
-func NewSWAffineWith(a, b []byte) *kernels.SWAffine { return kernels.NewSWAffineWith(a, b) }
-
-// NewLCS returns the longest-common-subsequence kernel (tsize 0.4).
-func NewLCS() *kernels.LCS { return kernels.NewLCS() }
-
-// NewLCSWith compares two explicit sequences.
-func NewLCSWith(a, b []byte) *kernels.LCS { return kernels.NewLCSWith(a, b) }
-
-// NewDTW returns the dynamic-time-warping kernel (tsize 0.8, dsize 1).
-func NewDTW() *kernels.DTW { return kernels.NewDTW() }
-
-// NewDTWWith warps two explicit series.
-func NewDTWWith(a, b []float64) *kernels.DTW { return kernels.NewDTWWith(a, b) }
-
-// NewNussinov returns the Nussinov-style RNA folding kernel over a
-// synthetic sequence (square grids only; minLoop < 0 selects the
-// conventional hairpin minimum of 3).
-func NewNussinov(minLoop int) *kernels.Nussinov { return kernels.NewNussinov(minLoop) }
-
-// NewNussinovWith folds an explicit RNA sequence.
-func NewNussinovWith(seq []byte, minLoop int) *kernels.Nussinov {
-	return kernels.NewNussinovWith(seq, minLoop)
-}
-
-// NewMorphRecon returns the grayscale morphological-reconstruction
-// kernel over a synthetic mask: the catalog's genuinely irregular
-// workload, whose live region is the mask's open pixels (threshold in
-// [0,255]; negative selects the default of 128, about half open). It
-// declares its mask and stencil to the frontier substrate, so
-// RunIrregular schedules only the open pixels.
-func NewMorphRecon(threshold int, seed int64) *kernels.MorphRecon {
-	return kernels.NewMorphRecon(threshold, seed)
 }

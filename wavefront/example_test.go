@@ -61,27 +61,3 @@ func ExampleTuner_Predict() {
 	// offloads to GPU: true
 	// valid cpu-tile: true
 }
-
-// ExampleNewPlanCache shows the serving layer's cache: misses run the
-// predict function once per distinct (system, instance) key, repeats
-// are hits, and the counters expose the ratio.
-func ExampleNewPlanCache() {
-	cache := wavefront.NewPlanCache(128, func(system string, inst wavefront.Instance) (wavefront.CachedPlan, error) {
-		// A stand-in for Tuner.PredictTimed; the real daemon plugs the
-		// trained tuner in here.
-		return wavefront.CachedPlan{Par: wavefront.CPUOnly(8), RTimeNs: 1e9, SerialNs: 4e9}, nil
-	})
-
-	inst := wavefront.Instance{Dim: 1900, TSize: 750, DSize: 4}
-	for i := 0; i < 3; i++ {
-		plan, outcome, _ := cache.Get("i7-2600K", inst)
-		fmt.Printf("%s: speedup %.1fx\n", outcome, plan.SerialNs/plan.RTimeNs)
-	}
-	st := cache.Stats()
-	fmt.Printf("hits=%d misses=%d size=%d\n", st.Hits, st.Misses, st.Size)
-	// Output:
-	// miss: speedup 4.0x
-	// hit: speedup 4.0x
-	// hit: speedup 4.0x
-	// hits=2 misses=1 size=1
-}

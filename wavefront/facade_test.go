@@ -1,0 +1,234 @@
+package wavefront
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestFacadeHasConsumers keeps the package from regrowing names nobody
+// uses. An exported top-level name stays only when a .go file under
+// ../cmd or ../examples refers to it as wavefront.<Name>, or when a kept
+// declaration names it: a kept function's signature, a kept type's
+// fields, or — for an alias of an internal type — that type's exported
+// fields, so a kept declaration never hands out a type the caller cannot
+// spell.
+func TestFacadeHasConsumers(t *testing.T) {
+	const module = "repro"
+	// decls maps each exported facade name to the type expressions it
+	// exposes; aliases maps "importpath.Name" of an aliased internal
+	// type back to the facade name, and targets the other way.
+	decls := map[string][]typeRef{}
+	aliases := map[string]string{}
+	targets := map[string][2]string{}
+	for _, f := range parseNonTest(t, ".") {
+		imports := importNames(f)
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					decls[d.Name.Name] = []typeRef{{d.Type, "", imports}}
+				}
+			case *ast.GenDecl:
+				for _, s := range d.Specs {
+					switch s := s.(type) {
+					case *ast.TypeSpec:
+						if !s.Name.IsExported() {
+							continue
+						}
+						decls[s.Name.Name] = []typeRef{{s.Type, "", imports}}
+						if sel, ok := s.Type.(*ast.SelectorExpr); ok && s.Assign.IsValid() {
+							path := imports[sel.X.(*ast.Ident).Name]
+							aliases[path+"."+sel.Sel.Name] = s.Name.Name
+							targets[s.Name.Name] = [2]string{path, sel.Sel.Name}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							if n.IsExported() {
+								decls[n.Name] = nil
+								if s.Type != nil {
+									decls[n.Name] = []typeRef{{s.Type, "", imports}}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// internal loads the exported fields of an aliased internal type from
+	// its package source.
+	parsed := map[string][]*ast.File{}
+	internal := func(path, name string) []typeRef {
+		dir := filepath.Join("..", strings.TrimPrefix(path, module+"/"))
+		if parsed[dir] == nil {
+			parsed[dir] = parseNonTest(t, dir)
+		}
+		var refs []typeRef
+		for _, f := range parsed[dir] {
+			imports := importNames(f)
+			for _, d := range f.Decls {
+				if d, ok := d.(*ast.GenDecl); ok {
+					for _, s := range d.Specs {
+						if s, ok := s.(*ast.TypeSpec); ok && s.Name.Name == name {
+							refs = append(refs, exportedParts(s.Type, path, imports)...)
+						}
+					}
+				}
+			}
+		}
+		return refs
+	}
+
+	// Kept names start from the consumers and grow through what each
+	// kept declaration names.
+	used := consumerRefs(t, filepath.Join("..", "cmd"), filepath.Join("..", "examples"))
+	kept := map[string]bool{}
+	var work []string
+	keep := func(name string) {
+		if _, ok := decls[name]; ok && !kept[name] {
+			kept[name] = true
+			work = append(work, name)
+		}
+	}
+	for name := range used {
+		keep(name)
+	}
+	for len(work) > 0 {
+		name := work[len(work)-1]
+		work = work[:len(work)-1]
+		refs := decls[name]
+		if tg, ok := targets[name]; ok {
+			refs = internal(tg[0], tg[1])
+		}
+		for _, r := range refs {
+			ast.Inspect(r.expr, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						keep(aliases[r.imports[x.Name]+"."+n.Sel.Name])
+					}
+					return false
+				case *ast.Ident:
+					if r.pkg == "" {
+						keep(n.Name)
+					} else {
+						keep(aliases[r.pkg+"."+n.Name])
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var unused []string
+	for name := range decls {
+		if !kept[name] {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("%s has no consumer: nothing under cmd/ or examples/ uses wavefront.%s and no kept declaration names it", name, name)
+	}
+}
+
+// parseNonTest parses the non-test Go files of the package in dir.
+func parseNonTest(t *testing.T, dir string) []*ast.File {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []*ast.File
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			files = append(files, f)
+		}
+	}
+	return files
+}
+
+// typeRef is a type expression together with the package it belongs to
+// ("" for this package) and that file's import names.
+type typeRef struct {
+	expr    ast.Expr
+	pkg     string
+	imports map[string]string
+}
+
+// exportedParts returns the parts of an internal type declaration a
+// caller can reach: exported struct fields and interface methods, or the
+// whole expression for any other type.
+func exportedParts(e ast.Expr, pkg string, imports map[string]string) []typeRef {
+	var list *ast.FieldList
+	switch e := e.(type) {
+	case *ast.StructType:
+		list = e.Fields
+	case *ast.InterfaceType:
+		list = e.Methods
+	default:
+		return []typeRef{{e, pkg, imports}}
+	}
+	var refs []typeRef
+	for _, f := range list.List {
+		exported := len(f.Names) == 0
+		for _, n := range f.Names {
+			exported = exported || n.IsExported()
+		}
+		if exported {
+			refs = append(refs, typeRef{f.Type, pkg, imports})
+		}
+	}
+	return refs
+}
+
+// importNames maps each import's local name to its path.
+func importNames(f *ast.File) map[string]string {
+	m := map[string]string{}
+	for _, imp := range f.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		m[name] = path
+	}
+	return m
+}
+
+// consumerRefs returns every Name written as wavefront.<Name> in the .go
+// files under dirs, comments included.
+func consumerRefs(t *testing.T, dirs ...string) map[string]bool {
+	re := regexp.MustCompile(`\bwavefront\.([A-Z]\w*)`)
+	used := map[string]bool{}
+	for _, dir := range dirs {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range re.FindAllSubmatch(src, -1) {
+				used[string(m[1])] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return used
+}

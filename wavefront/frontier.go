@@ -6,8 +6,8 @@ package wavefront
 // masked and irregular workloads — Nussinov's triangle, morphological
 // reconstruction over a mask — run through RunIrregular, which tiles
 // them like RunParallel or schedules single cells by IrregularFrontier's
-// per-cell wavefront levels. Kernels opt in by implementing
-// KernelStencil and KernelMask; undeclared kernels default to the dense
+// per-cell wavefront levels. Kernels opt in by declaring a stencil and
+// a live region (KernelMask); undeclared kernels default to the dense
 // W/N/NW cone over the full rectangle.
 
 import (
@@ -26,13 +26,6 @@ type Frontier = grid.Frontier
 // Cell identifies one grid cell by row and column.
 type Cell = grid.Cell
 
-// Stencil is the dependency shape of a kernel: the relative offsets a
-// cell reads.
-type Stencil = grid.Stencil
-
-// StencilOffset is one relative dependency of a Stencil.
-type StencilOffset = grid.Offset
-
 // DiagFrontier is the dense frontier over closed-form anti-diagonals.
 type DiagFrontier = grid.DiagFrontier
 
@@ -41,35 +34,16 @@ type DiagFrontier = grid.DiagFrontier
 // propagation otherwise, with per-level buckets built on the first Next.
 type IrregularFrontier = grid.IrregularFrontier
 
-// KernelStencil is implemented by kernels that declare a dependency
-// stencil other than the dense W/N/NW cone.
-type KernelStencil = kernels.Stenciled
-
 // KernelMask is implemented by kernels whose live region is a strict
 // subset of the rectangle; dead cells are skipped by the frontier
 // executors and must be no-ops (or write only zero initial values) in
 // Compute.
 type KernelMask = kernels.Masked
 
-// ErrFrontierStuck is returned when a frontier dead-ends before
-// covering its region (a cyclic or self-referential stencil).
-var ErrFrontierStuck = cpuexec.ErrFrontierStuck
-
-// DenseStencil returns the classic west/north/northwest dependency
-// cone.
-func DenseStencil() Stencil { return grid.DenseStencil() }
-
 // NewDiagFrontier returns the dense frontier covering a rows x cols
 // grid in anti-diagonal order.
 func NewDiagFrontier(rows, cols int) *DiagFrontier {
 	return grid.NewDiagFrontier(rows, cols)
-}
-
-// NewIrregularFrontier builds the frontier over the cells for which
-// live returns true (nil = the whole rectangle) under the given stencil
-// (empty = dense).
-func NewIrregularFrontier(rows, cols int, st Stencil, live func(r, c int) bool) *IrregularFrontier {
-	return grid.NewIrregularFrontier(rows, cols, st, live)
 }
 
 // KernelFrontier builds the irregular frontier for the stencil and live
@@ -87,8 +61,8 @@ func CountFrontier(f Frontier) (steps, cells int) { return grid.CountFrontier(f)
 // RunFrontier computes the cells of f with k on the host CPU (workers
 // goroutines; <= 0 selects GOMAXPROCS), one ready set at a time with a
 // barrier between steps, and returns the wall-clock time. ctx is
-// checked between steps for cooperative cancellation. It fails with
-// ErrFrontierStuck when f dead-ends before covering its region.
+// checked between steps for cooperative cancellation. It fails when f
+// dead-ends before covering its region.
 func RunFrontier(ctx context.Context, k Kernel, g *Grid, f Frontier, workers int) (time.Duration, error) {
 	start := time.Now()
 	ex := cpuexec.New(workers)

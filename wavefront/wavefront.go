@@ -3,21 +3,21 @@
 // (Mohanty and Cole, PMAM '14, co-located with PPoPP 2014,
 // DOI 10.1145/2560683.2560689).
 //
-// It exposes six capabilities:
+// It exposes the paper's workflow and the handles its daemon needs:
 //
 //   - the wavefront pattern library: define a Kernel and run it natively
-//     on the host CPU, serially or tile-parallel (RunSerial, RunParallel);
+//     on the host CPU, serially or tile-parallel (RunSerial, RunParallel),
+//     or over an irregular live region (RunIrregular, RunFrontier);
 //   - the modeled heterogeneous platforms of the paper's Table 4 and the
 //     three-phase hybrid execution strategy on them (Estimate, Simulate);
 //   - the exhaustive tuning-space exploration of Table 3 (Exhaustive);
 //   - the machine-learned autotuner: train on the synthetic application,
 //     deploy on unseen applications (Train, Tuner.Predict);
-//   - the application registry: a catalog of named workloads — the
-//     paper's four plus affine-gap alignment, LCS, DTW and Nussinov
-//     folding — that the daemon and CLIs resolve by name, extensible
-//     with custom kernels (RegisterApp, Apps, NewAppKernel);
-//   - the serving layer: a concurrency-safe plan cache and the HTTP
-//     tuning daemon behind cmd/waved (NewPlanCache, NewTuningServer).
+//   - the application registry: the named workloads the daemon and CLIs
+//     resolve, extensible with custom kernels (RegisterApp, NewAppKernel);
+//   - the HTTP tuning daemon behind cmd/waved and its batch client
+//     (NewTuningServer, TuneBatch). Its plan cache, job queue, retrainer
+//     and metrics are reached over HTTP, not through this package.
 //
 // Grids may be square (the paper's dim x dim experiments; NewGrid,
 // InstanceOf) or rectangular (rows x cols; NewRectGrid, RectInstanceOf,
@@ -26,9 +26,9 @@
 // rather than triangular. Every execution path (serial, tiled-parallel,
 // estimator, simulator, exhaustive search) accepts both shapes.
 //
-// The types are aliases of the internal implementation packages, so the
-// public surface stays small while examples and downstream code never
-// import repro/internal/... directly.
+// The types are aliases of the internal implementation packages. The
+// package exports only what cmd/ and examples/ use (and the types those
+// names expose); facade_test.go enforces that.
 package wavefront
 
 import (
@@ -47,11 +47,10 @@ import (
 // float64 values per cell).
 type Grid = grid.Grid
 
-// Kernel is a wavefront point computation; see NewSynthetic, NewNash,
-// NewSeqCompare and NewKnapsack for the paper's applications, the
-// constructors in apps.go (NewSWAffine, NewLCS, NewDTW, NewNussinov)
-// for the extended catalog, or implement the interface for your own —
-// and register it with RegisterApp to serve it by name.
+// Kernel is a wavefront point computation; see NewSynthetic, NewNash and
+// NewSeqCompare, NewAppKernel for any catalog application by name, or
+// implement the interface for your own — and register it with
+// RegisterApp to serve it by name.
 type Kernel = kernels.Kernel
 
 // Instance describes a problem instance by the paper's input parameters
@@ -115,10 +114,6 @@ func NewSeqCompare() Kernel { return kernels.NewSeqCompare() }
 // NewSeqCompareWith aligns two explicit sequences.
 func NewSeqCompareWith(a, b []byte) Kernel { return kernels.NewSeqCompareWith(a, b) }
 
-// NewKnapsack returns the 0/1 knapsack kernel (the paper's future-work
-// dynamic program) over a deterministic dim-item instance.
-func NewKnapsack(dim int) Kernel { return kernels.NewKnapsack(dim) }
-
 // Systems returns the paper's three modeled platforms.
 func Systems() []System { return hw.Systems() }
 
@@ -161,10 +156,6 @@ func RunParallel(k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error)
 
 // CPUOnly returns the all-CPU configuration with the given tile.
 func CPUOnly(cpuTile int) Params { return engine.CPUOnlyParams(cpuTile) }
-
-// GPUOnly returns the full single-GPU offload configuration for a square
-// dim-sized instance.
-func GPUOnly(dim int) Params { return engine.GPUOnlyParams(dim) }
 
 // GPUOnlyFor returns the full single-GPU offload configuration for an
 // instance of any shape.
@@ -217,9 +208,6 @@ func TrainPredictor(kind string, sr *SearchResult, opts TrainOptions) (Predictor
 	return core.TrainPredictor(kind, sr, opts)
 }
 
-// LoadPredictor reads a tuner file written by SavePredictor.
-func LoadPredictor(path string) (Predictor, error) { return core.LoadPredictor(path) }
-
 // SavePredictor writes a predictor to path as JSON.
 func SavePredictor(path string, p Predictor) error { return core.SavePredictor(path, p) }
 
@@ -231,12 +219,3 @@ func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
 func SimulateTraced(sys System, dim int, k Kernel, par Params) (Result, *Grid, error) {
 	return engine.SimulateOpts(sys, dim, k, par, engine.Options{CollectTrace: true})
 }
-
-// EstimateWithGPUs models a dual-GPU configuration widened to n devices on
-// a system extended via WithGPUs — the paper's future-work extension.
-func EstimateWithGPUs(sys System, inst Instance, par Params, n int) (Result, error) {
-	return engine.Estimate(sys, inst, par, engine.Options{GPUs: n})
-}
-
-// WithGPUs returns a copy of sys carrying n replicas of its first GPU.
-func WithGPUs(sys System, n int) System { return hw.WithGPUCount(sys, n) }

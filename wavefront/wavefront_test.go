@@ -62,7 +62,7 @@ func TestEstimateAndBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gpu, err := Estimate(sys, inst, GPUOnly(inst.Dim))
+	gpu, err := Estimate(sys, inst, GPUOnlyFor(inst))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,10 @@ func TestSearchAndTrainPublicPipeline(t *testing.T) {
 }
 
 func TestKnapsackKernelThroughAPI(t *testing.T) {
-	k := NewKnapsack(30)
+	k, err := NewAppKernel("knapsack", 30, 30, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := NewGrid(30, 0)
 	RunSerial(k, g)
 	if g.A(29, 29) <= 0 {
