@@ -354,6 +354,47 @@ func TestLazyTrainingSource(t *testing.T) {
 	}
 }
 
+// TestTrainingSourceMatchesExhaustiveTrain pins the lazily trained tuner
+// of every system to the factory path, core.Train over a full
+// core.Exhaustive of the quick space: both must save the same bytes.
+func TestTrainingSourceMatchesExhaustiveTrain(t *testing.T) {
+	src := NewTrainingSource(TrainingSourceOptions{})
+	dir := t.TempDir()
+	for _, sys := range hw.Systems() {
+		sr, err := core.Exhaustive(sys, core.QuickSpace(), core.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.Train(sr, core.DefaultTrainOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := src.Tuner(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPath := filepath.Join(dir, sys.Name+".want.json")
+		gotPath := filepath.Join(dir, sys.Name+".got.json")
+		if err := core.SavePredictor(wantPath, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.SavePredictor(gotPath, got); err != nil {
+			t.Fatal(err)
+		}
+		wantData, err := os.ReadFile(wantPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotData, err := os.ReadFile(gotPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotData, wantData) {
+			t.Errorf("%s: lazily trained tuner differs from Train(Exhaustive(QuickSpace))", sys.Name)
+		}
+	}
+}
+
 func TestDirSource(t *testing.T) {
 	dir := t.TempDir()
 	tun := tinyTuner(t)
