@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -393,25 +394,55 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 	}
 }
 
-// BenchmarkExhaustiveQuickSearch times the quick-space search that trains
-// a lazily built tuner, once per Table 4 system: the dual-GPU systems
-// evaluate about three times as many configurations as the single-GPU
-// i3-540. With two workers on a 2-vCPU Xeon, the median is about 19 ms
-// for each dual-GPU system and 6 ms for the i3-540.
+// BenchmarkExhaustiveQuickSearch times two quick-space searches per
+// Table 4 system: "full" searches all 40 instances, as wavesweep and
+// waverepro do, and "training" only the 12 that a lazily trained tuner
+// reads (core.TrainingInstances, the search inside core.TrainFromSpace).
+// The dual-GPU systems evaluate about three times as many configurations
+// as the single-GPU i3-540. With two workers on a 2-vCPU Xeon, the
+// medians of five runs are 7.0 ms (i3-540) and 22–24 ms (each dual-GPU
+// system) for "full", and 1.7 ms and 6.2–6.6 ms for "training".
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 	space := core.QuickSpace()
-	for _, sys := range hw.Systems() {
-		b.Run(sys.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
-				if err != nil {
-					b.Fatal(err)
+	spaces := []struct {
+		name  string
+		space core.Space
+	}{{"full", space}, {"training", trainingSubspace(b, space)}}
+	for _, sp := range spaces {
+		for _, sys := range hw.Systems() {
+			b.Run(sp.name+"/"+sys.Name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					sr, err := core.Exhaustive(sys, sp.space, core.SearchOptions{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportMetric(float64(sr.Evaluations()), "evals")
 				}
-				b.ReportMetric(float64(sr.Evaluations()), "evals")
-			}
-		})
+			})
+		}
 	}
+}
+
+// trainingSubspace restricts a square space to the dims and tsizes of its
+// default training instances, so an exhaustive search of it covers
+// exactly core.TrainingInstances.
+func trainingSubspace(b *testing.B, space core.Space) core.Space {
+	insts := core.TrainingInstances(space, core.TrainOptions{})
+	sub := space
+	sub.Dims, sub.TSizes = nil, nil
+	for _, in := range insts {
+		if !slices.Contains(sub.Dims, in.Dim) {
+			sub.Dims = append(sub.Dims, in.Dim)
+		}
+		if !slices.Contains(sub.TSizes, in.TSize) {
+			sub.TSizes = append(sub.TSizes, in.TSize)
+		}
+	}
+	if !slices.Equal(sub.Instances(), insts) {
+		b.Fatalf("training sub-space lists %d instances, want the %d training instances", len(sub.Instances()), len(insts))
+	}
+	return sub
 }
 
 // ---- Serving-layer micro-benchmarks ----

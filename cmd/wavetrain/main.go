@@ -1,7 +1,8 @@
 // Command wavetrain trains the machine-learned autotuner for a modeled
 // system from an exhaustive search of the synthetic application
 // (Section 3.1), reports cross-validated model quality, and prints the
-// learned halo model (the Figure 9 model tree).
+// learned halo model (the Figure 9 model tree). Without -from it
+// searches only the instances training samples.
 //
 // Usage:
 //

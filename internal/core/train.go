@@ -3,14 +3,17 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/hw"
 	"repro/internal/ml"
+	"repro/internal/plan"
 )
 
 // TrainOptions configure training-set construction and model fitting.
 type TrainOptions struct {
 	// Stride regularly samples every Stride-th dim and tsize value for
-	// the training subset (default 2); held-out instances serve
-	// cross-validation, as in Section 3.1.2.
+	// the training subset (default 2), as in Section 3.1.2. The
+	// cross-validation folds are drawn from the points of the sampled
+	// instances; the instances between the samples are never read.
 	Stride int
 	// TopK takes the best K uncensored points per sampled instance
 	// (default 5, the paper's "best five performance points").
@@ -74,9 +77,63 @@ type Training struct {
 	GPUTile  *ml.Dataset // (dim, tsize, dsize) -> 0 (GPU unused) or tile >= 1
 	Band     *ml.Dataset // (dim, tsize, dsize, gputile) -> band
 	Halo     *ml.Dataset // (dim, tsize, dsize, cputile, band) -> halo
-	// SampledInstances records which instances contributed, for holdout
-	// bookkeeping.
-	SampledInstances map[int]bool
+}
+
+// gridSampler is the regular sampling of a space's dim x tsize grid that
+// selects the training instances.
+type gridSampler struct {
+	dimPos map[int]int
+	tsPos  map[float64]int
+	stride int
+}
+
+func newGridSampler(space Space, opts TrainOptions) gridSampler {
+	return gridSampler{dimPos: indexOfInts(space.Dims), tsPos: indexOfFloats(space.TSizes),
+		stride: opts.withDefaults().Stride}
+}
+
+// sampled reports whether training reads inst: a square instance whose
+// dim and tsize indices are both multiples of the stride. onGrid is false
+// for a square instance whose dim or tsize the space does not list.
+func (g gridSampler) sampled(inst plan.Instance) (sampled, onGrid bool) {
+	if !inst.Square() {
+		// Training follows the paper's square synthetic grid; a space may
+		// additionally hold rectangular evaluation instances, which the
+		// regular dim x tsize sampling cannot place.
+		return false, true
+	}
+	di, ok1 := g.dimPos[inst.Dim]
+	ti, ok2 := g.tsPos[inst.TSize]
+	if !ok1 || !ok2 {
+		return false, false
+	}
+	return di%g.stride == 0 && ti%g.stride == 0, true
+}
+
+// TrainingInstances lists, in Space.Instances order, the instances of
+// space that BuildTraining samples under opts (defaults applied): the
+// only instances whose search results training reads.
+func TrainingInstances(space Space, opts TrainOptions) []plan.Instance {
+	g := newGridSampler(space, opts)
+	var out []plan.Instance
+	for _, inst := range space.Instances() {
+		if ok, _ := g.sampled(inst); ok {
+			out = append(out, inst)
+		}
+	}
+	return out
+}
+
+// TrainFromSpace trains a tuner for sys from a search of only the
+// instances of space that training samples (TrainingInstances). The
+// tuner is the one Train builds from a full Exhaustive search of the
+// space, for a fraction of the search.
+func TrainFromSpace(sys hw.System, space Space, opts TrainOptions) (*Tuner, error) {
+	sr, err := search(sys, space, TrainingInstances(space, opts), SearchOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return Train(sr, opts)
 }
 
 // BuildTraining distills training sets from a search result by regular
@@ -84,33 +141,24 @@ type Training struct {
 func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 	opts = opts.withDefaults()
 	tr := &Training{
-		Parallel:         ml.NewDataset("dim", "tsize", "dsize"),
-		CPUTile:          ml.NewDataset("dim", "tsize", "dsize"),
-		GPUTile:          ml.NewDataset("dim", "tsize", "dsize"),
-		Band:             ml.NewDataset("dim", "tsize", "dsize", "gputile"),
-		Halo:             ml.NewDataset("dim", "tsize", "dsize", "cputile", "band"),
-		SampledInstances: map[int]bool{},
+		Parallel: ml.NewDataset("dim", "tsize", "dsize"),
+		CPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
+		GPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
+		Band:     ml.NewDataset("dim", "tsize", "dsize", "gputile"),
+		Halo:     ml.NewDataset("dim", "tsize", "dsize", "cputile", "band"),
 	}
-	dimPos := indexOfInts(sr.Space.Dims)
-	tsPos := indexOfFloats(sr.Space.TSizes)
-
+	g := newGridSampler(sr.Space, opts)
 	for i := range sr.Instances {
 		ir := &sr.Instances[i]
-		if !ir.Inst.Square() {
-			// Training follows the paper's square synthetic grid; a sweep
-			// may additionally contain rectangular evaluation instances,
-			// which the regular dim x tsize sampling cannot place.
-			continue
-		}
-		di, ok1 := dimPos[ir.Inst.Dim]
-		ti, ok2 := tsPos[ir.Inst.TSize]
-		if !ok1 || !ok2 {
+		sampled, onGrid := g.sampled(ir.Inst)
+		if !onGrid {
+			// A search read back from CSV can hold instances its space
+			// does not list.
 			return nil, fmt.Errorf("core: instance %v not on the space grid", ir.Inst)
 		}
-		if di%opts.Stride != 0 || ti%opts.Stride != 0 {
+		if !sampled {
 			continue
 		}
-		tr.SampledInstances[i] = true
 		x := []float64{float64(ir.Inst.Dim), ir.Inst.TSize, float64(ir.Inst.DSize)}
 
 		best, found := ir.Best()

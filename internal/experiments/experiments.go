@@ -96,7 +96,8 @@ func (c *Context) Search(sys hw.System) (*core.SearchResult, error) {
 	return sr, nil
 }
 
-// Tuner returns the cached trained tuner for sys.
+// Tuner returns the cached trained tuner for sys, trained from a search
+// of only the instances training samples (core.TrainFromSpace).
 func (c *Context) Tuner(sys hw.System) (*core.Tuner, error) {
 	c.mu.Lock()
 	if t, ok := c.tuners[sys.Name]; ok {
@@ -104,11 +105,7 @@ func (c *Context) Tuner(sys hw.System) (*core.Tuner, error) {
 		return t, nil
 	}
 	c.mu.Unlock()
-	sr, err := c.Search(sys)
-	if err != nil {
-		return nil, err
-	}
-	t, err := core.Train(sr, c.Cfg.TrainOpts)
+	t, err := core.TrainFromSpace(sys, c.Cfg.Space, c.Cfg.TrainOpts)
 	if err != nil {
 		return nil, err
 	}

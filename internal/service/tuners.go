@@ -102,11 +102,14 @@ func (l *lazySource) Ready(name string) bool {
 
 // TrainingSourceOptions configure NewTrainingSource.
 type TrainingSourceOptions struct {
-	// Space is the exhaustive search space to train on; empty selects
-	// core.QuickSpace(), whose search takes about 0.006 s (i3-540) to
-	// 0.02 s (the dual-GPU systems) with two workers on a 2-vCPU Xeon;
-	// see BenchmarkExhaustiveQuickSearch. Use core.DefaultSpace() for
-	// paper-scale tuners.
+	// Space is the search space to train on; empty selects
+	// core.QuickSpace(). Training searches only the space's sampled
+	// instances (core.TrainingInstances). With two workers on a 2-vCPU
+	// Xeon, that search takes about 1.5 ms (i3-540) to 5.5 ms (the
+	// dual-GPU systems) on the quick space, and the fit about 3 ms; see
+	// the "training" rows of BenchmarkExhaustiveQuickSearch. Use
+	// core.DefaultSpace() for paper-scale tuners: about 0.03 s to 0.13 s
+	// of search and 0.03 s of fit per system.
 	Space core.Space
 	// TrainOpts configure model fitting; the zero value selects
 	// core.DefaultTrainOptions().
@@ -114,20 +117,23 @@ type TrainingSourceOptions struct {
 }
 
 // NewTrainingSource returns a source that trains a predictor per system
-// on first use: an exhaustive search of the options' space followed by
-// the model pipeline, exactly the "factory" path of wavetrain.
+// on first use through core.TrainFromSpace: a search of the instances of
+// the options' space that training samples, followed by the model
+// pipeline. The tuner is byte-identical to the "factory" path, core.Train
+// over a full core.Exhaustive of the space.
 func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 	space := opts.Space
 	if len(space.Dims) == 0 && len(space.Rects) == 0 {
 		space = core.QuickSpace()
 	}
 	return newLazySource(func(sys hw.System) (core.Predictor, error) {
-		sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
+		// core.TrainFromSpace applies per-field defaults to zero
+		// TrainOptions.
+		t, err := core.TrainFromSpace(sys, space, opts.TrainOpts)
 		if err != nil {
-			return nil, fmt.Errorf("searching %s: %w", sys.Name, err)
+			return nil, fmt.Errorf("training %s: %w", sys.Name, err)
 		}
-		// core.Train applies per-field defaults to zero TrainOptions.
-		return core.Train(sr, opts.TrainOpts)
+		return t, nil
 	})
 }
 
