@@ -397,17 +397,18 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 // BenchmarkExhaustiveQuickSearch times two quick-space searches per
 // Table 4 system: "full" searches all 40 instances, as wavesweep and
 // waverepro do, and "training" only the 12 that a lazily trained tuner
-// reads (core.TrainingInstances, the search inside core.TrainFromSpace).
+// reads (core.TrainingInstances, the search inside core.TrainFromSpace),
+// on the serving cpu-tile axis the daemon trains on (core.ServingSpace).
 // The dual-GPU systems evaluate about three times as many configurations
 // as the single-GPU i3-540. With two workers on a 2-vCPU Xeon, the
 // medians of five runs are 7.0 ms (i3-540) and 22–24 ms (each dual-GPU
-// system) for "full", and 1.7 ms and 6.2–6.6 ms for "training".
+// system) for "full", and 2.0 ms and 7.7–8.2 ms for "training".
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 	space := core.QuickSpace()
 	spaces := []struct {
 		name  string
 		space core.Space
-	}{{"full", space}, {"training", trainingSubspace(b, space)}}
+	}{{"full", space}, {"training", trainingSubspace(b, core.ServingSpace(space))}}
 	for _, sp := range spaces {
 		for _, sys := range hw.Systems() {
 			b.Run(sp.name+"/"+sys.Name, func(b *testing.B) {

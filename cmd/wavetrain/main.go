@@ -2,7 +2,9 @@
 // system from an exhaustive search of the synthetic application
 // (Section 3.1), reports cross-validated model quality, and prints the
 // learned halo model (the Figure 9 model tree). Without -from it
-// searches only the instances training samples.
+// searches only the instances training samples, on the space waved
+// trains on: the quick or full Table 3 space with the cpu-tile axis
+// widened by 16 and 32 (core.ServingSpace).
 //
 // Usage:
 //
@@ -56,6 +58,7 @@ func main() {
 		if *full {
 			cfg = experiments.Full()
 		}
+		cfg.Space = core.ServingSpace(cfg.Space)
 		cfg.Systems = []hw.System{sys}
 		ctx = experiments.NewContext(cfg)
 		var err error

@@ -11,9 +11,12 @@ import (
 	"repro/internal/ml"
 )
 
-// tunerFormatVersion is the tuner file format: JSON with "version": 2
-// and "kind": "tree". Files of any other version or kind are rejected.
-const tunerFormatVersion = 2
+// tunerFormatVersion is the tuner file format: JSON with "version": 3
+// and "kind": "tree". Version 3 band and halo trees predict fractions of
+// the instance's maximum, where version 2 predicted raw cell counts, so
+// a version 2 file is rejected with a request to retrain, as is any
+// other version or kind.
+const tunerFormatVersion = 3
 
 // tunerDTO is the on-disk form of a trained tree tuner. The system is
 // stored by name and re-resolved on load, so model files stay small and
@@ -46,7 +49,8 @@ func (t *Tuner) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("core: decoding tuner: %w", err)
 	}
 	if d.Version != tunerFormatVersion {
-		return fmt.Errorf("core: tuner format version %d, want %d", d.Version, tunerFormatVersion)
+		return fmt.Errorf("core: tuner format version %d, want %d; retrain the tuner (wavetrain -save)",
+			d.Version, tunerFormatVersion)
 	}
 	if d.Kind != KindTree {
 		return fmt.Errorf("core: unknown predictor kind %q", d.Kind)

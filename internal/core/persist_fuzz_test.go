@@ -28,19 +28,20 @@ func FuzzTunerLoad(f *testing.F) {
 	seeds := []string{
 		string(treeJSON),
 		// Error paths the decoder must reject without panicking,
-		// including the retired v1 and bilinear spellings.
+		// including the retired v1, v2 and bilinear spellings.
 		`{"system":"nonexistent","version":1}`,
 		`{"system":"i3-540","version":99}`,
 		`{"system":"i3-540","version":1}`,
-		`{"system":"i3-540","version":2,"kind":"quadratic"}`,
+		`{"system":"i3-540","version":2,"kind":"tree"}`,
+		`{"system":"i3-540","version":3,"kind":"quadratic"}`,
 		`{"system":"i3-540","version":1,"kind":"bilinear"}`,
-		`{"version":2,"kind":"bilinear"}`,
+		`{"version":3,"kind":"bilinear"}`,
 		`{}`,
 		`null`,
 		``,
 		`not json`,
 		`[1,2,3]`,
-		`{"system":"i7-2600K","version":2,"kind":"tree","parallel":{}}`,
+		`{"system":"i7-2600K","version":3,"kind":"tree","parallel":{}}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,7 +55,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("missing file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	writeFile(t, bad, `{"system":"nonexistent","version":2,"kind":"tree"}`)
+	writeFile(t, bad, `{"system":"nonexistent","version":3,"kind":"tree"}`)
 	if _, err := LoadPredictor(bad); err == nil {
 		t.Error("unknown system must error")
 	}
@@ -63,7 +65,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("version mismatch must error")
 	}
 	missingModels := filepath.Join(t.TempDir(), "empty.json")
-	writeFile(t, missingModels, `{"system":"i3-540","version":2,"kind":"tree"}`)
+	writeFile(t, missingModels, `{"system":"i3-540","version":3,"kind":"tree"}`)
 	if _, err := LoadPredictor(missingModels); err == nil {
 		t.Error("missing models must error")
 	}
@@ -77,11 +79,11 @@ func writeFile(t *testing.T, path, content string) {
 }
 
 // TestUnmarshalPredictorKindErrors covers the envelope error paths: a
-// tuner file must be version 2 with kind "tree". Kind errors name the
+// tuner file must be version 3 with kind "tree". Kind errors name the
 // kind; null fails the version check.
 func TestUnmarshalPredictorKindErrors(t *testing.T) {
 	for _, kind := range []string{"bilinear", "quadratic"} {
-		doc := `{"system":"i3-540","version":2,"kind":"` + kind + `"}`
+		doc := `{"system":"i3-540","version":3,"kind":"` + kind + `"}`
 		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
 			t.Errorf("kind %q must error", kind)
 		} else if !strings.Contains(err.Error(), kind) {
@@ -89,13 +91,37 @@ func TestUnmarshalPredictorKindErrors(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{
-		`{"system":"i3-540","version":2}`,
+		`{"system":"i3-540","version":3}`,
 		`{"system":"i3-540","version":1,"kind":"tree"}`,
 		`{"system":"i3-540","version":1}`,
 		`null`,
 	} {
 		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
 			t.Errorf("%s must error", doc)
+		}
+	}
+}
+
+// TestLoadTunerRejectsV2 checks that a version 2 file, whose band and
+// halo trees predict raw cell counts rather than fractions, is refused
+// by its version with a request to retrain, even when its models are
+// complete.
+func TestLoadTunerRejectsV2(t *testing.T) {
+	data, err := json.Marshal(trainedTree(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := bytes.Replace(data, []byte(`"version":3`), []byte(`"version":2`), 1)
+	if bytes.Equal(v2, data) {
+		t.Fatalf("tuner file carries no \"version\":3: %s", data)
+	}
+	_, err = UnmarshalPredictor(v2)
+	if err == nil {
+		t.Fatal("version 2 tuner file accepted")
+	}
+	for _, want := range []string{"version 2", "wavetrain -save"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hw"
 	"repro/internal/plan"
@@ -57,26 +58,28 @@ func clampGPUTile(gt int) int {
 	return gt
 }
 
-// clampBand bounds an offload band to [-1, MaxUsefulBand]: bands beyond
-// the full-offload point are legal (Table 3) but equivalent, so they
-// collapse to the canonical value.
-func clampBand(band int, inst plan.Instance) int {
-	if band < 0 {
+// fracOf spells a band or halo count as a fraction of its maximum, the
+// training target of the band and halo models. The -1 sentinel (all-CPU,
+// single GPU) stays -1, and a zero maximum reads as fraction 0.
+func fracOf(count, limit int) float64 {
+	if count < 0 {
 		return -1
 	}
-	if m := inst.MaxUsefulBand(); band > m {
-		band = m
+	if limit <= 0 {
+		return 0
 	}
-	return band
+	return float64(count) / float64(limit)
 }
 
-// clampHalo bounds a halo to [-1, MaxHaloFor(inst, band)].
-func clampHalo(halo int, inst plan.Instance, band int) int {
-	if halo < 0 {
+// countOf maps a predicted band or halo fraction back to a count in
+// [-1, limit]. The sentinel is decided on the raw prediction: below -0.5
+// it is -1. Otherwise the fraction is clamped to [0, 1] before it is
+// scaled and rounded, so a prediction just below 0 means "no cells",
+// not the sentinel. Bands beyond the full-offload point are legal
+// (Table 3) but equivalent, so they collapse onto the maximum.
+func countOf(frac float64, limit int) int {
+	if frac < -0.5 {
 		return -1
 	}
-	if m := plan.MaxHaloFor(inst, band); halo > m {
-		halo = m
-	}
-	return halo
+	return int(math.Round(min(max(frac, 0), 1) * float64(limit)))
 }

@@ -141,3 +141,34 @@ func TestTrainPredictorUnknownKind(t *testing.T) {
 		}
 	}
 }
+
+// TestCountOf pins the fraction-to-count mapping Predict applies to the
+// band and halo models: the -1 sentinel is decided on the raw
+// prediction, before the fraction is clamped and scaled, so a small
+// negative prediction means zero cells rather than the sentinel.
+func TestCountOf(t *testing.T) {
+	for _, c := range []struct {
+		frac  float64
+		limit int
+		want  int
+	}{
+		{-0.6, 100, -1},
+		{-0.5, 100, 0},
+		{-0.4, 100, 0},
+		{-0.4, 0, 0},
+		{0, 100, 0},
+		{1.3, 100, 100},
+		{0.25, 10, 3}, // 2.5 rounds half away from zero
+		{0.24, 10, 2},
+		{0.5, 3, 2}, // 1.5
+	} {
+		if got := countOf(c.frac, c.limit); got != c.want {
+			t.Errorf("countOf(%v, %d) = %d, want %d", c.frac, c.limit, got, c.want)
+		}
+	}
+	for _, c := range []struct{ count, limit int }{{-1, 50}, {0, 50}, {17, 50}, {50, 50}, {0, 0}} {
+		if got := countOf(fracOf(c.count, c.limit), c.limit); got != c.count {
+			t.Errorf("countOf(fracOf(%d, %d)) = %d, want the count back", c.count, c.limit, got)
+		}
+	}
+}

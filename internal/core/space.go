@@ -8,6 +8,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
@@ -64,6 +66,20 @@ func QuickSpace() Space {
 		HaloFracs: []float64{-1, 0, 0.15, 1.0},
 		GPUTiles:  []int{1, 8},
 	}
+}
+
+// ServingSpace returns space with its cpu-tile axis widened by 16 and 32:
+// the space the tuners a daemon serves are trained on. Table 3 caps
+// cpu-tile at 10, yet the fine-grained catalog apps (tsize around 1)
+// run fastest on larger CPU tiles, so a tuner trained on the capped
+// axis can never predict them. The paper-figure experiments keep the
+// Table 3 space. The other axes are kept, and the argument's cpu-tile
+// slice is not modified.
+func ServingSpace(space Space) Space {
+	tiles := append(append([]int(nil), space.CPUTiles...), 16, 32)
+	slices.Sort(tiles)
+	space.CPUTiles = slices.Compact(tiles)
+	return space
 }
 
 // Instances enumerates the problem instances of the space in

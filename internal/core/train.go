@@ -71,12 +71,17 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // parameters only; band additionally from gpu-tile; halo additionally from
 // cpu-tile and band (Figure 9); gpu-tile as a binary target; and the
 // SVM's parallelism label per instance.
+//
+// Band and halo are taught as fractions of their instance's maximum
+// (plan.Instance.MaxUsefulBand and plan.MaxHaloFor), the same spelling
+// Space uses, so a decision learned at one dim carries over to another;
+// -1 (all-CPU, single GPU) stays -1.
 type Training struct {
 	Parallel *ml.Dataset // features (dim, tsize, dsize), label in {-1, +1}
 	CPUTile  *ml.Dataset // (dim, tsize, dsize) -> cpu-tile
 	GPUTile  *ml.Dataset // (dim, tsize, dsize) -> 0 (GPU unused) or tile >= 1
-	Band     *ml.Dataset // (dim, tsize, dsize, gputile) -> band
-	Halo     *ml.Dataset // (dim, tsize, dsize, cputile, band) -> halo
+	Band     *ml.Dataset // (dim, tsize, dsize, gputile) -> band fraction
+	Halo     *ml.Dataset // (dim, tsize, dsize, cputile, band fraction) -> halo fraction
 }
 
 // gridSampler is the regular sampling of a space's dim x tsize grid that
@@ -145,7 +150,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 		CPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
 		GPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
 		Band:     ml.NewDataset("dim", "tsize", "dsize", "gputile"),
-		Halo:     ml.NewDataset("dim", "tsize", "dsize", "cputile", "band"),
+		Halo:     ml.NewDataset("dim", "tsize", "dsize", "cputile", "band_frac"),
 	}
 	g := newGridSampler(sr.Space, opts)
 	for i := range sr.Instances {
@@ -188,9 +193,10 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 				gt = float64(p.Par.GPUTile)
 			}
 			tr.GPUTile.Add(x, gt)
-			tr.Band.Add(append(append([]float64{}, x...), gt), float64(p.Par.Band))
-			tr.Halo.Add(append(append([]float64{}, x...),
-				float64(p.Par.CPUTile), float64(p.Par.Band)), float64(p.Par.Halo))
+			bandFrac := fracOf(p.Par.Band, ir.Inst.MaxUsefulBand())
+			tr.Band.Add(append(append([]float64{}, x...), gt), bandFrac)
+			tr.Halo.Add(append(append([]float64{}, x...), float64(p.Par.CPUTile), bandFrac),
+				fracOf(p.Par.Halo, plan.MaxHaloFor(ir.Inst, p.Par.Band)))
 		}
 	}
 	if tr.Parallel.Len() == 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/hw"
@@ -13,7 +14,7 @@ import (
 // Tuner is a trained autotuner for one system ("trained in the factory",
 // Section 3.1.2): a binary SVM decides whether to exploit parallelism, a
 // REP tree decides GPU tiling, and M5 model trees predict cpu-tile, band
-// and halo.
+// and halo, the last two as fractions of their instance's maximum.
 type Tuner struct {
 	Sys      hw.System
 	Parallel *ml.SVM
@@ -71,53 +72,64 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 	}
 	t := &Tuner{Sys: sr.Sys}
 
-	// Parallelism gate: binary SVM.
-	svm, err := ml.FitSVM(tr.Parallel, ml.SVMOptions{Seed: opts.Seed})
-	if err != nil {
-		return nil, fmt.Errorf("core: training parallelism SVM: %w", err)
-	}
-	t.Parallel = svm
-	t.Report.ParallelAcc = svm.Accuracy(tr.Parallel)
-
 	// Regression targets: explore M5 configurations until the CV accuracy
 	// gate passes, keeping the best.
-	fitM5 := func(d *ml.Dataset, absTol, relTol float64) (*ml.M5Tree, float64, error) {
+	fitM5 := func(d *ml.Dataset, absTol, relTol float64) (*ml.M5Tree, float64, int, error) {
 		if d.Len() < opts.CVFolds {
 			// Too small to cross-validate: fit directly.
-			return ml.FitM5(d, ml.DefaultM5Options()), 1, nil
+			return ml.FitM5(d, ml.DefaultM5Options()), 1, 0, nil
 		}
 		var best *ml.M5Tree
 		bestAcc := -1.0
-		for _, cfg := range m5Configs() {
-			t.Report.Configs++
+		for i, cfg := range m5Configs() {
 			acc, err := ml.CrossValidateAccuracy(d, opts.CVFolds, opts.Seed, absTol, relTol,
 				func(train *ml.Dataset) ml.Model { return ml.FitM5(train, cfg) })
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, 0, err
 			}
 			if acc > bestAcc {
 				bestAcc = acc
 				best = ml.FitM5(d, cfg)
 			}
 			if acc >= opts.AccuracyTarget {
-				return ml.FitM5(d, cfg), acc, nil
+				// Every earlier configuration missed the target, so this
+				// one is the best and was just fitted.
+				return best, acc, i + 1, nil
 			}
 		}
-		return best, bestAcc, nil
+		return best, bestAcc, len(m5Configs()), nil
+	}
+	// The models are independent and deterministic, so the M5 fits run
+	// concurrently with the SVM and REP fits: a lazily trained tuner's
+	// fit uses the cores its search used. Band and halo are fractions of
+	// their instance's maximum, so their tolerances are too: a relative
+	// window plus an absolute slack of 5% of the maximum mirrors "useful
+	// prediction" for offload extents.
+	fits := []struct {
+		name           string
+		d              *ml.Dataset
+		absTol, relTol float64
+		tree           *ml.M5Tree
+		acc            float64
+		configs        int
+		err            error
+	}{
+		{name: "cpu-tile", d: tr.CPUTile, absTol: 2.5, relTol: 0.5},
+		{name: "band", d: tr.Band, absTol: 0.05, relTol: 0.25},
+		{name: "halo", d: tr.Halo, absTol: 0.05, relTol: 0.4},
+	}
+	var wg sync.WaitGroup
+	for i := range fits {
+		f := &fits[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.tree, f.acc, f.configs, f.err = fitM5(f.d, f.absTol, f.relTol)
+		}()
 	}
 
-	if t.CPUTile, t.Report.CPUTileAcc, err = fitM5(tr.CPUTile, 2.5, 0.5); err != nil {
-		return nil, fmt.Errorf("core: training cpu-tile model: %w", err)
-	}
-	// Band tolerance scales with problem size; a 10% relative window plus
-	// a small absolute slack mirrors "useful prediction" for offload
-	// extents.
-	if t.Band, t.Report.BandAcc, err = fitM5(tr.Band, 60, 0.25); err != nil {
-		return nil, fmt.Errorf("core: training band model: %w", err)
-	}
-	if t.Halo, t.Report.HaloAcc, err = fitM5(tr.Halo, 8, 0.4); err != nil {
-		return nil, fmt.Errorf("core: training halo model: %w", err)
-	}
+	// Parallelism gate: binary SVM.
+	svm, svmErr := ml.FitSVM(tr.Parallel, ml.SVMOptions{Seed: opts.Seed})
 
 	// GPU tiling: REP tree on the overloaded target (0 = GPU unused,
 	// otherwise the work-group tile). The paper found this "a binary
@@ -132,6 +144,21 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 		}
 		t.Report.GPUTileAcc = float64(hits) / float64(tr.GPUTile.Len())
 	}
+	wg.Wait()
+	if svmErr != nil {
+		return nil, fmt.Errorf("core: training parallelism SVM: %w", svmErr)
+	}
+	t.Parallel = svm
+	t.Report.ParallelAcc = svm.Accuracy(tr.Parallel)
+	for _, f := range fits {
+		if f.err != nil {
+			return nil, fmt.Errorf("core: training %s model: %w", f.name, f.err)
+		}
+		t.Report.Configs += f.configs
+	}
+	t.CPUTile, t.Report.CPUTileAcc = fits[0].tree, fits[0].acc
+	t.Band, t.Report.BandAcc = fits[1].tree, fits[1].acc
+	t.Halo, t.Report.HaloAcc = fits[2].tree, fits[2].acc
 	return t, nil
 }
 
@@ -186,12 +213,16 @@ func (t *Tuner) Predict(inst plan.Instance) Prediction {
 	}
 	gt := clampGPUTile(int(math.Round(gtRaw)))
 
+	// Band and halo are predicted as fractions of their instance's
+	// maximum (BuildTraining) and scaled back by countOf; the halo model
+	// sees the band as the fraction the chosen count realizes.
 	buf[3] = float64(gt)
-	band := clampBand(int(math.Round(t.Band.Predict(buf[:4]))), inst)
+	maxBand := inst.MaxUsefulBand()
+	band := countOf(t.Band.Predict(buf[:4]), maxBand)
 	par := plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: -1}
 	if band >= 0 && t.Sys.MaxGPUs() >= 2 {
-		buf[3], buf[4] = float64(ct), float64(band)
-		par.Halo = clampHalo(int(math.Round(t.Halo.Predict(buf[:5]))), inst, band)
+		buf[3], buf[4] = float64(ct), fracOf(band, maxBand)
+		par.Halo = countOf(t.Halo.Predict(buf[:5]), plan.MaxHaloFor(inst, band))
 	}
 	return Prediction{Par: par.Normalize()}
 }

@@ -144,12 +144,14 @@ func (c *Context) AblateSmoothing(sys hw.System) (SmoothingAblation, error) {
 	smooth := ml.DefaultM5Options()
 	rough := smooth
 	rough.Smooth = false
-	out.WithSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 8, 0.4,
+	// core.Train's halo gate: the target is a fraction of the largest
+	// halo, held to 0.05 plus 40%.
+	out.WithSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 0.05, 0.4,
 		func(train *ml.Dataset) ml.Model { return ml.FitM5(train, smooth) })
 	if err != nil {
 		return out, err
 	}
-	out.WithoutSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 8, 0.4,
+	out.WithoutSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 0.05, 0.4,
 		func(train *ml.Dataset) ml.Model { return ml.FitM5(train, rough) })
 	return out, err
 }

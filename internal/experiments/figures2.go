@@ -136,7 +136,7 @@ func (c *Context) Fig9(sys hw.System) (string, error) {
 		return "", err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 9 [%s]: M5 pruned model tree predicting halo\n\n", sys.Name)
+	fmt.Fprintf(&b, "Figure 9 [%s]: M5 pruned model tree predicting halo as a fraction of the largest halo (band_frac: band as a fraction of the largest useful band)\n\n", sys.Name)
 	b.WriteString(t.Halo.Render("halo"))
 	fmt.Fprintf(&b, "\ncross-validated accuracies: parallel=%.2f cpu-tile=%.2f gpu-tile=%.2f band=%.2f halo=%.2f\n",
 		t.Report.ParallelAcc, t.Report.CPUTileAcc, t.Report.GPUTileAcc,

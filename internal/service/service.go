@@ -101,8 +101,9 @@ type Config struct {
 	// the telemetry middleware, and the daemon's printf-style log lines
 	// through its Logf bridge (taking precedence over Logf).
 	Logger *telemetry.Logger
-	// SlowRequest, when positive, logs the full trace-span tree of any
-	// request whose end-to-end latency reaches it.
+	// SlowRequest, when positive, traces every request under an
+	// http.request span and logs the full span tree of any request whose
+	// end-to-end latency reaches it. Zero opens no spans.
 	SlowRequest time.Duration
 }
 

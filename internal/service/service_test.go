@@ -356,12 +356,13 @@ func TestLazyTrainingSource(t *testing.T) {
 
 // TestTrainingSourceMatchesExhaustiveTrain pins the lazily trained tuner
 // of every system to the factory path, core.Train over a full
-// core.Exhaustive of the quick space: both must save the same bytes.
+// core.Exhaustive of the quick space with the serving cpu-tile axis
+// (core.ServingSpace): both must save the same bytes.
 func TestTrainingSourceMatchesExhaustiveTrain(t *testing.T) {
 	src := NewTrainingSource(TrainingSourceOptions{})
 	dir := t.TempDir()
 	for _, sys := range hw.Systems() {
-		sr, err := core.Exhaustive(sys, core.QuickSpace(), core.SearchOptions{})
+		sr, err := core.Exhaustive(sys, core.ServingSpace(core.QuickSpace()), core.SearchOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +391,7 @@ func TestTrainingSourceMatchesExhaustiveTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotData, wantData) {
-			t.Errorf("%s: lazily trained tuner differs from Train(Exhaustive(QuickSpace))", sys.Name)
+			t.Errorf("%s: lazily trained tuner differs from Train(Exhaustive(ServingSpace(QuickSpace)))", sys.Name)
 		}
 	}
 }

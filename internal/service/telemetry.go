@@ -4,10 +4,11 @@ package service
 // single source of truth behind both GET /metrics (Prometheus text
 // format) and the telemetry block of GET /v1/stats. The middleware
 // below wraps the whole mux — it stamps a request ID into the context,
-// response header and error bodies, opens the http.request trace span
-// the handlers chain children onto (cache.lookup → tuner.predict on
-// the tune path), counts every response by route and status code, and
-// feeds the per-route latency histograms from the span's duration.
+// response header and error bodies, opens (with slow-request logging
+// on) the http.request trace span the handlers chain children onto
+// (cache.lookup → tuner.predict on the tune path), counts every
+// response by route and status code, and feeds the per-route latency
+// histograms from the request's wall-clock duration.
 // Subsystems that keep their own counters (cache shards, job queues,
 // pipelines) surface through scrape-time collectors instead of being
 // counted twice.
@@ -274,11 +275,14 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// withTelemetry is the outermost middleware: request ID, http.request
-// span, in-flight gauge, latency and response series, the structured
-// request log line, and the slow-request span-tree dump.
+// withTelemetry is the outermost middleware: request ID, in-flight
+// gauge, latency and response series, the structured request log line,
+// and — when slow-request logging is on — the http.request span whose
+// tree is dumped for slow requests. With it off no root span is opened,
+// so the spans below are nil no-ops and allocate nothing.
 func (s *Server) withTelemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		route := routeOf(r.URL.Path)
 		// The canonical spelling of X-Request-ID skips a per-call
 		// canonicalization of the key.
@@ -287,9 +291,12 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 			id = telemetry.NewRequestID()
 		}
 		ctx := telemetry.WithRequestID(r.Context(), id)
-		ctx, span := telemetry.StartRootSpan(ctx, "http.request")
-		span.Annotate("route", route).Annotate("method", r.Method).
-			Annotate("path", r.URL.Path).Annotate("request_id", id)
+		var span *telemetry.Span
+		if s.cfg.SlowRequest > 0 {
+			ctx, span = telemetry.StartRootSpan(ctx, "http.request")
+			span.Annotate("route", route).Annotate("method", r.Method).
+				Annotate("path", r.URL.Path).Annotate("request_id", id)
+		}
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w, route: route, requestID: id}
 
@@ -297,14 +304,14 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		s.m.inflight.Add(-1)
 
-		dur := span.End()
+		span.End()
+		dur := time.Since(start)
 		status := sw.status
 		if status == 0 {
 			// The handler never wrote (e.g. a 200 with an empty body
 			// via implicit WriteHeader on hijack-free completion).
 			status = http.StatusOK
 		}
-		span.Annotate("status", status)
 		s.m.latency[route].Observe(dur.Seconds())
 		s.m.responses.With(route, strconv.Itoa(status)).Inc()
 		if lg := s.cfg.Logger; lg != nil {
@@ -312,7 +319,8 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 				"method", r.Method, "path", r.URL.Path,
 				"status", status, "dur", dur)
 		}
-		if s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest {
+		if span != nil && dur >= s.cfg.SlowRequest {
+			span.Annotate("status", status)
 			s.logf("slow request %s %s %s (%.3fs >= %.3fs):\n%s",
 				id, r.Method, r.URL.Path, dur.Seconds(),
 				s.cfg.SlowRequest.Seconds(), span.Render())

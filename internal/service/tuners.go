@@ -103,13 +103,10 @@ func (l *lazySource) Ready(name string) bool {
 // TrainingSourceOptions configure NewTrainingSource.
 type TrainingSourceOptions struct {
 	// Space is the search space to train on; empty selects
-	// core.QuickSpace(). Training searches only the space's sampled
-	// instances (core.TrainingInstances). With two workers on a 2-vCPU
-	// Xeon, that search takes about 1.5 ms (i3-540) to 5.5 ms (the
-	// dual-GPU systems) on the quick space, and the fit about 3 ms; see
-	// the "training" rows of BenchmarkExhaustiveQuickSearch. Use
-	// core.DefaultSpace() for paper-scale tuners: about 0.03 s to 0.13 s
-	// of search and 0.03 s of fit per system.
+	// core.QuickSpace(). Its cpu-tile axis is widened by
+	// core.ServingSpace before training, and training searches only the
+	// sampled instances (core.TrainingInstances). Use core.DefaultSpace()
+	// for paper-scale tuners.
 	Space core.Space
 	// TrainOpts configure model fitting; the zero value selects
 	// core.DefaultTrainOptions().
@@ -118,14 +115,15 @@ type TrainingSourceOptions struct {
 
 // NewTrainingSource returns a source that trains a predictor per system
 // on first use through core.TrainFromSpace: a search of the instances of
-// the options' space that training samples, followed by the model
-// pipeline. The tuner is byte-identical to the "factory" path, core.Train
-// over a full core.Exhaustive of the space.
+// core.ServingSpace(options' space) that training samples, followed by
+// the model pipeline. The tuner is byte-identical to the "factory" path,
+// core.Train over a full core.Exhaustive of that space.
 func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 	space := opts.Space
 	if len(space.Dims) == 0 && len(space.Rects) == 0 {
 		space = core.QuickSpace()
 	}
+	space = core.ServingSpace(space)
 	return newLazySource(func(sys hw.System) (core.Predictor, error) {
 		// core.TrainFromSpace applies per-field defaults to zero
 		// TrainOptions.

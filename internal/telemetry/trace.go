@@ -12,8 +12,8 @@ import (
 
 // A Span is one timed region of work in a request's trace tree. Roots
 // are created with StartRootSpan where a trace is wanted (the HTTP
-// middleware always, the job manager only when slow-job logging is
-// on); StartSpan then grows the tree from the context, or no-ops where
+// middleware and the job manager, each only when its slow-request or
+// slow-job logging is on); StartSpan then grows the tree from the context, or no-ops where
 // no root was opened. Spans are annotated with key=value attributes
 // and closed with End; a finished root renders its whole subtree for
 // slow-request logging. All methods are safe for concurrent use (so
