@@ -43,15 +43,7 @@ func NewOnlineTuner(base Predictor) *OnlineTuner {
 
 // Refine predicts offline and then refines at runtime.
 func (o *OnlineTuner) Refine(inst plan.Instance) (Prediction, RefineStats, error) {
-	return o.RefineContext(context.Background(), inst)
-}
-
-// RefineContext is Refine with cooperative cancellation: between probes
-// the refinement observes ctx and, once it is done, returns the
-// incumbent configuration together with ctx's error. The job subsystem
-// cancels in-flight refinements through this path.
-func (o *OnlineTuner) RefineContext(ctx context.Context, inst plan.Instance) (Prediction, RefineStats, error) {
-	return o.RefineDecisionContext(ctx, inst, o.Base.Predict(inst), 0)
+	return o.RefineDecisionContext(context.Background(), inst, o.Base.Predict(inst), 0)
 }
 
 // RefineDecisionContext refines an explicit starting decision — e.g. a
@@ -82,7 +74,7 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 		}
 		return dec, st, nil
 	}
-	refined, st, err := o.RefineFromContext(ctx, inst, dec.Par)
+	refined, st, err := o.refineFrom(ctx, inst, dec.Par)
 	if err != nil {
 		return dec, st, err
 	}
@@ -95,19 +87,13 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 	return refined, st, nil
 }
 
-// RefineFrom hill-climbs from an explicit starting configuration: each
+// refineFrom hill-climbs from an explicit starting configuration: each
 // round measures the neighbours of the incumbent and moves to the best
 // strict improvement, until the probe budget is exhausted or a local
-// optimum is reached.
-func (o *OnlineTuner) RefineFrom(inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
-	return o.RefineFromContext(context.Background(), inst, start)
-}
-
-// RefineFromContext is RefineFrom with cooperative cancellation: ctx is
-// checked before every probe measurement, and once it is done the
-// incumbent (best so far) is returned with the stats accumulated up to
-// that point and ctx's error.
-func (o *OnlineTuner) RefineFromContext(ctx context.Context, inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
+// optimum is reached. ctx is checked before every probe measurement,
+// and once it is done the incumbent (best so far) is returned with the
+// stats accumulated up to that point and ctx's error.
+func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
 	budget := o.Budget
 	if budget <= 0 {
 		budget = 12

@@ -73,7 +73,7 @@ func TestOnlineRecoversFromBadStart(t *testing.T) {
 	online.Budget = 30
 	inst := plan.Instance{Dim: 2700, TSize: 12000, DSize: 1}
 	bad := plan.Params{CPUTile: 1, Band: -1, GPUTile: 1, Halo: -1}
-	pred, st, err := online.RefineFrom(inst, bad)
+	pred, st, err := online.refineFrom(context.Background(), inst, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestOnlineLocalOptimumStops(t *testing.T) {
 		t.Fatal("no optimum")
 	}
 	online := NewOnlineTuner(tu)
-	_, st, err := online.RefineFrom(inst, best.Par)
+	_, st, err := online.refineFrom(context.Background(), inst, best.Par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 	if n := len(neighbours(inst, start.Normalize())); n < 2 {
 		t.Fatalf("start has only %d neighbours; the test needs a full neighbourhood", n)
 	}
-	_, st, err := online.RefineFrom(inst, start)
+	_, st, err := online.refineFrom(context.Background(), inst, start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestRefineFromUnmeasurableStart(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
 	inst := plan.Instance{Dim: 500, TSize: 100, DSize: 1}
-	if _, _, err := online.RefineFrom(inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}); err == nil {
+	if _, _, err := online.refineFrom(context.Background(), inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}); err == nil {
 		t.Error("unbuildable start must fail")
 	}
 }
@@ -303,7 +303,7 @@ func TestRefineFromContextCanceled(t *testing.T) {
 	inst := plan.Instance{Dim: 1500, TSize: 2000, DSize: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := online.RefineFromContext(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1})
+	_, st, err := online.refineFrom(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1})
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -151,17 +151,11 @@ func (sr *SearchResult) WriteCSV(w io.Writer) error {
 // rebuilt from the observed instance grid (band/halo fractions are not
 // recoverable and are left empty; training does not need them).
 func ReadCSV(r io.Reader) (*SearchResult, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("core: empty search CSV")
+	sc, err := scanSearchCSV(r, "search CSV")
+	if err != nil {
+		return nil, err
 	}
-	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader {
-		return nil, fmt.Errorf("core: unexpected CSV header %q", got)
-	}
-	var sr *SearchResult
-	byInst := map[plan.Instance]*InstanceResult{}
-	var order []plan.Instance
+	var rows *searchRows
 	line := 1
 	for sc.Scan() {
 		line++
@@ -175,35 +169,24 @@ func ReadCSV(r io.Reader) (*SearchResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: line %d: %v", line, err)
 		}
-		if sr == nil {
+		if rows == nil {
 			sys, ok := hw.ByName(row.System)
 			if !ok {
 				return nil, fmt.Errorf("core: line %d: unknown system %q", line, row.System)
 			}
-			sr = &SearchResult{Sys: sys}
-		} else if sr.Sys.Name != row.System {
-			return nil, fmt.Errorf("core: line %d: mixed systems %q and %q", line, sr.Sys.Name, row.System)
+			rows = newSearchRows(sys)
+		} else if rows.sys.Name != row.System {
+			return nil, fmt.Errorf("core: line %d: mixed systems %q and %q", line, rows.sys.Name, row.System)
 		}
-		inst := row.Inst
-		ir, ok := byInst[inst]
-		if !ok {
-			ir = &InstanceResult{Inst: inst, SerialNs: engine.SerialNs(sr.Sys, inst)}
-			byInst[inst] = ir
-			order = append(order, inst)
-		}
-		ir.Points = append(ir.Points, Point{Inst: inst, Par: row.Par, RTimeNs: row.RTimeNs, Censored: row.Censored})
+		rows.add(row)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if sr == nil {
+	if rows == nil {
 		return nil, fmt.Errorf("core: search CSV has no data rows")
 	}
-	for _, inst := range order {
-		sr.Instances = append(sr.Instances, *byInst[inst])
-	}
-	sr.Space = spaceFromInstances(order)
-	return sr, nil
+	return rows.result(), nil
 }
 
 // ReadObservationLog reads a per-system observation log leniently: rows
@@ -221,17 +204,11 @@ func ReadObservationLog(r io.Reader, system string) (*SearchResult, int, error) 
 	if !ok {
 		return nil, 0, fmt.Errorf("core: unknown system %q", system)
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return nil, 0, fmt.Errorf("core: empty observation log")
+	sc, err := scanSearchCSV(r, "observation log")
+	if err != nil {
+		return nil, 0, err
 	}
-	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader {
-		return nil, 0, fmt.Errorf("core: unexpected observation-log header %q", got)
-	}
-	sr := &SearchResult{Sys: sys}
-	byInst := map[plan.Instance]*InstanceResult{}
-	var order []plan.Instance
+	rows := newSearchRows(sys)
 	bad := 0
 	for sc.Scan() {
 		text := strings.TrimSpace(sc.Text())
@@ -239,33 +216,67 @@ func ReadObservationLog(r io.Reader, system string) (*SearchResult, int, error) 
 			continue
 		}
 		row, err := parseSearchRow(text)
-		if err != nil || row.System != system || row.RTimeNs <= 0 {
+		if err != nil || row.System != system || row.RTimeNs <= 0 || plan.Check(row.Inst, row.Par) != nil {
 			bad++
 			continue
 		}
-		if err := plan.Check(row.Inst, row.Par); err != nil {
-			bad++
-			continue
-		}
-		ir, ok := byInst[row.Inst]
-		if !ok {
-			ir = &InstanceResult{Inst: row.Inst, SerialNs: engine.SerialNs(sys, row.Inst)}
-			byInst[row.Inst] = ir
-			order = append(order, row.Inst)
-		}
-		ir.Points = append(ir.Points, Point{Inst: row.Inst, Par: row.Par, RTimeNs: row.RTimeNs, Censored: row.Censored})
+		rows.add(row)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, bad, err
 	}
-	if len(order) == 0 {
+	if len(rows.order) == 0 {
 		return nil, bad, fmt.Errorf("core: observation log for %s has no usable rows", system)
 	}
-	for _, inst := range order {
-		sr.Instances = append(sr.Instances, *byInst[inst])
+	return rows.result(), bad, nil
+}
+
+// scanSearchCSV returns a line scanner over r positioned after the
+// search-CSV header, which it checks; what names the file kind in
+// errors.
+func scanSearchCSV(r io.Reader, what string) (*bufio.Scanner, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	if !sc.Scan() {
+		return nil, fmt.Errorf("core: empty %s", what)
 	}
-	sr.Space = spaceFromInstances(order)
-	return sr, bad, nil
+	if got := strings.TrimSpace(sc.Text()); got != searchCSVHeader {
+		return nil, fmt.Errorf("core: unexpected %s header %q", what, got)
+	}
+	return sc, nil
+}
+
+// searchRows accumulates one system's parsed rows into per-instance
+// results, in first-seen instance order; ReadCSV and ReadObservationLog
+// share it and differ only in which rows they accept.
+type searchRows struct {
+	sys    hw.System
+	byInst map[plan.Instance]*InstanceResult
+	order  []plan.Instance
+}
+
+func newSearchRows(sys hw.System) *searchRows {
+	return &searchRows{sys: sys, byInst: map[plan.Instance]*InstanceResult{}}
+}
+
+func (a *searchRows) add(row SearchRow) {
+	ir, ok := a.byInst[row.Inst]
+	if !ok {
+		ir = &InstanceResult{Inst: row.Inst, SerialNs: engine.SerialNs(a.sys, row.Inst)}
+		a.byInst[row.Inst] = ir
+		a.order = append(a.order, row.Inst)
+	}
+	ir.Points = append(ir.Points, Point{Inst: row.Inst, Par: row.Par, RTimeNs: row.RTimeNs, Censored: row.Censored})
+}
+
+// result assembles the search result, rebuilding its space from the
+// observed instances.
+func (a *searchRows) result() *SearchResult {
+	sr := &SearchResult{Sys: a.sys, Space: spaceFromInstances(a.order)}
+	for _, inst := range a.order {
+		sr.Instances = append(sr.Instances, *a.byInst[inst])
+	}
+	return sr
 }
 
 // spaceFromInstances rebuilds the instance grid (dims, rect shapes,

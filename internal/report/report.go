@@ -248,77 +248,3 @@ func Bar(labels []string, values []float64, unit string, width int) string {
 	}
 	return b.String()
 }
-
-// Progress converts delivered wavefront steps into a display percentage
-// in [0, 100]. The step total must come from the executed schedule
-// (engine.Result.FrontierSteps, or grid.CountFrontier for irregular
-// frontiers) — NOT from NumDiags recomputed off the grid shape, which
-// overstates the denominator for irregular live regions (progress stalls
-// below 100%) and understates it for multi-sweep schedules (progress
-// exceeds 100%). Out-of-range inputs are clamped so display code never
-// shows a negative or >100% figure; an unknown total (total <= 0, the
-// irregular case before the frontier is drained) reports -1, which
-// renderers should show as indeterminate.
-func Progress(done, total int) float64 {
-	if total <= 0 {
-		return -1
-	}
-	if done <= 0 {
-		return 0
-	}
-	if done >= total {
-		return 100
-	}
-	return 100 * float64(done) / float64(total)
-}
-
-// ProgressString renders Progress for humans: "n/a" while the step
-// total is unknown, a percentage otherwise.
-func ProgressString(done, total int) string {
-	p := Progress(done, total)
-	if p < 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", p)
-}
-
-// WaveLine is one wave of a pipeline for RenderPipeline: its name,
-// lifecycle state, succeeded/total job counts and retries consumed.
-type WaveLine struct {
-	Name    string
-	State   string
-	Done    int
-	Total   int
-	Retries int
-}
-
-// RenderPipeline renders a pipeline's waves as a ladder, one rung per
-// wave in execution order — a one-glance answer to "how far did it
-// get":
-//
-//	pipe-00000001
-//	  align    resolved  3/3
-//	  fold     running   1/2  (retries 1)
-//	  publish  pending   0/1
-func RenderPipeline(name string, waves []WaveLine) string {
-	maxN, maxS := 0, 0
-	for _, w := range waves {
-		if len(w.Name) > maxN {
-			maxN = len(w.Name)
-		}
-		if len(w.State) > maxS {
-			maxS = len(w.State)
-		}
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('\n')
-	for _, w := range waves {
-		fmt.Fprintf(&b, "  %-*s %-*s %d/%d", maxN, w.Name, maxS, w.State, w.Done, w.Total)
-		if w.Retries > 0 {
-			fmt.Fprintf(&b, "  (retries %d)", w.Retries)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}

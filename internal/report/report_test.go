@@ -99,29 +99,3 @@ func TestBar(t *testing.T) {
 		t.Error("bars must scale with value")
 	}
 }
-
-func TestProgressClamps(t *testing.T) {
-	cases := []struct {
-		done, total int
-		want        float64
-	}{
-		{0, 10, 0},
-		{5, 10, 50},
-		{10, 10, 100},
-		{15, 10, 100}, // more steps delivered than predicted: clamp, never >100%
-		{-3, 10, 0},
-		{5, 0, -1}, // unknown total: indeterminate, not a bogus percentage
-		{5, -1, -1},
-	}
-	for _, c := range cases {
-		if got := Progress(c.done, c.total); got != c.want {
-			t.Errorf("Progress(%d, %d) = %g, want %g", c.done, c.total, got, c.want)
-		}
-	}
-	if s := ProgressString(3, 0); s != "n/a" {
-		t.Errorf("ProgressString unknown total = %q", s)
-	}
-	if s := ProgressString(1, 3); s != "33.3%" {
-		t.Errorf("ProgressString(1,3) = %q", s)
-	}
-}

@@ -54,22 +54,14 @@ type Config struct {
 	// nothing to decimate.
 	TrainOpts core.TrainOptions
 
-	// Champion resolves the currently serving predictor (typically
-	// Source.Tuner).
+	// Champion resolves the currently serving predictor.
 	Champion func(sys hw.System) (core.Predictor, error)
-	// Promote atomically installs a winning challenger and returns the
-	// new model generation (typically Source.Promote). It runs, with
-	// Invalidate, under the lock Stats takes, so no snapshot shows the
-	// new generation before the promotion's status; neither hook may
-	// call Stats.
-	Promote func(system string, t core.Predictor) uint64
-	// Generation, when set, reports a system's current generation for
-	// Stats (typically Source.Generation).
-	Generation func(system string) uint64
-	// Invalidate, when set, drops the system's cached plans after a
-	// promotion and returns how many went (typically
-	// tunecache.Cache.InvalidateSystem).
-	Invalidate func(system string) int
+	// Promote atomically installs a winning challenger, drops the
+	// system's cached plans, and returns the new model generation and
+	// how many plans went. It runs under the lock Stats takes, so no
+	// snapshot shows the new generation before the promotion's status;
+	// it must not call Stats.
+	Promote func(system string, t core.Predictor) (gen uint64, dropped int)
 
 	// Logf, when set, receives structured one-line decision logs.
 	Logf func(format string, args ...any)
@@ -445,10 +437,7 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		s.LastVerdict = "error: " + err.Error()
 		r.cfg.Metrics.event(system, "error")
 	case winner != nil:
-		promotedGen = r.cfg.Promote(system, winner)
-		if r.cfg.Invalidate != nil {
-			dropped = r.cfg.Invalidate(system)
-		}
+		promotedGen, dropped = r.cfg.Promote(system, winner)
 		s.Promotions++
 		s.Generation = promotedGen
 		s.LastVerdict = v.Reason
@@ -488,11 +477,6 @@ func (r *Retrainer) Stats() Stats {
 	defer r.mu.Unlock()
 	for name, st := range r.st {
 		s := st.status
-		if r.cfg.Generation != nil {
-			s.Generation = r.cfg.Generation(name)
-		} else if s.Generation == 0 {
-			s.Generation = 1
-		}
 		if s.Verdict != nil {
 			v := *s.Verdict
 			s.Verdict = &v

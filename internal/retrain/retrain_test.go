@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/plan"
-	"repro/internal/tunecache"
 )
 
 // The test battery shares one tiny exhaustive sweep and two tuners
@@ -90,9 +89,29 @@ func invertSearch(sr *core.SearchResult) *core.SearchResult {
 	return out
 }
 
-type staticTunerSource struct{ t *core.Tuner }
+// fakeChampions stands in for the server's champion table: one serving
+// tuner and its generation (1 until the first promotion).
+type fakeChampions struct {
+	mu  sync.Mutex
+	t   core.Predictor
+	gen uint64
+}
 
-func (s staticTunerSource) Tuner(hw.System) (core.Predictor, error) { return s.t, nil }
+func newFakeChampions(t core.Predictor) *fakeChampions { return &fakeChampions{t: t, gen: 1} }
+
+func (f *fakeChampions) Tuner(hw.System) (core.Predictor, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t, nil
+}
+
+func (f *fakeChampions) Promote(system string, t core.Predictor) (uint64, int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.t = t
+	f.gen++
+	return f.gen, 0
+}
 
 // seedLog appends n honest observations (each instance's best measured
 // configuration, lightly jittered) to the i7-2600K log in dir.
@@ -124,7 +143,7 @@ func seedLog(t *testing.T, dir string, n int) {
 	}
 }
 
-func testConfig(t *testing.T, dir string, src *Source) Config {
+func testConfig(t *testing.T, dir string, src *fakeChampions) Config {
 	return Config{
 		Systems:         []hw.System{hw.I7_2600K()},
 		LogDir:          dir,
@@ -133,31 +152,28 @@ func testConfig(t *testing.T, dir string, src *Source) Config {
 		Guardrail:       GuardrailOptions{MinSamples: 4},
 		Champion:        src.Tuner,
 		Promote:         src.Promote,
-		Generation:      src.Generation,
 		Logf:            t.Logf,
 	}
 }
 
-// TestRetrainClearWinPromotesExactlyOnce is the tentpole's happy path:
-// a bad champion, honest observations, one RunOnce — exactly one
-// promotion lands, the generation reaches 2, and the invalidation hook
-// fires for exactly the affected system.
+// TestRetrainClearWinPromotesExactlyOnce is the happy path: a bad
+// champion, honest observations, one RunOnce — exactly one promotion
+// lands for exactly the affected system, the generation reaches 2, and
+// the plans the hook reports dropped are counted.
 func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	_, _, bad := fixtures(t)
 	dir := t.TempDir()
 	seedLog(t, dir, 24)
 
-	src := NewSource(staticTunerSource{bad})
+	src := newFakeChampions(bad)
 	var promotions atomic.Int64
 	var invalidated []string
 	cfg := testConfig(t, dir, src)
-	cfg.Promote = func(system string, tun core.Predictor) uint64 {
+	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
 		promotions.Add(1)
-		return src.Promote(system, tun)
-	}
-	cfg.Invalidate = func(system string) int {
 		invalidated = append(invalidated, system)
-		return 7
+		gen, _ := src.Promote(system, tun)
+		return gen, 7
 	}
 	r, err := New(cfg)
 	if err != nil {
@@ -195,7 +211,7 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 }
 
 // TestStatsNeverTornDuringPromotion: a Stats call that lands while a
-// promotion is being applied — the source already serves the new
+// promotion is being applied — the table already serves the new
 // generation — must not see that generation without the promotion's
 // counters and verdict.
 func TestStatsNeverTornDuringPromotion(t *testing.T) {
@@ -203,12 +219,12 @@ func TestStatsNeverTornDuringPromotion(t *testing.T) {
 	dir := t.TempDir()
 	seedLog(t, dir, 24)
 
-	src := NewSource(staticTunerSource{bad})
+	src := newFakeChampions(bad)
 	cfg := testConfig(t, dir, src)
 	var r *Retrainer
 	polled := make(chan SystemStatus, 1)
-	cfg.Promote = func(system string, tun core.Predictor) uint64 {
-		gen := src.Promote(system, tun)
+	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
+		gen, dropped := src.Promote(system, tun)
 		go func() { polled <- r.Stats().Systems[system] }()
 		// Hold the promotion open until the poll returns, or long enough
 		// that it is waiting for the promotion to be published.
@@ -217,7 +233,7 @@ func TestStatsNeverTornDuringPromotion(t *testing.T) {
 			polled <- st
 		case <-time.After(100 * time.Millisecond):
 		}
-		return gen
+		return gen, dropped
 	}
 	var err error
 	if r, err = New(cfg); err != nil {
@@ -256,10 +272,10 @@ func TestRetrainTrainingErrorKeepsChampion(t *testing.T) {
 	}
 	log.Close()
 
-	src := NewSource(staticTunerSource{good})
+	src := newFakeChampions(good)
 	var promotions atomic.Int64
 	cfg := testConfig(t, dir, src)
-	cfg.Promote = func(system string, tun core.Predictor) uint64 {
+	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
 		promotions.Add(1)
 		return src.Promote(system, tun)
 	}
@@ -307,7 +323,7 @@ func TestRetrainCorruptRowTolerated(t *testing.T) {
 	}
 	f.Close()
 
-	src := NewSource(staticTunerSource{bad})
+	src := newFakeChampions(bad)
 	r, err := New(testConfig(t, dir, src))
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +347,7 @@ func TestRetrainRotationMidRead(t *testing.T) {
 	dir := t.TempDir()
 	seedLog(t, dir, 12)
 
-	src := NewSource(staticTunerSource{good})
+	src := newFakeChampions(good)
 	r, err := New(testConfig(t, dir, src))
 	if err != nil {
 		t.Fatal(err)
@@ -366,73 +382,12 @@ func TestRetrainRotationMidRead(t *testing.T) {
 	}
 }
 
-// TestPromotionRacesTuneBurst hammers the serving path (source resolve
-// + cache fill) from several goroutines while promotions and targeted
-// invalidations land concurrently. Run under -race this is the
-// promotion-atomicity proof: every lookup gets a complete plan from
-// either the old or the new champion.
-func TestPromotionRacesTuneBurst(t *testing.T) {
-	sr, good, bad := fixtures(t)
-	src := NewSource(staticTunerSource{bad})
-	sys := hw.I7_2600K()
-	cache := tunecache.NewSharded(256, 4, func(system string, inst plan.Instance) (tunecache.Plan, error) {
-		tun, err := src.Tuner(sys)
-		if err != nil {
-			return tunecache.Plan{}, err
-		}
-		pred := tun.Predict(inst)
-		rt, err := tun.RTimeFor(inst, pred)
-		if err != nil {
-			return tunecache.Plan{}, err
-		}
-		return tunecache.Plan{Serial: pred.Serial, Par: pred.Par, RTimeNs: rt}, nil
-	})
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				inst := sr.Instances[(i+g)%len(sr.Instances)].Inst
-				if _, _, err := cache.Get(sys.Name, inst); err != nil {
-					t.Errorf("Get during promotion: %v", err)
-					return
-				}
-			}
-		}(g)
-	}
-	for i := 0; i < 50; i++ {
-		if i%2 == 0 {
-			src.Promote(sys.Name, good)
-		} else {
-			src.Promote(sys.Name, bad)
-		}
-		cache.InvalidateSystem(sys.Name)
-	}
-	close(stop)
-	wg.Wait()
-
-	if got := src.Generation(sys.Name); got != 51 {
-		t.Fatalf("generation = %d, want 51 after 50 promotions", got)
-	}
-	if _, _, err := cache.Get(sys.Name, sr.Instances[0].Inst); err != nil {
-		t.Fatalf("post-burst lookup: %v", err)
-	}
-}
-
 // TestRetrainerStartStopNotify exercises the loop lifecycle: Notify
 // wakes it without waiting out the interval, Stop drains it, and a
 // never-started retrainer stops cleanly.
 func TestRetrainerStartStopNotify(t *testing.T) {
 	_, good, _ := fixtures(t)
-	src := NewSource(staticTunerSource{good})
+	src := newFakeChampions(good)
 	cfg := testConfig(t, t.TempDir(), src)
 	cfg.Interval = time.Hour // only Notify can wake it in test time
 	r, err := New(cfg)

@@ -72,21 +72,11 @@ func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if !s.checkJSONBody(w, r) {
-		return
-	}
 	s.batchReqs.Add(1)
 	var req BatchTuneRequest
 	// The body bound scales with the batch limit so a full batch of
 	// maximal items still decodes (each item is well under 1 KiB).
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(1+s.batchLimit())<<10))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+	if !s.decodeBody(w, r, int64(1+s.batchLimit())<<10, &req) {
 		return
 	}
 	if len(req.Items) == 0 {

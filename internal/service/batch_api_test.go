@@ -32,7 +32,7 @@ func postBatch(t *testing.T, url, body string) (BatchTuneResponse, *http.Respons
 // with repeated shapes runs exactly one predict per unique key, and
 // every item still gets its result.
 func TestBatchDedupesRepeatedKeys(t *testing.T) {
-	s, ts, src := newTestServer(t, Config{})
+	s, ts, _ := newTestServer(t, Config{})
 	body := `{"system":"i7-2600K","items":[
 	 {"dim":700,"tsize":200,"dsize":1},
 	 {"dim":1500,"tsize":200,"dsize":1},
@@ -49,9 +49,6 @@ func TestBatchDedupesRepeatedKeys(t *testing.T) {
 	}
 	// Two unique keys (the rows/cols spelling of 700x700 normalizes onto
 	// the dim spelling): exactly two predicts, regardless of six items.
-	if got := src.calls.Load(); got != 2 {
-		t.Errorf("predicts = %d, want exactly 2 (one per unique key)", got)
-	}
 	st := s.Cache().Stats()
 	if st.Misses != 2 || st.Hits != 0 {
 		t.Errorf("cache stats = %+v, want 2 misses, 0 hits (deduped before lookup)", st)
@@ -80,18 +77,18 @@ func TestBatchDedupesRepeatedKeys(t *testing.T) {
 // TestBatchWarmHits: a second identical batch is served entirely from
 // the cache — no further predicts.
 func TestBatchWarmHits(t *testing.T) {
-	s, ts, src := newTestServer(t, Config{})
+	s, ts, _ := newTestServer(t, Config{})
 	body := `{"system":"i7-2600K","items":[{"dim":700,"tsize":200,"dsize":1},{"dim":1500,"tsize":10,"dsize":5}]}`
 	if _, resp := postBatch(t, ts.URL, body); resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold status %d", resp.StatusCode)
 	}
-	cold := src.calls.Load()
+	cold := s.Cache().Stats().Misses
 	br, resp := postBatch(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK || br.Errors != 0 {
 		t.Fatalf("warm batch failed: %d / %+v", resp.StatusCode, br)
 	}
-	if src.calls.Load() != cold {
-		t.Errorf("warm batch ran %d extra predicts", src.calls.Load()-cold)
+	if misses := s.Cache().Stats().Misses; misses != cold {
+		t.Errorf("warm batch ran %d extra predicts", misses-cold)
 	}
 	for i, r := range br.Results {
 		if r.Cache != "hit" {
@@ -236,7 +233,7 @@ func TestBatchCounters(t *testing.T) {
 // TestBatchLargeFanOut exercises the parallel fan-out across shards
 // with a full default-limit batch of distinct shapes.
 func TestBatchLargeFanOut(t *testing.T) {
-	s, ts, src := newTestServer(t, Config{CacheShards: 8, CacheSize: 256})
+	s, ts, _ := newTestServer(t, Config{CacheShards: 8, CacheSize: 256})
 	if s.Cache().Shards() != 8 {
 		t.Fatalf("shards = %d, want 8", s.Cache().Shards())
 	}
@@ -248,7 +245,7 @@ func TestBatchLargeFanOut(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || br.Errors != 0 {
 		t.Fatalf("fan-out batch: %d / %+v", resp.StatusCode, br)
 	}
-	if got := src.calls.Load(); got != int64(DefaultBatchLimit) {
+	if got := s.Cache().Stats().Misses; got != uint64(DefaultBatchLimit) {
 		t.Errorf("predicts = %d, want %d distinct", got, DefaultBatchLimit)
 	}
 }

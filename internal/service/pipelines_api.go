@@ -11,10 +11,8 @@ package service
 // rejections answer 429 with Retry-After.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -191,19 +189,9 @@ func (s *Server) handlePipelines(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.checkJSONBody(w, r) {
-		return
-	}
 	s.pipeReqs.Add(1)
 	var req PipelineRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+	if !s.decodeBody(w, r, 1<<20, &req) {
 		return
 	}
 	if req.System != "" {

@@ -70,7 +70,8 @@ import (
 type Config struct {
 	// Systems are the platforms served; empty selects hw.Systems().
 	Systems []hw.System
-	// Tuners resolves the tuner for a system on first use; nil selects
+	// Tuners resolves the tuner for a system on first use (once per
+	// system: the server remembers the result); nil selects
 	// NewTrainingSource over the quick search space.
 	Tuners TunerSource
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
@@ -167,11 +168,11 @@ type RetrainOptions struct {
 }
 
 // Server is the tuning daemon: an http.Handler plus the plan cache and
-// lazily resolved per-system tuners behind it.
+// the champion table of lazily resolved per-system tuners behind it.
 type Server struct {
 	cfg      Config
 	systems  map[string]hw.System
-	tuners   TunerSource
+	tuners   *champions
 	cache    *tunecache.Cache
 	jobs     *jobs.Manager
 	trainLog *core.ObservationLog
@@ -179,11 +180,9 @@ type Server struct {
 	handler  http.Handler
 	start    time.Time
 
-	// retrainSrc wraps cfg.Tuners with champion/challenger promotion and
-	// retrainer runs the background loop feeding it; both are nil when
+	// retrainer runs the background loop promoting into tuners; nil when
 	// retraining is off (no training-log directory, or Retrain.Off).
-	retrainSrc *retrain.Source
-	retrainer  *retrain.Retrainer
+	retrainer *retrain.Retrainer
 
 	httpMu   sync.Mutex
 	httpSrv  *http.Server
@@ -214,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		systems: make(map[string]hw.System, len(cfg.Systems)),
-		tuners:  cfg.Tuners,
+		tuners:  newChampions(cfg.Tuners),
 		start:   time.Now(),
 		m:       newServerMetrics(),
 	}
@@ -235,15 +234,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.systems[sys.Name] = sys
 	}
-	retrainOn := cfg.Jobs.TrainingLogDir != "" && !cfg.Retrain.Off
-	if retrainOn {
-		// Wrap the configured source before anything captures s.tuners:
-		// promotions swap tuners inside the wrapper, so the cache's miss
-		// path and the job manager pick up new champions with no further
-		// plumbing.
-		s.retrainSrc = retrain.NewSource(cfg.Tuners)
-		s.tuners = s.retrainSrc
-	}
 	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, cfg.CacheShards, s.predict)
 	if cfg.CachePath != "" {
 		if n, err := s.cache.LoadFile(cfg.CachePath); err == nil {
@@ -262,7 +252,7 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	var onObservation func(system string)
-	if retrainOn {
+	if cfg.Jobs.TrainingLogDir != "" && !cfg.Retrain.Off {
 		r, err := retrain.New(retrain.Config{
 			Systems:         cfg.Systems,
 			LogDir:          cfg.Jobs.TrainingLogDir,
@@ -272,10 +262,8 @@ func New(cfg Config) (*Server, error) {
 			Holdout:         cfg.Retrain.Holdout,
 			Guardrail:       cfg.Retrain.Guardrail,
 			TrainOpts:       cfg.Retrain.TrainOpts,
-			Champion:        s.retrainSrc.Tuner,
-			Promote:         s.retrainSrc.Promote,
-			Generation:      s.retrainSrc.Generation,
-			Invalidate:      s.cache.InvalidateSystem,
+			Champion:        s.tuners.tuner,
+			Promote:         s.promote,
 			Logf:            s.logf,
 			Metrics:         s.m.retrain,
 		})
@@ -295,7 +283,7 @@ func New(cfg Config) (*Server, error) {
 			if !ok {
 				return nil, fmt.Errorf("service: unknown system %q", name)
 			}
-			return s.tuners.Tuner(sys)
+			return s.tuners.tuner(sys)
 		},
 		Workers:       cfg.Jobs.Workers,
 		QueueDepth:    cfg.Jobs.QueueDepth,
@@ -378,7 +366,7 @@ func (s *Server) predict(ctx context.Context, system string, inst plan.Instance)
 	if !ok {
 		return tunecache.Plan{}, fmt.Errorf("service: unknown system %q", system)
 	}
-	t, err := s.tuners.Tuner(sys)
+	t, err := s.tuners.tuner(sys)
 	if err != nil {
 		return tunecache.Plan{}, fmt.Errorf("service: tuner for %s: %w", system, err)
 	}
@@ -395,6 +383,12 @@ func (s *Server) predict(ctx context.Context, system string, inst plan.Instance)
 		return tunecache.Plan{}, err
 	}
 	return tunecache.Plan{Serial: pred.Serial, Par: pred.Par, RTimeNs: rtime, SerialNs: serial}, nil
+}
+
+// promote is the retrainer's promotion hook: swap the system's champion
+// in the table, then drop the plans the old champion made.
+func (s *Server) promote(system string, t core.Predictor) (gen uint64, dropped int) {
+	return s.tuners.promote(system, t), s.cache.InvalidateSystem(system)
 }
 
 // TuneRequest is the body of POST /v1/tune. The instance shape is either
@@ -502,6 +496,27 @@ func (s *Server) checkJSONBody(w http.ResponseWriter, r *http.Request) bool {
 	s.writeError(w, http.StatusUnsupportedMediaType,
 		"Content-Type %q not supported; use application/json", ct)
 	return false
+}
+
+// decodeBody strictly decodes a JSON request body of at most limit bytes
+// into v: the content type must pass checkJSONBody, unknown fields are
+// rejected, and so is any data after the one JSON value. It writes the
+// 415 or 400 itself and reports whether the caller may proceed.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if !s.checkJSONBody(w, r) {
+		return false
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return false
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+		return false
+	}
+	return true
 }
 
 // maxServedSide caps the accepted instance side length. The paper's
@@ -621,19 +636,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if !s.checkJSONBody(w, r) {
-		return
-	}
 	s.tuneReqs.Add(1)
 	var req TuneRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		s.writeError(w, http.StatusBadRequest, "unexpected data after request body")
+	if !s.decodeBody(w, r, 1<<16, &req) {
 		return
 	}
 	if req.System == "" {
@@ -720,7 +725,7 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 		for _, g := range sys.GPUs {
 			info.GPUs = append(info.GPUs, g.Name)
 		}
-		if ready, ok := s.tuners.(ReadyReporter); ok && ready.Ready(sys.Name) {
+		if s.tuners.ready(sys.Name) {
 			info.Tuner = "ready"
 		}
 		infos = append(infos, info)

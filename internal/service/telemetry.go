@@ -189,12 +189,12 @@ func (s *Server) registerCollectors() {
 				emit(float64(st.Invalidations), strconv.Itoa(i))
 			}
 		})
-	if s.retrainSrc != nil {
+	if s.retrainer != nil {
 		reg.CollectFunc("waved_model_generation",
 			"Serving model generation, by system (1 = the factory champion, +1 per promotion).",
 			telemetry.TypeGauge, []string{"system"}, func(emit telemetry.Emit) {
 				for _, sys := range s.cfg.Systems {
-					emit(float64(s.retrainSrc.Generation(sys.Name)), sys.Name)
+					emit(float64(s.tuners.generation(sys.Name)), sys.Name)
 				}
 			})
 	}

@@ -10,85 +10,92 @@ import (
 )
 
 // TunerSource resolves the trained predictor for a system.
-// Implementations must be safe for concurrent use; the server calls
-// Tuner lazily from the cache's miss path, so a source is only exercised
-// for systems that actually receive traffic.
+// Implementations must be safe for concurrent use. The server calls
+// Tuner at most once per system, from the first request that needs the
+// system's tuner, and remembers the result (tuner or error) in its
+// champion table; a source need not cache. A system that never receives
+// traffic is never resolved.
 type TunerSource interface {
 	Tuner(sys hw.System) (core.Predictor, error)
 }
 
-// ReadyReporter is the optional interface a TunerSource may implement to
-// report whether a system's tuner has been resolved successfully;
-// GET /v1/systems consults it for the "lazy"/"ready" field. Sources that
-// wrap another TunerSource should forward Ready to keep the readiness
-// signal visible.
-type ReadyReporter interface {
-	Ready(system string) bool
-}
-
-// tunerSlot is one system's lazily resolved predictor; done closes when
-// the resolve finishes, giving tuner resolution the same singleflight
-// property the plan cache gives predictions: concurrent first requests
-// for a system run one search, later ones block on its result.
+// tunerSlot is one system's row of the champion table. done closes when
+// the first resolve finishes, giving tuner resolution the same
+// singleflight property the plan cache gives predictions: concurrent
+// first requests for a system run one search, later ones block on its
+// result. tuner, err and gen are guarded by the table's mutex; gen is 1
+// for the resolved (factory) champion and +1 per promotion.
 type tunerSlot struct {
 	done  chan struct{}
 	tuner core.Predictor
 	err   error
+	gen   uint64
 }
 
-// lazySource shares the slot bookkeeping between sources that resolve a
-// tuner at most once per system.
-type lazySource struct {
-	mu      sync.Mutex
-	slots   map[string]*tunerSlot
-	resolve func(sys hw.System) (core.Predictor, error)
+// champions is the server's one table of serving tuners: per system,
+// the predictor that serves and its model generation. The plan cache's
+// miss path, the job manager, the retrainer and the readiness and
+// generation reports all read it.
+type champions struct {
+	source TunerSource
+
+	mu    sync.Mutex
+	slots map[string]*tunerSlot
 }
 
-func newLazySource(resolve func(sys hw.System) (core.Predictor, error)) *lazySource {
-	return &lazySource{slots: make(map[string]*tunerSlot), resolve: resolve}
+func newChampions(source TunerSource) *champions {
+	return &champions{source: source, slots: make(map[string]*tunerSlot)}
 }
 
-// Tuner implements TunerSource. A failed resolve is not retried: the
-// error is remembered, matching the daemon's "misconfiguration is
-// permanent until restart" stance for missing tuner files. The wrapped
-// error is settled into the slot once, so the first caller and every
-// later one observe the identical error value.
-func (l *lazySource) Tuner(sys hw.System) (core.Predictor, error) {
-	l.mu.Lock()
-	slot, ok := l.slots[sys.Name]
+// tuner returns sys's serving champion, resolving it through the source
+// on first use. A failed resolve is not retried: the error is
+// remembered, matching the daemon's "misconfiguration is permanent
+// until restart" stance for missing tuner files, so the first caller
+// and every later one observe the identical error value.
+func (c *champions) tuner(sys hw.System) (core.Predictor, error) {
+	c.mu.Lock()
+	slot, ok := c.slots[sys.Name]
 	if !ok {
-		slot = &tunerSlot{done: make(chan struct{})}
-		l.slots[sys.Name] = slot
-		l.mu.Unlock()
-		// The slot must settle even if the resolve panics (training or a
-		// file load blowing up), or every later request for the system
-		// would block forever on done.
-		func() {
-			defer close(slot.done)
-			defer func() {
-				if r := recover(); r != nil {
-					slot.tuner, slot.err = nil, fmt.Errorf("resolving tuner for %s panicked: %v", sys.Name, r)
-				}
-			}()
-			slot.tuner, slot.err = l.resolve(sys)
-			if slot.err != nil {
-				slot.err = fmt.Errorf("resolving tuner for %s: %w", sys.Name, slot.err)
-			}
-		}()
-		return slot.tuner, slot.err
+		slot = &tunerSlot{done: make(chan struct{}), gen: 1}
+		c.slots[sys.Name] = slot
+		c.mu.Unlock()
+		t, err := c.resolve(sys)
+		c.mu.Lock()
+		if slot.gen == 1 { // no promotion overtook the resolve
+			slot.tuner, slot.err = t, err
+		}
+		close(slot.done)
+	} else {
+		c.mu.Unlock()
+		<-slot.done
+		c.mu.Lock()
 	}
-	l.mu.Unlock()
-	<-slot.done
+	defer c.mu.Unlock()
 	return slot.tuner, slot.err
 }
 
-// Ready reports whether the named system's tuner has been resolved
-// successfully (consumed by GET /v1/systems). It never blocks, even
+// resolve calls the source once. A panicking resolve (training or a
+// file load blowing up) becomes an error, so the slot still settles and
+// later requests for the system do not block forever on done.
+func (c *champions) resolve(sys hw.System) (t core.Predictor, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			t, err = nil, fmt.Errorf("resolving tuner for %s panicked: %v", sys.Name, r)
+		}
+	}()
+	if t, err = c.source.Tuner(sys); err != nil {
+		return nil, fmt.Errorf("resolving tuner for %s: %w", sys.Name, err)
+	}
+	return t, nil
+}
+
+// ready reports whether the named system's tuner has been resolved
+// successfully or promoted (GET /v1/systems). It never blocks, even
 // while a resolve is in flight.
-func (l *lazySource) Ready(name string) bool {
-	l.mu.Lock()
-	slot, ok := l.slots[name]
-	l.mu.Unlock()
+func (c *champions) ready(name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.slots[name]
 	if !ok {
 		return false
 	}
@@ -99,6 +106,40 @@ func (l *lazySource) Ready(name string) bool {
 		return false
 	}
 }
+
+// promote installs t as the system's serving champion and returns the
+// new generation. Requests racing a promotion get the old champion or
+// the new one, never a torn state. A promotion that lands before the
+// first resolve finishes wins over it.
+func (c *champions) promote(system string, t core.Predictor) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	slot, ok := c.slots[system]
+	if !ok {
+		slot = &tunerSlot{done: make(chan struct{}), gen: 1}
+		close(slot.done)
+		c.slots[system] = slot
+	}
+	slot.tuner, slot.err = t, nil
+	slot.gen++
+	return slot.gen
+}
+
+// generation returns the named system's serving model generation: 1
+// until its first promotion.
+func (c *champions) generation(name string) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if slot, ok := c.slots[name]; ok {
+		return slot.gen
+	}
+	return 1
+}
+
+// resolveFunc adapts a resolve function to TunerSource.
+type resolveFunc func(sys hw.System) (core.Predictor, error)
+
+func (f resolveFunc) Tuner(sys hw.System) (core.Predictor, error) { return f(sys) }
 
 // TrainingSourceOptions configure NewTrainingSource.
 type TrainingSourceOptions struct {
@@ -113,18 +154,19 @@ type TrainingSourceOptions struct {
 	TrainOpts core.TrainOptions
 }
 
-// NewTrainingSource returns a source that trains a predictor per system
-// on first use through core.TrainFromSpace: a search of the instances of
+// NewTrainingSource returns a source that trains a predictor for a
+// system through core.TrainFromSpace: a search of the instances of
 // core.ServingSpace(options' space) that training samples, followed by
 // the model pipeline. The tuner is byte-identical to the "factory" path,
-// core.Train over a full core.Exhaustive of that space.
+// core.Train over a full core.Exhaustive of that space. Every call
+// trains afresh; the server calls it once per system.
 func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 	space := opts.Space
 	if len(space.Dims) == 0 && len(space.Rects) == 0 {
 		space = core.QuickSpace()
 	}
 	space = core.ServingSpace(space)
-	return newLazySource(func(sys hw.System) (core.Predictor, error) {
+	return resolveFunc(func(sys hw.System) (core.Predictor, error) {
 		// core.TrainFromSpace applies per-field defaults to zero
 		// TrainOptions.
 		t, err := core.TrainFromSpace(sys, space, opts.TrainOpts)
@@ -136,10 +178,10 @@ func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 }
 
 // NewDirSource returns a source that loads "<dir>/<system>.json" files
-// written by wavetrain -save on first use. A file trained for a
-// different system than its name indicates is rejected.
+// written by wavetrain -save. A file trained for a different system
+// than its name indicates is rejected.
 func NewDirSource(dir string) TunerSource {
-	return newLazySource(func(sys hw.System) (core.Predictor, error) {
+	return resolveFunc(func(sys hw.System) (core.Predictor, error) {
 		path := filepath.Join(dir, sys.Name+".json")
 		t, err := core.LoadPredictor(path)
 		if err != nil {
@@ -156,38 +198,21 @@ func NewDirSource(dir string) TunerSource {
 // deployments).
 type StaticSource struct {
 	tuners map[string]core.Predictor
-
-	mu      sync.Mutex
-	missing map[string]error
 }
 
 // NewStaticSource indexes the given predictors by system name.
 func NewStaticSource(tuners ...core.Predictor) *StaticSource {
-	m := &StaticSource{
-		tuners:  make(map[string]core.Predictor, len(tuners)),
-		missing: make(map[string]error),
-	}
+	m := &StaticSource{tuners: make(map[string]core.Predictor, len(tuners))}
 	for _, t := range tuners {
 		m.tuners[t.System().Name] = t
 	}
 	return m
 }
 
-// Tuner implements TunerSource. Like lazySource, a miss surfaces the
-// same error value on every call, not a fresh one per request.
+// Tuner implements TunerSource.
 func (m *StaticSource) Tuner(sys hw.System) (core.Predictor, error) {
 	if t, ok := m.tuners[sys.Name]; ok {
 		return t, nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	err, ok := m.missing[sys.Name]
-	if !ok {
-		err = fmt.Errorf("no tuner for system %q", sys.Name)
-		m.missing[sys.Name] = err
-	}
-	return nil, err
+	return nil, fmt.Errorf("no tuner for system %q", sys.Name)
 }
-
-// Ready implements the readiness probe: static tuners are always ready.
-func (m *StaticSource) Ready(name string) bool { _, ok := m.tuners[name]; return ok }

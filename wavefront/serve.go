@@ -25,8 +25,10 @@ type TuningServer = service.Server
 // TuningConfig configures NewTuningServer.
 type TuningConfig = service.Config
 
-// TunerSource lazily resolves the tuner for a system (trained on demand,
-// loaded from disk, or served from memory).
+// TunerSource resolves the tuner for a system (trained on demand,
+// loaded from disk, or served from memory). The server calls it at most
+// once per system, on the first request that needs the tuner, and
+// remembers the result.
 type TunerSource = service.TunerSource
 
 // TrainingSourceOptions configure NewTrainingTunerSource.
