@@ -54,12 +54,14 @@
 //	GET    /metrics            the same counters in Prometheus text format
 //	GET    /healthz            liveness probe
 //
-// Observability: every request is logged as one structured line
-// (-log-format selects key=value text or JSON) stamped with an
-// X-Request-ID that is echoed in the response header, error bodies and
-// job records; requests or jobs slower than -slow-request / -slow-job
-// log their full trace-span tree; -pprof-addr serves net/http/pprof on
-// a side listener kept off the public API address.
+// Observability: the daemon logs through log/slog (-log-format selects
+// its text or JSON handler). Every request is logged as one line
+// stamped with an X-Request-ID that is echoed in the response header,
+// error bodies and job records; job, pipeline and retrain decisions are
+// lines with attributes (job_id, pipeline_id, system, generation);
+// requests or jobs slower than -slow-request / -slow-job log their
+// trace-span tree as a spans attribute; -pprof-addr serves
+// net/http/pprof on a side listener kept off the public API address.
 //
 // Named applications come from the registry (internal/apps, public
 // wavefront.RegisterApp); GET /v1/apps lists everything this daemon
@@ -75,6 +77,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -129,10 +132,16 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this side address (e.g. localhost:6060; empty = off)")
 	flag.Parse()
 
-	format, err := wavefront.ParseLogFormat(*logFormat)
-	if err != nil {
-		log.Fatal(err)
+	var handler slog.Handler
+	switch *logFormat {
+	case "text":
+		handler = slog.NewTextHandler(os.Stderr, nil)
+	case "json":
+		handler = slog.NewJSONHandler(os.Stderr, nil)
+	default:
+		log.Fatalf("unknown log format %q (want text or json)", *logFormat)
 	}
+	logger := slog.New(handler)
 
 	cfg := wavefront.TuningConfig{
 		CacheSize:   *cacheSize,
@@ -153,7 +162,7 @@ func main() {
 			MinObservations: *retrainMinObs,
 			Holdout:         *retrainHoldout,
 		},
-		Logger:      wavefront.NewStructuredLogger(os.Stderr, format),
+		Logger:      logger,
 		SlowRequest: *slowRequest,
 	}
 	if *systems != "" {
@@ -193,9 +202,9 @@ func main() {
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("pprof listening on %s", *pprofAddr)
+			logger.Info("pprof listening", "addr", *pprofAddr)
 			if perr := http.ListenAndServe(*pprofAddr, pm); perr != nil {
-				log.Printf("pprof server: %v", perr)
+				logger.Error("pprof server", "err", perr)
 			}
 		}()
 	}
@@ -212,7 +221,7 @@ func main() {
 		}
 	case <-ctx.Done():
 		stop()
-		log.Printf("shutting down")
+		logger.Info("shutting down")
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(shutdownCtx); err != nil {
@@ -224,7 +233,7 @@ func main() {
 			if !onlyContextErrs(err) {
 				log.Fatalf("shutdown failed: %v", err)
 			}
-			log.Printf("shutdown incomplete: %v", err)
+			logger.Warn("shutdown incomplete", "err", err)
 		}
 		if err := <-done; err != nil {
 			log.Fatal(err)

@@ -79,51 +79,44 @@ func main() {
 		fmt.Print(apps.RenderCatalog())
 		return
 	}
-	explicitFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicitFlags[f.Name] = true })
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	a, known := apps.Lookup(*appName)
+	if !known && *batchPath == "" {
+		log.Fatal(apps.UnknownAppError(*appName))
+	}
+	// The classic flags are spellings of the app parameters of the same
+	// name, and -param wins over them. A flag the user did not set only
+	// fills a Required parameter from its default (so `-app synthetic`
+	// alone keeps working) and never overrides an app's own schema
+	// default. A flag the user set must name a declared parameter; for an
+	// app only the daemon knows (batch mode), the daemon checks.
+	for _, f := range []struct {
+		name string
+		x    float64
+	}{{"rounds", float64(*rounds)}, {"tsize", *tsize}, {"dsize", float64(*dsize)}} {
+		if _, dup := values[f.name]; dup {
+			continue
+		}
+		spec, declared := a.Param(f.name)
+		switch {
+		case explicit[f.name] && known && !declared:
+			log.Fatalf("app %q has no parameter %q (see -list)", a.Name, f.name)
+		case explicit[f.name] || (declared && spec.Required):
+			values[f.name] = f.x
+		}
+	}
 	if *batchPath != "" {
-		runBatch(*batchPath, *addr, *sysName, *appName, values, explicitFlags,
-			*rounds, *tsize, *dsize, *batchChunk)
+		runBatch(*batchPath, *addr, *sysName, *appName, values, *batchChunk)
 		return
 	}
 	sys, ok := hw.ByName(*sysName)
 	if !ok {
 		log.Fatalf("unknown system %q", *sysName)
 	}
-	a, ok := apps.Lookup(*appName)
-	if !ok {
-		log.Fatal(apps.UnknownAppError(*appName))
-	}
-	// The classic flags map onto declared parameters of the same name;
-	// -param spellings win. A flag the user did not set only fills a
-	// Required parameter (so `-app synthetic` alone keeps working as it
-	// always has) — it must not clobber a registered app's own schema
-	// default for a parameter that happens to share a flag name.
-	explicit := explicitFlags
-	mergeFlag := func(name string, x float64) {
-		if spec, declared := a.Param(name); declared && (explicit[name] || spec.Required) {
-			a.MergeDeclared(values, name, x)
-		}
-	}
-	mergeFlag("rounds", float64(*rounds))
-	mergeFlag("tsize", *tsize)
-	mergeFlag("dsize", float64(*dsize))
 	inst, _, err := a.InstanceFor(*dim, *dim, values)
 	if err != nil {
 		log.Fatal(err)
-	}
-	// For apps that do not declare tsize/dsize, an explicitly set flag
-	// overrides the app-derived granularity last — the same rule the
-	// daemon applies to top-level tsize/dsize in tune requests.
-	if explicit["tsize"] {
-		if _, declared := a.Param("tsize"); !declared {
-			inst.TSize = *tsize
-		}
-	}
-	if explicit["dsize"] {
-		if _, declared := a.Param("dsize"); !declared {
-			inst.DSize = *dsize
-		}
 	}
 
 	var tuner core.Predictor
@@ -198,34 +191,13 @@ func main() {
 // shapes through POST /v1/tune/batch — one call when they fit the
 // chunk size, split into chunk-sized requests otherwise, so a shapes
 // file larger than the daemon's batch limit still tunes — and print
-// per-shape results.
-func runBatch(path, addr, system, app string, values apps.Values, explicit map[string]bool,
-	rounds int, tsize float64, dsize, chunk int) {
+// per-shape results. Every item carries values as its params.
+func runBatch(path, addr, system, app string, values apps.Values, chunk int) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer f.Close()
-
-	// A classic flag is forwarded when the user set it — or, exactly like
-	// non-batch mode, when it fills a locally known app's Required
-	// parameter from its flag default (so `-batch shapes.txt -app
-	// synthetic` keeps working without spelling out -tsize/-dsize). A
-	// value already supplied via -param wins, mirroring MergeDeclared.
-	forward := map[string]bool{}
-	for _, name := range []string{"rounds", "tsize", "dsize"} {
-		if _, dup := values[name]; dup {
-			continue
-		}
-		forward[name] = explicit[name]
-	}
-	if a, ok := apps.Lookup(app); ok {
-		for name := range forward {
-			if spec, declared := a.Param(name); declared && spec.Required {
-				forward[name] = true
-			}
-		}
-	}
 
 	req := wavefront.BatchTuneRequest{System: system}
 	var shapes []string
@@ -246,20 +218,6 @@ func runBatch(path, addr, system, app string, values apps.Values, explicit map[s
 			item.Dim = rows
 		} else {
 			item.Rows, item.Cols = rows, cols
-		}
-		// Classic flags ride as the legacy top-level spellings; the daemon
-		// merges them against the app's declared parameters exactly like a
-		// hand-written /v1/tune request.
-		if forward["rounds"] {
-			item.Rounds = rounds
-		}
-		if forward["tsize"] {
-			v := tsize
-			item.TSize = &v
-		}
-		if forward["dsize"] {
-			v := dsize
-			item.DSize = &v
 		}
 		req.Items = append(req.Items, item)
 		shapes = append(shapes, line)

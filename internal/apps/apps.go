@@ -164,21 +164,6 @@ func (a App) paramNames() string {
 	return strings.Join(names, ", ")
 }
 
-// MergeDeclared sets v[name] = x when the app declares a parameter of
-// that name and v does not already carry it. It is the one definition
-// of how legacy parameter spellings (top-level JSON fields like rounds,
-// CLI flags like -tsize) map onto the schema: undeclared names are
-// ignored, and an explicit params entry always wins.
-func (a App) MergeDeclared(v Values, name string, x float64) {
-	if _, declared := a.Param(name); !declared {
-		return
-	}
-	if _, dup := v[name]; dup {
-		return
-	}
-	v[name] = x
-}
-
 // DefaultGranularity returns the app's tsize/dsize at default
 // parameters. ok is false when the app has no default granularity —
 // a required parameter (e.g. the synthetic trainer's tsize) means the

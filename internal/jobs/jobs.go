@@ -28,6 +28,7 @@ package jobs
 
 import (
 	"errors"
+	"log/slog"
 	"time"
 
 	"repro/internal/core"
@@ -290,8 +291,9 @@ type Config struct {
 	// submissions beyond it are rejected with ErrQueueFull (<= 0
 	// selects DefaultMaxPipelines).
 	MaxPipelines int
-	// Logf receives job lifecycle log lines; nil disables logging.
-	Logf func(format string, args ...any)
+	// Logger receives job and pipeline lifecycle lines; nil discards
+	// them.
+	Logger *slog.Logger
 	// Metrics, when set, receives latency observations from the
 	// manager's hot paths (queue wait, execution, pipeline waves). Nil
 	// disables instrumentation at zero cost.

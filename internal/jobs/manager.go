@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -34,20 +36,6 @@ type record struct {
 	result          *Result
 }
 
-// copyParams returns an independent copy of an app-parameter map, so
-// records and snapshots never alias caller-owned (or caller-visible)
-// maps.
-func copyParams(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	cp := make(map[string]float64, len(m))
-	for k, v := range m {
-		cp[k] = v
-	}
-	return cp
-}
-
 // snapshot copies the record into an immutable Job. Caller holds the
 // manager's mutex.
 func (r *record) snapshot() Job {
@@ -56,7 +44,8 @@ func (r *record) snapshot() Job {
 		CancelRequested: r.cancelRequested, Err: r.err,
 		Created: r.created, Started: r.started, Finished: r.finished,
 	}
-	j.AppParams = copyParams(r.spec.AppParams)
+	// Snapshots never alias the record's map: callers may write to it.
+	j.AppParams = maps.Clone(r.spec.AppParams)
 	if r.result != nil {
 		res := *r.result
 		if r.result.Refine != nil {
@@ -135,6 +124,9 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.MaxPipelines <= 0 {
 		cfg.MaxPipelines = DefaultMaxPipelines
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	m := &Manager{
 		cfg:     cfg,
 		systems: make(map[string]hw.System, len(cfg.Systems)),
@@ -169,10 +161,46 @@ func (m *Manager) startLocked() {
 	}
 }
 
-func (m *Manager) logf(format string, args ...any) {
-	if m.cfg.Logf != nil {
-		m.cfg.Logf(format, args...)
+// checkSpec validates spec against the manager's configuration and
+// returns it with its instance normalized and its parameter map
+// detached from the caller's: the spec outlives admission inside the
+// record, and a caller mutating its map afterwards must not rewrite the
+// stored (documented-immutable) job. The errors carry no package
+// prefix; Submit and validatePipeline each add their own.
+func (m *Manager) checkSpec(spec Spec) (Spec, error) {
+	if _, ok := m.systems[spec.System]; !ok {
+		return spec, fmt.Errorf("unknown system %q", spec.System)
 	}
+	if err := spec.Inst.Validate(); err != nil {
+		return spec, err
+	}
+	if spec.Priority < 0 || spec.Priority >= numPriorities {
+		return spec, fmt.Errorf("invalid priority %d", spec.Priority)
+	}
+	if spec.Refine && m.cfg.Tuners == nil {
+		return spec, errors.New("refinement not configured (no tuner source)")
+	}
+	spec.Inst = spec.Inst.Normalize()
+	spec.AppParams = maps.Clone(spec.AppParams)
+	return spec, nil
+}
+
+// enqueueLocked admits a checked spec as a new queued record and wakes
+// a worker. Caller holds m.mu and has checked the queue has room.
+func (m *Manager) enqueueLocked(spec Spec) *record {
+	m.seq++
+	ctx, cancel := context.WithCancel(context.Background())
+	rec := &record{
+		id: fmt.Sprintf("job-%08d", m.seq), spec: spec,
+		ctx: ctx, cancel: cancel, done: make(chan struct{}),
+		state: StateQueued, created: time.Now(),
+	}
+	m.records[rec.id] = rec
+	m.queues[spec.Priority] = append(m.queues[spec.Priority], rec)
+	m.queuedN++
+	m.stats.Submitted++
+	m.cond.Signal()
+	return rec
 }
 
 // Submit validates spec and admits it into the queue. The returned
@@ -180,22 +208,9 @@ func (m *Manager) logf(format string, args ...any) {
 // is always StateQueued. ErrQueueFull reports admission-control
 // rejection; ErrClosed a manager already shutting down.
 func (m *Manager) Submit(spec Spec) (Job, error) {
-	if _, ok := m.systems[spec.System]; !ok {
-		return Job{}, fmt.Errorf("jobs: unknown system %q", spec.System)
-	}
-	if err := spec.Inst.Validate(); err != nil {
-		return Job{}, err
-	}
-	spec.Inst = spec.Inst.Normalize()
-	// Detach from the caller's map: the spec outlives Submit inside the
-	// record, and a caller mutating its map afterwards must not rewrite
-	// the stored (documented-immutable) job.
-	spec.AppParams = copyParams(spec.AppParams)
-	if spec.Priority < 0 || spec.Priority >= numPriorities {
-		return Job{}, fmt.Errorf("jobs: invalid priority %d", spec.Priority)
-	}
-	if spec.Refine && m.cfg.Tuners == nil {
-		return Job{}, fmt.Errorf("jobs: refinement not configured (no tuner source)")
+	spec, err := m.checkSpec(spec)
+	if err != nil {
+		return Job{}, fmt.Errorf("jobs: %w", err)
 	}
 
 	m.mu.Lock()
@@ -209,24 +224,15 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 		return Job{}, ErrQueueFull
 	}
 	m.startLocked()
-	m.seq++
-	ctx, cancel := context.WithCancel(context.Background())
-	rec := &record{
-		id: fmt.Sprintf("job-%08d", m.seq), spec: spec,
-		ctx: ctx, cancel: cancel, done: make(chan struct{}),
-		state: StateQueued, created: time.Now(),
-	}
-	m.records[rec.id] = rec
-	m.queues[spec.Priority] = append(m.queues[spec.Priority], rec)
-	m.queuedN++
-	m.stats.Submitted++
+	rec := m.enqueueLocked(spec)
 	snap := rec.snapshot()
-	m.cond.Signal()
 	m.mu.Unlock()
-	// Logf runs outside the critical section: it may be arbitrarily slow
-	// (or call back into the manager) without stalling the pool.
-	m.logf("job %s queued: %s %s priority=%s refine=%t",
-		rec.id, spec.System, spec.Inst, spec.Priority, spec.Refine)
+	// Logging runs outside the critical section: a handler may be
+	// arbitrarily slow without stalling the pool.
+	if m.cfg.Logger.Enabled(context.Background(), slog.LevelInfo) {
+		m.cfg.Logger.Info("job queued", "job_id", rec.id, "system", spec.System,
+			"instance", spec.Inst.String(), "priority", spec.Priority.String(), "refine", spec.Refine)
+	}
 	return snap, nil
 }
 
@@ -298,10 +304,10 @@ func (m *Manager) Cancel(id string) (Job, error) {
 		m.mu.Unlock()
 		return snap, ErrFinished
 	}
-	msg := m.cancelRecordLocked(rec)
+	outcome := m.cancelRecordLocked(rec)
 	snap := rec.snapshot()
 	m.mu.Unlock()
-	m.logf("job %s %s", rec.id, msg)
+	m.cfg.Logger.Info("job cancel", "job_id", rec.id, "outcome", outcome)
 	return snap, nil
 }
 
@@ -574,7 +580,7 @@ func (m *Manager) run(rec *record) {
 	span.End()
 	execDur := time.Since(t0)
 
-	var msg string
+	msg, attrs := "", []any{"job_id", rec.id}
 	m.mu.Lock()
 	m.running--
 	if m.cfg.Metrics != nil {
@@ -586,28 +592,28 @@ func (m *Manager) run(rec *record) {
 		// after the work (and its side effects, e.g. the training-log
 		// append) already happened: cancel is best-effort.
 		m.finishLocked(rec, StateSucceeded, res, "")
-		msg = fmt.Sprintf("job %s succeeded: %s measured %.3gs (%s)",
-			rec.id, res.Par, res.MeasuredNs/1e9, res.Cache)
+		msg = "job succeeded"
+		attrs = append(attrs, "params", res.Par.String(), "measured_s", res.MeasuredNs/1e9, "cache", res.Cache)
 	case rec.ctx.Err() != nil:
 		// The context is only ever canceled by Cancel or an aborted
 		// drain, so an error with a done context means the execution was
 		// cut short deliberately. Keep any unrelated failure visible in
 		// the log — it may be persistent and matter beyond this job.
 		m.finishLocked(rec, StateCanceled, nil, "")
-		if errors.Is(err, context.Canceled) {
-			msg = fmt.Sprintf("job %s canceled while running", rec.id)
-		} else {
-			msg = fmt.Sprintf("job %s canceled while running (execution also returned: %v)", rec.id, err)
+		msg = "job canceled while running"
+		if !errors.Is(err, context.Canceled) {
+			attrs = append(attrs, "err", err)
 		}
 	default:
 		m.finishLocked(rec, StateFailed, nil, err.Error())
-		msg = fmt.Sprintf("job %s failed: %v", rec.id, err)
+		msg = "job failed"
+		attrs = append(attrs, "err", err)
 	}
 	m.mu.Unlock()
-	m.logf("%s", msg)
+	m.cfg.Logger.Info(msg, attrs...)
 	if m.cfg.SlowJob > 0 && execDur >= m.cfg.SlowJob {
-		m.logf("job %s slow (%.3fs >= %.3fs):\n%s",
-			rec.id, execDur.Seconds(), m.cfg.SlowJob.Seconds(), span.Render())
+		m.cfg.Logger.Info("job slow", "job_id", rec.id, "dur", execDur,
+			"threshold", m.cfg.SlowJob, "spans", span.Render())
 	}
 }
 
@@ -692,7 +698,7 @@ func (m *Manager) execute(ctx context.Context, rec *record) (*Result, error) {
 	if m.cfg.TrainingLog != nil && !pred.Serial {
 		obs := core.Observation{Inst: spec.Inst, Par: pred.Par, RTimeNs: st.FinalNs, App: spec.App}
 		if lerr := m.cfg.TrainingLog.Append(spec.System, obs); lerr != nil {
-			m.logf("job %s: training-log append failed: %v", rec.id, lerr)
+			m.cfg.Logger.Error("training-log append failed", "job_id", rec.id, "err", lerr)
 		} else {
 			m.mu.Lock()
 			m.stats.TrainingRows++

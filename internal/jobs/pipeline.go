@@ -413,20 +413,11 @@ func (m *Manager) validatePipeline(spec PipelineSpec) (PipelineSpec, error) {
 				return spec, fmt.Errorf("jobs: duplicate job name %q (waves %q and %q)", pj.Name, prev, nw.Name)
 			}
 			jobNames[pj.Name] = nw.Name
-			if _, ok := m.systems[pj.Spec.System]; !ok {
-				return spec, fmt.Errorf("jobs: job %q: unknown system %q", pj.Name, pj.Spec.System)
-			}
-			if err := pj.Spec.Inst.Validate(); err != nil {
+			checked, err := m.checkSpec(pj.Spec)
+			if err != nil {
 				return spec, fmt.Errorf("jobs: job %q: %w", pj.Name, err)
 			}
-			pj.Spec.Inst = pj.Spec.Inst.Normalize()
-			if pj.Spec.Priority < 0 || pj.Spec.Priority >= numPriorities {
-				return spec, fmt.Errorf("jobs: job %q: invalid priority %d", pj.Name, pj.Spec.Priority)
-			}
-			if pj.Spec.Refine && m.cfg.Tuners == nil {
-				return spec, fmt.Errorf("jobs: job %q: refinement not configured (no tuner source)", pj.Name)
-			}
-			pj.Spec.AppParams = copyParams(pj.Spec.AppParams)
+			pj.Spec = checked
 			if pj.Spec.RequestID == "" {
 				pj.Spec.RequestID = spec.RequestID
 			}

@@ -111,7 +111,7 @@ func (m *Manager) SubmitPipeline(spec PipelineSpec) (Pipeline, error) {
 	m.pwg.Add(1)
 	go m.runPipeline(p)
 	m.mu.Unlock()
-	m.logf("pipeline %s queued: %q, %d wave(s)", p.id, norm.Name, len(norm.Waves))
+	m.cfg.Logger.Info("pipeline queued", "pipeline_id", p.id, "name", norm.Name, "waves", len(norm.Waves))
 	return snap, nil
 }
 
@@ -193,7 +193,7 @@ func (m *Manager) CancelPipeline(id string) (Pipeline, error) {
 	m.spaceCond.Broadcast()
 	snap := p.snapshot()
 	m.mu.Unlock()
-	m.logf("pipeline %s cancellation requested (%s)", p.id, snap.State)
+	m.cfg.Logger.Info("pipeline cancel", "pipeline_id", p.id, "state", snap.State.String())
 	return snap, nil
 }
 
@@ -283,8 +283,8 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 	defer func() {
 		pipeSpan.End()
 		if dur := time.Since(t0); m.cfg.SlowJob > 0 && dur >= m.cfg.SlowJob {
-			m.logf("pipeline %s slow (%.3fs >= %.3fs):\n%s",
-				p.id, dur.Seconds(), m.cfg.SlowJob.Seconds(), pipeSpan.Render())
+			m.cfg.Logger.Info("pipeline slow", "pipeline_id", p.id, "dur", dur,
+				"threshold", m.cfg.SlowJob, "spans", pipeSpan.Render())
 		}
 	}()
 	for wi := range p.spec.Waves {
@@ -292,7 +292,7 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 		if p.cancelRequested || m.abort {
 			m.finishPipelineLocked(p, PipeEvCancel, "")
 			m.mu.Unlock()
-			m.logf("pipeline %s canceled before wave %d", p.id, wi)
+			m.cfg.Logger.Info("pipeline canceled before wave", "pipeline_id", p.id, "wave", wi)
 			return
 		}
 		p.waveIdx = wi
@@ -302,8 +302,8 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 		}
 		p.waves[wi].state = WaveRunning
 		m.mu.Unlock()
-		m.logf("pipeline %s wave %d/%d (%s): %d job(s)",
-			p.id, wi+1, len(p.spec.Waves), p.spec.Waves[wi].Name, len(p.spec.Waves[wi].Jobs))
+		m.cfg.Logger.Info("pipeline wave", "pipeline_id", p.id, "wave", wi, "waves", len(p.spec.Waves),
+			"name", p.spec.Waves[wi].Name, "jobs", len(p.spec.Waves[wi].Jobs))
 
 		_, waveSpan := telemetry.StartSpan(spanCtx, "pipeline.wave")
 		waveSpan.Annotate("wave", p.spec.Waves[wi].Name).
@@ -320,7 +320,7 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 			p.waves[wi].state = WaveCanceled
 			m.finishPipelineLocked(p, PipeEvCancel, "")
 			m.mu.Unlock()
-			m.logf("pipeline %s canceled during wave %d", p.id, wi)
+			m.cfg.Logger.Info("pipeline canceled during wave", "pipeline_id", p.id, "wave", wi)
 			return
 		}
 		if !ok {
@@ -328,7 +328,7 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 			m.finishPipelineLocked(p, PipeEvWaveFailed,
 				fmt.Sprintf("wave %d (%s): %s", wi, p.spec.Waves[wi].Name, errMsg))
 			m.mu.Unlock()
-			m.logf("pipeline %s failed at wave %d: %s", p.id, wi, errMsg)
+			m.cfg.Logger.Info("pipeline failed", "pipeline_id", p.id, "wave", wi, "err", errMsg)
 			return
 		}
 		p.waves[wi].state = WaveResolved
@@ -342,12 +342,12 @@ func (m *Manager) runPipeline(p *pipelineRecord) {
 		// terminal means what the caller was told.
 		m.finishPipelineLocked(p, PipeEvCancel, "")
 		m.mu.Unlock()
-		m.logf("pipeline %s canceled at the final barrier", p.id)
+		m.cfg.Logger.Info("pipeline canceled at the final barrier", "pipeline_id", p.id)
 		return
 	}
 	m.finishPipelineLocked(p, PipeEvFinish, "")
 	m.mu.Unlock()
-	m.logf("pipeline %s succeeded", p.id)
+	m.cfg.Logger.Info("pipeline succeeded", "pipeline_id", p.id)
 }
 
 // runWave submits one wave's jobs, waits for all of them at the
@@ -412,7 +412,7 @@ func (m *Manager) runWave(p *pipelineRecord, wi int) (bool, string) {
 				return false, fmt.Sprintf("retry budget exhausted (%d/%d used, %d job(s) still failing; first: %s)",
 					wr.retriesUsed, wave.RetryBudget, len(failedJobs), firstErr)
 			}
-			m.logf("pipeline %s wave %d: retrying %d failed job(s)", p.id, wi, len(failedJobs))
+			m.cfg.Logger.Info("pipeline wave retry", "pipeline_id", p.id, "wave", wi, "jobs", len(failedJobs))
 			round = failedJobs
 		default: // PolicyAbort
 			return false, fmt.Sprintf("%d of %d job(s) did not succeed (first: %s)",
@@ -453,21 +453,10 @@ func (m *Manager) submitWaveRound(p *pipelineRecord, wr *waveRecord, round []Pip
 			m.mu.Unlock()
 			return recs, nil
 		}
-		m.seq++
-		ctx, cancel := context.WithCancel(context.Background())
-		rec := &record{
-			id: fmt.Sprintf("job-%08d", m.seq), spec: pj.Spec,
-			ctx: ctx, cancel: cancel, done: make(chan struct{}),
-			state: StateQueued, created: time.Now(),
-		}
-		m.records[rec.id] = rec
-		m.queues[pj.Spec.Priority] = append(m.queues[pj.Spec.Priority], rec)
-		m.queuedN++
-		m.stats.Submitted++
+		rec := m.enqueueLocked(pj.Spec)
 		wr.jobIDs = append(wr.jobIDs, rec.id)
 		wr.jobs = append(wr.jobs, rec)
 		recs = append(recs, rec)
-		m.cond.Signal()
 	}
 	m.mu.Unlock()
 	return recs, nil

@@ -2,7 +2,7 @@ package jobs
 
 import (
 	"context"
-	"fmt"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
@@ -112,16 +112,11 @@ func TestRequestIDStampedThroughRecords(t *testing.T) {
 // TestSlowJobLogsSpanTree: with a zero-distance threshold every job is
 // slow, and the logged tree must contain the execution span chain.
 func TestSlowJobLogsSpanTree(t *testing.T) {
-	var mu sync.Mutex
-	var lines []string
+	var out lockedBuffer
 	m := newManager(t, Config{
 		Workers: 1,
 		SlowJob: time.Nanosecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
+		Logger:  slog.New(slog.NewTextHandler(&out, nil)),
 	})
 	j, err := m.Submit(Spec{System: "i7-2600K", Inst: testInst(500), RequestID: "req-slow"})
 	if err != nil {
@@ -133,16 +128,32 @@ func TestSlowJobLogsSpanTree(t *testing.T) {
 	// finished, so wait for that line rather than racing it.
 	var joined string
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		mu.Lock()
-		joined = strings.Join(lines, "\n")
-		mu.Unlock()
-		if strings.Contains(joined, " slow (") || time.Now().After(deadline) {
+		joined = out.String()
+		if strings.Contains(joined, `msg="job slow"`) || time.Now().After(deadline) {
 			break
 		}
 	}
-	for _, want := range []string{"slow", "job.execute", "plan.fetch", "engine.measure", "request_id=req-slow"} {
+	for _, want := range []string{`msg="job slow"`, "job_id=" + j.ID, "job.execute", "plan.fetch", "engine.measure", "request_id=req-slow"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("slow-job log missing %q:\n%s", want, joined)
 		}
 	}
+}
+
+// lockedBuffer is a log sink a test reads while workers write to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }

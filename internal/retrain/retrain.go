@@ -3,6 +3,7 @@ package retrain
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -13,13 +14,20 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Defaults for Config thresholds.
+// Loop thresholds. DefaultInterval, DefaultMinObservations and
+// DefaultHoldout fill zero Config fields. DefaultMaxAge is the age
+// threshold: once the oldest unconsumed row has waited this long, a
+// retrain starts even below MinObservations, so a trickle of
+// observations is not ignored forever.
 const (
 	DefaultInterval        = 5 * time.Minute
 	DefaultMinObservations = 32
 	DefaultMaxAge          = 30 * time.Minute
 	DefaultHoldout         = 0.25
 )
+
+// holdoutSeed drives the deterministic holdout split.
+const holdoutSeed = 1
 
 // Config parameterizes a Retrainer. Champion and Promote are required;
 // everything else has defaults.
@@ -35,24 +43,14 @@ type Config struct {
 	// it when observations land.
 	Interval time.Duration
 	// MinObservations is the size threshold: a retrain starts once this
-	// many unconsumed rows have accumulated.
+	// many unconsumed rows have accumulated (DefaultMaxAge is the age
+	// threshold).
 	MinObservations int
-	// MaxAge is the age threshold: once the oldest unconsumed row has
-	// waited this long, a retrain starts even below MinObservations, so
-	// a trickle of observations is not ignored forever.
-	MaxAge time.Duration
 	// Holdout is the fraction of accumulated observations held out for
 	// the champion/challenger comparison (see core.SplitHoldout).
 	Holdout float64
-	// Seed drives the deterministic holdout split.
-	Seed int64
 	// Guardrail parameterizes the promotion gate (see Decide).
 	Guardrail GuardrailOptions
-	// TrainOpts are the challenger's training options. The zero value
-	// selects core.DefaultTrainOptions with Stride 1: observation logs
-	// are sparse, irregular grids — unlike factory sweeps there is
-	// nothing to decimate.
-	TrainOpts core.TrainOptions
 
 	// Champion resolves the currently serving predictor.
 	Champion func(sys hw.System) (core.Predictor, error)
@@ -63,8 +61,8 @@ type Config struct {
 	// it must not call Stats.
 	Promote func(system string, t core.Predictor) (gen uint64, dropped int)
 
-	// Logf, when set, receives structured one-line decision logs.
-	Logf func(format string, args ...any)
+	// Logger receives one line per retrain decision; nil discards them.
+	Logger *slog.Logger
 	// Metrics, when set, receives counters and histograms.
 	Metrics *Metrics
 }
@@ -180,18 +178,11 @@ func New(cfg Config) (*Retrainer, error) {
 	if cfg.MinObservations <= 0 {
 		cfg.MinObservations = DefaultMinObservations
 	}
-	if cfg.MaxAge <= 0 {
-		cfg.MaxAge = DefaultMaxAge
-	}
 	if cfg.Holdout <= 0 {
 		cfg.Holdout = DefaultHoldout
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.TrainOpts == (core.TrainOptions{}) {
-		cfg.TrainOpts = core.DefaultTrainOptions()
-		cfg.TrainOpts.Stride = 1
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	r := &Retrainer{
 		cfg:  cfg,
@@ -314,7 +305,7 @@ func (r *Retrainer) runSystem(sys hw.System) {
 	}
 	st.status.PendingRows = scan.NewRows
 	trigger := scan.NewRows >= r.cfg.MinObservations ||
-		(scan.NewRows > 0 && now.Sub(st.firstPending) >= r.cfg.MaxAge)
+		(scan.NewRows > 0 && now.Sub(st.firstPending) >= DefaultMaxAge)
 	r.mu.Unlock()
 	if !trigger {
 		return
@@ -352,7 +343,7 @@ func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("champion: %w", err)
 	}
-	trainSet, held := core.SplitHoldout(sr, r.cfg.Holdout, r.cfg.Seed)
+	trainSet, held := core.SplitHoldout(sr, r.cfg.Holdout, holdoutSeed)
 	// Only measured, uncensored rows can score a prediction.
 	kept := held[:0]
 	for _, p := range held {
@@ -361,7 +352,11 @@ func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
 		}
 	}
 	held = kept
-	challenger, err := core.Train(trainSet, r.cfg.TrainOpts)
+	// Observation logs are sparse, irregular grids: unlike factory
+	// sweeps there is nothing to decimate.
+	opts := core.DefaultTrainOptions()
+	opts.Stride = 1
+	challenger, err := core.Train(trainSet, opts)
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("train: %w", err)
 	}
@@ -414,8 +409,8 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		// The attempt consumed the scanned rows (even a failed attempt:
 		// retrying the same poisoned rows forever would wedge the loop) —
 		// commit the cursor so they are never re-trained on.
-		if cerr := st.cursor.Commit(scan); cerr != nil && r.cfg.Logf != nil {
-			r.cfg.Logf("retrain checkpoint system=%s err=%v", system, cerr)
+		if cerr := st.cursor.Commit(scan); cerr != nil {
+			r.cfg.Logger.Error("retrain checkpoint", "system", system, "err", cerr)
 		}
 	}
 	if scan.BadRows > 0 && r.cfg.Metrics != nil && r.cfg.Metrics.BadRows != nil {
@@ -454,19 +449,16 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 	return promotedGen, dropped
 }
 
-// logDecision emits the structured one-line decision log.
+// logDecision emits the one-line decision log.
 func (r *Retrainer) logDecision(system, genID string, v Verdict, err error, gen uint64, dropped int) {
-	if r.cfg.Logf == nil {
-		return
-	}
 	switch {
 	case err != nil:
-		r.cfg.Logf("retrain error system=%s gen_id=%s err=%v", system, genID, err)
+		r.cfg.Logger.Error("retrain error", "system", system, "gen_id", genID, "err", err)
 	case gen > 0:
-		r.cfg.Logf("retrain promote system=%s gen_id=%s generation=%d invalidated=%d verdict: %s",
-			system, genID, gen, dropped, v)
+		r.cfg.Logger.Info("retrain promote", "system", system, "gen_id", genID,
+			"generation", gen, "invalidated", dropped, "verdict", v)
 	default:
-		r.cfg.Logf("retrain reject system=%s gen_id=%s verdict: %s", system, genID, v)
+		r.cfg.Logger.Info("retrain reject", "system", system, "gen_id", genID, "verdict", v)
 	}
 }
 

@@ -1,7 +1,10 @@
 package retrain
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"os"
 	"strings"
 	"sync"
@@ -143,7 +146,7 @@ func seedLog(t *testing.T, dir string, n int) {
 	}
 }
 
-func testConfig(t *testing.T, dir string, src *fakeChampions) Config {
+func testConfig(dir string, src *fakeChampions) Config {
 	return Config{
 		Systems:         []hw.System{hw.I7_2600K()},
 		LogDir:          dir,
@@ -152,7 +155,6 @@ func testConfig(t *testing.T, dir string, src *fakeChampions) Config {
 		Guardrail:       GuardrailOptions{MinSamples: 4},
 		Champion:        src.Tuner,
 		Promote:         src.Promote,
-		Logf:            t.Logf,
 	}
 }
 
@@ -168,13 +170,15 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	src := newFakeChampions(bad)
 	var promotions atomic.Int64
 	var invalidated []string
-	cfg := testConfig(t, dir, src)
+	cfg := testConfig(dir, src)
 	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
 		promotions.Add(1)
 		invalidated = append(invalidated, system)
 		gen, _ := src.Promote(system, tun)
 		return gen, 7
 	}
+	var logBuf bytes.Buffer
+	cfg.Logger = slog.New(slog.NewJSONHandler(&logBuf, nil))
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -196,6 +200,23 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	}
 	if tun, err := src.Tuner(hw.I7_2600K()); err != nil || tun == bad {
 		t.Fatalf("champion not replaced: tuner=%p err=%v", tun, err)
+	}
+	// The decision line carries the promotion as attributes, so a log
+	// pipeline can filter it by system and generation.
+	var line struct {
+		Msg         string `json:"msg"`
+		System      string `json:"system"`
+		GenID       string `json:"gen_id"`
+		Generation  uint64 `json:"generation"`
+		Invalidated int    `json:"invalidated"`
+		Verdict     Verdict
+	}
+	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
+		t.Fatalf("decision log is not one JSON line: %v: %s", err, logBuf.String())
+	}
+	if line.Msg != "retrain promote" || line.System != "i7-2600K" || line.GenID != st.LastGenerationID ||
+		line.Generation != 2 || line.Invalidated != 7 || line.Verdict.Reason != "promote" {
+		t.Fatalf("decision log = %s", logBuf.String())
 	}
 
 	// The rows are consumed: a second pass must not retrain, let alone
@@ -220,7 +241,7 @@ func TestStatsNeverTornDuringPromotion(t *testing.T) {
 	seedLog(t, dir, 24)
 
 	src := newFakeChampions(bad)
-	cfg := testConfig(t, dir, src)
+	cfg := testConfig(dir, src)
 	var r *Retrainer
 	polled := make(chan SystemStatus, 1)
 	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
@@ -274,7 +295,7 @@ func TestRetrainTrainingErrorKeepsChampion(t *testing.T) {
 
 	src := newFakeChampions(good)
 	var promotions atomic.Int64
-	cfg := testConfig(t, dir, src)
+	cfg := testConfig(dir, src)
 	cfg.Promote = func(system string, tun core.Predictor) (uint64, int) {
 		promotions.Add(1)
 		return src.Promote(system, tun)
@@ -324,7 +345,7 @@ func TestRetrainCorruptRowTolerated(t *testing.T) {
 	f.Close()
 
 	src := newFakeChampions(bad)
-	r, err := New(testConfig(t, dir, src))
+	r, err := New(testConfig(dir, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,6 +360,34 @@ func TestRetrainCorruptRowTolerated(t *testing.T) {
 	}
 }
 
+// TestRetrainAgeTrigger: rows below MinObservations wait, and once the
+// oldest has waited DefaultMaxAge a single pass retrains on them.
+func TestRetrainAgeTrigger(t *testing.T) {
+	_, _, bad := fixtures(t)
+	dir := t.TempDir()
+	seedLog(t, dir, 4)
+	cfg := testConfig(dir, newFakeChampions(bad))
+	if cfg.MinObservations <= 4 {
+		t.Fatalf("MinObservations %d: the log must sit below the size threshold", cfg.MinObservations)
+	}
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.RunOnce(context.Background())
+	if st := r.Stats().Systems["i7-2600K"]; st.Retrains != 0 || st.PendingRows != 4 {
+		t.Fatalf("below both thresholds: %+v", st)
+	}
+
+	r.mu.Lock()
+	r.st["i7-2600K"].firstPending = time.Now().Add(-DefaultMaxAge)
+	r.mu.Unlock()
+	r.RunOnce(context.Background())
+	if st := r.Stats().Systems["i7-2600K"]; st.Retrains != 1 || st.PendingRows != 0 {
+		t.Fatalf("aged rows did not retrain: %+v", st)
+	}
+}
+
 // TestRetrainRotationMidRead rotates the log between passes: consumed
 // rows must never count again (no re-training on them), and rows in the
 // replacement file count from scratch.
@@ -348,7 +397,7 @@ func TestRetrainRotationMidRead(t *testing.T) {
 	seedLog(t, dir, 12)
 
 	src := newFakeChampions(good)
-	r, err := New(testConfig(t, dir, src))
+	r, err := New(testConfig(dir, src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +437,7 @@ func TestRetrainRotationMidRead(t *testing.T) {
 func TestRetrainerStartStopNotify(t *testing.T) {
 	_, good, _ := fixtures(t)
 	src := newFakeChampions(good)
-	cfg := testConfig(t, t.TempDir(), src)
+	cfg := testConfig(t.TempDir(), src)
 	cfg.Interval = time.Hour // only Notify can wake it in test time
 	r, err := New(cfg)
 	if err != nil {

@@ -96,7 +96,7 @@ func TestEveryCatalogAppTunesAndRuns(t *testing.T) {
 			body := fmt.Sprintf(`{"system":"i7-2600K","dim":300,"app":%q`, a.Name)
 			if _, _, ok := a.DefaultGranularity(); !ok {
 				// The synthetic trainer's granularity is a required input.
-				body += `,"tsize":10,"dsize":1`
+				body += `,"params":{"tsize":10,"dsize":1}`
 			}
 			body += `}`
 
@@ -152,21 +152,27 @@ func TestAppParamsFlow(t *testing.T) {
 	if tr.Instance.TSize != 2250 {
 		t.Errorf("params.rounds=3 gave tsize %g, want 2250", tr.Instance.TSize)
 	}
-	// Legacy top-level rounds still works on its own...
-	tr, _ = postTune(t, ts.URL,
-		`{"system":"i7-2600K","dim":700,"app":"nash","rounds":5}`)
-	if tr.Instance.TSize != 3750 {
-		t.Errorf("legacy rounds=5 gave tsize %g, want 3750", tr.Instance.TSize)
-	}
-	// ...but supplying both spellings of one parameter is a conflict,
-	// not a silent precedence pick.
+	// App parameters have one spelling: a top-level rounds is an
+	// unknown field, and a top-level tsize/dsize beside an app is a 400
+	// that points at params.
 	if _, resp := postTune(t, ts.URL,
-		`{"system":"i7-2600K","dim":700,"app":"nash","rounds":5,"params":{"rounds":2}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("conflicting rounds spellings status = %d, want 400", resp.StatusCode)
+		`{"system":"i7-2600K","dim":700,"app":"nash","rounds":5}`); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("top-level rounds status = %d, want 400", resp.StatusCode)
 	}
-	if _, resp := postTune(t, ts.URL,
-		`{"system":"i7-2600K","dim":700,"app":"synthetic","params":{"tsize":100,"dsize":1},"tsize":5}`); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("conflicting tsize spellings status = %d, want 400", resp.StatusCode)
+	for _, body := range []string{
+		`{"system":"i7-2600K","dim":700,"app":"synthetic","params":{"tsize":100,"dsize":1},"tsize":5}`,
+		`{"system":"i7-2600K","dim":700,"app":"nash","tsize":9000,"dsize":1}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tune", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "params") {
+			t.Errorf("%s: status %d, error %q (%v), want a 400 naming params", body, resp.StatusCode, e.Error, err)
+		}
 	}
 
 	jresp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(
@@ -183,10 +189,9 @@ func TestAppParamsFlow(t *testing.T) {
 		t.Errorf("job record app_params = %v, want gap_open 12", ji.AppParams)
 	}
 
-	// Legacy spellings that shaped the instance are echoed too: a job
-	// submitted with top-level rounds must not read back as rounds=1.
+	// The echo is the parameters that shaped the instance.
 	jresp2, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(
-		`{"system":"i7-2600K","dim":300,"app":"nash","rounds":2}`)))
+		`{"system":"i7-2600K","dim":300,"app":"nash","params":{"rounds":2}}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +201,10 @@ func TestAppParamsFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ji2.AppParams["rounds"] != 2 {
-		t.Errorf("legacy rounds not echoed in app_params: %v", ji2.AppParams)
+		t.Errorf("rounds not echoed in app_params: %v", ji2.AppParams)
 	}
 	if ji2.Instance.TSize != 1500 {
-		t.Errorf("legacy rounds job tsize = %g, want 1500", ji2.Instance.TSize)
+		t.Errorf("rounds=2 job tsize = %g, want 1500", ji2.Instance.TSize)
 	}
 }
 

@@ -174,8 +174,7 @@ func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
 		// errors for the counters' purposes.
 		s.m.errors["batch"].Inc()
 	}
-	s.logf("tune batch: %d items, %d unique keys, %d errors",
-		len(items), len(insts), resp.Errors)
+	s.cfg.Logger.Info("tune batch", "items", len(items), "unique_keys", len(insts), "errors", resp.Errors)
 	s.writeJSON(w, http.StatusOK, resp)
 }
 

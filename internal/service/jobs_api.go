@@ -259,7 +259,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
 		default:
-			s.logf("job %s cancel accepted (%s)", id, j.State)
+			s.cfg.Logger.Info("job cancel accepted", "job_id", id, "state", j.State.String())
 			s.writeJSON(w, http.StatusOK, jobInfo(j))
 		}
 	default:

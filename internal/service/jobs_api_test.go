@@ -430,7 +430,7 @@ func TestJobValidationHTTP(t *testing.T) {
 		{"bad priority", `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1,"priority":"urgent"}`, http.StatusBadRequest},
 		{"missing granularity", `{"system":"i7-2600K","dim":500}`, http.StatusBadRequest},
 		{"unknown field", `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1,"turbo":true}`, http.StatusBadRequest},
-		{"named app ok", `{"system":"i7-2600K","dim":700,"app":"nash","rounds":2,"priority":"low"}`, http.StatusAccepted},
+		{"named app ok", `{"system":"i7-2600K","dim":700,"app":"nash","params":{"rounds":2},"priority":"low"}`, http.StatusAccepted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

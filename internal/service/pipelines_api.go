@@ -180,7 +180,7 @@ func (s *Server) handlePipelines(w http.ResponseWriter, r *http.Request) {
 	case http.MethodDelete:
 		s.pipeReqs.Add(1)
 		n := s.jobs.PrunePipelines()
-		s.logf("pruned %d finished pipeline record(s)", n)
+		s.cfg.Logger.Info("pruned finished pipelines", "pruned", n)
 		s.writeJSON(w, http.StatusOK, map[string]any{"pruned": n})
 	default:
 		w.Header().Set("Allow", "DELETE, GET, POST")
@@ -279,7 +279,7 @@ func (s *Server) handlePipelineByID(w http.ResponseWriter, r *http.Request) {
 		case err != nil:
 			s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
 		default:
-			s.logf("pipeline %s cancel accepted (%s)", id, p.State)
+			s.cfg.Logger.Info("pipeline cancel accepted", "pipeline_id", id, "state", p.State.String())
 			s.writeJSON(w, http.StatusOK, pipelineInfo(p))
 		}
 	default:

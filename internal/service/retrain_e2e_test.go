@@ -69,7 +69,6 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 			// strictness has its own deterministic unit battery.
 			Guardrail: retrain.GuardrailOptions{MinSamples: 1},
 		},
-		Logf: t.Logf,
 	})
 	defer s.Shutdown(context.Background())
 	if s.Retrainer() == nil {

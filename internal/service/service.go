@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"mime"
 	"net"
 	"net/http"
@@ -95,13 +96,10 @@ type Config struct {
 	// it runs only when Jobs.TrainingLogDir is set (the retrainer feeds
 	// on the observation logs written there) and Retrain.Off is false.
 	Retrain RetrainOptions
-	// Logf receives request-path log lines; nil disables logging.
-	// Ignored when Logger is set.
-	Logf func(format string, args ...any)
-	// Logger, when set, receives one structured line per request from
-	// the telemetry middleware, and the daemon's printf-style log lines
-	// through its Logf bridge (taking precedence over Logf).
-	Logger *telemetry.Logger
+	// Logger receives one line per request from the telemetry
+	// middleware, and the daemon's, job manager's and retrainer's
+	// lifecycle lines; nil discards them.
+	Logger *slog.Logger
 	// SlowRequest, when positive, traces every request under an
 	// http.request span and logs the full span tree of any request whose
 	// end-to-end latency reaches it. Zero opens no spans.
@@ -152,19 +150,12 @@ type RetrainOptions struct {
 	// MinObservations is the unconsumed-row count that triggers a
 	// retrain (<= 0 selects the retrain default).
 	MinObservations int
-	// MaxAge triggers a retrain once the oldest unconsumed row has
-	// waited this long, even below MinObservations (<= 0 selects the
-	// retrain default).
-	MaxAge time.Duration
 	// Holdout is the observation fraction held out for the
 	// champion/challenger comparison (<= 0 selects the retrain default).
 	Holdout float64
 	// Guardrail parameterizes the promotion gate; the zero value selects
 	// the retrain defaults.
 	Guardrail retrain.GuardrailOptions
-	// TrainOpts are the challenger's training options; the zero value
-	// selects the retrain default (core defaults with Stride 1).
-	TrainOpts core.TrainOptions
 }
 
 // Server is the tuning daemon: an http.Handler plus the plan cache and
@@ -210,6 +201,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Tuners == nil {
 		cfg.Tuners = NewTrainingSource(TrainingSourceOptions{})
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	s := &Server{
 		cfg:     cfg,
 		systems: make(map[string]hw.System, len(cfg.Systems)),
@@ -237,12 +231,12 @@ func New(cfg Config) (*Server, error) {
 	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, cfg.CacheShards, s.predict)
 	if cfg.CachePath != "" {
 		if n, err := s.cache.LoadFile(cfg.CachePath); err == nil {
-			s.logf("warmed cache with %d plans from %s", n, cfg.CachePath)
+			s.cfg.Logger.Info("warmed cache", "plans", n, "path", cfg.CachePath)
 		} else if !errors.Is(err, os.ErrNotExist) {
 			// The cache file is an optimization, not a dependency: a
 			// corrupt or stale-format file must not keep the daemon from
 			// starting. Serve cold and overwrite it on shutdown.
-			s.logf("ignoring unreadable cache file %s: %v", cfg.CachePath, err)
+			s.cfg.Logger.Warn("ignoring unreadable cache file", "path", cfg.CachePath, "err", err)
 		}
 	}
 	if cfg.Jobs.TrainingLogDir != "" {
@@ -258,13 +252,11 @@ func New(cfg Config) (*Server, error) {
 			LogDir:          cfg.Jobs.TrainingLogDir,
 			Interval:        cfg.Retrain.Interval,
 			MinObservations: cfg.Retrain.MinObservations,
-			MaxAge:          cfg.Retrain.MaxAge,
 			Holdout:         cfg.Retrain.Holdout,
 			Guardrail:       cfg.Retrain.Guardrail,
-			TrainOpts:       cfg.Retrain.TrainOpts,
 			Champion:        s.tuners.tuner,
 			Promote:         s.promote,
-			Logf:            s.logf,
+			Logger:          cfg.Logger,
 			Metrics:         s.m.retrain,
 		})
 		if err != nil {
@@ -292,7 +284,7 @@ func New(cfg Config) (*Server, error) {
 		OnObservation: onObservation,
 		MaxRecords:    cfg.Jobs.MaxRecords,
 		MaxPipelines:  cfg.Jobs.MaxPipelines,
-		Logf:          s.logf,
+		Logger:        cfg.Logger,
 		Metrics:       s.m.jobs,
 		SlowJob:       cfg.Jobs.SlowJob,
 	})
@@ -320,19 +312,6 @@ func New(cfg Config) (*Server, error) {
 		s.retrainer.Start()
 	}
 	return s, nil
-}
-
-// logging reports whether logf writes anywhere.
-func (s *Server) logging() bool { return s.cfg.Logger != nil || s.cfg.Logf != nil }
-
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logger != nil {
-		s.cfg.Logger.Logf(format, args...)
-		return
-	}
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // Cache returns the plan cache (counters, persistence).
@@ -393,12 +372,10 @@ func (s *Server) promote(system string, t core.Predictor) (gen uint64, dropped i
 
 // TuneRequest is the body of POST /v1/tune. The instance shape is either
 // square (dim) or rectangular (rows and cols). Granularity comes either
-// from explicit tsize/dsize or from a named application registered in
-// the apps catalog (GET /v1/apps lists it), with app parameters in the
-// params object (e.g. {"app":"nash","params":{"rounds":2}}); explicit
-// tsize/dsize values win over app-derived ones. The top-level rounds
-// field is the legacy spelling of params.rounds and is kept for
-// compatibility.
+// from a named application registered in the apps catalog (GET /v1/apps
+// lists it), with its parameters only in the params object (e.g.
+// {"app":"nash","params":{"rounds":2}}), or, without an app, from
+// explicit tsize and dsize.
 type TuneRequest struct {
 	System string `json:"system"`
 	Dim    int    `json:"dim,omitempty"`
@@ -407,7 +384,6 @@ type TuneRequest struct {
 
 	App    string             `json:"app,omitempty"`
 	Params map[string]float64 `json:"params,omitempty"`
-	Rounds int                `json:"rounds,omitempty"`
 	TSize  *float64           `json:"tsize,omitempty"`
 	DSize  *int               `json:"dsize,omitempty"`
 }
@@ -525,57 +501,13 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64,
 // shapes.
 const maxServedSide = 1 << 20
 
-// appValues builds the effective application parameter values of a
-// request: the params object plus the legacy top-level spellings
-// (rounds; tsize/dsize for apps that declare them, i.e. the synthetic
-// trainer) mapped onto declared parameters. This keeps the historical
-// {"app":"nash","rounds":2} and {"app":"synthetic","tsize":...,
-// "dsize":...} working unchanged, and is also what job records echo as
-// app_params. Supplying one declared parameter through both spellings
-// is rejected — two values for one knob has no defensible winner, and
-// silently picking either would make the served instance contradict
-// half the request.
-func (r TuneRequest) appValues(app apps.App) (apps.Values, error) {
-	v := apps.Values{}
-	for name, x := range r.Params {
-		v[name] = x
-	}
-	addLegacy := func(field, name string, x float64) error {
-		if _, declared := app.Param(name); !declared {
-			return nil
-		}
-		if _, dup := v[name]; dup {
-			return fmt.Errorf("app %q: parameter %q given both in params and as top-level %s",
-				app.Name, name, field)
-		}
-		v[name] = x
-		return nil
-	}
-	if r.Rounds > 0 {
-		if err := addLegacy("rounds", "rounds", float64(r.Rounds)); err != nil {
-			return nil, err
-		}
-	}
-	if r.TSize != nil {
-		if err := addLegacy("tsize", "tsize", *r.TSize); err != nil {
-			return nil, err
-		}
-	}
-	if r.DSize != nil {
-		if err := addLegacy("dsize", "dsize", float64(*r.DSize)); err != nil {
-			return nil, err
-		}
-	}
-	return v, nil
-}
-
 // instanceFrom validates a request and builds the plan.Instance, along
 // with the fully resolved application parameter values (supplied
-// params, legacy spellings, schema defaults) that job records echo —
-// nil for app-less requests. Named applications resolve through the
-// apps registry — granularity, parameter schema and shape constraints
-// all come from the catalog, so registering a workload makes it
-// servable with no change here.
+// params and schema defaults) that job records echo — nil for app-less
+// requests. Named applications resolve through the apps registry —
+// granularity, parameter schema and shape constraints all come from the
+// catalog, so registering a workload makes it servable with no change
+// here.
 func (r TuneRequest) instanceFrom() (plan.Instance, apps.Values, error) {
 	inst := plan.Instance{Dim: r.Dim, Rows: r.Rows, Cols: r.Cols}
 	rows, cols := inst.Shape()
@@ -596,16 +528,18 @@ func (r TuneRequest) instanceFrom() (plan.Instance, apps.Values, error) {
 		if r.TSize == nil || r.DSize == nil {
 			return inst, nil, fmt.Errorf("either app or both tsize and dsize are required")
 		}
+		inst.TSize, inst.DSize = *r.TSize, *r.DSize
 	} else {
+		if r.TSize != nil || r.DSize != nil {
+			// One spelling per knob: an app's granularity comes from its
+			// parameters, which live in params.
+			return inst, nil, fmt.Errorf("app %q: top-level tsize and dsize are not accepted with an app; pass app parameters in params", r.App)
+		}
 		app, ok := apps.Lookup(r.App)
 		if !ok {
 			return inst, nil, apps.UnknownAppError(r.App)
 		}
-		v, err := r.appValues(app)
-		if err != nil {
-			return inst, nil, err
-		}
-		ai, rv, err := app.InstanceFor(rows, cols, v)
+		ai, rv, err := app.InstanceFor(rows, cols, r.Params)
 		if err != nil {
 			return inst, nil, err
 		}
@@ -613,16 +547,6 @@ func (r TuneRequest) instanceFrom() (plan.Instance, apps.Values, error) {
 		// cache key and cost model from the dense spelling of the shape.
 		inst.TSize, inst.DSize, inst.LiveCells = ai.TSize, ai.DSize, ai.LiveCells
 		resolved = rv
-	}
-	// Explicit top-level granularity overrides the app-derived values
-	// last (for apps that declare tsize/dsize the legacy spelling was
-	// already folded into the resolution above, so the echo and the
-	// instance cannot disagree).
-	if r.TSize != nil {
-		inst.TSize = *r.TSize
-	}
-	if r.DSize != nil {
-		inst.DSize = *r.DSize
 	}
 	if err := inst.Validate(); err != nil {
 		return inst, nil, err
@@ -669,9 +593,12 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := tuneResponseFor(req.System, inst, p, outcome)
-	if s.logging() {
-		// Guarded: boxing the arguments allocates even when nothing logs.
-		s.logf("tune %s %s -> %s (%s)", req.System, inst, p.Par, outcome)
+	if s.cfg.Logger.Enabled(r.Context(), slog.LevelInfo) {
+		// Guarded: rendering the attributes allocates even when nothing
+		// logs.
+		s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "tune",
+			slog.String("system", req.System), slog.String("instance", inst.String()),
+			slog.String("params", p.Par.String()), slog.String("cache", outcome.String()))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
@@ -828,7 +755,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 	s.httpSrv = srv
 	s.httpMu.Unlock()
-	s.logf("serving on %s", l.Addr())
+	// The message stays one string: clients find the daemon's port by
+	// matching "serving on <addr>" in its log.
+	s.cfg.Logger.Info("serving on " + l.Addr().String())
 	if err := srv.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -851,7 +780,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = srv.Shutdown(ctx)
 	}
 	if jerr := s.jobs.Shutdown(ctx); jerr != nil {
-		s.logf("job drain cut short: %v", jerr)
+		s.cfg.Logger.Error("job drain cut short", "err", jerr)
 		err = errors.Join(err, jerr)
 	}
 	if s.retrainer != nil {
@@ -866,16 +795,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// outlives a cut-short drain can still append afterwards — the
 		// log falls back to one-shot write-through, so nothing is lost.
 		if cerr := s.trainLog.Close(); cerr != nil {
-			s.logf("closing training log: %v", cerr)
+			s.cfg.Logger.Error("closing training log", "err", cerr)
 			err = errors.Join(err, cerr)
 		}
 	}
 	if s.cfg.CachePath != "" {
 		if serr := s.cache.SaveFile(s.cfg.CachePath); serr != nil {
-			s.logf("failed to save plan cache to %s: %v", s.cfg.CachePath, serr)
+			s.cfg.Logger.Error("saving plan cache", "path", s.cfg.CachePath, "err", serr)
 			err = errors.Join(err, serr)
 		} else {
-			s.logf("saved %d cached plans to %s", s.cache.Len(), s.cfg.CachePath)
+			s.cfg.Logger.Info("saved plan cache", "plans", s.cache.Len(), "path", s.cfg.CachePath)
 		}
 	}
 	return err

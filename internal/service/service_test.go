@@ -232,8 +232,8 @@ func TestValidation(t *testing.T) {
 		{"huge rect", `{"system":"i7-2600K","rows":600,"cols":2000000,"tsize":10,"dsize":1}`, http.StatusBadRequest},
 		{"negative dsize", `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":-1}`, http.StatusBadRequest},
 		{"inconsistent shape", `{"system":"i7-2600K","dim":500,"rows":600,"cols":700,"tsize":10,"dsize":1}`, http.StatusBadRequest},
-		{"nash app ok", `{"system":"i7-2600K","dim":700,"app":"nash","rounds":2}`, http.StatusOK},
-		{"explicit override ok", `{"system":"i7-2600K","dim":700,"app":"nash","tsize":9000,"dsize":1}`, http.StatusOK},
+		{"nash app ok", `{"system":"i7-2600K","dim":700,"app":"nash","params":{"rounds":2}}`, http.StatusOK},
+		{"granularity beside app", `{"system":"i7-2600K","dim":700,"app":"nash","tsize":9000,"dsize":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,7 @@ package service
 // counted twice.
 
 import (
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -314,16 +315,17 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		}
 		s.m.latency[route].Observe(dur.Seconds())
 		s.m.responses.With(route, strconv.Itoa(status)).Inc()
-		if lg := s.cfg.Logger; lg != nil {
-			lg.Log("request", "request_id", id, "route", route,
-				"method", r.Method, "path", r.URL.Path,
-				"status", status, "dur", dur)
+		if s.cfg.Logger.Enabled(ctx, slog.LevelInfo) {
+			s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "request",
+				slog.String("request_id", id), slog.String("route", route),
+				slog.String("method", r.Method), slog.String("path", r.URL.Path),
+				slog.Int("status", status), slog.Duration("dur", dur))
 		}
 		if span != nil && dur >= s.cfg.SlowRequest {
 			span.Annotate("status", status)
-			s.logf("slow request %s %s %s (%.3fs >= %.3fs):\n%s",
-				id, r.Method, r.URL.Path, dur.Seconds(),
-				s.cfg.SlowRequest.Seconds(), span.Render())
+			s.cfg.Logger.Info("slow request", "request_id", id, "method", r.Method,
+				"path", r.URL.Path, "dur", dur, "threshold", s.cfg.SlowRequest,
+				"spans", span.Render())
 		}
 	})
 }

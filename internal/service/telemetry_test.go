@@ -8,10 +8,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"net"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -392,19 +396,52 @@ func TestStatsTelemetryBlock(t *testing.T) {
 	}
 }
 
+// logEncodings are the two handlers waved's -log-format selects.
+var logEncodings = []struct {
+	name    string
+	handler func(io.Writer) slog.Handler
+}{
+	{"text", func(w io.Writer) slog.Handler { return slog.NewTextHandler(w, nil) }},
+	{"json", func(w io.Writer) slog.Handler { return slog.NewJSONHandler(w, nil) }},
+}
+
+// TestServeLogsListenAddress pins the listen line in both encodings:
+// clients that start the daemon on port 0 (wavebench) find its address
+// by matching this expression against its log.
+func TestServeLogsListenAddress(t *testing.T) {
+	servingOn := regexp.MustCompile(`serving on (127\.0\.0\.1:\d+)`)
+	for _, tc := range logEncodings {
+		t.Run(tc.name, func(t *testing.T) {
+			buf := &syncBuffer{}
+			s, _, _ := newTestServer(t, Config{Logger: slog.New(tc.handler(buf))})
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- s.Serve(l) }()
+			waitFor(t, "listen line", func() bool { return servingOn.MatchString(buf.String()) })
+			t.Logf("listen line: %s", strings.TrimSpace(buf.String()))
+			if m := servingOn.FindStringSubmatch(buf.String()); m[1] != l.Addr().String() {
+				t.Errorf("logged address %s, listening on %s", m[1], l.Addr())
+			}
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestStructuredRequestLog checks both log encodings produce one line
 // per request with the request's fields.
 func TestStructuredRequestLog(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		format telemetry.LogFormat
-	}{
-		{"text", telemetry.FormatText},
-		{"json", telemetry.FormatJSON},
-	} {
+	for _, tc := range logEncodings {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := &syncBuffer{}
-			_, ts, _ := newTestServer(t, Config{Logger: telemetry.NewLogger(buf, tc.format)})
+			_, ts, _ := newTestServer(t, Config{Logger: slog.New(tc.handler(buf))})
 			resp, err := http.Get(ts.URL + "/healthz")
 			if err != nil {
 				t.Fatal(err)
@@ -423,14 +460,15 @@ func TestStructuredRequestLog(t *testing.T) {
 					break
 				}
 			}
-			switch tc.format {
-			case telemetry.FormatText:
-				for _, want := range []string{"msg=request", "route=healthz", "status=200", "request_id=" + id} {
+			t.Logf("request line: %s", line)
+			switch tc.name {
+			case "text":
+				for _, want := range []string{"level=INFO", "msg=request", "route=healthz", "status=200", "request_id=" + id, "dur="} {
 					if !strings.Contains(line, want) {
 						t.Errorf("text line missing %q: %s", want, line)
 					}
 				}
-			case telemetry.FormatJSON:
+			case "json":
 				var rec map[string]any
 				if err := json.Unmarshal([]byte(line), &rec); err != nil {
 					t.Fatalf("log line is not JSON: %v: %s", err, line)
@@ -441,6 +479,9 @@ func TestStructuredRequestLog(t *testing.T) {
 				if fmt.Sprint(rec["status"]) != "200" {
 					t.Errorf("json status = %v", rec["status"])
 				}
+				if dur, ok := rec["dur"].(float64); !ok || dur <= 0 || dur != float64(int64(dur)) {
+					t.Errorf("json dur = %v, want integer nanoseconds", rec["dur"])
+				}
 			}
 		})
 	}
@@ -450,17 +491,14 @@ func TestStructuredRequestLog(t *testing.T) {
 // their full span tree, child spans included.
 func TestSlowRequestSpanTree(t *testing.T) {
 	buf := &syncBuffer{}
-	var mu sync.Mutex
-	logf := func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		fmt.Fprintf(buf, format+"\n", args...)
-	}
-	_, ts, _ := newTestServer(t, Config{Logf: logf, SlowRequest: time.Nanosecond})
+	_, ts, _ := newTestServer(t, Config{
+		Logger:      slog.New(slog.NewTextHandler(buf, nil)),
+		SlowRequest: time.Nanosecond,
+	})
 
 	postTune(t, ts.URL, `{"system":"i7-2600K","dim":1900,"tsize":750,"dsize":4}`)
 	waitFor(t, "slow-request dump", func() bool {
-		return strings.Contains(buf.String(), "slow request")
+		return strings.Contains(buf.String(), `msg="slow request"`)
 	})
 	out := buf.String()
 	for _, want := range []string{"http.request", "cache.lookup", "tuner.predict"} {

@@ -149,15 +149,12 @@ type TrainingSourceOptions struct {
 	// sampled instances (core.TrainingInstances). Use core.DefaultSpace()
 	// for paper-scale tuners.
 	Space core.Space
-	// TrainOpts configure model fitting; the zero value selects
-	// core.DefaultTrainOptions().
-	TrainOpts core.TrainOptions
 }
 
 // NewTrainingSource returns a source that trains a predictor for a
-// system through core.TrainFromSpace: a search of the instances of
-// core.ServingSpace(options' space) that training samples, followed by
-// the model pipeline. The tuner is byte-identical to the "factory" path,
+// system through core.TrainFromSpace with core.DefaultTrainOptions: a
+// search of the instances of core.ServingSpace(options' space) that
+// training samples, followed by the model pipeline. The tuner is byte-identical to the "factory" path,
 // core.Train over a full core.Exhaustive of that space. Every call
 // trains afresh; the server calls it once per system.
 func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
@@ -167,9 +164,7 @@ func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
 	}
 	space = core.ServingSpace(space)
 	return resolveFunc(func(sys hw.System) (core.Predictor, error) {
-		// core.TrainFromSpace applies per-field defaults to zero
-		// TrainOptions.
-		t, err := core.TrainFromSpace(sys, space, opts.TrainOpts)
+		t, err := core.TrainFromSpace(sys, space, core.DefaultTrainOptions())
 		if err != nil {
 			return nil, fmt.Errorf("training %s: %w", sys.Name, err)
 		}

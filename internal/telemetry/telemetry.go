@@ -1,9 +1,9 @@
 // Package telemetry is the daemon's dependency-free observability
 // core: an atomic metrics registry (counters, gauges, fixed-bucket
 // latency histograms with quantile summaries), a Prometheus
-// text-format exposition writer, lightweight trace spans threaded
-// through request contexts, and a structured key=value / JSON line
-// logger. Everything is safe for concurrent use and designed so the
+// text-format exposition writer, and lightweight trace spans threaded
+// through request contexts. Log lines go through the standard library's
+// log/slog. Everything is safe for concurrent use and designed so the
 // hot-path cost of an instrument is one or two atomic operations —
 // cheap enough to leave on under production traffic.
 //

@@ -2,19 +2,16 @@ package wavefront
 
 // The serving surface: the paper's "train once, predict per instance"
 // deployment as the HTTP tuning daemon behind cmd/waved, the tuner
-// sources it draws predictors from, its batch client and its structured
-// logger. The plan cache, job queue, retrainer and metrics registry
+// sources it draws predictors from and its batch client. The plan cache, job queue, retrainer and metrics registry
 // behind it are reached over HTTP (/v1/tune, /v1/jobs, /v1/pipelines,
 // /v1/stats, /metrics).
 
 import (
 	"context"
-	"io"
 	"net/http"
 
 	"repro/internal/retrain"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 )
 
 // TuningServer is the HTTP tuning daemon: POST /v1/tune and
@@ -99,24 +96,4 @@ type BatchTuneResult = service.BatchTuneResult
 // malformed request, unreachable daemon) returns an error.
 func TuneBatch(ctx context.Context, client *http.Client, baseURL string, req BatchTuneRequest) (*BatchTuneResponse, error) {
 	return service.BatchTune(ctx, client, baseURL, req)
-}
-
-// StructuredLogger writes structured log lines — timestamp, level,
-// message, then key=value fields — as logfmt text or JSON objects
-// (waved -log-format). TuningConfig.Logger accepts one.
-type StructuredLogger = telemetry.Logger
-
-// LogFormat selects a StructuredLogger's line encoding.
-type LogFormat = telemetry.LogFormat
-
-// NewStructuredLogger returns a logger writing to w in the given
-// format.
-func NewStructuredLogger(w io.Writer, format LogFormat) *StructuredLogger {
-	return telemetry.NewLogger(w, format)
-}
-
-// ParseLogFormat maps a -log-format flag value ("text", "kv", "json")
-// to a LogFormat.
-func ParseLogFormat(s string) (LogFormat, error) {
-	return telemetry.ParseLogFormat(s)
 }
