@@ -13,9 +13,7 @@
 // (the paper's four plus the extended catalog) register themselves in
 // builtin.go.
 //
-// Registries are safe for concurrent use. The package-level functions
-// operate on the Default registry; NewRegistry builds isolated instances
-// for tests and embedders.
+// The catalog is one process-wide registry, safe for concurrent use.
 package apps
 
 import (
@@ -281,45 +279,52 @@ func validIdent(s string) bool {
 	return s != ""
 }
 
-// Registry is a concurrency-safe named-application catalog.
-type Registry struct {
-	mu sync.RWMutex
-	m  map[string]App
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{m: map[string]App{}} }
+// catalog is the process-wide application registry behind the
+// package-level functions, the daemon, the CLIs and
+// wavefront.RegisterApp; catalogMu guards it.
+var (
+	catalogMu sync.RWMutex
+	catalog   = map[string]App{}
+)
 
 // Register validates a and adds it to the catalog. Duplicate names are
 // rejected: the catalog is an API surface, and silently replacing an
 // entry would change served granularities behind clients' backs.
-func (r *Registry) Register(a App) error {
+func Register(a App) error {
 	if err := a.validate(); err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[a.Name]; dup {
+	catalogMu.Lock()
+	defer catalogMu.Unlock()
+	if _, dup := catalog[a.Name]; dup {
 		return fmt.Errorf("apps: app %q already registered", a.Name)
 	}
-	r.m[a.Name] = a
+	catalog[a.Name] = a
 	return nil
 }
 
+// mustRegister is the builtin-registration helper; a failure is a
+// programming error in this package.
+func mustRegister(a App) {
+	if err := Register(a); err != nil {
+		panic(err)
+	}
+}
+
 // Lookup returns the named app.
-func (r *Registry) Lookup(name string) (App, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	a, ok := r.m[name]
+func Lookup(name string) (App, bool) {
+	catalogMu.RLock()
+	defer catalogMu.RUnlock()
+	a, ok := catalog[name]
 	return a, ok
 }
 
 // All returns every registered app sorted by name.
-func (r *Registry) All() []App {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]App, 0, len(r.m))
-	for _, a := range r.m {
+func All() []App {
+	catalogMu.RLock()
+	defer catalogMu.RUnlock()
+	out := make([]App, 0, len(catalog))
+	for _, a := range catalog {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -327,8 +332,8 @@ func (r *Registry) All() []App {
 }
 
 // Names returns the sorted registered names.
-func (r *Registry) Names() []string {
-	all := r.All()
+func Names() []string {
+	all := All()
 	names := make([]string, len(all))
 	for i, a := range all {
 		names[i] = a.Name
@@ -338,15 +343,15 @@ func (r *Registry) Names() []string {
 
 // UnknownAppError builds the error for an unrecognized name, always
 // enumerating the current catalog so the message cannot drift from it.
-func (r *Registry) UnknownAppError(name string) error {
-	return fmt.Errorf("unknown app %q (want %s)", name, strings.Join(r.Names(), ", "))
+func UnknownAppError(name string) error {
+	return fmt.Errorf("unknown app %q (want %s)", name, strings.Join(Names(), ", "))
 }
 
 // RenderCatalog renders the catalog as an aligned text table (the
 // wavetune -list / wavesweep -apps / waverepro output).
-func (r *Registry) RenderCatalog() string {
+func RenderCatalog() string {
 	t := report.NewTable("app", "tsize", "dsize", "params", "shape", "description")
-	for _, a := range r.All() {
+	for _, a := range All() {
 		tsize, dsize := "param", "param"
 		if ts, ds, ok := a.DefaultGranularity(); ok {
 			tsize, dsize = fmt.Sprintf("%g", ts), fmt.Sprintf("%d", ds)
@@ -359,34 +364,3 @@ func (r *Registry) RenderCatalog() string {
 	}
 	return "Application catalog:\n" + t.String()
 }
-
-// Default is the process-wide registry behind the package-level
-// functions, the daemon, the CLIs and wavefront.RegisterApp.
-var Default = NewRegistry()
-
-// Register adds a to the Default registry.
-func Register(a App) error { return Default.Register(a) }
-
-// mustRegister is the builtin-registration helper; a failure is a
-// programming error in this package.
-func mustRegister(a App) {
-	if err := Register(a); err != nil {
-		panic(err)
-	}
-}
-
-// Lookup returns the named app from the Default registry.
-func Lookup(name string) (App, bool) { return Default.Lookup(name) }
-
-// All returns the Default registry's catalog sorted by name.
-func All() []App { return Default.All() }
-
-// Names returns the Default registry's sorted names.
-func Names() []string { return Default.Names() }
-
-// UnknownAppError builds the unknown-name error against the Default
-// registry.
-func UnknownAppError(name string) error { return Default.UnknownAppError(name) }
-
-// RenderCatalog renders the Default registry's catalog.
-func RenderCatalog() string { return Default.RenderCatalog() }

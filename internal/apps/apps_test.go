@@ -2,6 +2,8 @@ package apps
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -28,21 +30,41 @@ func testApp() App {
 	}
 }
 
+// registerForTest registers a in the catalog and removes it again when
+// the test ends, so the test app never leaks into the catalog tests.
+func registerForTest(t *testing.T, a App) error {
+	t.Helper()
+	if err := Register(a); err != nil {
+		return err
+	}
+	t.Cleanup(func() {
+		catalogMu.Lock()
+		delete(catalog, a.Name)
+		catalogMu.Unlock()
+	})
+	return nil
+}
+
 func TestRegistryRegisterAndLookup(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register(testApp()); err != nil {
+	builtins := Names()
+	if err := registerForTest(t, testApp()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Lookup("blur"); !ok {
+	if _, ok := Lookup("blur"); !ok {
 		t.Fatal("registered app not found")
 	}
-	if err := r.Register(testApp()); err == nil {
+	if err := Register(testApp()); err == nil {
 		t.Error("duplicate registration must be rejected")
 	}
-	if got := r.Names(); len(got) != 1 || got[0] != "blur" {
-		t.Errorf("Names = %v", got)
+	if err := Register(All()[0]); err == nil {
+		t.Error("duplicate registration of a built-in must be rejected")
 	}
-	if err := r.UnknownAppError("nope"); !strings.Contains(err.Error(), "blur") {
+	want := append(builtins, "blur")
+	sort.Strings(want)
+	if got := Names(); !slices.Equal(got, want) {
+		t.Errorf("Names = %v, want %v", got, want)
+	}
+	if err := UnknownAppError("nope"); !strings.Contains(err.Error(), "blur") {
 		t.Errorf("unknown-app error %q does not enumerate the catalog", err)
 	}
 }
@@ -64,11 +86,10 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegistry()
 			a := base
 			a.Params = append([]ParamSpec(nil), base.Params...)
 			tc.mutate(&a)
-			if err := r.Register(a); err == nil {
+			if err := registerForTest(t, a); err == nil {
 				t.Error("invalid registration accepted")
 			}
 		})

@@ -76,12 +76,6 @@ func appInfo(a apps.App) AppInfo {
 // handleApps serves GET /v1/apps: the application catalog, sorted by
 // name.
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.appsReqs.Add(1)
 	all := apps.All()
 	infos := make([]AppInfo, 0, len(all))
 	for _, a := range all {

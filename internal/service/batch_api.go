@@ -18,10 +18,8 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/plan"
-	"repro/internal/telemetry"
 	"repro/internal/tunecache"
 )
 
@@ -67,12 +65,6 @@ func (s *Server) batchLimit() int {
 }
 
 func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.batchReqs.Add(1)
 	var req BatchTuneRequest
 	// The body bound scales with the batch limit so a full batch of
 	// maximal items still decodes (each item is well under 1 KiB).
@@ -136,15 +128,7 @@ func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
 			// Each unique key gets its own cache.lookup span — a
 			// concurrent child of the request's http.request span — so
 			// a slow batch's trace shows which shard/key stalled it.
-			lctx, lookup := telemetry.StartSpan(reqCtx, "cache.lookup")
-			if lookup != nil {
-				lookup.Annotate("system", work.system).
-					Annotate("shard", s.cache.ShardIndex(work.system, work.inst))
-			}
-			t0 := time.Now()
-			p, outcome, err := s.cache.GetCtx(lctx, work.system, work.inst)
-			lookup.Annotate("outcome", outcome).End()
-			s.m.cacheLookupSec.Observe(time.Since(t0).Seconds())
+			p, outcome, err := s.lookup(reqCtx, work.system, work.inst)
 			mu.Lock()
 			results[k] = tuneKeyResult{plan: p, outcome: outcome, err: err}
 			mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
@@ -135,21 +134,8 @@ func jobInfo(j jobs.Job) JobInfo {
 	return info
 }
 
-// handleJobs serves the /v1/jobs collection: POST submits, GET lists.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handleJobSubmit(w, r)
-	case http.MethodGet:
-		s.handleJobList(w, r)
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, "GET or POST required")
-	}
-}
-
+// handleJobSubmit serves POST /v1/jobs.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	s.jobReqs.Add(1)
 	var req JobRequest
 	if !s.decodeBody(w, r, 1<<16, &req) {
 		return
@@ -205,8 +191,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, jobInfo(j))
 }
 
+// handleJobList serves GET /v1/jobs.
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.jobReqs.Add(1)
 	var f jobs.Filter
 	if v := r.URL.Query().Get("state"); v != "" {
 		st, err := jobs.ParseState(v)
@@ -231,39 +217,32 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": infos, "count": len(infos)})
 }
 
-// handleJobByID serves /v1/jobs/{id}: GET polls, DELETE cancels.
-func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" || strings.Contains(id, "/") {
-		s.writeError(w, http.StatusNotFound, "no such job")
+// handleJobGet serves GET /v1/jobs/{id}: poll one job.
+func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	j, ok := s.jobs.Get(id)
+	if !ok {
+		s.writeError(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		s.jobReqs.Add(1)
-		j, ok := s.jobs.Get(id)
-		if !ok {
-			s.writeError(w, http.StatusNotFound, "no job %q", id)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, jobInfo(j))
-	case http.MethodDelete:
-		s.jobReqs.Add(1)
-		j, err := s.jobs.Cancel(id)
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			s.writeError(w, http.StatusNotFound, "no job %q", id)
-		case errors.Is(err, jobs.ErrFinished):
-			s.writeError(w, http.StatusConflict,
-				"job %s already finished (%s)", id, j.State)
-		case err != nil:
-			s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
-		default:
-			s.cfg.Logger.Info("job cancel accepted", "job_id", id, "state", j.State.String())
-			s.writeJSON(w, http.StatusOK, jobInfo(j))
-		}
+	s.writeJSON(w, http.StatusOK, jobInfo(j))
+}
+
+// handleJobCancel serves DELETE /v1/jobs/{id}: cancel a queued or
+// running job.
+func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	j, err := s.jobs.Cancel(id)
+	switch {
+	case errors.Is(err, jobs.ErrNotFound):
+		s.writeError(w, http.StatusNotFound, "no job %q", id)
+	case errors.Is(err, jobs.ErrFinished):
+		s.writeError(w, http.StatusConflict,
+			"job %s already finished (%s)", id, j.State)
+	case err != nil:
+		s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
 	default:
-		w.Header().Set("Allow", "DELETE, GET")
-		s.writeError(w, http.StatusMethodNotAllowed, "GET or DELETE required")
+		s.cfg.Logger.Info("job cancel accepted", "job_id", id, "state", j.State.String())
+		s.writeJSON(w, http.StatusOK, jobInfo(j))
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
@@ -169,27 +168,16 @@ func (s *Server) pipelineSpecFrom(req PipelineRequest) (jobs.PipelineSpec, error
 	return spec, nil
 }
 
-// handlePipelines serves the /v1/pipelines collection: POST submits,
-// GET lists, DELETE prunes finished records.
-func (s *Server) handlePipelines(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.handlePipelineSubmit(w, r)
-	case http.MethodGet:
-		s.handlePipelineList(w, r)
-	case http.MethodDelete:
-		s.pipeReqs.Add(1)
-		n := s.jobs.PrunePipelines()
-		s.cfg.Logger.Info("pruned finished pipelines", "pruned", n)
-		s.writeJSON(w, http.StatusOK, map[string]any{"pruned": n})
-	default:
-		w.Header().Set("Allow", "DELETE, GET, POST")
-		s.writeError(w, http.StatusMethodNotAllowed, "GET, POST or DELETE required")
-	}
+// handlePipelinePrune serves DELETE /v1/pipelines: prune finished
+// pipeline records.
+func (s *Server) handlePipelinePrune(w http.ResponseWriter, r *http.Request) {
+	n := s.jobs.PrunePipelines()
+	s.cfg.Logger.Info("pruned finished pipelines", "pruned", n)
+	s.writeJSON(w, http.StatusOK, map[string]any{"pruned": n})
 }
 
+// handlePipelineSubmit serves POST /v1/pipelines.
 func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
-	s.pipeReqs.Add(1)
 	var req PipelineRequest
 	if !s.decodeBody(w, r, 1<<20, &req) {
 		return
@@ -231,8 +219,8 @@ func (s *Server) handlePipelineSubmit(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusAccepted, pipelineInfo(p))
 }
 
+// handlePipelineList serves GET /v1/pipelines.
 func (s *Server) handlePipelineList(w http.ResponseWriter, r *http.Request) {
-	s.pipeReqs.Add(1)
 	var f jobs.PipelineFilter
 	if v := r.URL.Query().Get("state"); v != "" {
 		st, err := jobs.ParsePipelineState(v)
@@ -250,40 +238,32 @@ func (s *Server) handlePipelineList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"pipelines": infos, "count": len(infos)})
 }
 
-// handlePipelineByID serves /v1/pipelines/{id}: GET polls, DELETE
-// cancels.
-func (s *Server) handlePipelineByID(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/v1/pipelines/")
-	if id == "" || strings.Contains(id, "/") {
-		s.writeError(w, http.StatusNotFound, "no such pipeline")
+// handlePipelineGet serves GET /v1/pipelines/{id}: poll one pipeline.
+func (s *Server) handlePipelineGet(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	p, ok := s.jobs.GetPipeline(id)
+	if !ok {
+		s.writeError(w, http.StatusNotFound, "no pipeline %q", id)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		s.pipeReqs.Add(1)
-		p, ok := s.jobs.GetPipeline(id)
-		if !ok {
-			s.writeError(w, http.StatusNotFound, "no pipeline %q", id)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, pipelineInfo(p))
-	case http.MethodDelete:
-		s.pipeReqs.Add(1)
-		p, err := s.jobs.CancelPipeline(id)
-		switch {
-		case errors.Is(err, jobs.ErrNotFound):
-			s.writeError(w, http.StatusNotFound, "no pipeline %q", id)
-		case errors.Is(err, jobs.ErrFinished):
-			s.writeError(w, http.StatusConflict,
-				"pipeline %s already finished (%s)", id, p.State)
-		case err != nil:
-			s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
-		default:
-			s.cfg.Logger.Info("pipeline cancel accepted", "pipeline_id", id, "state", p.State.String())
-			s.writeJSON(w, http.StatusOK, pipelineInfo(p))
-		}
+	s.writeJSON(w, http.StatusOK, pipelineInfo(p))
+}
+
+// handlePipelineCancel serves DELETE /v1/pipelines/{id}: cancel the
+// running wave cooperatively and skip the later waves.
+func (s *Server) handlePipelineCancel(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	p, err := s.jobs.CancelPipeline(id)
+	switch {
+	case errors.Is(err, jobs.ErrNotFound):
+		s.writeError(w, http.StatusNotFound, "no pipeline %q", id)
+	case errors.Is(err, jobs.ErrFinished):
+		s.writeError(w, http.StatusConflict,
+			"pipeline %s already finished (%s)", id, p.State)
+	case err != nil:
+		s.writeError(w, http.StatusInternalServerError, "canceling: %v", err)
 	default:
-		w.Header().Set("Allow", "DELETE, GET")
-		s.writeError(w, http.StatusMethodNotAllowed, "GET or DELETE required")
+		s.cfg.Logger.Info("pipeline cancel accepted", "pipeline_id", id, "state", p.State.String())
+		s.writeJSON(w, http.StatusOK, pipelineInfo(p))
 	}
 }

@@ -372,34 +372,96 @@ func TestPipelineListAndPruneHTTP(t *testing.T) {
 	}
 }
 
-// TestPipelineMethodHygiene: unsupported methods answer 405 with an
-// Allow header on both the collection and the item routes.
+// TestPipelineMethodHygiene is the route contract of the route table:
+// every table path answers a method it does not list with the JSON 405
+// and the table's exact Allow header, GET routes answer HEAD, unknown
+// paths get the JSON 404 under "other", and each response is counted
+// under the table's route label. It logs the table, and fails if a
+// table path has no 405 row here.
 func TestPipelineMethodHygiene(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	cases := []struct {
-		method, path, allow string
-	}{
-		{http.MethodPatch, "/v1/pipelines", "DELETE, GET, POST"},
-		{http.MethodPut, "/v1/pipelines", "DELETE, GET, POST"},
-		{http.MethodPost, "/v1/pipelines/pipe-00000001", "DELETE, GET"},
-		{http.MethodPatch, "/v1/pipelines/pipe-00000001", "DELETE, GET"},
+	s, ts, _ := newTestServer(t, Config{})
+	for _, rt := range routes {
+		t.Logf("route %-28s -> %s", rt.pattern, rt.label)
 	}
+	cases := []struct {
+		method, path string
+		code         int
+		allow, label string
+	}{
+		{http.MethodPatch, "/v1/pipelines", 405, "DELETE, GET, POST", "pipelines"},
+		{http.MethodPut, "/v1/pipelines", 405, "DELETE, GET, POST", "pipelines"},
+		{http.MethodPost, "/v1/pipelines/pipe-00000001", 405, "DELETE, GET", "pipelines"},
+		{http.MethodPatch, "/v1/pipelines/pipe-00000001", 405, "DELETE, GET", "pipelines"},
+		{http.MethodGet, "/v1/tune", 405, "POST", "tune"},
+		{http.MethodGet, "/v1/tune/batch", 405, "POST", "batch"},
+		{http.MethodDelete, "/v1/jobs", 405, "GET, POST", "jobs"},
+		{http.MethodPut, "/v1/jobs/job-00000001", 405, "DELETE, GET", "jobs"},
+		{http.MethodPost, "/v1/apps", 405, "GET", "apps"},
+		{http.MethodDelete, "/v1/systems", 405, "GET", "systems"},
+		{http.MethodPut, "/v1/stats", 405, "GET", "stats"},
+		{http.MethodPost, "/metrics", 405, "GET", "metrics"},
+		{http.MethodHead, "/v1/systems", 200, "", "systems"},
+		{http.MethodGet, "/v1/jobs/job-99999999", 404, "", "jobs"},
+		{http.MethodGet, "/v1/jobs/", 404, "", "other"},
+		{http.MethodGet, "/v1/jobs/a/b", 404, "", "other"},
+		{http.MethodDelete, "/v1/pipelines/", 404, "", "other"},
+	}
+	// Every pattern the mux can match is a table pattern or a table
+	// path's 405 fallback.
+	known := map[string]bool{}
+	for _, rt := range routes {
+		known[rt.pattern] = true
+		if _, path, ok := strings.Cut(rt.pattern, " "); ok {
+			known[path] = true
+		}
+	}
+	mux := s.routeMux()
+	covered := map[string]bool{}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, pattern := mux.Handler(req)
+		if !known[pattern] {
+			t.Errorf("%s %s: matched %q, which is not in the route table", tc.method, tc.path, pattern)
+		}
+		if tc.code == 405 {
+			covered[pattern] = true
+		}
+		counted := s.m.responses.With(tc.label, strconv.Itoa(tc.code))
+		before := counted.Value()
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, resp.StatusCode)
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.code)
 		}
 		if got := resp.Header.Get("Allow"); got != tc.allow {
 			t.Errorf("%s %s: Allow = %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
+		if tc.method == http.MethodHead {
+			if len(body) != 0 {
+				t.Errorf("%s %s: %d body bytes, want none", tc.method, tc.path, len(body))
+			}
+		} else if tc.code != http.StatusOK {
+			var e errorResponse
+			if err := json.Unmarshal(body, &e); err != nil || e.Error == "" ||
+				e.RequestID != resp.Header.Get("X-Request-Id") {
+				t.Errorf("%s %s: body %q is not a JSON error with the request ID", tc.method, tc.path, body)
+			}
+		}
+		// The middleware counts the response after writing it.
+		waitFor(t, tc.method+" "+tc.path+" counted under "+tc.label, func() bool {
+			return counted.Value() == before+1
+		})
+	}
+	for _, rt := range routes {
+		if _, path, ok := strings.Cut(rt.pattern, " "); ok && !covered[path] {
+			t.Errorf("table path %s has no 405 row", path)
 		}
 	}
 }

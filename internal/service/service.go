@@ -36,6 +36,10 @@
 //	GET    /metrics            the same counters in Prometheus text format
 //	GET    /healthz            liveness probe
 //
+// One route table (routes.go) registers exactly these. A method an
+// endpoint does not list answers 405 with an Allow header, and an
+// unknown path 404, both with the JSON error body.
+//
 // Every response carries an X-Request-ID header (generated, or echoed
 // from the request); error bodies repeat it, and slow requests (see
 // Config.SlowRequest) log their full trace-span tree under it.
@@ -167,7 +171,6 @@ type Server struct {
 	cache    *tunecache.Cache
 	jobs     *jobs.Manager
 	trainLog *core.ObservationLog
-	mux      *http.ServeMux
 	handler  http.Handler
 	start    time.Time
 
@@ -179,18 +182,8 @@ type Server struct {
 	httpSrv  *http.Server
 	shutDown bool
 
-	// m is the telemetry registry plus every pre-resolved series handle;
-	// the per-route counters below alias m.requests so the historical
-	// handler-level increment sites keep working verbatim.
-	m          *serverMetrics
-	tuneReqs   *telemetry.Counter
-	batchReqs  *telemetry.Counter
-	jobReqs    *telemetry.Counter
-	pipeReqs   *telemetry.Counter
-	appsReqs   *telemetry.Counter
-	statsReqs  *telemetry.Counter
-	sysReqs    *telemetry.Counter
-	healthReqs *telemetry.Counter
+	// m is the telemetry registry plus every pre-resolved series handle.
+	m *serverMetrics
 }
 
 // New builds a server from cfg.
@@ -211,14 +204,6 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		m:       newServerMetrics(),
 	}
-	s.tuneReqs = s.m.requests["tune"]
-	s.batchReqs = s.m.requests["batch"]
-	s.jobReqs = s.m.requests["jobs"]
-	s.pipeReqs = s.m.requests["pipelines"]
-	s.appsReqs = s.m.requests["apps"]
-	s.statsReqs = s.m.requests["stats"]
-	s.sysReqs = s.m.requests["systems"]
-	s.healthReqs = s.m.requests["healthz"]
 	for _, sys := range cfg.Systems {
 		if sys.Name == "" {
 			return nil, fmt.Errorf("service: system with empty name")
@@ -294,20 +279,8 @@ func New(cfg Config) (*Server, error) {
 		}
 		return nil, err
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/tune", s.handleTune)
-	s.mux.HandleFunc("/v1/tune/batch", s.handleTuneBatch)
-	s.mux.HandleFunc("/v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("/v1/jobs/", s.handleJobByID)
-	s.mux.HandleFunc("/v1/pipelines", s.handlePipelines)
-	s.mux.HandleFunc("/v1/pipelines/", s.handlePipelineByID)
-	s.mux.HandleFunc("/v1/apps", s.handleApps)
-	s.mux.HandleFunc("/v1/systems", s.handleSystems)
-	s.mux.HandleFunc("/v1/stats", s.handleStats)
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-	s.mux.Handle("/metrics", s.m.reg.Handler())
 	s.registerCollectors()
-	s.handler = s.withTelemetry(s.mux)
+	s.handler = s.withTelemetry(s.routeMux())
 	if s.retrainer != nil {
 		s.retrainer.Start()
 	}
@@ -555,12 +528,6 @@ func (r TuneRequest) instanceFrom() (plan.Instance, apps.Values, error) {
 }
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	s.tuneReqs.Add(1)
 	var req TuneRequest
 	if !s.decodeBody(w, r, 1<<16, &req) {
 		return
@@ -579,15 +546,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	lctx, lookup := telemetry.StartSpan(r.Context(), "cache.lookup")
-	if lookup != nil {
-		lookup.Annotate("system", req.System).
-			Annotate("shard", s.cache.ShardIndex(req.System, inst))
-	}
-	t0 := time.Now()
-	p, outcome, err := s.cache.GetCtx(lctx, req.System, inst)
-	lookup.Annotate("outcome", outcome).End()
-	s.m.cacheLookupSec.Observe(time.Since(t0).Seconds())
+	p, outcome, err := s.lookup(r.Context(), req.System, inst)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "tuning failed: %v", err)
 		return
@@ -601,6 +560,22 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			slog.String("params", p.Par.String()), slog.String("cache", outcome.String()))
 	}
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// lookup serves one plan through the cache under a cache.lookup span (a
+// child of the request's span, if any) and times it for the lookup
+// histogram. /v1/tune and every unique key of a batch call it.
+func (s *Server) lookup(ctx context.Context, system string, inst plan.Instance) (tunecache.Plan, tunecache.Outcome, error) {
+	lctx, span := telemetry.StartSpan(ctx, "cache.lookup")
+	if span != nil {
+		span.Annotate("system", system).
+			Annotate("shard", s.cache.ShardIndex(system, inst))
+	}
+	t0 := time.Now()
+	p, outcome, err := s.cache.GetCtx(lctx, system, inst)
+	span.Annotate("outcome", outcome).End()
+	s.m.cacheLookupSec.Observe(time.Since(t0).Seconds())
+	return p, outcome, err
 }
 
 // tuneResponseFor builds the wire form of one served plan (shared by
@@ -637,12 +612,6 @@ type SystemInfo struct {
 }
 
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.sysReqs.Add(1)
 	infos := make([]SystemInfo, 0, len(s.cfg.Systems))
 	for _, sys := range s.cfg.Systems {
 		info := SystemInfo{
@@ -680,16 +649,15 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.statsReqs.Add(1)
 	var retrainStats *retrain.Stats
 	if s.retrainer != nil {
 		rs := s.retrainer.Stats()
 		retrainStats = &rs
+	}
+	// One count per route label, plus the error total.
+	requests := map[string]uint64{"errors": s.m.errorsVec.Total()}
+	for label, c := range s.m.requests {
+		requests[label] = c.Value()
 	}
 	s.writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeSec:     time.Since(s.start).Seconds(),
@@ -697,24 +665,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheBySystem: s.cache.SystemStats(),
 		Jobs:          s.jobs.Stats(),
 		Pipelines:     s.jobs.PipelineStats(),
-		Requests: map[string]uint64{
-			"tune":      s.tuneReqs.Value(),
-			"batch":     s.batchReqs.Value(),
-			"jobs":      s.jobReqs.Value(),
-			"pipelines": s.pipeReqs.Value(),
-			"apps":      s.appsReqs.Value(),
-			"systems":   s.sysReqs.Value(),
-			"stats":     s.statsReqs.Value(),
-			"healthz":   s.healthReqs.Value(),
-			"errors":    s.m.errorsVec.Total(),
-		},
-		Retrain:   retrainStats,
-		Telemetry: s.telemetrySnapshot(),
+		Requests:      requests,
+		Retrain:       retrainStats,
+		Telemetry:     s.telemetrySnapshot(),
 	})
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.healthReqs.Add(1)
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

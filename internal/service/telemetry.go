@@ -17,48 +17,12 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/retrain"
 	"repro/internal/telemetry"
 )
-
-// routeNames are the route label values of the HTTP metric families,
-// pre-registered so every route appears on /metrics from the first
-// scrape and the label space stays bounded no matter what paths are
-// probed.
-var routeNames = []string{
-	"tune", "batch", "jobs", "pipelines", "apps",
-	"systems", "stats", "healthz", "metrics", "other",
-}
-
-// routeOf maps a request path onto its route label. Unknown paths
-// collapse into "other" so arbitrary probes cannot mint new series.
-func routeOf(path string) string {
-	switch {
-	case path == "/v1/tune":
-		return "tune"
-	case path == "/v1/tune/batch":
-		return "batch"
-	case path == "/v1/jobs" || strings.HasPrefix(path, "/v1/jobs/"):
-		return "jobs"
-	case path == "/v1/pipelines" || strings.HasPrefix(path, "/v1/pipelines/"):
-		return "pipelines"
-	case path == "/v1/apps":
-		return "apps"
-	case path == "/v1/systems":
-		return "systems"
-	case path == "/v1/stats":
-		return "stats"
-	case path == "/healthz":
-		return "healthz"
-	case path == "/metrics":
-		return "metrics"
-	}
-	return "other"
-}
 
 // serverMetrics is the server's handle block into its registry: every
 // series the request paths touch is resolved once at construction, so
@@ -98,9 +62,9 @@ func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	m := &serverMetrics{
 		reg:      reg,
-		requests: make(map[string]*telemetry.Counter, len(routeNames)),
-		errors:   make(map[string]*telemetry.Counter, len(routeNames)),
-		latency:  make(map[string]*telemetry.Histogram, len(routeNames)),
+		requests: make(map[string]*telemetry.Counter),
+		errors:   make(map[string]*telemetry.Counter),
+		latency:  make(map[string]*telemetry.Histogram),
 		errorsVec: reg.CounterVec("waved_http_errors_total",
 			"Error responses written, by route.", "route"),
 		responses: reg.CounterVec("waved_http_responses_total",
@@ -137,10 +101,13 @@ func newServerMetrics() *serverMetrics {
 		"Requests handled, by route (counted inside the handler, like /v1/stats).", "route")
 	latVec := reg.HistogramVec("waved_http_request_duration_seconds",
 		"End-to-end request latency, by route.", nil, "route")
-	for _, r := range routeNames {
-		m.requests[r] = reqVec.With(r)
-		m.errors[r] = m.errorsVec.With(r)
-		m.latency[r] = latVec.With(r)
+	// Every route label is pre-registered, so each appears on /metrics
+	// from the first scrape and the label space stays bounded no matter
+	// what paths are probed.
+	for _, rt := range routes {
+		m.requests[rt.label] = reqVec.With(rt.label)
+		m.errors[rt.label] = m.errorsVec.With(rt.label)
+		m.latency[rt.label] = latVec.With(rt.label)
 	}
 	return m
 }
@@ -284,7 +251,6 @@ func (w *statusWriter) Flush() {
 func (s *Server) withTelemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		route := routeOf(r.URL.Path)
 		// The canonical spelling of X-Request-ID skips a per-call
 		// canonicalization of the key.
 		id := r.Header.Get("X-Request-Id")
@@ -295,16 +261,23 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		var span *telemetry.Span
 		if s.cfg.SlowRequest > 0 {
 			ctx, span = telemetry.StartRootSpan(ctx, "http.request")
-			span.Annotate("route", route).Annotate("method", r.Method).
+			span.Annotate("method", r.Method).
 				Annotate("path", r.URL.Path).Annotate("request_id", id)
 		}
 		w.Header().Set("X-Request-Id", id)
-		sw := &statusWriter{ResponseWriter: w, route: route, requestID: id}
+		// The matched route's handler relabels sw; the mux's own replies
+		// (path-cleaning redirects) stay under "other".
+		sw := &statusWriter{ResponseWriter: w, route: "other", requestID: id}
 
 		s.m.inflight.Add(1)
 		next.ServeHTTP(sw, r.WithContext(ctx))
 		s.m.inflight.Add(-1)
 
+		route := sw.route
+		if span != nil {
+			// Guarded: boxing the label allocates even for a nil span.
+			span.Annotate("route", route)
+		}
 		span.End()
 		dur := time.Since(start)
 		status := sw.status
@@ -356,10 +329,10 @@ func (s *Server) telemetrySnapshot() TelemetrySnapshot {
 	snap := TelemetrySnapshot{
 		UptimeSec: time.Since(s.start).Seconds(),
 		InFlight:  s.m.inflight.Value(),
-		Routes:    make(map[string]RouteTelemetry, len(routeNames)),
+		Routes:    make(map[string]RouteTelemetry, len(s.m.latency)),
 	}
-	for _, r := range routeNames {
-		h := s.m.latency[r].Snapshot()
+	for r, lat := range s.m.latency {
+		h := lat.Snapshot()
 		snap.Routes[r] = RouteTelemetry{
 			Requests: s.m.requests[r].Value(),
 			Errors:   s.m.errors[r].Value(),

@@ -16,6 +16,7 @@ import (
 	"net"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -99,13 +100,28 @@ func TestMetricsScrapeValid(t *testing.T) {
 	if bad.StatusCode != http.StatusNotFound {
 		t.Fatalf("bad tune status %d, want 404", bad.StatusCode)
 	}
-	for _, path := range []string{"/healthz", "/v1/jobs", "/does/not/exist"} {
+	for _, path := range []string{"/healthz", "/v1/jobs"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, r.Body)
 		r.Body.Close()
+	}
+	// An unknown path answers the JSON error body, request ID included.
+	r, err := http.Get(ts.URL + "/does/not/exist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var notFound errorResponse
+	if err := json.NewDecoder(r.Body).Decode(&notFound); err != nil {
+		t.Fatalf("unknown path body is not a JSON error: %v", err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound || notFound.Error == "" ||
+		notFound.RequestID == "" || notFound.RequestID != r.Header.Get("X-Request-Id") {
+		t.Errorf("unknown path: status %d, body %+v, X-Request-Id %q; want a JSON 404 with the request ID",
+			r.StatusCode, notFound, r.Header.Get("X-Request-Id"))
 	}
 
 	var text string
@@ -127,8 +143,10 @@ func TestMetricsScrapeValid(t *testing.T) {
 		`waved_http_requests_total{route="batch"} 1`,
 		`waved_http_requests_total{route="healthz"} 1`,
 		// The unknown path collapsed into "other" instead of minting a
-		// series.
+		// series, and counted there.
 		`waved_http_responses_total{route="other",code="404"} 1`,
+		`waved_http_requests_total{route="other"} 1`,
+		`waved_http_errors_total{route="other"} 1`,
 		// The bad tune answered 404 and counted as a tune-route error.
 		`waved_http_errors_total{route="tune"} 1`,
 		`waved_http_responses_total{route="tune",code="404"} 1`,
@@ -165,9 +183,15 @@ func TestMetricsScrapeValid(t *testing.T) {
 			t.Errorf("missing TYPE for %s", fam)
 		}
 	}
-	// Scraping /metrics is itself a counted route.
-	if !strings.Contains(text, `waved_http_requests_total{route="metrics"}`) {
-		t.Error("metrics route not pre-registered")
+	// Scraping /metrics is itself a counted route: the scrapes above
+	// show up in the next one.
+	text = scrapeMetrics(t, ts.URL)
+	m := regexp.MustCompile(`(?m)^waved_http_requests_total\{route="metrics"\} (\d+)$`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatal("metrics route not pre-registered")
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 1 {
+		t.Errorf("metrics route counted %d scrapes, want >= 1", n)
 	}
 }
 
