@@ -451,7 +451,7 @@ func trainingSubspace(b *testing.B, space core.Space) core.Space {
 // resident plan-cache lookup (one mutex acquisition, an LRU promotion
 // and a map hit).
 func BenchmarkPlanCacheHit(b *testing.B) {
-	c := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	c := tunecache.NewShardedCtx(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -478,7 +478,7 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 func BenchmarkPlanCacheHitParallel(b *testing.B) {
 	warm := func(b *testing.B, shards int) (*tunecache.Cache, []plan.Instance) {
 		b.Helper()
-		c := tunecache.NewSharded(4096, shards, func(system string, in plan.Instance) (tunecache.Plan, error) {
+		c := tunecache.NewShardedCtx(4096, shards, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 			return tunecache.Plan{
 				Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 				RTimeNs: 1e6, SerialNs: 2e6,
@@ -531,7 +531,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 // entries stay resident throughout, so the medians should land within a
 // few percent of BenchmarkPlanCacheHitParallel's sharded variant.
 func BenchmarkTuneDuringPromotion(b *testing.B) {
-	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
+	fill := func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -541,7 +541,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 	if shards <= 1 {
 		shards = 8
 	}
-	c := tunecache.NewSharded(4096, shards, fill)
+	c := tunecache.NewShardedCtx(4096, shards, fill)
 	insts := make([]plan.Instance, 64)
 	for i := range insts {
 		insts[i] = plan.Instance{Dim: 300 + 25*i, TSize: 2000, DSize: 1}
@@ -615,7 +615,7 @@ func BenchmarkTuneDuringPromotion(b *testing.B) {
 // delta, keeping the telemetry share of the serving hot path well
 // under 5%.
 func BenchmarkMetricsOverhead(b *testing.B) {
-	fill := func(system string, in plan.Instance) (tunecache.Plan, error) {
+	fill := func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -624,7 +624,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	inst := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
 
 	b.Run("bare", func(b *testing.B) {
-		c := tunecache.New(0, fill)
+		c := tunecache.NewShardedCtx(0, 0, fill)
 		if _, _, err := c.Get("i7-2600K", inst); err != nil {
 			b.Fatal(err)
 		}
@@ -637,7 +637,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	})
 
 	b.Run("instrumented", func(b *testing.B) {
-		c := tunecache.New(0, fill)
+		c := tunecache.NewShardedCtx(0, 0, fill)
 		if _, _, err := c.Get("i7-2600K", inst); err != nil {
 			b.Fatal(err)
 		}
@@ -767,7 +767,7 @@ func BenchmarkPredictBackend(b *testing.B) {
 // served from a warm cache and the execution measured on the modeled
 // system.
 func BenchmarkJobThroughput(b *testing.B) {
-	cache := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.NewShardedCtx(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,
@@ -814,7 +814,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 // sequential waves of two parallel jobs, so the figure prices the wave
 // barrier and driver overhead on top of raw job throughput.
 func BenchmarkPipelineThroughput(b *testing.B) {
-	cache := tunecache.New(0, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.NewShardedCtx(0, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		return tunecache.Plan{
 			Par:     plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
 			RTimeNs: 1e6, SerialNs: 2e6,

@@ -16,8 +16,9 @@
 // scores champion against challenger on a held-out split
 // (-retrain-holdout), and atomically promotes the winner — invalidating
 // only that system's cached plans. Promotions are logged with
-// generation IDs and surface in GET /v1/stats (retrain block) and
-// /metrics (waved_model_generation, waved_retrain_*). -retrain-off
+// generation IDs and surface in GET /v1/systems (generation), GET
+// /v1/stats (retrain block) and /metrics (waved_model_generation,
+// waved_retrain_*). -retrain-off
 // disables the loop.
 //
 // Jobs can be chained into wave-DAG pipelines (POST /v1/pipelines):
@@ -49,8 +50,8 @@
 //	GET    /v1/pipelines/{id}  poll one pipeline (per-wave states, job IDs)
 //	DELETE /v1/pipelines/{id}  cancel a pipeline; DELETE /v1/pipelines prunes finished records
 //	GET    /v1/apps            application catalog (names, tsize/dsize, parameter schemas)
-//	GET    /v1/systems         served systems and tuner states
-//	GET    /v1/stats           cache, job, pipeline and request counters, latency quantiles
+//	GET    /v1/systems         served systems, tuner states and model generations
+//	GET    /v1/stats           cache, job, pipeline, retrain and request counters, uptime
 //	GET    /metrics            the same counters in Prometheus text format
 //	GET    /healthz            liveness probe
 //

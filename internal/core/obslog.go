@@ -88,8 +88,12 @@ func NewObservationLog(dir string) (*ObservationLog, error) {
 func (l *ObservationLog) Dir() string { return l.dir }
 
 // Path returns the CSV file observations for the named system append to.
-func (l *ObservationLog) Path(system string) string {
-	return filepath.Join(l.dir, system+".csv")
+func (l *ObservationLog) Path(system string) string { return ObservationLogPath(l.dir, system) }
+
+// ObservationLogPath is the one spelling of an observation log's file
+// name: "<dir>/<system>.csv".
+func ObservationLogPath(dir, system string) string {
+	return filepath.Join(dir, system+".csv")
 }
 
 // validLogSystem rejects system names that would escape the log

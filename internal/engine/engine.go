@@ -42,7 +42,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -52,7 +51,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/plan"
 	"repro/internal/simcl"
-	"repro/internal/telemetry"
 )
 
 // SerialTile is the tile side used by the optimized sequential baseline.
@@ -178,31 +176,6 @@ func MeasureStepsNs(sys hw.System, inst plan.Instance, serial bool, par plan.Par
 		return 0, 0, err
 	}
 	return res.RTimeNs, res.FrontierSteps, nil
-}
-
-// MeasureStepsNsCtx is MeasureStepsNs wrapped in an engine.measure
-// trace span attached to ctx's span tree, annotated with the executed
-// shape and schedule (serial vs hybrid, modeled time, step count). The
-// measurement itself is identical; ctx carries only telemetry, not
-// cancellation — the engine's analytic walk is not interruptible.
-func MeasureStepsNsCtx(ctx context.Context, sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
-	_, span := telemetry.StartSpan(ctx, "engine.measure")
-	if span != nil {
-		rows, cols := inst.Shape()
-		span.Annotate("system", sys.Name).
-			Annotate("shape", fmt.Sprintf("%dx%d", rows, cols)).
-			Annotate("serial", serial)
-	}
-	ns, steps, err := MeasureStepsNs(sys, inst, serial, par)
-	if span != nil {
-		if err == nil {
-			span.Annotate("modeled_ns", fmt.Sprintf("%.0f", ns)).Annotate("steps", steps)
-		} else {
-			span.Annotate("error", err)
-		}
-		span.End()
-	}
-	return ns, steps, err
 }
 
 // gpuSchedule is the device-side choreography of a plan's GPU phase: the

@@ -465,7 +465,7 @@ func TestRecordPruning(t *testing.T) {
 func refineManager(t *testing.T, logDir string, budget int) (*Manager, *core.Tuner) {
 	t.Helper()
 	tun := refineTuner(t)
-	cache := tunecache.New(16, func(system string, in plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.NewShardedCtx(16, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
 		pred, rtime, serial, err := tun.PredictTimed(in)
 		if err != nil {
 			return tunecache.Plan{}, err

@@ -617,14 +617,30 @@ func (m *Manager) run(rec *record) {
 	}
 }
 
-// measure runs one modeled engine execution, feeding its duration to
-// the EngineSec histogram (when configured) alongside the engine.measure
-// span MeasureStepsNsCtx attaches to ctx.
+// measure runs one modeled engine execution inside an engine.measure
+// span on ctx's span tree, annotated with the executed shape and
+// schedule (serial vs hybrid, modeled time, step count), and feeds its
+// duration to the EngineSec histogram (when configured).
 func (m *Manager) measure(ctx context.Context, sys hw.System, inst plan.Instance, serial bool, par plan.Params) (float64, int, error) {
+	_, span := telemetry.StartSpan(ctx, "engine.measure")
+	if span != nil {
+		rows, cols := inst.Shape()
+		span.Annotate("system", sys.Name).
+			Annotate("shape", fmt.Sprintf("%dx%d", rows, cols)).
+			Annotate("serial", serial)
+	}
 	t0 := time.Now()
-	ns, steps, err := engine.MeasureStepsNsCtx(ctx, sys, inst, serial, par)
+	ns, steps, err := engine.MeasureStepsNs(sys, inst, serial, par)
 	if m.cfg.Metrics != nil {
 		observe(m.cfg.Metrics.EngineSec, time.Since(t0))
+	}
+	if span != nil {
+		if err == nil {
+			span.Annotate("modeled_ns", fmt.Sprintf("%.0f", ns)).Annotate("steps", steps)
+		} else {
+			span.Annotate("error", err)
+		}
+		span.End()
 	}
 	return ns, steps, err
 }

@@ -56,44 +56,23 @@ type Config struct {
 	Champion func(sys hw.System) (core.Predictor, error)
 	// Promote atomically installs a winning challenger, drops the
 	// system's cached plans, and returns the new model generation and
-	// how many plans went. It runs under the lock Stats takes, so no
-	// snapshot shows the new generation before the promotion's status;
-	// it must not call Stats.
+	// how many plans went; the retrainer logs both and keeps neither
+	// (the caller's champion table owns the generation). It runs under
+	// the lock Stats takes, so once the new champion serves, no snapshot
+	// misses its promotion; it must not call Stats.
 	Promote func(system string, t core.Predictor) (gen uint64, dropped int)
 
 	// Logger receives one line per retrain decision; nil discards them.
 	Logger *slog.Logger
-	// Metrics, when set, receives counters and histograms.
-	Metrics *Metrics
-}
-
-// Metrics are the retrainer's optional telemetry hooks, wired by the
-// service into its registry. All fields are nil-safe.
-type Metrics struct {
-	// Cycles counts RunOnce passes over the system list.
-	Cycles *telemetry.Counter
-	// Events counts per-system outcomes, labeled (system, event) with
-	// event one of "trained", "promoted", "rejected", "error".
-	Events *telemetry.CounterVec
-	// TrainSec observes the duration of one retrain attempt (log read,
-	// challenger training, shadow evaluation).
+	// TrainSec, when set, observes the duration of each retrain attempt
+	// (log read, challenger training, shadow evaluation). Every other
+	// retrain count is in Stats.
 	TrainSec *telemetry.Histogram
-	// BadRows counts malformed observation rows consumed by retrains.
-	BadRows *telemetry.Counter
-}
-
-func (m *Metrics) event(system, event string) {
-	if m != nil && m.Events != nil {
-		m.Events.With(system, event).Inc()
-	}
 }
 
 // SystemStatus is one system's retraining state, as surfaced through
 // /v1/stats.
 type SystemStatus struct {
-	// Generation is the serving model generation (1 = the factory
-	// champion, +1 per promotion).
-	Generation uint64 `json:"generation"`
 	// LastVerdict is the outcome of the last retrain attempt: a verdict
 	// reason, or "error: ..." when the attempt failed outright.
 	LastVerdict string `json:"last_verdict,omitempty"`
@@ -117,8 +96,6 @@ type SystemStatus struct {
 	Errors     uint64 `json:"errors"`
 	// BadRows counts malformed rows consumed by retrain attempts.
 	BadRows uint64 `json:"bad_rows"`
-	// InvalidatedPlans counts cache entries dropped by promotions.
-	InvalidatedPlans uint64 `json:"invalidated_plans"`
 }
 
 // Stats is a snapshot of the retrainer.
@@ -192,19 +169,10 @@ func New(cfg Config) (*Retrainer, error) {
 		done: make(chan struct{}),
 	}
 	for _, sys := range cfg.Systems {
-		path := obsLogPath(cfg.LogDir, sys.Name)
-		r.st[sys.Name] = &sysState{
-			cursor: core.NewLogCursor(path, core.CheckpointPath(path)),
-			status: SystemStatus{Generation: 1},
-		}
+		path := core.ObservationLogPath(cfg.LogDir, sys.Name)
+		r.st[sys.Name] = &sysState{cursor: core.NewLogCursor(path, core.CheckpointPath(path))}
 	}
 	return r, nil
-}
-
-// obsLogPath mirrors core.ObservationLog.Path without needing the log
-// instance: "<dir>/<system>.csv".
-func obsLogPath(dir, system string) string {
-	return dir + string(os.PathSeparator) + system + ".csv"
 }
 
 // Start launches the background loop. Safe to call once; use Stop to
@@ -272,9 +240,6 @@ func (r *Retrainer) RunOnce(ctx context.Context) {
 		r.runSystem(sys)
 	}
 	r.cycles.Add(1)
-	if r.cfg.Metrics != nil && r.cfg.Metrics.Cycles != nil {
-		r.cfg.Metrics.Cycles.Inc()
-	}
 }
 
 // runSystem scans one system's log and retrains when a threshold trips.
@@ -314,10 +279,9 @@ func (r *Retrainer) runSystem(sys hw.System) {
 	genID := telemetry.NewRequestID()
 	start := time.Now()
 	verdict, challenger, err := r.evaluate(sys)
-	if r.cfg.Metrics != nil && r.cfg.Metrics.TrainSec != nil {
-		r.cfg.Metrics.TrainSec.Observe(time.Since(start).Seconds())
+	if r.cfg.TrainSec != nil {
+		r.cfg.TrainSec.Observe(time.Since(start).Seconds())
 	}
-	r.cfg.Metrics.event(sys.Name, "trained")
 
 	if err != nil || !verdict.Promote {
 		challenger = nil
@@ -330,7 +294,7 @@ func (r *Retrainer) runSystem(sys hw.System) {
 // training split, and scores champion vs challenger on the held-out
 // split. Returns the guardrail verdict and the challenger.
 func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
-	f, err := os.Open(obsLogPath(r.cfg.LogDir, sys.Name))
+	f, err := os.Open(core.ObservationLogPath(r.cfg.LogDir, sys.Name))
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("open log: %w", err)
 	}
@@ -401,9 +365,10 @@ func predictionErrors(t core.Predictor, held []core.Point) ([]float64, error) {
 // finishAttempt updates a system's status after a retrain attempt (or a
 // scan failure) and commits the consumed scan. A non-nil winner is
 // promoted, and the system's cached plans dropped, inside the critical
-// section that records the outcome, so Stats never reports the new
-// generation without its promotion. It returns the generation promoted
-// to (0 when none) and the number of plans dropped.
+// section that records the outcome, so no Stats snapshot taken while
+// the new champion serves misses its promotion. It returns the
+// generation promoted to (0 when none) and the number of plans dropped,
+// for the decision log only.
 func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan, winner core.Predictor, err error, v Verdict, genID string) (promotedGen uint64, dropped int) {
 	if err == nil || genID != "" {
 		// The attempt consumed the scanned rows (even a failed attempt:
@@ -412,9 +377,6 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 		if cerr := st.cursor.Commit(scan); cerr != nil {
 			r.cfg.Logger.Error("retrain checkpoint", "system", system, "err", cerr)
 		}
-	}
-	if scan.BadRows > 0 && r.cfg.Metrics != nil && r.cfg.Metrics.BadRows != nil {
-		r.cfg.Metrics.BadRows.Add(uint64(scan.BadRows))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -430,21 +392,16 @@ func (r *Retrainer) finishAttempt(system string, st *sysState, scan core.LogScan
 	case err != nil:
 		s.Errors++
 		s.LastVerdict = "error: " + err.Error()
-		r.cfg.Metrics.event(system, "error")
 	case winner != nil:
 		promotedGen, dropped = r.cfg.Promote(system, winner)
 		s.Promotions++
-		s.Generation = promotedGen
 		s.LastVerdict = v.Reason
 		s.Verdict = &v
 		s.LastPromotionUnix = time.Now().Unix()
-		s.InvalidatedPlans += uint64(dropped)
-		r.cfg.Metrics.event(system, "promoted")
 	default:
 		s.Rejections++
 		s.LastVerdict = v.Reason
 		s.Verdict = &v
-		r.cfg.Metrics.event(system, "rejected")
 	}
 	return promotedGen, dropped
 }

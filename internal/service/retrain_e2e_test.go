@@ -53,8 +53,9 @@ func badChampionTuner(t *testing.T) *core.Tuner {
 // boots with a deliberately miscalibrated champion and a tiny retrain
 // interval, refine jobs flow observations into the training log, the
 // background retrainer shadow-trains a challenger off the log, the
-// guardrail passes, and /v1/stats reports the promoted generation 2
-// with the system's cache entries invalidated.
+// guardrail passes, /v1/systems reports the promoted generation 2, and
+// the system's cache entries are invalidated. /metrics renders the
+// retrain counters from the same snapshot /v1/stats reports.
 func TestRetrainPromotionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, _ := newTestServer(t, Config{
@@ -77,8 +78,8 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 
 	// Generation 1 (the factory champion) is reported before anything
 	// was observed.
-	if st := getStats(t, ts.URL); st.Retrain == nil || st.Retrain.Systems["i7-2600K"].Generation != 1 {
-		t.Fatalf("initial retrain stats = %+v, want generation 1", st.Retrain)
+	if gen := getSystems(t, ts.URL)[0].Generation; gen != 1 {
+		t.Fatalf("initial generation = %d, want 1", gen)
 	}
 
 	// Refine jobs are the observation source: each successful refinement
@@ -105,17 +106,12 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 	// lands between submissions consumes its rows, so fresh refine jobs
 	// refill the log until an attempt promotes.
 	deadline := time.Now().Add(60 * time.Second)
-	var last retrain.SystemStatus
 	for i := 0; ; i++ {
-		st := getStats(t, ts.URL)
-		if st.Retrain != nil {
-			last = st.Retrain.Systems["i7-2600K"]
-			if last.Generation >= 2 {
-				break
-			}
+		if gen := getSystems(t, ts.URL)[0].Generation; gen >= 2 {
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("promotion never landed; last status %+v", last)
+			t.Fatalf("promotion never landed; retrain status %+v", getStats(t, ts.URL).Retrain)
 		}
 		body := fmt.Sprintf(`{"system":"i7-2600K","dim":%d,"tsize":3000,"dsize":1,"refine":true}`,
 			dims[i%len(dims)])
@@ -123,6 +119,14 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 		pollJob(t, ts.URL, ji.ID)
 		time.Sleep(20 * time.Millisecond)
 	}
+	// Stopped, the retrainer's counters hold still between the two reads
+	// below.
+	s.Retrainer().Stop()
+	st := getStats(t, ts.URL)
+	if st.Retrain == nil {
+		t.Fatal("/v1/stats has no retrain block")
+	}
+	last := st.Retrain.Systems["i7-2600K"]
 	if last.Promotions < 1 || last.Retrains < 1 {
 		t.Fatalf("promoted status inconsistent: %+v", last)
 	}
@@ -134,20 +138,36 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 	}
 
 	// The promotion is visible on /metrics under the label sets README.md
-	// documents: {system} for the generation, {system,event} for events.
+	// documents: {system} for the generation, {system,event} for events,
+	// each event line equal to its /v1/stats counter and present only
+	// when nonzero.
 	text := scrapeMetrics(t, ts.URL)
-	for _, want := range []string{
+	want := []string{
 		`waved_model_generation{system="i7-2600K"} 2`,
-		`waved_retrain_events_total{system="i7-2600K",event="promoted"} 1`,
-	} {
-		if !strings.Contains(text, want+"\n") {
-			t.Errorf("exposition missing line %q", want)
+		fmt.Sprintf("waved_retrain_cycles_total %d", st.Retrain.Cycles),
+		fmt.Sprintf("waved_retrain_bad_rows_total %d", last.BadRows),
+	}
+	events := 0
+	for _, e := range []struct {
+		n     uint64
+		event string
+	}{{last.Retrains, "trained"}, {last.Promotions, "promoted"}, {last.Rejections, "rejected"}, {last.Errors, "error"}} {
+		if e.n > 0 {
+			events++
+			want = append(want, fmt.Sprintf(`waved_retrain_events_total{system="i7-2600K",event="%s"} %d`, e.event, e.n))
 		}
+	}
+	for _, line := range want {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("exposition missing line %q", line)
+		}
+	}
+	if got := strings.Count(text, "\nwaved_retrain_events_total{"); got != events {
+		t.Errorf("exposition has %d retrain event lines, want the %d nonzero counters", got, events)
 	}
 
 	// The jobs warmed plan-cache entries for the champion; the promotion
 	// must have dropped them so the challenger serves from here on.
-	st := getStats(t, ts.URL)
 	if st.Cache.Invalidations == 0 {
 		t.Fatalf("promotion invalidated nothing: %+v", st.Cache)
 	}

@@ -31,8 +31,8 @@
 //	DELETE /v1/pipelines/{id}  cancel a pipeline (running wave cooperatively, later waves skipped)
 //	DELETE /v1/pipelines       prune finished pipeline records
 //	GET    /v1/apps            list the application catalog (names, granularity, params)
-//	GET    /v1/systems         list the served systems and tuner states
-//	GET    /v1/stats           cache, job, pipeline and request counters, uptime, latency quantiles
+//	GET    /v1/systems         list the served systems, tuner states and model generations
+//	GET    /v1/stats           cache, job, pipeline, retrain and request counters, uptime
 //	GET    /metrics            the same counters in Prometheus text format
 //	GET    /healthz            liveness probe
 //
@@ -242,7 +242,7 @@ func New(cfg Config) (*Server, error) {
 			Champion:        s.tuners.tuner,
 			Promote:         s.promote,
 			Logger:          cfg.Logger,
-			Metrics:         s.m.retrain,
+			TrainSec:        s.m.retrainSec,
 		})
 		if err != nil {
 			s.trainLog.Close()
@@ -298,10 +298,6 @@ func (s *Server) Jobs() *jobs.Manager { return s.jobs }
 // Config.Retrain.Off).
 func (s *Server) Retrainer() *retrain.Retrainer { return s.retrainer }
 
-// Telemetry returns the metrics registry behind GET /metrics and the
-// telemetry block of GET /v1/stats.
-func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
-
 // Handler returns the HTTP handler tree — the routing mux wrapped in
 // the telemetry middleware — for mounting under httptest or a
 // caller-owned http.Server.
@@ -335,6 +331,14 @@ func (s *Server) predict(ctx context.Context, system string, inst plan.Instance)
 		return tunecache.Plan{}, err
 	}
 	return tunecache.Plan{Serial: pred.Serial, Par: pred.Par, RTimeNs: rtime, SerialNs: serial}, nil
+}
+
+// retrainStats is the retrainer's snapshot; zero when retraining is off.
+func (s *Server) retrainStats() retrain.Stats {
+	if s.retrainer == nil {
+		return retrain.Stats{}
+	}
+	return s.retrainer.Stats()
 }
 
 // promote is the retrainer's promotion hook: swap the system's champion
@@ -609,6 +613,9 @@ type SystemInfo struct {
 	// Tuner is "ready" once the system's tuner has been loaded or
 	// trained, else "lazy".
 	Tuner string `json:"tuner"`
+	// Generation is the serving model generation from the champion
+	// table: 1 for the factory champion, +1 per promotion.
+	Generation uint64 `json:"generation"`
 }
 
 func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
@@ -617,6 +624,7 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 		info := SystemInfo{
 			Name: sys.Name, Cores: sys.CPU.Cores, MaxGPUs: sys.MaxGPUs(),
 			GPUs: make([]string, 0, len(sys.GPUs)), Tuner: "lazy",
+			Generation: s.tuners.generation(sys.Name),
 		}
 		for _, g := range sys.GPUs {
 			info.GPUs = append(info.GPUs, g.Name)
@@ -639,13 +647,10 @@ type StatsResponse struct {
 	Jobs          jobs.Stats                 `json:"jobs"`
 	Pipelines     jobs.PipelineStats         `json:"pipelines"`
 	Requests      map[string]uint64          `json:"requests"`
-	// Retrain is the background retrainer's snapshot — model generation,
-	// last verdict and promotion counters per system; absent when
-	// retraining is off.
+	// Retrain is the background retrainer's snapshot — last verdict and
+	// attempt counters per system; absent when retraining is off. The
+	// model generation is on GET /v1/systems.
 	Retrain *retrain.Stats `json:"retrain,omitempty"`
-	// Telemetry renders the same registry GET /metrics scrapes:
-	// per-route request/error counts and latency quantiles.
-	Telemetry TelemetrySnapshot `json:"telemetry"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -667,7 +672,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Pipelines:     s.jobs.PipelineStats(),
 		Requests:      requests,
 		Retrain:       retrainStats,
-		Telemetry:     s.telemetrySnapshot(),
 	})
 }
 

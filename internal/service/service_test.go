@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -298,6 +299,14 @@ func TestSystemsAndHealth(t *testing.T) {
 	}
 	if got := getSystems(t, ts.URL)[0].Tuner; got != "ready" {
 		t.Errorf("tuner after the first tune = %q, want ready", got)
+	}
+	// The champion table reports the factory generation on both
+	// surfaces, with retraining off as with it on.
+	if got := getSystems(t, ts.URL)[0].Generation; got != 1 {
+		t.Errorf("generation = %d, want the factory champion's 1", got)
+	}
+	if want := `waved_model_generation{system="i7-2600K"} 1`; !strings.Contains(scrapeMetrics(t, ts.URL), want+"\n") {
+		t.Errorf("/metrics missing %q with retraining off", want)
 	}
 
 	hresp, err := http.Get(ts.URL + "/healthz")

@@ -1,17 +1,16 @@
 package service
 
-// The daemon's observability layer: one telemetry.Registry is the
-// single source of truth behind both GET /metrics (Prometheus text
-// format) and the telemetry block of GET /v1/stats. The middleware
-// below wraps the whole mux — it stamps a request ID into the context,
-// response header and error bodies, opens (with slow-request logging
-// on) the http.request trace span the handlers chain children onto
+// The daemon's observability layer: one telemetry.Registry renders GET
+// /metrics (Prometheus text format). The middleware below wraps the
+// whole mux — it stamps a request ID into the context, response header
+// and error bodies, opens (with slow-request logging on) the
+// http.request trace span the handlers chain children onto
 // (cache.lookup → tuner.predict on the tune path), counts every
 // response by route and status code, and feeds the per-route latency
 // histograms from the request's wall-clock duration.
 // Subsystems that keep their own counters (cache shards, job queues,
-// pipelines) surface through scrape-time collectors instead of being
-// counted twice.
+// pipelines, the retrainer, the champion table) surface through
+// scrape-time collectors instead of being counted twice.
 
 import (
 	"log/slog"
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/retrain"
 	"repro/internal/telemetry"
 )
 
@@ -31,7 +29,7 @@ type serverMetrics struct {
 	reg *telemetry.Registry
 
 	// Per-route handled-request and error counters — the same handles
-	// /v1/stats has always reported — plus the middleware-level views:
+	// /v1/stats reports — plus the middleware-level views:
 	// responses by route and status code, the in-flight gauge and the
 	// per-route latency histograms.
 	requests  map[string]*telemetry.Counter
@@ -49,10 +47,9 @@ type serverMetrics struct {
 	// execution, pipeline waves, engine measurements).
 	jobs *jobs.Metrics
 
-	// retrain holds the counters and histograms the background
-	// retrainer feeds (cycle counts, per-system attempt outcomes,
-	// training durations, malformed rows).
-	retrain *retrain.Metrics
+	// retrainSec times the background retrainer's attempts; its counts
+	// are collected from retrain.Stats.
+	retrainSec *telemetry.Histogram
 }
 
 // newServerMetrics builds the registry and registers every stored
@@ -85,17 +82,8 @@ func newServerMetrics() *serverMetrics {
 			EngineSec: reg.Histogram("waved_engine_measure_seconds",
 				"Modeled engine executions inside jobs.", nil),
 		},
-		retrain: &retrain.Metrics{
-			Cycles: reg.Counter("waved_retrain_cycles_total",
-				"Retrainer passes over the system list."),
-			Events: reg.CounterVec("waved_retrain_events_total",
-				"Retrain attempt outcomes, by system and event (trained, promoted, rejected, error).",
-				"system", "event"),
-			TrainSec: reg.Histogram("waved_retrain_train_seconds",
-				"Retrain attempt duration: log read, challenger training, shadow evaluation.", nil),
-			BadRows: reg.Counter("waved_retrain_bad_rows_total",
-				"Malformed observation rows consumed by retrain attempts."),
-		},
+		retrainSec: reg.Histogram("waved_retrain_train_seconds",
+			"Retrain attempt duration: log read, challenger training, shadow evaluation.", nil),
 	}
 	reqVec := reg.CounterVec("waved_http_requests_total",
 		"Requests handled, by route (counted inside the handler, like /v1/stats).", "route")
@@ -113,10 +101,11 @@ func newServerMetrics() *serverMetrics {
 }
 
 // registerCollectors surfaces the subsystem-owned counters (cache
-// shards, job queue, pipelines, uptime) as scrape-time callbacks, so
-// /metrics renders them from the same source of truth /v1/stats reads
-// instead of maintaining parallel counts. Called once from New, after
-// the cache and job manager exist.
+// shards, model generations, retrainer, job queue, pipelines, uptime)
+// as scrape-time callbacks, so /metrics renders them from the same
+// source of truth /v1/stats and /v1/systems read instead of maintaining
+// parallel counts. Called once from New, after the cache, retrainer and
+// job manager exist.
 func (s *Server) registerCollectors() {
 	reg := s.m.reg
 	reg.CollectFunc("waved_uptime_seconds", "Seconds since the server started.",
@@ -157,15 +146,41 @@ func (s *Server) registerCollectors() {
 				emit(float64(st.Invalidations), strconv.Itoa(i))
 			}
 		})
-	if s.retrainer != nil {
-		reg.CollectFunc("waved_model_generation",
-			"Serving model generation, by system (1 = the factory champion, +1 per promotion).",
-			telemetry.TypeGauge, []string{"system"}, func(emit telemetry.Emit) {
-				for _, sys := range s.cfg.Systems {
-					emit(float64(s.tuners.generation(sys.Name)), sys.Name)
+	reg.CollectFunc("waved_model_generation",
+		"Serving model generation, by system (1 = the factory champion, +1 per promotion).",
+		telemetry.TypeGauge, []string{"system"}, func(emit telemetry.Emit) {
+			for _, sys := range s.cfg.Systems {
+				emit(float64(s.tuners.generation(sys.Name)), sys.Name)
+			}
+		})
+	// With retraining off the two plain retrain counters read 0 and the
+	// event family has no series.
+	reg.CollectFunc("waved_retrain_cycles_total", "Retrainer passes over the system list.",
+		telemetry.TypeCounter, nil, func(emit telemetry.Emit) {
+			emit(float64(s.retrainStats().Cycles))
+		})
+	reg.CollectFunc("waved_retrain_events_total",
+		"Retrain attempt outcomes, by system and event (trained, promoted, rejected, error).",
+		telemetry.TypeCounter, []string{"system", "event"}, func(emit telemetry.Emit) {
+			for name, st := range s.retrainStats().Systems {
+				for _, e := range []struct {
+					n     uint64
+					event string
+				}{{st.Retrains, "trained"}, {st.Promotions, "promoted"}, {st.Rejections, "rejected"}, {st.Errors, "error"}} {
+					if e.n > 0 {
+						emit(float64(e.n), name, e.event)
+					}
 				}
-			})
-	}
+			}
+		})
+	reg.CollectFunc("waved_retrain_bad_rows_total", "Malformed observation rows consumed by retrain attempts.",
+		telemetry.TypeCounter, nil, func(emit telemetry.Emit) {
+			var n uint64
+			for _, st := range s.retrainStats().Systems {
+				n += st.BadRows
+			}
+			emit(float64(n))
+		})
 	reg.CollectFunc("waved_jobs_events_total", "Job lifecycle events, by event.",
 		telemetry.TypeCounter, []string{"event"}, func(emit telemetry.Emit) {
 			st := s.jobs.Stats()
@@ -301,46 +316,4 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 				"spans", span.Render())
 		}
 	})
-}
-
-// RouteTelemetry is one route's registry-backed counters in GET
-// /v1/stats: handled requests and error responses (the handler-level
-// counters), plus the count and latency quantiles of the route's
-// middleware-level duration histogram.
-type RouteTelemetry struct {
-	Requests uint64  `json:"requests"`
-	Errors   uint64  `json:"errors,omitempty"`
-	Observed uint64  `json:"observed"`
-	P50Sec   float64 `json:"p50_sec"`
-	P95Sec   float64 `json:"p95_sec"`
-	P99Sec   float64 `json:"p99_sec"`
-}
-
-// TelemetrySnapshot is the /v1/stats rendering of the same registry
-// GET /metrics scrapes — one source of truth, two formats.
-type TelemetrySnapshot struct {
-	UptimeSec float64                   `json:"uptime_sec"`
-	InFlight  int64                     `json:"in_flight"`
-	Routes    map[string]RouteTelemetry `json:"routes"`
-}
-
-// telemetrySnapshot renders the per-route counters and quantiles.
-func (s *Server) telemetrySnapshot() TelemetrySnapshot {
-	snap := TelemetrySnapshot{
-		UptimeSec: time.Since(s.start).Seconds(),
-		InFlight:  s.m.inflight.Value(),
-		Routes:    make(map[string]RouteTelemetry, len(s.m.latency)),
-	}
-	for r, lat := range s.m.latency {
-		h := lat.Snapshot()
-		snap.Routes[r] = RouteTelemetry{
-			Requests: s.m.requests[r].Value(),
-			Errors:   s.m.errors[r].Value(),
-			Observed: h.Count,
-			P50Sec:   h.P50Sec,
-			P95Sec:   h.P95Sec,
-			P99Sec:   h.P99Sec,
-		}
-	}
-	return snap
 }

@@ -2,8 +2,8 @@ package service
 
 // Tests of the observability layer: the /metrics exposition (validated
 // line by line), the request-ID plumbing through headers, error bodies
-// and job/pipeline records, the /v1/stats telemetry block rendering
-// the same registry, structured request logging in both formats, and
+// and job/pipeline records, /v1/stats reading the same request
+// counters, structured request logging in both formats, and
 // slow-request span-tree dumps.
 
 import (
@@ -73,6 +73,9 @@ func scrapeMetrics(t *testing.T, url string) string {
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := telemetry.ValidateExposition(bytes.NewReader(body)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
 	return string(body)
 }
@@ -192,6 +195,19 @@ func TestMetricsScrapeValid(t *testing.T) {
 	}
 	if n, _ := strconv.Atoi(m[1]); n < 1 {
 		t.Errorf("metrics route counted %d scrapes, want >= 1", n)
+	}
+	// The scrape reading the in-flight gauge is itself in flight.
+	m = regexp.MustCompile(`(?m)^waved_http_inflight_requests (\d+)$`).FindStringSubmatch(text)
+	if m == nil {
+		t.Fatal("in-flight gauge missing")
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 1 {
+		t.Errorf("in-flight gauge = %d during a scrape, want >= 1", n)
+	}
+	// /v1/stats reads the same request counters /metrics renders.
+	if st := getStats(t, ts.URL); st.Requests["tune"] != 3 || st.UptimeSec <= 0 {
+		t.Errorf("/v1/stats tune requests = %d (want 3, as on /metrics), uptime %g s",
+			st.Requests["tune"], st.UptimeSec)
 	}
 }
 
@@ -379,44 +395,6 @@ func TestRequestIDPlumbing(t *testing.T) {
 	wj, _ := getJob(t, ts.URL, p.Waves[0].JobIDs[0])
 	if wj.RequestID != "req-pipe-origin" {
 		t.Errorf("wave job request_id = %q, want inherited req-pipe-origin", wj.RequestID)
-	}
-}
-
-// TestStatsTelemetryBlock checks the /v1/stats rendering of the shared
-// registry: per-route counts agree with the legacy Requests map, and
-// completed requests show up in the latency quantiles.
-func TestStatsTelemetryBlock(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	body := `{"system":"i7-2600K","dim":1900,"tsize":750,"dsize":4}`
-	postTune(t, ts.URL, body)
-	postTune(t, ts.URL, body)
-
-	var st StatsResponse
-	waitFor(t, "tune observations in stats", func() bool {
-		st = getStats(t, ts.URL)
-		return st.Telemetry.Routes["tune"].Observed == 2
-	})
-
-	tune := st.Telemetry.Routes["tune"]
-	if tune.Requests != 2 {
-		t.Errorf("telemetry tune requests = %d, want 2", tune.Requests)
-	}
-	if tune.Requests != st.Requests["tune"] {
-		t.Errorf("telemetry (%d) and legacy (%d) tune counts disagree",
-			tune.Requests, st.Requests["tune"])
-	}
-	if tune.P50Sec <= 0 || tune.P99Sec < tune.P50Sec {
-		t.Errorf("tune quantiles implausible: p50=%g p99=%g", tune.P50Sec, tune.P99Sec)
-	}
-	if st.Telemetry.UptimeSec <= 0 {
-		t.Errorf("uptime = %g, want > 0", st.Telemetry.UptimeSec)
-	}
-	// The stats request reading InFlight is itself in flight.
-	if st.Telemetry.InFlight < 1 {
-		t.Errorf("in_flight = %d, want >= 1", st.Telemetry.InFlight)
-	}
-	if _, ok := st.Telemetry.Routes["other"]; !ok {
-		t.Error("telemetry routes missing the catch-all")
 	}
 }
 

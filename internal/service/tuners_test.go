@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -136,7 +137,7 @@ func TestPromotionRacesTuneBurst(t *testing.T) {
 	second := otherPredictor{first}
 	sys := hw.I7_2600K()
 	table := newChampions(NewStaticSource(first))
-	cache := tunecache.NewSharded(256, 4, func(system string, inst plan.Instance) (tunecache.Plan, error) {
+	cache := tunecache.NewShardedCtx(256, 4, func(_ context.Context, system string, inst plan.Instance) (tunecache.Plan, error) {
 		tun, err := table.tuner(sys)
 		if err != nil {
 			return tunecache.Plan{}, err

@@ -1,17 +1,17 @@
 // Package telemetry is the daemon's dependency-free observability
 // core: an atomic metrics registry (counters, gauges, fixed-bucket
-// latency histograms with quantile summaries), a Prometheus
+// latency histograms), a Prometheus
 // text-format exposition writer, and lightweight trace spans threaded
 // through request contexts. Log lines go through the standard library's
 // log/slog. Everything is safe for concurrent use and designed so the
 // hot-path cost of an instrument is one or two atomic operations —
 // cheap enough to leave on under production traffic.
 //
-// The registry is the single source of truth: both the machine surface
-// (GET /metrics) and the human surface (/v1/stats snapshots) render
-// from the same Counter/Gauge/Histogram handles, so the two can never
-// drift. Subsystems that already keep their own counters (the plan
-// cache's per-shard stats, the job manager's queue accounting) plug in
+// The registry renders the machine surface (GET /metrics) from its
+// Counter/Gauge/Histogram handles; a handle's Value is the same number
+// a human surface (/v1/stats) reports. Subsystems that already keep
+// their own counters (the plan cache's per-shard stats, the job
+// manager's queue accounting, the retrainer's attempt counts) plug in
 // at scrape time via CollectFunc callbacks instead of double-counting.
 package telemetry
 
@@ -252,60 +252,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation inside the bucket containing the target rank. Values
-// landing in the +Inf bucket are reported as the largest finite bound,
-// a deliberate under-estimate. Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.counts))
-	var total uint64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum >= rank && c > 0 {
-			if i == len(h.bounds) {
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			frac := (rank - prev) / float64(c)
-			return lo + (h.bounds[i]-lo)*frac
-		}
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// HistogramSnapshot is a point-in-time summary used by /v1/stats.
-type HistogramSnapshot struct {
-	Count  uint64  `json:"count"`
-	SumSec float64 `json:"sum_sec"`
-	P50Sec float64 `json:"p50_sec"`
-	P95Sec float64 `json:"p95_sec"`
-	P99Sec float64 `json:"p99_sec"`
-}
-
-// Snapshot summarises the histogram with its standard quantiles.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count:  h.Count(),
-		SumSec: h.Sum(),
-		P50Sec: h.Quantile(0.50),
-		P95Sec: h.Quantile(0.95),
-		P99Sec: h.Quantile(0.99),
-	}
-}
 
 // atomicFloat is a float64 updated by CAS on its bit pattern.
 type atomicFloat struct {

@@ -99,53 +99,6 @@ func TestHistogramBoundaryValueIsInclusive(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	// Uniform 1..100 scaled into (0,10]: values k/10 for k=1..100.
-	for k := 1; k <= 100; k++ {
-		h.Observe(float64(k) / 10)
-	}
-	for _, tc := range []struct {
-		q, want, tol float64
-	}{
-		{0.50, 5.0, 0.6},
-		{0.95, 9.5, 0.6},
-		{0.99, 9.9, 0.6},
-	} {
-		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Fatalf("Quantile(%v) = %v, want %v ± %v", tc.q, got, tc.want, tc.tol)
-		}
-	}
-}
-
-func TestHistogramQuantileEmptyAndOverflow(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	if got := h.Quantile(0.5); got != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", got)
-	}
-	h.Observe(100) // +Inf bucket only
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("overflow Quantile = %v, want largest finite bound 2", got)
-	}
-}
-
-func TestHistogramSnapshot(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4})
-	h.Observe(0.5)
-	h.Observe(1.5)
-	h.Observe(3)
-	snap := h.Snapshot()
-	if snap.Count != 3 {
-		t.Fatalf("snapshot count = %d, want 3", snap.Count)
-	}
-	if math.Abs(snap.SumSec-5.0) > 1e-9 {
-		t.Fatalf("snapshot sum = %v, want 5", snap.SumSec)
-	}
-	if snap.P50Sec <= 0 || snap.P99Sec < snap.P50Sec {
-		t.Fatalf("snapshot quantiles out of order: %+v", snap)
-	}
-}
-
 func TestInvalidBucketsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {

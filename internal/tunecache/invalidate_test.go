@@ -1,6 +1,7 @@
 package tunecache
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ func invInst(dim int) plan.Instance { return plan.Instance{Dim: dim, TSize: 200,
 // contract: only the named system's entries drop, other systems keep
 // their resident plans and their hit counters untouched.
 func TestInvalidateSystemTargeted(t *testing.T) {
-	c := NewSharded(256, 4, func(system string, inst plan.Instance) (Plan, error) {
+	c := NewShardedCtx(256, 4, func(_ context.Context, system string, inst plan.Instance) (Plan, error) {
 		return Plan{RTimeNs: float64(inst.Dim)}, nil
 	})
 	for dim := 100; dim < 116; dim++ {
@@ -69,7 +70,7 @@ func TestInvalidateSystemInFlight(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var calls atomic.Int64
-	c := NewSharded(64, 1, func(system string, inst plan.Instance) (Plan, error) {
+	c := NewShardedCtx(64, 1, func(_ context.Context, system string, inst plan.Instance) (Plan, error) {
 		if calls.Add(1) == 1 {
 			close(started)
 			<-release
@@ -104,7 +105,7 @@ func TestInvalidateSystemInFlight(t *testing.T) {
 // promotion-vs-serving torture test. Every Get must succeed, and the
 // untouched system's entries must stay resident throughout.
 func TestInvalidateSystemConcurrent(t *testing.T) {
-	c := NewSharded(512, 8, func(system string, inst plan.Instance) (Plan, error) {
+	c := NewShardedCtx(512, 8, func(_ context.Context, system string, inst plan.Instance) (Plan, error) {
 		return Plan{RTimeNs: float64(inst.Dim)}, nil
 	})
 	for dim := 100; dim < 132; dim++ {

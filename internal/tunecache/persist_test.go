@@ -2,6 +2,7 @@ package tunecache
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -15,13 +16,13 @@ import (
 // with no predict calls needed to serve them.
 func TestPersistenceRoundTrip(t *testing.T) {
 	var calls atomic.Int64
-	predict := func(system string, in plan.Instance) (Plan, error) {
+	predict := func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		return Plan{Serial: in.MaxSide() < 300,
 			Par:     plan.Params{CPUTile: 4, Band: in.MaxSide() / 2, GPUTile: 8, Halo: 3},
 			RTimeNs: 1.5e9, SerialNs: 12e9}, nil
 	}
-	src := New(8, predict)
+	src := NewShardedCtx(8, 0, predict)
 	insts := []plan.Instance{
 		{Dim: 500, TSize: 100, DSize: 1},
 		{Dim: 200, TSize: 0.5, DSize: 0},
@@ -44,7 +45,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Errorf("rect shape not persisted:\n%s", buf.String())
 	}
 
-	dst := New(8, predict)
+	dst := NewShardedCtx(8, 0, predict)
 	n, err := dst.Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +71,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 // TestPersistenceKeepsRecencyOrder: loading a 3-entry file into a
 // 2-entry cache must keep the file's most recently used tail.
 func TestPersistenceKeepsRecencyOrder(t *testing.T) {
-	predict := func(system string, in plan.Instance) (Plan, error) {
+	predict := func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return Plan{Par: plan.Params{CPUTile: 1, Band: -1, GPUTile: 1, Halo: -1}}, nil
 	}
-	src := New(8, predict)
+	src := NewShardedCtx(8, 0, predict)
 	a := plan.Instance{Dim: 100, TSize: 1, DSize: 0}
 	b := plan.Instance{Dim: 200, TSize: 1, DSize: 0}
 	d := plan.Instance{Dim: 300, TSize: 1, DSize: 0}
@@ -86,7 +87,7 @@ func TestPersistenceKeepsRecencyOrder(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst := New(2, predict)
+	dst := NewShardedCtx(2, 0, predict)
 	if _, err := dst.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestPersistenceKeepsRecencyOrder(t *testing.T) {
 }
 
 func TestLoadRejectsBadInput(t *testing.T) {
-	c := New(4, nil)
+	c := NewShardedCtx(4, 0, nil)
 	if _, err := c.Load(strings.NewReader("{")); err == nil {
 		t.Error("truncated JSON must fail")
 	}
@@ -126,7 +127,7 @@ func TestLoadRejectsBadInput(t *testing.T) {
 // TestLoadIsAtomic: a file with valid entries followed by a bad one must
 // load nothing, so the warm-or-cold decision never lands in between.
 func TestLoadIsAtomic(t *testing.T) {
-	c := New(4, nil)
+	c := NewShardedCtx(4, 0, nil)
 	doc := `{"version":2,"entries":[
 	 {"system":"s","dim":500,"tsize":10,"dsize":1,"cpu_tile":8,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":1},
 	 {"system":"s","dim":700,"tsize":10,"dsize":1,"cpu_tile":0,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":1}]}`
@@ -141,15 +142,15 @@ func TestLoadIsAtomic(t *testing.T) {
 
 func TestSaveFileLoadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.json")
-	predict := func(system string, in plan.Instance) (Plan, error) {
+	predict := func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return Plan{Par: plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1}, RTimeNs: 7}, nil
 	}
-	c := New(4, predict)
+	c := NewShardedCtx(4, 0, predict)
 	c.Get("s", plan.Instance{Dim: 500, TSize: 10, DSize: 1})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	c2 := New(4, predict)
+	c2 := NewShardedCtx(4, 0, predict)
 	if n, err := c2.LoadFile(path); err != nil || n != 1 {
 		t.Fatalf("LoadFile = (%d, %v), want (1, nil)", n, err)
 	}

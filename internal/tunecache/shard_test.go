@@ -2,6 +2,7 @@ package tunecache
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"sync"
@@ -11,7 +12,7 @@ import (
 )
 
 func TestNewShardedClampsShardCount(t *testing.T) {
-	predict := func(string, plan.Instance) (Plan, error) { return Plan{}, nil }
+	predict := func(context.Context, string, plan.Instance) (Plan, error) { return Plan{}, nil }
 	cases := []struct {
 		capacity, shards, want int
 	}{
@@ -23,9 +24,9 @@ func TestNewShardedClampsShardCount(t *testing.T) {
 		{1 << 20, 16, 16}, // large cache keeps the request
 	}
 	for _, tc := range cases {
-		c := NewSharded(tc.capacity, tc.shards, predict)
+		c := NewShardedCtx(tc.capacity, tc.shards, predict)
 		if got := c.Shards(); got != tc.want {
-			t.Errorf("NewSharded(%d, %d).Shards() = %d, want %d",
+			t.Errorf("NewShardedCtx(%d, %d).Shards() = %d, want %d",
 				tc.capacity, tc.shards, got, tc.want)
 		}
 		if c.Capacity() != tc.capacity {
@@ -37,7 +38,7 @@ func TestNewShardedClampsShardCount(t *testing.T) {
 // TestShardCapacitySumsToTotal: the per-shard bounds must partition the
 // requested capacity exactly, including when it does not divide evenly.
 func TestShardCapacitySumsToTotal(t *testing.T) {
-	c := NewSharded(100, 3, nil)
+	c := NewShardedCtx(100, 3, nil)
 	if c.Shards() != 3 {
 		t.Fatalf("shards = %d, want 3", c.Shards())
 	}
@@ -56,7 +57,7 @@ func TestShardCapacitySumsToTotal(t *testing.T) {
 // TestShardDistribution: distinct keys must spread across the shards
 // rather than pile onto one — the whole point of sharding.
 func TestShardDistribution(t *testing.T) {
-	c := NewSharded(1024, 8, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(1024, 8, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
 	if c.Shards() != 8 {
@@ -90,7 +91,7 @@ func TestShardDistribution(t *testing.T) {
 // partition the aggregate counters exactly — /metrics per-shard series
 // and the /v1/stats totals render from the same underlying numbers.
 func TestShardStatsSumToAggregate(t *testing.T) {
-	c := NewSharded(1024, 8, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(1024, 8, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
 	for i := 0; i < 256; i++ {
@@ -120,7 +121,7 @@ func TestShardStatsSumToAggregate(t *testing.T) {
 // with overlapping Get/Put/Save/Load/Stats traffic. Run under -race in
 // CI; correctness here is "no race, no deadlock, consistent counters".
 func TestShardedStress(t *testing.T) {
-	c := NewSharded(256, 8, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(256, 8, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
 	if c.Shards() < 2 {
@@ -128,7 +129,7 @@ func TestShardedStress(t *testing.T) {
 	}
 
 	// A pre-serialized donor document for concurrent Loads.
-	donor := NewSharded(64, 4, nil)
+	donor := NewShardedCtx(64, 4, nil)
 	for i := 0; i < 32; i++ {
 		if err := donor.Put("warm", inst(5000+i), planFor(5000+i)); err != nil {
 			t.Fatal(err)
@@ -230,10 +231,10 @@ func savedOrder(t *testing.T, c *Cache) []string {
 // recency order however keys hashed onto shards, and a round trip
 // through caches of different shard counts preserves it.
 func TestPersistenceAcrossShardCounts(t *testing.T) {
-	predict := func(system string, in plan.Instance) (Plan, error) {
+	predict := func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	}
-	src := NewSharded(256, 8, predict)
+	src := NewShardedCtx(256, 8, predict)
 	// Touch keys in a deliberate order, including re-promotions that
 	// cross shard boundaries.
 	dims := []int{100, 200, 300, 400, 500, 600, 700, 800}
@@ -258,7 +259,7 @@ func TestPersistenceAcrossShardCounts(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	mid := NewSharded(256, 1, predict)
+	mid := NewShardedCtx(256, 1, predict)
 	if n, err := mid.Load(&buf); err != nil || n != len(dims) {
 		t.Fatalf("Load into 1 shard = (%d, %v), want (%d, nil)", n, err, len(dims))
 	}
@@ -269,7 +270,7 @@ func TestPersistenceAcrossShardCounts(t *testing.T) {
 	if err := mid.Save(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	dst := NewSharded(64, 4, predict)
+	dst := NewShardedCtx(64, 4, predict)
 	if _, err := dst.Load(&buf2); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestPersistenceAcrossShardCounts(t *testing.T) {
 	if err := dst.Save(&buf3); err != nil {
 		t.Fatal(err)
 	}
-	small := NewSharded(3, 1, predict)
+	small := NewShardedCtx(3, 1, predict)
 	if _, err := small.Load(&buf3); err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestPersistenceAcrossShardCounts(t *testing.T) {
 func TestLoadVersion1(t *testing.T) {
 	doc := `{"version":1,"entries":[
 	 {"system":"s","dim":500,"tsize":10,"dsize":1,"cpu_tile":8,"band":-1,"gpu_tile":1,"halo":-1,"rtime_ns":5}]}`
-	c := NewSharded(64, 4, nil)
+	c := NewShardedCtx(64, 4, nil)
 	n, err := c.Load(strings.NewReader(doc))
 	if err == nil || n != 0 || c.Len() != 0 {
 		t.Fatalf("Load v1 = (%d, %v) with %d resident, want a version error and nothing loaded", n, err, c.Len())

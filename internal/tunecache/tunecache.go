@@ -9,7 +9,7 @@
 // file, letting a daemon restart warm.
 //
 // The cache is sharded: keys hash onto independently locked shards
-// (default GOMAXPROCS, see NewSharded), each with its own LRU list,
+// (default GOMAXPROCS, see NewShardedCtx), each with its own LRU list,
 // entry map and in-flight singleflight table, so concurrent lookups on
 // different keys never contend on one mutex. Recency is tracked by a
 // global logical clock, letting Save merge the shards back into a single
@@ -57,13 +57,9 @@ type Plan struct {
 	SerialNs float64
 }
 
-// PredictFunc computes a tuned plan on a cache miss — typically one
-// core.Predictor evaluation. It is called
-// exactly once per missing key regardless of how many callers are
-// waiting.
-type PredictFunc func(system string, inst plan.Instance) (Plan, error)
-
-// PredictCtxFunc is the context-aware PredictFunc: ctx is the context
+// PredictCtxFunc computes a tuned plan on a cache miss — typically one
+// core.Predictor evaluation. It is called exactly once per missing key
+// regardless of how many callers are waiting. ctx is the context
 // of the GetCtx call that leads the miss's singleflight (coalesced
 // waiters share the leader's evaluation, so only the leader's context —
 // and therefore its trace span — reaches the predict), or
@@ -165,8 +161,8 @@ type shard struct {
 }
 
 // Cache is a concurrency-safe sharded LRU plan cache with singleflight
-// miss deduplication. The zero value is not usable; construct with New
-// or NewSharded.
+// miss deduplication. The zero value is not usable; construct with
+// NewShardedCtx.
 type Cache struct {
 	cap     int
 	predict PredictCtxFunc
@@ -178,31 +174,13 @@ type Cache struct {
 	clock atomic.Uint64
 }
 
-// New creates a cache bounded to capacity resident plans (DefaultCapacity
-// when capacity <= 0) that fills misses through predict, sharded the
-// default way (see NewSharded with shards = 0).
-func New(capacity int, predict PredictFunc) *Cache {
-	return NewSharded(capacity, 0, predict)
-}
-
-// NewSharded creates a cache bounded to capacity resident plans
+// NewShardedCtx creates a cache bounded to capacity resident plans
 // (DefaultCapacity when capacity <= 0) split across the given number of
-// independently locked shards. shards <= 0 selects GOMAXPROCS. The
-// count is clamped so every shard keeps a useful LRU slice (at least
-// minShardCapacity entries), which means a small cache runs unsharded
-// and keeps exact global LRU semantics.
-func NewSharded(capacity, shards int, predict PredictFunc) *Cache {
-	var fill PredictCtxFunc
-	if predict != nil {
-		fill = func(_ context.Context, system string, inst plan.Instance) (Plan, error) {
-			return predict(system, inst)
-		}
-	}
-	return NewShardedCtx(capacity, shards, fill)
-}
-
-// NewShardedCtx is NewSharded with a context-aware predict, for callers
-// that thread trace spans through the miss path (see PredictCtxFunc).
+// independently locked shards, filling misses through predict (see
+// PredictCtxFunc). shards <= 0 selects GOMAXPROCS. The count is clamped
+// so every shard keeps a useful LRU slice (at least minShardCapacity
+// entries), which means a small cache runs unsharded and keeps exact
+// global LRU semantics.
 func NewShardedCtx(capacity, shards int, predict PredictCtxFunc) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity

@@ -1,6 +1,7 @@
 package tunecache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -23,7 +24,7 @@ func planFor(dim int) Plan {
 
 func TestGetMissThenHit(t *testing.T) {
 	var calls atomic.Int64
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		return planFor(in.MaxSide()), nil
 	})
@@ -52,7 +53,7 @@ func TestGetMissThenHit(t *testing.T) {
 
 func TestSquareAndRectSpellingsShareEntries(t *testing.T) {
 	var calls atomic.Int64
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		return planFor(in.MaxSide()), nil
 	})
@@ -74,7 +75,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	const n = 32
 	var calls atomic.Int64
 	release := make(chan struct{})
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		<-release
 		return planFor(in.MaxSide()), nil
@@ -142,7 +143,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 // inserting C evicts the least recently used B.
 func TestLRUEvictionOrder(t *testing.T) {
 	var calls atomic.Int64
-	c := New(2, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(2, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		return planFor(in.MaxSide()), nil
 	})
@@ -168,7 +169,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestErrorsAreNotCached(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		if calls.Add(1) == 1 {
 			return Plan{}, boom
 		}
@@ -191,7 +192,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 func TestPanickingPredictSettlesTheFlight(t *testing.T) {
 	var calls atomic.Int64
 	release := make(chan struct{})
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		if calls.Add(1) == 1 {
 			<-release
 			panic("model exploded")
@@ -234,7 +235,7 @@ func TestPanickingPredictSettlesTheFlight(t *testing.T) {
 }
 
 func TestGetValidates(t *testing.T) {
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return Plan{}, nil
 	})
 	if _, _, err := c.Get("sys", plan.Instance{Dim: 0, TSize: 1}); err == nil {
@@ -266,7 +267,7 @@ func TestKeyStability(t *testing.T) {
 // Puts overlapping a held-open flight and its waiters.
 func TestPutDoesNotRaceCoalescedReaders(t *testing.T) {
 	release := make(chan struct{})
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		<-release
 		return planFor(in.MaxSide()), nil
 	})
@@ -305,7 +306,7 @@ func TestPutDoesNotRaceCoalescedReaders(t *testing.T) {
 // TestPutRefreshesResident: Put on a resident key installs the new plan
 // and promotes it.
 func TestPutRefreshesResident(t *testing.T) {
-	c := New(2, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(2, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
 	in := inst(400)
@@ -327,7 +328,7 @@ func TestPutRefreshesResident(t *testing.T) {
 // under -race: distinct keys, shared keys, and eviction pressure at once.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	var calls atomic.Int64
-	c := New(8, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(8, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		calls.Add(1)
 		return planFor(in.MaxSide()), nil
 	})
@@ -365,7 +366,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 // and Put-only residency.
 func TestSystemStats(t *testing.T) {
 	fail := errors.New("predict failed")
-	c := New(2, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(2, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		if system == "broken" {
 			return Plan{}, fail
 		}
@@ -430,7 +431,7 @@ func TestSystemStats(t *testing.T) {
 // a caller feeds unbounded distinct system names — overflow aggregates
 // under OverflowSystem.
 func TestSystemStatsBounded(t *testing.T) {
-	c := New(4, func(system string, in plan.Instance) (Plan, error) {
+	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
 	const n = 1200
