@@ -387,7 +387,7 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 	par := plan.Params{CPUTile: 8, Band: 60, GPUTile: 1, Halo: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := engine.Simulate(sys, 128, k, par); err != nil {
+		if _, _, err := engine.Simulate(sys, plan.Instance{Dim: 128}, k, par, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,12 +3,14 @@
 // wavefront jobs asynchronously. Predictions are cached per (system,
 // instance) with concurrent misses deduplicated, so heavy traffic
 // asking for the same workloads costs one tuner evaluation per distinct
-// instance. Tuners are resolved lazily per system: loaded from -tuners
-// dir when given (files written by wavetrain -save), otherwise trained
-// on first use. Jobs run on a bounded worker pool behind a bounded
-// priority queue; jobs that opt into refinement hill-climb around the
-// cached prediction and append the measured outcome to the -train-log
-// directory (per-system search-CSV files for wavetrain -from).
+// instance. The cache lives in process memory: after a restart or a
+// promotion it refills on demand from the tuner being served. Tuners
+// are resolved lazily per system: loaded from -tuners dir when given
+// (files written by wavetrain -save), otherwise trained on first use.
+// Jobs run on a bounded worker pool behind a bounded priority queue;
+// jobs that opt into refinement hill-climb around the cached prediction
+// and append the measured outcome to the -train-log directory
+// (per-system search-CSV files for wavetrain -from).
 //
 // With -train-log set, a background retrainer closes the feedback loop:
 // it watches the observation logs, shadow-trains a challenger tuner
@@ -29,7 +31,7 @@
 // Usage:
 //
 //	waved [-addr :8080] [-systems i7-2600K,i3-540] [-tuners dir]
-//	      [-cache 512] [-cache-shards 0] [-cache-file plans.json] [-full]
+//	      [-cache 512] [-full]
 //	      [-batch-limit 64] [-workers 4] [-queue-depth 64]
 //	      [-refine-budget 12] [-train-log dir] [-max-pipelines 16]
 //	      [-retrain-off] [-retrain-interval 5m] [-retrain-min-obs 32]
@@ -69,8 +71,7 @@
 // accepts, including any workloads registered by embedding code.
 //
 // SIGINT/SIGTERM shut the server down gracefully: in-flight requests and
-// jobs drain, and with -cache-file the plan cache is persisted on
-// shutdown and warmed on the next start.
+// jobs drain, and the training log is closed.
 package main
 
 import (
@@ -114,8 +115,6 @@ func main() {
 	systems := flag.String("systems", "", "comma-separated systems to serve (default: all Table 4 systems)")
 	tunersDir := flag.String("tuners", "", "directory of <system>.json tuner files (default: train lazily)")
 	cacheSize := flag.Int("cache", 0, "plan-cache capacity (0 = default)")
-	cacheShards := flag.Int("cache-shards", 0, "plan-cache shard count (0 = GOMAXPROCS; clamped for small caches)")
-	cacheFile := flag.String("cache-file", "", "persist the plan cache to this file across restarts")
 	batchLimit := flag.Int("batch-limit", 0, "max items per /v1/tune/batch request (0 = default)")
 	full := flag.Bool("full", false, "train lazily on the full Table 3 space instead of the quick one, both with cpu-tiles 16 and 32 added (about 0.2 s per dual-GPU system instead of 0.012 s)")
 	workers := flag.Int("workers", 0, "job worker pool size (0 = default)")
@@ -145,10 +144,8 @@ func main() {
 	logger := slog.New(handler)
 
 	cfg := wavefront.TuningConfig{
-		CacheSize:   *cacheSize,
-		CacheShards: *cacheShards,
-		BatchLimit:  *batchLimit,
-		CachePath:   *cacheFile,
+		CacheSize:  *cacheSize,
+		BatchLimit: *batchLimit,
 		Jobs: wavefront.JobOptions{
 			Workers:        *workers,
 			QueueDepth:     *queueDepth,
@@ -229,8 +226,8 @@ func main() {
 			// A drain cut short by the deadline is a documented outcome
 			// of stopping under load, not a failed shutdown: exit
 			// cleanly so supervisors don't flag the stop. Anything else
-			// in the joined error — a failed plan-cache persist above
-			// all — is a real failure and must surface in the exit code.
+			// in the joined error — a failed training-log close, say — is
+			// a real failure and must surface in the exit code.
 			if !onlyContextErrs(err) {
 				log.Fatalf("shutdown failed: %v", err)
 			}

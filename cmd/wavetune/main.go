@@ -177,11 +177,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, g, err := engine.SimulateInst(sys, plan.Instance{Dim: *dim}, k, pred.Par, engine.Options{})
+		res, g, err := engine.Simulate(sys, plan.Instance{Dim: *dim}, k, pred.Par, engine.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
-		want := engine.Reference(*dim, k)
+		want := engine.Reference(*dim, *dim, k)
 		fmt.Printf("\nfunctional run: virtual time %.3fs, %d kernels, %d swaps, results correct: %v\n",
 			res.RTimeSec(), res.Kernels, res.Swaps, g.Equal(want))
 	}

@@ -88,7 +88,7 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// 6. Execute the prediction functionally and verify every cell.
-	res, g, err := engine.Simulate(sys, dim, k, pred.Par)
+	res, g, err := engine.Simulate(sys, plan.Instance{Dim: dim}, k, pred.Par, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestAllSystemsProduceConsistentPipelines(t *testing.T) {
 		if pred.Serial {
 			continue
 		}
-		_, g, err := engine.Simulate(sys, dim, k, pred.Par)
+		_, g, err := engine.Simulate(sys, plan.Instance{Dim: dim}, k, pred.Par, engine.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}

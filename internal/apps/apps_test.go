@@ -281,7 +281,7 @@ func TestEveryAppOrderInvariant(t *testing.T) {
 			// Three-phase hybrid simulation with a dual-GPU band.
 			inst := plan.Instance{Rows: rows, Cols: cols}
 			par := plan.Params{CPUTile: 4, Band: 6, GPUTile: 2, Halo: 2}
-			_, sg, err := engine.SimulateInst(sys, inst, k, par, engine.Options{})
+			_, sg, err := engine.Simulate(sys, inst, k, par, engine.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -512,28 +512,13 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 	return res, nil
 }
 
-// Simulate executes a functional run of kernel k (dim x dim) with
-// parameters par on the modeled system: real cell values are computed via
-// the simulated OpenCL runtime and CPU phases, and the returned result
-// carries the virtual time of the discrete-event simulation.
-func Simulate(sys hw.System, dim int, k kernels.Kernel, par plan.Params) (Result, *grid.Grid, error) {
-	return SimulateOpts(sys, dim, k, par, Options{})
-}
-
-// SimulateOpts is Simulate with explicit options (e.g. widening to more
-// than two GPUs).
-func SimulateOpts(sys hw.System, dim int, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
-	return SimulateInst(sys, plan.Instance{Dim: dim}, k, par, opts)
-}
-
-// SimulateRect is Simulate over a rectangular rows x cols grid.
-func SimulateRect(sys hw.System, rows, cols int, k kernels.Kernel, par plan.Params) (Result, *grid.Grid, error) {
-	return SimulateInst(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
-}
-
-// SimulateInst executes a functional run over the shape of inst; the
-// granularity parameters (TSize, DSize) are always taken from the kernel.
-func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
+// Simulate executes a functional run of kernel k over the shape of inst
+// with parameters par on the modeled system: real cell values are
+// computed via the simulated OpenCL runtime and CPU phases, and the
+// returned result carries the virtual time of the discrete-event
+// simulation. The granularity parameters (TSize, DSize) are always taken
+// from the kernel.
+func Simulate(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Params, opts Options) (Result, *grid.Grid, error) {
 	inst.TSize, inst.DSize = k.TSize(), k.DSize()
 	pl, err := prepare(sys, inst, par, opts)
 	if err != nil {
@@ -676,14 +661,9 @@ func SimulateInst(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.
 	return res, g, nil
 }
 
-// Reference computes the grid serially on the host, for verifying
-// simulated results.
-func Reference(dim int, k kernels.Kernel) *grid.Grid {
-	return ReferenceRect(dim, dim, k)
-}
-
-// ReferenceRect computes a rows x cols grid serially on the host.
-func ReferenceRect(rows, cols int, k kernels.Kernel) *grid.Grid {
+// Reference computes a rows x cols grid serially on the host, for
+// verifying simulated results.
+func Reference(rows, cols int, k kernels.Kernel) *grid.Grid {
 	g := grid.NewRect(rows, cols, k.DSize())
 	cpuexec.RunSerial(k, g)
 	return g
@@ -694,14 +674,8 @@ func CPUOnlyParams(ct int) plan.Params {
 	return plan.Params{CPUTile: ct, Band: -1, GPUTile: 1, Halo: -1}
 }
 
-// GPUOnlyParams returns the configuration that offloads every diagonal of
-// a square dim-sized instance to a single GPU.
-func GPUOnlyParams(dim int) plan.Params {
-	return plan.Params{CPUTile: 1, Band: dim - 1, GPUTile: 1, Halo: -1}
-}
-
-// GPUOnlyParamsFor returns the full single-GPU offload configuration for
-// an instance of any shape.
+// GPUOnlyParamsFor returns the configuration that offloads every
+// diagonal of an instance of any shape to a single GPU.
 func GPUOnlyParamsFor(inst plan.Instance) plan.Params {
 	return plan.Params{CPUTile: 1, Band: inst.MaxUsefulBand(), GPUTile: 1, Halo: -1}
 }

@@ -101,16 +101,16 @@ func TestSimulateMatchesSerialReference(t *testing.T) {
 		kernels.NewSynthetic(3, 2),
 		kernels.NewSeqCompare(),
 	} {
-		want := Reference(dim, k)
+		want := Reference(dim, dim, k)
 		for _, par := range []plan.Params{
 			CPUOnlyParams(4),
-			GPUOnlyParams(dim),
+			GPUOnlyParamsFor(plan.Instance{Dim: dim}),
 			{CPUTile: 4, Band: 20, GPUTile: 1, Halo: -1},
 			{CPUTile: 8, Band: 20, GPUTile: 1, Halo: 5},
 			{CPUTile: 2, Band: 30, GPUTile: 4, Halo: 0},
 			{CPUTile: 5, Band: 50, GPUTile: 8, Halo: 4},
 		} {
-			res, g, err := Simulate(sys, dim, k, par)
+			res, g, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{})
 			if err != nil {
 				t.Fatalf("%s %v: %v", k.Name(), par, err)
 			}
@@ -130,7 +130,7 @@ func TestSimulateMatchesSerialProperty(t *testing.T) {
 	sys := hw.I7_2600K()
 	k := kernels.NewSynthetic(2, 1)
 	dim := 40
-	want := Reference(dim, k)
+	want := Reference(dim, dim, k)
 	f := func(rawBand, rawCt, rawHalo, rawG uint8) bool {
 		band := int(rawBand)%(dim+1) - 1
 		ct := int(rawCt)%dim + 1
@@ -142,7 +142,7 @@ func TestSimulateMatchesSerialProperty(t *testing.T) {
 			}
 		}
 		par := plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: halo}
-		_, g, err := Simulate(sys, dim, k, par)
+		_, g, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{})
 		if err != nil {
 			return false
 		}
@@ -162,7 +162,7 @@ func TestEstimateAgreesWithSimulate(t *testing.T) {
 	inst := plan.Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()}
 	for _, par := range []plan.Params{
 		CPUOnlyParams(8),
-		GPUOnlyParams(dim),
+		GPUOnlyParamsFor(plan.Instance{Dim: dim}),
 		{CPUTile: 4, Band: 30, GPUTile: 1, Halo: -1},
 		{CPUTile: 8, Band: 30, GPUTile: 1, Halo: 8},
 		{CPUTile: 8, Band: 30, GPUTile: 1, Halo: 0},
@@ -173,7 +173,7 @@ func TestEstimateAgreesWithSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("estimate %v: %v", par, err)
 		}
-		sim, _, err := Simulate(sys, dim, k, par)
+		sim, _, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{})
 		if err != nil {
 			t.Fatalf("simulate %v: %v", par, err)
 		}
@@ -196,13 +196,13 @@ func TestEstimateAgreesWithSimulateOnI3(t *testing.T) {
 	inst := plan.Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()}
 	for _, par := range []plan.Params{
 		{CPUTile: 4, Band: 25, GPUTile: 1, Halo: -1},
-		GPUOnlyParams(dim),
+		GPUOnlyParamsFor(plan.Instance{Dim: dim}),
 	} {
 		est, err := Estimate(sys, inst, par, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, _, err := Simulate(sys, dim, k, par)
+		sim, _, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +244,7 @@ func TestCPUWinsAtLowGranularity(t *testing.T) {
 	sys := hw.I7_2600K()
 	inst := plan.Instance{Dim: 700, TSize: 10, DSize: 1}
 	cpu, _ := Estimate(sys, inst, CPUOnlyParams(8), Options{})
-	gpu, _ := Estimate(sys, inst, GPUOnlyParams(inst.Dim), Options{})
+	gpu, _ := Estimate(sys, inst, GPUOnlyParamsFor(inst), Options{})
 	if cpu.RTimeNs >= gpu.RTimeNs {
 		t.Errorf("CPU (%v) must beat GPU (%v) on small fine instances",
 			cpu.RTimeNs, gpu.RTimeNs)
@@ -323,7 +323,7 @@ func TestSimulateCollectsTrace(t *testing.T) {
 	sys := hw.I7_2600K()
 	k := kernels.NewSynthetic(5, 1)
 	par := plan.Params{CPUTile: 4, Band: 30, GPUTile: 1, Halo: 4}
-	res, _, err := SimulateOpts(sys, 60, k, par, Options{CollectTrace: true})
+	res, _, err := Simulate(sys, plan.Instance{Dim: 60}, k, par, Options{CollectTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestSimulateCollectsTrace(t *testing.T) {
 		}
 	}
 	// Without the option there is no trace.
-	res2, _, err := Simulate(sys, 60, k, par)
+	res2, _, err := Simulate(sys, plan.Instance{Dim: 60}, k, par, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestMaskedEstimateAgreesWithSimulate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("estimate %v: %v", par, err)
 		}
-		sim, g, err := SimulateInst(sys, inst, k, par, Options{})
+		sim, g, err := Simulate(sys, inst, k, par, Options{})
 		if err != nil {
 			t.Fatalf("simulate %v: %v", par, err)
 		}
@@ -73,7 +73,7 @@ func TestMaskedEstimateAgreesWithSimulate(t *testing.T) {
 		if est.FrontierSteps != sim.FrontierSteps {
 			t.Errorf("%v: frontier steps differ: %d vs %d", par, est.FrontierSteps, sim.FrontierSteps)
 		}
-		if !g.Equal(Reference(n, k)) {
+		if !g.Equal(Reference(n, n, k)) {
 			t.Errorf("%v: masked simulation differs from serial reference", par)
 		}
 	}

@@ -19,14 +19,14 @@ func TestSimulate4GPUsMatchesSerial(t *testing.T) {
 	sys := wide4()
 	dim := 64
 	k := kernels.NewSynthetic(3, 1)
-	want := Reference(dim, k)
+	want := Reference(dim, dim, k)
 	for _, par := range []plan.Params{
 		{CPUTile: 4, Band: 40, GPUTile: 1, Halo: 6},
 		{CPUTile: 8, Band: 55, GPUTile: 1, Halo: 0},
 		{CPUTile: 2, Band: 40, GPUTile: 4, Halo: 3},
 	} {
 		for _, n := range []int{3, 4} {
-			res, g, err := SimulateOpts(sys, dim, k, par, Options{GPUs: n})
+			res, g, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{GPUs: n})
 			if err != nil {
 				t.Fatalf("%v gpus=%d: %v", par, n, err)
 			}
@@ -51,7 +51,7 @@ func TestEstimateAgreesWithSimulate4GPUs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, _, err := SimulateOpts(sys, dim, k, par, Options{GPUs: n})
+		sim, _, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, Options{GPUs: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestGPUWideningRequiresDevices(t *testing.T) {
 		t.Error("widening past the device count must fail")
 	}
 	k := kernels.NewSynthetic(10, 1)
-	if _, _, err := SimulateOpts(sys, 64, k, plan.Params{CPUTile: 4, Band: 40, GPUTile: 1, Halo: 5},
+	if _, _, err := Simulate(sys, plan.Instance{Dim: 64}, k, plan.Params{CPUTile: 4, Band: 40, GPUTile: 1, Halo: 5},
 		Options{GPUs: 4}); err == nil {
 		t.Error("simulate widening past the device count must fail")
 	}

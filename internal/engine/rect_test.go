@@ -57,14 +57,14 @@ func TestSimulateRectMatchesSerialReference(t *testing.T) {
 			kernels.NewSeqCompare(),
 			kernels.NewSynthetic(3, 2),
 		} {
-			want := ReferenceRect(rows, cols, k)
+			want := Reference(rows, cols, k)
 			for _, par := range []plan.Params{
 				CPUOnlyParams(4),
 				{CPUTile: 4, Band: 20, GPUTile: 1, Halo: -1},
 				{CPUTile: 4, Band: 20, GPUTile: 4, Halo: 3},
 				GPUOnlyParamsFor(rectInstance(rows, cols, k)),
 			} {
-				res, g, err := SimulateInst(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
+				res, g, err := Simulate(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
 				if err != nil {
 					t.Fatalf("%dx%d %s %v: %v", rows, cols, k.Name(), par, err)
 				}
@@ -96,7 +96,7 @@ func TestSimulateRectAgreesWithEstimate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("estimate %v: %v", par, err)
 		}
-		sim, _, err := SimulateInst(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
+		sim, _, err := Simulate(sys, plan.Instance{Rows: rows, Cols: cols}, k, par, Options{})
 		if err != nil {
 			t.Fatalf("simulate %v: %v", par, err)
 		}

@@ -366,7 +366,7 @@ func (c *Context) Fig6() ([]Fig6Row, error) {
 					cpuBest = sp
 				}
 			}
-			gpuRes, err := engine.Estimate(sys, ir.Inst, engine.GPUOnlyParams(ir.Inst.Dim), engine.Options{})
+			gpuRes, err := engine.Estimate(sys, ir.Inst, engine.GPUOnlyParamsFor(ir.Inst), engine.Options{})
 			if err != nil {
 				return nil, err
 			}

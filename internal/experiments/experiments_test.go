@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
@@ -315,11 +316,12 @@ func TestHeadlineNumbers(t *testing.T) {
 }
 
 func TestBaselineGPUOnlyHelper(t *testing.T) {
-	ns, err := baselineGPUOnly(hw.I3_540(), plan.Instance{Dim: 500, TSize: 100, DSize: 1})
+	inst := plan.Instance{Dim: 500, TSize: 100, DSize: 1}
+	res, err := engine.Estimate(hw.I3_540(), inst, engine.GPUOnlyParamsFor(inst), engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns <= 0 {
+	if res.RTimeNs <= 0 {
 		t.Error("GPU-only baseline must be positive")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/plan"
@@ -351,13 +350,4 @@ func (h Headline) Render() string {
 		"Headline: max speedup %.1fx (paper ~20x), average %.1fx (paper 7.8x), "+
 			"tuner efficiency %.0f%% (paper 98%%), seq-compare all-CPU: %v (paper: yes)\n",
 		h.MaxSpeedup, h.AvgSpeedup, h.TunerEfficiency*100, h.SeqAllCPU)
-}
-
-// baselineGPUOnly is a convenience wrapper used in tests.
-func baselineGPUOnly(sys hw.System, inst plan.Instance) (float64, error) {
-	res, err := engine.Estimate(sys, inst, engine.GPUOnlyParams(inst.Dim), engine.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return res.RTimeNs, nil
 }

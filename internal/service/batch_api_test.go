@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,9 +232,12 @@ func TestBatchCounters(t *testing.T) {
 }
 
 // TestBatchLargeFanOut exercises the parallel fan-out across shards
-// with a full default-limit batch of distinct shapes.
+// with a full default-limit batch of distinct shapes. The server sizes
+// its cache at GOMAXPROCS shards, so the test raises it to 8.
 func TestBatchLargeFanOut(t *testing.T) {
-	s, ts, _ := newTestServer(t, Config{CacheShards: 8, CacheSize: 256})
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	s, ts, _ := newTestServer(t, Config{CacheSize: 256})
 	if s.Cache().Shards() != 8 {
 		t.Fatalf("shards = %d, want 8", s.Cache().Shards())
 	}

@@ -55,7 +55,6 @@ import (
 	"mime"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -82,17 +81,9 @@ type Config struct {
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
 	// default).
 	CacheSize int
-	// CacheShards splits the plan cache into this many independently
-	// locked shards so concurrent lookups on different keys never
-	// contend (<= 0 selects the tunecache default, GOMAXPROCS; the
-	// count is clamped so small caches keep exact LRU semantics).
-	CacheShards int
 	// BatchLimit caps the items of one POST /v1/tune/batch request
 	// (<= 0 selects DefaultBatchLimit).
 	BatchLimit int
-	// CachePath, when set, warms the cache from this file at startup (if
-	// it exists) and writes it back on Shutdown.
-	CachePath string
 	// Jobs configures the asynchronous job subsystem; the zero value
 	// selects the jobs package defaults.
 	Jobs JobOptions
@@ -213,17 +204,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.systems[sys.Name] = sys
 	}
-	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, cfg.CacheShards, s.predict)
-	if cfg.CachePath != "" {
-		if n, err := s.cache.LoadFile(cfg.CachePath); err == nil {
-			s.cfg.Logger.Info("warmed cache", "plans", n, "path", cfg.CachePath)
-		} else if !errors.Is(err, os.ErrNotExist) {
-			// The cache file is an optimization, not a dependency: a
-			// corrupt or stale-format file must not keep the daemon from
-			// starting. Serve cold and overwrite it on shutdown.
-			s.cfg.Logger.Warn("ignoring unreadable cache file", "path", cfg.CachePath, "err", err)
-		}
-	}
+	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, 0, s.predict)
 	if cfg.Jobs.TrainingLogDir != "" {
 		var err error
 		if s.trainLog, err = core.NewObservationLog(cfg.Jobs.TrainingLogDir); err != nil {
@@ -287,7 +268,7 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Cache returns the plan cache (counters, persistence).
+// Cache returns the plan cache and its counters.
 func (s *Server) Cache() *tunecache.Cache { return s.cache }
 
 // Jobs returns the asynchronous job manager behind /v1/jobs.
@@ -729,8 +710,8 @@ func (s *Server) Serve(l net.Listener) error {
 // requests drain until ctx expires), drains the job subsystem (running
 // and queued jobs complete, or are canceled once ctx expires; the
 // training log is write-through, so every appended observation is
-// already persisted), and, when Config.CachePath is set, persists the
-// plan cache so the next start is warm.
+// already persisted). The plan cache is process memory and is not
+// saved: the next start refills it on demand from the tuners it serves.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.httpMu.Lock()
@@ -758,14 +739,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if cerr := s.trainLog.Close(); cerr != nil {
 			s.cfg.Logger.Error("closing training log", "err", cerr)
 			err = errors.Join(err, cerr)
-		}
-	}
-	if s.cfg.CachePath != "" {
-		if serr := s.cache.SaveFile(s.cfg.CachePath); serr != nil {
-			s.cfg.Logger.Error("saving plan cache", "path", s.cfg.CachePath, "err", serr)
-			err = errors.Join(err, serr)
-		} else {
-			s.cfg.Logger.Info("saved plan cache", "plans", s.cache.Len(), "path", s.cfg.CachePath)
 		}
 	}
 	return err

@@ -323,31 +323,6 @@ func TestSystemsAndHealth(t *testing.T) {
 	}
 }
 
-// TestCachePersistsAcrossRestarts: a server with CachePath saves its
-// plans on Shutdown, and a fresh server over the same path serves the
-// first request as a hit.
-func TestCachePersistsAcrossRestarts(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plans.json")
-	body := `{"system":"i7-2600K","dim":1500,"tsize":3000,"dsize":1}`
-
-	s1, ts1, _ := newTestServer(t, Config{CachePath: path})
-	if tr, _ := postTune(t, ts1.URL, body); tr.Cache != "miss" {
-		t.Fatalf("first-generation request = %q, want miss", tr.Cache)
-	}
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	_, ts2, src2 := newTestServer(t, Config{CachePath: path})
-	tr, _ := postTune(t, ts2.URL, body)
-	if tr.Cache != "hit" {
-		t.Errorf("post-restart request = %q, want hit", tr.Cache)
-	}
-	if src2.calls.Load() != 0 {
-		t.Errorf("warm start still resolved the tuner %d times", src2.calls.Load())
-	}
-}
-
 func TestLazyTrainingSource(t *testing.T) {
 	// The real default path: no tuner files, training on first use.
 	space := core.Space{
@@ -523,38 +498,6 @@ func TestShutdownBeforeServe(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve after Shutdown never returned")
-	}
-}
-
-// TestCorruptCacheFileToleratedAtStartup: the cache file is an
-// optimization; a truncated one must not keep the daemon from starting.
-func TestCorruptCacheFileToleratedAtStartup(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "plans.json")
-	if err := os.WriteFile(path, []byte(`{"version":1,"entr`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{
-		Systems:   []hw.System{hw.I7_2600K()},
-		Tuners:    NewStaticSource(tinyTuner(t)),
-		CachePath: path,
-	})
-	if err != nil {
-		t.Fatalf("corrupt cache file must not fail startup: %v", err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	if _, resp := postTune(t, ts.URL, `{"system":"i7-2600K","dim":700,"tsize":10,"dsize":1}`); resp.StatusCode != http.StatusOK {
-		t.Errorf("cold-start request status %d", resp.StatusCode)
-	}
-	// Shutdown must repair the file via the atomic rewrite: a fresh
-	// server over the same path starts warm.
-	if err := s.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s2, ts2, _ := newTestServer(t, Config{CachePath: path})
-	defer s2.Shutdown(context.Background())
-	if tr, _ := postTune(t, ts2.URL, `{"system":"i7-2600K","dim":700,"tsize":10,"dsize":1}`); tr.Cache != "hit" {
-		t.Errorf("post-repair request = %q, want hit", tr.Cache)
 	}
 }
 

@@ -95,8 +95,8 @@ func TestInvalidateSystemInFlight(t *testing.T) {
 	if _, out, _ := c.Get("alpha", invInst(100)); out != Miss {
 		t.Fatalf("post-invalidation lookup = %v, want Miss (value must not be cached)", out)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1 (only the fresh predict resident)", c.Len())
+	if n := c.Stats().Size; n != 1 {
+		t.Fatalf("size = %d, want 1 (only the fresh predict resident)", n)
 	}
 }
 

@@ -5,19 +5,19 @@
 // repeated requests for the same workload cost a map lookup instead of a
 // model evaluation, and concurrent misses on one key are deduplicated —
 // a single predict runs while every other caller blocks on its result
-// (the singleflight pattern). The cache persists to a versioned JSON
-// file, letting a daemon restart warm.
+// (the singleflight pattern). A plan is a pure function of (model,
+// instance), so the cache lives only in process memory: a restarted
+// daemon, like one that just promoted a model, refills it on demand from
+// the tuner it serves, and no cached plan can outlive its model.
 //
 // The cache is sharded: keys hash onto independently locked shards
 // (default GOMAXPROCS, see NewShardedCtx), each with its own LRU list,
 // entry map and in-flight singleflight table, so concurrent lookups on
-// different keys never contend on one mutex. Recency is tracked by a
-// global logical clock, letting Save merge the shards back into a single
-// least-to-most-recent order regardless of how keys were distributed.
-// Eviction is per shard (each shard holds its slice of the capacity), so
-// the LRU bound is exact per shard and approximate globally; a cache
-// small enough that sharding could distort eviction collapses to a
-// single shard and behaves exactly like a classic LRU.
+// different keys never contend on one mutex, and a hit touches no
+// cache-wide state. Eviction is per shard (each shard holds its slice of
+// the capacity), so the LRU bound is exact per shard and approximate
+// globally; a cache small enough that sharding could distort eviction
+// collapses to a single shard and behaves exactly like a classic LRU.
 package tunecache
 
 import (
@@ -27,7 +27,6 @@ import (
 	"hash/maphash"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/plan"
 )
@@ -132,20 +131,17 @@ func (s *Stats) add(o Stats) {
 
 // entry is one cache slot. While the predict is in flight, done is open
 // and elem is nil; once done closes, val/err are immutable and, on
-// success, elem links the entry into the shard's LRU list. stamp is the
-// global-clock reading of the last touch (guarded by the shard mutex).
-// dropped (also guarded by the shard mutex) marks an in-flight entry
-// invalidated mid-predict: the flight still delivers its value to
-// waiters, but must not insert it into the LRU.
+// success, elem links the entry into the shard's LRU list. dropped
+// (guarded by the shard mutex) marks an in-flight entry invalidated
+// mid-predict: the flight still delivers its value to waiters, but must
+// not insert it into the LRU.
 type entry struct {
 	key     string
 	sys     string
-	inst    plan.Instance
 	done    chan struct{}
 	val     Plan
 	err     error
 	elem    *list.Element
-	stamp   uint64
 	dropped bool
 }
 
@@ -168,10 +164,6 @@ type Cache struct {
 	predict PredictCtxFunc
 	shards  []*shard
 	seed    maphash.Seed
-	// clock is the global recency counter: every touch (hit, insert,
-	// Put) stamps the entry, so Save can merge per-shard LRU lists into
-	// one global least-to-most-recent order.
-	clock atomic.Uint64
 }
 
 // NewShardedCtx creates a cache bounded to capacity resident plans
@@ -240,10 +232,6 @@ func (c *Cache) ShardIndex(system string, inst plan.Instance) int {
 	return int(maphash.String(c.seed, k) % uint64(len(c.shards)))
 }
 
-// touch stamps an entry with the current global clock reading. Caller
-// holds the entry's shard mutex.
-func (c *Cache) touch(e *entry) { e.stamp = c.clock.Add(1) }
-
 // maxTrackedSystems bounds each shard's per-system counter map: unlike
 // the entries, counters survive eviction, so a caller feeding unbounded
 // distinct system names must not leak memory. Beyond the bound, new
@@ -305,7 +293,6 @@ func (c *Cache) GetCtx(ctx context.Context, system string, inst plan.Instance) (
 		if e.elem != nil {
 			// Resident.
 			s.lru.MoveToFront(e.elem)
-			c.touch(e)
 			s.stats.Hits++
 			s.sysStatsLocked(system).Hits++
 			val := e.val
@@ -321,7 +308,7 @@ func (c *Cache) GetCtx(ctx context.Context, system string, inst plan.Instance) (
 	}
 
 	// Miss: this caller leads the flight.
-	e := &entry{key: k, sys: system, inst: inst, done: make(chan struct{})}
+	e := &entry{key: k, sys: system, done: make(chan struct{})}
 	s.entries[k] = e
 	s.stats.Misses++
 	s.sysStatsLocked(system).Misses++
@@ -351,47 +338,11 @@ func (c *Cache) GetCtx(ctx context.Context, system string, inst plan.Instance) (
 		}
 	} else if !e.dropped {
 		e.elem = s.lru.PushFront(e)
-		c.touch(e)
 		s.evictLocked()
 	}
 	close(e.done)
 	s.mu.Unlock()
 	return val, Miss, err
-}
-
-// Put inserts a plan directly (cache warming; also used by Load). An
-// existing resident entry for the key is refreshed and promoted; an
-// in-flight entry is left alone — the flight's result wins.
-func (c *Cache) Put(system string, inst plan.Instance, p Plan) error {
-	if err := inst.Validate(); err != nil {
-		return err
-	}
-	if system == "" {
-		return fmt.Errorf("tunecache: empty system name")
-	}
-	inst = inst.Normalize()
-	k := Key(system, inst)
-	s := c.shardFor(k)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.entries[k]; ok {
-		if old.elem == nil {
-			return nil // in flight; do not race its result
-		}
-		// Replace rather than mutate: a coalesced Get that woke on
-		// old.done may still be reading old.val outside the lock, so a
-		// settled entry must stay immutable forever.
-		s.lru.Remove(old.elem)
-		delete(s.entries, k)
-	}
-	e := &entry{key: k, sys: system, inst: inst, val: p, done: make(chan struct{})}
-	close(e.done)
-	e.elem = s.lru.PushFront(e)
-	c.touch(e)
-	s.entries[k] = e
-	s.evictLocked()
-	return nil
 }
 
 // InvalidateSystem removes every cache entry for the named system and
@@ -403,9 +354,7 @@ func (c *Cache) Put(system string, inst plan.Instance, p Plan) error {
 // marked dropped: their waiters still receive the computed value (their
 // requests raced the promotion and get the old model's answer, as any
 // pre-promotion request does) but the result is not cached, so the next
-// lookup predicts against the new model. The global recency clock is
-// advanced so surviving entries' later touches sort strictly after the
-// promotion in a saved snapshot.
+// lookup predicts against the new model.
 func (c *Cache) InvalidateSystem(system string) int {
 	n := 0
 	for _, s := range c.shards {
@@ -426,9 +375,6 @@ func (c *Cache) InvalidateSystem(system string) int {
 		}
 		s.mu.Unlock()
 	}
-	if n > 0 {
-		c.clock.Add(1)
-	}
 	return n
 }
 
@@ -443,17 +389,6 @@ func (s *shard) evictLocked() {
 		s.stats.Evictions++
 		s.sysStatsLocked(e.sys).Evictions++
 	}
-}
-
-// Len returns the number of resident plans.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Capacity returns the total LRU bound across all shards.
@@ -505,8 +440,8 @@ func (c *Cache) shardLens() []int {
 // SystemStats returns per-system snapshots of the counters, aggregated
 // across shards: how each served platform's traffic is hitting the
 // cache. Size counts that system's resident plans; Capacity is the
-// shared total bound. Systems that only ever entered via Put/Load appear
-// with zero lookup counters but a non-zero Size.
+// shared total bound. A resident system whose counters landed in
+// OverflowSystem appears with zero lookup counters but a non-zero Size.
 func (c *Cache) SystemStats() map[string]Stats {
 	out := make(map[string]Stats)
 	for _, s := range c.shards {

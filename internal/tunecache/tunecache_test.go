@@ -261,69 +261,6 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
-// TestPutDoesNotRaceCoalescedReaders: Put must replace a settled entry
-// rather than mutate it, because a coalesced Get that just woke may
-// still be reading the old value outside the lock. Run under -race with
-// Puts overlapping a held-open flight and its waiters.
-func TestPutDoesNotRaceCoalescedReaders(t *testing.T) {
-	release := make(chan struct{})
-	c := NewShardedCtx(4, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
-		<-release
-		return planFor(in.MaxSide()), nil
-	})
-	in := inst(800)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := c.Get("sys", in); err != nil {
-				t.Errorf("Get: %v", err)
-			}
-		}()
-	}
-	// Wait for the flight to be populated, release it, and immediately
-	// hammer Put on the same key while the waiters drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Stats().Lookups() < 8 {
-		if time.Now().After(deadline) {
-			t.Fatal("flight never formed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	for i := 0; i < 100; i++ {
-		if err := c.Put("sys", in, Plan{RTimeNs: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wg.Wait()
-	if _, out, _ := c.Get("sys", in); out != Hit {
-		t.Errorf("key must remain resident, got %v", out)
-	}
-}
-
-// TestPutRefreshesResident: Put on a resident key installs the new plan
-// and promotes it.
-func TestPutRefreshesResident(t *testing.T) {
-	c := NewShardedCtx(2, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
-		return planFor(in.MaxSide()), nil
-	})
-	in := inst(400)
-	c.Get("sys", in)
-	fresh := Plan{RTimeNs: 42}
-	if err := c.Put("sys", in, fresh); err != nil {
-		t.Fatal(err)
-	}
-	p, out, _ := c.Get("sys", in)
-	if out != Hit || p != fresh {
-		t.Errorf("after Put: (%+v, %v), want refreshed hit", p, out)
-	}
-	if st := c.Stats(); st.Size != 1 {
-		t.Errorf("size = %d, want 1 (replace, not duplicate)", st.Size)
-	}
-}
-
 // TestConcurrentMixedWorkload hammers the cache from many goroutines
 // under -race: distinct keys, shared keys, and eviction pressure at once.
 func TestConcurrentMixedWorkload(t *testing.T) {
@@ -362,8 +299,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 }
 
 // TestSystemStats: the per-system breakdown must attribute every
-// counter to the system whose traffic caused it, including evictions
-// and Put-only residency.
+// counter to the system whose traffic caused it, including evictions.
 func TestSystemStats(t *testing.T) {
 	fail := errors.New("predict failed")
 	c := NewShardedCtx(2, 0, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
@@ -416,14 +352,6 @@ func TestSystemStats(t *testing.T) {
 	}
 	if hits != agg.Hits || misses != agg.Misses || evs != agg.Evictions || errs != agg.Errors || size != agg.Size {
 		t.Errorf("per-system sum (h%d m%d e%d x%d s%d) != aggregate %+v", hits, misses, evs, errs, size, agg)
-	}
-
-	// A system that only entered via Put still reports residency.
-	if err := c.Put("warmed", inst(900), planFor(900)); err != nil {
-		t.Fatal(err)
-	}
-	if w := c.SystemStats()["warmed"]; w.Size != 1 || w.Lookups() != 0 {
-		t.Errorf("warmed = %+v, want size 1 with zero lookups", w)
 	}
 }
 

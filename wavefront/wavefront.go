@@ -171,12 +171,12 @@ func Estimate(sys System, inst Instance, par Params) (Result, error) {
 // returned grid holds real results (bit-identical to RunSerial) and the
 // result carries the virtual time of the three-phase hybrid execution.
 func Simulate(sys System, dim int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.Simulate(sys, dim, k, par)
+	return engine.Simulate(sys, Instance{Dim: dim}, k, par, engine.Options{})
 }
 
 // SimulateRect is Simulate over a rectangular rows x cols grid.
 func SimulateRect(sys System, rows, cols int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.SimulateRect(sys, rows, cols, k, par)
+	return engine.Simulate(sys, Instance{Rows: rows, Cols: cols}, k, par, engine.Options{})
 }
 
 // SerialSeconds returns the modeled optimized sequential baseline in
@@ -217,5 +217,5 @@ func DefaultTrainOptions() TrainOptions { return core.DefaultTrainOptions() }
 // SimulateTraced is Simulate with command-timeline collection enabled;
 // inspect the timeline via Result.Trace.Render.
 func SimulateTraced(sys System, dim int, k Kernel, par Params) (Result, *Grid, error) {
-	return engine.SimulateOpts(sys, dim, k, par, engine.Options{CollectTrace: true})
+	return engine.Simulate(sys, Instance{Dim: dim}, k, par, engine.Options{CollectTrace: true})
 }
