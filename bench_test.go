@@ -395,13 +395,15 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 
 // BenchmarkExhaustiveQuickSearch times two quick-space searches per
 // Table 4 system: "full" searches all 40 instances, as wavesweep and
-// waverepro do, and "training" only the 12 that a lazily trained tuner
+// waverepro do, and "training" only the 12 that a daemon-trained tuner
 // reads (core.TrainingInstances, the search inside core.TrainFromSpace),
 // on the serving cpu-tile axis the daemon trains on (core.ServingSpace).
 // The dual-GPU systems evaluate about three times as many configurations
-// as the single-GPU i3-540. With two workers on a 2-vCPU Xeon, the
-// medians of five runs are 7.0 ms (i3-540) and 22–24 ms (each dual-GPU
-// system) for "full", and 2.0 ms and 7.7–8.2 ms for "training".
+// as the single-GPU i3-540. With two workers on a 2-vCPU Xeon shared
+// with other load, the medians of six runs are 8.7 ms (i3-540) and
+// 24–25 ms (each dual-GPU system) for "full", and 2.6 ms and 9.1–9.3 ms
+// for "training"; with one worker, "training" reads 3.8 ms and
+// 11.3–11.6 ms.
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 	space := core.QuickSpace()
 	spaces := []struct {

@@ -79,28 +79,10 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 			// Too small to cross-validate: fit directly.
 			return ml.FitM5(d, ml.DefaultM5Options()), 1, 0, nil
 		}
-		var best *ml.M5Tree
-		bestAcc := -1.0
-		for i, cfg := range m5Configs() {
-			acc, err := ml.CrossValidateAccuracy(d, opts.CVFolds, opts.Seed, absTol, relTol,
-				func(train *ml.Dataset) ml.Model { return ml.FitM5(train, cfg) })
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			if acc > bestAcc {
-				bestAcc = acc
-				best = ml.FitM5(d, cfg)
-			}
-			if acc >= opts.AccuracyTarget {
-				// Every earlier configuration missed the target, so this
-				// one is the best and was just fitted.
-				return best, acc, i + 1, nil
-			}
-		}
-		return best, bestAcc, len(m5Configs()), nil
+		return ml.SelectM5(d, opts.CVFolds, opts.Seed, absTol, relTol, opts.AccuracyTarget, m5Configs())
 	}
 	// The models are independent and deterministic, so the M5 fits run
-	// concurrently with the SVM and REP fits: a lazily trained tuner's
+	// concurrently with the SVM and REP fits: a daemon-trained tuner's
 	// fit uses the cores its search used. Band and halo are fractions of
 	// their instance's maximum, so their tolerances are too: a relative
 	// window plus an absolute slack of 5% of the maximum mirrors "useful

@@ -407,6 +407,34 @@ func (c *clock) period(ns float64, swapAfter bool) bool {
 	return c.over()
 }
 
+// replay adds a tape's periods in order, each through the additions
+// period makes, in its order, with the running sums held in locals
+// rather than stored through res at every period; a halo exchange
+// follows each of the first swaps periods. It reports whether the run
+// is censored.
+func (c *clock) replay(ps []periodNs, swaps int) bool {
+	res := c.res
+	rt, swapNs, nSwaps := res.RTimeNs, res.SwapNs, res.Swaps
+	k := 0
+	for _, p := range ps {
+		for range p.n {
+			rt += p.ns
+			if k < swaps {
+				swapNs += c.swapNs
+				rt += c.swapNs
+				nSwaps++
+			}
+			k++
+			if c.thresholdNs > 0 && rt > c.thresholdNs {
+				res.RTimeNs, res.SwapNs, res.Swaps = rt, swapNs, nSwaps
+				return c.over()
+			}
+		}
+	}
+	res.RTimeNs, res.SwapNs, res.Swaps = rt, swapNs, nSwaps
+	return false
+}
+
 // finishGPU adds the output transfers and closes the GPU phase; it
 // reports whether the run is censored.
 func (c *clock) finishGPU(sys hw.System, sch *gpuSchedule) bool {

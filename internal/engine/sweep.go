@@ -205,14 +205,8 @@ func (s *Sweep) estimate(par plan.Params, counters bool) (Result, error) {
 		i := s.tape(&sch)
 		t, swaps := &s.tapes[i], s.shapes[i].swaps
 		clk.startGPU(s.sys, &sch)
-		k := 0
-		for _, p := range s.periods[t.off:t.end] {
-			for range p.n {
-				if clk.period(p.ns, k < swaps) {
-					return Estimate(s.sys, s.inst, par, s.opts)
-				}
-				k++
-			}
+		if clk.replay(s.periods[t.off:t.end], swaps) {
+			return Estimate(s.sys, s.inst, par, s.opts)
 		}
 		if counters {
 			if !t.counted {

@@ -441,8 +441,8 @@ func (m *Manager) finishLocked(rec *record, state State, res *Result, errMsg str
 
 // abortGrace bounds how long an aborted Shutdown waits for workers to
 // observe their canceled contexts. Cancellation is cooperative: a
-// worker stuck inside a non-cancelable stage (e.g. a lazy tuner
-// training run inside the plan fetch) cannot react until that call
+// worker stuck inside a non-cancelable stage (e.g. a plan fetch waiting
+// for its system's tuner training to finish) cannot react until that call
 // returns, and Shutdown must not be held hostage by it.
 const abortGrace = 2 * time.Second
 

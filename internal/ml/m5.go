@@ -83,19 +83,69 @@ func FitM5(d *Dataset, opts M5Options) *M5Tree {
 	opts = opts.withDefaults()
 	t := &M5Tree{Names: d.Names, opts: opts}
 	rootSD := d.YStd()
-	t.root = t.grow(d, rootSD, 0)
+	var buf splitBuf
+	t.root = t.grow(d, rootSD, 0, &buf)
 	t.prune(t.root, d)
 	return t
 }
 
-func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int) *m5node {
+// SelectM5 chooses among M5 configurations by k-fold cross-validated
+// tolerance accuracy (CrossValidateAccuracy's criterion, every
+// configuration on the same folds of d). It tries cfgs in order and stops
+// at the first whose accuracy reaches target; when none does, it keeps
+// the most accurate, the earliest on a tie. It returns the chosen
+// configuration's tree fitted on all of d, its accuracy and the number of
+// configurations tried. Smoothing changes prediction, not induction, so
+// configurations that differ only in Smooth and SmoothK share their fold
+// trees.
+func SelectM5(d *Dataset, k int, seed int64, absTol, relTol, target float64, cfgs []M5Options) (*M5Tree, float64, int, error) {
+	if len(cfgs) == 0 {
+		return nil, 0, 0, fmt.Errorf("ml: no M5 configurations to select from")
+	}
+	folds, err := kFolds(d, k, seed)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	grown := make(map[M5Options][]*M5Tree) // fold trees by induction options
+	models := make([]Model, len(folds))
+	best, bestAcc, tried := 0, -1.0, 0
+	for i, cfg := range cfgs {
+		cfg = cfg.withDefaults()
+		key := cfg
+		key.Smooth, key.SmoothK = false, 0
+		trees, ok := grown[key]
+		if !ok {
+			trees = make([]*M5Tree, len(folds))
+			for f := range folds {
+				trees[f] = FitM5(folds[f].train, cfg)
+			}
+			grown[key] = trees
+		}
+		for f, t := range trees {
+			view := *t
+			view.opts.Smooth, view.opts.SmoothK = cfg.Smooth, cfg.SmoothK
+			models[f] = &view
+		}
+		acc := foldAccuracy(d, folds, models, absTol, relTol)
+		tried = i + 1
+		if acc > bestAcc {
+			best, bestAcc = i, acc
+		}
+		if acc >= target {
+			break
+		}
+	}
+	return FitM5(d, cfgs[best]), bestAcc, tried, nil
+}
+
+func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int, buf *splitBuf) *m5node {
 	n := &m5node{n: d.Len(), model: FitLinear(d, t.opts.Ridge)}
 	if d.Len() < 2*t.opts.MinLeaf || depth >= t.opts.MaxDepth ||
 		d.YStd() < t.opts.SDStop*rootSD {
 		n.leaf = true
 		return n
 	}
-	feat, thresh, ok := t.bestSplit(d)
+	feat, thresh, ok := t.bestSplit(d, buf)
 	if !ok {
 		n.leaf = true
 		return n
@@ -113,34 +163,49 @@ func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int) *m5node {
 		return n
 	}
 	n.feat, n.thresh = feat, thresh
-	n.left = t.grow(d.Subset(li), rootSD, depth+1)
-	n.right = t.grow(d.Subset(ri), rootSD, depth+1)
+	n.left = t.grow(d.Subset(li), rootSD, depth+1, buf)
+	n.right = t.grow(d.Subset(ri), rootSD, depth+1, buf)
 	return n
+}
+
+// xy is one example's value of the feature being split on and its target.
+type xy struct{ x, y float64 }
+
+// splitBuf is bestSplit's scratch, reused by every feature and node of
+// one fit.
+type splitBuf struct {
+	pairs            []xy
+	prefix, prefixSq []float64
+	cuts             []int
 }
 
 // bestSplit maximizes the standard deviation reduction
 // SDR = sd(S) - sum |Si|/|S| * sd(Si) over features and thresholds.
-func (t *M5Tree) bestSplit(d *Dataset) (feat int, thresh float64, ok bool) {
+func (t *M5Tree) bestSplit(d *Dataset, buf *splitBuf) (feat int, thresh float64, ok bool) {
 	n := d.Len()
 	bestSDR := 0.0
 	baseSD := d.YStd()
-	type pair struct{ x, y float64 }
 	for f := 0; f < d.Features(); f++ {
-		ps := make([]pair, n)
+		// Filled in row order every time: sort.Slice is not stable, so the
+		// input order decides how equal x values are ordered, and with it
+		// the prefix sums' summation order.
+		ps := buf.pairs[:0]
 		for i, row := range d.X {
-			ps[i] = pair{row[f], d.Y[i]}
+			ps = append(ps, xy{row[f], d.Y[i]})
 		}
+		buf.pairs = ps
 		sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
 		// Prefix sums for O(1) left/right deviation at every cut.
 		var sum, sumSq float64
-		prefix := make([]float64, n+1)
-		prefixSq := make([]float64, n+1)
-		for i, p := range ps {
+		prefix := append(buf.prefix[:0], 0)
+		prefixSq := append(buf.prefixSq[:0], 0)
+		for _, p := range ps {
 			sum += p.y
 			sumSq += p.y * p.y
-			prefix[i+1] = sum
-			prefixSq[i+1] = sumSq
+			prefix = append(prefix, sum)
+			prefixSq = append(prefixSq, sumSq)
 		}
+		buf.prefix, buf.prefixSq = prefix, prefixSq
 		sdOf := func(lo, hi int) float64 { // examples [lo, hi)
 			c := float64(hi - lo)
 			if c <= 0 {
@@ -153,20 +218,21 @@ func (t *M5Tree) bestSplit(d *Dataset) (feat int, thresh float64, ok bool) {
 			}
 			return math.Sqrt(v)
 		}
-		// Candidate cuts between distinct consecutive values, subsampled.
-		var cuts []int
+		// Candidate cuts between distinct consecutive values, subsampled
+		// in place: the i-th sample never lies after the i-th cut.
+		cuts := buf.cuts[:0]
 		for i := 1; i < n; i++ {
 			if ps[i].x != ps[i-1].x {
 				cuts = append(cuts, i)
 			}
 		}
+		buf.cuts = cuts
 		if len(cuts) > t.opts.MaxThresholds {
 			step := float64(len(cuts)) / float64(t.opts.MaxThresholds)
-			sampled := make([]int, 0, t.opts.MaxThresholds)
 			for i := 0; i < t.opts.MaxThresholds; i++ {
-				sampled = append(sampled, cuts[int(float64(i)*step)])
+				cuts[i] = cuts[int(float64(i)*step)]
 			}
-			cuts = sampled
+			cuts = cuts[:t.opts.MaxThresholds]
 		}
 		for _, c := range cuts {
 			if c < t.opts.MinLeaf || n-c < t.opts.MinLeaf {

@@ -1,6 +1,8 @@
 package ml
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -338,6 +340,83 @@ func TestCrossValidateErrors(t *testing.T) {
 	d.Add([]float64{1}, 1)
 	if _, err := CrossValidate(d, 5, 1, nil); err == nil {
 		t.Error("CV on 1 example must fail")
+	}
+}
+
+// selectM5Reference is SelectM5 spelled as independent cross-validations:
+// each configuration on its own folds and fold trees, the running best
+// refitted on all of d at every improvement.
+func selectM5Reference(t *testing.T, d *Dataset, absTol, relTol, target float64, cfgs []M5Options) (*M5Tree, float64, int) {
+	t.Helper()
+	var best *M5Tree
+	bestAcc := -1.0
+	for i, cfg := range cfgs {
+		acc, err := CrossValidateAccuracy(d, 5, 1, absTol, relTol, func(train *Dataset) Model { return FitM5(train, cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc > bestAcc {
+			bestAcc, best = acc, FitM5(d, cfg)
+		}
+		if acc >= target {
+			return best, acc, i + 1
+		}
+	}
+	return best, bestAcc, len(cfgs)
+}
+
+// TestSelectM5MatchesReference pins SelectM5, which shares folds, fold
+// trees across smoothing settings and fits the winner once, to the
+// per-configuration cross-validation it replaces, for targets met by the
+// first, a later or no configuration.
+func TestSelectM5MatchesReference(t *testing.T) {
+	base := DefaultM5Options()
+	noSmooth := base
+	noSmooth.Smooth = false
+	bigLeaf := base
+	bigLeaf.MinLeaf = 8
+	smallLeaf := noSmooth
+	smallLeaf.MinLeaf = 2
+	cfgs := []M5Options{base, noSmooth, bigLeaf, smallLeaf}
+	for _, noise := range []float64{0.05, 1.5} {
+		d := synthDataset(150, noise, 31)
+		for _, target := range []float64{0, 0.5, 0.8, 0.9, 0.95, 1.01} {
+			want, wantAcc, wantTried := selectM5Reference(t, d, 0.5, 0.1, target, cfgs)
+			got, acc, tried, err := SelectM5(d, 5, 1, 0.5, 0.1, target, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJSON, _ := json.Marshal(want)
+			gotJSON, _ := json.Marshal(got)
+			if acc != wantAcc || tried != wantTried || !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("noise %v target %v: SelectM5 = (acc %v, tried %d), reference (acc %v, tried %d), trees equal %v",
+					noise, target, acc, tried, wantAcc, wantTried, bytes.Equal(gotJSON, wantJSON))
+			}
+		}
+	}
+	if _, _, _, err := SelectM5(synthDataset(20, 0, 1), 5, 1, 0.5, 0.1, 0.9, nil); err == nil {
+		t.Error("SelectM5 with no configurations must fail")
+	}
+}
+
+// TestFitM5Allocations bounds the allocations of one fit on the
+// repository's M5 fit benchmark dataset. The split search reuses its
+// pair, prefix-sum and cut buffers across features and nodes, so what is
+// left is per node: the linear models, the child subsets and the sort.
+func TestFitM5Allocations(t *testing.T) {
+	d := NewDataset("x", "y")
+	for i := 0; i < 500; i++ {
+		x := float64(i % 25)
+		y := float64((i * 7) % 13)
+		target := 2*x - y
+		if x > 12 {
+			target = -x + 3*y
+		}
+		d.Add([]float64{x, y}, target)
+	}
+	const limit = 4753
+	if got := testing.AllocsPerRun(5, func() { FitM5(d, DefaultM5Options()) }); got > limit {
+		t.Errorf("FitM5 allocates %v times per fit, want at most %d", got, limit)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -198,35 +199,58 @@ func TestJobRefinedReportsStats(t *testing.T) {
 	}
 }
 
-// gatedSource blocks tuner resolution until released, so tests can hold
-// a job in the running state deterministically.
+// gatedSource blocks every tuner resolve until released, so tests can
+// hold jobs in the running state and resolves in flight
+// deterministically. It counts the resolves entered per system, and
+// those not yet returned.
 type gatedSource struct {
 	inner TunerSource
 	gate  chan struct{}
 	once  sync.Once
-	mu    sync.Mutex
-	calls int
+
+	mu     sync.Mutex
+	calls  map[string]int
+	active int
+}
+
+func newGatedSource(inner TunerSource) *gatedSource {
+	return &gatedSource{inner: inner, gate: make(chan struct{}), calls: make(map[string]int)}
 }
 
 func (g *gatedSource) Tuner(sys hw.System) (core.Predictor, error) {
 	g.mu.Lock()
-	g.calls++
+	g.calls[sys.Name]++
+	g.active++
 	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.active--
+		g.mu.Unlock()
+	}()
 	<-g.gate
 	return g.inner.Tuner(sys)
 }
 
-func (g *gatedSource) entered() bool {
+// entered reports whether a resolve of the named system has started.
+func (g *gatedSource) entered(system string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.calls > 0
+	return g.calls[system] > 0
+}
+
+// counts returns the resolves entered per system and the number still
+// running.
+func (g *gatedSource) counts() (map[string]int, int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return maps.Clone(g.calls), g.active
 }
 
 func (g *gatedSource) release() { g.once.Do(func() { close(g.gate) }) }
 
 func newGatedServer(t *testing.T, jobOpts JobOptions) (*httptest2, *gatedSource) {
 	t.Helper()
-	g := &gatedSource{inner: NewStaticSource(tinyTuner(t)), gate: make(chan struct{})}
+	g := newGatedSource(NewStaticSource(tinyTuner(t)))
 	s, ts, _ := newTestServer(t, Config{Tuners: g, Jobs: jobOpts})
 	t.Cleanup(g.release)
 	return &httptest2{s: s, url: ts.URL}, g
@@ -238,14 +262,21 @@ type httptest2 struct {
 	url string
 }
 
+// waitBusy waits until a job holds a worker. The server resolves its
+// tuners when it is built, so a gated resolve having started says
+// nothing about the jobs; a running job waits inside that resolve.
+func (h *httptest2) waitBusy() {
+	for h.s.Jobs().Stats().Running == 0 {
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestJobCancelQueued(t *testing.T) {
 	h, g := newGatedServer(t, JobOptions{Workers: 1, QueueDepth: 4})
 
 	// The first job occupies the single worker inside the gated resolve.
 	run, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	queued, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":600,"tsize":10,"dsize":1}`)
 
 	ji, resp := deleteJob(t, h.url, queued.ID)
@@ -273,9 +304,7 @@ func TestJobQueueOverflow429(t *testing.T) {
 	h, g := newGatedServer(t, JobOptions{Workers: 1, QueueDepth: 1})
 
 	postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	postJob(t, h.url, `{"system":"i7-2600K","dim":600,"tsize":10,"dsize":1}`)
 
 	_, resp := postJob(t, h.url, `{"system":"i7-2600K","dim":700,"tsize":10,"dsize":1}`)
@@ -304,9 +333,7 @@ func TestRetryAfterTracksServiceTime(t *testing.T) {
 	// Run one job whose gated resolve holds the worker for a while, so
 	// the recorded service time is measurably large.
 	ji, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	time.Sleep(50 * time.Millisecond)
 	g.release()
 	if done := pollJob(t, h.url, ji.ID); done.State != "succeeded" {
@@ -362,9 +389,7 @@ func TestJobListFilters(t *testing.T) {
 	defer g.release()
 
 	postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	postJob(t, h.url, `{"system":"i7-2600K","dim":600,"tsize":10,"dsize":1}`)
 
 	var list struct {

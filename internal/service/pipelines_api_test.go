@@ -235,9 +235,7 @@ func TestPipelineCancelHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status = %d", resp.StatusCode)
 	}
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	got, resp := deletePipeline(t, h.url, "/v1/pipelines/"+pi.ID)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel status = %d, want 200", resp.StatusCode)
@@ -273,9 +271,7 @@ func TestPipelineOverflow429(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("first submit status = %d", resp.StatusCode)
 	}
-	for !g.entered() {
-		time.Sleep(time.Millisecond)
-	}
+	h.waitBusy()
 	_, resp = postPipeline(t, h.url, body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow status = %d, want 429", resp.StatusCode)

@@ -4,8 +4,10 @@
 // their modeled runtimes; the paper's "train once, predict per instance"
 // deployment thereby becomes a request/response protocol. Predictions
 // are served through a tunecache.Cache, so repeated and concurrent
-// requests for one workload cost a single tuner evaluation, and tuners
-// themselves are loaded (or trained) lazily per system on first use.
+// requests for one workload cost a single tuner evaluation. The tuners
+// themselves are loaded (or trained) for every served system at once,
+// in the background from the moment the server is built; a request that
+// needs a tuner still being resolved waits for it.
 // Beyond one-shot predictions, the daemon runs whole tuned wavefront
 // jobs asynchronously through internal/jobs (POST /v1/jobs), with
 // optional online refinement feeding a persisted training log, and
@@ -69,13 +71,13 @@ import (
 )
 
 // Config configures a tuning server. The zero value serves every Table 4
-// system with lazily trained quick-space tuners and a default-sized
-// cache.
+// system with quick-space tuners, trained in the background from New on,
+// and a default-sized cache.
 type Config struct {
 	// Systems are the platforms served; empty selects hw.Systems().
 	Systems []hw.System
-	// Tuners resolves the tuner for a system on first use (once per
-	// system: the server remembers the result); nil selects
+	// Tuners resolves the tuner for each system, once, in the background
+	// from New on (the server remembers the result); nil selects
 	// NewTrainingSource over the quick search space.
 	Tuners TunerSource
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
@@ -154,7 +156,7 @@ type RetrainOptions struct {
 }
 
 // Server is the tuning daemon: an http.Handler plus the plan cache and
-// the champion table of lazily resolved per-system tuners behind it.
+// the champion table of per-system tuners behind it.
 type Server struct {
 	cfg      Config
 	systems  map[string]hw.System
@@ -168,6 +170,9 @@ type Server struct {
 	// retrainer runs the background loop promoting into tuners; nil when
 	// retraining is off (no training-log directory, or Retrain.Off).
 	retrainer *retrain.Retrainer
+	// resolved closes once every served system's boot-time tuner resolve
+	// has settled.
+	resolved <-chan struct{}
 
 	httpMu   sync.Mutex
 	httpSrv  *http.Server
@@ -177,7 +182,8 @@ type Server struct {
 	m *serverMetrics
 }
 
-// New builds a server from cfg.
+// New builds a server from cfg and starts resolving every served
+// system's tuner in the background; Shutdown waits for those resolves.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Systems) == 0 {
 		cfg.Systems = hw.Systems()
@@ -265,6 +271,7 @@ func New(cfg Config) (*Server, error) {
 	if s.retrainer != nil {
 		s.retrainer.Start()
 	}
+	s.resolved = s.tuners.resolveAll(cfg.Systems, cfg.Logger)
 	return s, nil
 }
 
@@ -284,12 +291,13 @@ func (s *Server) Retrainer() *retrain.Retrainer { return s.retrainer }
 // caller-owned http.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// predict is the cache's miss path: resolve the system's tuner (loading
-// or training it on first use) and evaluate it once. ctx carries the
-// leading caller's trace span on the HTTP tune path (GetCtx), so the
-// evaluation shows up under that request's cache.lookup span; the
-// histogram times only the model evaluation, keeping one-time lazy
-// tuner training out of the predict latency series.
+// predict is the cache's miss path: get the system's tuner (waiting for
+// its boot-time resolve if that is still running) and evaluate it once.
+// ctx carries the leading caller's trace span on the HTTP tune path
+// (GetCtx), so the evaluation shows up under that request's
+// cache.lookup span; the
+// histogram times only the model evaluation, keeping one-time tuner
+// training out of the predict latency series.
 func (s *Server) predict(ctx context.Context, system string, inst plan.Instance) (tunecache.Plan, error) {
 	sys, ok := s.systems[system]
 	if !ok {
@@ -393,9 +401,9 @@ type errorResponse struct {
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	// MarshalIndent plus a newline is what an indenting json.Encoder
-	// writes, without allocating an encoder and its buffer per response.
-	if b, err := json.MarshalIndent(v, "", " "); err == nil {
+	// Marshal plus a newline is what a json.Encoder writes, without
+	// allocating an encoder and its buffer per response.
+	if b, err := json.Marshal(v); err == nil {
 		_, _ = w.Write(append(b, '\n'))
 	}
 }
@@ -591,8 +599,9 @@ type SystemInfo struct {
 	Cores   int      `json:"cores"`
 	GPUs    []string `json:"gpus"`
 	MaxGPUs int      `json:"max_gpus"`
-	// Tuner is "ready" once the system's tuner has been loaded or
-	// trained, else "lazy".
+	// Tuner is "training" while the system's tuner is being loaded or
+	// trained (every system's starts when the server is built), "ready"
+	// once it serves, and "failed" when loading or training it failed.
 	Tuner string `json:"tuner"`
 	// Generation is the serving model generation from the champion
 	// table: 1 for the factory champion, +1 per promotion.
@@ -604,14 +613,11 @@ func (s *Server) handleSystems(w http.ResponseWriter, r *http.Request) {
 	for _, sys := range s.cfg.Systems {
 		info := SystemInfo{
 			Name: sys.Name, Cores: sys.CPU.Cores, MaxGPUs: sys.MaxGPUs(),
-			GPUs: make([]string, 0, len(sys.GPUs)), Tuner: "lazy",
+			GPUs: make([]string, 0, len(sys.GPUs)), Tuner: s.tuners.state(sys.Name),
 			Generation: s.tuners.generation(sys.Name),
 		}
 		for _, g := range sys.GPUs {
 			info.GPUs = append(info.GPUs, g.Name)
-		}
-		if s.tuners.ready(sys.Name) {
-			info.Tuner = "ready"
 		}
 		infos = append(infos, info)
 	}
@@ -710,7 +716,8 @@ func (s *Server) Serve(l net.Listener) error {
 // requests drain until ctx expires), drains the job subsystem (running
 // and queued jobs complete, or are canceled once ctx expires; the
 // training log is write-through, so every appended observation is
-// already persisted). The plan cache is process memory and is not
+// already persisted) and waits, until ctx expires, for any tuner still
+// being resolved. The plan cache is process memory and is not
 // saved: the next start refills it on demand from the tuners it serves.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
@@ -724,6 +731,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if jerr := s.jobs.Shutdown(ctx); jerr != nil {
 		s.cfg.Logger.Error("job drain cut short", "err", jerr)
 		err = errors.Join(err, jerr)
+	}
+	// A tuner resolve cannot be interrupted. Waiting for the boot-time
+	// resolves means no source call outlives Shutdown, unless ctx
+	// expires first.
+	select {
+	case <-s.resolved:
+	default:
+		select {
+		case <-s.resolved:
+		case <-ctx.Done():
+			err = errors.Join(err, fmt.Errorf("service: tuner resolution still running: %w", ctx.Err()))
+		}
 	}
 	if s.retrainer != nil {
 		// After the job drain (no more observations will land) and before

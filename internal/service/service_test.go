@@ -282,7 +282,9 @@ func getSystems(t *testing.T, url string) []SystemInfo {
 }
 
 func TestSystemsAndHealth(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
+	g := newGatedSource(NewStaticSource(tinyTuner(t)))
+	defer g.release()
+	_, ts, _ := newTestServer(t, Config{Tuners: g})
 	systems := getSystems(t, ts.URL)
 	if len(systems) != 1 || systems[0].Name != "i7-2600K" {
 		t.Fatalf("systems = %+v", systems)
@@ -290,10 +292,12 @@ func TestSystemsAndHealth(t *testing.T) {
 	if systems[0].MaxGPUs != 2 || len(systems[0].GPUs) != 2 {
 		t.Errorf("GPU description wrong: %+v", systems[0])
 	}
-	// The tuner resolves on the first request that needs it.
-	if systems[0].Tuner != "lazy" {
-		t.Errorf("tuner before the first tune = %q, want lazy", systems[0].Tuner)
+	// The tuner resolves from the moment the server is built, with no
+	// request asking for it; the state says so until the resolve ends.
+	if systems[0].Tuner != "training" {
+		t.Errorf("tuner while its resolve is held = %q, want training", systems[0].Tuner)
 	}
+	g.release()
 	if _, resp := postTune(t, ts.URL, `{"system":"i7-2600K","dim":700,"tsize":10,"dsize":1}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("tune status %d", resp.StatusCode)
 	}
@@ -324,7 +328,7 @@ func TestSystemsAndHealth(t *testing.T) {
 }
 
 func TestLazyTrainingSource(t *testing.T) {
-	// The real default path: no tuner files, training on first use.
+	// The real default path: no tuner files, training at boot.
 	space := core.Space{
 		Dims:      []int{300, 700},
 		TSizes:    []float64{10, 3000},
@@ -353,7 +357,7 @@ func TestLazyTrainingSource(t *testing.T) {
 	}
 }
 
-// TestTrainingSourceMatchesExhaustiveTrain pins the lazily trained tuner
+// TestTrainingSourceMatchesExhaustiveTrain pins the source's trained tuner
 // of every system to the factory path, core.Train over a full
 // core.Exhaustive of the quick space with the serving cpu-tile axis
 // (core.ServingSpace): both must save the same bytes.
@@ -390,7 +394,7 @@ func TestTrainingSourceMatchesExhaustiveTrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(gotData, wantData) {
-			t.Errorf("%s: lazily trained tuner differs from Train(Exhaustive(ServingSpace(QuickSpace)))", sys.Name)
+			t.Errorf("%s: source-trained tuner differs from Train(Exhaustive(ServingSpace(QuickSpace)))", sys.Name)
 		}
 	}
 }

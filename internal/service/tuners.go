@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"sync"
 
@@ -11,10 +12,11 @@ import (
 
 // TunerSource resolves the trained predictor for a system.
 // Implementations must be safe for concurrent use. The server calls
-// Tuner at most once per system, from the first request that needs the
-// system's tuner, and remembers the result (tuner or error) in its
-// champion table; a source need not cache. A system that never receives
-// traffic is never resolved.
+// Tuner at most once per system and remembers the result (tuner or
+// error) in its champion table; a source need not cache. New starts
+// resolving every served system at once, in the background, so the
+// systems' trainings share the cores; a request that needs a tuner
+// still being resolved waits for that resolve.
 type TunerSource interface {
 	Tuner(sys hw.System) (core.Predictor, error)
 }
@@ -48,10 +50,11 @@ func newChampions(source TunerSource) *champions {
 }
 
 // tuner returns sys's serving champion, resolving it through the source
-// on first use. A failed resolve is not retried: the error is
-// remembered, matching the daemon's "misconfiguration is permanent
-// until restart" stance for missing tuner files, so the first caller
-// and every later one observe the identical error value.
+// on the first call for sys (resolveAll makes that call at boot). A
+// failed resolve is not retried: the error is remembered, matching the
+// daemon's "misconfiguration is permanent until restart" stance for
+// missing tuner files, so the first caller and every later one observe
+// the identical error value.
 func (c *champions) tuner(sys hw.System) (core.Predictor, error) {
 	c.mu.Lock()
 	slot, ok := c.slots[sys.Name]
@@ -74,6 +77,29 @@ func (c *champions) tuner(sys hw.System) (core.Predictor, error) {
 	return slot.tuner, slot.err
 }
 
+// resolveAll resolves every system's champion concurrently, each through
+// the slot a first request would use, and returns a channel closed once
+// all have settled. A failed resolve is logged; requests for the system
+// get its error.
+func (c *champions) resolveAll(systems []hw.System, logger *slog.Logger) <-chan struct{} {
+	settled := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, sys := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.tuner(sys); err != nil {
+				logger.Error("tuner resolution failed", "system", sys.Name, "err", err)
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(settled)
+	}()
+	return settled
+}
+
 // resolve calls the source once. A panicking resolve (training or a
 // file load blowing up) becomes an error, so the slot still settles and
 // later requests for the system do not block forever on done.
@@ -89,21 +115,30 @@ func (c *champions) resolve(sys hw.System) (t core.Predictor, err error) {
 	return t, nil
 }
 
-// ready reports whether the named system's tuner has been resolved
-// successfully or promoted (GET /v1/systems). It never blocks, even
+// Tuner states reported by GET /v1/systems.
+const (
+	tunerTraining = "training" // the resolve has not finished
+	tunerReady    = "ready"    // resolved successfully, or promoted
+	tunerFailed   = "failed"   // the resolve returned an error
+)
+
+// state reports the named system's tuner state. It never blocks, even
 // while a resolve is in flight.
-func (c *champions) ready(name string) bool {
+func (c *champions) state(name string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	slot, ok := c.slots[name]
 	if !ok {
-		return false
+		return tunerTraining
 	}
 	select {
 	case <-slot.done:
-		return slot.err == nil
+		if slot.err != nil {
+			return tunerFailed
+		}
+		return tunerReady
 	default:
-		return false
+		return tunerTraining
 	}
 }
 

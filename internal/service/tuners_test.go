@@ -34,11 +34,11 @@ func TestDirSource(t *testing.T) {
 	if _, err := table.tuner(hw.I3_540()); err == nil {
 		t.Error("missing tuner file must fail")
 	}
-	if !table.ready(tun.Sys.Name) {
-		t.Error("loaded system must be ready")
+	if got := table.state(tun.Sys.Name); got != tunerReady {
+		t.Errorf("loaded system is %q, want ready", got)
 	}
-	if table.ready("i3-540") {
-		t.Error("failed system must not be ready")
+	if got := table.state("i3-540"); got != tunerFailed {
+		t.Errorf("failed system is %q, want failed", got)
 	}
 }
 
@@ -64,8 +64,8 @@ func TestPanickingResolveSettlesTheSlot(t *testing.T) {
 			t.Fatalf("attempt %d: tuner hung", i)
 		}
 	}
-	if table.ready(hw.I3_540().Name) {
-		t.Error("panicked slot must not report ready")
+	if got := table.state(hw.I3_540().Name); got != tunerFailed {
+		t.Errorf("panicked slot is %q, want failed", got)
 	}
 }
 
@@ -97,8 +97,8 @@ func TestFailedResolveSurfacesOneError(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("resolve ran %d times, want 1", got)
 	}
-	if table.ready(hw.I3_540().Name) {
-		t.Error("failed slot must not report ready")
+	if got := table.state(hw.I3_540().Name); got != tunerFailed {
+		t.Errorf("failed slot is %q, want failed", got)
 	}
 }
 

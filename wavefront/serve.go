@@ -22,10 +22,11 @@ type TuningServer = service.Server
 // TuningConfig configures NewTuningServer.
 type TuningConfig = service.Config
 
-// TunerSource resolves the tuner for a system (trained on demand,
-// loaded from disk, or served from memory). The server calls it at most
-// once per system, on the first request that needs the tuner, and
-// remembers the result.
+// TunerSource resolves the tuner for a system (trained, loaded from
+// disk, or served from memory). The server calls it once per system,
+// for every system at once in the background from the moment it is
+// built, and remembers the result; a request that needs a tuner still
+// being resolved waits for it.
 type TunerSource = service.TunerSource
 
 // TrainingSourceOptions configure NewTrainingTunerSource.
@@ -47,14 +48,15 @@ type RetrainOptions = service.RetrainOptions
 // challenger from being promoted.
 type RetrainGuardrail = retrain.GuardrailOptions
 
-// NewTuningServer builds the tuning daemon from cfg. The zero config
-// serves every Table 4 system with lazily trained quick-space tuners.
+// NewTuningServer builds the tuning daemon from cfg and starts resolving
+// every served system's tuner. The zero config serves every Table 4
+// system with quick-space tuners trained in the background.
 func NewTuningServer(cfg TuningConfig) (*TuningServer, error) {
 	return service.New(cfg)
 }
 
 // NewTrainingTunerSource returns a TunerSource that trains a tuner per
-// system on first use (the wavetrain "factory" path, run lazily).
+// system (the wavetrain "factory" path, run when the server starts).
 func NewTrainingTunerSource(opts TrainingSourceOptions) TunerSource {
 	return service.NewTrainingSource(opts)
 }
