@@ -6,9 +6,12 @@
 // instance. The cache lives in process memory: after a restart or a
 // promotion it refills on demand from the tuner being served. Every
 // served system's tuner is resolved at start-up, all systems at once in
-// the background: loaded from -tuners dir when given (files written by
-// wavetrain -save), otherwise trained. /healthz answers meanwhile, and a
-// request that needs a tuner still being trained waits for it.
+// the background, whether or not a request ever asks for it: loaded
+// from -tuners dir when given (files written by wavetrain -save),
+// otherwise trained. /healthz answers meanwhile, and a request that
+// needs a tuner still being trained waits for it. Serve only the
+// systems the traffic uses (-systems): a first request for one system
+// waits while its training shares the cores with the others'.
 // Jobs run on a bounded worker pool behind a bounded priority queue;
 // jobs that opt into refinement hill-climb around the cached prediction
 // and append the measured outcome to the -train-log directory

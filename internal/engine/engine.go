@@ -394,24 +394,11 @@ func (c *clock) startGPU(sys hw.System, sch *gpuSchedule) {
 	}
 }
 
-// period adds one swap period lasting ns, then its halo exchange when one
-// follows; it reports whether the run is censored.
-func (c *clock) period(ns float64, swapAfter bool) bool {
-	res := c.res
-	res.RTimeNs += ns
-	if swapAfter {
-		res.SwapNs += c.swapNs
-		res.RTimeNs += c.swapNs
-		res.Swaps++
-	}
-	return c.over()
-}
-
-// replay adds a tape's periods in order, each through the additions
-// period makes, in its order, with the running sums held in locals
-// rather than stored through res at every period; a halo exchange
-// follows each of the first swaps periods. It reports whether the run
-// is censored.
+// replay adds swap periods in order: each period's time, then, for the
+// first swaps periods, the halo exchange that follows it. The running
+// sums stay in locals rather than being stored through res at every
+// period. Estimate replays one period at a time as its walk ends it, a
+// Sweep a recorded tape. It reports whether the run is censored.
 func (c *clock) replay(ps []periodNs, swaps int) bool {
 	res := c.res
 	rt, swapNs, nSwaps := res.RTimeNs, res.SwapNs, res.Swaps
@@ -528,7 +515,11 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		m := meter{costs: launchCosts(table[:0], sys, inst, sch.nGPU), dev: -1}
 		cut := false
 		sch.walk(false, m.launch, func(swapAfter bool) bool {
-			cut = clk.period(m.endPeriod(), swapAfter)
+			swaps := 0
+			if swapAfter {
+				swaps = 1
+			}
+			cut = clk.replay([]periodNs{{m.endPeriod(), 1}}, swaps)
 			return !cut
 		})
 		m.fold(&res)

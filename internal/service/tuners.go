@@ -16,7 +16,12 @@ import (
 // error) in its champion table; a source need not cache. New starts
 // resolving every served system at once, in the background, so the
 // systems' trainings share the cores; a request that needs a tuner
-// still being resolved waits for that resolve.
+// still being resolved waits for that resolve. The trade-off is the
+// traffic's: traffic that soon asks for every system gets all its
+// tuners sooner than from one training after another, but a system is
+// resolved whether or not it ever receives a request, and a first
+// request that asks for one system waits while its training shares
+// the cores with the others'.
 type TunerSource interface {
 	Tuner(sys hw.System) (core.Predictor, error)
 }

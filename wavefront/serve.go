@@ -25,8 +25,9 @@ type TuningConfig = service.Config
 // TunerSource resolves the tuner for a system (trained, loaded from
 // disk, or served from memory). The server calls it once per system,
 // for every system at once in the background from the moment it is
-// built, and remembers the result; a request that needs a tuner still
-// being resolved waits for it.
+// built, whether or not a request ever asks for that system, and
+// remembers the result; a request that needs a tuner still being
+// resolved waits for it.
 type TunerSource = service.TunerSource
 
 // TrainingSourceOptions configure NewTrainingTunerSource.
