@@ -43,6 +43,10 @@ type LogCursor struct {
 	mu     sync.Mutex
 	loaded bool
 	cur    logCheckpoint
+	// br and probe are reused by every scan under mu: the retrainer
+	// scans each log on every wake, mostly finding nothing new.
+	br    *bufio.Reader
+	probe [logProbeCap]byte
 }
 
 // logCheckpoint is the persisted read position.
@@ -72,7 +76,7 @@ type LogScan struct {
 // NewLogCursor returns a cursor over the log file at path, persisting
 // its position to checkpointPath. Neither file needs to exist yet.
 func NewLogCursor(path, checkpointPath string) *LogCursor {
-	return &LogCursor{path: path, ckpt: checkpointPath}
+	return &LogCursor{path: path, ckpt: checkpointPath, br: bufio.NewReader(nil)}
 }
 
 // CheckpointPath returns the conventional checkpoint path for an
@@ -110,7 +114,7 @@ func (c *LogCursor) Scan() (LogScan, error) {
 	if c.cur.Offset > 0 {
 		ok := fi.Size() >= c.cur.Offset && c.cur.ProbeLen <= fi.Size()
 		if ok && c.cur.ProbeLen > 0 {
-			sum, err := hashPrefix(f, c.cur.ProbeLen)
+			sum, err := c.hashPrefix(f, c.cur.ProbeLen)
 			if err != nil {
 				return LogScan{}, fmt.Errorf("core: log cursor: %w", err)
 			}
@@ -128,9 +132,9 @@ func (c *LogCursor) Scan() (LogScan, error) {
 	}
 	scan := LogScan{Rotated: rotated}
 	consumed := start
-	br := bufio.NewReader(f)
+	c.br.Reset(f)
 	for {
-		line, err := br.ReadString('\n')
+		line, err := c.br.ReadString('\n')
 		if err == io.EOF {
 			// A trailing fragment without its newline is a row mid-append:
 			// leave it unconsumed for a later scan to read whole.
@@ -156,7 +160,7 @@ func (c *LogCursor) Scan() (LogScan, error) {
 		scan.next.ProbeLen = logProbeCap
 	}
 	if scan.next.ProbeLen > 0 {
-		sum, err := hashPrefix(f, scan.next.ProbeLen)
+		sum, err := c.hashPrefix(f, scan.next.ProbeLen)
 		if err != nil {
 			return LogScan{}, fmt.Errorf("core: log cursor: %w", err)
 		}
@@ -199,20 +203,22 @@ func (c *LogCursor) loadLocked() {
 		return
 	}
 	var ck logCheckpoint
-	if json.Unmarshal(data, &ck) != nil || ck.Offset < 0 || ck.ProbeLen < 0 {
+	if json.Unmarshal(data, &ck) != nil || ck.Offset < 0 ||
+		ck.ProbeLen < 0 || ck.ProbeLen > logProbeCap {
 		return
 	}
 	c.cur = ck
 }
 
-// hashPrefix returns the FNV-1a hash of the file's first n bytes.
-func hashPrefix(f *os.File, n int64) (uint64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+// hashPrefix returns the FNV-1a hash of the file's first n bytes, read
+// into the cursor's probe buffer (n <= logProbeCap). The caller holds
+// c.mu.
+func (c *LogCursor) hashPrefix(f *os.File, n int64) (uint64, error) {
+	b := c.probe[:n]
+	if _, err := f.ReadAt(b, 0); err != nil {
 		return 0, err
 	}
 	h := fnv.New64a()
-	if _, err := io.CopyN(h, f, n); err != nil {
-		return 0, err
-	}
+	h.Write(b)
 	return h.Sum64(), nil
 }

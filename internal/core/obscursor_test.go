@@ -2,6 +2,7 @@ package core
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -103,6 +104,17 @@ func TestLogCursorCrashRecovery(t *testing.T) {
 	s, err = cur3.Scan()
 	if err != nil || s.NewRows != 4 {
 		t.Fatalf("corrupt-checkpoint scan = %+v, %v", s, err)
+	}
+
+	// So does a probe longer than any scan records: the probe buffer
+	// holds at most logProbeCap bytes.
+	if err := os.WriteFile(CheckpointPath(path), []byte(`{"offset":1,"probe_len":5000}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cur4 := NewLogCursor(path, CheckpointPath(path))
+	s, err = cur4.Scan()
+	if err != nil || s.NewRows != 4 {
+		t.Fatalf("oversized-probe scan = %+v, %v", s, err)
 	}
 }
 
@@ -301,5 +313,51 @@ func TestSplitHoldout(t *testing.T) {
 	if len(heldSolo) != 2 || len(trainSolo.Instances) != 2 {
 		t.Fatalf("single-point split: %d held, %d train instances, want 2 and 2",
 			len(heldSolo), len(trainSolo.Instances))
+	}
+}
+
+// TestLogCursorScanAllocations bounds what the retrainer's idle poll
+// costs: a Scan past a committed checkpoint that finds no new rows. The
+// cursor keeps one line reader and one probe buffer across scans, so
+// what is left is opening and stat-ing the log.
+func TestLogCursorScanAllocations(t *testing.T) {
+	log, cur, _ := newCursorLog(t)
+	// More than logProbeCap bytes of rows, so the probe hashes the
+	// full 4 KiB.
+	for i := 0; i < 100; i++ {
+		if err := log.Append("i7-2600K", obsFor(500+i, 1e6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := cur.Scan()
+	if err != nil || s.NewRows != 100 {
+		t.Fatalf("scan = %+v, %v", s, err)
+	}
+	if s.next.ProbeLen != logProbeCap {
+		t.Fatalf("probe covers %d bytes, want %d", s.next.ProbeLen, logProbeCap)
+	}
+	if err := cur.Commit(s); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() {
+		if s, err := cur.Scan(); err != nil || s.NewRows != 0 || s.Rotated {
+			t.Fatalf("idle scan = %+v, %v", s, err)
+		}
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		scan()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / runs
+	allocs := testing.AllocsPerRun(runs, scan)
+	t.Logf("idle Scan: %v allocations, %d bytes", allocs, bytesPer)
+	// Measured 4 allocations and 376 bytes on linux/amd64.
+	const allocLimit, byteLimit = 6, 1024
+	if allocs > allocLimit || bytesPer > byteLimit {
+		t.Errorf("idle Scan allocates %v times and %d bytes, want at most %d and %d",
+			allocs, bytesPer, allocLimit, byteLimit)
 	}
 }

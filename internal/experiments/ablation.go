@@ -145,15 +145,14 @@ func (c *Context) AblateSmoothing(sys hw.System) (SmoothingAblation, error) {
 	rough := smooth
 	rough.Smooth = false
 	// core.Train's halo gate: the target is a fraction of the largest
-	// halo, held to 0.05 plus 40%.
-	out.WithSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 0.05, 0.4,
-		func(train *ml.Dataset) ml.Model { return ml.FitM5(train, smooth) })
+	// halo, held to 0.05 plus 40%. Both settings score the same fold
+	// trees: smoothing changes prediction, not induction.
+	accs, err := ml.CrossValidateM5(tr.Halo, 5, 1, 0.05, 0.4, smooth, rough)
 	if err != nil {
 		return out, err
 	}
-	out.WithoutSmoothing, err = ml.CrossValidateAccuracy(tr.Halo, 5, 1, 0.05, 0.4,
-		func(train *ml.Dataset) ml.Model { return ml.FitM5(train, rough) })
-	return out, err
+	out.WithSmoothing, out.WithoutSmoothing = accs[0], accs[1]
+	return out, nil
 }
 
 // QualityWindowAblation compares tuner efficiency with and without the

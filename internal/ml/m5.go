@@ -102,14 +102,51 @@ func SelectM5(d *Dataset, k int, seed int64, absTol, relTol, target float64, cfg
 	if len(cfgs) == 0 {
 		return nil, 0, 0, fmt.Errorf("ml: no M5 configurations to select from")
 	}
-	folds, err := kFolds(d, k, seed)
+	accuracy, err := m5Scorer(d, k, seed, absTol, relTol)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	grown := make(map[M5Options][]*M5Tree) // fold trees by induction options
-	models := make([]Model, len(folds))
 	best, bestAcc, tried := 0, -1.0, 0
 	for i, cfg := range cfgs {
+		acc := accuracy(cfg)
+		tried = i + 1
+		if acc > bestAcc {
+			best, bestAcc = i, acc
+		}
+		if acc >= target {
+			break
+		}
+	}
+	return FitM5(d, cfgs[best]), bestAcc, tried, nil
+}
+
+// CrossValidateM5 returns each configuration's k-fold cross-validated
+// tolerance accuracy, as SelectM5 scores it: every configuration on the
+// same folds of d, and configurations that differ only in smoothing on
+// the same fold trees.
+func CrossValidateM5(d *Dataset, k int, seed int64, absTol, relTol float64, cfgs ...M5Options) ([]float64, error) {
+	accuracy, err := m5Scorer(d, k, seed, absTol, relTol)
+	if err != nil {
+		return nil, err
+	}
+	accs := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
+		accs[i] = accuracy(cfg)
+	}
+	return accs, nil
+}
+
+// m5Scorer returns a function that scores an M5 configuration by
+// tolerance accuracy on one set of k folds of d, growing each fold's tree
+// once per set of induction options.
+func m5Scorer(d *Dataset, k int, seed int64, absTol, relTol float64) (func(M5Options) float64, error) {
+	folds, err := kFolds(d, k, seed)
+	if err != nil {
+		return nil, err
+	}
+	grown := make(map[M5Options][]*M5Tree) // fold trees by induction options
+	models := make([]Model, len(folds))
+	return func(cfg M5Options) float64 {
 		cfg = cfg.withDefaults()
 		key := cfg
 		key.Smooth, key.SmoothK = false, 0
@@ -126,16 +163,8 @@ func SelectM5(d *Dataset, k int, seed int64, absTol, relTol, target float64, cfg
 			view.opts.Smooth, view.opts.SmoothK = cfg.Smooth, cfg.SmoothK
 			models[f] = &view
 		}
-		acc := foldAccuracy(d, folds, models, absTol, relTol)
-		tried = i + 1
-		if acc > bestAcc {
-			best, bestAcc = i, acc
-		}
-		if acc >= target {
-			break
-		}
-	}
-	return FitM5(d, cfgs[best]), bestAcc, tried, nil
+		return foldAccuracy(d, folds, models, absTol, relTol)
+	}, nil
 }
 
 func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int, buf *splitBuf) *m5node {

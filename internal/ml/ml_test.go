@@ -365,6 +365,34 @@ func selectM5Reference(t *testing.T, d *Dataset, absTol, relTol, target float64,
 	return best, bestAcc, len(cfgs)
 }
 
+// TestCrossValidateM5MatchesReference pins CrossValidateM5, which shares
+// folds and fold trees across smoothing settings, to an independent
+// cross-validation per configuration.
+func TestCrossValidateM5MatchesReference(t *testing.T) {
+	smooth := DefaultM5Options()
+	rough := smooth
+	rough.Smooth = false
+	bigLeaf := rough
+	bigLeaf.MinLeaf = 8
+	cfgs := []M5Options{smooth, rough, bigLeaf}
+	for _, noise := range []float64{0.05, 1.5} {
+		d := synthDataset(150, noise, 31)
+		got, err := CrossValidateM5(d, 5, 1, 0.5, 0.1, cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			want, err := CrossValidateAccuracy(d, 5, 1, 0.5, 0.1, func(train *Dataset) Model { return FitM5(train, cfg) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[i] != want {
+				t.Errorf("noise %v config %d: CrossValidateM5 = %v, reference %v", noise, i, got[i], want)
+			}
+		}
+	}
+}
+
 // TestSelectM5MatchesReference pins SelectM5, which shares folds, fold
 // trees across smoothing settings and fits the winner once, to the
 // per-configuration cross-validation it replaces, for targets met by the

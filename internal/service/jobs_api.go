@@ -209,12 +209,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.System = v
 	}
-	list := s.jobs.List(f)
-	infos := make([]JobInfo, 0, len(list))
-	for _, j := range list {
-		infos = append(infos, jobInfo(j))
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"jobs": infos, "count": len(infos)})
+	writeList(w, "jobs", s.jobs.List(f), jobInfo)
 }
 
 // handleJobGet serves GET /v1/jobs/{id}: poll one job.

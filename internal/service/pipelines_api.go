@@ -230,12 +230,7 @@ func (s *Server) handlePipelineList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.State = &st
 	}
-	list := s.jobs.ListPipelines(f)
-	infos := make([]PipelineInfo, 0, len(list))
-	for _, p := range list {
-		infos = append(infos, pipelineInfo(p))
-	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"pipelines": infos, "count": len(infos)})
+	writeList(w, "pipelines", s.jobs.ListPipelines(f), pipelineInfo)
 }
 
 // handlePipelineGet serves GET /v1/pipelines/{id}: poll one pipeline.

@@ -48,6 +48,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -57,6 +58,7 @@ import (
 	"mime"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -398,6 +400,8 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
+// writeJSON writes one single, bounded object; record lists go through
+// writeList.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -406,6 +410,39 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	if b, err := json.Marshal(v); err == nil {
 		_, _ = w.Write(append(b, '\n'))
 	}
+}
+
+// writeList answers 200 with a record list, {"count":N,"<key>":[...]}
+// plus a newline: the bytes json.Marshal writes for the map form. The
+// records are converted to their wire form and encoded one at a time
+// through one reused buffer, so no response holds the whole body.
+// Encoding through a pointer to one reused record boxes it once per
+// list, not once per record.
+func writeList[T, I any](w http.ResponseWriter, key string, list []T, info func(T) I) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	var buf bytes.Buffer
+	buf.WriteString(`{"count":`)
+	buf.WriteString(strconv.Itoa(len(list)))
+	buf.WriteString(`,"` + key + `":[`)
+	enc := json.NewEncoder(&buf)
+	rec := new(I)
+	for i, v := range list {
+		if i > 0 {
+			buf.WriteByte(',')
+		}
+		if *rec = info(v); enc.Encode(rec) != nil {
+			return
+		}
+		// Drop the newline Encode ends each value with.
+		buf.Truncate(buf.Len() - 1)
+		if _, err := w.Write(buf.Bytes()); err != nil {
+			return
+		}
+		buf.Reset()
+	}
+	buf.WriteString("]}\n")
+	_, _ = w.Write(buf.Bytes())
 }
 
 func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
