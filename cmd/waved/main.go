@@ -4,14 +4,13 @@
 // instance) with concurrent misses deduplicated, so heavy traffic
 // asking for the same workloads costs one tuner evaluation per distinct
 // instance. The cache lives in process memory: after a restart or a
-// promotion it refills on demand from the tuner being served. Every
-// served system's tuner is resolved at start-up, all systems at once in
-// the background, whether or not a request ever asks for it: loaded
-// from -tuners dir when given (files written by wavetrain -save),
-// otherwise trained. /healthz answers meanwhile, and a request that
-// needs a tuner still being trained waits for it. Serve only the
-// systems the traffic uses (-systems): a first request for one system
-// waits while its training shares the cores with the others'.
+// promotion it refills on demand from the tuner being served. Nothing
+// trains at start-up: as in the paper, the tuners are trained offline
+// and the daemon only predicts with them. Every served system's tuner
+// is loaded at start-up, all systems at once in the background, from
+// the factory tuners built into the binary (quick-space, or full-space
+// with -full) or from -tuners dir when given (files written by
+// wavetrain -save); a request that arrives first waits for the load.
 // Jobs run on a bounded worker pool behind a bounded priority queue;
 // jobs that opt into refinement hill-climb around the cached prediction
 // and append the measured outcome to the -train-log directory
@@ -118,10 +117,10 @@ func main() {
 	log.SetPrefix("waved: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	systems := flag.String("systems", "", "comma-separated systems to serve (default: all Table 4 systems)")
-	tunersDir := flag.String("tuners", "", "directory of <system>.json tuner files (default: train at start-up)")
+	tunersDir := flag.String("tuners", "", "directory of <system>.json tuner files written by wavetrain -save (default: the factory tuners built in)")
 	cacheSize := flag.Int("cache", 0, "plan-cache capacity (0 = default)")
 	batchLimit := flag.Int("batch-limit", 0, "max items per /v1/tune/batch request (0 = default)")
-	full := flag.Bool("full", false, "train at start-up on the full Table 3 space instead of the quick one, both with cpu-tiles 16 and 32 added (on 2 vCPUs, about 0.43 s instead of 0.025 s for all three Table 4 systems)")
+	full := flag.Bool("full", false, "serve the factory tuners trained on the full Table 3 space instead of the quick one, both with cpu-tiles 16 and 32 added")
 	workers := flag.Int("workers", 0, "job worker pool size (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0, "job queue bound; overflow answers 429 (0 = default)")
 	refineBudget := flag.Int("refine-budget", 0, "probe budget per refine job (0 = default)")
@@ -180,13 +179,11 @@ func main() {
 	}
 	switch {
 	case *tunersDir != "" && *full:
-		log.Fatal("-full trains tuners at start-up and conflicts with -tuners; pass one or the other")
+		log.Fatal("-full selects the full-space factory tuners and conflicts with -tuners; pass one or the other")
 	case *tunersDir != "":
-		cfg.Tuners = wavefront.NewDirTunerSource(*tunersDir)
+		cfg.Tuners = wavefront.NewDirTunerSource(os.DirFS(*tunersDir))
 	case *full:
-		cfg.Tuners = wavefront.NewTrainingTunerSource(wavefront.TrainingSourceOptions{
-			Space: wavefront.DefaultSpace(),
-		})
+		cfg.Tuners = wavefront.NewDirTunerSource(wavefront.FactoryTuners(true))
 	}
 
 	srv, err := wavefront.NewTuningServer(cfg)

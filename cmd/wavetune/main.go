@@ -1,5 +1,6 @@
 // Command wavetune deploys the trained autotuner on an application: it
-// predicts tuned parameters for the requested instance, compares the
+// predicts tuned parameters for the requested instance with the factory
+// tuner waved serves (or a -tuner file), compares the
 // predicted configuration against the simple baselines, and can execute
 // the run functionally on the simulated platform. Applications resolve
 // through the registry (internal/apps) — `-list` prints the catalog, and
@@ -17,7 +18,7 @@
 // Usage:
 //
 //	wavetune -list
-//	wavetune [-system i7-2600K] [-app nash] [-dim 1900] [-param rounds=2] [-run]
+//	wavetune [-system i7-2600K] [-app nash] [-dim 1900] [-param rounds=2] [-full | -tuner t.json] [-run]
 //	wavetune -app swaffine -dim 2700 -param gap_open=12
 //	wavetune -app synthetic -tsize 4000 -dsize 5 -dim 1100
 //	wavetune -batch shapes.txt -addr http://localhost:8080 -app nash
@@ -37,7 +38,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/experiments"
 	"repro/internal/hw"
 	"repro/internal/plan"
 	"repro/wavefront"
@@ -66,8 +66,8 @@ func main() {
 		values[name] = x
 		return nil
 	})
-	full := flag.Bool("full", false, "train on the full Table 3 space")
-	tunerPath := flag.String("tuner", "", "load a pre-trained tuner JSON (skips training)")
+	full := flag.Bool("full", false, "predict with the factory tuner trained on the full Table 3 space")
+	tunerPath := flag.String("tuner", "", "predict with this tuner JSON (wavetrain -save) instead of the factory tuner")
 	run := flag.Bool("run", false, "execute the tuned configuration functionally (small dims only)")
 	batchPath := flag.String("batch", "", "file of shapes (one per line: 1900 or 600x1400) to tune in one daemon call")
 	addr := flag.String("addr", "http://localhost:8080", "waved base URL for -batch mode")
@@ -128,15 +128,8 @@ func main() {
 		if tuner.System().Name != sys.Name {
 			log.Fatalf("tuner was trained for %s, not %s", tuner.System().Name, sys.Name)
 		}
-	} else {
-		cfg := experiments.Quick()
-		if *full {
-			cfg = experiments.Full()
-		}
-		cfg.Systems = []hw.System{sys}
-		if tuner, err = experiments.NewContext(cfg).Tuner(sys); err != nil {
-			log.Fatal(err)
-		}
+	} else if tuner, err = wavefront.NewDirTunerSource(wavefront.FactoryTuners(*full)).Tuner(sys); err != nil {
+		log.Fatal(err)
 	}
 
 	pred := tuner.Predict(inst)

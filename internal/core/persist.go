@@ -72,9 +72,10 @@ func (t *Tuner) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SavePredictor writes a predictor to path as JSON.
+// SavePredictor writes a predictor to path as compact JSON, the bytes
+// json.Marshal gives.
 func SavePredictor(path string, p Predictor) error {
-	data, err := json.MarshalIndent(p, "", " ")
+	data, err := json.Marshal(p)
 	if err != nil {
 		return fmt.Errorf("core: encoding tuner: %w", err)
 	}

@@ -270,7 +270,6 @@ func (m *Manager) Await(ctx context.Context, id string) (Job, error) {
 // order.
 func (m *Manager) List(f Filter) []Job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]Job, 0, len(m.records))
 	for _, rec := range m.records {
 		if f.State != nil && rec.state != *f.State {
@@ -281,8 +280,9 @@ func (m *Manager) List(f Filter) []Job {
 		}
 		out = append(out, rec.snapshot())
 	}
+	m.mu.Unlock()
 	// IDs are zero-padded sequence numbers, so lexicographic order is
-	// submission order.
+	// submission order. The sort runs on the copy, off the lock.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

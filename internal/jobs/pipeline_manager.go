@@ -149,7 +149,6 @@ func (m *Manager) AwaitPipeline(ctx context.Context, id string) (Pipeline, error
 // in submission order.
 func (m *Manager) ListPipelines(f PipelineFilter) []Pipeline {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]Pipeline, 0, len(m.pipes))
 	for _, p := range m.pipes {
 		if f.State != nil && p.state != *f.State {
@@ -157,8 +156,9 @@ func (m *Manager) ListPipelines(f PipelineFilter) []Pipeline {
 		}
 		out = append(out, p.snapshot())
 	}
+	m.mu.Unlock()
 	// IDs are zero-padded sequence numbers, so lexicographic order is
-	// submission order.
+	// submission order. The sort runs on the copy, off the lock.
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

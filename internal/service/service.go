@@ -73,14 +73,14 @@ import (
 )
 
 // Config configures a tuning server. The zero value serves every Table 4
-// system with quick-space tuners, trained in the background from New on,
-// and a default-sized cache.
+// system with the quick-space factory tuners (FactoryTuners) and a
+// default-sized cache.
 type Config struct {
 	// Systems are the platforms served; empty selects hw.Systems().
 	Systems []hw.System
 	// Tuners resolves the tuner for each system, once, in the background
 	// from New on (the server remembers the result); nil selects
-	// NewTrainingSource over the quick search space.
+	// NewDirSource(FactoryTuners(false)), the quick-space factory tuners.
 	Tuners TunerSource
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
 	// default).
@@ -191,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Systems = hw.Systems()
 	}
 	if cfg.Tuners == nil {
-		cfg.Tuners = NewTrainingSource(TrainingSourceOptions{})
+		cfg.Tuners = NewDirSource(FactoryTuners(false))
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)

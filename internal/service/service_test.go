@@ -8,8 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -324,78 +322,6 @@ func TestSystemsAndHealth(t *testing.T) {
 	b, _ := io.ReadAll(hresp.Body)
 	if string(b) != "ok\n" {
 		t.Errorf("/healthz body %q", b)
-	}
-}
-
-func TestLazyTrainingSource(t *testing.T) {
-	// The real default path: no tuner files, training at boot.
-	space := core.Space{
-		Dims:      []int{300, 700},
-		TSizes:    []float64{10, 3000},
-		DSizes:    []int{1},
-		CPUTiles:  []int{1, 8},
-		BandFracs: []float64{-1, 1.0},
-		HaloFracs: []float64{-1},
-		GPUTiles:  []int{1},
-	}
-	s, err := New(Config{
-		Systems: []hw.System{hw.I3_540()},
-		Tuners:  NewTrainingSource(TrainingSourceOptions{Space: space}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	tr, resp := postTune(t, ts.URL, `{"system":"i3-540","dim":700,"tsize":3000,"dsize":1}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if tr.Cache != "miss" {
-		t.Errorf("cache = %q, want miss", tr.Cache)
-	}
-}
-
-// TestTrainingSourceMatchesExhaustiveTrain pins the source's trained tuner
-// of every system to the factory path, core.Train over a full
-// core.Exhaustive of the quick space with the serving cpu-tile axis
-// (core.ServingSpace): both must save the same bytes.
-func TestTrainingSourceMatchesExhaustiveTrain(t *testing.T) {
-	src := NewTrainingSource(TrainingSourceOptions{})
-	dir := t.TempDir()
-	for _, sys := range hw.Systems() {
-		sr, err := core.Exhaustive(sys, core.ServingSpace(core.QuickSpace()), core.SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.Train(sr, core.DefaultTrainOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := src.Tuner(sys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantPath := filepath.Join(dir, sys.Name+".want.json")
-		gotPath := filepath.Join(dir, sys.Name+".got.json")
-		if err := core.SavePredictor(wantPath, want); err != nil {
-			t.Fatal(err)
-		}
-		if err := core.SavePredictor(gotPath, got); err != nil {
-			t.Fatal(err)
-		}
-		wantData, err := os.ReadFile(wantPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotData, err := os.ReadFile(gotPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(gotData, wantData) {
-			t.Errorf("%s: source-trained tuner differs from Train(Exhaustive(ServingSpace(QuickSpace)))", sys.Name)
-		}
 	}
 }
 

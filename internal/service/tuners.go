@@ -2,8 +2,8 @@ package service
 
 import (
 	"fmt"
+	"io/fs"
 	"log/slog"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/core"
@@ -14,14 +14,10 @@ import (
 // Implementations must be safe for concurrent use. The server calls
 // Tuner at most once per system and remembers the result (tuner or
 // error) in its champion table; a source need not cache. New starts
-// resolving every served system at once, in the background, so the
-// systems' trainings share the cores; a request that needs a tuner
-// still being resolved waits for that resolve. The trade-off is the
-// traffic's: traffic that soon asks for every system gets all its
-// tuners sooner than from one training after another, but a system is
-// resolved whether or not it ever receives a request, and a first
-// request that asks for one system waits while its training shares
-// the cores with the others'.
+// resolving every served system at once, in the background; a request
+// that needs a tuner still being resolved waits for that resolve. The
+// daemon's sources load trained files (NewDirSource), so a resolve is
+// a JSON decode, not a training.
 type TunerSource interface {
 	Tuner(sys hw.System) (core.Predictor, error)
 }
@@ -105,8 +101,8 @@ func (c *champions) resolveAll(systems []hw.System, logger *slog.Logger) <-chan 
 	return settled
 }
 
-// resolve calls the source once. A panicking resolve (training or a
-// file load blowing up) becomes an error, so the slot still settles and
+// resolve calls the source once. A panicking resolve (a file decode
+// or an embedding program's source blowing up) becomes an error, so the slot still settles and
 // later requests for the system do not block forever on done.
 func (c *champions) resolve(sys hw.System) (t core.Predictor, err error) {
 	defer func() {
@@ -181,49 +177,23 @@ type resolveFunc func(sys hw.System) (core.Predictor, error)
 
 func (f resolveFunc) Tuner(sys hw.System) (core.Predictor, error) { return f(sys) }
 
-// TrainingSourceOptions configure NewTrainingSource.
-type TrainingSourceOptions struct {
-	// Space is the search space to train on; empty selects
-	// core.QuickSpace(). Its cpu-tile axis is widened by
-	// core.ServingSpace before training, and training searches only the
-	// sampled instances (core.TrainingInstances). Use core.DefaultSpace()
-	// for paper-scale tuners.
-	Space core.Space
-}
-
-// NewTrainingSource returns a source that trains a predictor for a
-// system through core.TrainFromSpace with core.DefaultTrainOptions: a
-// search of the instances of core.ServingSpace(options' space) that
-// training samples, followed by the model pipeline. The tuner is byte-identical to the "factory" path,
-// core.Train over a full core.Exhaustive of that space. Every call
-// trains afresh; the server calls it once per system.
-func NewTrainingSource(opts TrainingSourceOptions) TunerSource {
-	space := opts.Space
-	if len(space.Dims) == 0 && len(space.Rects) == 0 {
-		space = core.QuickSpace()
-	}
-	space = core.ServingSpace(space)
+// NewDirSource returns a source that loads "<system>.json" files, as
+// wavetrain -save writes them, from fsys: os.DirFS of a directory, or
+// FactoryTuners. A file trained for a different system than its name
+// indicates is rejected.
+func NewDirSource(fsys fs.FS) TunerSource {
 	return resolveFunc(func(sys hw.System) (core.Predictor, error) {
-		t, err := core.TrainFromSpace(sys, space, core.DefaultTrainOptions())
+		name := sys.Name + ".json"
+		data, err := fs.ReadFile(fsys, name)
 		if err != nil {
-			return nil, fmt.Errorf("training %s: %w", sys.Name, err)
+			return nil, fmt.Errorf("reading tuner: %w", err)
 		}
-		return t, nil
-	})
-}
-
-// NewDirSource returns a source that loads "<dir>/<system>.json" files
-// written by wavetrain -save. A file trained for a different system
-// than its name indicates is rejected.
-func NewDirSource(dir string) TunerSource {
-	return resolveFunc(func(sys hw.System) (core.Predictor, error) {
-		path := filepath.Join(dir, sys.Name+".json")
-		t, err := core.LoadPredictor(path)
+		t, err := core.UnmarshalPredictor(data)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tuner %s: %w", name, err)
 		}
 		if t.System().Name != sys.Name {
-			return nil, fmt.Errorf("tuner %s was trained for %s, not %s", path, t.System().Name, sys.Name)
+			return nil, fmt.Errorf("tuner %s was trained for %s, not %s", name, t.System().Name, sys.Name)
 		}
 		return t, nil
 	})

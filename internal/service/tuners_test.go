@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -22,7 +23,7 @@ func TestDirSource(t *testing.T) {
 	if err := core.SavePredictor(filepath.Join(dir, tun.Sys.Name+".json"), tun); err != nil {
 		t.Fatal(err)
 	}
-	table := newChampions(NewDirSource(dir))
+	table := newChampions(NewDirSource(os.DirFS(dir)))
 	got, err := table.tuner(tun.Sys)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ package wavefront
 
 import (
 	"context"
+	"io/fs"
 	"net/http"
 
 	"repro/internal/retrain"
@@ -22,16 +23,13 @@ type TuningServer = service.Server
 // TuningConfig configures NewTuningServer.
 type TuningConfig = service.Config
 
-// TunerSource resolves the tuner for a system (trained, loaded from
-// disk, or served from memory). The server calls it once per system,
+// TunerSource resolves the tuner for a system (loaded from tuner files
+// or served from memory). The server calls it once per system,
 // for every system at once in the background from the moment it is
 // built, whether or not a request ever asks for that system, and
 // remembers the result; a request that needs a tuner still being
 // resolved waits for it.
 type TunerSource = service.TunerSource
-
-// TrainingSourceOptions configure NewTrainingTunerSource.
-type TrainingSourceOptions = service.TrainingSourceOptions
 
 // JobOptions is the service-level job configuration consumed by
 // TuningConfig.Jobs (worker/queue bounds, refine budget, training log).
@@ -51,22 +49,22 @@ type RetrainGuardrail = retrain.GuardrailOptions
 
 // NewTuningServer builds the tuning daemon from cfg and starts resolving
 // every served system's tuner. The zero config serves every Table 4
-// system with quick-space tuners trained in the background.
+// system with the quick-space factory tuners (FactoryTuners(false)).
 func NewTuningServer(cfg TuningConfig) (*TuningServer, error) {
 	return service.New(cfg)
 }
 
-// NewTrainingTunerSource returns a TunerSource that trains a tuner per
-// system (the wavetrain "factory" path, run when the server starts).
-func NewTrainingTunerSource(opts TrainingSourceOptions) TunerSource {
-	return service.NewTrainingSource(opts)
-}
+// FactoryTuners returns the tuner files shipped with the daemon, one
+// "<system>.json" per Table 4 system, trained offline from a search of
+// the synthetic application: on the full Table 3 space when full is
+// set, on the quick one otherwise.
+func FactoryTuners(full bool) fs.FS { return service.FactoryTuners(full) }
 
-// NewDirTunerSource returns a TunerSource that loads
-// "<dir>/<system>.json" tuner files written by SavePredictor
-// (wavetrain -save).
-func NewDirTunerSource(dir string) TunerSource {
-	return service.NewDirSource(dir)
+// NewDirTunerSource returns a TunerSource that loads "<system>.json"
+// tuner files written by SavePredictor (wavetrain -save) from fsys:
+// os.DirFS of a directory, or FactoryTuners.
+func NewDirTunerSource(fsys fs.FS) TunerSource {
+	return service.NewDirSource(fsys)
 }
 
 // TuneRequest is one tune query in the daemon's wire format: the

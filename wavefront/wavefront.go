@@ -185,9 +185,6 @@ func SerialSeconds(sys System, inst Instance) float64 {
 	return engine.SerialNs(sys, inst) / 1e9
 }
 
-// DefaultSpace returns the paper's Table 3 search space.
-func DefaultSpace() Space { return core.DefaultSpace() }
-
 // QuickSpace returns a reduced space for experimentation.
 func QuickSpace() Space { return core.QuickSpace() }
 
