@@ -395,9 +395,10 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 
 // BenchmarkExhaustiveQuickSearch times two quick-space searches per
 // Table 4 system: "full" searches all 40 instances, as wavesweep and
-// waverepro do, and "training" only the 12 that a daemon-trained tuner
-// reads (core.TrainingInstances, the search inside core.TrainFromSpace),
-// on the serving cpu-tile axis the daemon trains on (core.ServingSpace).
+// waverepro do, and "training" only the 12 that a served tuner's
+// training reads (core.TrainingInstances, the search inside
+// core.TrainFromSpace and wavetrain), on the serving cpu-tile axis
+// (core.ServingSpace).
 // The dual-GPU systems evaluate about three times as many configurations
 // as the single-GPU i3-540. With two workers on a 2-vCPU Xeon shared
 // with other load, the medians of six runs are 8.7 ms (i3-540) and

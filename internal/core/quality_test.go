@@ -55,12 +55,12 @@ func TestHeldOutEfficiency(t *testing.T) {
 // >= 10), plus Nash.
 var catalogApps = []string{"dtw", "knapsack", "lcs", "morphrecon", "nussinov", "seqcompare", "swaffine", "nash"}
 
-// TestCatalogEfficiency scores the tuners the daemon trains lazily
-// (TrainFromSpace on ServingSpace(QuickSpace()), pinned to the daemon's
-// source by the service's identity test) on the catalog apps at their
-// default parameters, against the optimum of DefaultSpace with the
-// serving cpu-tile axis: the fine-grained apps' best plans use cpu-tiles
-// Table 3 does not list.
+// TestCatalogEfficiency scores the tuners the daemon serves
+// (TrainFromSpace on ServingSpace(QuickSpace()), pinned to the shipped
+// quick factory files by the service's TestFactoryTuners) on the
+// catalog apps at their default parameters, against the optimum of
+// DefaultSpace with the serving cpu-tile axis: the fine-grained apps'
+// best plans use cpu-tiles Table 3 does not list.
 func TestCatalogEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog search and training")

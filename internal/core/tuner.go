@@ -82,7 +82,7 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 		return ml.SelectM5(d, opts.CVFolds, opts.Seed, absTol, relTol, opts.AccuracyTarget, m5Configs())
 	}
 	// The models are independent and deterministic, so the M5 fits run
-	// concurrently with the SVM and REP fits: a daemon-trained tuner's
+	// concurrently with the SVM and REP fits: a TrainFromSpace tuner's
 	// fit uses the cores its search used. Band and halo are fractions of
 	// their instance's maximum, so their tolerances are too: a relative
 	// window plus an absolute slack of 5% of the maximum mirrors "useful

@@ -101,9 +101,10 @@ func (c *champions) resolveAll(systems []hw.System, logger *slog.Logger) <-chan 
 	return settled
 }
 
-// resolve calls the source once. A panicking resolve (a file decode
-// or an embedding program's source blowing up) becomes an error, so the slot still settles and
-// later requests for the system do not block forever on done.
+// resolve calls the source once. A panicking resolve (a file decode or
+// an embedding program's source blowing up) becomes an error, so the
+// slot still settles and later requests for the system do not block
+// forever on done.
 func (c *champions) resolve(sys hw.System) (t core.Predictor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
