@@ -7,10 +7,11 @@
 // promotion it refills on demand from the tuner being served. Nothing
 // trains at start-up: as in the paper, the tuners are trained offline
 // and the daemon only predicts with them. Every served system's tuner
-// is loaded at start-up, all systems at once in the background, from
-// the factory tuners built into the binary (quick-space, or full-space
-// with -full) or from -tuners dir when given (files written by
-// wavetrain -save); a request that arrives first waits for the load.
+// is loaded once when the server is built, before it listens, from the
+// factory tuners built into the binary (quick-space, or full-space with
+// -full) or from -tuners dir when given (files written by wavetrain
+// -save); a system whose load fails reports failed and errors its
+// requests while the others serve.
 // Jobs run on a bounded worker pool behind a bounded priority queue;
 // jobs that opt into refinement hill-climb around the cached prediction
 // and append the measured outcome to the -train-log directory

@@ -15,8 +15,8 @@ func TestTuneHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	// Measured 42 with slow-request tracing off (no http.request span).
-	const limit = 44
+	// Measured 39 with slow-request tracing off (no http.request span).
+	const limit = 40
 	s, _, _ := newTestServer(t, Config{})
 	h := s.Handler()
 	body := []byte(`{"system":"i7-2600K","dim":1900,"app":"nash","params":{"rounds":2}}`)

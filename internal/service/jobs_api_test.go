@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,7 +15,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/hw"
+	"repro/internal/plan"
 )
 
 func postJob(t *testing.T, url, body string) (JobInfo, *http.Response) {
@@ -199,59 +198,26 @@ func TestJobRefinedReportsStats(t *testing.T) {
 	}
 }
 
-// gatedSource blocks every tuner resolve until released, so tests can
-// hold jobs in the running state and resolves in flight
-// deterministically. It counts the resolves entered per system, and
-// those not yet returned.
-type gatedSource struct {
-	inner TunerSource
-	gate  chan struct{}
-	once  sync.Once
-
-	mu     sync.Mutex
-	calls  map[string]int
-	active int
+// gatedPredictor wraps a tuner so that every prediction blocks until
+// released: a job's plan fetch misses the cache and waits inside it, so
+// tests can hold jobs in the running state deterministically.
+type gatedPredictor struct {
+	core.Predictor
+	gate chan struct{}
+	once sync.Once
 }
 
-func newGatedSource(inner TunerSource) *gatedSource {
-	return &gatedSource{inner: inner, gate: make(chan struct{}), calls: make(map[string]int)}
-}
-
-func (g *gatedSource) Tuner(sys hw.System) (core.Predictor, error) {
-	g.mu.Lock()
-	g.calls[sys.Name]++
-	g.active++
-	g.mu.Unlock()
-	defer func() {
-		g.mu.Lock()
-		g.active--
-		g.mu.Unlock()
-	}()
+func (g *gatedPredictor) PredictTimed(inst plan.Instance) (core.Prediction, float64, float64, error) {
 	<-g.gate
-	return g.inner.Tuner(sys)
+	return g.Predictor.PredictTimed(inst)
 }
 
-// entered reports whether a resolve of the named system has started.
-func (g *gatedSource) entered(system string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.calls[system] > 0
-}
+func (g *gatedPredictor) release() { g.once.Do(func() { close(g.gate) }) }
 
-// counts returns the resolves entered per system and the number still
-// running.
-func (g *gatedSource) counts() (map[string]int, int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return maps.Clone(g.calls), g.active
-}
-
-func (g *gatedSource) release() { g.once.Do(func() { close(g.gate) }) }
-
-func newGatedServer(t *testing.T, jobOpts JobOptions) (*httptest2, *gatedSource) {
+func newGatedServer(t *testing.T, jobOpts JobOptions) (*httptest2, *gatedPredictor) {
 	t.Helper()
-	g := newGatedSource(NewStaticSource(tinyTuner(t)))
-	s, ts, _ := newTestServer(t, Config{Tuners: g, Jobs: jobOpts})
+	g := &gatedPredictor{Predictor: tinyTuner(t), gate: make(chan struct{})}
+	s, ts, _ := newTestServer(t, Config{Tuners: NewStaticSource(g), Jobs: jobOpts})
 	t.Cleanup(g.release)
 	return &httptest2{s: s, url: ts.URL}, g
 }
@@ -262,9 +228,8 @@ type httptest2 struct {
 	url string
 }
 
-// waitBusy waits until a job holds a worker. The server resolves its
-// tuners when it is built, so a gated resolve having started says
-// nothing about the jobs; a running job waits inside that resolve.
+// waitBusy waits until a job holds a worker; a running job waits inside
+// the gated prediction.
 func (h *httptest2) waitBusy() {
 	for h.s.Jobs().Stats().Running == 0 {
 		time.Sleep(time.Millisecond)
@@ -274,7 +239,7 @@ func (h *httptest2) waitBusy() {
 func TestJobCancelQueued(t *testing.T) {
 	h, g := newGatedServer(t, JobOptions{Workers: 1, QueueDepth: 4})
 
-	// The first job occupies the single worker inside the gated resolve.
+	// The first job occupies the single worker inside the gated prediction.
 	run, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
 	h.waitBusy()
 	queued, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":600,"tsize":10,"dsize":1}`)
@@ -330,7 +295,7 @@ func TestJobQueueOverflow429(t *testing.T) {
 func TestRetryAfterTracksServiceTime(t *testing.T) {
 	h, g := newGatedServer(t, JobOptions{Workers: 1, QueueDepth: 1})
 
-	// Run one job whose gated resolve holds the worker for a while, so
+	// Run one job whose gated prediction holds the worker for a while, so
 	// the recorded service time is measurably large.
 	ji, _ := postJob(t, h.url, `{"system":"i7-2600K","dim":500,"tsize":10,"dsize":1}`)
 	h.waitBusy()

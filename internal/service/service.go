@@ -4,10 +4,9 @@
 // their modeled runtimes; the paper's "train once, predict per instance"
 // deployment thereby becomes a request/response protocol. Predictions
 // are served through a tunecache.Cache, so repeated and concurrent
-// requests for one workload cost a single tuner evaluation. The tuners
-// themselves are loaded (or trained) for every served system at once,
-// in the background from the moment the server is built; a request that
-// needs a tuner still being resolved waits for it.
+// requests for one workload cost a single tuner evaluation. Each served
+// system's tuner is loaded once when the server is built; GET
+// /v1/systems reports it ready, or failed if the load failed.
 // Beyond one-shot predictions, the daemon runs whole tuned wavefront
 // jobs asynchronously through internal/jobs (POST /v1/jobs), with
 // optional online refinement feeding a persisted training log, and
@@ -78,8 +77,8 @@ import (
 type Config struct {
 	// Systems are the platforms served; empty selects hw.Systems().
 	Systems []hw.System
-	// Tuners resolves the tuner for each system, once, in the background
-	// from New on (the server remembers the result); nil selects
+	// Tuners resolves the tuner for each system, loaded once when the
+	// server is built (the server remembers the result); nil selects
 	// NewDirSource(FactoryTuners(false)), the quick-space factory tuners.
 	Tuners TunerSource
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
@@ -172,9 +171,6 @@ type Server struct {
 	// retrainer runs the background loop promoting into tuners; nil when
 	// retraining is off (no training-log directory, or Retrain.Off).
 	retrainer *retrain.Retrainer
-	// resolved closes once every served system's boot-time tuner resolve
-	// has settled.
-	resolved <-chan struct{}
 
 	httpMu   sync.Mutex
 	httpSrv  *http.Server
@@ -184,8 +180,10 @@ type Server struct {
 	m *serverMetrics
 }
 
-// New builds a server from cfg and starts resolving every served
-// system's tuner in the background; Shutdown waits for those resolves.
+// New builds a server from cfg, loading every served system's tuner
+// once, in cfg.Systems order, before it returns. A failed load does not
+// fail New: it is logged, that system reads failed and its tunes and
+// jobs return the error, and the other systems serve.
 func New(cfg Config) (*Server, error) {
 	if len(cfg.Systems) == 0 {
 		cfg.Systems = hw.Systems()
@@ -199,7 +197,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		systems: make(map[string]hw.System, len(cfg.Systems)),
-		tuners:  newChampions(cfg.Tuners),
 		start:   time.Now(),
 		m:       newServerMetrics(),
 	}
@@ -212,6 +209,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.systems[sys.Name] = sys
 	}
+	s.tuners = newChampions(cfg.Tuners, cfg.Systems, cfg.Logger)
 	s.cache = tunecache.NewShardedCtx(cfg.CacheSize, 0, s.predict)
 	if cfg.Jobs.TrainingLogDir != "" {
 		var err error
@@ -228,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 			MinObservations: cfg.Retrain.MinObservations,
 			Holdout:         cfg.Retrain.Holdout,
 			Guardrail:       cfg.Retrain.Guardrail,
-			Champion:        s.tuners.tuner,
+			Champion:        func(sys hw.System) (core.Predictor, error) { return s.tuners.tuner(sys.Name) },
 			Promote:         s.promote,
 			Logger:          cfg.Logger,
 			TrainSec:        s.m.retrainSec,
@@ -242,15 +240,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	var err error
 	s.jobs, err = jobs.New(jobs.Config{
-		Systems: cfg.Systems,
-		Plans:   s.cache.Get,
-		Tuners: func(name string) (core.Predictor, error) {
-			sys, ok := s.systems[name]
-			if !ok {
-				return nil, fmt.Errorf("service: unknown system %q", name)
-			}
-			return s.tuners.tuner(sys)
-		},
+		Systems:       cfg.Systems,
+		Plans:         s.cache.Get,
+		Tuners:        s.tuners.tuner,
 		Workers:       cfg.Jobs.Workers,
 		QueueDepth:    cfg.Jobs.QueueDepth,
 		RefineBudget:  cfg.Jobs.RefineBudget,
@@ -273,7 +265,6 @@ func New(cfg Config) (*Server, error) {
 	if s.retrainer != nil {
 		s.retrainer.Start()
 	}
-	s.resolved = s.tuners.resolveAll(cfg.Systems, cfg.Logger)
 	return s, nil
 }
 
@@ -293,19 +284,12 @@ func (s *Server) Retrainer() *retrain.Retrainer { return s.retrainer }
 // caller-owned http.Server.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// predict is the cache's miss path: get the system's tuner (waiting for
-// its boot-time resolve if that is still running) and evaluate it once.
-// ctx carries the leading caller's trace span on the HTTP tune path
-// (GetCtx), so the evaluation shows up under that request's
-// cache.lookup span; the
-// histogram times only the model evaluation, keeping one-time tuner
-// training out of the predict latency series.
+// predict is the cache's miss path: evaluate the system's serving tuner
+// once. ctx carries the leading caller's trace span on the HTTP tune
+// path (GetCtx), so the evaluation shows up under that request's
+// cache.lookup span; the histogram times only the model evaluation.
 func (s *Server) predict(ctx context.Context, system string, inst plan.Instance) (tunecache.Plan, error) {
-	sys, ok := s.systems[system]
-	if !ok {
-		return tunecache.Plan{}, fmt.Errorf("service: unknown system %q", system)
-	}
-	t, err := s.tuners.tuner(sys)
+	t, err := s.tuners.tuner(system)
 	if err != nil {
 		return tunecache.Plan{}, fmt.Errorf("service: tuner for %s: %w", system, err)
 	}
@@ -636,9 +620,8 @@ type SystemInfo struct {
 	Cores   int      `json:"cores"`
 	GPUs    []string `json:"gpus"`
 	MaxGPUs int      `json:"max_gpus"`
-	// Tuner is "training" while the system's tuner is being loaded or
-	// trained (every system's starts when the server is built), "ready"
-	// once it serves, and "failed" when loading or training it failed.
+	// Tuner is "ready" when the system's tuner, loaded once when the
+	// server was built, is serving, and "failed" when that load failed.
 	Tuner string `json:"tuner"`
 	// Generation is the serving model generation from the champion
 	// table: 1 for the factory champion, +1 per promotion.
@@ -753,9 +736,9 @@ func (s *Server) Serve(l net.Listener) error {
 // requests drain until ctx expires), drains the job subsystem (running
 // and queued jobs complete, or are canceled once ctx expires; the
 // training log is write-through, so every appended observation is
-// already persisted) and waits, until ctx expires, for any tuner still
-// being resolved. The plan cache is process memory and is not
-// saved: the next start refills it on demand from the tuners it serves.
+// already persisted), then stops the retrainer and closes the training
+// log. The plan cache is process memory and is not saved: the next
+// start refills it on demand from the tuners it serves.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.httpMu.Lock()
@@ -768,18 +751,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if jerr := s.jobs.Shutdown(ctx); jerr != nil {
 		s.cfg.Logger.Error("job drain cut short", "err", jerr)
 		err = errors.Join(err, jerr)
-	}
-	// A tuner resolve cannot be interrupted. Waiting for the boot-time
-	// resolves means no source call outlives Shutdown, unless ctx
-	// expires first.
-	select {
-	case <-s.resolved:
-	default:
-		select {
-		case <-s.resolved:
-		case <-ctx.Done():
-			err = errors.Join(err, fmt.Errorf("service: tuner resolution still running: %w", ctx.Err()))
-		}
 	}
 	if s.retrainer != nil {
 		// After the job drain (no more observations will land) and before

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -50,17 +52,33 @@ func tinyTuner(t *testing.T) *core.Tuner {
 	return testTun
 }
 
-// countingSource counts tuner resolutions. The server's champion table
-// calls a source at most once per system, however many cache misses
-// follow; misses are counted by the cache's own stats.
+// countingSource counts tuner resolutions, in total and per system. The
+// server's champion table calls a source once per system, however many
+// cache misses follow; misses are counted by the cache's own stats.
 type countingSource struct {
 	inner TunerSource
 	calls atomic.Int64
+
+	mu       sync.Mutex
+	bySystem map[string]int
 }
 
 func (c *countingSource) Tuner(sys hw.System) (core.Predictor, error) {
 	c.calls.Add(1)
+	c.mu.Lock()
+	if c.bySystem == nil {
+		c.bySystem = make(map[string]int)
+	}
+	c.bySystem[sys.Name]++
+	c.mu.Unlock()
 	return c.inner.Tuner(sys)
+}
+
+// count returns how often the source was called for the named system.
+func (c *countingSource) count(system string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bySystem[system]
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *countingSource) {
@@ -280,9 +298,7 @@ func getSystems(t *testing.T, url string) []SystemInfo {
 }
 
 func TestSystemsAndHealth(t *testing.T) {
-	g := newGatedSource(NewStaticSource(tinyTuner(t)))
-	defer g.release()
-	_, ts, _ := newTestServer(t, Config{Tuners: g})
+	_, ts, _ := newTestServer(t, Config{})
 	systems := getSystems(t, ts.URL)
 	if len(systems) != 1 || systems[0].Name != "i7-2600K" {
 		t.Fatalf("systems = %+v", systems)
@@ -290,12 +306,11 @@ func TestSystemsAndHealth(t *testing.T) {
 	if systems[0].MaxGPUs != 2 || len(systems[0].GPUs) != 2 {
 		t.Errorf("GPU description wrong: %+v", systems[0])
 	}
-	// The tuner resolves from the moment the server is built, with no
-	// request asking for it; the state says so until the resolve ends.
-	if systems[0].Tuner != "training" {
-		t.Errorf("tuner while its resolve is held = %q, want training", systems[0].Tuner)
+	// The tuner is loaded when the server is built, with no request
+	// asking for it.
+	if systems[0].Tuner != "ready" {
+		t.Errorf("tuner straight after New = %q, want ready", systems[0].Tuner)
 	}
-	g.release()
 	if _, resp := postTune(t, ts.URL, `{"system":"i7-2600K","dim":700,"tsize":10,"dsize":1}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("tune status %d", resp.StatusCode)
 	}
@@ -322,6 +337,76 @@ func TestSystemsAndHealth(t *testing.T) {
 	b, _ := io.ReadAll(hresp.Body)
 	if string(b) != "ok\n" {
 		t.Errorf("/healthz body %q", b)
+	}
+}
+
+// TestNewLoadsEveryTuner: New calls the source exactly once per served
+// system before it returns, so every system reads ready at generation 1
+// with no tune made. A system whose load fails reads failed and its
+// tunes answer 500 with the wrapped cause, logged once at boot, while
+// the other systems serve.
+func TestNewLoadsEveryTuner(t *testing.T) {
+	tiny := tinyTuner(t)
+	cause := errors.New("no such tuner file")
+	systems := hw.Systems()
+	for name, broken := range map[string]string{"all load": "", "one fails": "i3-540"} {
+		t.Run(name, func(t *testing.T) {
+			src := &countingSource{inner: resolveFunc(func(sys hw.System) (core.Predictor, error) {
+				if sys.Name == broken {
+					return nil, cause
+				}
+				return tiny, nil
+			})}
+			var logs bytes.Buffer
+			_, ts, _ := newTestServer(t, Config{Tuners: src, Systems: systems, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+			for _, sys := range systems {
+				if got := src.count(sys.Name); got != 1 {
+					t.Errorf("source called %d times for %s by the time New returned, want 1", got, sys.Name)
+				}
+			}
+			wantLogged := 0
+			if broken != "" {
+				wantLogged = 1
+			}
+			if got := strings.Count(logs.String(), "tuner resolution failed"); got != wantLogged {
+				t.Errorf("%d load failures logged, want %d:\n%s", got, wantLogged, logs.String())
+			}
+			for _, info := range getSystems(t, ts.URL) {
+				want := tunerReady
+				if info.Name == broken {
+					want = tunerFailed
+				}
+				if info.Tuner != want || info.Generation != 1 {
+					t.Errorf("%s = %s generation %d, want %s generation 1", info.Name, info.Tuner, info.Generation, want)
+				}
+			}
+			for _, sys := range systems {
+				resp, err := http.Post(ts.URL+"/v1/tune", "application/json",
+					strings.NewReader(`{"system":"`+sys.Name+`","dim":700,"tsize":10,"dsize":1}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if sys.Name != broken {
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("%s tune status %d, want 200: %s", sys.Name, resp.StatusCode, body)
+					}
+					continue
+				}
+				if resp.StatusCode != http.StatusInternalServerError ||
+					!strings.Contains(string(body), "resolving tuner for "+broken+": "+cause.Error()) {
+					t.Errorf("%s tune = %d %s, want 500 with the wrapped cause", sys.Name, resp.StatusCode, body)
+				}
+				ji, _ := postJob(t, ts.URL, `{"system":"`+sys.Name+`","dim":800,"tsize":10,"dsize":1}`)
+				if done := pollJob(t, ts.URL, ji.ID); done.State != "failed" || !strings.Contains(done.Error, cause.Error()) {
+					t.Errorf("%s job = %s %q, want failed with the cause", sys.Name, done.State, done.Error)
+				}
+			}
+			if got := src.calls.Load(); got != int64(len(systems)) {
+				t.Errorf("source called %d times after the tunes, want once per system (%d)", got, len(systems))
+			}
+		})
 	}
 }
 

@@ -3,13 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -17,14 +17,17 @@ import (
 	"repro/internal/tunecache"
 )
 
+// discard is the champion tables' logger in these tests.
+var discard = slog.New(slog.DiscardHandler)
+
 func TestDirSource(t *testing.T) {
 	dir := t.TempDir()
 	tun := tinyTuner(t)
 	if err := core.SavePredictor(filepath.Join(dir, tun.Sys.Name+".json"), tun); err != nil {
 		t.Fatal(err)
 	}
-	table := newChampions(NewDirSource(os.DirFS(dir)))
-	got, err := table.tuner(tun.Sys)
+	table := newChampions(NewDirSource(os.DirFS(dir)), []hw.System{tun.Sys, hw.I3_540()}, discard)
+	got, err := table.tuner(tun.Sys.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func TestDirSource(t *testing.T) {
 		t.Errorf("loaded tuner for %s, want %s", got.System().Name, tun.Sys.Name)
 	}
 	// Missing file: error, remembered.
-	if _, err := table.tuner(hw.I3_540()); err == nil {
+	if _, err := table.tuner("i3-540"); err == nil {
 		t.Error("missing tuner file must fail")
 	}
 	if got := table.state(tun.Sys.Name); got != tunerReady {
@@ -43,30 +46,30 @@ func TestDirSource(t *testing.T) {
 	}
 }
 
-// TestPanickingResolveSettlesTheSlot: a tuner resolve that panics must
-// settle the slot with an error instead of hanging every later request
-// for the system.
+// TestPanickingResolveSettlesTheSlot: a source that panics for one
+// system leaves that system failed with a panicked error, and the
+// others ready.
 func TestPanickingResolveSettlesTheSlot(t *testing.T) {
+	tiny := tinyTuner(t)
 	table := newChampions(resolveFunc(func(sys hw.System) (core.Predictor, error) {
-		panic("training exploded")
-	}))
+		if sys.Name == "i3-540" {
+			panic("decode exploded")
+		}
+		return tiny, nil
+	}), []hw.System{hw.I7_2600K(), hw.I3_540()}, discard)
 	for i := 0; i < 2; i++ {
-		done := make(chan error, 1)
-		go func() {
-			_, err := table.tuner(hw.I3_540())
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "panicked") {
-				t.Fatalf("attempt %d: err = %v, want panicked error", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("attempt %d: tuner hung", i)
+		if _, err := table.tuner("i3-540"); err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("attempt %d: err = %v, want panicked error", i, err)
 		}
 	}
-	if got := table.state(hw.I3_540().Name); got != tunerFailed {
+	if got := table.state("i3-540"); got != tunerFailed {
 		t.Errorf("panicked slot is %q, want failed", got)
+	}
+	if got := table.state("i7-2600K"); got != tunerReady {
+		t.Errorf("other system is %q, want ready", got)
+	}
+	if tun, err := table.tuner("i7-2600K"); err != nil || tun != core.Predictor(tiny) {
+		t.Errorf("other system serves %v (err %v), want its tuner", tun, err)
 	}
 }
 
@@ -80,9 +83,9 @@ func TestFailedResolveSurfacesOneError(t *testing.T) {
 	table := newChampions(resolveFunc(func(sys hw.System) (core.Predictor, error) {
 		calls.Add(1)
 		return nil, cause
-	}))
-	_, err1 := table.tuner(hw.I3_540())
-	_, err2 := table.tuner(hw.I3_540())
+	}), []hw.System{hw.I3_540()}, discard)
+	_, err1 := table.tuner("i3-540")
+	_, err2 := table.tuner("i3-540")
 	if err1 == nil {
 		t.Fatal("failed resolve must error")
 	}
@@ -108,14 +111,14 @@ func TestFailedResolveSurfacesOneError(t *testing.T) {
 // calls the source once per system.
 func TestStaticSourceMissErrorIsStable(t *testing.T) {
 	src := &countingSource{inner: NewStaticSource(tinyTuner(t))}
-	table := newChampions(src)
-	_, err1 := table.tuner(hw.I3_540())
-	_, err2 := table.tuner(hw.I3_540())
+	table := newChampions(src, []hw.System{hw.I3_540(), hw.I7_2600K()}, discard)
+	_, err1 := table.tuner("i3-540")
+	_, err2 := table.tuner("i3-540")
 	if err1 == nil || err1 != err2 {
 		t.Fatalf("miss errors must be the identical value: %v vs %v", err1, err2)
 	}
 	for i := 0; i < 2; i++ {
-		if tun, err := table.tuner(hw.I7_2600K()); err != nil || tun == nil {
+		if tun, err := table.tuner("i7-2600K"); err != nil || tun == nil {
 			t.Fatalf("hit failed: %v", err)
 		}
 	}
@@ -137,9 +140,9 @@ func TestPromotionRacesTuneBurst(t *testing.T) {
 	first := tinyTuner(t)
 	second := otherPredictor{first}
 	sys := hw.I7_2600K()
-	table := newChampions(NewStaticSource(first))
+	table := newChampions(NewStaticSource(first), []hw.System{sys}, discard)
 	cache := tunecache.NewShardedCtx(256, 4, func(_ context.Context, system string, inst plan.Instance) (tunecache.Plan, error) {
-		tun, err := table.tuner(sys)
+		tun, err := table.tuner(system)
 		if err != nil {
 			return tunecache.Plan{}, err
 		}
@@ -188,7 +191,7 @@ func TestPromotionRacesTuneBurst(t *testing.T) {
 	if got := table.generation(sys.Name); got != 51 {
 		t.Fatalf("generation = %d, want 51 after 50 promotions", got)
 	}
-	if tun, err := table.tuner(sys); err != nil || tun != last {
+	if tun, err := table.tuner(sys.Name); err != nil || tun != last {
 		t.Fatalf("serving champion = %v (err %v), want the last promoted", tun, err)
 	}
 	if _, _, err := cache.Get(sys.Name, insts[0]); err != nil {

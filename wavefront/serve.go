@@ -24,11 +24,8 @@ type TuningServer = service.Server
 type TuningConfig = service.Config
 
 // TunerSource resolves the tuner for a system (loaded from tuner files
-// or served from memory). The server calls it once per system,
-// for every system at once in the background from the moment it is
-// built, whether or not a request ever asks for that system, and
-// remembers the result; a request that needs a tuner still being
-// resolved waits for it.
+// or served from memory). The server calls it once per served system,
+// when it is built, and remembers the result.
 type TunerSource = service.TunerSource
 
 // JobOptions is the service-level job configuration consumed by
@@ -47,9 +44,10 @@ type RetrainOptions = service.RetrainOptions
 // challenger from being promoted.
 type RetrainGuardrail = retrain.GuardrailOptions
 
-// NewTuningServer builds the tuning daemon from cfg and starts resolving
-// every served system's tuner. The zero config serves every Table 4
-// system with the quick-space factory tuners (FactoryTuners(false)).
+// NewTuningServer builds the tuning daemon from cfg, loading every
+// served system's tuner once before it returns. The zero config serves
+// every Table 4 system with the quick-space factory tuners
+// (FactoryTuners(false)).
 func NewTuningServer(cfg TuningConfig) (*TuningServer, error) {
 	return service.New(cfg)
 }

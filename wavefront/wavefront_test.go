@@ -3,6 +3,7 @@ package wavefront
 import (
 	"runtime"
 	"testing"
+	"time"
 )
 
 func TestNativeSerialVsParallel(t *testing.T) {
@@ -28,7 +29,13 @@ func TestRunParallelReleasesWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Close waits for the workers to exit, so the count is exact here.
+	// Close returns once every worker has signalled its exit (its
+	// deferred wg.Done), not once the goroutine is gone; give the last
+	// ones up to a second to finish unwinding. Yielding alone is not
+	// enough under the race detector, so the wait sleeps.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if n := runtime.NumGoroutine(); n > base {
 		t.Errorf("%d goroutines after 20 RunParallel calls, want at most the %d before", n, base)
 	}
