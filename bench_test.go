@@ -395,7 +395,7 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 
 // BenchmarkExhaustiveQuickSearch times two quick-space searches per
 // Table 4 system: "full" searches all 40 instances, as wavesweep and
-// waverepro do, and "training" only the 12 that a served tuner's
+// waverepro do, and "training" only the 12 that a quick-space tuner's
 // training reads (core.TrainingInstances, the search inside
 // core.TrainFromSpace and wavetrain), on the serving cpu-tile axis
 // (core.ServingSpace).

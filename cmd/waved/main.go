@@ -8,8 +8,8 @@
 // trains at start-up: as in the paper, the tuners are trained offline
 // and the daemon only predicts with them. Every served system's tuner
 // is loaded once when the server is built, before it listens, from the
-// factory tuners built into the binary (quick-space, or full-space with
-// -full) or from -tuners dir when given (files written by wavetrain
+// factory tuners built into the binary (trained on the full Table 3
+// space) or from -tuners dir when given (files written by wavetrain
 // -save); a system whose load fails reports failed and errors its
 // requests while the others serve.
 // Jobs run on a bounded worker pool behind a bounded priority queue;
@@ -36,7 +36,7 @@
 // Usage:
 //
 //	waved [-addr :8080] [-systems i7-2600K,i3-540] [-tuners dir]
-//	      [-cache 512] [-full]
+//	      [-cache 512]
 //	      [-batch-limit 64] [-workers 4] [-queue-depth 64]
 //	      [-refine-budget 12] [-train-log dir] [-max-pipelines 16]
 //	      [-retrain-off] [-retrain-interval 5m] [-retrain-min-obs 32]
@@ -121,7 +121,6 @@ func main() {
 	tunersDir := flag.String("tuners", "", "directory of <system>.json tuner files written by wavetrain -save (default: the factory tuners built in)")
 	cacheSize := flag.Int("cache", 0, "plan-cache capacity (0 = default)")
 	batchLimit := flag.Int("batch-limit", 0, "max items per /v1/tune/batch request (0 = default)")
-	full := flag.Bool("full", false, "serve the factory tuners trained on the full Table 3 space instead of the quick one, both with cpu-tiles 16 and 32 added")
 	workers := flag.Int("workers", 0, "job worker pool size (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0, "job queue bound; overflow answers 429 (0 = default)")
 	refineBudget := flag.Int("refine-budget", 0, "probe budget per refine job (0 = default)")
@@ -178,13 +177,8 @@ func main() {
 			cfg.Systems = append(cfg.Systems, sys)
 		}
 	}
-	switch {
-	case *tunersDir != "" && *full:
-		log.Fatal("-full selects the full-space factory tuners and conflicts with -tuners; pass one or the other")
-	case *tunersDir != "":
+	if *tunersDir != "" {
 		cfg.Tuners = wavefront.NewDirTunerSource(os.DirFS(*tunersDir))
-	case *full:
-		cfg.Tuners = wavefront.NewDirTunerSource(wavefront.FactoryTuners(true))
 	}
 
 	srv, err := wavefront.NewTuningServer(cfg)

@@ -2,9 +2,10 @@
 // system from an exhaustive search of the synthetic application
 // (Section 3.1), reports cross-validated model quality, and prints the
 // learned halo model (the Figure 9 model tree). Without -from it
-// searches only the instances training samples, on the space waved
-// trains on: the quick or full Table 3 space with the cpu-tile axis
-// widened by 16 and 32 (core.ServingSpace).
+// searches only the instances training samples, on the quick or, with
+// -full, the full Table 3 space with the cpu-tile axis widened by 16
+// and 32 (core.ServingSpace); -full -save writes the factory tuner
+// waved serves.
 //
 // Usage:
 //

@@ -18,7 +18,7 @@
 // Usage:
 //
 //	wavetune -list
-//	wavetune [-system i7-2600K] [-app nash] [-dim 1900] [-param rounds=2] [-full | -tuner t.json] [-run]
+//	wavetune [-system i7-2600K] [-app nash] [-dim 1900] [-param rounds=2] [-tuner t.json] [-run]
 //	wavetune -app swaffine -dim 2700 -param gap_open=12
 //	wavetune -app synthetic -tsize 4000 -dsize 5 -dim 1100
 //	wavetune -batch shapes.txt -addr http://localhost:8080 -app nash
@@ -66,7 +66,6 @@ func main() {
 		values[name] = x
 		return nil
 	})
-	full := flag.Bool("full", false, "predict with the factory tuner trained on the full Table 3 space")
 	tunerPath := flag.String("tuner", "", "predict with this tuner JSON (wavetrain -save) instead of the factory tuner")
 	run := flag.Bool("run", false, "execute the tuned configuration functionally (small dims only)")
 	batchPath := flag.String("batch", "", "file of shapes (one per line: 1900 or 600x1400) to tune in one daemon call")
@@ -128,7 +127,7 @@ func main() {
 		if tuner.System().Name != sys.Name {
 			log.Fatalf("tuner was trained for %s, not %s", tuner.System().Name, sys.Name)
 		}
-	} else if tuner, err = wavefront.NewDirTunerSource(wavefront.FactoryTuners(*full)).Tuner(sys); err != nil {
+	} else if tuner, err = wavefront.NewDirTunerSource(wavefront.FactoryTuners()).Tuner(sys); err != nil {
 		log.Fatal(err)
 	}
 

@@ -11,12 +11,11 @@ import (
 	"repro/internal/ml"
 )
 
-// tunerFormatVersion is the tuner file format: JSON with "version": 3
-// and "kind": "tree". Version 3 band and halo trees predict fractions of
-// the instance's maximum, where version 2 predicted raw cell counts, so
-// a version 2 file is rejected with a request to retrain, as is any
-// other version or kind.
-const tunerFormatVersion = 3
+// tunerFormatVersion is the tuner file format: JSON with "version": 4
+// and "kind": "tree". Version 4 models read log(dim) and log(tsize)
+// where version 3 read them raw, so an older file is rejected with a
+// request to retrain, as is any other version or kind.
+const tunerFormatVersion = 4
 
 // tunerDTO is the on-disk form of a trained tree tuner. The system is
 // stored by name and re-resolved on load, so model files stay small and

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,7 +56,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("missing file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	writeFile(t, bad, `{"system":"nonexistent","version":3,"kind":"tree"}`)
+	writeFile(t, bad, `{"system":"nonexistent","version":4,"kind":"tree"}`)
 	if _, err := LoadPredictor(bad); err == nil {
 		t.Error("unknown system must error")
 	}
@@ -65,7 +66,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("version mismatch must error")
 	}
 	missingModels := filepath.Join(t.TempDir(), "empty.json")
-	writeFile(t, missingModels, `{"system":"i3-540","version":3,"kind":"tree"}`)
+	writeFile(t, missingModels, `{"system":"i3-540","version":4,"kind":"tree"}`)
 	if _, err := LoadPredictor(missingModels); err == nil {
 		t.Error("missing models must error")
 	}
@@ -79,11 +80,11 @@ func writeFile(t *testing.T, path, content string) {
 }
 
 // TestUnmarshalPredictorKindErrors covers the envelope error paths: a
-// tuner file must be version 3 with kind "tree". Kind errors name the
+// tuner file must be version 4 with kind "tree". Kind errors name the
 // kind; null fails the version check.
 func TestUnmarshalPredictorKindErrors(t *testing.T) {
 	for _, kind := range []string{"bilinear", "quadratic"} {
-		doc := `{"system":"i3-540","version":3,"kind":"` + kind + `"}`
+		doc := `{"system":"i3-540","version":4,"kind":"` + kind + `"}`
 		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
 			t.Errorf("kind %q must error", kind)
 		} else if !strings.Contains(err.Error(), kind) {
@@ -91,7 +92,7 @@ func TestUnmarshalPredictorKindErrors(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{
-		`{"system":"i3-540","version":3}`,
+		`{"system":"i3-540","version":4}`,
 		`{"system":"i3-540","version":1,"kind":"tree"}`,
 		`{"system":"i3-540","version":1}`,
 		`null`,
@@ -106,20 +107,32 @@ func TestUnmarshalPredictorKindErrors(t *testing.T) {
 // halo trees predict raw cell counts rather than fractions, is refused
 // by its version with a request to retrain, even when its models are
 // complete.
-func TestLoadTunerRejectsV2(t *testing.T) {
+func TestLoadTunerRejectsV2(t *testing.T) { checkRejectsVersion(t, 2) }
+
+// TestLoadTunerRejectsV3 checks that a version 3 file, whose models
+// read raw dim and tsize rather than their logs, is refused the same
+// way.
+func TestLoadTunerRejectsV3(t *testing.T) { checkRejectsVersion(t, 3) }
+
+// checkRejectsVersion relabels a complete current tuner file as
+// version v and requires the decoder to refuse it by its version with
+// a request to retrain.
+func checkRejectsVersion(t *testing.T, v int) {
+	t.Helper()
 	data, err := json.Marshal(trainedTree(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := bytes.Replace(data, []byte(`"version":3`), []byte(`"version":2`), 1)
-	if bytes.Equal(v2, data) {
-		t.Fatalf("tuner file carries no \"version\":3: %s", data)
+	cur := fmt.Sprintf(`"version":%d`, tunerFormatVersion)
+	old := bytes.Replace(data, []byte(cur), []byte(fmt.Sprintf(`"version":%d`, v)), 1)
+	if bytes.Equal(old, data) {
+		t.Fatalf("tuner file carries no %s: %s", cur, data)
 	}
-	_, err = UnmarshalPredictor(v2)
+	_, err = UnmarshalPredictor(old)
 	if err == nil {
-		t.Fatal("version 2 tuner file accepted")
+		t.Fatalf("version %d tuner file accepted", v)
 	}
-	for _, want := range []string{"version 2", "wavetrain -save"} {
+	for _, want := range []string{fmt.Sprintf("version %d", v), "wavetrain -save"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

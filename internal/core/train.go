@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/hw"
 	"repro/internal/ml"
@@ -70,18 +71,29 @@ func (o TrainOptions) withDefaults() TrainOptions {
 // search, following the paper's feature choices: cpu-tile from input
 // parameters only; band additionally from gpu-tile; halo additionally from
 // cpu-tile and band (Figure 9); gpu-tile as a binary target; and the
-// SVM's parallelism label per instance.
+// SVM's parallelism label per instance. The input parameters are read on
+// the log scale of dim and tsize (features).
 //
 // Band and halo are taught as fractions of their instance's maximum
 // (plan.Instance.MaxUsefulBand and plan.MaxHaloFor), the same spelling
 // Space uses, so a decision learned at one dim carries over to another;
 // -1 (all-CPU, single GPU) stays -1.
 type Training struct {
-	Parallel *ml.Dataset // features (dim, tsize, dsize), label in {-1, +1}
-	CPUTile  *ml.Dataset // (dim, tsize, dsize) -> cpu-tile
-	GPUTile  *ml.Dataset // (dim, tsize, dsize) -> 0 (GPU unused) or tile >= 1
-	Band     *ml.Dataset // (dim, tsize, dsize, gputile) -> band fraction
-	Halo     *ml.Dataset // (dim, tsize, dsize, cputile, band fraction) -> halo fraction
+	Parallel *ml.Dataset // features (log dim, log tsize, dsize), label in {-1, +1}
+	CPUTile  *ml.Dataset // features -> cpu-tile
+	GPUTile  *ml.Dataset // features -> 0 (GPU unused) or tile >= 1
+	Band     *ml.Dataset // (features, gputile) -> band fraction
+	Halo     *ml.Dataset // (features, cputile, band fraction) -> halo fraction
+}
+
+// features writes the inputs every model reads into x[:3] and returns
+// that slice: log(dim), log(tsize) and dsize. Tsize spans 0.4-12,000
+// across the app catalog and the training grid, and runtimes scale with
+// dim and tsize multiplicatively, so a linear SVM or M5 leaf fitted on
+// the log scale carries to granularities the grid does not sample.
+func features(x []float64, inst plan.Instance) []float64 {
+	x[0], x[1], x[2] = math.Log(float64(inst.MaxSide())), math.Log(inst.TSize), float64(inst.DSize)
+	return x[:3]
 }
 
 // gridSampler is the regular sampling of a space's dim x tsize grid that
@@ -146,11 +158,11 @@ func TrainFromSpace(sys hw.System, space Space, opts TrainOptions) (*Tuner, erro
 func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 	opts = opts.withDefaults()
 	tr := &Training{
-		Parallel: ml.NewDataset("dim", "tsize", "dsize"),
-		CPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
-		GPUTile:  ml.NewDataset("dim", "tsize", "dsize"),
-		Band:     ml.NewDataset("dim", "tsize", "dsize", "gputile"),
-		Halo:     ml.NewDataset("dim", "tsize", "dsize", "cputile", "band_frac"),
+		Parallel: ml.NewDataset("log_dim", "log_tsize", "dsize"),
+		CPUTile:  ml.NewDataset("log_dim", "log_tsize", "dsize"),
+		GPUTile:  ml.NewDataset("log_dim", "log_tsize", "dsize"),
+		Band:     ml.NewDataset("log_dim", "log_tsize", "dsize", "gputile"),
+		Halo:     ml.NewDataset("log_dim", "log_tsize", "dsize", "cputile", "band_frac"),
 	}
 	g := newGridSampler(sr.Space, opts)
 	for i := range sr.Instances {
@@ -164,7 +176,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 		if !sampled {
 			continue
 		}
-		x := []float64{float64(ir.Inst.Dim), ir.Inst.TSize, float64(ir.Inst.DSize)}
+		x := features(make([]float64, 3), ir.Inst)
 
 		best, found := ir.Best()
 		label := -1.0

@@ -52,8 +52,7 @@ func TestTrainFromSpaceMatchesExhaustiveTrain(t *testing.T) {
 				t.Fatalf("TrainingInstances lists %d instances, BuildTraining adds %d", len(insts), tr.Parallel.Len())
 			}
 			for i, inst := range insts {
-				want := []float64{float64(inst.Dim), inst.TSize, float64(inst.DSize)}
-				if !slices.Equal(tr.Parallel.X[i], want) {
+				if want := features(make([]float64, 3), inst); !slices.Equal(tr.Parallel.X[i], want) {
 					t.Fatalf("training row %d is %v, TrainingInstances lists %v", i, tr.Parallel.X[i], inst)
 				}
 			}

@@ -172,14 +172,13 @@ func (t *Tuner) Quality() TrainReport { return t.Report }
 // predictions are only clamped to validity, never snapped to the grid.
 //
 // The feature vector lives in a fixed stack buffer: the first three
-// slots are the instance features shared by every model, and the band
-// and halo models see them extended in place with the upstream
+// slots are the instance features shared by every model (features), and
+// the band and halo models see them extended in place with the upstream
 // decisions. Predict is on the batch/refine/retrain hot path, so it
 // must not allocate.
 func (t *Tuner) Predict(inst plan.Instance) Prediction {
 	var buf [5]float64
-	buf[0], buf[1], buf[2] = float64(inst.MaxSide()), inst.TSize, float64(inst.DSize)
-	x := buf[:3]
+	x := features(buf[:], inst)
 	if !t.Parallel.Classify(x) {
 		return Prediction{Serial: true, Par: engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))}
 	}

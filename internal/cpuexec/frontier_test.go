@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/grid"
 	"repro/internal/kernels"
@@ -256,10 +257,12 @@ func TestRunIrregularCancelMidRun(t *testing.T) {
 		}
 	}
 	ex.Close()
-	// Close returns once every worker has signalled its exit; give the
-	// last ones a few scheduler turns to finish unwinding.
-	for i := 0; i < 100 && runtime.NumGoroutine() > before; i++ {
-		runtime.Gosched()
+	// Close returns once every worker has signalled its exit (its
+	// deferred wg.Done), not once the goroutine is gone; give the last
+	// ones up to a second to finish unwinding. Yielding alone is not
+	// enough under the race detector, so the wait sleeps.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("%d goroutines after Close, want at most the %d before", n, before)

@@ -49,8 +49,9 @@ func TestAblateSmoothing(t *testing.T) {
 	}
 	// The values the two independent cross-validations (each growing
 	// its own fold trees) gave: sharing the fold trees between the
-	// smoothing settings must not move them (6/11 and 8/11).
-	want := SmoothingAblation{WithSmoothing: 0.5454545454545454, WithoutSmoothing: 0.7272727272727273}
+	// smoothing settings must not move them (25/44 and 8/11; with raw
+	// dim and tsize features smoothing gave 6/11).
+	want := SmoothingAblation{WithSmoothing: 0.5681818181818182, WithoutSmoothing: 0.7272727272727273}
 	if res != want {
 		t.Errorf("AblateSmoothing = %+v, want %+v", res, want)
 	}

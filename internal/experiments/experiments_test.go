@@ -250,8 +250,18 @@ func TestFig9ModelTree(t *testing.T) {
 	}
 }
 
+// TestFig10AutotuneQuality gates Figure 10 at paper scale (Full), or
+// at quick scale with -short. The efficiencies are deterministic; each
+// floor is its measured value minus the spread across the three
+// systems: 1.003, 0.990 and 0.985 (spread 0.018) at paper scale, and
+// 1.005, 0.997 and 1.008 (spread 0.011) at quick scale. The paper
+// reports ~0.98.
 func TestFig10AutotuneQuality(t *testing.T) {
-	c := ctx(t)
+	c, floors := ctx(t), map[string]float64{"i3-540": 0.994, "i7-2600K": 0.986, "i7-3820": 0.997}
+	if !testing.Short() {
+		c = NewContext(Full())
+		floors = map[string]float64{"i3-540": 0.985, "i7-2600K": 0.972, "i7-3820": 0.967}
+	}
 	rows, err := c.Fig10()
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +270,9 @@ func TestFig10AutotuneQuality(t *testing.T) {
 		t.Fatalf("want 3 systems, got %d", len(rows))
 	}
 	for _, r := range rows {
-		if r.Efficiency < 0.7 {
-			t.Errorf("%s: tuner efficiency %.2f too low (paper ~0.98)", r.Sys.Name, r.Efficiency)
+		t.Logf("%s: Figure 10 efficiency %.3f (floor %.3f)", r.Sys.Name, r.Efficiency, floors[r.Sys.Name])
+		if r.Efficiency < floors[r.Sys.Name] {
+			t.Errorf("%s: tuner efficiency %.3f below floor %.3f", r.Sys.Name, r.Efficiency, floors[r.Sys.Name])
 		}
 		if r.ExhaustiveSpeedup <= 1 {
 			t.Errorf("%s: exhaustive speedup must exceed serial", r.Sys.Name)

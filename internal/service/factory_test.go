@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,43 +20,48 @@ import (
 
 // TestFactoryTuners pins every shipped tuner file to the training that
 // builds it: json.Marshal of core.TrainFromSpace on the serving form of
-// the quick or the default space must give the embedded bytes exactly.
-// A training change that moves a served model fails here, and the
-// failure names the command that regenerates the file.
+// the default space must give the embedded bytes exactly, and no other
+// file ships. A training change that moves a served model fails here,
+// and the failure names the command that regenerates the file.
 func TestFactoryTuners(t *testing.T) {
-	for _, tc := range []struct {
-		dir   string
-		full  bool
-		space core.Space
-	}{
-		{"quick", false, core.QuickSpace()},
-		{"full", true, core.DefaultSpace()},
-	} {
-		for _, sys := range hw.Systems() {
-			t.Run(tc.dir+"/"+sys.Name, func(t *testing.T) {
-				tu, err := core.TrainFromSpace(sys, core.ServingSpace(tc.space), core.DefaultTrainOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := json.Marshal(tu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := fs.ReadFile(FactoryTuners(tc.full), sys.Name+".json")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					flag := ""
-					if tc.full {
-						flag = " -full"
-					}
-					t.Errorf("trained tuner differs from the shipped file; if the change is meant, regenerate it with\n\tgo run ./cmd/wavetrain -system %s%s -save internal/service/factory/%s/%s.json",
-						sys.Name, flag, tc.dir, sys.Name)
-				}
-			})
-		}
+	var names []string
+	for _, sys := range hw.Systems() {
+		names = append(names, sys.Name+".json")
+		t.Run("full/"+sys.Name, func(t *testing.T) {
+			got, err := json.Marshal(factoryTrained(t, sys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fs.ReadFile(FactoryTuners(), sys.Name+".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("trained tuner differs from the shipped file; if the change is meant, regenerate it with\n\tgo run ./cmd/wavetrain -system %s -full -save internal/service/factory/full/%s.json",
+					sys.Name, sys.Name)
+			}
+		})
 	}
+	shipped, err := fs.Glob(factoryFiles, "factory/*/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		names[i] = "factory/full/" + name
+	}
+	if !slices.Equal(shipped, names) {
+		t.Errorf("shipped tuner files %v, want %v", shipped, names)
+	}
+}
+
+// factoryTrained trains sys's tuner the way its factory file was.
+func factoryTrained(t *testing.T, sys hw.System) *core.Tuner {
+	t.Helper()
+	tu, err := core.TrainFromSpace(sys, core.ServingSpace(core.DefaultSpace()), core.DefaultTrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tu
 }
 
 // factoryKeys are tune requests over several apps, shapes and systems.
@@ -104,11 +110,7 @@ func tuneBodies(t *testing.T, src TunerSource) []string {
 func TestDefaultTunersAreTrainedTuners(t *testing.T) {
 	var trained []core.Predictor
 	for _, sys := range hw.Systems() {
-		tu, err := core.TrainFromSpace(sys, core.ServingSpace(core.QuickSpace()), core.DefaultTrainOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		trained = append(trained, tu)
+		trained = append(trained, factoryTrained(t, sys))
 	}
 	factory := tuneBodies(t, nil)
 	want := tuneBodies(t, NewStaticSource(trained...))

@@ -72,14 +72,14 @@ import (
 )
 
 // Config configures a tuning server. The zero value serves every Table 4
-// system with the quick-space factory tuners (FactoryTuners) and a
-// default-sized cache.
+// system with the factory tuners (FactoryTuners) and a default-sized
+// cache.
 type Config struct {
 	// Systems are the platforms served; empty selects hw.Systems().
 	Systems []hw.System
 	// Tuners resolves the tuner for each system, loaded once when the
 	// server is built (the server remembers the result); nil selects
-	// NewDirSource(FactoryTuners(false)), the quick-space factory tuners.
+	// NewDirSource(FactoryTuners()), the factory tuners.
 	Tuners TunerSource
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
 	// default).
@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Systems = hw.Systems()
 	}
 	if cfg.Tuners == nil {
-		cfg.Tuners = NewDirSource(FactoryTuners(false))
+		cfg.Tuners = NewDirSource(FactoryTuners())
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)

@@ -46,17 +46,16 @@ type RetrainGuardrail = retrain.GuardrailOptions
 
 // NewTuningServer builds the tuning daemon from cfg, loading every
 // served system's tuner once before it returns. The zero config serves
-// every Table 4 system with the quick-space factory tuners
-// (FactoryTuners(false)).
+// every Table 4 system with the factory tuners (FactoryTuners).
 func NewTuningServer(cfg TuningConfig) (*TuningServer, error) {
 	return service.New(cfg)
 }
 
 // FactoryTuners returns the tuner files shipped with the daemon, one
 // "<system>.json" per Table 4 system, trained offline from a search of
-// the synthetic application: on the full Table 3 space when full is
-// set, on the quick one otherwise.
-func FactoryTuners(full bool) fs.FS { return service.FactoryTuners(full) }
+// the synthetic application on the full Table 3 space with cpu-tiles 16
+// and 32 added.
+func FactoryTuners() fs.FS { return service.FactoryTuners() }
 
 // NewDirTunerSource returns a TunerSource that loads "<system>.json"
 // tuner files written by SavePredictor (wavetrain -save) from fsys:
