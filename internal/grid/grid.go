@@ -1,7 +1,9 @@
 // Package grid provides the data substrate for 2D wavefront computations:
-// a rectangular array of cells, each holding two integer variables and a
-// configurable number of floats (the paper's dsize), together with
-// anti-diagonal indexing helpers that every other layer builds on.
+// a rectangular array of cells, each holding two 32-bit integer variables
+// and a configurable number of float64s (the paper's dsize), together with
+// anti-diagonal indexing helpers that every other layer builds on. A cell
+// occupies exactly ElemBytes(dsize) bytes, the element the cost model
+// prices.
 //
 // A wavefront sweeps a rows x cols array from (0,0) towards
 // (rows-1,cols-1) in anti-diagonal bands: diagonal d contains all cells
@@ -19,19 +21,23 @@
 // fall back to 1 (a clipped version of the square triangular profile).
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Grid is a rectangular wavefront array with structure-of-arrays storage:
-// two int64 variables and DSize float64 values per cell, matching the
-// paper's synthetic element of "two int variables and a varying number of
-// floats". Storage is row-major.
+// two int32 variables and DSize float64 values per cell, the paper's
+// synthetic element of "two int variables and a varying number of floats".
+// A cell therefore takes ElemBytes(DSize) bytes, 8 plus 8 per float.
+// Storage is row-major.
 type Grid struct {
 	rows  int
 	cols  int
 	dsize int
 	// IntA and IntB are the two integer variables of each cell.
-	IntA []int64
-	IntB []int64
+	IntA []int32
+	IntB []int32
 	// Floats holds dsize consecutive float64 values per cell.
 	Floats []float64
 }
@@ -56,8 +62,8 @@ func NewRect(rows, cols, dsize int) *Grid {
 		rows:  rows,
 		cols:  cols,
 		dsize: dsize,
-		IntA:  make([]int64, n),
-		IntB:  make([]int64, n),
+		IntA:  make([]int32, n),
+		IntB:  make([]int32, n),
 	}
 	if dsize > 0 {
 		g.Floats = make([]float64, n*dsize)
@@ -100,24 +106,28 @@ func (g *Grid) SetFloat(r, c, k int, v float64) {
 	g.Floats[g.Index(r, c)*g.dsize+k] = v
 }
 
-// A returns integer variable A of cell (r, c).
-func (g *Grid) A(r, c int) int64 { return g.IntA[g.Index(r, c)] }
+// A returns integer variable A of cell (r, c), widened to int64.
+func (g *Grid) A(r, c int) int64 { return int64(g.IntA[g.Index(r, c)]) }
 
-// B returns integer variable B of cell (r, c).
-func (g *Grid) B(r, c int) int64 { return g.IntB[g.Index(r, c)] }
+// B returns integer variable B of cell (r, c), widened to int64.
+func (g *Grid) B(r, c int) int64 { return int64(g.IntB[g.Index(r, c)]) }
 
-// SetA sets integer variable A of cell (r, c).
-func (g *Grid) SetA(r, c int, v int64) { g.IntA[g.Index(r, c)] = v }
+// SetA sets integer variable A of cell (r, c). It keeps the low 32 bits of
+// v, so A reads back int64(int32(v)); kernels keep their values in int32
+// range.
+func (g *Grid) SetA(r, c int, v int64) { g.IntA[g.Index(r, c)] = int32(v) }
 
-// SetB sets integer variable B of cell (r, c).
-func (g *Grid) SetB(r, c int, v int64) { g.IntB[g.Index(r, c)] = v }
+// SetB sets integer variable B of cell (r, c). It keeps the low 32 bits of
+// v, so B reads back int64(int32(v)).
+func (g *Grid) SetB(r, c int, v int64) { g.IntB[g.Index(r, c)] = int32(v) }
 
-// ElemBytes returns the modeled size in bytes of one cell: 8 bytes for the
-// two int variables plus 8 bytes per float, so dsize=5 gives the paper's
-// 48-byte element and dsize=1 its 16-byte element.
+// ElemBytes returns the size in bytes of one cell: 8 bytes for the two
+// int32 variables plus 8 bytes per float64, so dsize=5 gives the paper's
+// 48-byte element and dsize=1 its 16-byte element. A Grid stores exactly
+// this many bytes per cell.
 func ElemBytes(dsize int) int { return 8 + 8*dsize }
 
-// ElemBytes returns the modeled per-cell size of this grid.
+// ElemBytes returns the per-cell size of this grid in bytes.
 func (g *Grid) ElemBytes() int { return ElemBytes(g.dsize) }
 
 // NumDiags returns the number of anti-diagonals of a dim x dim grid.
@@ -229,33 +239,20 @@ func CellsInDiagRangeRect(rows, cols, lo, hi int) int {
 // Clone returns a deep copy of the grid, used to compare executor outputs
 // against the serial reference.
 func (g *Grid) Clone() *Grid {
-	c := &Grid{
-		rows:  g.rows,
-		cols:  g.cols,
-		dsize: g.dsize,
-		IntA:  append([]int64(nil), g.IntA...),
-		IntB:  append([]int64(nil), g.IntB...),
+	return &Grid{
+		rows:   g.rows,
+		cols:   g.cols,
+		dsize:  g.dsize,
+		IntA:   slices.Clone(g.IntA),
+		IntB:   slices.Clone(g.IntB),
+		Floats: slices.Clone(g.Floats),
 	}
-	if g.Floats != nil {
-		c.Floats = append([]float64(nil), g.Floats...)
-	}
-	return c
 }
 
 // Equal reports whether two grids have identical shape and contents.
+// Floats compare with ==, so a NaN never equals itself.
 func (g *Grid) Equal(o *Grid) bool {
-	if g.rows != o.rows || g.cols != o.cols || g.dsize != o.dsize {
-		return false
-	}
-	for i := range g.IntA {
-		if g.IntA[i] != o.IntA[i] || g.IntB[i] != o.IntB[i] {
-			return false
-		}
-	}
-	for i := range g.Floats {
-		if g.Floats[i] != o.Floats[i] {
-			return false
-		}
-	}
-	return true
+	return g.rows == o.rows && g.cols == o.cols && g.dsize == o.dsize &&
+		slices.Equal(g.IntA, o.IntA) && slices.Equal(g.IntB, o.IntB) &&
+		slices.Equal(g.Floats, o.Floats)
 }

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +158,59 @@ func TestCloneEqual(t *testing.T) {
 	if g.Equal(New(6, 1)) || g.Equal(New(7, 2)) {
 		t.Fatal("different shapes must not be equal")
 	}
+	b := g.Clone()
+	b.SetB(3, 4, 1)
+	if g.Equal(b) {
+		t.Fatal("grids differing only in IntB must not be equal")
+	}
+	f := g.Clone()
+	f.SetFloat(0, 0, 0, math.NaN())
+	if f.Equal(f.Clone()) {
+		t.Fatal("floats compare with ==, so a NaN cell must not equal itself")
+	}
+}
+
+func TestSetKeepsLow32Bits(t *testing.T) {
+	g := New(2, 0)
+	for _, v := range []int64{math.MaxInt32 + 5, 1<<40 | 7, -7, math.MinInt32 - 3, math.MinInt64} {
+		g.SetA(1, 0, v)
+		g.SetB(0, 1, v)
+		want := int64(int32(v))
+		if got := g.A(1, 0); got != want {
+			t.Errorf("SetA(%d) read back %d, want %d", v, got, want)
+		}
+		if got := g.B(0, 1); got != want {
+			t.Errorf("SetB(%d) read back %d, want %d", v, got, want)
+		}
+	}
+}
+
+// TestGridBytesPerCell pins the host cell at the modelled element size:
+// one NewRect allocates ElemBytes(dsize) bytes per cell plus a fixed
+// header, so the cost model prices the bytes a sweep actually touches.
+// Each size takes the least of a few measurements, as the runtime's own
+// goroutines can allocate between the two ReadMemStats calls.
+func TestGridBytesPerCell(t *testing.T) {
+	const rows, cols, header = 512, 512, 1024
+	var sink *Grid
+	for _, dsize := range []int{0, 1, 2, 4, 5} {
+		got := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sink = NewRect(rows, cols, dsize)
+			runtime.ReadMemStats(&after)
+			got = min(got, after.TotalAlloc-before.TotalAlloc)
+		}
+		limit := uint64(rows*cols*ElemBytes(dsize) + header)
+		t.Logf("dsize %d: %d bytes for %d cells, %.2f bytes per cell (ElemBytes %d)",
+			dsize, got, rows*cols, float64(got)/(rows*cols), ElemBytes(dsize))
+		if got > limit {
+			t.Errorf("dsize %d: NewRect(%d, %d) allocated %d bytes, want at most %d",
+				dsize, rows, cols, got, limit)
+		}
+	}
+	runtime.KeepAlive(sink)
 }
 
 func TestNewPanics(t *testing.T) {

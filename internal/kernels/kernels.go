@@ -119,7 +119,8 @@ func (s *Synthetic) DSize() int { return s.DS }
 
 // Compute implements Kernel. The recurrence folds the neighbour values
 // through a small linear congruential mix so that every cell depends on
-// the full dependency cone and reorderings are detectable.
+// the full dependency cone and reorderings are detectable. The mix runs in
+// 64 bits; the cell stores its low 32 bits as A and B.
 func (s *Synthetic) Compute(g *grid.Grid, r, c int) {
 	var west, north, nw int64
 	if c > 0 {

@@ -149,7 +149,7 @@ func (m *MorphRecon) Compute(g *grid.Grid, r, c int) {
 func (m *MorphRecon) Mass(g *grid.Grid) int64 {
 	var sum int64
 	for _, v := range g.IntA {
-		sum += v
+		sum += int64(v)
 	}
 	return sum
 }

@@ -27,7 +27,8 @@ type AppValues = apps.Values
 // GET /v1/apps and the CLI catalogs, and constructible via
 // NewAppKernel. Registrations are validated (name, description, kernel
 // constructor, granularity, parameter schema); duplicate names are
-// rejected.
+// rejected. The kernel's cells store A and B as int32: Grid.SetA and
+// Grid.SetB keep the low 32 bits of their argument.
 func RegisterApp(a App) error { return apps.Register(a) }
 
 // AppByName looks up a registered application.

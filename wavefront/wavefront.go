@@ -43,8 +43,11 @@ import (
 	"repro/internal/plan"
 )
 
-// Grid is a rectangular wavefront array (two int64 variables plus DSize
-// float64 values per cell).
+// Grid is a rectangular wavefront array: two int32 variables plus DSize
+// float64 values per cell, so a cell is exactly its ElemBytes(): 8 bytes
+// plus 8 per float. Grid.SetA and Grid.SetB keep the low 32 bits of their
+// int64 argument; a kernel registered with RegisterApp must keep A and B
+// in int32 range.
 type Grid = grid.Grid
 
 // Kernel is a wavefront point computation; see NewSynthetic, NewNash and
