@@ -1,12 +1,12 @@
 // Command wavetrain trains the machine-learned autotuner for a modeled
 // system from an exhaustive search of the synthetic application
-// (Section 3.1), reports cross-validated model quality, and prints the
-// learned halo model (the Figure 9 model tree). Without -from it
-// searches only the instances training samples, on the quick or, with
-// -full, the full Table 3 space with the cpu-tile axis widened by 16
-// and 32 (core.ServingSpace); -full -save writes the factory tuner
-// waved serves. -save needs -full or -from: a quick-space tuner serves
-// worse plans than the factory ones, so wavetrain refuses to write one.
+// (Section 3.1), one M5 tree per regression target with default options,
+// reports model quality, and prints the learned halo model (Figure 9).
+// Without -from it searches only the instances training samples, on the
+// quick or, with -full, the full Table 3 space with the cpu-tile axis
+// widened by 16 and 32 (core.ServingSpace); -full -save writes the
+// factory tuner waved serves. -save needs -full or -from: a quick-space
+// tuner serves worse plans than the factory ones, so none is written.
 //
 // Usage:
 //
@@ -74,9 +74,8 @@ func main() {
 		}
 	}
 	report := tuner.Report
-	fmt.Printf("trained tuner for %s (explored %d model configurations)\n",
-		sys.Name, report.Configs)
-	fmt.Printf("cross-validated accuracy: parallel=%.2f cpu-tile=%.2f gpu-tile=%.2f band=%.2f halo=%.2f (gate: 0.90)\n\n",
+	fmt.Printf("trained tuner for %s\n", sys.Name)
+	fmt.Printf("cross-validated accuracy: parallel=%.2f cpu-tile=%.2f gpu-tile=%.2f band=%.2f halo=%.2f (paper's target 0.90, reported, not enforced)\n\n",
 		report.ParallelAcc, report.CPUTileAcc, report.GPUTileAcc,
 		report.BandAcc, report.HaloAcc)
 

@@ -9,36 +9,22 @@ import (
 	"repro/internal/plan"
 )
 
-// TrainOptions configure training-set construction and model fitting.
+// TrainOptions configure training-set construction.
 type TrainOptions struct {
 	// Stride regularly samples every Stride-th dim and tsize value for
 	// the training subset (default 2), as in Section 3.1.2. The
 	// cross-validation folds are drawn from the points of the sampled
 	// instances; the instances between the samples are never read.
 	Stride int
-	// TopK takes the best K uncensored points per sampled instance
-	// (default 5, the paper's "best five performance points").
-	TopK int
 	// QualityWindow drops top-K points slower than the optimum by more
 	// than this factor (default 1.5), so sparse configuration classes
 	// cannot inject bad decisions into the training set.
 	QualityWindow float64
-	// SpeedupGate labels an instance "exploit parallelism" for the SVM
-	// when the best point beats serial by at least this factor
-	// (default 1.05).
-	SpeedupGate float64
-	// CVFolds is the cross-validation fold count (default 5).
-	CVFolds int
-	// AccuracyTarget is the paper's model acceptance gate (default 0.9).
-	AccuracyTarget float64
-	// Seed drives every stochastic component (default 1).
-	Seed int64
 }
 
 // DefaultTrainOptions returns the standard configuration.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Stride: 2, TopK: 5, QualityWindow: 1.5, SpeedupGate: 1.05,
-		CVFolds: 5, AccuracyTarget: 0.9, Seed: 1}
+	return TrainOptions{Stride: 2, QualityWindow: 1.5}
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
@@ -46,23 +32,8 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Stride <= 0 {
 		o.Stride = d.Stride
 	}
-	if o.TopK <= 0 {
-		o.TopK = d.TopK
-	}
 	if o.QualityWindow <= 1 {
 		o.QualityWindow = d.QualityWindow
-	}
-	if o.SpeedupGate <= 0 {
-		o.SpeedupGate = d.SpeedupGate
-	}
-	if o.CVFolds <= 1 {
-		o.CVFolds = d.CVFolds
-	}
-	if o.AccuracyTarget <= 0 {
-		o.AccuracyTarget = d.AccuracyTarget
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
 	}
 	return o
 }
@@ -95,6 +66,19 @@ func features(x []float64, inst plan.Instance) []float64 {
 	x[0], x[1], x[2] = math.Log(float64(inst.MaxSide())), math.Log(inst.TSize), float64(inst.DSize)
 	return x[:3]
 }
+
+const (
+	// topK is the number of best uncensored points each sampled instance
+	// teaches, the paper's "best five performance points".
+	topK = 5
+	// speedupGate labels an instance "exploit parallelism" for the SVM
+	// when its best point beats serial by at least this factor.
+	speedupGate = 1.05
+	// cvFolds is the fold count of the M5 targets' cross-validation.
+	cvFolds = 5
+	// trainSeed drives every stochastic component of training.
+	trainSeed = 1
+)
 
 // gridSampler is the regular sampling of a space's dim x tsize grid that
 // selects the training instances.
@@ -180,7 +164,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 
 		best, found := ir.Best()
 		label := -1.0
-		if found && ir.SerialNs/best.RTimeNs >= opts.SpeedupGate {
+		if found && ir.SerialNs/best.RTimeNs >= speedupGate {
 			label = 1
 		}
 		tr.Parallel.Add(x, label)
@@ -189,7 +173,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 			// models for this instance.
 			continue
 		}
-		for _, p := range ir.TopK(opts.TopK) {
+		for _, p := range ir.TopK(topK) {
 			// Only genuinely good points teach the models: a "top-5" point
 			// far behind the optimum (possible when few configurations of
 			// its kind exist) would inject bad decisions.

@@ -25,18 +25,15 @@ type Tuner struct {
 	Report   TrainReport
 }
 
-// TrainReport records cross-validated model quality: the paper requires
-// at least 90% before deployment.
+// TrainReport records model quality: the M5 targets' accuracies are
+// 5-fold cross-validated, the SVM's and REP tree's are on their training
+// sets. The paper's target is 0.90, reported, not enforced.
 type TrainReport struct {
 	ParallelAcc float64
 	CPUTileAcc  float64
 	GPUTileAcc  float64
 	BandAcc     float64
 	HaloAcc     float64
-	// Configs counts the model configurations explored to reach the
-	// accuracy target ("we explored different configurations of the
-	// learning model").
-	Configs int
 }
 
 // MinAccuracy returns the worst per-target accuracy.
@@ -50,36 +47,27 @@ func (r TrainReport) MinAccuracy() float64 {
 	return m
 }
 
-// m5Configs are the model configurations tried, in order, until the
-// cross-validated accuracy target is met.
-func m5Configs() []ml.M5Options {
-	base := ml.DefaultM5Options()
-	noSmooth := base
-	noSmooth.Smooth = false
-	bigLeaf := base
-	bigLeaf.MinLeaf = 8
-	smallLeaf := noSmooth
-	smallLeaf.MinLeaf = 2
-	return []ml.M5Options{base, noSmooth, bigLeaf, smallLeaf}
-}
-
 // Train fits a tuner from an exhaustive search result.
 func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
-	opts = opts.withDefaults()
 	tr, err := BuildTraining(sr, opts)
 	if err != nil {
 		return nil, err
 	}
 	t := &Tuner{Sys: sr.Sys}
 
-	// Regression targets: explore M5 configurations until the CV accuracy
-	// gate passes, keeping the best.
-	fitM5 := func(d *ml.Dataset, absTol, relTol float64) (*ml.M5Tree, float64, int, error) {
-		if d.Len() < opts.CVFolds {
+	// Regression targets: one M5 tree each, scored by cross-validated
+	// tolerance accuracy.
+	fitM5 := func(d *ml.Dataset, absTol, relTol float64) (*ml.M5Tree, float64, error) {
+		cfg := ml.DefaultM5Options()
+		if d.Len() < cvFolds {
 			// Too small to cross-validate: fit directly.
-			return ml.FitM5(d, ml.DefaultM5Options()), 1, 0, nil
+			return ml.FitM5(d, cfg), 1, nil
 		}
-		return ml.SelectM5(d, opts.CVFolds, opts.Seed, absTol, relTol, opts.AccuracyTarget, m5Configs())
+		accs, err := ml.CrossValidateM5(d, cvFolds, trainSeed, absTol, relTol, cfg)
+		if err != nil {
+			return nil, 0, err
+		}
+		return ml.FitM5(d, cfg), accs[0], nil
 	}
 	// The models are independent and deterministic, so the M5 fits run
 	// concurrently with the SVM and REP fits: a TrainFromSpace tuner's
@@ -93,7 +81,6 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 		absTol, relTol float64
 		tree           *ml.M5Tree
 		acc            float64
-		configs        int
 		err            error
 	}{
 		{name: "cpu-tile", d: tr.CPUTile, absTol: 2.5, relTol: 0.5},
@@ -106,17 +93,17 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.tree, f.acc, f.configs, f.err = fitM5(f.d, f.absTol, f.relTol)
+			f.tree, f.acc, f.err = fitM5(f.d, f.absTol, f.relTol)
 		}()
 	}
 
 	// Parallelism gate: binary SVM.
-	svm, svmErr := ml.FitSVM(tr.Parallel, ml.SVMOptions{Seed: opts.Seed})
+	svm, svmErr := ml.FitSVM(tr.Parallel, ml.SVMOptions{Seed: trainSeed})
 
 	// GPU tiling: REP tree on the overloaded target (0 = GPU unused,
 	// otherwise the work-group tile). The paper found this "a binary
 	// decision that was accurately predicted using REP Tree".
-	t.GPUTile = ml.FitREP(tr.GPUTile, ml.REPOptions{Seed: opts.Seed})
+	t.GPUTile = ml.FitREP(tr.GPUTile, ml.REPOptions{Seed: trainSeed})
 	if tr.GPUTile.Len() > 0 {
 		hits := 0
 		for i, x := range tr.GPUTile.X {
@@ -136,7 +123,6 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 		if f.err != nil {
 			return nil, fmt.Errorf("core: training %s model: %w", f.name, f.err)
 		}
-		t.Report.Configs += f.configs
 	}
 	t.CPUTile, t.Report.CPUTileAcc = fits[0].tree, fits[0].acc
 	t.Band, t.Report.BandAcc = fits[1].tree, fits[1].acc

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -61,31 +60,12 @@ func kFolds(d *Dataset, k int, seed int64) ([]fold, error) {
 	return folds, nil
 }
 
-// CrossValidate runs k-fold cross-validation: fit is called with each
-// training split, and the returned models are scored on the held-out
-// folds. The aggregate metrics pool all held-out predictions — the
-// evaluation protocol of Section 3.1.2 ("cross-validation ... conducted on
-// instances omitted from the training set, to avoid overfitting").
-func CrossValidate(d *Dataset, k int, seed int64, fit func(train *Dataset) Model) (Metrics, error) {
-	folds, err := kFolds(d, k, seed)
-	if err != nil {
-		return Metrics{}, err
-	}
-	pooled := NewDataset(d.Names...)
-	var preds []float64
-	for _, f := range folds {
-		m := fit(f.train)
-		for _, i := range f.held {
-			pooled.Add(d.X[i], d.Y[i])
-			preds = append(preds, m.Predict(d.X[i]))
-		}
-	}
-	return evaluatePreds(preds, pooled), nil
-}
-
-// CrossValidateAccuracy is CrossValidate for the tolerance-accuracy
-// criterion: it returns the fraction of held-out predictions within
-// absTol + relTol*|y| of the target.
+// CrossValidateAccuracy runs k-fold cross-validation: fit is called with
+// each training split, and the returned models are scored on the
+// held-out folds, the evaluation protocol of Section 3.1.2
+// ("cross-validation ... conducted on instances omitted from the training
+// set, to avoid overfitting"). It returns the fraction of held-out
+// predictions within absTol + relTol*|y| of the target.
 func CrossValidateAccuracy(d *Dataset, k int, seed int64, absTol, relTol float64,
 	fit func(train *Dataset) Model) (float64, error) {
 	folds, err := kFolds(d, k, seed)
@@ -120,27 +100,4 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// evaluatePreds scores precomputed predictions against a dataset.
-func evaluatePreds(preds []float64, d *Dataset) Metrics {
-	n := d.Len()
-	if n == 0 {
-		return Metrics{}
-	}
-	mean := d.YMean()
-	var sae, sse, sst float64
-	for i := range preds {
-		e := preds[i] - d.Y[i]
-		sae += abs(e)
-		sse += e * e
-		sst += (d.Y[i] - mean) * (d.Y[i] - mean)
-	}
-	r2 := 0.0
-	if sst > 0 {
-		r2 = 1 - sse/sst
-	} else if sse == 0 {
-		r2 = 1
-	}
-	return Metrics{MAE: sae / float64(n), RMSE: math.Sqrt(sse / float64(n)), R2: r2, N: n}
 }

@@ -145,21 +145,3 @@ func Evaluate(m Model, d *Dataset) Metrics {
 	}
 	return Metrics{MAE: sae / float64(n), RMSE: math.Sqrt(sse / float64(n)), R2: r2, N: n}
 }
-
-// AccuracyWithin returns the fraction of predictions within tol of the
-// target, where tol is an absolute tolerance plus a relative fraction of
-// the target magnitude. It is the "at least 90% accurate" criterion of
-// Section 3.1.2 applied to regression targets.
-func AccuracyWithin(m Model, d *Dataset, absTol, relTol float64) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	hits := 0
-	for i, x := range d.X {
-		limit := absTol + relTol*math.Abs(d.Y[i])
-		if math.Abs(m.Predict(x)-d.Y[i]) <= limit {
-			hits++
-		}
-	}
-	return float64(hits) / float64(d.Len())
-}

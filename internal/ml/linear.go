@@ -8,10 +8,11 @@ import (
 
 // Linear is a ridge-regularized least-squares linear model, the leaf model
 // of the M5 trees (Figure 9's "LM1: halo = 0*tsize - 0.1598*dsize + ...").
+// Its weights follow the feature order of the dataset it was fitted on;
+// the names live with the tree that holds it.
 type Linear struct {
-	Names []string
-	W     []float64
-	B     float64
+	W []float64
+	B float64
 }
 
 // FitLinear fits y ~ X with L2 regularization strength lambda (on the
@@ -20,7 +21,7 @@ type Linear struct {
 // zero model; a constant dataset yields an intercept-only model.
 func FitLinear(d *Dataset, lambda float64) *Linear {
 	p := d.Features()
-	m := &Linear{Names: d.Names, W: make([]float64, p)}
+	m := &Linear{W: make([]float64, p)}
 	n := d.Len()
 	if n == 0 {
 		return m
@@ -109,8 +110,9 @@ func (l *Linear) Predict(x []float64) float64 {
 	return s
 }
 
-// String renders the model in the paper's Figure 9 style.
-func (l *Linear) String() string {
+// Render prints the model in the paper's Figure 9 style, naming weight i
+// by names[i].
+func (l *Linear) Render(names []string) string {
 	var b strings.Builder
 	for i, w := range l.W {
 		if w == 0 {
@@ -124,7 +126,7 @@ func (l *Linear) String() string {
 				w = -w
 			}
 		}
-		fmt.Fprintf(&b, "%.4g*%s", w, l.Names[i])
+		fmt.Fprintf(&b, "%.4g*%s", w, names[i])
 	}
 	if b.Len() == 0 {
 		return fmt.Sprintf("%.4g", l.B)

@@ -89,64 +89,20 @@ func FitM5(d *Dataset, opts M5Options) *M5Tree {
 	return t
 }
 
-// SelectM5 chooses among M5 configurations by k-fold cross-validated
-// tolerance accuracy (CrossValidateAccuracy's criterion, every
-// configuration on the same folds of d). It tries cfgs in order and stops
-// at the first whose accuracy reaches target; when none does, it keeps
-// the most accurate, the earliest on a tie. It returns the chosen
-// configuration's tree fitted on all of d, its accuracy and the number of
-// configurations tried. Smoothing changes prediction, not induction, so
-// configurations that differ only in Smooth and SmoothK share their fold
-// trees.
-func SelectM5(d *Dataset, k int, seed int64, absTol, relTol, target float64, cfgs []M5Options) (*M5Tree, float64, int, error) {
-	if len(cfgs) == 0 {
-		return nil, 0, 0, fmt.Errorf("ml: no M5 configurations to select from")
-	}
-	accuracy, err := m5Scorer(d, k, seed, absTol, relTol)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	best, bestAcc, tried := 0, -1.0, 0
-	for i, cfg := range cfgs {
-		acc := accuracy(cfg)
-		tried = i + 1
-		if acc > bestAcc {
-			best, bestAcc = i, acc
-		}
-		if acc >= target {
-			break
-		}
-	}
-	return FitM5(d, cfgs[best]), bestAcc, tried, nil
-}
-
 // CrossValidateM5 returns each configuration's k-fold cross-validated
-// tolerance accuracy, as SelectM5 scores it: every configuration on the
-// same folds of d, and configurations that differ only in smoothing on
-// the same fold trees.
+// tolerance accuracy (CrossValidateAccuracy's criterion): every
+// configuration on the same folds of d, and configurations that differ
+// only in smoothing, which changes prediction, not induction, on the same
+// fold trees.
 func CrossValidateM5(d *Dataset, k int, seed int64, absTol, relTol float64, cfgs ...M5Options) ([]float64, error) {
-	accuracy, err := m5Scorer(d, k, seed, absTol, relTol)
-	if err != nil {
-		return nil, err
-	}
-	accs := make([]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		accs[i] = accuracy(cfg)
-	}
-	return accs, nil
-}
-
-// m5Scorer returns a function that scores an M5 configuration by
-// tolerance accuracy on one set of k folds of d, growing each fold's tree
-// once per set of induction options.
-func m5Scorer(d *Dataset, k int, seed int64, absTol, relTol float64) (func(M5Options) float64, error) {
 	folds, err := kFolds(d, k, seed)
 	if err != nil {
 		return nil, err
 	}
 	grown := make(map[M5Options][]*M5Tree) // fold trees by induction options
 	models := make([]Model, len(folds))
-	return func(cfg M5Options) float64 {
+	accs := make([]float64, len(cfgs))
+	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
 		key := cfg
 		key.Smooth, key.SmoothK = false, 0
@@ -163,8 +119,9 @@ func m5Scorer(d *Dataset, k int, seed int64, absTol, relTol float64) (func(M5Opt
 			view.opts.Smooth, view.opts.SmoothK = cfg.Smooth, cfg.SmoothK
 			models[f] = &view
 		}
-		return foldAccuracy(d, folds, models, absTol, relTol)
-	}, nil
+		accs[i] = foldAccuracy(d, folds, models, absTol, relTol)
+	}
+	return accs, nil
 }
 
 func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int, buf *splitBuf) *m5node {
@@ -418,7 +375,7 @@ func (t *M5Tree) Render(target string) string {
 	walk(t.root, 0)
 	b.WriteString("\n")
 	for i, m := range models {
-		fmt.Fprintf(&b, "LM%d: %s = %s\n", i+1, target, m.String())
+		fmt.Fprintf(&b, "LM%d: %s = %s\n", i+1, target, m.Render(t.Names))
 	}
 	return b.String()
 }

@@ -1,8 +1,6 @@
 package ml
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,15 +106,15 @@ func TestLinearHandlesDegenerate(t *testing.T) {
 }
 
 func TestLinearString(t *testing.T) {
-	m := &Linear{Names: []string{"tsize", "dsize"}, W: []float64{0, -0.1598}, B: -0.381}
-	s := m.String()
+	m := &Linear{W: []float64{0, -0.1598}, B: -0.381}
+	s := m.Render([]string{"tsize", "dsize"})
 	if s != "-0.1598*dsize - 0.381" {
-		t.Errorf("String = %q", s)
+		t.Errorf("Render = %q", s)
 	}
 	// Zero weights entirely.
-	z := &Linear{Names: []string{"x"}, W: []float64{0}, B: 2}
-	if z.String() != "2" {
-		t.Errorf("String = %q, want \"2\"", z.String())
+	z := &Linear{W: []float64{0}, B: 2}
+	if got := z.Render([]string{"x"}); got != "2" {
+		t.Errorf("Render = %q, want \"2\"", got)
 	}
 }
 
@@ -304,20 +302,32 @@ func TestKFoldPartition(t *testing.T) {
 }
 
 func TestCrossValidateCatchesOverfit(t *testing.T) {
-	// A 1-nearest-memorizer looks perfect on training data; CV must not.
+	// A tree grown down to single rows memorizes its training data, noise
+	// and all; cross-validation scores it on rows it never saw, so it
+	// must not.
 	d := synthDataset(120, 1.0, 23)
-	cvM5, err := CrossValidate(d, 5, 1, func(train *Dataset) Model {
-		return FitM5(train, DefaultM5Options())
-	})
+	memorizer := M5Options{MinLeaf: 1, SDStop: 1e-9, MaxDepth: 40}
+	const absTol = 0.5
+	tree := FitM5(d, memorizer)
+	hits := 0
+	for i, x := range d.X {
+		if math.Abs(tree.Predict(x)-d.Y[i]) <= absTol {
+			hits++
+		}
+	}
+	inSample := float64(hits) / float64(d.Len())
+	accs, err := CrossValidateM5(d, 5, 1, absTol, 0, memorizer, DefaultM5Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cvM5.N != d.Len() {
-		t.Errorf("CV pooled %d predictions, want %d", cvM5.N, d.Len())
+	if inSample < 0.9 {
+		t.Fatalf("in-sample accuracy %v: the memorizer does not memorize", inSample)
 	}
-	// With noise sd=1, held-out RMSE cannot be far below 1.
-	if cvM5.RMSE < 0.5 {
-		t.Errorf("CV RMSE %v implausibly low; leakage?", cvM5.RMSE)
+	// With noise sd=1, at most ~38% of held-out rows can land within 0.5.
+	for i, acc := range accs {
+		if acc > 0.5 {
+			t.Errorf("config %d: CV accuracy %v implausibly high (in-sample %v); leakage?", i, acc, inSample)
+		}
 	}
 }
 
@@ -338,31 +348,9 @@ func TestCrossValidateAccuracyGate(t *testing.T) {
 func TestCrossValidateErrors(t *testing.T) {
 	d := NewDataset("x")
 	d.Add([]float64{1}, 1)
-	if _, err := CrossValidate(d, 5, 1, nil); err == nil {
+	if _, err := CrossValidateM5(d, 5, 1, 0.5, 0.1, DefaultM5Options()); err == nil {
 		t.Error("CV on 1 example must fail")
 	}
-}
-
-// selectM5Reference is SelectM5 spelled as independent cross-validations:
-// each configuration on its own folds and fold trees, the running best
-// refitted on all of d at every improvement.
-func selectM5Reference(t *testing.T, d *Dataset, absTol, relTol, target float64, cfgs []M5Options) (*M5Tree, float64, int) {
-	t.Helper()
-	var best *M5Tree
-	bestAcc := -1.0
-	for i, cfg := range cfgs {
-		acc, err := CrossValidateAccuracy(d, 5, 1, absTol, relTol, func(train *Dataset) Model { return FitM5(train, cfg) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc > bestAcc {
-			bestAcc, best = acc, FitM5(d, cfg)
-		}
-		if acc >= target {
-			return best, acc, i + 1
-		}
-	}
-	return best, bestAcc, len(cfgs)
 }
 
 // TestCrossValidateM5MatchesReference pins CrossValidateM5, which shares
@@ -393,40 +381,6 @@ func TestCrossValidateM5MatchesReference(t *testing.T) {
 	}
 }
 
-// TestSelectM5MatchesReference pins SelectM5, which shares folds, fold
-// trees across smoothing settings and fits the winner once, to the
-// per-configuration cross-validation it replaces, for targets met by the
-// first, a later or no configuration.
-func TestSelectM5MatchesReference(t *testing.T) {
-	base := DefaultM5Options()
-	noSmooth := base
-	noSmooth.Smooth = false
-	bigLeaf := base
-	bigLeaf.MinLeaf = 8
-	smallLeaf := noSmooth
-	smallLeaf.MinLeaf = 2
-	cfgs := []M5Options{base, noSmooth, bigLeaf, smallLeaf}
-	for _, noise := range []float64{0.05, 1.5} {
-		d := synthDataset(150, noise, 31)
-		for _, target := range []float64{0, 0.5, 0.8, 0.9, 0.95, 1.01} {
-			want, wantAcc, wantTried := selectM5Reference(t, d, 0.5, 0.1, target, cfgs)
-			got, acc, tried, err := SelectM5(d, 5, 1, 0.5, 0.1, target, cfgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantJSON, _ := json.Marshal(want)
-			gotJSON, _ := json.Marshal(got)
-			if acc != wantAcc || tried != wantTried || !bytes.Equal(gotJSON, wantJSON) {
-				t.Errorf("noise %v target %v: SelectM5 = (acc %v, tried %d), reference (acc %v, tried %d), trees equal %v",
-					noise, target, acc, tried, wantAcc, wantTried, bytes.Equal(gotJSON, wantJSON))
-			}
-		}
-	}
-	if _, _, _, err := SelectM5(synthDataset(20, 0, 1), 5, 1, 0.5, 0.1, 0.9, nil); err == nil {
-		t.Error("SelectM5 with no configurations must fail")
-	}
-}
-
 // TestFitM5Allocations bounds the allocations of one fit on the
 // repository's M5 fit benchmark dataset. The split search reuses its
 // pair, prefix-sum and cut buffers across features and nodes, so what is
@@ -445,17 +399,6 @@ func TestFitM5Allocations(t *testing.T) {
 	const limit = 4753
 	if got := testing.AllocsPerRun(5, func() { FitM5(d, DefaultM5Options()) }); got > limit {
 		t.Errorf("FitM5 allocates %v times per fit, want at most %d", got, limit)
-	}
-}
-
-func TestAccuracyWithin(t *testing.T) {
-	d := NewDataset("x")
-	d.Add([]float64{0}, 10)
-	d.Add([]float64{0}, 20)
-	m := &Linear{Names: []string{"x"}, W: []float64{0}, B: 11}
-	// |11-10|=1 <= 2 abs tol -> hit; |11-20|=9 > 2 -> miss.
-	if got := AccuracyWithin(m, d, 2, 0); got != 0.5 {
-		t.Errorf("AccuracyWithin = %v, want 0.5", got)
 	}
 }
 

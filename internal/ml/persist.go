@@ -15,7 +15,7 @@ type m5NodeDTO struct {
 	Thresh float64    `json:"thresh"`
 	Leaf   bool       `json:"leaf"`
 	N      int        `json:"n"`
-	Model  *Linear    `json:"model,omitempty"`
+	Model  *Linear    `json:"model,omitempty"` // weights in the tree's Names order
 	Left   *m5NodeDTO `json:"left,omitempty"`
 	Right  *m5NodeDTO `json:"right,omitempty"`
 }
