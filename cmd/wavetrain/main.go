@@ -73,20 +73,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	report := tuner.Report
-	fmt.Printf("trained tuner for %s\n", sys.Name)
-	fmt.Printf("cross-validated accuracy: parallel=%.2f cpu-tile=%.2f gpu-tile=%.2f band=%.2f halo=%.2f (paper's target 0.90, reported, not enforced)\n\n",
-		report.ParallelAcc, report.CPUTileAcc, report.GPUTileAcc,
-		report.BandAcc, report.HaloAcc)
-
+	fmt.Printf("trained tuner for %s\n\n", sys.Name)
 	if ctx != nil {
+		// Figure 9 ends with the accuracy report.
 		fig9, err := ctx.Fig9(sys)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println(fig9)
 	} else {
-		fmt.Println(tuner.Halo.Render("halo"))
+		fmt.Printf("%s\n%s\n\n", tuner.Halo.Render("halo"), tuner.Report)
 	}
 
 	if *save != "" {

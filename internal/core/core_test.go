@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/engine"
@@ -175,17 +176,37 @@ func TestBuildTrainingShapes(t *testing.T) {
 	if tr.Parallel.Len() == 0 {
 		t.Fatal("no SVM rows")
 	}
-	if tr.Band.Features() != 4 || tr.Halo.Features() != 5 {
-		t.Error("band/halo feature sets must follow the paper")
+	// Band reads the instance features and the gpu-tile; halo reads the
+	// instance features only.
+	if tr.Band.Features() != 4 || tr.Halo.Features() != 3 {
+		t.Errorf("band/halo read %d/%d features, want 4/3", tr.Band.Features(), tr.Halo.Features())
 	}
 	// Every parallel-beneficial sampled instance contributes between one
 	// and TopK rows (the quality window may drop laggards).
-	if tr.CPUTile.Len() == 0 {
-		t.Error("no cpu-tile rows")
+	if tr.CPUTile.Len() == 0 || tr.CPUTile.Len() != tr.GPUTile.Len() {
+		t.Errorf("cpu-tile/gpu-tile rows %d/%d, want equal and nonzero", tr.CPUTile.Len(), tr.GPUTile.Len())
 	}
-	if tr.CPUTile.Len() != tr.GPUTile.Len() || tr.Band.Len() != tr.Halo.Len() ||
-		tr.CPUTile.Len() != tr.Band.Len() {
-		t.Error("per-target training sets must stay row-aligned")
+	// Band and halo learn only from the GPU-using points, one row each.
+	gpuRows := 0
+	for _, y := range tr.GPUTile.Y {
+		if y >= 1 {
+			gpuRows++
+		}
+	}
+	if gpuRows == 0 || tr.Band.Len() != gpuRows || tr.Halo.Len() != gpuRows {
+		t.Errorf("band/halo rows %d/%d, want %d (the GPU-using gpu-tile rows)", tr.Band.Len(), tr.Halo.Len(), gpuRows)
+	}
+	if gpuRows == tr.GPUTile.Len() {
+		t.Error("no all-CPU point in the top-K rows: the filter is untested")
+	}
+	// Band row i and halo row i teach the same point.
+	for i, x := range tr.Band.X {
+		if x[3] == 0 || tr.Band.Y[i] == -1 {
+			t.Errorf("band row %d teaches an all-CPU point: gputile %v, band_frac %v", i, x[3], tr.Band.Y[i])
+		}
+		if i < tr.Halo.Len() && !slices.Equal(tr.Halo.X[i], x[:3]) {
+			t.Errorf("halo row %d reads %v, band row %d %v", i, tr.Halo.X[i], i, x)
+		}
 	}
 }
 

@@ -11,11 +11,13 @@ import (
 	"repro/internal/ml"
 )
 
-// tunerFormatVersion is the tuner file format: JSON with "version": 4
-// and "kind": "tree". Version 4 models read log(dim) and log(tsize)
-// where version 3 read them raw, so an older file is rejected with a
-// request to retrain, as is any other version or kind.
-const tunerFormatVersion = 4
+// tunerFormatVersion is the tuner file format: JSON with "version": 5
+// and "kind": "tree". Version 5's halo tree reads only log(dim),
+// log(tsize) and dsize where version 4's also read cpu-tile and band,
+// and version 4 models read log(dim) and log(tsize) where version 3
+// read them raw, so an older file is rejected with a request to
+// retrain, as is any other version or kind.
+const tunerFormatVersion = 5
 
 // tunerDTO is the on-disk form of a trained tree tuner. The system is
 // stored by name and re-resolved on load, so model files stay small and

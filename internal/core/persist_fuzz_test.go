@@ -28,21 +28,22 @@ func FuzzTunerLoad(f *testing.F) {
 	seeds := []string{
 		string(treeJSON),
 		// Error paths the decoder must reject without panicking,
-		// including the retired v1, v2, v3 and bilinear spellings.
+		// including the retired v1, v2, v3, v4 and bilinear spellings.
 		`{"system":"nonexistent","version":1}`,
 		`{"system":"i3-540","version":99}`,
 		`{"system":"i3-540","version":1}`,
 		`{"system":"i3-540","version":2,"kind":"tree"}`,
 		`{"system":"i3-540","version":3,"kind":"tree"}`,
-		`{"system":"i3-540","version":4,"kind":"quadratic"}`,
+		`{"system":"i3-540","version":4,"kind":"tree"}`,
+		`{"system":"i3-540","version":5,"kind":"quadratic"}`,
 		`{"system":"i3-540","version":1,"kind":"bilinear"}`,
-		`{"version":4,"kind":"bilinear"}`,
+		`{"version":5,"kind":"bilinear"}`,
 		`{}`,
 		`null`,
 		``,
 		`not json`,
 		`[1,2,3]`,
-		`{"system":"i7-2600K","version":4,"kind":"tree","parallel":{}}`,
+		`{"system":"i7-2600K","version":5,"kind":"tree","parallel":{}}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

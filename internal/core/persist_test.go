@@ -56,7 +56,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("missing file must error")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.json")
-	writeFile(t, bad, `{"system":"nonexistent","version":4,"kind":"tree"}`)
+	writeFile(t, bad, `{"system":"nonexistent","version":5,"kind":"tree"}`)
 	if _, err := LoadPredictor(bad); err == nil {
 		t.Error("unknown system must error")
 	}
@@ -66,7 +66,7 @@ func TestLoadTunerErrors(t *testing.T) {
 		t.Error("version mismatch must error")
 	}
 	missingModels := filepath.Join(t.TempDir(), "empty.json")
-	writeFile(t, missingModels, `{"system":"i3-540","version":4,"kind":"tree"}`)
+	writeFile(t, missingModels, `{"system":"i3-540","version":5,"kind":"tree"}`)
 	if _, err := LoadPredictor(missingModels); err == nil {
 		t.Error("missing models must error")
 	}
@@ -80,11 +80,11 @@ func writeFile(t *testing.T, path, content string) {
 }
 
 // TestUnmarshalPredictorKindErrors covers the envelope error paths: a
-// tuner file must be version 4 with kind "tree". Kind errors name the
+// tuner file must be version 5 with kind "tree". Kind errors name the
 // kind; null fails the version check.
 func TestUnmarshalPredictorKindErrors(t *testing.T) {
 	for _, kind := range []string{"bilinear", "quadratic"} {
-		doc := `{"system":"i3-540","version":4,"kind":"` + kind + `"}`
+		doc := `{"system":"i3-540","version":5,"kind":"` + kind + `"}`
 		if _, err := UnmarshalPredictor([]byte(doc)); err == nil {
 			t.Errorf("kind %q must error", kind)
 		} else if !strings.Contains(err.Error(), kind) {
@@ -92,7 +92,7 @@ func TestUnmarshalPredictorKindErrors(t *testing.T) {
 		}
 	}
 	for _, doc := range []string{
-		`{"system":"i3-540","version":4}`,
+		`{"system":"i3-540","version":5}`,
 		`{"system":"i3-540","version":1,"kind":"tree"}`,
 		`{"system":"i3-540","version":1}`,
 		`null`,
@@ -113,6 +113,10 @@ func TestLoadTunerRejectsV2(t *testing.T) { checkRejectsVersion(t, 2) }
 // read raw dim and tsize rather than their logs, is refused the same
 // way.
 func TestLoadTunerRejectsV3(t *testing.T) { checkRejectsVersion(t, 3) }
+
+// TestLoadTunerRejectsV4 checks that a version 4 file, whose halo tree
+// also reads cpu-tile and the band fraction, is refused the same way.
+func TestLoadTunerRejectsV4(t *testing.T) { checkRejectsVersion(t, 4) }
 
 // checkRejectsVersion relabels a complete current tuner file as
 // version v and requires the decoder to refuse it by its version with

@@ -38,14 +38,18 @@ func TestHeldOutEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale search and training")
 	}
-	// Measured mean 0.993, 0.979 and 0.975, p10 0.988, 0.934 and
-	// 0.934, and 2, 1 and 2 plans under 0.8. With raw dim and tsize
-	// features the means were 0.961, 0.947 and 0.944; band and halo
-	// taught as raw cell counts gave 0.871, 0.917 and 0.843.
+	// Measured mean 0.992, 0.982 and 0.980, p10 0.985, 0.934 and
+	// 0.938, and 2, 1 and 1 plans under 0.8. When band and halo also
+	// learned from all-CPU points and halo read cpu-tile and band, they
+	// were 0.993, 0.979 and 0.975, p10 0.988, 0.934 and 0.934, and 2, 1
+	// and 2; the i3-540 floors stay where those set them.
+	// With raw dim and tsize features the means were 0.961, 0.947 and
+	// 0.944; band and halo taught as raw cell counts gave 0.871, 0.917
+	// and 0.843.
 	bounds := map[string]qualityBounds{
 		"i3-540":   {mean: 0.973, p10: 0.968, low: 3},
-		"i7-2600K": {mean: 0.959, p10: 0.914, low: 2},
-		"i7-3820":  {mean: 0.955, p10: 0.914, low: 3},
+		"i7-2600K": {mean: 0.962, p10: 0.914, low: 2},
+		"i7-3820":  {mean: 0.960, p10: 0.918, low: 2},
 	}
 	space, opts := core.DefaultSpace(), core.DefaultTrainOptions()
 	read := make(map[plan.Instance]bool)
@@ -86,14 +90,15 @@ func TestCatalogEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("catalog search")
 	}
-	// Measured mean 0.995, 0.994 and 0.988, p10 0.984, 0.949 and
-	// 0.940, and no plan under 0.8. The quick-space tuners with raw dim
-	// and tsize features, served before, gave means 0.971, 0.908 and
-	// 0.902.
+	// Measured mean 0.995, 0.997 and 0.989, p10 0.984, 0.954 and
+	// 0.940, and no plan under 0.8 (0.995, 0.994 and 0.988, p10 0.984,
+	// 0.949 and 0.940 while the halo tree also read cpu-tile and band).
+	// The quick-space tuners with raw dim and tsize features, served
+	// before, gave means 0.971, 0.908 and 0.902.
 	bounds := map[string]qualityBounds{
 		"i3-540":   {mean: 0.975, p10: 0.964, low: 1},
-		"i7-2600K": {mean: 0.974, p10: 0.929, low: 1},
-		"i7-3820":  {mean: 0.968, p10: 0.920, low: 1},
+		"i7-2600K": {mean: 0.977, p10: 0.934, low: 1},
+		"i7-3820":  {mean: 0.969, p10: 0.920, low: 1},
 	}
 	var insts []plan.Instance
 	for _, name := range catalogApps {
@@ -111,17 +116,55 @@ func TestCatalogEfficiency(t *testing.T) {
 	}
 	for _, sys := range hw.Systems() {
 		t.Run(sys.Name, func(t *testing.T) {
-			data, err := fs.ReadFile(service.FactoryTuners(), sys.Name+".json")
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := core.UnmarshalPredictor(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkEfficiency(t, p.(*core.Tuner), core.ServingSpace(core.DefaultSpace()), insts, bounds[sys.Name])
+			checkEfficiency(t, factoryTuner(t, sys), core.ServingSpace(core.DefaultSpace()), insts, bounds[sys.Name])
 		})
 	}
+}
+
+// TestDualGPUPlansUseHalo scores the shipped dual-GPU tuners on four
+// coarse instances whose optimum spans both GPUs with a halo of 11-24
+// rows (QuickSpace's optimum). A halo model that read the band model's
+// prediction as a feature served halo 0 on seven of these eight plans,
+// at 0.900-0.933 efficiency; with halo learned from the instance
+// features alone the plans read 0.973-1.000.
+func TestDualGPUPlansUseHalo(t *testing.T) {
+	insts := []plan.Instance{
+		{Dim: 3087, TSize: 462, DSize: 3},
+		{Rows: 2950, Cols: 2495, TSize: 518, DSize: 1},
+		{Dim: 1572, TSize: 2160, DSize: 1},
+		{Dim: 3218, TSize: 382, DSize: 3},
+	}
+	for _, sys := range []hw.System{hw.I7_2600K(), hw.I7_3820()} {
+		t.Run(sys.Name, func(t *testing.T) {
+			pts, err := core.Evaluate(factoryTuner(t, sys), core.QuickSpace(), insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range pts {
+				t.Logf("%v: plan %v, efficiency %.3f", e.Inst, e.Pred, e.Efficiency())
+				if e.Pred.Serial || e.Pred.Par.Halo < 1 {
+					t.Errorf("%v: plan %v, want a halo of at least 1 (optimum %v)", e.Inst, e.Pred, e.BestPar)
+				}
+				if e.Efficiency() < 0.97 {
+					t.Errorf("%v: efficiency %.3f below 0.97", e.Inst, e.Efficiency())
+				}
+			}
+		})
+	}
+}
+
+// factoryTuner decodes the tuner the daemon serves for sys.
+func factoryTuner(t *testing.T, sys hw.System) *core.Tuner {
+	t.Helper()
+	data, err := fs.ReadFile(service.FactoryTuners(), sys.Name+".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := core.UnmarshalPredictor(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.(*core.Tuner)
 }
 
 func checkEfficiency(t *testing.T, tuner *core.Tuner, space core.Space, insts []plan.Instance, b qualityBounds) {

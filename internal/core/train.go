@@ -39,22 +39,28 @@ func (o TrainOptions) withDefaults() TrainOptions {
 }
 
 // Training holds the per-target datasets distilled from an exhaustive
-// search, following the paper's feature choices: cpu-tile from input
-// parameters only; band additionally from gpu-tile; halo additionally from
-// cpu-tile and band (Figure 9); gpu-tile as a binary target; and the
-// SVM's parallelism label per instance. The input parameters are read on
-// the log scale of dim and tsize (features).
+// search: cpu-tile and halo from the input parameters only; band
+// additionally from gpu-tile; gpu-tile as a binary target; and the SVM's
+// parallelism label per instance. The input parameters are read on the
+// log scale of dim and tsize (features).
 //
 // Band and halo are taught as fractions of their instance's maximum
 // (plan.Instance.MaxUsefulBand and plan.MaxHaloFor), the same spelling
-// Space uses, so a decision learned at one dim carries over to another;
-// -1 (all-CPU, single GPU) stays -1.
+// Space uses, so a decision learned at one dim carries over to another.
+// They learn only from points that use the GPU, the only points
+// Tuner.Predict asks them about; halo -1 (one GPU on a dual-GPU system)
+// stays -1.
+//
+// The paper's Figure 9 halo tree also reads cpu-tile and band. Here
+// that chain hurt: band is nearly fixed for each training dim, so the
+// fit is collinear, and at serve time it reads the band model's
+// prediction rather than the optimum's band.
 type Training struct {
 	Parallel *ml.Dataset // features (log dim, log tsize, dsize), label in {-1, +1}
 	CPUTile  *ml.Dataset // features -> cpu-tile
 	GPUTile  *ml.Dataset // features -> 0 (GPU unused) or tile >= 1
-	Band     *ml.Dataset // (features, gputile) -> band fraction
-	Halo     *ml.Dataset // (features, cputile, band fraction) -> halo fraction
+	Band     *ml.Dataset // (features, gputile) -> band fraction, GPU-using points only
+	Halo     *ml.Dataset // features -> halo fraction, GPU-using points only
 }
 
 // features writes the inputs every model reads into x[:3] and returns
@@ -146,7 +152,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 		CPUTile:  ml.NewDataset("log_dim", "log_tsize", "dsize"),
 		GPUTile:  ml.NewDataset("log_dim", "log_tsize", "dsize"),
 		Band:     ml.NewDataset("log_dim", "log_tsize", "dsize", "gputile"),
-		Halo:     ml.NewDataset("log_dim", "log_tsize", "dsize", "cputile", "band_frac"),
+		Halo:     ml.NewDataset("log_dim", "log_tsize", "dsize"),
 	}
 	g := newGridSampler(sr.Space, opts)
 	for i := range sr.Instances {
@@ -184,15 +190,14 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 			// The paper's gpu-tile target is overloaded: 0 means the GPU
 			// is not employed at all; >= 1 is the work-group tile of a
 			// GPU-using configuration (Section 4.1.5).
-			gt := 0.0
-			if p.Par.Band >= 0 {
-				gt = float64(p.Par.GPUTile)
+			if p.Par.Band < 0 {
+				tr.GPUTile.Add(x, 0)
+				continue
 			}
+			gt := float64(p.Par.GPUTile)
 			tr.GPUTile.Add(x, gt)
-			bandFrac := fracOf(p.Par.Band, ir.Inst.MaxUsefulBand())
-			tr.Band.Add(append(append([]float64{}, x...), gt), bandFrac)
-			tr.Halo.Add(append(append([]float64{}, x...), float64(p.Par.CPUTile), bandFrac),
-				fracOf(p.Par.Halo, plan.MaxHaloFor(ir.Inst, p.Par.Band)))
+			tr.Band.Add(append(x[:3:3], gt), fracOf(p.Par.Band, ir.Inst.MaxUsefulBand()))
+			tr.Halo.Add(x, fracOf(p.Par.Halo, plan.MaxHaloFor(ir.Inst, p.Par.Band)))
 		}
 	}
 	if tr.Parallel.Len() == 0 {

@@ -14,7 +14,9 @@ import (
 // Tuner is a trained autotuner for one system ("trained in the factory",
 // Section 3.1.2): a binary SVM decides whether to exploit parallelism, a
 // REP tree decides GPU tiling, and M5 model trees predict cpu-tile, band
-// and halo, the last two as fractions of their instance's maximum.
+// and halo, the last two as fractions of their instance's maximum. Halo
+// reads only the instance features, not the paper's chained cpu-tile
+// and band (Training).
 type Tuner struct {
 	Sys      hw.System
 	Parallel *ml.SVM
@@ -34,6 +36,13 @@ type TrainReport struct {
 	GPUTileAcc  float64
 	BandAcc     float64
 	HaloAcc     float64
+}
+
+// String reports the accuracies, each labelled by how it was scored.
+func (r TrainReport) String() string {
+	return fmt.Sprintf("model accuracy (paper's target 0.90, reported, not enforced): "+
+		"training-set parallel=%.2f gpu-tile=%.2f; %d-fold CV cpu-tile=%.2f band=%.2f halo=%.2f",
+		r.ParallelAcc, r.GPUTileAcc, cvFolds, r.CPUTileAcc, r.BandAcc, r.HaloAcc)
 }
 
 // MinAccuracy returns the worst per-target accuracy.
@@ -159,11 +168,10 @@ func (t *Tuner) Quality() TrainReport { return t.Report }
 //
 // The feature vector lives in a fixed stack buffer: the first three
 // slots are the instance features shared by every model (features), and
-// the band and halo models see them extended in place with the upstream
-// decisions. Predict is on the batch/refine/retrain hot path, so it
-// must not allocate.
+// the band model sees them extended in place with the gpu-tile. Predict
+// is on the batch/refine/retrain hot path, so it must not allocate.
 func (t *Tuner) Predict(inst plan.Instance) Prediction {
-	var buf [5]float64
+	var buf [4]float64
 	x := features(buf[:], inst)
 	if !t.Parallel.Classify(x) {
 		return Prediction{Serial: true, Par: engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))}
@@ -181,15 +189,12 @@ func (t *Tuner) Predict(inst plan.Instance) Prediction {
 	gt := clampGPUTile(int(math.Round(gtRaw)))
 
 	// Band and halo are predicted as fractions of their instance's
-	// maximum (BuildTraining) and scaled back by countOf; the halo model
-	// sees the band as the fraction the chosen count realizes.
+	// maximum (BuildTraining) and scaled back by countOf.
 	buf[3] = float64(gt)
-	maxBand := inst.MaxUsefulBand()
-	band := countOf(t.Band.Predict(buf[:4]), maxBand)
+	band := countOf(t.Band.Predict(buf[:4]), inst.MaxUsefulBand())
 	par := plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: -1}
 	if band >= 0 && t.Sys.MaxGPUs() >= 2 {
-		buf[3], buf[4] = float64(ct), fracOf(band, maxBand)
-		par.Halo = countOf(t.Halo.Predict(buf[:5]), plan.MaxHaloFor(inst, band))
+		par.Halo = countOf(t.Halo.Predict(x), plan.MaxHaloFor(inst, band))
 	}
 	return Prediction{Par: par.Normalize()}
 }

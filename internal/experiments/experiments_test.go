@@ -245,22 +245,25 @@ func TestFig9ModelTree(t *testing.T) {
 	if !strings.Contains(s, "halo =") {
 		t.Error("Figure 9 must render halo equations")
 	}
-	if !strings.Contains(s, "cross-validated accuracies") {
-		t.Error("Figure 9 must report model accuracies")
+	if !strings.Contains(s, "training-set parallel=") || !strings.Contains(s, "5-fold CV cpu-tile=") {
+		t.Error("Figure 9 must report model accuracies, each labelled by how it was scored")
 	}
 }
 
 // TestFig10AutotuneQuality gates Figure 10 at paper scale (Full), or
 // at quick scale with -short. The efficiencies are deterministic; each
 // floor is its measured value minus the spread across the three
-// systems: 1.003, 0.990 and 0.985 (spread 0.018) at paper scale, and
-// 1.005, 0.997 and 1.008 (spread 0.011) at quick scale. The paper
+// systems, and a floor only rises. At paper scale they read 1.002,
+// 0.992 and 0.990 (spread 0.012). At quick scale they read 1.005,
+// 0.994 and 1.009 (spread 0.015; 1.005, 1.007 and 0.998 while the halo
+// tree also read cpu-tile and band), and the floors stay where an
+// earlier 1.005, 0.997 and 1.008 (spread 0.011) set them. The paper
 // reports ~0.98.
 func TestFig10AutotuneQuality(t *testing.T) {
 	c, floors := ctx(t), map[string]float64{"i3-540": 0.994, "i7-2600K": 0.986, "i7-3820": 0.997}
 	if !testing.Short() {
 		c = NewContext(Full())
-		floors = map[string]float64{"i3-540": 0.985, "i7-2600K": 0.972, "i7-3820": 0.967}
+		floors = map[string]float64{"i3-540": 0.990, "i7-2600K": 0.980, "i7-3820": 0.978}
 	}
 	rows, err := c.Fig10()
 	if err != nil {
