@@ -880,6 +880,6 @@ func BenchmarkM5Fit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ml.FitM5(d, ml.DefaultM5Options())
+		ml.FitM5(d)
 	}
 }

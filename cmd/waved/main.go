@@ -18,11 +18,11 @@
 // (per-system search-CSV files for wavetrain -from).
 //
 // With -train-log set, a background retrainer closes the feedback loop:
-// it watches the observation logs, shadow-trains a challenger tuner
-// once enough rows accumulate (-retrain-min-obs, or an age threshold),
-// scores champion against challenger on a held-out split
-// (-retrain-holdout), and atomically promotes the winner — invalidating
-// only that system's cached plans. Promotions are logged with
+// it watches the observation logs, and once enough rows accumulate
+// (-retrain-min-obs, or an age threshold) it shadow-trains a challenger
+// tuner on three quarters of the whole log, scores champion against
+// challenger on the held-out quarter, and atomically promotes the winner
+// — invalidating only that system's cached plans. Promotions are logged with
 // generation IDs and surface in GET /v1/systems (generation), GET
 // /v1/stats (retrain block) and /metrics (waved_model_generation,
 // waved_retrain_*). -retrain-off
@@ -40,7 +40,6 @@
 //	      [-batch-limit 64] [-workers 4] [-queue-depth 64]
 //	      [-refine-budget 12] [-train-log dir] [-max-pipelines 16]
 //	      [-retrain-off] [-retrain-interval 5m] [-retrain-min-obs 32]
-//	      [-retrain-holdout 0.25]
 //	      [-log-format text|json] [-slow-request 0] [-slow-job 0]
 //	      [-pprof-addr localhost:6060]
 //
@@ -128,7 +127,6 @@ func main() {
 	retrainOff := flag.Bool("retrain-off", false, "disable background retraining even when -train-log is set")
 	retrainInterval := flag.Duration("retrain-interval", 0, "background retrainer polling period (0 = default; observations wake it early)")
 	retrainMinObs := flag.Int("retrain-min-obs", 0, "observations that trigger a retrain (0 = default)")
-	retrainHoldout := flag.Float64("retrain-holdout", 0, "observation fraction held out for the champion/challenger comparison (0 = default)")
 	maxPipelines := flag.Int("max-pipelines", 0, "max concurrently active pipelines; overflow answers 429 (0 = default)")
 	logFormat := flag.String("log-format", "text", "log line encoding: text (key=value) or json")
 	slowRequest := flag.Duration("slow-request", 0, "log the trace-span tree of requests at least this slow (0 = off)")
@@ -162,7 +160,6 @@ func main() {
 			Off:             *retrainOff,
 			Interval:        *retrainInterval,
 			MinObservations: *retrainMinObs,
-			Holdout:         *retrainHoldout,
 		},
 		Logger:      logger,
 		SlowRequest: *slowRequest,

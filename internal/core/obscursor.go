@@ -74,15 +74,15 @@ type LogScan struct {
 }
 
 // NewLogCursor returns a cursor over the log file at path, persisting
-// its position to checkpointPath. Neither file needs to exist yet.
-func NewLogCursor(path, checkpointPath string) *LogCursor {
-	return &LogCursor{path: path, ckpt: checkpointPath, br: bufio.NewReader(nil)}
+// its position to path+".ckpt". Neither file needs to exist yet.
+func NewLogCursor(path string) *LogCursor {
+	return &LogCursor{path: path, ckpt: checkpointPath(path), br: bufio.NewReader(nil)}
 }
 
-// CheckpointPath returns the conventional checkpoint path for an
-// observation-log CSV: the log path with ".ckpt" appended, keeping the
-// two files adjacent in the log directory.
-func CheckpointPath(logPath string) string { return logPath + ".ckpt" }
+// checkpointPath returns the checkpoint path for an observation-log CSV:
+// the log path with ".ckpt" appended, keeping the two files adjacent in
+// the log directory.
+func checkpointPath(logPath string) string { return logPath + ".ckpt" }
 
 // Scan reads the log from the last committed position and reports how
 // many new complete rows have appeared. A missing log file scans as

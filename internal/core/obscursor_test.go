@@ -27,7 +27,7 @@ func newCursorLog(t *testing.T) (*ObservationLog, *LogCursor, string) {
 	}
 	t.Cleanup(func() { log.Close() })
 	path := log.Path("i7-2600K")
-	return log, NewLogCursor(path, CheckpointPath(path)), path
+	return log, NewLogCursor(path), path
 }
 
 func TestLogCursorCountsOnlyNewRows(t *testing.T) {
@@ -82,7 +82,7 @@ func TestLogCursorCrashRecovery(t *testing.T) {
 
 	// A fresh cursor (new process) must pick up the persisted position:
 	// the consumed rows are not new, a later append is.
-	cur2 := NewLogCursor(path, CheckpointPath(path))
+	cur2 := NewLogCursor(path)
 	s, err = cur2.Scan()
 	if err != nil || s.NewRows != 0 || s.Rotated {
 		t.Fatalf("restart scan = %+v, %v", s, err)
@@ -97,10 +97,10 @@ func TestLogCursorCrashRecovery(t *testing.T) {
 
 	// A corrupt checkpoint (torn write) degrades to re-counting from the
 	// top — rows are re-counted, never lost.
-	if err := os.WriteFile(CheckpointPath(path), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(checkpointPath(path), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cur3 := NewLogCursor(path, CheckpointPath(path))
+	cur3 := NewLogCursor(path)
 	s, err = cur3.Scan()
 	if err != nil || s.NewRows != 4 {
 		t.Fatalf("corrupt-checkpoint scan = %+v, %v", s, err)
@@ -108,10 +108,10 @@ func TestLogCursorCrashRecovery(t *testing.T) {
 
 	// So does a probe longer than any scan records: the probe buffer
 	// holds at most logProbeCap bytes.
-	if err := os.WriteFile(CheckpointPath(path), []byte(`{"offset":1,"probe_len":5000}`), 0o644); err != nil {
+	if err := os.WriteFile(checkpointPath(path), []byte(`{"offset":1,"probe_len":5000}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cur4 := NewLogCursor(path, CheckpointPath(path))
+	cur4 := NewLogCursor(path)
 	s, err = cur4.Scan()
 	if err != nil || s.NewRows != 4 {
 		t.Fatalf("oversized-probe scan = %+v, %v", s, err)

@@ -84,9 +84,6 @@ func NewObservationLog(dir string) (*ObservationLog, error) {
 	return &ObservationLog{dir: dir, appenders: make(map[string]*obsAppender)}, nil
 }
 
-// Dir returns the directory the log writes into.
-func (l *ObservationLog) Dir() string { return l.dir }
-
 // Path returns the CSV file observations for the named system append to.
 func (l *ObservationLog) Path(system string) string { return ObservationLogPath(l.dir, system) }
 

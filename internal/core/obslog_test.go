@@ -2,7 +2,6 @@ package core
 
 import (
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -105,7 +104,7 @@ func TestObservationLogConcurrentAppends(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	f, err := os.Open(filepath.Join(l.Dir(), "i3-540.csv"))
+	f, err := os.Open(l.Path("i3-540"))
 	if err != nil {
 		t.Fatal(err)
 	}

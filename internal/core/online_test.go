@@ -217,15 +217,15 @@ func gateOpenTuner(sys hw.System) *Tuner {
 		cpu.Add(x, 8)  // constant cpu-tile
 		gpu.Add(x, 0)  // never employ the GPU
 	}
-	svm, err := ml.FitSVM(gate, ml.SVMOptions{})
+	svm, err := ml.FitSVM(gate)
 	if err != nil {
 		panic(err)
 	}
 	return &Tuner{
 		Sys:      sys,
 		Parallel: svm,
-		CPUTile:  ml.FitM5(cpu, ml.DefaultM5Options()),
-		GPUTile:  ml.FitREP(gpu, ml.REPOptions{}),
+		CPUTile:  ml.FitM5(cpu),
+		GPUTile:  ml.FitREP(gpu),
 	}
 }
 

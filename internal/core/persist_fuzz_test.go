@@ -27,6 +27,8 @@ func FuzzTunerLoad(f *testing.F) {
 	}
 	seeds := []string{
 		string(treeJSON),
+		// A version 5 file from when the trees stored their options.
+		string(withTreeOpts(f, treeJSON)),
 		// Error paths the decoder must reject without panicking,
 		// including the retired v1, v2, v3, v4 and bilinear spellings.
 		`{"system":"nonexistent","version":1}`,

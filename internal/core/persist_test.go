@@ -142,3 +142,61 @@ func checkRejectsVersion(t *testing.T, v int) {
 		}
 	}
 }
+
+// treeOpts are the "opts" objects version 5 tuner files stored after
+// each tree's feature names while the learners took options, keyed by
+// the tree. Every such file was written at the one configuration the
+// learners now train with.
+var treeOpts = []struct{ key, opts string }{
+	{`"cpu_tile":`, m5OptsJSON},
+	{`"gpu_tile":`, `{"MinLeaf":2,"MaxDepth":20,"PruneFraction":0.3333333333333333,"Seed":1}`},
+	{`"band":`, m5OptsJSON},
+	{`"halo":`, m5OptsJSON},
+}
+
+const m5OptsJSON = `{"MinLeaf":4,"SDStop":0.05,"MaxDepth":20,"Ridge":0.001,"Smooth":true,"SmoothK":15,"MaxThresholds":64}`
+
+// withTreeOpts returns the version 5 tuner file doc with each tree's
+// "opts" object put back where older version 5 files had it.
+func withTreeOpts(t testing.TB, doc []byte) []byte {
+	t.Helper()
+	s := string(doc)
+	for _, tree := range treeOpts {
+		i := strings.Index(s, tree.key)
+		if i < 0 {
+			t.Fatalf("tuner file has no %s tree: %s", tree.key, doc)
+		}
+		names := strings.Index(s[i:], "],")
+		if names < 0 {
+			t.Fatalf("%s tree has no feature names: %s", tree.key, doc)
+		}
+		j := i + names + 1
+		s = s[:j] + `,"opts":` + tree.opts + s[j:]
+	}
+	return []byte(s)
+}
+
+// TestV5FilesWithOptsDecode checks that version 5 files written while
+// the trees stored their options still decode to the same tuner: each
+// shipped factory file with the "opts" objects put back (the bytes that
+// file had in that spelling) decodes, and marshaling the result gives
+// the shipped bytes again.
+func TestV5FilesWithOptsDecode(t *testing.T) {
+	for _, sys := range hw.Systems() {
+		shipped, err := os.ReadFile(filepath.Join("..", "service", "factory", "full", sys.Name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := UnmarshalPredictor(withTreeOpts(t, shipped))
+		if err != nil {
+			t.Fatalf("%s: %v", sys.Name, err)
+		}
+		got, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, shipped) {
+			t.Errorf("%s: the file with opts decodes to\n%s\nwant the shipped\n%s", sys.Name, got, shipped)
+		}
+	}
+}

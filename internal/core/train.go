@@ -16,24 +16,17 @@ type TrainOptions struct {
 	// cross-validation folds are drawn from the points of the sampled
 	// instances; the instances between the samples are never read.
 	Stride int
-	// QualityWindow drops top-K points slower than the optimum by more
-	// than this factor (default 1.5), so sparse configuration classes
-	// cannot inject bad decisions into the training set.
-	QualityWindow float64
 }
 
 // DefaultTrainOptions returns the standard configuration.
 func DefaultTrainOptions() TrainOptions {
-	return TrainOptions{Stride: 2, QualityWindow: 1.5}
+	return TrainOptions{Stride: 2}
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	d := DefaultTrainOptions()
 	if o.Stride <= 0 {
 		o.Stride = d.Stride
-	}
-	if o.QualityWindow <= 1 {
-		o.QualityWindow = d.QualityWindow
 	}
 	return o
 }
@@ -80,9 +73,13 @@ const (
 	// speedupGate labels an instance "exploit parallelism" for the SVM
 	// when its best point beats serial by at least this factor.
 	speedupGate = 1.05
+	// qualityWindow drops top-K points slower than the optimum by more
+	// than this factor, so sparse configuration classes cannot inject bad
+	// decisions into the training set.
+	qualityWindow = 1.5
 	// cvFolds is the fold count of the M5 targets' cross-validation.
 	cvFolds = 5
-	// trainSeed drives every stochastic component of training.
+	// trainSeed shuffles the cross-validation folds.
 	trainSeed = 1
 )
 
@@ -146,7 +143,6 @@ func TrainFromSpace(sys hw.System, space Space, opts TrainOptions) (*Tuner, erro
 // BuildTraining distills training sets from a search result by regular
 // sampling of instances and selection of the top-K points of each.
 func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
-	opts = opts.withDefaults()
 	tr := &Training{
 		Parallel: ml.NewDataset("log_dim", "log_tsize", "dsize"),
 		CPUTile:  ml.NewDataset("log_dim", "log_tsize", "dsize"),
@@ -183,7 +179,7 @@ func BuildTraining(sr *SearchResult, opts TrainOptions) (*Training, error) {
 			// Only genuinely good points teach the models: a "top-5" point
 			// far behind the optimum (possible when few configurations of
 			// its kind exist) would inject bad decisions.
-			if p.RTimeNs > best.RTimeNs*opts.QualityWindow {
+			if p.RTimeNs > best.RTimeNs*qualityWindow {
 				continue
 			}
 			tr.CPUTile.Add(x, float64(p.Par.CPUTile))

@@ -67,16 +67,16 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 	// Regression targets: one M5 tree each, scored by cross-validated
 	// tolerance accuracy.
 	fitM5 := func(d *ml.Dataset, absTol, relTol float64) (*ml.M5Tree, float64, error) {
-		cfg := ml.DefaultM5Options()
 		if d.Len() < cvFolds {
 			// Too small to cross-validate: fit directly.
-			return ml.FitM5(d, cfg), 1, nil
+			return ml.FitM5(d), 1, nil
 		}
-		accs, err := ml.CrossValidateM5(d, cvFolds, trainSeed, absTol, relTol, cfg)
+		acc, err := ml.CrossValidateAccuracy(d, cvFolds, trainSeed, absTol, relTol,
+			func(train *ml.Dataset) ml.Model { return ml.FitM5(train) })
 		if err != nil {
 			return nil, 0, err
 		}
-		return ml.FitM5(d, cfg), accs[0], nil
+		return ml.FitM5(d), acc, nil
 	}
 	// The models are independent and deterministic, so the M5 fits run
 	// concurrently with the SVM and REP fits: a TrainFromSpace tuner's
@@ -107,12 +107,12 @@ func Train(sr *SearchResult, opts TrainOptions) (*Tuner, error) {
 	}
 
 	// Parallelism gate: binary SVM.
-	svm, svmErr := ml.FitSVM(tr.Parallel, ml.SVMOptions{Seed: trainSeed})
+	svm, svmErr := ml.FitSVM(tr.Parallel)
 
 	// GPU tiling: REP tree on the overloaded target (0 = GPU unused,
 	// otherwise the work-group tile). The paper found this "a binary
 	// decision that was accurately predicted using REP Tree".
-	t.GPUTile = ml.FitREP(tr.GPUTile, ml.REPOptions{Seed: trainSeed})
+	t.GPUTile = ml.FitREP(tr.GPUTile)
 	if tr.GPUTile.Len() > 0 {
 		hits := 0
 		for i, x := range tr.GPUTile.X {

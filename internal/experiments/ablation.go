@@ -1,18 +1,14 @@
 package experiments
 
 // Ablation studies for the design choices the paper (and this
-// reproduction) make: whether GPU tiling ever pays, how much halo tuning
-// is worth over the naive swap-every-diagonal scheme, whether M5
-// smoothing helps the tuner's targets, and whether the training-set
-// quality window matters.
+// reproduction) make: whether GPU tiling ever pays, and how much halo
+// tuning is worth over the naive swap-every-diagonal scheme.
 
 import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/ml"
 	"repro/internal/plan"
 	"repro/internal/report"
 )
@@ -117,78 +113,4 @@ func RenderAblation(name string, sys hw.System, rows []AblationRow) string {
 	}
 	b.WriteString(t.String())
 	return b.String()
-}
-
-// SmoothingAblation reports the tuner's cross-validated halo accuracy
-// with and without M5 smoothing.
-type SmoothingAblation struct {
-	WithSmoothing    float64
-	WithoutSmoothing float64
-}
-
-// AblateSmoothing cross-validates the halo target under both M5
-// configurations on the system's training set.
-func (c *Context) AblateSmoothing(sys hw.System) (SmoothingAblation, error) {
-	sr, err := c.Search(sys)
-	if err != nil {
-		return SmoothingAblation{}, err
-	}
-	tr, err := core.BuildTraining(sr, c.Cfg.TrainOpts)
-	if err != nil {
-		return SmoothingAblation{}, err
-	}
-	var out SmoothingAblation
-	if tr.Halo.Len() < 10 {
-		return out, fmt.Errorf("experiments: halo training set too small (%d rows)", tr.Halo.Len())
-	}
-	smooth := ml.DefaultM5Options()
-	rough := smooth
-	rough.Smooth = false
-	// core.Train's halo gate: the target is a fraction of the largest
-	// halo, held to 0.05 plus 40%. Both settings score the same fold
-	// trees: smoothing changes prediction, not induction.
-	accs, err := ml.CrossValidateM5(tr.Halo, 5, 1, 0.05, 0.4, smooth, rough)
-	if err != nil {
-		return out, err
-	}
-	out.WithSmoothing, out.WithoutSmoothing = accs[0], accs[1]
-	return out, nil
-}
-
-// QualityWindowAblation compares tuner efficiency with and without the
-// training-set quality window.
-type QualityWindowAblation struct {
-	WithWindow    float64
-	WithoutWindow float64
-}
-
-// AblateQualityWindow trains two tuners on the system — one with the
-// default 1.5x quality window, one accepting all top-K points — and
-// compares their Nash efficiency.
-func (c *Context) AblateQualityWindow(sys hw.System) (QualityWindowAblation, error) {
-	sr, err := c.Search(sys)
-	if err != nil {
-		return QualityWindowAblation{}, err
-	}
-	insts := c.NashInstances()
-	eff := func(opts core.TrainOptions) (float64, error) {
-		t, err := core.Train(sr, opts)
-		if err != nil {
-			return 0, err
-		}
-		points, err := core.Evaluate(t, c.Cfg.Space, insts)
-		if err != nil {
-			return 0, err
-		}
-		return core.MeanEfficiency(points), nil
-	}
-	var out QualityWindowAblation
-	withOpts := c.Cfg.TrainOpts
-	if out.WithWindow, err = eff(withOpts); err != nil {
-		return out, err
-	}
-	withoutOpts := withOpts
-	withoutOpts.QualityWindow = 1e9 // effectively unfiltered
-	out.WithoutWindow, err = eff(withoutOpts)
-	return out, err
 }

@@ -40,35 +40,3 @@ func TestAblateHaloShowsTuningValue(t *testing.T) {
 		t.Error("render incomplete")
 	}
 }
-
-func TestAblateSmoothing(t *testing.T) {
-	c := ctx(t)
-	res, err := c.AblateSmoothing(hw.I7_2600K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The values the two independent cross-validations (each growing
-	// its own fold trees) gave: sharing the fold trees between the
-	// smoothing settings must not move them (7/27 and 9/27 on the 27
-	// GPU-using rows; when halo also read cpu-tile and band and learned
-	// from all-CPU points too, 25/44 and 8/11, and with raw dim and
-	// tsize features smoothing gave 6/11).
-	want := SmoothingAblation{WithSmoothing: 0.25925925925925924, WithoutSmoothing: 0.3333333333333333}
-	if res != want {
-		t.Errorf("AblateSmoothing = %+v, want %+v", res, want)
-	}
-}
-
-func TestAblateQualityWindow(t *testing.T) {
-	c := ctx(t)
-	res, err := c.AblateQualityWindow(hw.I7_2600K())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The window exists because unfiltered top-K rows inject bad
-	// decisions; with it, efficiency must not be (meaningfully) worse.
-	if res.WithWindow < res.WithoutWindow-0.05 {
-		t.Errorf("quality window hurt efficiency: with %.3f vs without %.3f",
-			res.WithWindow, res.WithoutWindow)
-	}
-}

@@ -4,6 +4,10 @@
 // and regression/classification metrics. Everything is built on the
 // standard library only and is deterministic given a seed, so trained
 // tuners are exactly reproducible.
+//
+// Each learner trains at one standard setting, held in unexported
+// constants rather than options: the m5* constants for M5Tree, rep* for
+// REPTree and svm* for SVM. Each type's comment gives the values.
 package ml
 
 import (

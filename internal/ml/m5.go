@@ -7,61 +7,33 @@ import (
 	"strings"
 )
 
-// M5Options configure model-tree induction.
-type M5Options struct {
-	// MinLeaf is the minimum number of examples in a leaf (default 4).
-	MinLeaf int
-	// SDStop stops splitting when a node's target deviation falls below
-	// this fraction of the root deviation (default 0.05, as in M5).
-	SDStop float64
-	// MaxDepth bounds the tree (default 20).
-	MaxDepth int
-	// Ridge regularizes the leaf linear models (default 1e-3).
-	Ridge float64
-	// Smooth enables M5's leaf-to-root prediction smoothing (default on
-	// via DefaultM5Options).
-	Smooth bool
-	// SmoothK is the smoothing constant (default 15).
-	SmoothK float64
-	// MaxThresholds caps candidate split points per feature (default 64).
-	MaxThresholds int
-}
-
-// DefaultM5Options returns the standard configuration.
-func DefaultM5Options() M5Options {
-	return M5Options{MinLeaf: 4, SDStop: 0.05, MaxDepth: 20, Ridge: 1e-3,
-		Smooth: true, SmoothK: 15, MaxThresholds: 64}
-}
-
-func (o M5Options) withDefaults() M5Options {
-	d := DefaultM5Options()
-	if o.MinLeaf <= 0 {
-		o.MinLeaf = d.MinLeaf
-	}
-	if o.SDStop <= 0 {
-		o.SDStop = d.SDStop
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = d.MaxDepth
-	}
-	if o.Ridge <= 0 {
-		o.Ridge = d.Ridge
-	}
-	if o.SmoothK <= 0 {
-		o.SmoothK = d.SmoothK
-	}
-	if o.MaxThresholds <= 0 {
-		o.MaxThresholds = d.MaxThresholds
-	}
-	return o
-}
+// M5 induction settings, the standard configuration of the paper's M5
+// model trees.
+const (
+	// m5MinLeaf is the minimum number of examples in a leaf.
+	m5MinLeaf = 4
+	// m5SDStop stops splitting when a node's target deviation falls below
+	// this fraction of the root deviation, as in M5.
+	m5SDStop = 0.05
+	// m5MaxDepth bounds the tree.
+	m5MaxDepth = 20
+	// m5Ridge regularizes the leaf linear models.
+	m5Ridge = 1e-3
+	// m5SmoothK is the constant of M5's leaf-to-root prediction smoothing.
+	m5SmoothK = 15
+	// m5MaxThresholds caps candidate split points per feature.
+	m5MaxThresholds = 64
+)
 
 // M5Tree is an M5 pruned model tree: internal nodes split on a feature
 // threshold, leaves hold linear models (the structure of the paper's
-// Figure 9), and predictions are optionally smoothed along the path.
+// Figure 9), and predictions are smoothed along the path. It is grown
+// with leaves of at least m5MinLeaf (4) examples, an m5SDStop (0.05)
+// deviation stop, depth at most m5MaxDepth (20), m5Ridge (1e-3) leaf
+// regression, m5MaxThresholds (64) candidate splits per feature and
+// smoothing constant m5SmoothK (15).
 type M5Tree struct {
 	Names []string
-	opts  M5Options
 	root  *m5node
 }
 
@@ -79,9 +51,8 @@ type m5node struct {
 }
 
 // FitM5 grows and prunes a model tree on d.
-func FitM5(d *Dataset, opts M5Options) *M5Tree {
-	opts = opts.withDefaults()
-	t := &M5Tree{Names: d.Names, opts: opts}
+func FitM5(d *Dataset) *M5Tree {
+	t := &M5Tree{Names: d.Names}
 	rootSD := d.YStd()
 	var buf splitBuf
 	t.root = t.grow(d, rootSD, 0, &buf)
@@ -89,45 +60,9 @@ func FitM5(d *Dataset, opts M5Options) *M5Tree {
 	return t
 }
 
-// CrossValidateM5 returns each configuration's k-fold cross-validated
-// tolerance accuracy (CrossValidateAccuracy's criterion): every
-// configuration on the same folds of d, and configurations that differ
-// only in smoothing, which changes prediction, not induction, on the same
-// fold trees.
-func CrossValidateM5(d *Dataset, k int, seed int64, absTol, relTol float64, cfgs ...M5Options) ([]float64, error) {
-	folds, err := kFolds(d, k, seed)
-	if err != nil {
-		return nil, err
-	}
-	grown := make(map[M5Options][]*M5Tree) // fold trees by induction options
-	models := make([]Model, len(folds))
-	accs := make([]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg = cfg.withDefaults()
-		key := cfg
-		key.Smooth, key.SmoothK = false, 0
-		trees, ok := grown[key]
-		if !ok {
-			trees = make([]*M5Tree, len(folds))
-			for f := range folds {
-				trees[f] = FitM5(folds[f].train, cfg)
-			}
-			grown[key] = trees
-		}
-		for f, t := range trees {
-			view := *t
-			view.opts.Smooth, view.opts.SmoothK = cfg.Smooth, cfg.SmoothK
-			models[f] = &view
-		}
-		accs[i] = foldAccuracy(d, folds, models, absTol, relTol)
-	}
-	return accs, nil
-}
-
 func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int, buf *splitBuf) *m5node {
-	n := &m5node{n: d.Len(), model: FitLinear(d, t.opts.Ridge)}
-	if d.Len() < 2*t.opts.MinLeaf || depth >= t.opts.MaxDepth ||
-		d.YStd() < t.opts.SDStop*rootSD {
+	n := &m5node{n: d.Len(), model: FitLinear(d, m5Ridge)}
+	if d.Len() < 2*m5MinLeaf || depth >= m5MaxDepth || d.YStd() < m5SDStop*rootSD {
 		n.leaf = true
 		return n
 	}
@@ -144,7 +79,7 @@ func (t *M5Tree) grow(d *Dataset, rootSD float64, depth int, buf *splitBuf) *m5n
 			ri = append(ri, i)
 		}
 	}
-	if len(li) < t.opts.MinLeaf || len(ri) < t.opts.MinLeaf {
+	if len(li) < m5MinLeaf || len(ri) < m5MinLeaf {
 		n.leaf = true
 		return n
 	}
@@ -213,15 +148,15 @@ func (t *M5Tree) bestSplit(d *Dataset, buf *splitBuf) (feat int, thresh float64,
 			}
 		}
 		buf.cuts = cuts
-		if len(cuts) > t.opts.MaxThresholds {
-			step := float64(len(cuts)) / float64(t.opts.MaxThresholds)
-			for i := 0; i < t.opts.MaxThresholds; i++ {
+		if len(cuts) > m5MaxThresholds {
+			step := float64(len(cuts)) / float64(m5MaxThresholds)
+			for i := 0; i < m5MaxThresholds; i++ {
 				cuts[i] = cuts[int(float64(i)*step)]
 			}
-			cuts = cuts[:t.opts.MaxThresholds]
+			cuts = cuts[:m5MaxThresholds]
 		}
 		for _, c := range cuts {
-			if c < t.opts.MinLeaf || n-c < t.opts.MinLeaf {
+			if c < m5MinLeaf || n-c < m5MinLeaf {
 				continue
 			}
 			sdr := baseSD - (float64(c)/float64(n))*sdOf(0, c) -
@@ -291,22 +226,8 @@ func nonZero(w []float64) int {
 	return c
 }
 
-// Predict implements Model, with smoothing along the root path when
-// enabled.
-func (t *M5Tree) Predict(x []float64) float64 {
-	if !t.opts.Smooth {
-		n := t.root
-		for !n.leaf {
-			if x[n.feat] <= n.thresh {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		return n.model.Predict(x)
-	}
-	return t.smoothed(t.root, x)
-}
+// Predict implements Model, smoothing along the root path.
+func (t *M5Tree) Predict(x []float64) float64 { return t.smoothed(t.root, x) }
 
 func (t *M5Tree) smoothed(n *m5node, x []float64) float64 {
 	if n.leaf {
@@ -319,8 +240,8 @@ func (t *M5Tree) smoothed(n *m5node, x []float64) float64 {
 		child = n.right
 	}
 	p := t.smoothed(child, x)
-	return (float64(child.n)*p + t.opts.SmoothK*n.model.Predict(x)) /
-		(float64(child.n) + t.opts.SmoothK)
+	return (float64(child.n)*p + m5SmoothK*n.model.Predict(x)) /
+		(float64(child.n) + m5SmoothK)
 }
 
 // Leaves returns the number of leaf models.

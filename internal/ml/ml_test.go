@@ -123,7 +123,7 @@ func TestM5FitsPiecewiseLinear(t *testing.T) {
 	// split near a=5 and fit each side closely.
 	train := synthDataset(600, 0.05, 11)
 	test := synthDataset(200, 0.05, 12)
-	m := FitM5(train, DefaultM5Options())
+	m := FitM5(train)
 	met := Evaluate(m, test)
 	if met.R2 < 0.95 {
 		t.Errorf("M5 R2 = %v, want >= 0.95", met.R2)
@@ -136,7 +136,7 @@ func TestM5FitsPiecewiseLinear(t *testing.T) {
 func TestM5BeatsPlainLinearOnPiecewise(t *testing.T) {
 	train := synthDataset(600, 0.05, 21)
 	test := synthDataset(200, 0.05, 22)
-	m5 := FitM5(train, DefaultM5Options())
+	m5 := FitM5(train)
 	lin := FitLinear(train, 1e-6)
 	if Evaluate(m5, test).RMSE >= Evaluate(lin, test).RMSE {
 		t.Error("M5 must beat a single linear model on piecewise data " +
@@ -151,7 +151,7 @@ func TestM5PruningShrinksTree(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		d.Add([]float64{rng.Float64()}, rng.NormFloat64())
 	}
-	m := FitM5(d, DefaultM5Options())
+	m := FitM5(d)
 	if m.Leaves() > 8 {
 		t.Errorf("noise tree kept %d leaves; pruning too weak", m.Leaves())
 	}
@@ -159,8 +159,8 @@ func TestM5PruningShrinksTree(t *testing.T) {
 
 func TestM5DeterministicAndRenders(t *testing.T) {
 	d := synthDataset(300, 0.1, 31)
-	a := FitM5(d, DefaultM5Options())
-	b := FitM5(d, DefaultM5Options())
+	a := FitM5(d)
+	b := FitM5(d)
 	probe := []float64{4, 2, 8}
 	if a.Predict(probe) != b.Predict(probe) {
 		t.Error("M5 fit not deterministic")
@@ -175,7 +175,7 @@ func TestM5SmoothingBounded(t *testing.T) {
 	// Smoothed predictions must stay within the convex hull of node model
 	// predictions; sanity-check against explosion.
 	d := synthDataset(400, 0.1, 41)
-	m := FitM5(d, DefaultM5Options())
+	m := FitM5(d)
 	f := func(ra, rb, rc uint8) bool {
 		x := []float64{float64(ra) / 25.5, float64(rb) / 25.5, float64(rc) / 25.5}
 		p := m.Predict(x)
@@ -198,7 +198,7 @@ func TestREPTreeFitsStep(t *testing.T) {
 		}
 		train.Add([]float64{x, z}, y)
 	}
-	m := FitREP(train, DefaultREPOptions())
+	m := FitREP(train)
 	errs := 0
 	for i := 0; i < 100; i++ {
 		x, z := rng.Float64()*10, rng.Float64()
@@ -218,7 +218,7 @@ func TestREPPruningControlsNoise(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		d.Add([]float64{rng.Float64()}, rng.NormFloat64())
 	}
-	m := FitREP(d, DefaultREPOptions())
+	m := FitREP(d)
 	if m.Leaves() > 25 {
 		t.Errorf("noise REP tree kept %d leaves", m.Leaves())
 	}
@@ -226,7 +226,7 @@ func TestREPPruningControlsNoise(t *testing.T) {
 
 func TestREPRender(t *testing.T) {
 	d := synthDataset(100, 0.1, 15)
-	if FitREP(d, DefaultREPOptions()).Render() == "" {
+	if FitREP(d).Render() == "" {
 		t.Error("empty render")
 	}
 }
@@ -243,7 +243,7 @@ func TestSVMSeparable(t *testing.T) {
 		}
 		d.Add([]float64{x, y}, label)
 	}
-	m, err := FitSVM(d, DefaultSVMOptions())
+	m, err := FitSVM(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +255,10 @@ func TestSVMSeparable(t *testing.T) {
 func TestSVMRejectsBadLabels(t *testing.T) {
 	d := NewDataset("x")
 	d.Add([]float64{1}, 0.5)
-	if _, err := FitSVM(d, DefaultSVMOptions()); err == nil {
+	if _, err := FitSVM(d); err == nil {
 		t.Error("non-binary labels must be rejected")
 	}
-	if _, err := FitSVM(NewDataset("x"), DefaultSVMOptions()); err == nil {
+	if _, err := FitSVM(NewDataset("x")); err == nil {
 		t.Error("empty training set must be rejected")
 	}
 }
@@ -273,8 +273,8 @@ func TestSVMDeterministic(t *testing.T) {
 		}
 		bin.Add(d.X[i], l)
 	}
-	a, _ := FitSVM(bin, DefaultSVMOptions())
-	b, _ := FitSVM(bin, DefaultSVMOptions())
+	a, _ := FitSVM(bin)
+	b, _ := FitSVM(bin)
 	for j := range a.W {
 		if a.W[j] != b.W[j] {
 			t.Fatal("SVM training not deterministic")
@@ -302,40 +302,52 @@ func TestKFoldPartition(t *testing.T) {
 }
 
 func TestCrossValidateCatchesOverfit(t *testing.T) {
-	// A tree grown down to single rows memorizes its training data, noise
-	// and all; cross-validation scores it on rows it never saw, so it
-	// must not.
+	// A nearest-row model memorizes its training data, noise and all;
+	// cross-validation scores it on rows it never saw, so it must not.
 	d := synthDataset(120, 1.0, 23)
-	memorizer := M5Options{MinLeaf: 1, SDStop: 1e-9, MaxDepth: 40}
 	const absTol = 0.5
-	tree := FitM5(d, memorizer)
-	hits := 0
+	memorize := func(train *Dataset) Model { return nearestRow{train} }
+	inSample := 0
 	for i, x := range d.X {
-		if math.Abs(tree.Predict(x)-d.Y[i]) <= absTol {
-			hits++
+		if math.Abs(memorize(d).Predict(x)-d.Y[i]) <= absTol {
+			inSample++
 		}
 	}
-	inSample := float64(hits) / float64(d.Len())
-	accs, err := CrossValidateM5(d, 5, 1, absTol, 0, memorizer, DefaultM5Options())
+	if inSample != d.Len() {
+		t.Fatalf("in-sample hits %d/%d: the memorizer does not memorize", inSample, d.Len())
+	}
+	acc, err := CrossValidateAccuracy(d, 5, 1, absTol, 0, memorize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inSample < 0.9 {
-		t.Fatalf("in-sample accuracy %v: the memorizer does not memorize", inSample)
-	}
 	// With noise sd=1, at most ~38% of held-out rows can land within 0.5.
-	for i, acc := range accs {
-		if acc > 0.5 {
-			t.Errorf("config %d: CV accuracy %v implausibly high (in-sample %v); leakage?", i, acc, inSample)
+	if acc > 0.5 {
+		t.Errorf("CV accuracy %v implausibly high for a memorizer; leakage?", acc)
+	}
+}
+
+// nearestRow predicts the target of the training row closest to x.
+type nearestRow struct{ d *Dataset }
+
+func (m nearestRow) Predict(x []float64) float64 {
+	best, bestDist := 0.0, math.Inf(1)
+	for i, row := range m.d.X {
+		dist := 0.0
+		for j := range row {
+			dist += (row[j] - x[j]) * (row[j] - x[j])
+		}
+		if dist < bestDist {
+			best, bestDist = m.d.Y[i], dist
 		}
 	}
+	return best
 }
 
 func TestCrossValidateAccuracyGate(t *testing.T) {
 	// Near-noise-free piecewise data must pass the paper's 90% gate.
 	d := synthDataset(400, 0.01, 29)
 	acc, err := CrossValidateAccuracy(d, 5, 1, 0.5, 0.1, func(train *Dataset) Model {
-		return FitM5(train, DefaultM5Options())
+		return FitM5(train)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,36 +360,9 @@ func TestCrossValidateAccuracyGate(t *testing.T) {
 func TestCrossValidateErrors(t *testing.T) {
 	d := NewDataset("x")
 	d.Add([]float64{1}, 1)
-	if _, err := CrossValidateM5(d, 5, 1, 0.5, 0.1, DefaultM5Options()); err == nil {
+	fit := func(train *Dataset) Model { return FitM5(train) }
+	if _, err := CrossValidateAccuracy(d, 5, 1, 0.5, 0.1, fit); err == nil {
 		t.Error("CV on 1 example must fail")
-	}
-}
-
-// TestCrossValidateM5MatchesReference pins CrossValidateM5, which shares
-// folds and fold trees across smoothing settings, to an independent
-// cross-validation per configuration.
-func TestCrossValidateM5MatchesReference(t *testing.T) {
-	smooth := DefaultM5Options()
-	rough := smooth
-	rough.Smooth = false
-	bigLeaf := rough
-	bigLeaf.MinLeaf = 8
-	cfgs := []M5Options{smooth, rough, bigLeaf}
-	for _, noise := range []float64{0.05, 1.5} {
-		d := synthDataset(150, noise, 31)
-		got, err := CrossValidateM5(d, 5, 1, 0.5, 0.1, cfgs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, cfg := range cfgs {
-			want, err := CrossValidateAccuracy(d, 5, 1, 0.5, 0.1, func(train *Dataset) Model { return FitM5(train, cfg) })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got[i] != want {
-				t.Errorf("noise %v config %d: CrossValidateM5 = %v, reference %v", noise, i, got[i], want)
-			}
-		}
 	}
 }
 
@@ -397,7 +382,7 @@ func TestFitM5Allocations(t *testing.T) {
 		d.Add([]float64{x, y}, target)
 	}
 	const limit = 4753
-	if got := testing.AllocsPerRun(5, func() { FitM5(d, DefaultM5Options()) }); got > limit {
+	if got := testing.AllocsPerRun(5, func() { FitM5(d) }); got > limit {
 		t.Errorf("FitM5 allocates %v times per fit, want at most %d", got, limit)
 	}
 }

@@ -22,7 +22,6 @@ type m5NodeDTO struct {
 
 type m5TreeDTO struct {
 	Names []string   `json:"names"`
-	Opts  M5Options  `json:"opts"`
 	Root  *m5NodeDTO `json:"root"`
 }
 
@@ -48,7 +47,7 @@ func m5FromDTO(d *m5NodeDTO) *m5node {
 
 // MarshalJSON implements json.Marshaler.
 func (t *M5Tree) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m5TreeDTO{Names: t.Names, Opts: t.opts, Root: m5ToDTO(t.root)})
+	return json.Marshal(m5TreeDTO{Names: t.Names, Root: m5ToDTO(t.root)})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -61,7 +60,6 @@ func (t *M5Tree) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("ml: M5 tree without root")
 	}
 	t.Names = d.Names
-	t.opts = d.Opts
 	t.root = m5FromDTO(d.Root)
 	return t.validateM5(t.root)
 }
@@ -104,7 +102,6 @@ type repNodeDTO struct {
 
 type repTreeDTO struct {
 	Names []string    `json:"names"`
-	Opts  REPOptions  `json:"opts"`
 	Root  *repNodeDTO `json:"root"`
 }
 
@@ -130,7 +127,7 @@ func repFromDTO(d *repNodeDTO) *repNode {
 
 // MarshalJSON implements json.Marshaler.
 func (t *REPTree) MarshalJSON() ([]byte, error) {
-	return json.Marshal(repTreeDTO{Names: t.Names, Opts: t.opts, Root: repToDTO(t.root)})
+	return json.Marshal(repTreeDTO{Names: t.Names, Root: repToDTO(t.root)})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -143,7 +140,6 @@ func (t *REPTree) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("ml: REP tree without root")
 	}
 	t.Names = d.Names
-	t.opts = d.Opts
 	t.root = repFromDTO(d.Root)
 	return validateREP(t.root, len(d.Names))
 }

@@ -7,7 +7,7 @@ import (
 
 func TestM5RoundTrip(t *testing.T) {
 	d := synthDataset(400, 0.05, 51)
-	orig := FitM5(d, DefaultM5Options())
+	orig := FitM5(d)
 	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -30,9 +30,9 @@ func TestM5RoundTrip(t *testing.T) {
 func TestM5UnmarshalRejectsBad(t *testing.T) {
 	var tr M5Tree
 	for _, bad := range []string{
-		`{"names":["a"],"opts":{},"root":null}`,
-		`{"names":["a"],"opts":{},"root":{"leaf":true}}`,                                         // leaf without model
-		`{"names":["a"],"opts":{},"root":{"feat":5,"left":{"leaf":true},"right":{"leaf":true}}}`, // bad feature
+		`{"names":["a"],"root":null}`,
+		`{"names":["a"],"root":{"leaf":true}}`,                                         // leaf without model
+		`{"names":["a"],"root":{"feat":5,"left":{"leaf":true},"right":{"leaf":true}}}`, // bad feature
 		`not json`,
 	} {
 		if err := json.Unmarshal([]byte(bad), &tr); err == nil {
@@ -43,7 +43,7 @@ func TestM5UnmarshalRejectsBad(t *testing.T) {
 
 func TestREPRoundTrip(t *testing.T) {
 	d := synthDataset(300, 0.05, 53)
-	orig := FitREP(d, DefaultREPOptions())
+	orig := FitREP(d)
 	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -65,8 +65,8 @@ func TestREPRoundTrip(t *testing.T) {
 func TestREPUnmarshalRejectsBad(t *testing.T) {
 	var tr REPTree
 	for _, bad := range []string{
-		`{"names":["a"],"opts":{},"root":null}`,
-		`{"names":["a"],"opts":{},"root":{"feat":2,"left":{"leaf":true},"right":{"leaf":true}}}`,
+		`{"names":["a"],"root":null}`,
+		`{"names":["a"],"root":{"feat":2,"left":{"leaf":true},"right":{"leaf":true}}}`,
 	} {
 		if err := json.Unmarshal([]byte(bad), &tr); err == nil {
 			t.Errorf("accepted invalid tree: %s", bad)
@@ -83,7 +83,7 @@ func TestSVMRoundTrip(t *testing.T) {
 		}
 		d.Add([]float64{float64(i), float64(i % 7)}, label)
 	}
-	orig, err := FitSVM(d, DefaultSVMOptions())
+	orig, err := FitSVM(d)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,48 +6,27 @@ import (
 	"strings"
 )
 
-// REPOptions configure REP-tree induction.
-type REPOptions struct {
-	// MinLeaf is the minimum examples per leaf (default 2, WEKA's
-	// default).
-	MinLeaf int
-	// MaxDepth bounds the tree (default 20).
-	MaxDepth int
-	// PruneFraction is the share of data held out for reduced-error
-	// pruning (default 1/3, as in WEKA's REPTree).
-	PruneFraction float64
-	// Seed drives the grow/prune split.
-	Seed int64
-}
-
-// DefaultREPOptions returns the standard configuration.
-func DefaultREPOptions() REPOptions {
-	return REPOptions{MinLeaf: 2, MaxDepth: 20, PruneFraction: 1.0 / 3.0, Seed: 1}
-}
-
-func (o REPOptions) withDefaults() REPOptions {
-	d := DefaultREPOptions()
-	if o.MinLeaf <= 0 {
-		o.MinLeaf = d.MinLeaf
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = d.MaxDepth
-	}
-	if o.PruneFraction <= 0 || o.PruneFraction >= 1 {
-		o.PruneFraction = d.PruneFraction
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
+// REP induction settings, WEKA's REPTree defaults.
+const (
+	// repMinLeaf is the minimum number of examples per leaf.
+	repMinLeaf = 2
+	// repMaxDepth bounds the tree.
+	repMaxDepth = 20
+	// repPruneFraction is the share of data held out for reduced-error
+	// pruning.
+	repPruneFraction = 1.0 / 3.0
+	// repSeed drives the grow/prune split.
+	repSeed = 1
+)
 
 // REPTree is a regression tree with variance-reduction splits and
 // reduced-error pruning against a held-out set — the fast decision-tree
-// learner the paper uses for the (near-binary) gpu-tile decision.
+// learner the paper uses for the (near-binary) gpu-tile decision. It
+// grows on a repSeed (1) shuffle of the data less a repPruneFraction
+// (1/3) prune set, with leaves of at least repMinLeaf (2) examples and
+// depth at most repMaxDepth (20).
 type REPTree struct {
 	Names []string
-	opts  REPOptions
 	root  *repNode
 }
 
@@ -62,11 +41,10 @@ type repNode struct {
 }
 
 // FitREP grows a tree on a grow/prune split of d and prunes it.
-func FitREP(d *Dataset, opts REPOptions) *REPTree {
-	opts = opts.withDefaults()
-	t := &REPTree{Names: d.Names, opts: opts}
-	shuffled := d.Shuffle(opts.Seed)
-	pruneSet, growSet := shuffled.Split(opts.PruneFraction)
+func FitREP(d *Dataset) *REPTree {
+	t := &REPTree{Names: d.Names}
+	shuffled := d.Shuffle(repSeed)
+	pruneSet, growSet := shuffled.Split(repPruneFraction)
 	if growSet.Len() == 0 {
 		growSet = shuffled
 		pruneSet = NewDataset(d.Names...)
@@ -80,11 +58,11 @@ func FitREP(d *Dataset, opts REPOptions) *REPTree {
 
 func (t *REPTree) grow(d *Dataset, depth int) *repNode {
 	n := &repNode{n: d.Len(), mean: d.YMean()}
-	if d.Len() < 2*t.opts.MinLeaf || depth >= t.opts.MaxDepth || d.YStd() == 0 {
+	if d.Len() < 2*repMinLeaf || depth >= repMaxDepth || d.YStd() == 0 {
 		n.leaf = true
 		return n
 	}
-	feat, thresh, ok := bestVarianceSplit(d, t.opts.MinLeaf)
+	feat, thresh, ok := bestVarianceSplit(d, repMinLeaf)
 	if !ok {
 		n.leaf = true
 		return n

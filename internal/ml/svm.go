@@ -6,39 +6,22 @@ import (
 	"math/rand"
 )
 
-// SVMOptions configure the linear SVM trainer.
-type SVMOptions struct {
-	// Lambda is the regularization strength (default 1e-3).
-	Lambda float64
-	// Epochs is the number of passes over the data (default 60).
-	Epochs int
-	// Seed drives the example order (default 1).
-	Seed int64
-}
-
-// DefaultSVMOptions returns the standard configuration.
-func DefaultSVMOptions() SVMOptions {
-	return SVMOptions{Lambda: 1e-3, Epochs: 60, Seed: 1}
-}
-
-func (o SVMOptions) withDefaults() SVMOptions {
-	d := DefaultSVMOptions()
-	if o.Lambda <= 0 {
-		o.Lambda = d.Lambda
-	}
-	if o.Epochs <= 0 {
-		o.Epochs = d.Epochs
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
+// SVM training settings.
+const (
+	// svmLambda is the regularization strength.
+	svmLambda = 1e-3
+	// svmEpochs is the number of passes over the data.
+	svmEpochs = 60
+	// svmSeed drives the example order.
+	svmSeed = 1
+)
 
 // SVM is a linear soft-margin classifier trained with the Pegasos
 // stochastic sub-gradient method. The paper uses a binary SVM as the first
 // stage of the tuner: "decide whether or not to exploit parallelism"
-// (Section 3.1.2). Features are standardized internally.
+// (Section 3.1.2). Features are standardized internally. Training runs
+// svmEpochs (60) passes in a svmSeed (1) order at regularization
+// svmLambda (1e-3).
 type SVM struct {
 	Names []string
 	W     []float64
@@ -49,8 +32,7 @@ type SVM struct {
 
 // FitSVM trains on a dataset whose targets must be the two classes -1 and
 // +1.
-func FitSVM(d *Dataset, opts SVMOptions) (*SVM, error) {
-	opts = opts.withDefaults()
+func FitSVM(d *Dataset) (*SVM, error) {
 	n, p := d.Len(), d.Features()
 	if n == 0 {
 		return nil, fmt.Errorf("ml: empty SVM training set")
@@ -85,19 +67,19 @@ func FitSVM(d *Dataset, opts SVMOptions) (*SVM, error) {
 	}
 	z := func(row []float64, j int) float64 { return (row[j] - m.mean[j]) / m.scale[j] }
 
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := rand.New(rand.NewSource(svmSeed))
 	t := 0
-	for e := 0; e < opts.Epochs; e++ {
+	for e := 0; e < svmEpochs; e++ {
 		for _, i := range rng.Perm(n) {
 			t++
-			eta := 1 / (opts.Lambda * float64(t))
+			eta := 1 / (svmLambda * float64(t))
 			margin := m.B
 			for j := 0; j < p; j++ {
 				margin += m.W[j] * z(d.X[i], j)
 			}
 			margin *= d.Y[i]
 			for j := 0; j < p; j++ {
-				m.W[j] *= 1 - eta*opts.Lambda
+				m.W[j] *= 1 - eta*svmLambda
 			}
 			if margin < 1 {
 				for j := 0; j < p; j++ {

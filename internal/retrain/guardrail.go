@@ -1,8 +1,9 @@
 // Package retrain closes the paper's feedback loop inside the daemon:
 // observation logs written by online-refined jobs accumulate measured
 // (instance, params, runtime) rows, and a background retrainer
-// periodically shadow-trains a challenger tuner on them, compares it
-// against the serving champion on a held-out split, and — only when a
+// periodically shadow-trains a challenger tuner on the whole log less a
+// held-out quarter, compares it against the serving champion on that
+// quarter, and — only when a
 // statistical guardrail says the challenger is genuinely better —
 // atomically promotes it into the serving path and invalidates the
 // affected system's cached plans. The champion keeps serving throughout:
@@ -15,44 +16,21 @@ import (
 	"math"
 )
 
-// Guardrail defaults: at least DefaultMinSamples held-out pairs, mean
-// error at least DefaultMinImprovement better, and the challenger ahead
-// on at least DefaultMinWinRate of the decided pairs.
+// The promotion gate's thresholds.
 const (
-	DefaultMinSamples     = 8
-	DefaultMinImprovement = 0.05
-	DefaultMinWinRate     = 0.6
-)
-
-// GuardrailOptions parameterize the promotion gate. Zero values select
-// the defaults.
-type GuardrailOptions struct {
-	// MinSamples is the minimum number of held-out pairs; below it the
+	// minSamples is the minimum number of held-out pairs; below it the
 	// comparison is refused outright (verdict "undersampled").
-	MinSamples int
-	// MinImprovement is the minimum relative improvement of the
+	minSamples = 8
+	// minImprovement is the minimum relative improvement of the
 	// challenger's mean error over the champion's:
-	// (champ - chall) / champ >= MinImprovement.
-	MinImprovement float64
-	// MinWinRate is the minimum fraction of decided (non-tied) pairs the
+	// (champ - chall) / champ >= minImprovement.
+	minImprovement = 0.05
+	// minWinRate is the minimum fraction of decided (non-tied) pairs the
 	// challenger must win. This is the sign-test half of the gate: a
 	// challenger whose mean is dragged down by a few lucky outliers
 	// still loses most pairs and is refused (verdict "noisy").
-	MinWinRate float64
-}
-
-func (o GuardrailOptions) withDefaults() GuardrailOptions {
-	if o.MinSamples <= 0 {
-		o.MinSamples = DefaultMinSamples
-	}
-	if o.MinImprovement <= 0 {
-		o.MinImprovement = DefaultMinImprovement
-	}
-	if o.MinWinRate <= 0 {
-		o.MinWinRate = DefaultMinWinRate
-	}
-	return o
-}
+	minWinRate = 0.6
+)
 
 // Verdict is the outcome of one champion/challenger comparison.
 type Verdict struct {
@@ -90,22 +68,21 @@ func (v Verdict) String() string {
 //
 // The gate is deliberately asymmetric: promotion requires evidence, a
 // tie keeps the champion. Three checks, in order: enough pairs to mean
-// anything (MinSamples); the challenger's mean error at least
-// MinImprovement relatively better; and the challenger ahead on at
-// least MinWinRate of the pairs that differ — the sign test that stops
+// anything (minSamples); the challenger's mean error at least
+// minImprovement relatively better; and the challenger ahead on at
+// least minWinRate of the pairs that differ — the sign test that stops
 // a noisy challenger whose mean is carried by a few lucky outliers.
 // With n >= 8 pairs and a 0.6 win rate the chance a coin-flip
 // challenger passes both mean and sign gates is already small, and it
 // shrinks geometrically with n.
-func Decide(champion, challenger []float64, opts GuardrailOptions) Verdict {
-	o := opts.withDefaults()
+func Decide(champion, challenger []float64) Verdict {
 	v := Verdict{Reason: "unpaired", Samples: len(challenger)}
 	if len(champion) != len(challenger) {
 		return v
 	}
 	n := len(champion)
 	v.Samples = n
-	if n < o.MinSamples {
+	if n < minSamples {
 		v.Reason = "undersampled"
 		return v
 	}
@@ -140,9 +117,9 @@ func Decide(champion, challenger []float64, opts GuardrailOptions) Verdict {
 	}
 	v.Improvement = (v.ChampionErr - v.ChallengerErr) / v.ChampionErr
 	switch {
-	case v.Improvement < o.MinImprovement:
+	case v.Improvement < minImprovement:
 		v.Reason = "insufficient-improvement"
-	case v.WinRate < o.MinWinRate:
+	case v.WinRate < minWinRate:
 		v.Reason = "noisy"
 	default:
 		v.Promote = true

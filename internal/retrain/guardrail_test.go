@@ -22,7 +22,6 @@ func TestDecideTable(t *testing.T) {
 		name       string
 		champion   []float64
 		challenger []float64
-		opts       GuardrailOptions
 		promote    bool
 		reason     string
 	}{
@@ -114,33 +113,52 @@ func TestDecideTable(t *testing.T) {
 			reason:     "undersampled",
 		},
 		{
-			name:       "custom min-samples admits small sets",
-			champion:   repeat(1.0, 3),
-			challenger: repeat(0.2, 3),
-			opts:       GuardrailOptions{MinSamples: 2},
+			name:       "seven pairs are undersampled",
+			champion:   repeat(1.0, 7),
+			challenger: repeat(0.2, 7),
+			promote:    false,
+			reason:     "undersampled",
+		},
+		{
+			name:       "eight pairs suffice",
+			champion:   repeat(1.0, 8),
+			challenger: repeat(0.2, 8),
 			promote:    true,
 			reason:     "promote",
 		},
 		{
-			name:       "custom improvement gate",
+			name:       "improvement just under 0.05",
 			champion:   repeat(1.0, 10),
-			challenger: repeat(0.8, 10),
-			opts:       GuardrailOptions{MinImprovement: 0.3},
+			challenger: repeat(0.951, 10),
 			promote:    false,
 			reason:     "insufficient-improvement",
 		},
 		{
-			name:       "stricter win rate blocks a split decision",
-			champion:   []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1},
-			challenger: []float64{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 1.5, 1.5, 1.5},
-			opts:       GuardrailOptions{MinWinRate: 0.9},
+			name:       "improvement just over 0.05",
+			champion:   repeat(1.0, 10),
+			challenger: repeat(0.949, 10),
+			promote:    true,
+			reason:     "promote",
+		},
+		{
+			// 10 wins of 17 decided pairs: 0.588.
+			name:       "win rate just under 0.6",
+			champion:   repeat(1.0, 17),
+			challenger: append(repeat(0.1, 10), repeat(1.5, 7)...),
 			promote:    false,
 			reason:     "noisy",
+		},
+		{
+			name:       "win rate at 0.6",
+			champion:   repeat(1.0, 10),
+			challenger: append(repeat(0.1, 6), repeat(1.5, 4)...),
+			promote:    true,
+			reason:     "promote",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			v := Decide(tc.champion, tc.challenger, tc.opts)
+			v := Decide(tc.champion, tc.challenger)
 			if v.Promote != tc.promote || v.Reason != tc.reason {
 				t.Fatalf("Decide = %+v, want promote=%t reason=%q", v, tc.promote, tc.reason)
 			}
@@ -156,8 +174,8 @@ func TestDecideTable(t *testing.T) {
 func TestDecideIsPure(t *testing.T) {
 	champ := []float64{1.0, 0.9, 1.1, 0.8, 1.2, 1.0, 0.95, 1.05}
 	chall := []float64{0.5, 0.4, 0.6, 0.3, 0.7, 0.5, 0.45, 0.55}
-	v1 := Decide(champ, chall, GuardrailOptions{})
-	v2 := Decide(champ, chall, GuardrailOptions{})
+	v1 := Decide(champ, chall)
+	v2 := Decide(champ, chall)
 	if v1 != v2 {
 		t.Fatalf("Decide not deterministic: %+v vs %+v", v1, v2)
 	}

@@ -14,8 +14,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Loop thresholds. DefaultInterval, DefaultMinObservations and
-// DefaultHoldout fill zero Config fields. DefaultMaxAge is the age
+// Loop thresholds. DefaultInterval and DefaultMinObservations fill zero
+// Config fields. DefaultMaxAge is the age
 // threshold: once the oldest unconsumed row has waited this long, a
 // retrain starts even below MinObservations, so a trickle of
 // observations is not ignored forever.
@@ -23,11 +23,15 @@ const (
 	DefaultInterval        = 5 * time.Minute
 	DefaultMinObservations = 32
 	DefaultMaxAge          = 30 * time.Minute
-	DefaultHoldout         = 0.25
 )
 
-// holdoutSeed drives the deterministic holdout split.
-const holdoutSeed = 1
+// The champion/challenger split: holdout is the fraction of the
+// accumulated observations held out for the comparison (see
+// core.SplitHoldout), and holdoutSeed drives the deterministic split.
+const (
+	holdout     = 0.25
+	holdoutSeed = 1
+)
 
 // Config parameterizes a Retrainer. Champion and Promote are required;
 // everything else has defaults.
@@ -46,11 +50,6 @@ type Config struct {
 	// many unconsumed rows have accumulated (DefaultMaxAge is the age
 	// threshold).
 	MinObservations int
-	// Holdout is the fraction of accumulated observations held out for
-	// the champion/challenger comparison (see core.SplitHoldout).
-	Holdout float64
-	// Guardrail parameterizes the promotion gate (see Decide).
-	Guardrail GuardrailOptions
 
 	// Champion resolves the currently serving predictor.
 	Champion func(sys hw.System) (core.Predictor, error)
@@ -155,9 +154,6 @@ func New(cfg Config) (*Retrainer, error) {
 	if cfg.MinObservations <= 0 {
 		cfg.MinObservations = DefaultMinObservations
 	}
-	if cfg.Holdout <= 0 {
-		cfg.Holdout = DefaultHoldout
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
@@ -170,7 +166,7 @@ func New(cfg Config) (*Retrainer, error) {
 	}
 	for _, sys := range cfg.Systems {
 		path := core.ObservationLogPath(cfg.LogDir, sys.Name)
-		r.st[sys.Name] = &sysState{cursor: core.NewLogCursor(path, core.CheckpointPath(path))}
+		r.st[sys.Name] = &sysState{cursor: core.NewLogCursor(path)}
 	}
 	return r, nil
 }
@@ -307,7 +303,7 @@ func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("champion: %w", err)
 	}
-	trainSet, held := core.SplitHoldout(sr, r.cfg.Holdout, holdoutSeed)
+	trainSet, held := core.SplitHoldout(sr, holdout, holdoutSeed)
 	// Only measured, uncensored rows can score a prediction.
 	kept := held[:0]
 	for _, p := range held {
@@ -332,7 +328,7 @@ func (r *Retrainer) evaluate(sys hw.System) (Verdict, core.Predictor, error) {
 	if err != nil {
 		return Verdict{}, nil, fmt.Errorf("challenger predict: %w", err)
 	}
-	return Decide(champErrs, challErrs, r.cfg.Guardrail), challenger, nil
+	return Decide(champErrs, challErrs), challenger, nil
 }
 
 // predictionErrors scores a predictor on held-out observations: for

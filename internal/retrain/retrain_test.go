@@ -157,8 +157,6 @@ func testConfig(dir string, src *fakeChampions) Config {
 		Systems:         []hw.System{hw.I7_2600K()},
 		LogDir:          dir,
 		MinObservations: 10,
-		Holdout:         0.5,
-		Guardrail:       GuardrailOptions{MinSamples: 4},
 		Champion:        src.Tuner,
 		Promote:         src.Promote,
 	}
@@ -171,7 +169,7 @@ func testConfig(dir string, src *fakeChampions) Config {
 func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 	_, _, bad := fixtures(t)
 	dir := t.TempDir()
-	seedLog(t, dir, 24)
+	seedLog(t, dir, 48)
 
 	src := newFakeChampions(bad)
 	var promotions atomic.Int64
@@ -243,7 +241,7 @@ func TestRetrainClearWinPromotesExactlyOnce(t *testing.T) {
 func TestStatsNeverTornDuringPromotion(t *testing.T) {
 	_, _, bad := fixtures(t)
 	dir := t.TempDir()
-	seedLog(t, dir, 24)
+	seedLog(t, dir, 48)
 
 	src := newFakeChampions(bad)
 	cfg := testConfig(dir, src)
@@ -270,7 +268,11 @@ func TestStatsNeverTornDuringPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.RunOnce(context.Background())
-
+	// Without a promotion nothing polls, and the receive below would
+	// block until the test binary times out.
+	if st := r.Stats().Systems["i7-2600K"]; st.Promotions != 1 {
+		t.Fatalf("no promotion to poll: %+v", st)
+	}
 	p := <-polled
 	if st := p.st; p.gen != 2 || st.Promotions != 1 || st.Retrains != 1 || st.Verdict == nil || !st.Verdict.Promote {
 		t.Fatalf("Stats at generation %d saw a half-applied status: %+v", p.gen, st)
@@ -341,7 +343,7 @@ func TestRetrainTrainingErrorKeepsChampion(t *testing.T) {
 func TestRetrainCorruptRowTolerated(t *testing.T) {
 	_, _, bad := fixtures(t)
 	dir := t.TempDir()
-	seedLog(t, dir, 12)
+	seedLog(t, dir, 48)
 	path := core.ObservationLogPath(dir, "i7-2600K")
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -16,21 +16,14 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/ml"
 )
 
 // TestFactoryTuners pins every shipped tuner file to the training that
 // builds it: json.Marshal of core.TrainFromSpace on the serving form of
 // the default space must give the embedded bytes exactly, and no other
 // file ships. A training change that moves a served model fails here,
-// and the failure names the command that regenerates the file. Every
-// shipped M5 tree is fitted with ml.DefaultM5Options: training has one
-// configuration.
+// and the failure names the command that regenerates the file.
 func TestFactoryTuners(t *testing.T) {
-	defaultOpts, err := json.Marshal(ml.DefaultM5Options())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var names []string
 	for _, sys := range hw.Systems() {
 		names = append(names, sys.Name+".json")
@@ -46,22 +39,6 @@ func TestFactoryTuners(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("trained tuner differs from the shipped file; if the change is meant, regenerate it with\n\tgo run ./cmd/wavetrain -system %s -full -save internal/service/factory/full/%s.json",
 					sys.Name, sys.Name)
-			}
-			type m5 struct {
-				Opts json.RawMessage `json:"opts"`
-			}
-			var trees struct {
-				CPUTile m5 `json:"cpu_tile"`
-				Band    m5 `json:"band"`
-				Halo    m5 `json:"halo"`
-			}
-			if err := json.Unmarshal(want, &trees); err != nil {
-				t.Fatal(err)
-			}
-			for target, tree := range map[string]m5{"cpu_tile": trees.CPUTile, "band": trees.Band, "halo": trees.Halo} {
-				if !bytes.Equal(tree.Opts, defaultOpts) {
-					t.Errorf("%s opts %s, want ml.DefaultM5Options %s", target, tree.Opts, defaultOpts)
-				}
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/retrain"
 )
 
 // badChampionTuner trains a tuner on the tiny space with every runtime
@@ -64,11 +63,6 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 		Retrain: RetrainOptions{
 			Interval:        50 * time.Millisecond,
 			MinObservations: 6,
-			Holdout:         0.5,
-			// The holdout repairs guarantee at least one held sample, so
-			// MinSamples 1 makes the first attempt decisive; guardrail
-			// strictness has its own deterministic unit battery.
-			Guardrail: retrain.GuardrailOptions{MinSamples: 1},
 		},
 	})
 	defer s.Shutdown(context.Background())

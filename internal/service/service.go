@@ -133,8 +133,7 @@ type JobOptions struct {
 }
 
 // RetrainOptions is the service-level slice of retrain.Config: the loop
-// thresholds and the guardrail of the background champion/challenger
-// retrainer. The retrainer watches the observation logs refined jobs
+// thresholds of the background champion/challenger retrainer. The retrainer watches the observation logs refined jobs
 // append under Jobs.TrainingLogDir, shadow-trains challengers, and
 // atomically promotes winners into the serving tuner source (see
 // internal/retrain).
@@ -148,12 +147,6 @@ type RetrainOptions struct {
 	// MinObservations is the unconsumed-row count that triggers a
 	// retrain (<= 0 selects the retrain default).
 	MinObservations int
-	// Holdout is the observation fraction held out for the
-	// champion/challenger comparison (<= 0 selects the retrain default).
-	Holdout float64
-	// Guardrail parameterizes the promotion gate; the zero value selects
-	// the retrain defaults.
-	Guardrail retrain.GuardrailOptions
 }
 
 // Server is the tuning daemon: an http.Handler plus the plan cache and
@@ -224,8 +217,6 @@ func New(cfg Config) (*Server, error) {
 			LogDir:          cfg.Jobs.TrainingLogDir,
 			Interval:        cfg.Retrain.Interval,
 			MinObservations: cfg.Retrain.MinObservations,
-			Holdout:         cfg.Retrain.Holdout,
-			Guardrail:       cfg.Retrain.Guardrail,
 			Champion:        func(sys hw.System) (core.Predictor, error) { return s.tuners.tuner(sys.Name) },
 			Promote:         s.promote,
 			Logger:          cfg.Logger,

@@ -11,7 +11,6 @@ import (
 	"io/fs"
 	"net/http"
 
-	"repro/internal/retrain"
 	"repro/internal/service"
 )
 
@@ -33,16 +32,11 @@ type TunerSource = service.TunerSource
 type JobOptions = service.JobOptions
 
 // RetrainOptions configure the daemon's background champion/challenger
-// retrainer (TuningConfig.Retrain): loop thresholds, holdout fraction
-// and the promotion guardrail. The retrainer runs whenever a training
-// log directory is configured and Off is false.
+// retrainer (TuningConfig.Retrain): its polling interval and the
+// observation count that starts a retrain. The holdout fraction and the
+// promotion guardrail are fixed (see internal/retrain). The retrainer
+// runs whenever a training log directory is configured and Off is false.
 type RetrainOptions = service.RetrainOptions
-
-// RetrainGuardrail parameterizes the promotion gate
-// (RetrainOptions.Guardrail): minimum paired samples, minimum mean-error
-// improvement, and the sign-test win-rate floor that keeps a lucky noisy
-// challenger from being promoted.
-type RetrainGuardrail = retrain.GuardrailOptions
 
 // NewTuningServer builds the tuning daemon from cfg, loading every
 // served system's tuner once before it returns. The zero config serves
