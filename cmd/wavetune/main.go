@@ -131,15 +131,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	pred := tuner.Predict(inst)
-	fmt.Printf("application: %s (%v) on %s\n", a.Name, inst, sys.Name)
-	fmt.Printf("prediction: %v\n\n", pred)
-
-	serial := engine.SerialNs(sys, inst)
-	auto, err := tuner.RTimeFor(inst, pred)
+	pred, auto, serial, err := tuner.PredictTimed(inst)
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("application: %s (%v) on %s\n", a.Name, inst, sys.Name)
+	fmt.Printf("prediction: %v\n\n", pred)
+
 	cpuRes, err := engine.Estimate(sys, inst, engine.CPUOnlyParams(8), engine.Options{})
 	if err != nil {
 		log.Fatal(err)

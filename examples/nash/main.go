@@ -32,13 +32,11 @@ func main() {
 		for _, rounds := range []int{1, 8} {
 			k := wavefront.NewNash(rounds)
 			inst := wavefront.InstanceOf(dim, k)
-			pred := tuner.Predict(inst)
-
-			serial := wavefront.SerialSeconds(sys, inst)
-			auto, err := tuner.RTimeFor(inst, pred)
+			pred, auto, serialNs, err := tuner.PredictTimed(inst)
 			if err != nil {
 				log.Fatal(err)
 			}
+			serial := serialNs / 1e9
 			cpu, err := wavefront.Estimate(sys, inst, wavefront.CPUOnly(8))
 			if err != nil {
 				log.Fatal(err)

@@ -12,7 +12,7 @@ type EvalPoint struct {
 	BestNs      float64
 	BestPar     plan.Params
 	AllCensored bool
-	// AutoNs is the runtime of the tuner's prediction.
+	// AutoNs is the modeled runtime of the tuner's served decision.
 	AutoNs float64
 	Pred   Prediction
 }
@@ -43,10 +43,12 @@ func (e EvalPoint) Efficiency() float64 {
 	return e.AutoSpeedup() / e.BestSpeedup()
 }
 
-// Evaluate compares the tuner's prediction against the exhaustive optimum
-// on each instance. The optimum comes from the exhaustive search over the
-// space's configurations of the listed instances: the first fastest
-// uncensored point, as InstanceResult.Best picks it.
+// Evaluate compares the tuner's served decision (PredictTimed) against
+// the exhaustive optimum on each instance, so the figures and quality
+// gates judge the plan the daemon serves. The optimum comes from the
+// exhaustive search over the space's configurations of the listed
+// instances: the first fastest uncensored point, as InstanceResult.Best
+// picks it.
 func Evaluate(t Predictor, space Space, insts []plan.Instance) ([]EvalPoint, error) {
 	sr, err := search(t.System(), space, insts, SearchOptions{})
 	if err != nil {
@@ -58,9 +60,8 @@ func Evaluate(t Predictor, space Space, insts []plan.Instance) ([]EvalPoint, err
 		e := EvalPoint{
 			Inst: ir.Inst, SerialNs: ir.SerialNs,
 			BestNs: best.RTimeNs, BestPar: best.Par, AllCensored: !ok,
-			Pred: t.Predict(ir.Inst),
 		}
-		if e.AutoNs, err = t.RTimeFor(ir.Inst, e.Pred); err != nil {
+		if e.Pred, e.AutoNs, _, err = t.PredictTimed(ir.Inst); err != nil {
 			return nil, err
 		}
 		out = append(out, e)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -11,7 +12,8 @@ import (
 )
 
 // perConfigEval is the reference evaluator: one engine.Estimate per
-// configuration of the space, keeping the first fastest uncensored one.
+// configuration of the space, keeping the first fastest uncensored one,
+// against the served decision built the long way (servedLongWay).
 func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, error) {
 	sys := t.System()
 	e := EvalPoint{Inst: inst, SerialNs: engine.SerialNs(sys, inst)}
@@ -26,10 +28,43 @@ func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, err
 		}
 	}
 	e.AllCensored = !found
-	e.Pred = t.Predict(inst)
-	auto, err := t.RTimeFor(inst, e.Pred)
-	e.AutoNs = auto
+	var err error
+	e.Pred, e.AutoNs, err = servedLongWay(t, inst)
 	return e, err
+}
+
+// servedLongWay builds the served decision without threshold bounds:
+// Predict's decision, and for a parallel one an unbounded Estimate of
+// the model's plan, of the CPU-only plan at its cpu-tile when the plan
+// uses a GPU, and of the CPU-only plan at the clamped doubled cpu-tile,
+// keeping the first fastest. It is the independent check that the
+// bounded estimates of Tuner.PredictTimed pick the same plan.
+func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error) {
+	sys := t.System()
+	pred := t.Predict(inst)
+	if pred.Serial {
+		return pred, engine.SerialNs(sys, inst), nil
+	}
+	cands := []Prediction{pred}
+	ct := pred.Par.CPUTile
+	if pred.Par.Band >= 0 {
+		cands = append(cands, Prediction{Par: engine.CPUOnlyParams(ct)})
+	}
+	if ct2 := clampTile(2*ct, inst.MaxSide()); ct2 != ct {
+		cands = append(cands, Prediction{Par: engine.CPUOnlyParams(ct2)})
+	}
+	var best Prediction
+	bestNs := math.Inf(1)
+	for _, c := range cands {
+		res, err := engine.Estimate(sys, inst, c.Par, engine.Options{})
+		if err != nil {
+			return Prediction{}, 0, err
+		}
+		if res.RTimeNs < bestNs {
+			best, bestNs = c, res.RTimeNs
+		}
+	}
+	return best, bestNs, nil
 }
 
 // TestEvaluateMatchesPerConfigEstimate: Evaluate's points equal, bit for

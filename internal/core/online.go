@@ -41,9 +41,14 @@ func NewOnlineTuner(base Predictor) *OnlineTuner {
 	return &OnlineTuner{Base: base, Budget: 12}
 }
 
-// Refine predicts offline and then refines at runtime.
+// Refine starts from the offline served decision (PredictTimed) and
+// then refines at runtime.
 func (o *OnlineTuner) Refine(inst plan.Instance) (Prediction, RefineStats, error) {
-	return o.RefineDecisionContext(context.Background(), inst, o.Base.Predict(inst), 0)
+	pred, _, serialNs, err := o.Base.PredictTimed(inst)
+	if err != nil {
+		return pred, RefineStats{}, err
+	}
+	return o.RefineDecisionContext(context.Background(), inst, pred, serialNs)
 }
 
 // RefineDecisionContext refines an explicit starting decision — e.g. a

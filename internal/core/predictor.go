@@ -20,13 +20,17 @@ const KindTree = "tree"
 type Predictor interface {
 	// System is the hardware model the predictor was trained for.
 	System() hw.System
-	// Quality reports cross-validated per-target training accuracy.
+	// Quality reports per-target training accuracy: training-set for
+	// the parallelism gate and gpu-tile, cross-validated for the M5
+	// targets (TrainReport).
 	Quality() TrainReport
-	// Predict maps an instance to tuned settings, clamped to validity
-	// and normalized (Params.Normalize).
+	// Predict maps an instance to the models' settings, clamped to
+	// validity and normalized (Params.Normalize).
 	Predict(inst plan.Instance) Prediction
-	// PredictTimed is the single-call deployment hook: the prediction
-	// plus its modeled runtime and the serial baseline, in nanoseconds.
+	// PredictTimed is the single-call deployment hook and the served
+	// decision: Predict's plan or a faster CPU-only alternative the
+	// models imply (Tuner.PredictTimed), its modeled runtime and the
+	// serial baseline, in nanoseconds.
 	PredictTimed(inst plan.Instance) (Prediction, float64, float64, error)
 	// RTimeFor returns the modeled runtime of an arbitrary prediction
 	// for inst on the predictor's system.

@@ -1,0 +1,123 @@
+package core_test
+
+import (
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/hw"
+	"repro/internal/plan"
+)
+
+// servedGrid is a spread of square, rectangular and masked instances
+// across the serving range of dims, granularities and element sizes.
+func servedGrid() []plan.Instance {
+	var insts []plan.Instance
+	for _, dim := range []int{300, 700, 1300, 2100, 3300} {
+		for _, tsize := range []float64{0.5, 10, 100, 1000, 8000} {
+			for _, dsize := range []int{0, 1, 5} {
+				insts = append(insts,
+					plan.Instance{Dim: dim, TSize: tsize, DSize: dsize},
+					plan.Instance{Rows: dim / 2, Cols: dim * 3 / 2, TSize: tsize, DSize: dsize},
+					plan.Instance{Dim: dim, TSize: tsize, DSize: dsize, LiveCells: dim * (dim + 1) / 2})
+			}
+		}
+	}
+	return insts
+}
+
+// TestServedPlanNeverSlower: on the shipped tuners, the served decision
+// is never slower than the models' plan, its runtime is an unbounded
+// Estimate of the served params bit for bit, and a serial decision is
+// Predict's, served unchecked.
+func TestServedPlanNeverSlower(t *testing.T) {
+	grid := servedGrid()
+	for _, sys := range hw.Systems() {
+		tuner := factoryTuner(t, sys)
+		changed := 0
+		for _, inst := range grid {
+			model := tuner.Predict(inst)
+			pred, rtime, serial, err := tuner.PredictTimed(inst)
+			if err != nil {
+				t.Fatalf("%s %v: PredictTimed: %v", sys.Name, inst, err)
+			}
+			if serial != engine.SerialNs(sys, inst) {
+				t.Errorf("%s %v: serial baseline %v, want %v", sys.Name, inst, serial, engine.SerialNs(sys, inst))
+			}
+			if model.Serial {
+				if pred != model || rtime != serial {
+					t.Errorf("%s %v: serial decision served as %v at %v, want %v at %v", sys.Name, inst, pred, rtime, model, serial)
+				}
+				continue
+			}
+			modelRes, err := engine.Estimate(sys, inst, model.Par, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rtime > modelRes.RTimeNs {
+				t.Errorf("%s %v: served %v at %v ns, slower than the model's %v at %v ns", sys.Name, inst, pred, rtime, model, modelRes.RTimeNs)
+			}
+			res, err := engine.Estimate(sys, inst, pred.Par, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pred.Serial || res.RTimeNs != rtime {
+				t.Errorf("%s %v: served %v at %v ns, but its Estimate reads %v ns", sys.Name, inst, pred, rtime, res.RTimeNs)
+			}
+			if pred != model {
+				changed++
+			}
+		}
+		t.Logf("%s: %d of %d served plans differ from the models' plan", sys.Name, changed, len(grid))
+	}
+}
+
+// tuneColdWorst are the three keys of wavebench's tune-cold efficiency
+// sample that lost most when the models' GPU plan was served unchecked
+// (0.498, 0.621 and 0.743): on each, CPU-only is optimal.
+var tuneColdWorst = []struct {
+	sys  hw.System
+	inst plan.Instance
+}{
+	{hw.I7_3820(), plan.Instance{Rows: 504, Cols: 1352, TSize: 404, DSize: 1}},
+	{hw.I7_2600K(), plan.Instance{Dim: 826, TSize: 534, DSize: 3}},
+	{hw.I3_540(), plan.Instance{Dim: 1729, TSize: 36, DSize: 5}},
+}
+
+// TestServedPlanTuneColdWorst: those keys are served CPU-only, within
+// 1% of the quick-space optimum.
+func TestServedPlanTuneColdWorst(t *testing.T) {
+	for _, k := range tuneColdWorst {
+		tuner := factoryTuner(t, k.sys)
+		pts, err := core.Evaluate(tuner, core.QuickSpace(), []plan.Instance{k.inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := pts[0]
+		t.Logf("%s %v: models' plan %v, served %v, efficiency %.3f (optimum %v)",
+			k.sys.Name, k.inst, tuner.Predict(k.inst), e.Pred, e.Efficiency(), e.BestPar)
+		if e.Pred.Serial || e.Pred.Par.Band >= 0 {
+			t.Errorf("%s %v: served %v, want a CPU-only plan", k.sys.Name, k.inst, e.Pred)
+		}
+		if e.Efficiency() < 0.99 {
+			t.Errorf("%s %v: efficiency %.3f below 0.99", k.sys.Name, k.inst, e.Efficiency())
+		}
+	}
+}
+
+// TestPredictTimedAllocations bounds the served decision's allocations
+// at one plan per estimate: the models' plan and its two CPU-only
+// alternatives.
+func TestPredictTimedAllocations(t *testing.T) {
+	for _, k := range tuneColdWorst {
+		tuner := factoryTuner(t, k.sys)
+		n := testing.AllocsPerRun(100, func() {
+			if _, _, _, err := tuner.PredictTimed(k.inst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > 3 {
+			t.Errorf("%s %v: PredictTimed allocates %.0f times per run, want at most 3", k.sys.Name, k.inst, n)
+		}
+	}
+}

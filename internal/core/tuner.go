@@ -161,7 +161,8 @@ func (t *Tuner) System() hw.System { return t.Sys }
 // Quality implements Predictor.
 func (t *Tuner) Quality() TrainReport { return t.Report }
 
-// Predict maps an application's input parameters to tuned settings. The
+// Predict maps an application's input parameters to the models' tuned
+// settings; PredictTimed checks them and is the decision served. The
 // regression models may propose values outside the searched grid, which is
 // how the paper's tuner achieved super-optimal points on the i3-540; the
 // predictions are only clamped to validity, never snapped to the grid.
@@ -212,18 +213,47 @@ func clampTile(ct, dim int) int {
 	return ct
 }
 
-// PredictTimed predicts tuned settings for inst and returns them together
-// with the modeled runtime of the decision and the serial baseline, both
-// in nanoseconds. It is the single-call deployment hook used by the plan
-// cache and the tuning service: one invocation per cache miss yields
-// everything a caller needs to act on (and report) the decision.
+// PredictTimed is the served decision: the prediction for inst with its
+// modeled runtime and the serial baseline, both in nanoseconds. It is
+// the single-call deployment hook of the plan cache, the tuning service,
+// the CLI and Evaluate, so every consumer scores the plan it serves.
+//
+// A parallel decision is checked against the CPU-only plans the models
+// already imply, with the estimator standing in for the machine (the
+// paper's future-work online tuning with a probe budget of two): the
+// CPU-only plan at the predicted cpu-tile when the models' plan uses a
+// GPU, and the CPU-only plan at twice that tile. The fastest is served;
+// a tie keeps the models' plan. Each alternative is estimated with the
+// incumbent's runtime as its censoring threshold, so a loser stops at
+// its first checkpoint past it, and a winner's runtime is its uncensored
+// estimate, bit-identical to an unbounded Estimate of the served params.
+// A serial decision (the SVM gate) is served unchecked.
 func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, error) {
+	serial := engine.SerialNs(t.Sys, inst)
 	pred := t.Predict(inst)
-	rtime, err := t.RTimeFor(inst, pred)
+	if pred.Serial {
+		return pred, serial, serial, nil
+	}
+	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
 	if err != nil {
 		return Prediction{}, 0, 0, err
 	}
-	return pred, rtime, engine.SerialNs(t.Sys, inst), nil
+	best := res.RTimeNs
+	ct := pred.Par.CPUTile
+	alts := [2]plan.Params{engine.CPUOnlyParams(ct), engine.CPUOnlyParams(clampTile(2*ct, inst.MaxSide()))}
+	for i, par := range alts {
+		if (i == 0 && pred.Par.Band < 0) || (i == 1 && par.CPUTile == ct) {
+			continue
+		}
+		res, err := engine.Estimate(t.Sys, inst, par, engine.Options{ThresholdNs: best})
+		if err != nil {
+			return Prediction{}, 0, 0, err
+		}
+		if !res.Censored && res.RTimeNs < best {
+			pred, best = Prediction{Par: par}, res.RTimeNs
+		}
+	}
+	return pred, best, serial, nil
 }
 
 // RTimeFor returns the modeled runtime of a prediction on the tuner's

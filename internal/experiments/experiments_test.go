@@ -253,17 +253,20 @@ func TestFig9ModelTree(t *testing.T) {
 // TestFig10AutotuneQuality gates Figure 10 at paper scale (Full), or
 // at quick scale with -short. The efficiencies are deterministic; each
 // floor is its measured value minus the spread across the three
-// systems, and a floor only rises. At paper scale they read 1.002,
-// 0.992 and 0.990 (spread 0.012). At quick scale they read 1.005,
-// 0.994 and 1.009 (spread 0.015; 1.005, 1.007 and 0.998 while the halo
-// tree also read cpu-tile and band), and the floors stay where an
-// earlier 1.005, 0.997 and 1.008 (spread 0.011) set them. The paper
-// reports ~0.98.
+// systems, and a floor only rises. Figure 10 scores the served
+// decision (core.Evaluate through PredictTimed). At paper scale it
+// reads 1.002, 0.995 and 0.995 (spread 0.007); the models' plans alone
+// read 1.002, 0.992 and 0.990 (spread 0.012, floors 0.990, 0.980 and
+// 0.978). At quick scale they read 1.005, 0.994 and 1.010 (spread
+// 0.016; 1.005, 0.994 and 1.009 for the models' plans alone, and 1.005,
+// 1.007 and 0.998 while the halo tree also read cpu-tile and band),
+// and the floors stay where an earlier 1.005, 0.997 and 1.008 (spread
+// 0.011) set them. The paper reports ~0.98.
 func TestFig10AutotuneQuality(t *testing.T) {
 	c, floors := ctx(t), map[string]float64{"i3-540": 0.994, "i7-2600K": 0.986, "i7-3820": 0.997}
 	if !testing.Short() {
 		c = NewContext(Full())
-		floors = map[string]float64{"i3-540": 0.990, "i7-2600K": 0.980, "i7-3820": 0.978}
+		floors = map[string]float64{"i3-540": 0.995, "i7-2600K": 0.988, "i7-3820": 0.988}
 	}
 	rows, err := c.Fig10()
 	if err != nil {

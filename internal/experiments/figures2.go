@@ -276,7 +276,10 @@ func (c *Context) SeqCompare() ([]SeqResult, error) {
 		}
 		res := SeqResult{Sys: sys, AllCPU: true}
 		for _, inst := range insts {
-			pred := t.Predict(inst)
+			pred, _, _, err := t.PredictTimed(inst)
+			if err != nil {
+				return nil, err
+			}
 			res.Preds = append(res.Preds, pred)
 			if !pred.Serial && pred.Par.Band >= 0 {
 				res.AllCPU = false
