@@ -267,7 +267,7 @@ func BenchmarkExtOnlineTuning(b *testing.B) {
 
 func BenchmarkNativeSerial(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.NewRect(256, 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cpuexec.RunSerial(k, g)
@@ -276,7 +276,7 @@ func BenchmarkNativeSerial(b *testing.B) {
 
 func BenchmarkNativeParallelTiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.NewRect(256, 256, 1)
 	ex := cpuexec.New(0)
 	defer ex.Close()
 	b.ReportAllocs()
@@ -290,7 +290,7 @@ func BenchmarkNativeParallelTiled(b *testing.B) {
 
 func BenchmarkNativeParallelUntiled(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
-	g := grid.New(256, 1)
+	g := grid.NewRect(256, 256, 1)
 	ex := cpuexec.New(0)
 	defer ex.Close()
 	b.ResetTimer()
@@ -310,7 +310,7 @@ func BenchmarkNativeParallelUntiled(b *testing.B) {
 func BenchmarkFrontierDense(b *testing.B) {
 	k := kernels.NewSynthetic(500, 1)
 	b.Run("serial", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.NewRect(256, 256, 1)
 		for i := 0; i < b.N; i++ {
 			if err := cpuexec.RunSerialFrontier(k, g, grid.NewDiagFrontier(256, 256)); err != nil {
 				b.Fatal(err)
@@ -320,7 +320,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 	ex := cpuexec.New(0)
 	defer ex.Close()
 	b.Run("pooled/tilediag", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.NewRect(256, 256, 1)
 		for i := 0; i < b.N; i++ {
 			if err := ex.Run(k, g, 16); err != nil {
 				b.Fatal(err)
@@ -328,7 +328,7 @@ func BenchmarkFrontierDense(b *testing.B) {
 		}
 	})
 	b.Run("pooled/frontier", func(b *testing.B) {
-		g := grid.New(256, 1)
+		g := grid.NewRect(256, 256, 1)
 		ctx := context.Background()
 		for i := 0; i < b.N; i++ {
 			if err := ex.RunFrontier(ctx, k, g, grid.NewDiagFrontier(256, 256)); err != nil {
@@ -358,7 +358,7 @@ func BenchmarkFrontierIrregular(b *testing.B) {
 	for _, ct := range []int{1, 16} {
 		b.Run(fmt.Sprintf("ct=%d", ct), func(b *testing.B) {
 			b.ReportAllocs()
-			g := grid.New(256, k.DSize())
+			g := grid.NewRect(256, 256, k.DSize())
 			for i := 0; i < b.N; i++ {
 				if err := ex.RunIrregular(ctx, k, g, ct); err != nil {
 					b.Fatal(err)

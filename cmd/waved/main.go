@@ -14,8 +14,8 @@
 // requests while the others serve.
 // Jobs run on a bounded worker pool behind a bounded priority queue;
 // jobs that opt into refinement hill-climb around the cached prediction
-// and append the measured outcome to the -train-log directory
-// (per-system search-CSV files for wavetrain -from).
+// (12 probes at most) and append the measured outcome to the -train-log
+// directory (per-system search-CSV files for wavetrain -from).
 //
 // With -train-log set, a background retrainer closes the feedback loop:
 // it watches the observation logs, and once enough rows accumulate
@@ -36,9 +36,8 @@
 // Usage:
 //
 //	waved [-addr :8080] [-systems i7-2600K,i3-540] [-tuners dir]
-//	      [-cache 512]
-//	      [-batch-limit 64] [-workers 4] [-queue-depth 64]
-//	      [-refine-budget 12] [-train-log dir] [-max-pipelines 16]
+//	      [-cache 512] [-workers 4] [-queue-depth 64]
+//	      [-train-log dir] [-max-pipelines 16]
 //	      [-retrain-off] [-retrain-interval 5m] [-retrain-min-obs 32]
 //	      [-log-format text|json] [-slow-request 0] [-slow-job 0]
 //	      [-pprof-addr localhost:6060]
@@ -46,7 +45,7 @@
 // Endpoints:
 //
 //	POST   /v1/tune            {"system":"i7-2600K","dim":1900,"app":"nash","params":{"rounds":2}}
-//	POST   /v1/tune/batch      {"system":"i7-2600K","items":[{"dim":1900,"app":"nash"},...]}
+//	POST   /v1/tune/batch      {"system":"i7-2600K","items":[{"dim":1900,"app":"nash"},...]} (64 items at most)
 //	POST   /v1/jobs            {"system":"i7-2600K","dim":1900,"app":"nash","refine":true}
 //	GET    /v1/jobs            job records (filter: ?state=queued&system=i7-2600K)
 //	GET    /v1/jobs/{id}       poll one job
@@ -119,10 +118,8 @@ func main() {
 	systems := flag.String("systems", "", "comma-separated systems to serve (default: all Table 4 systems)")
 	tunersDir := flag.String("tuners", "", "directory of <system>.json tuner files written by wavetrain -save (default: the factory tuners built in)")
 	cacheSize := flag.Int("cache", 0, "plan-cache capacity (0 = default)")
-	batchLimit := flag.Int("batch-limit", 0, "max items per /v1/tune/batch request (0 = default)")
 	workers := flag.Int("workers", 0, "job worker pool size (0 = default)")
 	queueDepth := flag.Int("queue-depth", 0, "job queue bound; overflow answers 429 (0 = default)")
-	refineBudget := flag.Int("refine-budget", 0, "probe budget per refine job (0 = default)")
 	trainLog := flag.String("train-log", "", "directory for refined jobs' measured observations (per-system CSVs for wavetrain -from)")
 	retrainOff := flag.Bool("retrain-off", false, "disable background retraining even when -train-log is set")
 	retrainInterval := flag.Duration("retrain-interval", 0, "background retrainer polling period (0 = default; observations wake it early)")
@@ -146,12 +143,10 @@ func main() {
 	logger := slog.New(handler)
 
 	cfg := wavefront.TuningConfig{
-		CacheSize:  *cacheSize,
-		BatchLimit: *batchLimit,
+		CacheSize: *cacheSize,
 		Jobs: wavefront.JobOptions{
 			Workers:        *workers,
 			QueueDepth:     *queueDepth,
-			RefineBudget:   *refineBudget,
 			TrainingLogDir: *trainLog,
 			MaxPipelines:   *maxPipelines,
 			SlowJob:        *slowJob,

@@ -3,15 +3,13 @@
 // (Section 3.1), one M5 tree per regression target with default options,
 // reports model quality, and prints the learned halo model (Figure 9).
 // Without -from it searches only the instances training samples, on the
-// quick or, with -full, the full Table 3 space with the cpu-tile axis
-// widened by 16 and 32 (core.ServingSpace); -full -save writes the
-// factory tuner waved serves. -save needs -full or -from: a quick-space
-// tuner serves worse plans than the factory ones, so none is written.
+// full Table 3 space with the cpu-tile axis widened by 16 and 32
+// (core.ServingSpace), so -save writes the factory tuner waved serves.
 //
 // Usage:
 //
-//	wavetrain [-system i7-2600K] [-full] [-from sweep.csv]
-//	wavetrain -system S -full -save tuner.json
+//	wavetrain [-system i7-2600K] [-from sweep.csv]
+//	wavetrain -system S -save tuner.json
 //	wavetrain -system S -from sweep.csv -save tuner.json
 package main
 
@@ -30,7 +28,6 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("wavetrain: ")
 	sysName := flag.String("system", "i7-2600K", "system to train for")
-	full := flag.Bool("full", false, "use the full Table 3 space (-save needs it unless -from is given)")
 	save := flag.String("save", "", "write the trained tuner to this JSON file")
 	from := flag.String("from", "", "train from a wavesweep CSV instead of searching")
 	flag.Parse()
@@ -38,9 +35,6 @@ func main() {
 	sys, ok := hw.ByName(*sysName)
 	if !ok {
 		log.Fatalf("unknown system %q", *sysName)
-	}
-	if *save != "" && !*full && *from == "" {
-		log.Fatalf("-save needs -full or -from: a quick-space tuner serves worse plans than the factory tuners; run wavetrain -system %s -full -save %s", sys.Name, *save)
 	}
 	var tuner *core.Tuner
 	var ctx *experiments.Context
@@ -61,10 +55,7 @@ func main() {
 			log.Fatal(err)
 		}
 	} else {
-		cfg := experiments.Quick()
-		if *full {
-			cfg = experiments.Full()
-		}
+		cfg := experiments.Full()
 		cfg.Space = core.ServingSpace(cfg.Space)
 		cfg.Systems = []hw.System{sys}
 		ctx = experiments.NewContext(cfg)

@@ -9,9 +9,10 @@
 // With -batch, wavetune turns into a client of a running waved daemon:
 // it reads one shape per line from the file ("1900" or "600x1400", #
 // comments allowed), submits them through POST /v1/tune/batch — one
-// round trip when they fit -batch-chunk, split into chunk-sized
-// requests otherwise (the daemon deduplicates repeated shapes within a
-// request and fans distinct ones out across its plan-cache shards) —
+// round trip when they fit the daemon's batch limit
+// (wavefront.BatchLimit), split into requests of that size otherwise
+// (the daemon deduplicates repeated shapes within a request and fans
+// distinct ones out across its plan-cache shards) —
 // and prints the per-shape results; per-item errors are reported
 // inline without failing the rest of the batch.
 //
@@ -20,7 +21,7 @@
 //	wavetune -list
 //	wavetune [-system i7-2600K] [-app nash] [-dim 1900] [-param rounds=2] [-tuner t.json] [-run]
 //	wavetune -app swaffine -dim 2700 -param gap_open=12
-//	wavetune -app synthetic -tsize 4000 -dsize 5 -dim 1100
+//	wavetune -app synthetic -param tsize=4000 -param dsize=5 -dim 1100
 //	wavetune -batch shapes.txt -addr http://localhost:8080 -app nash
 package main
 
@@ -50,9 +51,6 @@ func main() {
 	appName := flag.String("app", "nash", "application from the catalog (see -list)")
 	list := flag.Bool("list", false, "print the application catalog and exit")
 	dim := flag.Int("dim", 1900, "problem dimension")
-	rounds := flag.Int("rounds", 1, "nash: best-response rounds (same as -param rounds=N)")
-	tsize := flag.Float64("tsize", 1000, "synthetic: task granularity (same as -param tsize=X)")
-	dsize := flag.Int("dsize", 1, "synthetic: data granularity (same as -param dsize=N)")
 	values := apps.Values{}
 	flag.Func("param", "application parameter name=value (repeatable)", func(s string) error {
 		name, val, ok := strings.Cut(s, "=")
@@ -70,43 +68,18 @@ func main() {
 	run := flag.Bool("run", false, "execute the tuned configuration functionally (small dims only)")
 	batchPath := flag.String("batch", "", "file of shapes (one per line: 1900 or 600x1400) to tune in one daemon call")
 	addr := flag.String("addr", "http://localhost:8080", "waved base URL for -batch mode")
-	batchChunk := flag.Int("batch-chunk", wavefront.DefaultBatchLimit,
-		"max shapes per /v1/tune/batch request; larger files are split (match the daemon's -batch-limit)")
 	flag.Parse()
 
 	if *list {
 		fmt.Print(apps.RenderCatalog())
 		return
 	}
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	a, known := apps.Lookup(*appName)
 	if !known && *batchPath == "" {
 		log.Fatal(apps.UnknownAppError(*appName))
 	}
-	// The classic flags are spellings of the app parameters of the same
-	// name, and -param wins over them. A flag the user did not set only
-	// fills a Required parameter from its default (so `-app synthetic`
-	// alone keeps working) and never overrides an app's own schema
-	// default. A flag the user set must name a declared parameter; for an
-	// app only the daemon knows (batch mode), the daemon checks.
-	for _, f := range []struct {
-		name string
-		x    float64
-	}{{"rounds", float64(*rounds)}, {"tsize", *tsize}, {"dsize", float64(*dsize)}} {
-		if _, dup := values[f.name]; dup {
-			continue
-		}
-		spec, declared := a.Param(f.name)
-		switch {
-		case explicit[f.name] && known && !declared:
-			log.Fatalf("app %q has no parameter %q (see -list)", a.Name, f.name)
-		case explicit[f.name] || (declared && spec.Required):
-			values[f.name] = f.x
-		}
-	}
 	if *batchPath != "" {
-		runBatch(*batchPath, *addr, *sysName, *appName, values, *batchChunk)
+		runBatch(*batchPath, *addr, *sysName, *appName, values)
 		return
 	}
 	sys, ok := hw.ByName(*sysName)
@@ -179,10 +152,10 @@ func main() {
 
 // runBatch is the -batch client mode: read the shapes file, submit the
 // shapes through POST /v1/tune/batch — one call when they fit the
-// chunk size, split into chunk-sized requests otherwise, so a shapes
-// file larger than the daemon's batch limit still tunes — and print
-// per-shape results. Every item carries values as its params.
-func runBatch(path, addr, system, app string, values apps.Values, chunk int) {
+// daemon's batch limit, split into requests of that size otherwise, so
+// a larger shapes file still tunes — and print per-shape results. Every
+// item carries values as its params.
+func runBatch(path, addr, system, app string, values apps.Values) {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -218,19 +191,12 @@ func runBatch(path, addr, system, app string, values apps.Values, chunk int) {
 	if len(req.Items) == 0 {
 		log.Fatalf("no shapes in %s", path)
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	calls, errors := 0, 0
 	var results []wavefront.BatchTuneResult
-	for lo := 0; lo < len(req.Items); lo += chunk {
-		hi := lo + chunk
-		if hi > len(req.Items) {
-			hi = len(req.Items)
-		}
+	for lo := 0; lo < len(req.Items); lo += wavefront.BatchLimit {
+		hi := min(lo+wavefront.BatchLimit, len(req.Items))
 		part := wavefront.BatchTuneRequest{System: req.System, Items: req.Items[lo:hi]}
 		resp, err := wavefront.TuneBatch(ctx, nil, addr, part)
 		if err != nil {

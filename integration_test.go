@@ -78,13 +78,13 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 	}
 
 	// 5. The tuned configuration must beat the serial baseline.
-	auto, err := deployed.RTimeFor(inst, pred)
+	auto, err := engine.Estimate(sys, inst, pred.Par, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	serial := engine.SerialNs(sys, inst)
-	if auto >= serial {
-		t.Errorf("tuned run (%v) no faster than serial (%v)", auto, serial)
+	if auto.RTimeNs >= serial {
+		t.Errorf("tuned run (%v) no faster than serial (%v)", auto.RTimeNs, serial)
 	}
 
 	// 6. Execute the prediction functionally and verify every cell.
@@ -92,7 +92,7 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := grid.New(dim, k.DSize())
+	want := grid.NewRect(dim, dim, k.DSize())
 	cpuexec.RunSerial(k, want)
 	if !g.Equal(want) {
 		t.Error("deployed hybrid run computed wrong results")
@@ -107,8 +107,8 @@ func TestFactoryWorkflowEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.FinalNs > auto*1.0000001 {
-		t.Errorf("online refinement regressed: %v > %v", st.FinalNs, auto)
+	if st.FinalNs > auto.RTimeNs*1.0000001 {
+		t.Errorf("online refinement regressed: %v > %v", st.FinalNs, auto.RTimeNs)
 	}
 }
 
@@ -137,7 +137,7 @@ func TestAllSystemsProduceConsistentPipelines(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys.Name, err)
 		}
-		want := grid.New(dim, k.DSize())
+		want := grid.NewRect(dim, dim, k.DSize())
 		cpuexec.RunSerial(k, want)
 		if !g.Equal(want) {
 			t.Errorf("%s: functional mismatch", sys.Name)

@@ -36,7 +36,7 @@ func CalibrateTSize(k kernels.Kernel) float64 {
 // sweep over a dim x dim grid.
 func perCellNs(k kernels.Kernel, dim int) float64 {
 	const sweeps = 5
-	g := grid.New(dim, k.DSize())
+	g := grid.NewRect(dim, dim, k.DSize())
 	best := 0.0
 	for i := 0; i < sweeps; i++ {
 		start := time.Now()

@@ -46,8 +46,8 @@ func TestReadCSVLegacyFormat(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader(searchCSVHeader + "\n" + row)); err == nil {
 		t.Error("10-field row accepted")
 	}
-	if _, err := ParseSearchRow(row); err == nil {
-		t.Error("ParseSearchRow accepted a 10-field row")
+	if _, err := parseSearchRow(row); err == nil {
+		t.Error("parseSearchRow accepted a 10-field row")
 	}
 }
 

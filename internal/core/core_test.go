@@ -240,8 +240,8 @@ func TestTrainAndPredictPipeline(t *testing.T) {
 		if pred.Par.GPUCount() > sys.MaxGPUs() {
 			t.Errorf("prediction for %v wants too many GPUs", inst)
 		}
-		if _, err := tuner.RTimeFor(inst, pred); err != nil {
-			t.Errorf("RTimeFor failed: %v", err)
+		if _, err := engine.Estimate(sys, inst, pred.Par, engine.Options{}); err != nil {
+			t.Errorf("estimating the prediction failed: %v", err)
 		}
 	}
 }
@@ -296,19 +296,6 @@ func TestEvaluateEfficiency(t *testing.T) {
 		if e.BestSpeedup() <= 0 && !e.AllCensored {
 			t.Error("missing exhaustive optimum")
 		}
-	}
-}
-
-func TestRTimeForSerial(t *testing.T) {
-	sys := hw.I3_540()
-	tu := &Tuner{Sys: sys}
-	inst := plan.Instance{Dim: 500, TSize: 10, DSize: 1}
-	got, err := tu.RTimeFor(inst, Prediction{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != engine.SerialNs(sys, inst) {
-		t.Error("serial prediction must use the serial baseline")
 	}
 }
 

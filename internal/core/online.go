@@ -15,9 +15,10 @@ import (
 // "measured" on the modeled system (the stand-in for timing a real run).
 type OnlineTuner struct {
 	Base Predictor
-	// Budget caps the number of probe measurements (default 12).
-	Budget int
 }
+
+// refineBudget caps the probe measurements of one refinement.
+const refineBudget = 12
 
 // RefineStats reports what the online phase did.
 type RefineStats struct {
@@ -38,7 +39,7 @@ func (s RefineStats) Improvement() float64 {
 
 // NewOnlineTuner wraps an offline predictor.
 func NewOnlineTuner(base Predictor) *OnlineTuner {
-	return &OnlineTuner{Base: base, Budget: 12}
+	return &OnlineTuner{Base: base}
 }
 
 // Refine starts from the offline served decision (PredictTimed) and
@@ -79,7 +80,7 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 		}
 		return dec, st, nil
 	}
-	refined, st, err := o.refineFrom(ctx, inst, dec.Par)
+	refined, st, err := o.refineFrom(ctx, inst, dec.Par, refineBudget)
 	if err != nil {
 		return dec, st, err
 	}
@@ -94,15 +95,11 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 
 // refineFrom hill-climbs from an explicit starting configuration: each
 // round measures the neighbours of the incumbent and moves to the best
-// strict improvement, until the probe budget is exhausted or a local
-// optimum is reached. ctx is checked before every probe measurement,
-// and once it is done the incumbent (best so far) is returned with the
-// stats accumulated up to that point and ctx's error.
-func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start plan.Params) (Prediction, RefineStats, error) {
-	budget := o.Budget
-	if budget <= 0 {
-		budget = 12
-	}
+// strict improvement, until budget probes are spent or a local optimum
+// is reached. ctx is checked before every probe measurement, and once
+// it is done the incumbent (best so far) is returned with the stats
+// accumulated up to that point and ctx's error.
+func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start plan.Params, budget int) (Prediction, RefineStats, error) {
 	sys := o.Base.System()
 	measure := func(p plan.Params) (float64, bool) {
 		if err := plan.Check(inst, p); err != nil {

@@ -37,8 +37,7 @@ func TestOnlineNeverWorseThanOffline(t *testing.T) {
 		{Dim: 2100, TSize: 500, DSize: 5},
 		{Dim: 600, TSize: 40, DSize: 3},
 	} {
-		offline := tu.Predict(inst)
-		offNs, err := tu.RTimeFor(inst, offline)
+		_, offNs, _, err := tu.PredictTimed(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,14 +48,24 @@ func TestOnlineNeverWorseThanOffline(t *testing.T) {
 		if st.FinalNs > offNs*1.0000001 {
 			t.Errorf("%v: online %v worse than offline %v", inst, st.FinalNs, offNs)
 		}
+		if st.Probes > refineBudget {
+			t.Errorf("%v: probes = %d, budget %d", inst, st.Probes, refineBudget)
+		}
 	}
 }
 
 func TestOnlineRespectsBudget(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
-	online.Budget = 5
-	_, st, err := online.Refine(plan.Instance{Dim: 1500, TSize: 4000, DSize: 1})
+	inst := plan.Instance{Dim: 1500, TSize: 4000, DSize: 1}
+	pred, _, _, err := tu.PredictTimed(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pred.Serial {
+		t.Fatalf("%v: served serial; the test needs a parallel start", inst)
+	}
+	_, st, err := online.refineFrom(context.Background(), inst, pred.Par, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +79,9 @@ func TestOnlineRecoversFromBadStart(t *testing.T) {
 	// CPU. The climber must switch the GPU on and improve substantially.
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
-	online.Budget = 30
 	inst := plan.Instance{Dim: 2700, TSize: 12000, DSize: 1}
 	bad := plan.Params{CPUTile: 1, Band: -1, GPUTile: 1, Halo: -1}
-	pred, st, err := online.refineFrom(context.Background(), inst, bad)
+	pred, st, err := online.refineFrom(context.Background(), inst, bad, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestOnlineLocalOptimumStops(t *testing.T) {
 		t.Fatal("no optimum")
 	}
 	online := NewOnlineTuner(tu)
-	_, st, err := online.refineFrom(context.Background(), inst, best.Par)
+	_, st, err := online.refineFrom(context.Background(), inst, best.Par, refineBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +139,14 @@ func TestOnlineSerialGate(t *testing.T) {
 	if st.Probes < 1 {
 		t.Error("serial gate must still probe once")
 	}
-	auto, err := tu.RTimeFor(inst, pred)
+	if pred.Serial {
+		return
+	}
+	res, err := engine.Estimate(tu.Sys, inst, pred.Par, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto > engine.SerialNs(tu.Sys, inst)*1.0000001 && !pred.Serial {
+	if res.RTimeNs > engine.SerialNs(tu.Sys, inst)*1.0000001 {
 		t.Error("online result worse than serial")
 	}
 }
@@ -146,13 +157,12 @@ func TestOnlineSerialGate(t *testing.T) {
 func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
-	online.Budget = 2
 	inst := plan.Instance{Dim: 1500, TSize: 2000, DSize: 1}
 	start := plan.Params{CPUTile: 8, Band: 700, GPUTile: 4, Halo: 20}
 	if n := len(neighbours(inst, start.Normalize())); n < 2 {
 		t.Fatalf("start has only %d neighbours; the test needs a full neighbourhood", n)
 	}
-	_, st, err := online.refineFrom(context.Background(), inst, start)
+	_, st, err := online.refineFrom(context.Background(), inst, start, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +300,7 @@ func TestRefineFromUnmeasurableStart(t *testing.T) {
 	tu := trainedTuner(t, hw.I7_2600K())
 	online := NewOnlineTuner(tu)
 	inst := plan.Instance{Dim: 500, TSize: 100, DSize: 1}
-	if _, _, err := online.refineFrom(context.Background(), inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}); err == nil {
+	if _, _, err := online.refineFrom(context.Background(), inst, plan.Params{CPUTile: 0, Band: -1, GPUTile: 1, Halo: -1}, refineBudget); err == nil {
 		t.Error("unbuildable start must fail")
 	}
 }
@@ -303,7 +313,7 @@ func TestRefineFromContextCanceled(t *testing.T) {
 	inst := plan.Instance{Dim: 1500, TSize: 2000, DSize: 1}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, st, err := online.refineFrom(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1})
+	_, st, err := online.refineFrom(ctx, inst, plan.Params{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1}, refineBudget)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -34,7 +34,7 @@ func TestTunerSaveLoadRoundTrip(t *testing.T) {
 	if back.System().Name != sys.Name {
 		t.Errorf("system = %q, want %q", back.System().Name, sys.Name)
 	}
-	if back.Quality() != orig.Report {
+	if back.(*Tuner).Report != orig.Report {
 		t.Error("training report changed across round trip")
 	}
 	// Predictions must be identical for a spread of instances.

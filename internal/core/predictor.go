@@ -20,10 +20,6 @@ const KindTree = "tree"
 type Predictor interface {
 	// System is the hardware model the predictor was trained for.
 	System() hw.System
-	// Quality reports per-target training accuracy: training-set for
-	// the parallelism gate and gpu-tile, cross-validated for the M5
-	// targets (TrainReport).
-	Quality() TrainReport
 	// Predict maps an instance to the models' settings, clamped to
 	// validity and normalized (Params.Normalize).
 	Predict(inst plan.Instance) Prediction
@@ -32,9 +28,6 @@ type Predictor interface {
 	// models imply (Tuner.PredictTimed), its modeled runtime and the
 	// serial baseline, in nanoseconds.
 	PredictTimed(inst plan.Instance) (Prediction, float64, float64, error)
-	// RTimeFor returns the modeled runtime of an arbitrary prediction
-	// for inst on the predictor's system.
-	RTimeFor(inst plan.Instance, pred Prediction) (float64, error)
 }
 
 // TrainPredictor fits a predictor from an exhaustive search result.

@@ -79,10 +79,9 @@ type SearchResult struct {
 	Instances []InstanceResult
 }
 
-// SearchOptions configure the exhaustive search.
+// SearchOptions configure the exhaustive search, which censors every
+// run at the paper's 90 s threshold (engine.DefaultThresholdNs).
 type SearchOptions struct {
-	// ThresholdNs is the runtime threshold (default: the paper's 90 s).
-	ThresholdNs float64
 	// Workers bounds host parallelism (default GOMAXPROCS).
 	Workers int
 
@@ -113,10 +112,7 @@ func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, 
 // search is Exhaustive over an explicit list of instances; Evaluate
 // passes its own.
 func search(sys hw.System, space Space, insts []plan.Instance, opts SearchOptions) (*SearchResult, error) {
-	if opts.ThresholdNs == 0 {
-		opts.ThresholdNs = engine.DefaultThresholdNs
-	}
-	eopts := engine.Options{ThresholdNs: opts.ThresholdNs}
+	eopts := engine.Options{ThresholdNs: engine.DefaultThresholdNs}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

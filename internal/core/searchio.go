@@ -84,19 +84,10 @@ type SearchRow struct {
 	App      string
 }
 
-// ParseSearchRow parses one data row (not the header) of the search-CSV
-// format. It inverts writeSearchRow: a row that parses re-renders to a
-// row that parses to the same values.
-func ParseSearchRow(text string) (SearchRow, error) {
-	row, err := parseSearchRow(strings.TrimSpace(text))
-	if err != nil {
-		return SearchRow{}, fmt.Errorf("core: search-CSV row: %v", err)
-	}
-	return row, nil
-}
-
-// parseSearchRow is ParseSearchRow without the error prefix, so ReadCSV
-// can wrap errors with line numbers instead.
+// parseSearchRow parses one trimmed data row (not the header) of the
+// search-CSV format; its callers wrap errors with line numbers. It
+// inverts writeSearchRow: a row that parses re-renders to a row that
+// parses to the same values.
 func parseSearchRow(text string) (SearchRow, error) {
 	f := strings.Split(text, ",")
 	if len(f) != 11 {

@@ -38,12 +38,12 @@ func FuzzObservationLogRead(f *testing.F) {
 		return a == b || (math.IsNaN(a) && math.IsNaN(b))
 	}
 	f.Fuzz(func(t *testing.T, data string) {
-		row, err := ParseSearchRow(data)
+		row, err := parseSearchRow(strings.TrimSpace(data))
 		if err == nil {
 			var buf bytes.Buffer
 			writeSearchRow(&buf, row.System, row.Inst, row.Par, row.RTimeNs, row.Censored, row.App)
 			canon := buf.String()
-			row2, err2 := ParseSearchRow(canon)
+			row2, err2 := parseSearchRow(strings.TrimSpace(canon))
 			if err2 != nil {
 				t.Fatalf("accepted row does not round-trip: %q -> %q: %v", data, canon, err2)
 			}

@@ -158,9 +158,6 @@ func (p Prediction) String() string {
 // System implements Predictor.
 func (t *Tuner) System() hw.System { return t.Sys }
 
-// Quality implements Predictor.
-func (t *Tuner) Quality() TrainReport { return t.Report }
-
 // Predict maps an application's input parameters to the models' tuned
 // settings; PredictTimed checks them and is the decision served. The
 // regression models may propose values outside the searched grid, which is
@@ -254,18 +251,4 @@ func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, 
 		}
 	}
 	return pred, best, serial, nil
-}
-
-// RTimeFor returns the modeled runtime of a prediction on the tuner's
-// system: the serial baseline when the gate said serial, otherwise the
-// estimated hybrid runtime.
-func (t *Tuner) RTimeFor(inst plan.Instance, pred Prediction) (float64, error) {
-	if pred.Serial {
-		return engine.SerialNs(t.Sys, inst), nil
-	}
-	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
-	if err != nil {
-		return 0, err
-	}
-	return res.RTimeNs, nil
 }

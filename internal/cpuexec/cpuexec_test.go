@@ -18,10 +18,10 @@ func TestParallelMatchesSerial(t *testing.T) {
 		kernels.NewSeqCompare(),
 		kernels.NewKnapsack(33),
 	} {
-		want := grid.New(33, k.DSize())
+		want := grid.NewRect(33, 33, k.DSize())
 		RunSerial(k, want)
 		for _, ct := range []int{1, 2, 4, 8, 10, 33} {
-			got := grid.New(33, k.DSize())
+			got := grid.NewRect(33, 33, k.DSize())
 			ex := New(4)
 			if err := ex.Run(k, got, ct); err != nil {
 				t.Fatalf("%s ct=%d: %v", k.Name(), ct, err)
@@ -41,9 +41,9 @@ func TestParallelMatchesSerialProperty(t *testing.T) {
 		ct := int(rawCt)%dim + 1
 		w := int(rawW)%6 + 1
 		k := kernels.NewSynthetic(2, 1)
-		want := grid.New(dim, 1)
+		want := grid.NewRect(dim, dim, 1)
 		RunSerial(k, want)
-		got := grid.New(dim, 1)
+		got := grid.NewRect(dim, dim, 1)
 		if err := New(w).Run(k, got, ct); err != nil {
 			return false
 		}
@@ -69,11 +69,11 @@ func TestThreePhaseComposition(t *testing.T) {
 	// equal one full sweep: phase boundaries cut along diagonals.
 	k := kernels.NewSynthetic(2, 1)
 	dim := 25
-	want := grid.New(dim, 1)
+	want := grid.NewRect(dim, dim, 1)
 	RunSerial(k, want)
 
-	got := grid.New(dim, 1)
-	d := grid.NumDiags(dim)
+	got := grid.NewRect(dim, dim, 1)
+	d := grid.NumDiagsRect(dim, dim)
 	runDiags(t, k, got, 0, 9)
 	runDiags(t, k, got, 10, 30) // the "GPU" band
 	runDiags(t, k, got, 31, d-1)
@@ -85,7 +85,7 @@ func TestThreePhaseComposition(t *testing.T) {
 func TestRunSerialDiagRangeOnlyTouchesRange(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	dim := 12
-	g := grid.New(dim, 0)
+	g := grid.NewRect(dim, dim, 0)
 	runDiags(t, k, g, 5, 8)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
@@ -102,10 +102,10 @@ func TestRunSerialDiagRangeOnlyTouchesRange(t *testing.T) {
 
 func TestRunSerialDiagRangeClampsBounds(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.NewRect(8, 8, 0)
 	// Out-of-range lo/hi must clamp rather than fail.
 	runDiags(t, k, g, -5, 1000)
-	want := grid.New(8, 0)
+	want := grid.NewRect(8, 8, 0)
 	RunSerial(k, want)
 	if !g.Equal(want) {
 		t.Error("clamped full range differs from serial")
@@ -114,7 +114,7 @@ func TestRunSerialDiagRangeClampsBounds(t *testing.T) {
 
 func TestRunSerialDiagRangeEmpty(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.NewRect(8, 8, 0)
 	runDiags(t, k, g, 6, 5)
 	for _, v := range g.IntA {
 		if v != 0 {
@@ -196,7 +196,7 @@ func TestRunGatesNonMonotoneStencil(t *testing.T) {
 
 func TestRunRejectsBadTile(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
-	g := grid.New(8, 0)
+	g := grid.NewRect(8, 8, 0)
 	if err := New(1).Run(k, g, 0); err == nil {
 		t.Error("ct=0 must be rejected")
 	}
@@ -219,9 +219,9 @@ func TestSerialDiagRangeMatchesRowMajorPrefix(t *testing.T) {
 	// sweep restricted to those diagonals.
 	k := kernels.NewSeqCompare()
 	dim := 16
-	a := grid.New(dim, 0)
+	a := grid.NewRect(dim, dim, 0)
 	runDiags(t, k, a, 0, 12)
-	b := grid.New(dim, 0)
+	b := grid.NewRect(dim, dim, 0)
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			if r+c <= 12 {
@@ -237,12 +237,12 @@ func TestSerialDiagRangeMatchesRowMajorPrefix(t *testing.T) {
 func TestExecutorReuseAndClose(t *testing.T) {
 	// One executor across many runs must stay correct (persistent pool).
 	k := kernels.NewSynthetic(2, 1)
-	want := grid.New(30, 1)
+	want := grid.NewRect(30, 30, 1)
 	RunSerial(k, want)
 	ex := New(3)
 	defer ex.Close()
 	for i := 0; i < 10; i++ {
-		g := grid.New(30, 1)
+		g := grid.NewRect(30, 30, 1)
 		if err := ex.Run(k, g, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +254,11 @@ func TestExecutorReuseAndClose(t *testing.T) {
 
 func TestSingleWorkerExecutor(t *testing.T) {
 	k := kernels.NewSeqCompare()
-	want := grid.New(25, 0)
+	want := grid.NewRect(25, 25, 0)
 	RunSerial(k, want)
 	ex := New(1)
 	defer ex.Close()
-	g := grid.New(25, 0)
+	g := grid.NewRect(25, 25, 0)
 	if err := ex.Run(k, g, 4); err != nil {
 		t.Fatal(err)
 	}

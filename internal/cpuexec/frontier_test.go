@@ -274,7 +274,7 @@ func TestRunIrregularCancelMidRun(t *testing.T) {
 // dependency graph and no per-tile adjacency lists.
 func TestRunIrregularSetupAllocs(t *testing.T) {
 	k := kernels.NewMorphRecon(-1, 1)
-	g := grid.New(256, k.DSize())
+	g := grid.NewRect(256, 256, k.DSize())
 	ex := New(2)
 	defer ex.Close()
 	ctx := context.Background()

@@ -29,7 +29,7 @@ func TestRunAfterCloseReturnsError(t *testing.T) {
 	k := kernels.NewSynthetic(1, 0)
 	withTimeout(t, "Run after Close", func() {
 		ex := New(3)
-		g := grid.New(20, 0)
+		g := grid.NewRect(20, 20, 0)
 		if err := ex.Run(k, g, 4); err != nil {
 			t.Errorf("run before close: %v", err)
 		}
@@ -55,7 +55,7 @@ func TestPoolRunAfterCloseReturnsError(t *testing.T) {
 func TestCloseIsIdempotentAndWaitsForWorkers(t *testing.T) {
 	withTimeout(t, "double Close", func() {
 		ex := New(4)
-		g := grid.New(30, 0)
+		g := grid.NewRect(30, 30, 0)
 		if err := ex.Run(kernels.NewSynthetic(1, 0), g, 5); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestCloseRacingRunDrainsInFlightRegion(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		withTimeout(t, "close racing run", func() {
 			ex := New(4)
-			g := grid.New(40, 0)
+			g := grid.NewRect(40, 40, 0)
 			raced := make(chan error, 1)
 			go func() { raced <- ex.Run(k, g, 4) }()
 			ex.Close()
@@ -99,7 +99,7 @@ func TestSingleWorkerRunAfterClose(t *testing.T) {
 	withTimeout(t, "single-worker Run after Close", func() {
 		ex := New(1)
 		ex.Close()
-		g := grid.New(10, 0)
+		g := grid.NewRect(10, 10, 0)
 		if err := ex.Run(k, g, 2); !errors.Is(err, ErrClosed) {
 			t.Errorf("Run after Close = %v, want ErrClosed", err)
 		}

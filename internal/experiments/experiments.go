@@ -26,9 +26,8 @@ import (
 
 // Config selects the scale of the reproduction.
 type Config struct {
-	Space     core.Space
-	Systems   []hw.System
-	TrainOpts core.TrainOptions
+	Space   core.Space
+	Systems []hw.System
 	// NashDims and NashRounds define the Figure 10/11 evaluation grid.
 	NashDims   []int
 	NashRounds []int
@@ -41,7 +40,6 @@ func Full() Config {
 	return Config{
 		Space:      core.DefaultSpace(),
 		Systems:    hw.Systems(),
-		TrainOpts:  core.DefaultTrainOptions(),
 		NashDims:   []int{500, 700, 1100, 1900, 2700},
 		NashRounds: []int{1, 2, 4, 8, 16},
 		SeqDims:    []int{500, 1100, 1900, 2700, 3100},
@@ -53,7 +51,6 @@ func Quick() Config {
 	return Config{
 		Space:      core.QuickSpace(),
 		Systems:    hw.Systems(),
-		TrainOpts:  core.DefaultTrainOptions(),
 		NashDims:   []int{700, 1900},
 		NashRounds: []int{1, 8},
 		SeqDims:    []int{700, 1900},
@@ -105,7 +102,7 @@ func (c *Context) Tuner(sys hw.System) (*core.Tuner, error) {
 		return t, nil
 	}
 	c.mu.Unlock()
-	t, err := core.TrainFromSpace(sys, c.Cfg.Space, c.Cfg.TrainOpts)
+	t, err := core.TrainFromSpace(sys, c.Cfg.Space, core.DefaultTrainOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -122,9 +119,9 @@ func (c *Context) Tuner(sys hw.System) (*core.Tuner, error) {
 func Fig1(dim int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1: wavefront parallelism profile, dim=%d\n", dim)
-	for d := 0; d < grid.NumDiags(dim); d++ {
+	for d := 0; d < grid.NumDiagsRect(dim, dim); d++ {
 		fmt.Fprintf(&b, "iter %2d: %s (%d)\n", d,
-			strings.Repeat("*", grid.DiagLen(dim, d)), grid.DiagLen(dim, d))
+			strings.Repeat("*", grid.DiagLenRect(dim, dim, d)), grid.DiagLenRect(dim, dim, d))
 	}
 	return b.String()
 }
@@ -179,12 +176,12 @@ func Fig3() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 3: partitioning of %d diagonals among two GPUs, halo=%d\n",
 		pl.GPUDiags(), par.Halo)
-	a0 := grid.DiagStartRow(inst.Dim, pl.GLo)
-	bRow := a0 + grid.DiagLen(inst.Dim, pl.GLo)/2
+	a0 := grid.DiagStartRowRect(inst.Dim, inst.Dim, pl.GLo)
+	bRow := a0 + grid.DiagLenRect(inst.Dim, inst.Dim, pl.GLo)/2
 	for i, d := 0, pl.GLo; d <= pl.GHi; i, d = i+1, d+1 {
-		l := grid.DiagLen(inst.Dim, d)
+		l := grid.DiagLenRect(inst.Dim, inst.Dim, d)
 		ov := pl.SwapPeriod() - 1 - i%pl.SwapPeriod()
-		start := grid.DiagStartRow(inst.Dim, d)
+		start := grid.DiagStartRowRect(inst.Dim, inst.Dim, d)
 		fmt.Fprintf(&b, "diag %3d: ", d)
 		for r := start; r < start+l; r++ {
 			inDev0 := r < bRow

@@ -13,12 +13,12 @@
 // while cells within one diagonal are independent — the data parallelism
 // the paper exploits on GPUs.
 //
-// The paper's experiments use square dim x dim arrays, and the square API
-// (New, NumDiags, DiagLen, ...) remains the convenient spelling for them.
-// Rectangular grids — e.g. aligning two sequences of unequal length — use
-// NewRect and the *Rect helpers; a rows x cols grid has rows+cols-1
-// anti-diagonals whose lengths rise 1,2,...,min(rows,cols), plateau, and
-// fall back to 1 (a clipped version of the square triangular profile).
+// The paper's experiments use square dim x dim arrays, the rows == cols
+// case of NewRect and the *Rect helpers; rectangular grids (e.g. aligning
+// two sequences of unequal length) use the same calls. A rows x cols grid
+// has rows+cols-1 anti-diagonals whose lengths rise 1,2,...,min(rows,cols),
+// plateau, and fall back to 1 (a clipped version of the square triangular
+// profile).
 package grid
 
 import (
@@ -41,11 +41,6 @@ type Grid struct {
 	// Floats holds dsize consecutive float64 values per cell.
 	Floats []float64
 }
-
-// New allocates a square dim x dim grid whose cells carry dsize floats
-// each. It panics if dim <= 0 or dsize < 0, as these are programming
-// errors.
-func New(dim, dsize int) *Grid { return NewRect(dim, dim, dsize) }
 
 // NewRect allocates a rows x cols grid whose cells carry dsize floats
 // each. It panics if rows <= 0, cols <= 0 or dsize < 0, as these are
@@ -70,10 +65,6 @@ func NewRect(rows, cols, dsize int) *Grid {
 	}
 	return g
 }
-
-// Dim returns the side length of a square grid (its row count). It is the
-// square-grid shorthand; rectangular callers use Rows and Cols.
-func (g *Grid) Dim() int { return g.rows }
 
 // Rows returns the number of rows of the grid.
 func (g *Grid) Rows() int { return g.rows }
@@ -130,23 +121,16 @@ func ElemBytes(dsize int) int { return 8 + 8*dsize }
 // ElemBytes returns the per-cell size of this grid in bytes.
 func (g *Grid) ElemBytes() int { return ElemBytes(g.dsize) }
 
-// NumDiags returns the number of anti-diagonals of a dim x dim grid.
-func NumDiags(dim int) int { return NumDiagsRect(dim, dim) }
-
 // NumDiagsRect returns the number of anti-diagonals of a rows x cols grid,
 // rows+cols-1.
 func NumDiagsRect(rows, cols int) int { return rows + cols - 1 }
-
-// DiagLen returns the number of cells on anti-diagonal d of a dim x dim
-// grid. Lengths rise 1,2,...,dim at d = dim-1 and fall back to 1, the
-// triangular parallelism profile of the paper's Figure 1(b).
-func DiagLen(dim, d int) int { return DiagLenRect(dim, dim, d) }
 
 // DiagLenRect returns the number of cells on anti-diagonal d of a
 // rows x cols grid: the diagonal is clipped to the rectangle, so lengths
 // rise 1,2,...,min(rows,cols), stay there across the plateau, and fall
 // back to 1 (the trapezoidal parallelism profile of a rectangular
-// wavefront).
+// wavefront; a square grid has no plateau, the triangular profile of
+// the paper's Figure 1(b)).
 func DiagLenRect(rows, cols, d int) int {
 	if d < 0 || d > rows+cols-2 {
 		return 0
@@ -162,23 +146,15 @@ func DiagLenRect(rows, cols, d int) int {
 	return hi - lo + 1
 }
 
-// DiagStartRow returns the row of the first cell (smallest row index) on
-// anti-diagonal d of a dim x dim grid. Cells on diagonal d are (r, d-r)
-// for r in [DiagStartRow, DiagStartRow+DiagLen).
-func DiagStartRow(dim, d int) int { return DiagStartRowRect(dim, dim, d) }
-
-// DiagStartRowRect returns the row of the first cell on anti-diagonal d of
-// a rows x cols grid.
+// DiagStartRowRect returns the row of the first cell (smallest row index)
+// on anti-diagonal d of a rows x cols grid. Cells on diagonal d are
+// (r, d-r) for r from that row up through DiagLenRect of them.
 func DiagStartRowRect(rows, cols, d int) int {
 	if d < cols {
 		return 0
 	}
 	return d - cols + 1
 }
-
-// DiagCell returns the i-th cell (r, c) of anti-diagonal d of a dim x dim
-// grid, ordered by increasing row.
-func DiagCell(dim, d, i int) (r, c int) { return DiagCellRect(dim, dim, d, i) }
 
 // DiagCellRect returns the i-th cell (r, c) of anti-diagonal d of a
 // rows x cols grid, ordered by increasing row.
@@ -187,13 +163,9 @@ func DiagCellRect(rows, cols, d, i int) (r, c int) {
 	return r, d - r
 }
 
-// CellsUpToDiag returns the number of cells of a dim x dim grid on
-// diagonals [0, d], i.e. the size of the leading region computed before
-// diagonal d+1 starts.
-func CellsUpToDiag(dim, d int) int { return CellsUpToDiagRect(dim, dim, d) }
-
 // CellsUpToDiagRect returns the number of cells of a rows x cols grid on
-// diagonals [0, d], in closed form: a leading triangle while lengths rise,
+// diagonals [0, d] (the leading region computed before diagonal d+1
+// starts), in closed form: a leading triangle while lengths rise,
 // a linear plateau of width min(rows,cols), and the total minus the
 // trailing triangle once lengths fall.
 func CellsUpToDiagRect(rows, cols, d int) int {
@@ -219,12 +191,6 @@ func CellsUpToDiagRect(rows, cols, d int) int {
 	}
 	// Plateau: full leading triangle plus (d-m+1) diagonals of length m.
 	return m*(m+1)/2 + (d-m+1)*m
-}
-
-// CellsInDiagRange returns the number of cells of a dim x dim grid on
-// diagonals [lo, hi].
-func CellsInDiagRange(dim, lo, hi int) int {
-	return CellsInDiagRangeRect(dim, dim, lo, hi)
 }
 
 // CellsInDiagRangeRect returns the number of cells of a rows x cols grid

@@ -8,23 +8,23 @@ import (
 )
 
 func TestDiagLenSmall(t *testing.T) {
-	// 4x6 is the paper's Figure 1 example; we use square grids, so check
-	// the 4x4 profile explicitly: 1,2,3,4,3,2,1.
+	// 4x6 is the paper's Figure 1 example; check the square 4x4 profile
+	// explicitly: 1,2,3,4,3,2,1.
 	want := []int{1, 2, 3, 4, 3, 2, 1}
 	for d, w := range want {
-		if got := DiagLen(4, d); got != w {
-			t.Errorf("DiagLen(4,%d) = %d, want %d", d, got, w)
+		if got := DiagLenRect(4, 4, d); got != w {
+			t.Errorf("DiagLenRect(4, 4, %d) = %d, want %d", d, got, w)
 		}
 	}
-	if DiagLen(4, -1) != 0 || DiagLen(4, 7) != 0 {
+	if DiagLenRect(4, 4, -1) != 0 || DiagLenRect(4, 4, 7) != 0 {
 		t.Error("out-of-range diagonals must have length 0")
 	}
 }
 
 func TestNumDiags(t *testing.T) {
 	for _, tc := range []struct{ dim, want int }{{1, 1}, {2, 3}, {4, 7}, {500, 999}} {
-		if got := NumDiags(tc.dim); got != tc.want {
-			t.Errorf("NumDiags(%d) = %d, want %d", tc.dim, got, tc.want)
+		if got := NumDiagsRect(tc.dim, tc.dim); got != tc.want {
+			t.Errorf("NumDiagsRect(%d, %d) = %d, want %d", tc.dim, tc.dim, got, tc.want)
 		}
 	}
 }
@@ -34,8 +34,8 @@ func TestDiagLensSumToCells(t *testing.T) {
 	f := func(raw uint8) bool {
 		dim := int(raw)%100 + 1
 		sum := 0
-		for d := 0; d < NumDiags(dim); d++ {
-			sum += DiagLen(dim, d)
+		for d := 0; d < NumDiagsRect(dim, dim); d++ {
+			sum += DiagLenRect(dim, dim, d)
 		}
 		return sum == dim*dim
 	}
@@ -49,9 +49,9 @@ func TestDiagCellRoundTrip(t *testing.T) {
 	// in bounds.
 	f := func(rawDim, rawD uint8) bool {
 		dim := int(rawDim)%60 + 1
-		d := int(rawD) % NumDiags(dim)
-		for i := 0; i < DiagLen(dim, d); i++ {
-			r, c := DiagCell(dim, d, i)
+		d := int(rawD) % NumDiagsRect(dim, dim)
+		for i := 0; i < DiagLenRect(dim, dim, d); i++ {
+			r, c := DiagCellRect(dim, dim, d, i)
 			if r < 0 || r >= dim || c < 0 || c >= dim || r+c != d {
 				return false
 			}
@@ -67,9 +67,9 @@ func TestDiagCellsDistinct(t *testing.T) {
 	// Every cell must appear on exactly one diagonal at exactly one index.
 	dim := 23
 	seen := make(map[int]bool)
-	for d := 0; d < NumDiags(dim); d++ {
-		for i := 0; i < DiagLen(dim, d); i++ {
-			r, c := DiagCell(dim, d, i)
+	for d := 0; d < NumDiagsRect(dim, dim); d++ {
+		for i := 0; i < DiagLenRect(dim, dim, d); i++ {
+			r, c := DiagCellRect(dim, dim, d, i)
 			idx := r*dim + c
 			if seen[idx] {
 				t.Fatalf("cell (%d,%d) visited twice", r, c)
@@ -86,16 +86,16 @@ func TestCellsUpToDiag(t *testing.T) {
 	// Cross-check the closed form against direct summation.
 	for _, dim := range []int{1, 2, 3, 7, 19, 64} {
 		sum := 0
-		for d := 0; d < NumDiags(dim); d++ {
-			sum += DiagLen(dim, d)
-			if got := CellsUpToDiag(dim, d); got != sum {
-				t.Fatalf("CellsUpToDiag(%d,%d) = %d, want %d", dim, d, got, sum)
+		for d := 0; d < NumDiagsRect(dim, dim); d++ {
+			sum += DiagLenRect(dim, dim, d)
+			if got := CellsUpToDiagRect(dim, dim, d); got != sum {
+				t.Fatalf("CellsUpToDiagRect(%d, %d, %d) = %d, want %d", dim, dim, d, got, sum)
 			}
 		}
-		if CellsUpToDiag(dim, -1) != 0 {
-			t.Fatalf("CellsUpToDiag(%d,-1) != 0", dim)
+		if CellsUpToDiagRect(dim, dim, -1) != 0 {
+			t.Fatalf("CellsUpToDiagRect(%d, %d, -1) != 0", dim, dim)
 		}
-		if CellsUpToDiag(dim, NumDiags(dim)+5) != dim*dim {
+		if CellsUpToDiagRect(dim, dim, NumDiagsRect(dim, dim)+5) != dim*dim {
 			t.Fatalf("CellsUpToDiag past end must be dim²")
 		}
 	}
@@ -103,14 +103,14 @@ func TestCellsUpToDiag(t *testing.T) {
 
 func TestCellsInDiagRange(t *testing.T) {
 	dim := 10
-	if got := CellsInDiagRange(dim, 0, NumDiags(dim)-1); got != 100 {
+	if got := CellsInDiagRangeRect(dim, dim, 0, NumDiagsRect(dim, dim)-1); got != 100 {
 		t.Errorf("full range = %d, want 100", got)
 	}
-	if got := CellsInDiagRange(dim, 5, 4); got != 0 {
+	if got := CellsInDiagRangeRect(dim, dim, 5, 4); got != 0 {
 		t.Errorf("empty range = %d, want 0", got)
 	}
-	if got := CellsInDiagRange(dim, 9, 9); got != DiagLen(dim, 9) {
-		t.Errorf("main diagonal = %d, want %d", got, DiagLen(dim, 9))
+	if got := CellsInDiagRangeRect(dim, dim, 9, 9); got != DiagLenRect(dim, dim, 9) {
+		t.Errorf("main diagonal = %d, want %d", got, DiagLenRect(dim, dim, 9))
 	}
 }
 
@@ -128,7 +128,7 @@ func TestElemBytes(t *testing.T) {
 }
 
 func TestGridAccessors(t *testing.T) {
-	g := New(5, 3)
+	g := NewRect(5, 5, 3)
 	g.SetA(2, 3, 42)
 	g.SetB(2, 3, -7)
 	g.SetFloat(2, 3, 1, 3.5)
@@ -138,13 +138,13 @@ func TestGridAccessors(t *testing.T) {
 	if g.A(3, 2) != 0 {
 		t.Error("unrelated cell modified")
 	}
-	if g.Dim() != 5 || g.DSize() != 3 || g.Cells() != 25 || g.ElemBytes() != 32 {
+	if g.Rows() != 5 || g.DSize() != 3 || g.Cells() != 25 || g.ElemBytes() != 32 {
 		t.Error("shape accessors wrong")
 	}
 }
 
 func TestCloneEqual(t *testing.T) {
-	g := New(6, 2)
+	g := NewRect(6, 6, 2)
 	g.SetA(1, 1, 9)
 	g.SetFloat(5, 5, 1, 2.25)
 	c := g.Clone()
@@ -155,7 +155,7 @@ func TestCloneEqual(t *testing.T) {
 	if g.Equal(c) {
 		t.Fatal("mutating clone must not affect original equality")
 	}
-	if g.Equal(New(6, 1)) || g.Equal(New(7, 2)) {
+	if g.Equal(NewRect(6, 6, 1)) || g.Equal(NewRect(7, 7, 2)) {
 		t.Fatal("different shapes must not be equal")
 	}
 	b := g.Clone()
@@ -171,7 +171,7 @@ func TestCloneEqual(t *testing.T) {
 }
 
 func TestSetKeepsLow32Bits(t *testing.T) {
-	g := New(2, 0)
+	g := NewRect(2, 2, 0)
 	for _, v := range []int64{math.MaxInt32 + 5, 1<<40 | 7, -7, math.MinInt32 - 3, math.MinInt64} {
 		g.SetA(1, 0, v)
 		g.SetB(0, 1, v)
@@ -218,10 +218,10 @@ func TestNewPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New(%d,%d) should panic", tc.dim, tc.dsize)
+					t.Errorf("NewRect(%d, %d, %d) should panic", tc.dim, tc.dim, tc.dsize)
 				}
 			}()
-			New(tc.dim, tc.dsize)
+			NewRect(tc.dim, tc.dim, tc.dsize)
 		}()
 	}
 }

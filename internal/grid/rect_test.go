@@ -121,20 +121,3 @@ func TestNewRectAccessors(t *testing.T) {
 		t.Error("transposed shapes must not be equal")
 	}
 }
-
-func TestSquareHelpersDelegateToRect(t *testing.T) {
-	// The square spellings are exactly the rows == cols case.
-	for dim := 1; dim <= 12; dim++ {
-		if NumDiags(dim) != NumDiagsRect(dim, dim) {
-			t.Fatalf("NumDiags(%d) mismatch", dim)
-		}
-		for d := -1; d <= NumDiags(dim); d++ {
-			if DiagLen(dim, d) != DiagLenRect(dim, dim, d) {
-				t.Fatalf("DiagLen(%d,%d) mismatch", dim, d)
-			}
-			if CellsUpToDiag(dim, d) != CellsUpToDiagRect(dim, dim, d) {
-				t.Fatalf("CellsUpToDiag(%d,%d) mismatch", dim, d)
-			}
-		}
-	}
-}

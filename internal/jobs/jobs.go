@@ -272,9 +272,6 @@ type Config struct {
 	// QueueDepth bounds the number of queued (not yet running) jobs
 	// (<= 0 selects DefaultQueueDepth).
 	QueueDepth int
-	// RefineBudget caps probe measurements per refine job (<= 0 selects
-	// the core.OnlineTuner default).
-	RefineBudget int
 	// TrainingLog, when set, receives (instance, params, measured ns)
 	// observations from refined jobs.
 	TrainingLog *core.ObservationLog

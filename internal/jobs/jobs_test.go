@@ -462,7 +462,7 @@ func TestRecordPruning(t *testing.T) {
 
 // refineManager builds a manager over a real trained tuner and cache,
 // exercising the full refine feedback path.
-func refineManager(t *testing.T, logDir string, budget int) (*Manager, *core.Tuner) {
+func refineManager(t *testing.T, logDir string) (*Manager, *core.Tuner) {
 	t.Helper()
 	tun := refineTuner(t)
 	cache := tunecache.NewShardedCtx(16, 0, func(_ context.Context, system string, in plan.Instance) (tunecache.Plan, error) {
@@ -480,11 +480,10 @@ func refineManager(t *testing.T, logDir string, budget int) (*Manager, *core.Tun
 		}
 	}
 	m := newManager(t, Config{
-		Workers:      2,
-		Plans:        cache.Get,
-		Tuners:       func(string) (core.Predictor, error) { return tun, nil },
-		RefineBudget: budget,
-		TrainingLog:  obs,
+		Workers:     2,
+		Plans:       cache.Get,
+		Tuners:      func(string) (core.Predictor, error) { return tun, nil },
+		TrainingLog: obs,
 	})
 	return m, tun
 }
@@ -523,8 +522,8 @@ func refineTuner(t *testing.T) *core.Tuner {
 
 func TestRefineJobFeedsTrainingLog(t *testing.T) {
 	dir := t.TempDir()
-	const budget = 6
-	m, _ := refineManager(t, dir, budget)
+	const budget = 12 // the online tuner's fixed probe budget
+	m, _ := refineManager(t, dir)
 
 	inst := plan.Instance{Dim: 1900, TSize: 4000, DSize: 1}
 	j, err := m.Submit(Spec{System: "i7-2600K", Inst: inst, Refine: true})

@@ -685,7 +685,7 @@ func (m *Manager) execute(ctx context.Context, rec *record) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("resolving tuner: %w", err)
 	}
-	online := &core.OnlineTuner{Base: tuner, Budget: m.cfg.RefineBudget}
+	online := core.NewOnlineTuner(tuner)
 	// Refine the cached decision itself (no second offline predict), so
 	// the reported Cache/PredictedNs always describe the configuration
 	// the refinement actually started from.

@@ -223,7 +223,7 @@ func TestNussinovGolden(t *testing.T) {
 	seq := []byte("GGGAAAUCCAGCUUCGGCUGAAUU")
 	k := NewNussinovWith(seq, NussinovMinLoop)
 	n := len(seq)
-	g := grid.New(n, 0)
+	g := grid.NewRect(n, n, 0)
 	RunAll(k, g)
 	want := refNussinov(seq, k.MinLoop)
 	for r := 0; r < n; r++ {
@@ -245,7 +245,7 @@ func TestNussinovGolden(t *testing.T) {
 	// the loop is long enough.
 	hp := []byte("GGGGAAAACCCC")
 	k2 := NewNussinovWith(hp, 3)
-	g2 := grid.New(len(hp), 0)
+	g2 := grid.NewRect(len(hp), len(hp), 0)
 	RunAll(k2, g2)
 	if got := k2.Pairs(g2); got != 4 {
 		t.Errorf("hairpin pairs = %d, want 4", got)
@@ -255,7 +255,7 @@ func TestNussinovGolden(t *testing.T) {
 func TestNussinovMinLoopGate(t *testing.T) {
 	// With minLoop >= n no pairing is ever allowed.
 	k := NewNussinovWith([]byte("GCGCGC"), 6)
-	g := grid.New(6, 0)
+	g := grid.NewRect(6, 6, 0)
 	RunAll(k, g)
 	if got := k.Pairs(g); got != 0 {
 		t.Errorf("pairs with prohibitive min_loop = %d, want 0", got)

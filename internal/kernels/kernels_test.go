@@ -9,7 +9,7 @@ import (
 // sweep runs a kernel over the whole grid in row-major order (which
 // respects the up/left dependency cone).
 func sweep(k Kernel, dim int) *grid.Grid {
-	g := grid.New(dim, k.DSize())
+	g := grid.NewRect(dim, dim, k.DSize())
 	for r := 0; r < dim; r++ {
 		for c := 0; c < dim; c++ {
 			k.Compute(g, r, c)
@@ -20,10 +20,10 @@ func sweep(k Kernel, dim int) *grid.Grid {
 
 // sweepDiag runs a kernel in anti-diagonal order.
 func sweepDiag(k Kernel, dim int) *grid.Grid {
-	g := grid.New(dim, k.DSize())
-	for d := 0; d < grid.NumDiags(dim); d++ {
-		for i := 0; i < grid.DiagLen(dim, d); i++ {
-			r, c := grid.DiagCell(dim, d, i)
+	g := grid.NewRect(dim, dim, k.DSize())
+	for d := 0; d < grid.NumDiagsRect(dim, dim); d++ {
+		for i := 0; i < grid.DiagLenRect(dim, dim, d); i++ {
+			r, c := grid.DiagCellRect(dim, dim, d, i)
 			k.Compute(g, r, c)
 		}
 	}
@@ -63,7 +63,7 @@ func TestSyntheticDependsOnNeighbours(t *testing.T) {
 	// bugs invisible).
 	k := NewSynthetic(2, 1)
 	g1 := sweep(k, 8)
-	g2 := grid.New(8, 1)
+	g2 := grid.NewRect(8, 8, 1)
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
 			if r == 0 && c == 0 {
@@ -118,7 +118,7 @@ func TestSeqCompareKnownAlignment(t *testing.T) {
 	// Align "ACGT" with itself: the best local alignment is the full
 	// match, scoring 4 * Match = 8.
 	s := NewSeqCompareWith([]byte("ACGT"), []byte("ACGT"))
-	g := grid.New(4, 0)
+	g := grid.NewRect(4, 4, 0)
 	for r := 0; r < 4; r++ {
 		for c := 0; c < 4; c++ {
 			s.Compute(g, r, c)
@@ -158,7 +158,7 @@ func TestKnapsackOptimal(t *testing.T) {
 	// capacity 5 -> best is items 2+3 = 9.
 	k := &Knapsack{Weights: []int64{1, 2, 3}, Values: []int64{1, 4, 5}}
 	dim := 6 // capacities 0..5 in columns, 3 item rows used
-	g := grid.New(dim, 0)
+	g := grid.NewRect(dim, dim, 0)
 	for r := 0; r < 3; r++ {
 		for c := 0; c < dim; c++ {
 			k.Compute(g, r, c)

@@ -461,20 +461,6 @@ func PartitionDiag(l, nGPU, overlap int) []Partition {
 	return []Partition{p0, p1}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TileDiag describes one tile-diagonal of a CPU phase: NTiles tiles that
 // can run in parallel, jointly covering Cells cells of the phase region.
 type TileDiag struct {

@@ -66,9 +66,9 @@ func TestPhasesPartitionAllCells(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cpu1 := grid.CellsInDiagRange(dim, p.P1Lo, p.P1Hi)
+		cpu1 := grid.CellsInDiagRangeRect(dim, dim, p.P1Lo, p.P1Hi)
 		gpu := p.GPUCells()
-		cpu3 := grid.CellsInDiagRange(dim, p.P3Lo, p.P3Hi)
+		cpu3 := grid.CellsInDiagRangeRect(dim, dim, p.P3Lo, p.P3Hi)
 		return cpu1+gpu+cpu3 == dim*dim && p.CPUCells() == cpu1+cpu3
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -241,7 +241,7 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 	f := func(rawDim, rawCt, rawLo, rawHi uint8) bool {
 		dim := int(rawDim)%150 + 1
 		ct := int(rawCt)%dim + 1
-		nd := grid.NumDiags(dim)
+		nd := grid.NumDiagsRect(dim, dim)
 		lo := int(rawLo) % nd
 		hi := int(rawHi) % nd
 		if hi < lo {
@@ -254,7 +254,7 @@ func TestCPUTileDiagsConserveCells(t *testing.T) {
 			}
 			sum += td.Cells
 		}
-		return sum == grid.CellsInDiagRange(dim, lo, hi)
+		return sum == grid.CellsInDiagRangeRect(dim, dim, lo, hi)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -270,18 +270,18 @@ func TestCPUTileDiagsEmptyRegion(t *testing.T) {
 func TestCPUTileDiagsUntiled(t *testing.T) {
 	// ct=1: one tile-diagonal per cell-diagonal, NTiles = diagonal length.
 	dim := 10
-	tds := slices.Collect(CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiags(dim)-1))
-	if len(tds) != grid.NumDiags(dim) {
-		t.Fatalf("got %d tile-diagonals, want %d", len(tds), grid.NumDiags(dim))
+	tds := slices.Collect(CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiagsRect(dim, dim)-1))
+	if len(tds) != grid.NumDiagsRect(dim, dim) {
+		t.Fatalf("got %d tile-diagonals, want %d", len(tds), grid.NumDiagsRect(dim, dim))
 	}
 	for i, td := range tds {
-		if td.NTiles != grid.DiagLen(dim, i) || td.Cells != grid.DiagLen(dim, i) {
-			t.Fatalf("tile-diag %d = %+v, want NTiles=Cells=%d", i, td, grid.DiagLen(dim, i))
+		if td.NTiles != grid.DiagLenRect(dim, dim, i) || td.Cells != grid.DiagLenRect(dim, dim, i) {
+			t.Fatalf("tile-diag %d = %+v, want NTiles=Cells=%d", i, td, grid.DiagLenRect(dim, dim, i))
 		}
 	}
 	// Stopping early ends the walk.
 	n := 0
-	for range CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiags(dim)-1) {
+	for range CPUTileDiagsRect(dim, dim, 1, 0, grid.NumDiagsRect(dim, dim)-1) {
 		if n++; n == 3 {
 			break
 		}

@@ -23,9 +23,8 @@ import (
 	"repro/internal/tunecache"
 )
 
-// DefaultBatchLimit caps the items of one POST /v1/tune/batch request
-// when Config.BatchLimit does not.
-const DefaultBatchLimit = 64
+// BatchLimit caps the items of one POST /v1/tune/batch request.
+const BatchLimit = 64
 
 // BatchTuneRequest is the body of POST /v1/tune/batch. System, when set,
 // is the default for items that do not name their own.
@@ -56,28 +55,20 @@ type batchItem struct {
 	err    string
 }
 
-// batchLimit returns the configured per-request item bound.
-func (s *Server) batchLimit() int {
-	if s.cfg.BatchLimit > 0 {
-		return s.cfg.BatchLimit
-	}
-	return DefaultBatchLimit
-}
-
 func (s *Server) handleTuneBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchTuneRequest
 	// The body bound scales with the batch limit so a full batch of
 	// maximal items still decodes (each item is well under 1 KiB).
-	if !s.decodeBody(w, r, int64(1+s.batchLimit())<<10, &req) {
+	if !s.decodeBody(w, r, int64(1+BatchLimit)<<10, &req) {
 		return
 	}
 	if len(req.Items) == 0 {
 		s.writeError(w, http.StatusBadRequest, "items is required and must not be empty")
 		return
 	}
-	if len(req.Items) > s.batchLimit() {
+	if len(req.Items) > BatchLimit {
 		s.writeError(w, http.StatusBadRequest,
-			"%d items exceed the batch limit %d", len(req.Items), s.batchLimit())
+			"%d items exceed the batch limit %d", len(req.Items), BatchLimit)
 		return
 	}
 

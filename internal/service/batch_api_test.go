@@ -147,14 +147,14 @@ func TestBatchPerItemErrors(t *testing.T) {
 }
 
 func TestBatchValidation(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{BatchLimit: 4})
+	_, ts, _ := newTestServer(t, Config{})
 
 	// No items.
 	if _, resp := postBatch(t, ts.URL, `{"system":"i7-2600K","items":[]}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty items: status %d, want 400", resp.StatusCode)
 	}
 	// Over the limit.
-	items := make([]string, 5)
+	items := make([]string, BatchLimit+1)
 	for i := range items {
 		items[i] = `{"dim":700,"tsize":200,"dsize":1}`
 	}
@@ -189,7 +189,7 @@ func TestBatchValidation(t *testing.T) {
 // TestBatchClientHelper drives the Go client helper end to end against
 // an httptest daemon, including the rejected-batch error path.
 func TestBatchClientHelper(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{BatchLimit: 8})
+	_, ts, _ := newTestServer(t, Config{})
 	req := BatchTuneRequest{System: "i7-2600K"}
 	for _, dim := range []int{700, 1500, 700} {
 		ts2, ds := 200.0, 1
@@ -208,7 +208,7 @@ func TestBatchClientHelper(t *testing.T) {
 
 	// A rejected batch (over the limit) surfaces as a client error.
 	big := BatchTuneRequest{System: "i7-2600K"}
-	for i := 0; i < 9; i++ {
+	for i := 0; i < BatchLimit+1; i++ {
 		ts2, ds := 200.0, 1
 		big.Items = append(big.Items, TuneRequest{Dim: 700, TSize: &ts2, DSize: &ds})
 	}
@@ -232,7 +232,7 @@ func TestBatchCounters(t *testing.T) {
 }
 
 // TestBatchLargeFanOut exercises the parallel fan-out across shards
-// with a full default-limit batch of distinct shapes. The server sizes
+// with a full-limit batch of distinct shapes. The server sizes
 // its cache at GOMAXPROCS shards, so the test raises it to 8.
 func TestBatchLargeFanOut(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
@@ -242,14 +242,14 @@ func TestBatchLargeFanOut(t *testing.T) {
 		t.Fatalf("shards = %d, want 8", s.Cache().Shards())
 	}
 	var items []string
-	for i := 0; i < DefaultBatchLimit; i++ {
+	for i := 0; i < BatchLimit; i++ {
 		items = append(items, fmt.Sprintf(`{"dim":%d,"tsize":200,"dsize":1}`, 300+i))
 	}
 	br, resp := postBatch(t, ts.URL, `{"system":"i7-2600K","items":[`+strings.Join(items, ",")+`]}`)
 	if resp.StatusCode != http.StatusOK || br.Errors != 0 {
 		t.Fatalf("fan-out batch: %d / %+v", resp.StatusCode, br)
 	}
-	if got := s.Cache().Stats().Misses; got != uint64(DefaultBatchLimit) {
-		t.Errorf("predicts = %d, want %d distinct", got, DefaultBatchLimit)
+	if got := s.Cache().Stats().Misses; got != uint64(BatchLimit) {
+		t.Errorf("predicts = %d, want %d distinct", got, BatchLimit)
 	}
 }

@@ -165,10 +165,10 @@ func TestJobLifecycleHTTP(t *testing.T) {
 }
 
 func TestJobRefinedReportsStats(t *testing.T) {
-	const budget = 5
+	const budget = 12 // the online tuner's fixed probe budget
 	dir := t.TempDir()
 	s, ts, _ := newTestServer(t, Config{
-		Jobs: JobOptions{RefineBudget: budget, TrainingLogDir: dir},
+		Jobs: JobOptions{TrainingLogDir: dir},
 	})
 	defer s.Shutdown(context.Background())
 
@@ -318,7 +318,7 @@ func TestRetryAfterTracksServiceTime(t *testing.T) {
 func TestJobShutdownDrainsAndPersistsLog(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, _ := newTestServer(t, Config{
-		Jobs: JobOptions{Workers: 2, RefineBudget: 4, TrainingLogDir: dir},
+		Jobs: JobOptions{Workers: 2, TrainingLogDir: dir},
 	})
 
 	ji, resp := postJob(t, ts.URL, `{"system":"i7-2600K","dim":1900,"tsize":3000,"dsize":1,"refine":true}`)

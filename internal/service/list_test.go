@@ -81,7 +81,7 @@ func marshalPipelineList(t *testing.T, s *Server, f jobs.PipelineFilter) []byte 
 // results, refinement stats, HTML-escaped strings and multi-wave
 // pipelines.
 func TestListBodiesMatchMarshal(t *testing.T) {
-	s, _, _ := newTestServer(t, Config{Jobs: JobOptions{RefineBudget: 4}})
+	s, _, _ := newTestServer(t, Config{})
 	check := func(path string, want []byte) {
 		t.Helper()
 		rec := serve(t, s, http.MethodGet, path, "")
@@ -169,7 +169,7 @@ func TestListResponseMemory(t *testing.T) {
 	const jobsLimit, pipelinesLimit = 940 << 10, 630 << 10
 	const records = jobs.DefaultMaxRecords
 	s, _, _ := newTestServer(t, Config{Jobs: JobOptions{
-		RefineBudget: 4, QueueDepth: records, MaxPipelines: records,
+		QueueDepth: records, MaxPipelines: records,
 	}})
 	// Each pipeline is one wave of one job, so both tables fill to
 	// MaxRecords; every other job is a refined nash run with app_params.

@@ -59,7 +59,7 @@ func TestRetrainPromotionEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	s, ts, _ := newTestServer(t, Config{
 		Tuners: NewStaticSource(badChampionTuner(t)),
-		Jobs:   JobOptions{Workers: 2, RefineBudget: 4, TrainingLogDir: dir},
+		Jobs:   JobOptions{Workers: 2, TrainingLogDir: dir},
 		Retrain: RetrainOptions{
 			Interval:        50 * time.Millisecond,
 			MinObservations: 6,

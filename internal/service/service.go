@@ -84,9 +84,6 @@ type Config struct {
 	// CacheSize bounds the plan cache (<= 0 selects the tunecache
 	// default).
 	CacheSize int
-	// BatchLimit caps the items of one POST /v1/tune/batch request
-	// (<= 0 selects DefaultBatchLimit).
-	BatchLimit int
 	// Jobs configures the asynchronous job subsystem; the zero value
 	// selects the jobs package defaults.
 	Jobs JobOptions
@@ -105,17 +102,14 @@ type Config struct {
 }
 
 // JobOptions is the service-level slice of jobs.Config: the bounds of
-// the worker pool and queue, the refinement budget, and where refined
-// jobs' measured observations are persisted for retraining.
+// the worker pool and queue, and where refined jobs' measured
+// observations are persisted for retraining.
 type JobOptions struct {
 	// Workers bounds the worker pool (<= 0 selects the jobs default).
 	Workers int
 	// QueueDepth bounds the queued-job count (<= 0 selects the jobs
 	// default); overflowing submissions are rejected with 429.
 	QueueDepth int
-	// RefineBudget caps probe measurements per refine job (<= 0 selects
-	// the online-tuner default).
-	RefineBudget int
 	// TrainingLogDir, when set, appends refined jobs' measured
 	// observations as per-system search-CSV files (wavetrain -from).
 	TrainingLogDir string
@@ -236,7 +230,6 @@ func New(cfg Config) (*Server, error) {
 		Tuners:        s.tuners.tuner,
 		Workers:       cfg.Jobs.Workers,
 		QueueDepth:    cfg.Jobs.QueueDepth,
-		RefineBudget:  cfg.Jobs.RefineBudget,
 		TrainingLog:   s.trainLog,
 		OnObservation: onObservation,
 		MaxRecords:    cfg.Jobs.MaxRecords,

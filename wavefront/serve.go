@@ -19,7 +19,9 @@ import (
 // /v1/systems, /v1/stats, /metrics and /healthz.
 type TuningServer = service.Server
 
-// TuningConfig configures NewTuningServer.
+// TuningConfig configures NewTuningServer. The batch route's item cap
+// (BatchLimit) and a refine job's probe budget (12) are fixed, not
+// configured.
 type TuningConfig = service.Config
 
 // TunerSource resolves the tuner for a system (loaded from tuner files
@@ -28,7 +30,7 @@ type TuningConfig = service.Config
 type TunerSource = service.TunerSource
 
 // JobOptions is the service-level job configuration consumed by
-// TuningConfig.Jobs (worker/queue bounds, refine budget, training log).
+// TuningConfig.Jobs (worker/queue bounds, training log).
 type JobOptions = service.JobOptions
 
 // RetrainOptions configure the daemon's background champion/challenger
@@ -63,15 +65,14 @@ func NewDirTunerSource(fsys fs.FS) TunerSource {
 // application (the per-item element of BatchTuneRequest).
 type TuneRequest = service.TuneRequest
 
-// BatchTuneRequest is the body of POST /v1/tune/batch: up to the
-// daemon's batch limit of tune queries answered in one round trip, with
+// BatchTuneRequest is the body of POST /v1/tune/batch: up to
+// BatchLimit tune queries answered in one round trip, with
 // repeated shapes deduplicated server-side.
 type BatchTuneRequest = service.BatchTuneRequest
 
-// DefaultBatchLimit is the daemon's default cap on items per batch
-// request (waved -batch-limit overrides it); clients submitting more
-// shapes than this should chunk.
-const DefaultBatchLimit = service.DefaultBatchLimit
+// BatchLimit is the daemon's cap on items per batch request; clients
+// submitting more shapes than this chunk.
+const BatchLimit = service.BatchLimit
 
 // BatchTuneResponse is the reply of POST /v1/tune/batch; Results aligns
 // index-for-index with the request's items.

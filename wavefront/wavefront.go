@@ -96,7 +96,7 @@ type Prediction = core.Prediction
 type TrainOptions = core.TrainOptions
 
 // NewGrid allocates a square dim x dim grid with dsize floats per cell.
-func NewGrid(dim, dsize int) *Grid { return grid.New(dim, dsize) }
+func NewGrid(dim, dsize int) *Grid { return grid.NewRect(dim, dim, dsize) }
 
 // NewRectGrid allocates a rectangular rows x cols grid with dsize floats
 // per cell.
