@@ -33,18 +33,12 @@ func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, err
 	return e, err
 }
 
-// servedLongWay builds the served decision without threshold bounds:
-// Predict's decision, and for a parallel one an unbounded Estimate of
-// the model's plan, of the CPU-only plan at its cpu-tile when the plan
-// uses a GPU, and of the CPU-only plan at the clamped doubled cpu-tile,
-// keeping the first fastest. It is the independent check that the
-// bounded estimates of Tuner.PredictTimed pick the same plan.
-func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error) {
-	sys := t.System()
-	pred := t.Predict(inst)
-	if pred.Serial {
-		return pred, engine.SerialNs(sys, inst), nil
-	}
+// servedCandidates lists the plans the served decision of a parallel
+// prediction chooses from, in order: the models' plan, the CPU-only plan
+// at its cpu-tile when the plan uses a GPU, the CPU-only plan at the
+// clamped doubled cpu-tile, and, when the plan uses a GPU, the models'
+// plan at band x0.8 and x1.25 that differ from it and pass plan.Check.
+func servedCandidates(pred Prediction, inst plan.Instance) []Prediction {
 	cands := []Prediction{pred}
 	ct := pred.Par.CPUTile
 	if pred.Par.Band >= 0 {
@@ -53,9 +47,36 @@ func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error)
 	if ct2 := clampTile(2*ct, inst.MaxSide()); ct2 != ct {
 		cands = append(cands, Prediction{Par: engine.CPUOnlyParams(ct2)})
 	}
+	if pred.Par.Band >= 0 {
+		for _, f := range []float64{0.8, 1.25} {
+			par := pred.Par
+			par.Band = min(int(float64(par.Band)*f), inst.NumDiags())
+			if par.Band == pred.Par.Band {
+				par.Band = min(par.Band+1, inst.NumDiags())
+			}
+			par.Halo = min(par.Halo, plan.MaxHaloFor(inst, par.Band))
+			if par = par.Normalize(); par != pred.Par && plan.Check(inst, par) == nil {
+				cands = append(cands, Prediction{Par: par})
+			}
+		}
+	}
+	return cands
+}
+
+// servedLongWay builds the served decision without threshold bounds:
+// Predict's decision, and for a parallel one an unbounded Estimate of
+// each of servedCandidates, keeping the first fastest. It is the
+// independent check that the bounded estimates of Tuner.PredictTimed
+// pick the same plan.
+func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error) {
+	sys := t.System()
+	pred := t.Predict(inst)
+	if pred.Serial {
+		return pred, engine.SerialNs(sys, inst), nil
+	}
 	var best Prediction
 	bestNs := math.Inf(1)
-	for _, c := range cands {
+	for _, c := range servedCandidates(pred, inst) {
 		res, err := engine.Estimate(sys, inst, c.Par, engine.Options{})
 		if err != nil {
 			return Prediction{}, 0, err

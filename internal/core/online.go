@@ -155,14 +155,24 @@ func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start 
 }
 
 // neighbours generates the local moves of the hill climber: scaling the
-// band, shifting the halo, swapping cpu-tile to adjacent grid values, and
-// toggling the GPU on or off entirely.
+// band (scaleBand), shifting the halo, swapping cpu-tile to adjacent
+// grid values, and toggling the GPU on or off entirely.
 func neighbours(inst plan.Instance, p plan.Params) []plan.Params {
 	var out []plan.Params
 	add := func(q plan.Params) { out = append(out, q.Normalize()) }
 
-	// cpu-tile moves along the Table 3 grid.
+	// cpu-tile moves along the Table 3 grid, and above it back to the
+	// grid's top and on to the clamped doubled tile.
 	tiles := []int{1, 2, 4, 8, 10, 16}
+	if top := tiles[len(tiles)-1]; p.CPUTile > top {
+		for _, n := range []int{top, clampTile(2*p.CPUTile, inst.MaxSide())} {
+			if n != p.CPUTile {
+				q := p
+				q.CPUTile = n
+				add(q)
+			}
+		}
+	}
 	for i, t := range tiles {
 		if t == p.CPUTile || (p.CPUTile < t && (i == 0 || tiles[i-1] < p.CPUTile)) {
 			for _, n := range []int{i - 1, i + 1} {
@@ -185,23 +195,8 @@ func neighbours(inst plan.Instance, p plan.Params) []plan.Params {
 		return out
 	}
 
-	// Band scaling.
-	for _, f := range []float64{0.75, 1.25} {
-		nb := int(float64(p.Band) * f)
-		if nb == p.Band {
-			nb = p.Band + 1
-		}
-		if nb > inst.NumDiags() {
-			nb = inst.NumDiags()
-		}
-		if nb >= 0 {
-			q := p
-			q.Band = nb
-			if q.Halo > plan.MaxHaloFor(inst, nb) {
-				q.Halo = plan.MaxHaloFor(inst, nb)
-			}
-			add(q)
-		}
+	for _, f := range bandSteps {
+		add(scaleBand(inst, p, f))
 	}
 	// GPU off.
 	add(plan.Params{CPUTile: p.CPUTile, Band: -1, GPUTile: 1, Halo: -1})

@@ -175,7 +175,8 @@ func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 
 // TestNeighboursOffGridCPUTile: M5 predictions can start the climb from
 // cpu-tile values outside the Table 3 grid; neighbours must still move
-// to the adjacent grid values (and produce only valid configurations).
+// to the adjacent grid values, or above the grid to its top and the
+// doubled tile (and produce only valid configurations).
 func TestNeighboursOffGridCPUTile(t *testing.T) {
 	inst := plan.Instance{Dim: 800, TSize: 100, DSize: 1}
 	cases := []struct {
@@ -187,7 +188,10 @@ func TestNeighboursOffGridCPUTile(t *testing.T) {
 		{3, []int{2, 8}},
 		{7, []int{4, 10}},
 		{11, []int{10}},
-		{20, nil}, // beyond the grid: no cpu-tile moves at all
+		// Above the grid: back to its top, and on to the clamped
+		// doubled tile unless it clamps back.
+		{20, []int{16, 40}},
+		{64, []int{16}},
 	}
 	for _, tc := range cases {
 		p := plan.Params{CPUTile: tc.cpuTile, Band: 300, GPUTile: 1, Halo: -1}

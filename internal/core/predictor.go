@@ -24,9 +24,10 @@ type Predictor interface {
 	// validity and normalized (Params.Normalize).
 	Predict(inst plan.Instance) Prediction
 	// PredictTimed is the single-call deployment hook and the served
-	// decision: Predict's plan or a faster CPU-only alternative the
-	// models imply (Tuner.PredictTimed), its modeled runtime and the
-	// serial baseline, in nanoseconds.
+	// decision: Predict's plan or a faster alternative the models imply
+	// (a CPU-only plan or, for a GPU plan, a scaled band;
+	// Tuner.PredictTimed), its modeled runtime and the serial baseline,
+	// in nanoseconds.
 	PredictTimed(inst plan.Instance) (Prediction, float64, float64, error)
 }
 

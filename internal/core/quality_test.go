@@ -39,8 +39,10 @@ func TestHeldOutEfficiency(t *testing.T) {
 		t.Skip("paper-scale search and training")
 	}
 	// Measured mean 1.000, 0.992 and 0.991, p10 0.998, 0.967 and
-	// 0.982, and no plan under 0.8, scoring the served decision
-	// (PredictTimed's check against the CPU-only alternatives). The
+	// 0.988, and no plan under 0.8, scoring the served decision
+	// (PredictTimed's check against the CPU-only alternatives and the
+	// GPU plan's band neighbours). Without the band neighbours the
+	// i7-3820 p10 read 0.982, with floor 0.962. The
 	// models' plans alone read mean 0.992, 0.982 and 0.980, p10 0.985,
 	// 0.934 and 0.938, and 2, 1 and 1 plans under 0.8, with floors
 	// 0.973/0.962/0.960, p10 0.968/0.914/0.918 and bounds 3/2/2. When
@@ -53,7 +55,7 @@ func TestHeldOutEfficiency(t *testing.T) {
 	bounds := map[string]qualityBounds{
 		"i3-540":   {mean: 0.980, p10: 0.978, low: 1},
 		"i7-2600K": {mean: 0.972, p10: 0.947, low: 1},
-		"i7-3820":  {mean: 0.971, p10: 0.962, low: 1},
+		"i7-3820":  {mean: 0.971, p10: 0.968, low: 1},
 	}
 	space, opts := core.DefaultSpace(), core.DefaultTrainOptions()
 	read := make(map[plan.Instance]bool)

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/hw"
+	"repro/internal/kernels"
 	"repro/internal/plan"
 )
 
@@ -105,19 +107,68 @@ func TestServedPlanTuneColdWorst(t *testing.T) {
 	}
 }
 
+// servedBandKeys are keys whose models' plan uses a GPU at a band the
+// served check moves: their efficiency on QuickSpace with the models'
+// plan, and with the served one.
+var servedBandKeys = []struct {
+	sys           hw.System
+	inst          plan.Instance
+	model, served float64
+}{
+	{hw.I7_3820(), plan.Instance{Rows: 810, Cols: 2213, TSize: 1400, DSize: 5}, 0.9297, 0.9832},
+	{hw.I7_2600K(), plan.Instance{Dim: 1572, TSize: 2160, DSize: 1}, 0.9727, 1.000},
+	{hw.I7_2600K(), plan.Instance{Rows: 500, Cols: 2700, TSize: kernels.NewNash(2).TSize(), DSize: kernels.NewNash(2).DSize()}, 0.9561, 0.9872},
+}
+
+// TestServedPlanBandCheck: on those keys the served plan is the models'
+// GPU plan at a scaled band, and reaches the efficiency the models' band
+// misses.
+func TestServedPlanBandCheck(t *testing.T) {
+	for _, k := range servedBandKeys {
+		tuner := factoryTuner(t, k.sys)
+		model := tuner.Predict(k.inst)
+		pts, err := core.Evaluate(tuner, core.QuickSpace(), []plan.Instance{k.inst})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := pts[0]
+		modelRes, err := engine.Estimate(k.sys, k.inst, model.Par, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		modelEff := (e.SerialNs / modelRes.RTimeNs) / (e.SerialNs / e.BestNs)
+		t.Logf("%s %v: models' plan %v (efficiency %.4f), served %v (efficiency %.4f), optimum %v",
+			k.sys.Name, k.inst, model, modelEff, e.Pred, e.Efficiency(), e.BestPar)
+		if model.Serial || model.Par.Band < 0 {
+			t.Fatalf("%s %v: models' plan %v, want a GPU plan", k.sys.Name, k.inst, model)
+		}
+		if e.Pred.Serial || e.Pred.Par.Band < 0 || e.Pred.Par.Band == model.Par.Band {
+			t.Errorf("%s %v: served %v, want the models' GPU plan at another band", k.sys.Name, k.inst, e.Pred)
+		}
+		if math.Abs(modelEff-k.model) > 5e-5 {
+			t.Errorf("%s %v: models' plan reads %.4f, want %.4f", k.sys.Name, k.inst, modelEff, k.model)
+		}
+		if e.Efficiency() < k.served-5e-5 {
+			t.Errorf("%s %v: served efficiency %.4f below %.4f", k.sys.Name, k.inst, e.Efficiency(), k.served)
+		}
+	}
+}
+
 // TestPredictTimedAllocations bounds the served decision's allocations
-// at one plan per estimate: the models' plan and its two CPU-only
-// alternatives.
+// at one per estimate: the models' plan, its CPU-only alternatives and,
+// on GPU plans, its band neighbours.
 func TestPredictTimedAllocations(t *testing.T) {
 	for _, k := range tuneColdWorst {
 		tuner := factoryTuner(t, k.sys)
+		estimates := core.ServedEstimates(tuner, k.inst)
 		n := testing.AllocsPerRun(100, func() {
 			if _, _, _, err := tuner.PredictTimed(k.inst); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if n > 3 {
-			t.Errorf("%s %v: PredictTimed allocates %.0f times per run, want at most 3", k.sys.Name, k.inst, n)
+		t.Logf("%s %v: %d estimates, %.0f allocations", k.sys.Name, k.inst, estimates, n)
+		if n > float64(estimates) {
+			t.Errorf("%s %v: PredictTimed allocates %.0f times per run over %d estimates, want at most one per estimate", k.sys.Name, k.inst, n, estimates)
 		}
 	}
 }

@@ -210,38 +210,68 @@ func clampTile(ct, dim int) int {
 	return ct
 }
 
+// bandSteps are the factors of the band move (scaleBand) that the
+// served check and refine both try: one step down, one step up.
+var bandSteps = [2]float64{0.8, 1.25}
+
+// scaleBand is the band move: p with its band scaled by f (by at least
+// one diagonal, at most inst's diagonal count) and its halo clamped to
+// the new band's maximum, normalized.
+func scaleBand(inst plan.Instance, p plan.Params, f float64) plan.Params {
+	nb := int(float64(p.Band) * f)
+	if nb == p.Band {
+		nb++
+	}
+	p.Band = min(nb, inst.NumDiags())
+	p.Halo = min(p.Halo, plan.MaxHaloFor(inst, p.Band))
+	return p.Normalize()
+}
+
 // PredictTimed is the served decision: the prediction for inst with its
 // modeled runtime and the serial baseline, both in nanoseconds. It is
 // the single-call deployment hook of the plan cache, the tuning service,
 // the CLI and Evaluate, so every consumer scores the plan it serves.
 //
-// A parallel decision is checked against the CPU-only plans the models
-// already imply, with the estimator standing in for the machine (the
-// paper's future-work online tuning with a probe budget of two): the
+// A parallel decision is checked against the plans the models already
+// imply, with the estimator standing in for the machine (the paper's
+// future-work online tuning with a probe budget of at most four): the
 // CPU-only plan at the predicted cpu-tile when the models' plan uses a
-// GPU, and the CPU-only plan at twice that tile. The fastest is served;
-// a tie keeps the models' plan. Each alternative is estimated with the
-// incumbent's runtime as its censoring threshold, so a loser stops at
-// its first checkpoint past it, and a winner's runtime is its uncensored
-// estimate, bit-identical to an unbounded Estimate of the served params.
-// A serial decision (the SVM gate) is served unchecked.
+// GPU, the CPU-only plan at twice that tile, and, when it uses a GPU,
+// the models' plan at band x0.8 and x1.25 (scaleBand; a candidate equal
+// to the models' plan or failing plan.Check is skipped). The fastest is
+// served; a tie keeps the incumbent. Each alternative is estimated with
+// the incumbent's runtime as its censoring threshold, so a loser stops
+// at its first checkpoint past it, and a winner's runtime is its
+// uncensored estimate, bit-identical to an unbounded Estimate of the
+// served params. A serial decision (the SVM gate) is served unchecked.
 func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, error) {
 	serial := engine.SerialNs(t.Sys, inst)
 	pred := t.Predict(inst)
 	if pred.Serial {
 		return pred, serial, serial, nil
 	}
-	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
+	model := pred.Par
+	res, err := engine.Estimate(t.Sys, inst, model, engine.Options{})
 	if err != nil {
 		return Prediction{}, 0, 0, err
 	}
 	best := res.RTimeNs
-	ct := pred.Par.CPUTile
-	alts := [2]plan.Params{engine.CPUOnlyParams(ct), engine.CPUOnlyParams(clampTile(2*ct, inst.MaxSide()))}
-	for i, par := range alts {
-		if (i == 0 && pred.Par.Band < 0) || (i == 1 && par.CPUTile == ct) {
-			continue
+	ct, gpu := model.CPUTile, model.Band >= 0
+	alts := make([]plan.Params, 0, 4)
+	if gpu {
+		alts = append(alts, engine.CPUOnlyParams(ct))
+	}
+	if ct2 := clampTile(2*ct, inst.MaxSide()); ct2 != ct {
+		alts = append(alts, engine.CPUOnlyParams(ct2))
+	}
+	if gpu {
+		for _, f := range bandSteps {
+			if par := scaleBand(inst, model, f); par != model && plan.Check(inst, par) == nil {
+				alts = append(alts, par)
+			}
 		}
+	}
+	for _, par := range alts {
 		res, err := engine.Estimate(t.Sys, inst, par, engine.Options{ThresholdNs: best})
 		if err != nil {
 			return Prediction{}, 0, 0, err

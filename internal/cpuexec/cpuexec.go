@@ -72,7 +72,7 @@ func (e *Executor) Run(k kernels.Kernel, g *grid.Grid, ct int) error {
 	if st := kernels.StencilOf(k); !monotone(st) {
 		return e.RunFrontier(context.Background(), k, g, grid.NewIrregularFrontier(rows, cols, st, nil))
 	}
-	return e.runTiles(context.Background(), k, g, ct, nil)
+	return e.runTiles(context.Background(), k, g, ct)
 }
 
 // runTiles is the tile scheduler behind Run and the tiled branch of
@@ -81,11 +81,10 @@ func (e *Executor) Run(k kernels.Kernel, g *grid.Grid, ct int) error {
 // left of it is then done, so every monotone stencil is honoured
 // (knapsack's long-range column read included). Released tiles go to one
 // shared queue sized to the tile count, and a worker keeps one released
-// successor for itself, for locality. Within a tile, the cells live
-// reports (nil = all) are computed row-major. ctx is checked once per
-// tile; after cancellation the remaining tiles drain uncomputed and the
-// run returns ctx.Err().
-func (e *Executor) runTiles(ctx context.Context, k kernels.Kernel, g *grid.Grid, ct int, live func(r, c int) bool) error {
+// successor for itself, for locality. Within a tile, every cell is
+// computed row-major. ctx is checked once per tile; after cancellation
+// the remaining tiles drain uncomputed and the run returns ctx.Err().
+func (e *Executor) runTiles(ctx context.Context, k kernels.Kernel, g *grid.Grid, ct int) error {
 	if e.pl.isClosed() {
 		return ErrClosed
 	}
@@ -131,7 +130,7 @@ func (e *Executor) runTiles(ctx context.Context, k kernels.Kernel, g *grid.Grid,
 					cancelled.Store(true)
 					continue
 				}
-				computeTileMasked(k, g, t/nTc*ct, t%nTc*ct, ct, live)
+				computeTile(k, g, t/nTc*ct, t%nTc*ct, ct)
 			}
 		}
 	})
@@ -157,16 +156,13 @@ func (e *Executor) runItems(n int, fn func(i int)) error {
 	return e.pl.run(n, fn)
 }
 
-// computeTileMasked evaluates the live cells (nil = all) of the tile with
-// top-left corner (r0, c0) in row-major order.
-func computeTileMasked(k kernels.Kernel, g *grid.Grid, r0, c0, ct int, live func(r, c int) bool) {
+// computeTile evaluates every cell of the tile with top-left corner
+// (r0, c0) in row-major order.
+func computeTile(k kernels.Kernel, g *grid.Grid, r0, c0, ct int) {
 	rMax := min(r0+ct, g.Rows())
 	cMax := min(c0+ct, g.Cols())
 	for r := r0; r < rMax; r++ {
 		for c := c0; c < cMax; c++ {
-			if live != nil && !live(r, c) {
-				continue
-			}
 			k.Compute(g, r, c)
 		}
 	}

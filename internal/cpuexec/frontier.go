@@ -154,18 +154,18 @@ func monotone(st grid.Stencil) bool {
 // mask the kernel declares (dense stencil and full rectangle when it
 // declares none). For ct > 1 with a monotone stencil, tiles of side ct
 // run through the same barrier-free tile scheduler as Run, computing
-// only live cells. Otherwise (ct <= 1, or a stencil with rightward
-// offsets) cells are scheduled individually by frontier propagation.
+// every cell as Run and RunSerial do. Otherwise (ct <= 1, or a stencil
+// with rightward offsets) the live cells are scheduled individually by
+// frontier propagation, and dead cells are never visited.
 //
-// Dead cells are skipped, never computed; because masked kernels write
-// only the grid's zero initial values in their dead region, the result
-// matches a dense sweep of the full rectangle bit for bit.
+// Masked kernels are no-ops (or write only the grid's zero initial
+// values) in their dead region, so either way the result matches a
+// dense sweep of the full rectangle bit for bit.
 func (e *Executor) RunIrregular(ctx context.Context, k kernels.Kernel, g *grid.Grid, ct int) error {
 	rows, cols := g.Rows(), g.Cols()
 	st := kernels.StencilOf(k)
-	live := kernels.LiveOf(k, rows, cols)
 	if ct <= 1 || !monotone(st) {
-		return e.RunFrontier(ctx, k, g, grid.NewIrregularFrontier(rows, cols, st, live))
+		return e.RunFrontier(ctx, k, g, grid.NewIrregularFrontier(rows, cols, st, kernels.LiveOf(k, rows, cols)))
 	}
-	return e.runTiles(ctx, k, g, ct, live)
+	return e.runTiles(ctx, k, g, ct)
 }

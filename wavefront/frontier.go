@@ -35,9 +35,9 @@ type DiagFrontier = grid.DiagFrontier
 type IrregularFrontier = grid.IrregularFrontier
 
 // KernelMask is implemented by kernels whose live region is a strict
-// subset of the rectangle; dead cells are skipped by the frontier
-// executors and must be no-ops (or write only zero initial values) in
-// Compute.
+// subset of the rectangle; dead cells are skipped by the cell-level
+// frontier executors, visited by the tiled ones, and must be no-ops (or
+// write only zero initial values) in Compute.
 type KernelMask = kernels.Masked
 
 // NewDiagFrontier returns the dense frontier covering a rows x cols
@@ -74,9 +74,9 @@ func RunFrontier(ctx context.Context, k Kernel, g *Grid, f Frontier, workers int
 // RunIrregular computes the live region kernel k declares (dense over
 // the full rectangle when it declares none) on the host CPU, and returns
 // the wall-clock time. cpuTile > 1 runs tiles of that side through the
-// same barrier-free tile scheduler as RunParallel, computing only live
-// cells; cpuTile <= 1, or a stencil that points up and right, schedules
-// individual cells by frontier propagation.
+// same barrier-free tile scheduler as RunParallel, computing every cell
+// (dead cells are no-ops); cpuTile <= 1, or a stencil that points up and
+// right, schedules individual live cells by frontier propagation.
 func RunIrregular(ctx context.Context, k Kernel, g *Grid, cpuTile, workers int) (time.Duration, error) {
 	start := time.Now()
 	ex := cpuexec.New(workers)
