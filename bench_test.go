@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -368,16 +369,29 @@ func BenchmarkFrontierIrregular(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateHybrid times one Estimate of a GPU plan: a dual-GPU
+// plan with halo 20, and an i3-540 plan that offloads every diagonal of a
+// 3300x2000 grid to its one GPU.
 func BenchmarkEstimateHybrid(b *testing.B) {
-	sys := hw.I7_2600K()
-	inst := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
-	par := plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Estimate(sys, inst, par, engine.Options{}); err != nil {
-			b.Fatal(err)
-		}
+	gpuOnly := plan.Instance{Rows: 3300, Cols: 2000, TSize: 100, DSize: 1}
+	for _, c := range []struct {
+		name string
+		sys  hw.System
+		inst plan.Instance
+		par  plan.Params
+	}{
+		{"i7-2600K-dual", hw.I7_2600K(), plan.Instance{Dim: 1900, TSize: 2000, DSize: 1},
+			plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}},
+		{"i3-540-gpu-only", hw.I3_540(), gpuOnly, engine.GPUOnlyParamsFor(gpuOnly)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Estimate(c.sys, c.inst, c.par, engine.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -762,6 +776,46 @@ func BenchmarkPredictBackend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		predictBackendSink = tree.Predict(insts[i%len(insts)])
+	}
+}
+
+// BenchmarkPredictTimed times the served decision (Tuner.PredictTimed:
+// the models' plan and every alternative it is checked against) of each
+// shipped factory tuner over a spread of square, rectangular and masked
+// instances across the serving range, and reports microseconds per
+// instance.
+func BenchmarkPredictTimed(b *testing.B) {
+	var insts []plan.Instance
+	for _, dim := range []int{300, 700, 1300, 2100, 3300} {
+		for _, tsize := range []float64{0.5, 10, 100, 1000, 8000} {
+			for _, dsize := range []int{0, 1, 5} {
+				insts = append(insts,
+					plan.Instance{Dim: dim, TSize: tsize, DSize: dsize},
+					plan.Instance{Rows: dim / 2, Cols: dim * 3 / 2, TSize: tsize, DSize: dsize},
+					plan.Instance{Dim: dim, TSize: tsize, DSize: dsize, LiveCells: dim * (dim + 1) / 2})
+			}
+		}
+	}
+	for _, sys := range hw.Systems() {
+		b.Run(sys.Name, func(b *testing.B) {
+			data, err := fs.ReadFile(service.FactoryTuners(), sys.Name+".json")
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := core.UnmarshalPredictor(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, inst := range insts {
+					if _, _, _, err := p.PredictTimed(inst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(insts)), "us/instance")
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // perConfigEval is the reference evaluator: one engine.Estimate per
 // configuration of the space, keeping the first fastest uncensored one,
 // against the served decision built the long way (servedLongWay).
-func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, error) {
+func perConfigEval(t *Tuner, space Space, inst plan.Instance) (EvalPoint, error) {
 	sys := t.System()
 	e := EvalPoint{Inst: inst, SerialNs: engine.SerialNs(sys, inst)}
 	found := false
@@ -33,12 +33,15 @@ func perConfigEval(t Predictor, space Space, inst plan.Instance) (EvalPoint, err
 	return e, err
 }
 
-// servedCandidates lists the plans the served decision of a parallel
-// prediction chooses from, in order: the models' plan, the CPU-only plan
-// at its cpu-tile when the plan uses a GPU, the CPU-only plan at the
+// servedCandidates lists the plans the served decision of t's parallel
+// prediction pred chooses from, in order: the models' plan, the CPU-only
+// plan at its cpu-tile when the plan uses a GPU, the CPU-only plan at the
 // clamped doubled cpu-tile, and, when the plan uses a GPU, the models'
 // plan at band x0.8 and x1.25 that differ from it and pass plan.Check.
-func servedCandidates(pred Prediction, inst plan.Instance) []Prediction {
+// When the REP tree reads below 0.5 on a system with a GPU and t has a
+// band model, the last candidate is the plan the band and halo models
+// imply at gpu-tile 1, if it uses a GPU and passes plan.Check.
+func servedCandidates(t *Tuner, pred Prediction, inst plan.Instance) []Prediction {
 	cands := []Prediction{pred}
 	ct := pred.Par.CPUTile
 	if pred.Par.Band >= 0 {
@@ -60,6 +63,17 @@ func servedCandidates(pred Prediction, inst plan.Instance) []Prediction {
 			}
 		}
 	}
+	x := []float64{math.Log(float64(inst.MaxSide())), math.Log(inst.TSize), float64(inst.DSize)}
+	if pred.Par.Band < 0 && t.Sys.MaxGPUs() >= 1 && t.Band != nil && t.GPUTile.Predict(x) < 0.5 {
+		par := plan.Params{CPUTile: ct, GPUTile: 1, Halo: -1}
+		par.Band = countOf(t.Band.Predict(append(x, 1)), inst.MaxUsefulBand())
+		if par.Band >= 0 && t.Sys.MaxGPUs() >= 2 {
+			par.Halo = countOf(t.Halo.Predict(x), plan.MaxHaloFor(inst, par.Band))
+		}
+		if par = par.Normalize(); par.Band >= 0 && plan.Check(inst, par) == nil {
+			cands = append(cands, Prediction{Par: par})
+		}
+	}
 	return cands
 }
 
@@ -68,7 +82,7 @@ func servedCandidates(pred Prediction, inst plan.Instance) []Prediction {
 // each of servedCandidates, keeping the first fastest. It is the
 // independent check that the bounded estimates of Tuner.PredictTimed
 // pick the same plan.
-func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error) {
+func servedLongWay(t *Tuner, inst plan.Instance) (Prediction, float64, error) {
 	sys := t.System()
 	pred := t.Predict(inst)
 	if pred.Serial {
@@ -76,7 +90,7 @@ func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error)
 	}
 	var best Prediction
 	bestNs := math.Inf(1)
-	for _, c := range servedCandidates(pred, inst) {
+	for _, c := range servedCandidates(t, pred, inst) {
 		res, err := engine.Estimate(sys, inst, c.Par, engine.Options{})
 		if err != nil {
 			return Prediction{}, 0, err
@@ -90,8 +104,8 @@ func servedLongWay(t Predictor, inst plan.Instance) (Prediction, float64, error)
 
 // TestEvaluateMatchesPerConfigEstimate: Evaluate's points equal, bit for
 // bit in every field, those of a per-configuration Estimate loop, on the
-// quick-space Figure 10 instances of every system plus a rectangular and
-// a masked instance.
+// quick-space Figure 10 instances of every system plus a rectangular, a
+// masked and two square instances.
 func TestEvaluateMatchesPerConfigEstimate(t *testing.T) {
 	space := QuickSpace()
 	var insts []plan.Instance
@@ -101,9 +115,13 @@ func TestEvaluateMatchesPerConfigEstimate(t *testing.T) {
 			insts = append(insts, plan.Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()})
 		}
 	}
+	// The last two are served a GPU plan where the REP tree says
+	// CPU-only: the first on the dual-GPU systems, the second on i3-540.
 	insts = append(insts,
 		plan.Instance{Rows: 600, Cols: 1400, TSize: 1000, DSize: 1},
-		plan.Instance{Dim: 1100, TSize: 1000, DSize: 1, LiveCells: 1100 * 1101 / 2})
+		plan.Instance{Dim: 1100, TSize: 1000, DSize: 1, LiveCells: 1100 * 1101 / 2},
+		plan.Instance{Dim: 700, TSize: 2000, DSize: 1},
+		plan.Instance{Dim: 1100, TSize: 100, DSize: 1})
 	for _, sys := range hw.Systems() {
 		sr, err := Exhaustive(sys, space, SearchOptions{})
 		if err != nil {

@@ -10,5 +10,5 @@ func ServedEstimates(t *Tuner, inst plan.Instance) int {
 	if pred.Serial {
 		return 0
 	}
-	return len(servedCandidates(pred, inst))
+	return len(servedCandidates(t, pred, inst))
 }

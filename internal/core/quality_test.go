@@ -38,11 +38,14 @@ func TestHeldOutEfficiency(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale search and training")
 	}
-	// Measured mean 1.000, 0.992 and 0.991, p10 0.998, 0.967 and
-	// 0.988, and no plan under 0.8, scoring the served decision
-	// (PredictTimed's check against the CPU-only alternatives and the
-	// GPU plan's band neighbours). Without the band neighbours the
-	// i7-3820 p10 read 0.982, with floor 0.962. The
+	// Measured mean 1.000, 0.995 and 0.997, p10 0.998, 0.967 and
+	// 0.992, and no plan under 0.8, scoring the served decision
+	// (PredictTimed's check against the CPU-only alternatives, the GPU
+	// plan's band neighbours and, for a CPU-only decision, the GPU plan
+	// at gpu-tile 1). Without that GPU candidate the means read 1.000,
+	// 0.992 and 0.991 and the i7-3820 p10 0.988, with floors 0.980,
+	// 0.972 and 0.971 and p10 floor 0.968. Without the band neighbours
+	// the i7-3820 p10 read 0.982, with floor 0.962. The
 	// models' plans alone read mean 0.992, 0.982 and 0.980, p10 0.985,
 	// 0.934 and 0.938, and 2, 1 and 1 plans under 0.8, with floors
 	// 0.973/0.962/0.960, p10 0.968/0.914/0.918 and bounds 3/2/2. When
@@ -54,8 +57,8 @@ func TestHeldOutEfficiency(t *testing.T) {
 	// and 0.843.
 	bounds := map[string]qualityBounds{
 		"i3-540":   {mean: 0.980, p10: 0.978, low: 1},
-		"i7-2600K": {mean: 0.972, p10: 0.947, low: 1},
-		"i7-3820":  {mean: 0.971, p10: 0.968, low: 1},
+		"i7-2600K": {mean: 0.975, p10: 0.947, low: 1},
+		"i7-3820":  {mean: 0.977, p10: 0.972, low: 1},
 	}
 	space, opts := core.DefaultSpace(), core.DefaultTrainOptions()
 	read := make(map[plan.Instance]bool)

@@ -172,3 +172,60 @@ func TestPredictTimedAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestServedPlanGPUCandidate: when the REP tree's "0" makes the models'
+// plan CPU-only, the served check also estimates the GPU plan the band
+// and halo models imply at gpu-tile 1. On this key the i7-3820 tuner
+// predicts CPU-only (efficiency 0.955 on QuickSpace) and the GPU
+// candidate reaches the optimum. A tuner trained without GPU rows, and
+// the same tuner with no band or halo model at all, serve CPU-only plans
+// without panicking.
+func TestServedPlanGPUCandidate(t *testing.T) {
+	sys := hw.I7_3820()
+	k := kernels.NewNash(1)
+	inst := plan.Instance{Dim: 1500, TSize: k.TSize(), DSize: k.DSize()}
+	tuner := factoryTuner(t, sys)
+	model := tuner.Predict(inst)
+	pts, err := core.Evaluate(tuner, core.QuickSpace(), []plan.Instance{inst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := pts[0]
+	t.Logf("%s %v: models' plan %v, served %v, efficiency %.3f (optimum %v)",
+		sys.Name, inst, model, e.Pred, e.Efficiency(), e.BestPar)
+	if model.Serial || model.Par.Band >= 0 {
+		t.Fatalf("models' plan %v, want a CPU-only plan", model)
+	}
+	if e.Pred.Serial || e.Pred.Par.Band < 0 || e.Pred.Par.GPUTile != 1 || e.Pred.Par.CPUTile != model.Par.CPUTile {
+		t.Errorf("served %v, want the models' GPU plan at gpu-tile 1 and cpu-tile %d", e.Pred, model.Par.CPUTile)
+	}
+	if e.Efficiency() < 1.0 {
+		t.Errorf("efficiency %.4f below 1.0", e.Efficiency())
+	}
+
+	// Every configuration of this space is CPU-only, so the tuner's REP
+	// tree never employs the GPU and its band model learns from no rows.
+	space := core.QuickSpace()
+	space.Dims, space.BandFracs, space.HaloFracs = []int{500, 1100}, []float64{-1}, []float64{-1}
+	sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuOnly, err := core.Train(sr, core.DefaultTrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	noBand := *cpuOnly
+	noBand.Band, noBand.Halo = nil, nil
+	for _, tuner := range []*core.Tuner{cpuOnly, &noBand} {
+		for _, inst := range servedGrid() {
+			pred, _, _, err := tuner.PredictTimed(inst)
+			if err != nil {
+				t.Fatalf("%v: %v", inst, err)
+			}
+			if pred.Par.Band >= 0 {
+				t.Errorf("%v: a tuner trained without GPU rows served %v", inst, pred)
+			}
+		}
+	}
+}

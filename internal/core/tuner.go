@@ -184,17 +184,39 @@ func (t *Tuner) Predict(inst plan.Instance) Prediction {
 	if gtRaw < 0.5 {
 		return Prediction{Par: engine.CPUOnlyParams(ct)}
 	}
-	gt := clampGPUTile(int(math.Round(gtRaw)))
+	return Prediction{Par: t.gpuPlan(&buf, inst, ct, clampGPUTile(int(math.Round(gtRaw))))}
+}
 
-	// Band and halo are predicted as fractions of their instance's
-	// maximum (BuildTraining) and scaled back by countOf.
+// gpuPlan returns the plan the band and halo models imply for inst at
+// cpu-tile ct and gpu-tile gt; buf[:3] holds inst's features. Band and
+// halo are predicted as fractions of their instance's maximum
+// (BuildTraining) and scaled back by countOf.
+func (t *Tuner) gpuPlan(buf *[4]float64, inst plan.Instance, ct, gt int) plan.Params {
 	buf[3] = float64(gt)
 	band := countOf(t.Band.Predict(buf[:4]), inst.MaxUsefulBand())
 	par := plan.Params{CPUTile: ct, Band: band, GPUTile: gt, Halo: -1}
 	if band >= 0 && t.Sys.MaxGPUs() >= 2 {
-		par.Halo = countOf(t.Halo.Predict(x), plan.MaxHaloFor(inst, band))
+		par.Halo = countOf(t.Halo.Predict(buf[:3]), plan.MaxHaloFor(inst, band))
 	}
-	return Prediction{Par: par.Normalize()}
+	return par.Normalize()
+}
+
+// gpuCandidate returns the GPU plan PredictTimed checks beside a
+// CPU-only decision: when the REP tree reads below 0.5 on a system with a
+// GPU, the plan the band and halo models imply at gpu-tile 1. ok is false
+// when there is none: the REP tree chose the GPU (the models' plan is
+// CPU-only through its band), the system or the tuner has no GPU model,
+// or the plan fails plan.Check.
+func (t *Tuner) gpuCandidate(inst plan.Instance, ct int) (par plan.Params, ok bool) {
+	if t.Sys.MaxGPUs() < 1 || t.Band == nil {
+		return plan.Params{}, false
+	}
+	var buf [4]float64
+	if t.GPUTile.Predict(features(buf[:], inst)) >= 0.5 {
+		return plan.Params{}, false
+	}
+	par = t.gpuPlan(&buf, inst, ct, 1)
+	return par, par.Band >= 0 && plan.Check(inst, par) == nil
 }
 
 func clampTile(ct, dim int) int {
@@ -238,12 +260,15 @@ func scaleBand(inst plan.Instance, p plan.Params, f float64) plan.Params {
 // CPU-only plan at the predicted cpu-tile when the models' plan uses a
 // GPU, the CPU-only plan at twice that tile, and, when it uses a GPU,
 // the models' plan at band x0.8 and x1.25 (scaleBand; a candidate equal
-// to the models' plan or failing plan.Check is skipped). The fastest is
-// served; a tie keeps the incumbent. Each alternative is estimated with
-// the incumbent's runtime as its censoring threshold, so a loser stops
-// at its first checkpoint past it, and a winner's runtime is its
-// uncensored estimate, bit-identical to an unbounded Estimate of the
-// served params. A serial decision (the SVM gate) is served unchecked.
+// to the models' plan or failing plan.Check is skipped). When the REP
+// tree's "0" made the plan CPU-only, the GPU plan the band and halo
+// models imply at gpu-tile 1 is checked last (gpuCandidate): the paper's
+// overloaded gpu-tile otherwise hides a misclassified GPU instance. The
+// fastest is served; a tie keeps the incumbent. Each alternative is
+// estimated with the incumbent's runtime as its censoring threshold, so
+// a loser stops at its first checkpoint past it, and a winner's runtime
+// is its uncensored estimate, bit-identical to an unbounded Estimate of
+// the served params. A serial decision (the SVM gate) is served unchecked.
 func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, error) {
 	serial := engine.SerialNs(t.Sys, inst)
 	pred := t.Predict(inst)
@@ -270,6 +295,8 @@ func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, 
 				alts = append(alts, par)
 			}
 		}
+	} else if par, ok := t.gpuCandidate(inst, ct); ok {
+		alts = append(alts, par)
 	}
 	for _, par := range alts {
 		res, err := engine.Estimate(t.Sys, inst, par, engine.Options{ThresholdNs: best})

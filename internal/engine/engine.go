@@ -14,25 +14,31 @@
 // Both derive every duration from the hw cost models. The GPU phase's
 // choreography (swap periods, per-period device lockstep, each device's
 // kernel launches, halo swaps, transfer sizes) is defined once, as the
-// gpuSchedule walk. Simulate collects its launches, with their row
-// segments, into simcl kernel requests. For the analytic path a meter
-// times the launches into period lengths, and a clock sums the run in
-// execution order: Phase 1, GPU start-up and input transfers, each
-// period and its halo swap with the censoring check at its end, output
-// transfers, Phase 3. Estimate feeds the clock from the live walk,
-// without allocating. A Sweep keeps a two-level tape per distinct GPU
-// schedule, since a schedule never depends on the cpu-tile. The shape
-// tape holds the launch structure (each launch's device and SIMT pass
-// count, and the period boundaries), which depends only on the grid
-// shape; it is walked once per shape and run-length encoded, with
-// consecutive identical periods stored once with a repeat count. The
-// instance tape replays it with the instance's launch costs, reading
-// each launch's duration from a per-(device, gpu-tile) table indexed by
-// pass count, into period lengths, timing each run of identical periods
-// once; the launch counters are summed over the full walk only when a
-// breakdown first needs them. Every configuration sharing the schedule
-// replays the instance tape through the same clock from its own Phase 1
-// time.
+// gpuSchedule walk. A launch's duration depends on its points only
+// through its SIMT pass count, so the walk yields, for each period and
+// device, runs of consecutive launches with equal pass count; it finds
+// where a run ends by a binary search on the exact per-launch point
+// count within the ranges where the diagonal lengths, cut by the
+// period's partitions, make that count monotone, without visiting every
+// diagonal. Simulate expands each run into its launches' row segments
+// (devRows) and simcl kernel requests. For the analytic path a meter
+// folds the launches into period lengths, one launch at a time in walk
+// order, and a clock sums the run in execution order: Phase 1, GPU
+// start-up and input transfers, each period and its halo swap with the
+// censoring check at its end, output transfers, Phase 3. Estimate feeds
+// the clock from the live walk, timing each run once, without
+// allocating. A Sweep keeps a two-level tape per distinct GPU schedule,
+// since a schedule never depends on the cpu-tile. The shape tape holds
+// the walk's runs (each run's device, pass count and length, and the
+// period boundaries), which depend only on the grid shape; it is walked
+// once per shape, with consecutive identical periods stored once with a
+// repeat count. The instance tape replays it with the instance's launch
+// costs, reading each run's duration from a per-(device, gpu-tile)
+// table indexed by pass count, into period lengths, timing each run of
+// identical periods once; the launch counters are summed over the full
+// walk only when a breakdown first needs them. Every configuration
+// sharing the schedule replays the instance tape through the same clock
+// from its own Phase 1 time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
 // hash every quick-space search point and a set of full breakdowns,
@@ -197,17 +203,15 @@ type gpuSchedule struct {
 	liveFrac   float64
 }
 
-// launch is one kernel launch covering device dev's partitions of a chunk
-// of consecutive diagonals (chunk length = gpu-tile).
-type launch struct {
-	dev       int
-	points    int
-	syncSteps int
-	inflate   float64
-	// segs lists the covered row segments for functional execution; walk
-	// fills it only when asked to.
-	segs []diagSeg
-}
+// span is one swap period of a walk: m diagonals from ds. Its partition
+// cuts are taken from diagonal ds, which starts at row a0 and has l0
+// cells. Launch c of a device covers the period's diagonals from
+// ds+c*gpuTile, at most gpuTile of them.
+type span struct{ ds, m, a0, l0 int }
+
+// launchRun is n consecutive launches on device dev of passes SIMT passes
+// each.
+type launchRun struct{ dev, passes, n int32 }
 
 type diagSeg struct {
 	d, rowLo, rowHi int // rows [rowLo, rowHi] of diagonal d; empty if lo>hi
@@ -264,46 +268,170 @@ func (s *gpuSchedule) xferOut(dev int) int {
 // then endPeriod, told whether a halo exchange follows the period; each of
 // the nGPU-1 partition boundaries then moves swapByte bytes through the
 // host (2 transfers per boundary). The walk stops when endPeriod returns
-// false. Launches carry their row segments only when segs is set; without
-// them the walk allocates nothing.
-func (s *gpuSchedule) walk(segs bool, onLaunch func(l launch), endPeriod func(swapAfter bool) bool) {
+// false. It hands the launches to onRun as runs of consecutive launches
+// of equal pass count on costs' device widths, each with its period and
+// the index of its first launch there; launches with no points are left
+// out. The walk allocates nothing.
+//
+// A launch's duration depends on its points only through its pass count,
+// so a run is timed once. Runs are found without visiting every launch:
+// pieces splits a device's launches into ranges of monotone pass count,
+// and runs binary-searches each range on the exact launchPoints.
+func (s *gpuSchedule) walk(costs []hw.LaunchCost, onRun func(p span, c int, r launchRun), endPeriod func(swapAfter bool) bool) {
 	pl := s.pl
+	var cuts [11]int
 	for ds := pl.GLo; ds <= pl.GHi; ds += s.period {
-		m := min(s.period, pl.GHi-ds+1)
-		// Partition boundaries for this period are cut from its first
-		// diagonal.
-		a0 := grid.DiagStartRowRect(s.rows, s.cols, ds)
-		l0 := grid.DiagLenRect(s.rows, s.cols, ds)
+		p := span{
+			ds: ds, m: min(s.period, pl.GHi-ds+1),
+			a0: grid.DiagStartRowRect(s.rows, s.cols, ds),
+			l0: grid.DiagLenRect(s.rows, s.cols, ds),
+		}
+		nl := (p.m + s.gpuTile - 1) / s.gpuTile
 		for dev := 0; dev < s.nGPU; dev++ {
-			for c0 := 0; c0 < m; c0 += s.gpuTile {
-				l := launch{dev: dev, syncSteps: s.syncSteps, inflate: s.inflate}
-				for k := c0; k < min(c0+s.gpuTile, m); k++ {
-					lo, hi := s.devRows(ds+k, dev, a0, l0, m-1-k)
-					if hi < lo {
-						continue
-					}
-					l.points += hi - lo + 1
-					if segs {
-						l.segs = append(l.segs, diagSeg{d: ds + k, rowLo: lo, rowHi: hi})
+			lc := &costs[dev]
+			if nl <= 3 {
+				// Too few launches to search: each is a run.
+				for c := range nl {
+					if v := lc.Passes(s.launchPoints(p, dev, c, nil)); v > 0 {
+						onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: 1})
 					}
 				}
-				if s.liveFrac < 1 && l.points > 0 {
-					// Charge the launch for the live share of its covered
-					// cells. The functional segs still span every cell —
-					// masked kernels write their dead region's zeros, so
-					// the simulated matrix stays identical to a dense
-					// sweep — but timing reflects real work only.
-					l.points = max(int(math.Round(float64(l.points)*s.liveFrac)), 1)
-				}
-				if l.points > 0 {
-					onLaunch(l)
-				}
+				continue
+			}
+			n := s.pieces(&cuts, p, dev, nl)
+			for i := 0; i+1 < n; i++ {
+				s.runs(p, dev, cuts[i], cuts[i+1], lc, onRun)
 			}
 		}
-		if !endPeriod(s.nGPU >= 2 && ds+m <= pl.GHi) {
+		if !endPeriod(s.nGPU >= 2 && ds+p.m <= pl.GHi) {
 			return
 		}
 	}
+}
+
+// pieces fills cuts with the launch indices that split device dev's nl
+// launches of period p into ranges of monotone pass count, in order from
+// 0 to nl, and returns how many it filled. A device's row range on a
+// diagonal (devRows) is the diagonal clipped to the period's partition
+// cuts, so its length is piecewise linear in the period's diagonal
+// offset k. The breakpoints are where the diagonal's start row leaves
+// row 0 (diagonal cols-1) and its end row reaches the last row (diagonal
+// rows-1), and, between partitions, where the device's lower cut minus
+// its shrinking overlap meets row 0 and where its upper cut meets the
+// diagonal's end. Each launch holding a breakpoint, and a last launch
+// shorter than gpuTile, is cut out on its own; every other launch sums
+// diagonals of one linear piece, so between the cuts the point count,
+// and with it the pass count (liveFrac rounding included), is monotone.
+func (s *gpuSchedule) pieces(cuts *[11]int, p span, dev, nl int) int {
+	bps := [4]int{s.cols - 1 - p.ds, s.rows - 1 - p.ds, -1, -1}
+	if s.nGPU > 1 {
+		if dev > 0 {
+			bps[2] = p.m - 1 - (p.a0 + dev*p.l0/s.nGPU)
+		}
+		if dev < s.nGPU-1 {
+			bps[3] = p.a0 + (dev+1)*p.l0/s.nGPU - 1 - p.ds
+		}
+	}
+	n := 1
+	cuts[0] = 0
+	for _, k := range bps {
+		if k >= 0 && k < p.m {
+			c := k / s.gpuTile
+			cuts[n], cuts[n+1] = c, c+1
+			n += 2
+		}
+	}
+	if p.m%s.gpuTile != 0 {
+		cuts[n] = nl - 1
+		n++
+	}
+	cuts[n] = nl
+	n++
+	if n == 2 {
+		return n
+	}
+	// Insertion sort, dropping duplicates.
+	out := 0
+	for i := 0; i < n; i++ {
+		v := cuts[i]
+		j := out
+		for j > 0 && cuts[j-1] > v {
+			j--
+		}
+		if j > 0 && cuts[j-1] == v {
+			continue
+		}
+		copy(cuts[j+1:out+1], cuts[j:out])
+		cuts[j] = v
+		out++
+	}
+	return out
+}
+
+// runs hands onRun device dev's runs over launches [c1, c2) of period p,
+// a range on which the pass count on lc's device is monotone. The
+// range's last launch is read first: a run that reaches it ends the
+// range. Otherwise, from each run's first launch, the search gallops to a
+// launch of another pass count and binary-searches the gap between, so a
+// run of n launches costs about 2*log2(n) evaluations, and a run of one
+// launch a single one.
+func (s *gpuSchedule) runs(p span, dev, c1, c2 int, lc *hw.LaunchCost, onRun func(p span, c int, r launchRun)) {
+	passes := func(c int) int { return lc.Passes(s.launchPoints(p, dev, c, nil)) }
+	c, v := c1, passes(c1)
+	last, lastV := c2-1, v
+	if last > c {
+		lastV = passes(last)
+	}
+	for v != lastV {
+		// passes(lo) == v, and hi is the nearest launch known to differ.
+		lo, hi, next := c, last, lastV
+		for step := 1; lo+step < hi; step *= 2 {
+			if q := passes(lo + step); q != v {
+				hi, next = lo+step, q
+				break
+			}
+			lo += step
+		}
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if q := passes(mid); q == v {
+				lo = mid
+			} else {
+				hi, next = mid, q
+			}
+		}
+		if v > 0 {
+			onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: int32(lo - c + 1)})
+		}
+		c, v = hi, next
+	}
+	if v > 0 {
+		onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: int32(c2 - c)})
+	}
+}
+
+// launchPoints returns the points launch c of device dev in period p is
+// charged for: the cells of its row segments, scaled to the instance's
+// live share when it is masked. When segs is not nil, the launch's
+// non-empty row segments are appended to it.
+func (s *gpuSchedule) launchPoints(p span, dev, c int, segs *[]diagSeg) int {
+	points := 0
+	for k := c * s.gpuTile; k < min((c+1)*s.gpuTile, p.m); k++ {
+		if lo, hi := s.devRows(p.ds+k, dev, p.a0, p.l0, p.m-1-k); hi >= lo {
+			points += hi - lo + 1
+			if segs != nil {
+				*segs = append(*segs, diagSeg{d: p.ds + k, rowLo: lo, rowHi: hi})
+			}
+		}
+	}
+	if s.liveFrac < 1 && points > 0 {
+		// Charge the launch for the live share of its covered cells. The
+		// functional segments still span every cell — masked kernels
+		// write their dead region's zeros, so the simulated matrix stays
+		// identical to a dense sweep — but timing reflects real work only.
+		points = max(int(math.Round(float64(points)*s.liveFrac)), 1)
+	}
+	return points
 }
 
 // devRows returns the inclusive row range device dev computes on diagonal
@@ -466,11 +594,6 @@ func launchCosts(dst []hw.LaunchCost, sys hw.System, inst plan.Instance, n int) 
 	return dst
 }
 
-// launch times a launch of the live walk.
-func (m *meter) launch(l launch) {
-	m.add(l.dev, m.costs[l.dev].DurationNs(l.points, l.syncSteps, l.inflate))
-}
-
 // add accounts one launch on device dev lasting dur. It is the only place
 // a launch is folded into a period and the breakdown counters, for the
 // live walk and a Sweep's replay alike.
@@ -514,7 +637,28 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		var table [4]hw.LaunchCost
 		m := meter{costs: launchCosts(table[:0], sys, inst, sch.nGPU), dev: -1}
 		cut := false
-		sch.walk(false, m.launch, func(swapAfter bool) bool {
+		// A run is timed once, and a device's pass count mostly repeats
+		// from one period to the next, so each device keeps its last
+		// run's duration.
+		type lastRun struct {
+			passes int32
+			ns     float64
+		}
+		var lastBuf [4]lastRun
+		last := lastBuf[:0]
+		for range sch.nGPU {
+			last = append(last, lastRun{passes: -1})
+		}
+		sch.walk(m.costs, func(_ span, _ int, r launchRun) {
+			d := &last[r.dev]
+			if d.passes != r.passes {
+				c := &m.costs[r.dev]
+				d.passes, d.ns = r.passes, c.DurationNs(int(r.passes)*c.Width(), sch.syncSteps, sch.inflate)
+			}
+			for range r.n {
+				m.add(int(r.dev), d.ns)
+			}
+		}, func(swapAfter bool) bool {
 			swaps := 0
 			if swapAfter {
 				swaps = 1
@@ -590,9 +734,21 @@ func Simulate(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Para
 				}
 			})
 		// Each period enqueues its launches behind one barrier; a halo
-		// exchange, when due, follows as its own step.
+		// exchange, when due, follows as its own step. The walk's runs
+		// expand into their launches' row segments.
+		type launch struct {
+			dev, points int
+			segs        []diagSeg
+		}
 		var launches []launch
-		sch.walk(true, func(l launch) { launches = append(launches, l) }, func(swapAfter bool) bool {
+		costs := launchCosts(nil, sys, inst, sch.nGPU)
+		sch.walk(costs, func(sp span, c int, r launchRun) {
+			for i := c; i < c+int(r.n); i++ {
+				l := launch{dev: int(r.dev)}
+				l.points = sch.launchPoints(sp, l.dev, i, &l.segs)
+				launches = append(launches, l)
+			}
+		}, func(swapAfter bool) bool {
 			period := launches
 			launches = nil
 			steps = append(steps, func(next func()) {
@@ -603,8 +759,8 @@ func Simulate(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Para
 						Points:    l.points,
 						TSize:     inst.TSize,
 						DSize:     inst.DSize,
-						SyncSteps: l.syncSteps,
-						Inflate:   l.inflate,
+						SyncSteps: sch.syncSteps,
+						Inflate:   sch.inflate,
 						Body: func() {
 							for _, s := range segs {
 								for r := s.rowLo; r <= s.rowHi; r++ {

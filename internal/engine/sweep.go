@@ -18,7 +18,8 @@ import (
 //     only on the grid shape: which device covers how many SIMT passes in
 //     each launch, and where the periods end. It is run-length encoded
 //     twice over: consecutive launches of one device with the same pass
-//     count form one run, and consecutive periods with identical runs are
+//     count form one run (the walk yields runs, and record joins two
+//     that meet), and consecutive periods with identical runs are
 //     stored once with a repeat count (on a halo-0 dual-GPU schedule every
 //     period is one diagonal, so most periods repeat their neighbour). A
 //     schedule is walked once per shape: shape tapes survive Reset for as
@@ -101,10 +102,6 @@ type shapeTape struct {
 
 // periodSpan is n consecutive periods that each launch Sweep.runs[off:end].
 type periodSpan struct{ off, end, n int32 }
-
-// launchRun is n consecutive launches on device dev of passes SIMT passes
-// each.
-type launchRun struct{ dev, passes, n int32 }
 
 // gpuTape is a shape tape replayed with the bound instance's launch
 // costs: its periods' lockstep durations, at Sweep.periods[off:end], and
@@ -252,18 +249,16 @@ func (s *Sweep) tape(sch *gpuSchedule) int {
 	return i
 }
 
-// record walks sch and appends its launch structure to the shape-level
-// buffers.
+// record walks sch and appends its runs to the shape-level buffers.
 func (s *Sweep) record(sch *gpuSchedule) shapeTape {
 	t := shapeTape{off: len(s.spans)}
 	first := len(s.runs) // the current period's first run
-	sch.walk(false, func(l launch) {
-		dev, passes := int32(l.dev), int32(s.costs[l.dev].Passes(l.points))
-		if n := len(s.runs); n > first && s.runs[n-1].dev == dev && s.runs[n-1].passes == passes {
-			s.runs[n-1].n++
+	sch.walk(s.costs, func(_ span, _ int, r launchRun) {
+		if n := len(s.runs); n > first && s.runs[n-1].dev == r.dev && s.runs[n-1].passes == r.passes {
+			s.runs[n-1].n += r.n
 			return
 		}
-		s.runs = append(s.runs, launchRun{dev: dev, passes: passes, n: 1})
+		s.runs = append(s.runs, r)
 	}, func(swapAfter bool) bool {
 		if swapAfter {
 			t.swaps++

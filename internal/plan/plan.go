@@ -432,35 +432,6 @@ func (p *Plan) AllGPU() bool {
 	return p.Par.Band >= 0 && p.GLo == 0 && p.GHi == p.Inst.NumDiags()-1
 }
 
-// Partition describes one device's share of an offloaded diagonal.
-type Partition struct {
-	// Start and End delimit the half-open cell index range [Start, End)
-	// within the diagonal, including any redundantly computed overlap.
-	Start, End int
-}
-
-// Len returns the number of cells in the partition.
-func (pt Partition) Len() int {
-	if pt.End <= pt.Start {
-		return 0
-	}
-	return pt.End - pt.Start
-}
-
-// PartitionDiag splits a diagonal of length l between nGPU devices with
-// the given current overlap (the halo remaining before the next swap).
-// Device 0 takes the low indices. The union of the partitions always
-// covers [0, l).
-func PartitionDiag(l, nGPU, overlap int) []Partition {
-	if nGPU <= 1 {
-		return []Partition{{0, l}}
-	}
-	half := l / 2
-	p0 := Partition{0, min(l, half+overlap)}
-	p1 := Partition{max(0, half-overlap), l}
-	return []Partition{p0, p1}
-}
-
 // TileDiag describes one tile-diagonal of a CPU phase: NTiles tiles that
 // can run in parallel, jointly covering Cells cells of the phase region.
 type TileDiag struct {

@@ -203,39 +203,6 @@ func TestRedundantPointsTradeoff(t *testing.T) {
 	}
 }
 
-func TestPartitionDiagCoversAll(t *testing.T) {
-	f := func(rawL, rawOv uint8) bool {
-		l := int(rawL)%300 + 1
-		ov := int(rawOv) % (l/2 + 1)
-		parts := PartitionDiag(l, 2, ov)
-		if len(parts) != 2 {
-			return false
-		}
-		// Union must cover [0, l): p0 starts at 0, p1 ends at l, and they
-		// meet or overlap.
-		return parts[0].Start == 0 && parts[1].End == l && parts[0].End >= parts[1].Start
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPartitionDiagSingle(t *testing.T) {
-	parts := PartitionDiag(100, 1, 0)
-	if len(parts) != 1 || parts[0].Len() != 100 {
-		t.Errorf("single-device partition wrong: %v", parts)
-	}
-}
-
-func TestPartitionOverlapSize(t *testing.T) {
-	parts := PartitionDiag(100, 2, 7)
-	// Overlap region is [50-7, 50+7) = 14 cells.
-	overlap := parts[0].End - parts[1].Start
-	if overlap != 14 {
-		t.Errorf("overlap = %d, want 14", overlap)
-	}
-}
-
 func TestCPUTileDiagsConserveCells(t *testing.T) {
 	// Property: tile-diagonal cell counts sum exactly to the region size.
 	f := func(rawDim, rawCt, rawLo, rawHi uint8) bool {
