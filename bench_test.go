@@ -519,7 +519,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			c, insts := warm(b, shards)
-			if got := c.Shards(); got != shards {
+			if got := len(c.ShardStats()); got != shards {
 				b.Fatalf("cache built with %d shards, want %d", got, shards)
 			}
 			b.ResetTimer()

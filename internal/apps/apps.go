@@ -111,18 +111,6 @@ func (a App) Param(name string) (ParamSpec, bool) {
 	return ParamSpec{}, false
 }
 
-// Defaults returns the default parameter values (required parameters,
-// having none, are absent).
-func (a App) Defaults() Values {
-	v := Values{}
-	for _, p := range a.Params {
-		if !p.Required {
-			v[p.Name] = p.Default
-		}
-	}
-	return v
-}
-
 // Resolve validates the supplied values against the schema and fills in
 // defaults: unknown keys are rejected, required parameters must be
 // present, and integer/range constraints are enforced. The input map is

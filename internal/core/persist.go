@@ -50,7 +50,7 @@ func (t *Tuner) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("core: decoding tuner: %w", err)
 	}
 	if d.Version != tunerFormatVersion {
-		return fmt.Errorf("core: tuner format version %d, want %d; retrain the tuner (wavetrain -save FILE -full -system S)",
+		return fmt.Errorf("core: tuner format version %d, want %d; retrain the tuner (wavetrain -system S -save FILE)",
 			d.Version, tunerFormatVersion)
 	}
 	if d.Kind != KindTree {

@@ -136,7 +136,7 @@ func checkRejectsVersion(t *testing.T, v int) {
 	if err == nil {
 		t.Fatalf("version %d tuner file accepted", v)
 	}
-	for _, want := range []string{fmt.Sprintf("version %d", v), "wavetrain -save"} {
+	for _, want := range []string{fmt.Sprintf("version %d", v), "wavetrain -system S -save FILE"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

@@ -25,12 +25,13 @@ func trainedTree(t *testing.T) *Tuner {
 
 // registryInstances builds one mid-sized instance per registered
 // application, supplying the synthetic trainer's required granularity
-// parameters explicitly.
+// parameters explicitly and leaving the others to InstanceFor's
+// defaults.
 func registryInstances(t *testing.T, dim int) map[string]plan.Instance {
 	t.Helper()
 	out := make(map[string]plan.Instance)
 	for _, a := range apps.All() {
-		v := a.Defaults()
+		v := apps.Values{}
 		for _, p := range a.Params {
 			if !p.Required {
 				continue

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
@@ -92,9 +93,10 @@ func TestExhaustiveOverRectSpace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("recorded config invalid: %v", err)
 		}
-		if pl.GPUCells()+pl.CPUCells() != inst.Cells() {
-			t.Fatalf("%v: phases cover %d of %d cells", p.Par,
-				pl.GPUCells()+pl.CPUCells(), inst.Cells())
+		rows, cols := inst.Shape()
+		if got := grid.CellsInDiagRangeRect(rows, cols, pl.P1Lo, pl.P1Hi) + pl.GPUCells() +
+			grid.CellsInDiagRangeRect(rows, cols, pl.P3Lo, pl.P3Hi); got != inst.Cells() {
+			t.Fatalf("%v: phases cover %d of %d cells", p.Par, got, inst.Cells())
 		}
 	}
 }

@@ -18,11 +18,9 @@ import (
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	now    float64
-	seq    int64
-	queue  eventHeap
-	nRun   int64
-	closed bool
+	now   float64
+	seq   int64
+	queue eventHeap
 }
 
 type event struct {
@@ -59,9 +57,6 @@ func NewEngine() *Engine {
 // Now returns the current virtual time in nanoseconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Events returns the number of events executed so far.
-func (e *Engine) Events() int64 { return e.nRun }
-
 // Schedule runs fn after delay nanoseconds of virtual time. Negative or
 // NaN delays are programming errors and panic.
 func (e *Engine) Schedule(delay float64, fn func()) {
@@ -85,7 +80,6 @@ func (e *Engine) Run() float64 {
 	for e.queue.Len() > 0 {
 		ev := heap.Pop(&e.queue).(*event)
 		e.now = ev.at
-		e.nRun++
 		ev.fn()
 	}
 	return e.now
@@ -111,12 +105,6 @@ func NewResource(eng *Engine, name string, capacity int) *Resource {
 	}
 	return &Resource{eng: eng, name: name, capacity: capacity}
 }
-
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
-// InUse returns the number of currently held slots.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Acquire requests a slot and calls granted (as a new event at the grant
 // time) once one is available. The holder must call Release exactly once.

@@ -378,3 +378,36 @@ func TestEstimateAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+func TestSwapSchedule(t *testing.T) {
+	// Two GPUs exchange halos once per period of max(halo, 1) offloaded
+	// diagonals, with no swap after the last period.
+	sys := hw.I7_2600K()
+	inst := plan.Instance{Dim: 100, TSize: 10, DSize: 1}
+	swaps := func(inst plan.Instance, band, halo int) (period, n int) {
+		r, err := Estimate(sys, inst, plan.Params{CPUTile: 4, Band: band, GPUTile: 1, Halo: halo}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Plan.SwapPeriod(), r.Swaps
+	}
+	// 21 offloaded diagonals, halo 5 -> ceil(21/5)=5 periods, 4 swaps.
+	if period, n := swaps(inst, 10, 5); period != 5 || n != 4 {
+		t.Errorf("halo=5: period=%d swaps=%d, want 5/4", period, n)
+	}
+	// Halo 0 still swaps every diagonal.
+	if period, n := swaps(inst, 10, 0); period != 1 || n != 20 {
+		t.Errorf("halo=0: period=%d swaps=%d, want 1/20", period, n)
+	}
+	// A single GPU never swaps.
+	if _, n := swaps(inst, 10, -1); n != 0 {
+		t.Errorf("single GPU swapped %d times", n)
+	}
+	// Larger halos swap less often.
+	big := plan.Instance{Dim: 200, TSize: 10, DSize: 1}
+	_, small := swaps(big, 50, 2)
+	_, large := swaps(big, 50, 20)
+	if small <= large {
+		t.Errorf("halo=2 swaps %d times, halo=20 %d: smaller halo must swap more often", small, large)
+	}
+}

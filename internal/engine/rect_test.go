@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/hw"
 	"repro/internal/kernels"
 	"repro/internal/plan"
@@ -18,6 +19,7 @@ func TestEstimateRectangularInstance(t *testing.T) {
 	sys := hw.I7_2600K()
 	k := kernels.NewSynthetic(100, 1)
 	inst := rectInstance(300, 900, k)
+	rows, cols := inst.Shape()
 	for _, par := range []plan.Params{
 		CPUOnlyParams(8),
 		{CPUTile: 4, Band: 100, GPUTile: 1, Halo: -1},
@@ -31,7 +33,9 @@ func TestEstimateRectangularInstance(t *testing.T) {
 		if res.RTimeNs <= 0 {
 			t.Errorf("%v: non-positive runtime", par)
 		}
-		if got := res.Plan.GPUCells() + res.Plan.CPUCells(); got != inst.Cells() {
+		pl := res.Plan
+		if got := grid.CellsInDiagRangeRect(rows, cols, pl.P1Lo, pl.P1Hi) + pl.GPUCells() +
+			grid.CellsInDiagRangeRect(rows, cols, pl.P3Lo, pl.P3Hi); got != inst.Cells() {
 			t.Errorf("%v: phases cover %d cells, want %d", par, got, inst.Cells())
 		}
 	}
@@ -40,7 +44,7 @@ func TestEstimateRectangularInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pl.AllGPU() {
+	if pl.GLo != 0 || pl.GHi != inst.NumDiags()-1 {
 		t.Errorf("GPUOnlyParamsFor does not offload all diagonals: [%d,%d] of %d",
 			pl.GLo, pl.GHi, inst.NumDiags())
 	}

@@ -11,7 +11,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -300,28 +299,6 @@ func (d *Fig5Data) Render() string {
 			fmt.Sprintf("best halo (y=dim, x=tsize), %s", d.Sys.Name)))
 	}
 	return b.String()
-}
-
-// GPUThreshold returns, for each dim, the smallest tsize whose optimum
-// uses the GPU (band >= 0), or -1 when none does: the paper's offload
-// threshold observation.
-func (d *Fig5Data) GPUThreshold() map[int]float64 {
-	out := map[int]float64{}
-	byDim := map[int][]Fig5Cell{}
-	for _, cell := range d.Cells {
-		byDim[cell.Dim] = append(byDim[cell.Dim], cell)
-	}
-	for dim, cells := range byDim {
-		sort.Slice(cells, func(i, j int) bool { return cells[i].TSize < cells[j].TSize })
-		out[dim] = -1
-		for _, cell := range cells {
-			if cell.Band >= 0 {
-				out[dim] = cell.TSize
-				break
-			}
-		}
-	}
-	return out
 }
 
 // ---- Figure 6: best points vs simple schemes ----

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -343,4 +344,26 @@ func TestBaselineGPUOnlyHelper(t *testing.T) {
 	if res.RTimeNs <= 0 {
 		t.Error("GPU-only baseline must be positive")
 	}
+}
+
+// GPUThreshold returns, for each dim, the smallest tsize whose optimum
+// uses the GPU (band >= 0), or -1 when none does: the paper's offload
+// threshold observation.
+func (d *Fig5Data) GPUThreshold() map[int]float64 {
+	out := map[int]float64{}
+	byDim := map[int][]Fig5Cell{}
+	for _, cell := range d.Cells {
+		byDim[cell.Dim] = append(byDim[cell.Dim], cell)
+	}
+	for dim, cells := range byDim {
+		sort.Slice(cells, func(i, j int) bool { return cells[i].TSize < cells[j].TSize })
+		out[dim] = -1
+		for _, cell := range cells {
+			if cell.Band >= 0 {
+				out[dim] = cell.TSize
+				break
+			}
+		}
+	}
+	return out
 }

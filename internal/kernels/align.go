@@ -48,15 +48,6 @@ func NewSWAffine() *SWAffine {
 	return &SWAffine{Match: 5, Mismatch: -4, GapOpen: 10, GapExtend: 1}
 }
 
-// NewSWAffineWith returns an affine-gap kernel aligning the two given
-// sequences; cells outside the sequence lengths reuse the synthetic
-// bases.
-func NewSWAffineWith(a, b []byte) *SWAffine {
-	k := NewSWAffine()
-	k.SeqA, k.SeqB = a, b
-	return k
-}
-
 // Name implements Kernel.
 func (s *SWAffine) Name() string { return "swaffine" }
 
@@ -163,10 +154,6 @@ const LCSTSize = 0.4
 
 // NewLCS returns an LCS kernel over synthetic sequences.
 func NewLCS() *LCS { return &LCS{} }
-
-// NewLCSWith returns an LCS kernel comparing the two given sequences;
-// cells outside the sequence lengths reuse the synthetic bases.
-func NewLCSWith(a, b []byte) *LCS { return &LCS{SeqA: a, SeqB: b} }
 
 // Name implements Kernel.
 func (l *LCS) Name() string { return "lcs" }

@@ -35,10 +35,6 @@ const DTWDSize = 1
 // NewDTW returns a DTW kernel over synthetic series.
 func NewDTW() *DTW { return &DTW{} }
 
-// NewDTWWith returns a DTW kernel warping the two given series; cells
-// outside the series lengths reuse the synthetic samples.
-func NewDTWWith(a, b []float64) *DTW { return &DTW{SeriesA: a, SeriesB: b} }
-
 // Name implements Kernel.
 func (d *DTW) Name() string { return "dtw" }
 

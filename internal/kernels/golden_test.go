@@ -60,7 +60,8 @@ func refSWAffine(a, b []byte, match, mismatch, open, extend int64) (h, e, f [][]
 func TestSWAffineGolden(t *testing.T) {
 	a := []byte("GATTACACAGGT")
 	b := []byte("GCATGCGATTACTT")
-	k := NewSWAffineWith(a, b)
+	k := NewSWAffine()
+	k.SeqA, k.SeqB = a, b
 	g := grid.NewRect(len(a), len(b), k.DSize())
 	RunAll(k, g)
 
@@ -88,7 +89,8 @@ func TestSWAffineGolden(t *testing.T) {
 	// Sanity on a case with a known answer: identical sequences score
 	// len * match with no gaps.
 	same := []byte("ACGTACGT")
-	k2 := NewSWAffineWith(same, same)
+	k2 := NewSWAffine()
+	k2.SeqA, k2.SeqB = same, same
 	g2 := grid.NewRect(len(same), len(same), k2.DSize())
 	RunAll(k2, g2)
 	if got, want := k2.Score(g2), int64(len(same))*k2.Match; got != want {
@@ -121,7 +123,8 @@ func refLCS(a, b []byte) [][]int64 {
 func TestLCSGolden(t *testing.T) {
 	a := []byte("AGGTAB")
 	b := []byte("GXTXAYB")
-	k := NewLCSWith(a, b)
+	k := NewLCS()
+	k.SeqA, k.SeqB = a, b
 	g := grid.NewRect(len(a), len(b), 0)
 	RunAll(k, g)
 	want := refLCS(a, b)
@@ -168,7 +171,8 @@ func refDTW(x, y []float64) [][]float64 {
 func TestDTWGolden(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 2, 1, 0, -1, 0, 2}
 	y := []float64{0, 0, 1, 3, 3, 2, 0, -1, -1, 0, 1}
-	k := NewDTWWith(x, y)
+	k := NewDTW()
+	k.SeriesA, k.SeriesB = x, y
 	g := grid.NewRect(len(x), len(y), k.DSize())
 	RunAll(k, g)
 	want := refDTW(x, y)
@@ -180,7 +184,8 @@ func TestDTWGolden(t *testing.T) {
 		}
 	}
 	// Identical series warp with zero cost along the diagonal.
-	k2 := NewDTWWith(x, x)
+	k2 := NewDTW()
+	k2.SeriesA, k2.SeriesB = x, x
 	g2 := grid.NewRect(len(x), len(x), k2.DSize())
 	RunAll(k2, g2)
 	if got := k2.Dist(g2); got != 0 {
@@ -221,7 +226,8 @@ func refNussinov(seq []byte, minLoop int) [][]int64 {
 
 func TestNussinovGolden(t *testing.T) {
 	seq := []byte("GGGAAAUCCAGCUUCGGCUGAAUU")
-	k := NewNussinovWith(seq, NussinovMinLoop)
+	k := NewNussinov(NussinovMinLoop)
+	k.Seq = seq
 	n := len(seq)
 	g := grid.NewRect(n, n, 0)
 	RunAll(k, g)
@@ -244,7 +250,8 @@ func TestNussinovGolden(t *testing.T) {
 	// A perfect hairpin: GGGG AAAA CCCC pairs all four G-C stems when
 	// the loop is long enough.
 	hp := []byte("GGGGAAAACCCC")
-	k2 := NewNussinovWith(hp, 3)
+	k2 := NewNussinov(3)
+	k2.Seq = hp
 	g2 := grid.NewRect(len(hp), len(hp), 0)
 	RunAll(k2, g2)
 	if got := k2.Pairs(g2); got != 4 {
@@ -254,7 +261,8 @@ func TestNussinovGolden(t *testing.T) {
 
 func TestNussinovMinLoopGate(t *testing.T) {
 	// With minLoop >= n no pairing is ever allowed.
-	k := NewNussinovWith([]byte("GCGCGC"), 6)
+	k := NewNussinov(6)
+	k.Seq = []byte("GCGCGC")
 	g := grid.NewRect(6, 6, 0)
 	RunAll(k, g)
 	if got := k.Pairs(g); got != 0 {

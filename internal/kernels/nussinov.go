@@ -57,13 +57,6 @@ func NewNussinov(minLoop int) *Nussinov {
 	return &Nussinov{MinLoop: minLoop}
 }
 
-// NewNussinovWith returns a folding kernel over the given sequence.
-func NewNussinovWith(seq []byte, minLoop int) *Nussinov {
-	k := NewNussinov(minLoop)
-	k.Seq = seq
-	return k
-}
-
 // Name implements Kernel.
 func (n *Nussinov) Name() string { return "nussinov" }
 

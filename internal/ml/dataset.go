@@ -117,35 +117,3 @@ func (d *Dataset) String() string {
 type Model interface {
 	Predict(x []float64) float64
 }
-
-// Metrics aggregates regression quality measures.
-type Metrics struct {
-	MAE  float64 // mean absolute error
-	RMSE float64
-	R2   float64 // coefficient of determination vs the mean predictor
-	N    int
-}
-
-// Evaluate scores a model on a dataset.
-func Evaluate(m Model, d *Dataset) Metrics {
-	n := d.Len()
-	if n == 0 {
-		return Metrics{}
-	}
-	mean := d.YMean()
-	var sae, sse, sst float64
-	for i, x := range d.X {
-		p := m.Predict(x)
-		e := p - d.Y[i]
-		sae += math.Abs(e)
-		sse += e * e
-		sst += (d.Y[i] - mean) * (d.Y[i] - mean)
-	}
-	r2 := 0.0
-	if sst > 0 {
-		r2 = 1 - sse/sst
-	} else if sse == 0 {
-		r2 = 1
-	}
-	return Metrics{MAE: sae / float64(n), RMSE: math.Sqrt(sse / float64(n)), R2: r2, N: n}
-}

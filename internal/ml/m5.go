@@ -244,36 +244,6 @@ func (t *M5Tree) smoothed(n *m5node, x []float64) float64 {
 		(float64(child.n) + m5SmoothK)
 }
 
-// Leaves returns the number of leaf models.
-func (t *M5Tree) Leaves() int { return countLeaves(t.root) }
-
-func countLeaves(n *m5node) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	return countLeaves(n.left) + countLeaves(n.right)
-}
-
-// Depth returns the tree depth (a lone leaf has depth 1).
-func (t *M5Tree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *m5node) int {
-	if n == nil {
-		return 0
-	}
-	if n.leaf {
-		return 1
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
 // Render prints the tree in the paper's Figure 9 layout: the split
 // structure with numbered linear models, followed by each model's
 // equation.

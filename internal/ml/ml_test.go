@@ -414,3 +414,80 @@ func (m modelExact) Predict(x []float64) float64 {
 	}
 	return 0
 }
+
+// Metrics aggregates regression quality measures.
+type Metrics struct {
+	MAE  float64 // mean absolute error
+	RMSE float64
+	R2   float64 // coefficient of determination vs the mean predictor
+	N    int
+}
+
+// Evaluate scores a model on a dataset.
+func Evaluate(m Model, d *Dataset) Metrics {
+	n := d.Len()
+	if n == 0 {
+		return Metrics{}
+	}
+	mean := d.YMean()
+	var sae, sse, sst float64
+	for i, x := range d.X {
+		p := m.Predict(x)
+		e := p - d.Y[i]
+		sae += math.Abs(e)
+		sse += e * e
+		sst += (d.Y[i] - mean) * (d.Y[i] - mean)
+	}
+	r2 := 0.0
+	if sst > 0 {
+		r2 = 1 - sse/sst
+	} else if sse == 0 {
+		r2 = 1
+	}
+	return Metrics{MAE: sae / float64(n), RMSE: math.Sqrt(sse / float64(n)), R2: r2, N: n}
+}
+
+// Leaves returns the number of leaf models.
+func (t *M5Tree) Leaves() int { return countLeaves(t.root) }
+
+func countLeaves(n *m5node) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	return countLeaves(n.left) + countLeaves(n.right)
+}
+
+// Depth returns the tree depth (a lone leaf has depth 1).
+func (t *M5Tree) Depth() int { return depthOf(t.root) }
+
+func depthOf(n *m5node) int {
+	if n == nil {
+		return 0
+	}
+	if n.leaf {
+		return 1
+	}
+	l, r := depthOf(n.left), depthOf(n.right)
+	if l > r {
+		return l + 1
+	}
+	return r + 1
+}
+
+// Leaves returns the leaf count.
+func (t *REPTree) Leaves() int {
+	var count func(*repNode) int
+	count = func(n *repNode) int {
+		if n == nil {
+			return 0
+		}
+		if n.leaf {
+			return 1
+		}
+		return count(n.left) + count(n.right)
+	}
+	return count(t.root)
+}

@@ -175,21 +175,6 @@ func (t *REPTree) Predict(x []float64) float64 {
 // such as the paper's "gpu-tile is effectively 1 or 0" decision.
 func (t *REPTree) Classify(x []float64) bool { return t.Predict(x) >= 0.5 }
 
-// Leaves returns the leaf count.
-func (t *REPTree) Leaves() int {
-	var count func(*repNode) int
-	count = func(n *repNode) int {
-		if n == nil {
-			return 0
-		}
-		if n.leaf {
-			return 1
-		}
-		return count(n.left) + count(n.right)
-	}
-	return count(t.root)
-}
-
 // Render prints the tree structure.
 func (t *REPTree) Render() string {
 	var b strings.Builder

@@ -387,11 +387,6 @@ func (p *Plan) GPUCells() int {
 	return grid.CellsInDiagRangeRect(rows, cols, p.GLo, p.GHi)
 }
 
-// CPUCells returns the number of cells in the two CPU phases.
-func (p *Plan) CPUCells() int {
-	return p.Inst.Cells() - p.GPUCells()
-}
-
 // SwapPeriod returns the number of diagonals between halo exchanges when
 // two GPUs are used: the halo size, with a minimum of one (a halo of zero
 // still requires boundary data after every diagonal).
@@ -400,16 +395,6 @@ func (p *Plan) SwapPeriod() int {
 		return 1
 	}
 	return p.Par.Halo
-}
-
-// NumSwaps returns the number of halo exchanges of the plan: one after
-// every full period, except that no swap follows the final diagonal group.
-func (p *Plan) NumSwaps() int {
-	if p.Par.GPUCount() != 2 || p.GPUDiags() == 0 {
-		return 0
-	}
-	periods := (p.GPUDiags() + p.SwapPeriod() - 1) / p.SwapPeriod()
-	return periods - 1
 }
 
 // RedundantPoints returns the modeled number of extra cell computations
@@ -424,12 +409,6 @@ func (p *Plan) RedundantPoints() int {
 	h := p.Par.Halo
 	periods := (p.GPUDiags() + p.SwapPeriod() - 1) / p.SwapPeriod()
 	return periods * h * (h + 1) / 2 * 2
-}
-
-// AllGPU reports whether the plan offloads every diagonal (null CPU
-// phases, Section 2's "computation carried out entirely within the GPU").
-func (p *Plan) AllGPU() bool {
-	return p.Par.Band >= 0 && p.GLo == 0 && p.GHi == p.Inst.NumDiags()-1
 }
 
 // TileDiag describes one tile-diagonal of a CPU phase: NTiles tiles that

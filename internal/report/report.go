@@ -1,6 +1,6 @@
 // Package report renders experiment data as aligned ASCII tables, ASCII
-// heatmaps and violins, and CSV — the textual equivalents of the paper's
-// figures that cmd/waverepro and the benchmark harness print.
+// heatmaps and violins — the textual equivalents of the paper's figures
+// that cmd/waverepro and the benchmark harness print.
 package report
 
 import (
@@ -73,31 +73,6 @@ func (t *Table) String() string {
 		b.WriteString(strings.Repeat("-", w+2))
 	}
 	b.WriteString("\n")
-	for _, r := range t.Rows {
-		writeRow(r)
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values with a header line.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	writeRow := func(r []string) {
-		for i, c := range r {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteString("\n")
-	}
-	writeRow(t.Header)
 	for _, r := range t.Rows {
 		writeRow(r)
 	}

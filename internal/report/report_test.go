@@ -24,22 +24,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.Add("plain", "with,comma")
-	tb.Add(`q"uote`, "x")
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"with,comma"`) {
-		t.Errorf("comma not quoted: %s", csv)
-	}
-	if !strings.Contains(csv, `"q""uote"`) {
-		t.Errorf("quote not escaped: %s", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("header wrong: %s", csv)
-	}
-}
-
 func TestRenderHeatmap(t *testing.T) {
 	h := stats.NewHeatmap([]int{500, 1900}, []int{10, 1000})
 	_ = h.Set(500, 10, -1)     // sentinel: GPU unused

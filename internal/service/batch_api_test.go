@@ -238,8 +238,8 @@ func TestBatchLargeFanOut(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	s, ts, _ := newTestServer(t, Config{CacheSize: 256})
-	if s.Cache().Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", s.Cache().Shards())
+	if n := len(s.Cache().ShardStats()); n != 8 {
+		t.Fatalf("shards = %d, want 8", n)
 	}
 	var items []string
 	for i := 0; i < BatchLimit; i++ {

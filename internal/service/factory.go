@@ -13,7 +13,7 @@ import (
 // paper trains once per platform and then only predicts. Regenerate a
 // file with
 //
-//	go run ./cmd/wavetrain -system S -full -save internal/service/factory/full/S.json
+//	go run ./cmd/wavetrain -system S -save internal/service/factory/full/S.json
 //
 // TestFactoryTuners fails when training no longer gives a file's bytes.
 //

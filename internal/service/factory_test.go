@@ -37,7 +37,7 @@ func TestFactoryTuners(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Errorf("trained tuner differs from the shipped file; if the change is meant, regenerate it with\n\tgo run ./cmd/wavetrain -system %s -full -save internal/service/factory/full/%s.json",
+				t.Errorf("trained tuner differs from the shipped file; if the change is meant, regenerate it with\n\tgo run ./cmd/wavetrain -system %s -save internal/service/factory/full/%s.json",
 					sys.Name, sys.Name)
 			}
 		})

@@ -1,6 +1,6 @@
 // Package simcl is a simulated OpenCL-style runtime: devices with in-order
-// command queues, buffers, kernel launches and host transfers, executing in
-// the virtual time of a discrete-event engine against the cost models of
+// command queues, kernel launches and host transfers, executing in the
+// virtual time of a discrete-event engine against the cost models of
 // package hw.
 //
 // It replaces the paper's "own OpenCL harness" (Section 2). Commands incur
@@ -51,7 +51,6 @@ type Device struct {
 	Index   int
 	queue   *des.Resource
 	started bool
-	alloc   int // allocated device memory in bytes
 	Stats   DeviceStats
 }
 
@@ -77,41 +76,6 @@ func newDevice(p *Platform, m hw.GPUModel, idx int) *Device {
 		queue: des.NewResource(p.Eng, fmt.Sprintf("gpu%d-queue", idx), 1),
 	}
 }
-
-// Buffer is a device memory allocation.
-type Buffer struct {
-	Dev   *Device
-	Bytes int
-	freed bool
-}
-
-// CreateBuffer allocates device memory, failing when the modeled device
-// capacity (Table 4's GPU Mem column) would be exceeded.
-func (d *Device) CreateBuffer(bytes int) (*Buffer, error) {
-	if bytes < 0 {
-		return nil, fmt.Errorf("simcl: negative buffer size %d", bytes)
-	}
-	capBytes := int(d.Model.MemGB * 1e9)
-	if d.alloc+bytes > capBytes {
-		return nil, fmt.Errorf("simcl: device %s out of memory: %d + %d > %d",
-			d.Model.Name, d.alloc, bytes, capBytes)
-	}
-	d.alloc += bytes
-	return &Buffer{Dev: d, Bytes: bytes}, nil
-}
-
-// Release frees the buffer's device memory. Releasing twice is an error.
-func (b *Buffer) Release() error {
-	if b.freed {
-		return fmt.Errorf("simcl: double release of buffer on %s", b.Dev.Model.Name)
-	}
-	b.freed = true
-	b.Dev.alloc -= b.Bytes
-	return nil
-}
-
-// Allocated returns the bytes currently allocated on the device.
-func (d *Device) Allocated() int { return d.alloc }
 
 // Start pays the one-time device startup cost (context creation and
 // program build). Subsequent calls complete immediately. done may be nil.

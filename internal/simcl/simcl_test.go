@@ -153,35 +153,6 @@ func TestKernelsOnDifferentDevicesOverlap(t *testing.T) {
 	}
 }
 
-func TestBufferAccounting(t *testing.T) {
-	p := newTestPlatform()
-	d := p.Devs[0]
-	buf, err := d.CreateBuffer(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Allocated() != 1000 {
-		t.Errorf("allocated = %d, want 1000", d.Allocated())
-	}
-	if err := buf.Release(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Allocated() != 0 {
-		t.Errorf("allocated after release = %d, want 0", d.Allocated())
-	}
-	if err := buf.Release(); err == nil {
-		t.Error("double release must error")
-	}
-}
-
-func TestBufferOutOfMemory(t *testing.T) {
-	p := newTestPlatform()
-	d := p.Devs[0] // 1.6 GB GTX 590
-	if _, err := d.CreateBuffer(2_000_000_000); err == nil {
-		t.Error("allocating beyond device memory must fail")
-	}
-}
-
 func TestXferStats(t *testing.T) {
 	p := newTestPlatform()
 	d := p.Devs[0]

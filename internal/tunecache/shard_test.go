@@ -22,8 +22,8 @@ func TestNewShardedClampsShardCount(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := NewShardedCtx(tc.capacity, tc.shards, predict)
-		if got := c.Shards(); got != tc.want {
-			t.Errorf("NewShardedCtx(%d, %d).Shards() = %d, want %d",
+		if got := len(c.ShardStats()); got != tc.want {
+			t.Errorf("NewShardedCtx(%d, %d) has %d shards, want %d",
 				tc.capacity, tc.shards, got, tc.want)
 		}
 		if c.Capacity() != tc.capacity {
@@ -36,8 +36,8 @@ func TestNewShardedClampsShardCount(t *testing.T) {
 // requested capacity exactly, including when it does not divide evenly.
 func TestShardCapacitySumsToTotal(t *testing.T) {
 	c := NewShardedCtx(100, 3, nil)
-	if c.Shards() != 3 {
-		t.Fatalf("shards = %d, want 3", c.Shards())
+	if n := len(c.ShardStats()); n != 3 {
+		t.Fatalf("shards = %d, want 3", n)
 	}
 	sum := 0
 	for _, s := range c.shards {
@@ -57,8 +57,8 @@ func TestShardDistribution(t *testing.T) {
 	c := NewShardedCtx(1024, 8, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
-	if c.Shards() != 8 {
-		t.Fatalf("shards = %d, want 8", c.Shards())
+	if n := len(c.ShardStats()); n != 8 {
+		t.Fatalf("shards = %d, want 8", n)
 	}
 	const keys = 512
 	for i := 0; i < keys; i++ {
@@ -97,8 +97,8 @@ func TestShardStatsSumToAggregate(t *testing.T) {
 		}
 	}
 	per := c.ShardStats()
-	if len(per) != c.Shards() {
-		t.Fatalf("ShardStats returned %d entries, want %d", len(per), c.Shards())
+	if len(per) != 8 {
+		t.Fatalf("ShardStats returned %d entries, want 8", len(per))
 	}
 	var sum Stats
 	for _, st := range per {
@@ -122,8 +122,9 @@ func TestShardedStress(t *testing.T) {
 	c := NewShardedCtx(256, 8, func(_ context.Context, system string, in plan.Instance) (Plan, error) {
 		return planFor(in.MaxSide()), nil
 	})
-	if c.Shards() < 2 {
-		t.Fatalf("want a multi-shard cache, got %d shards", c.Shards())
+	shards := len(c.ShardStats())
+	if shards < 2 {
+		t.Fatalf("want a multi-shard cache, got %d shards", shards)
 	}
 
 	const goroutines = 16
@@ -137,8 +138,8 @@ func TestShardedStress(t *testing.T) {
 				dim := 100 + (g*31+i*7)%160
 				switch i % 8 {
 				case 6:
-					if per := c.ShardStats(); len(per) != c.Shards() {
-						t.Errorf("ShardStats returned %d entries, want %d", len(per), c.Shards())
+					if per := c.ShardStats(); len(per) != shards {
+						t.Errorf("ShardStats returned %d entries, want %d", len(per), shards)
 						return
 					}
 				case 7:

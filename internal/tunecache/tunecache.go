@@ -218,9 +218,6 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
 }
 
-// Shards returns the number of independently locked shards.
-func (c *Cache) Shards() int { return len(c.shards) }
-
 // ShardIndex reports which shard (an index into ShardStats) serves the
 // key for (system, inst), so request traces can name the shard a lookup
 // landed on.

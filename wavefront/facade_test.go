@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -231,4 +232,148 @@ func consumerRefs(t *testing.T, dirs ...string) map[string]bool {
 		}
 	}
 	return used
+}
+
+// internalExportAllowlist names the exported functions and methods under
+// ../internal that no non-test file reaches but that stay, each with its
+// reason. Keys are "pkg.Func" or "pkg.Recv.Method".
+var internalExportAllowlist = map[string]string{
+	"telemetry.ValidateExposition": "strict exposition check that tests in three packages run against /metrics",
+	"apps.CalibrateTSize":          "the tsize calibration against host-measured kernels is still to be decided on",
+	"core.MeanEfficiency":          "the plan-quality reference will consume or replace it",
+	"jobs.Manager.Await":           "test synchronisation on a job's end across three packages",
+	"jobs.Manager.AwaitPipeline":   "test synchronisation on a pipeline's end across three packages",
+	"stats.Heatmap.Complete":       "pins Figure 5's coverage in two packages",
+	"kernels.DTW.Dist":             "reads the kernel's answer",
+	"kernels.LCS.Length":           "reads the kernel's answer",
+	"kernels.MorphRecon.Mass":      "reads the kernel's answer",
+	"kernels.Nussinov.Pairs":       "reads the kernel's answer",
+	"kernels.SWAffine.Score":       "reads the kernel's answer",
+	"kernels.SeqCompare.Score":     "reads the kernel's answer",
+}
+
+// stdInterfaceMethods are method names a standard-library interface
+// calls without a selector in this repo (fmt, encoding/json, sort,
+// container/heap, net/http).
+var stdInterfaceMethods = map[string]bool{
+	"String": true, "Error": true, "MarshalJSON": true, "UnmarshalJSON": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"ServeHTTP": true,
+}
+
+// TestInternalExportsHaveConsumers keeps ../internal from regrowing
+// exported code that only tests reach. An exported top-level function is
+// consumed when a non-test file in the repo writes it as pkg.Name, or
+// names it bare within its own package outside its own body. An exported
+// method is consumed when a non-test file outside its own declaration
+// selects a name equal to it. Everything else must be deleted or listed
+// in internalExportAllowlist, and every allowlist entry must still exist
+// and still lack a consumer.
+func TestInternalExportsHaveConsumers(t *testing.T) {
+	const module = "repro"
+	root := ".."
+	// decl is one exported function or method: its allowlist key, and the
+	// key its references are recorded under in used ("importpath.Name"
+	// for a function, the bare name for a method).
+	type decl struct {
+		key, ref string
+		fn       *ast.FuncDecl
+	}
+	var decls []decl
+	// used maps each reference key to the declarations it occurs in (nil
+	// outside any function).
+	used := map[string][]*ast.FuncDecl{}
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if n := d.Name(); dir != root && (strings.HasPrefix(n, ".") || n == "testdata") {
+			return filepath.SkipDir
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		ipath := path.Join(module, filepath.ToSlash(rel))
+		for _, f := range parseNonTest(t, dir) {
+			imports := importNames(f)
+			for _, d := range f.Decls {
+				in, _ := d.(*ast.FuncDecl)
+				var visit func(ast.Node) bool
+				visit = func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						used[n.Sel.Name] = append(used[n.Sel.Name], in)
+						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+							k := imports[x.Name] + "." + n.Sel.Name
+							used[k] = append(used[k], in)
+						}
+						ast.Inspect(n.X, visit)
+						return false
+					case *ast.Ident:
+						if in == nil || n != in.Name {
+							used[ipath+"."+n.Name] = append(used[ipath+"."+n.Name], in)
+						}
+					}
+					return true
+				}
+				ast.Inspect(d, visit)
+				if in == nil || !in.Name.IsExported() || !strings.HasPrefix(ipath, module+"/internal/") {
+					continue
+				}
+				pkg := ipath[strings.LastIndex(ipath, "/")+1:]
+				switch {
+				case in.Recv == nil:
+					decls = append(decls, decl{pkg + "." + in.Name.Name, ipath + "." + in.Name.Name, in})
+				case !stdInterfaceMethods[in.Name.Name]:
+					decls = append(decls, decl{pkg + "." + recvName(in) + "." + in.Name.Name, in.Name.Name, in})
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	seen := map[string]bool{}
+	var unused []string
+	for _, d := range decls {
+		seen[d.key] = true
+		consumed := false
+		for _, in := range used[d.ref] {
+			consumed = consumed || in != d.fn
+		}
+		_, allowed := internalExportAllowlist[d.key]
+		switch {
+		case !consumed && !allowed:
+			unused = append(unused, d.key)
+		case consumed && allowed:
+			t.Errorf("%s is on the allowlist but has a consumer now: take it off", d.key)
+		}
+	}
+	sort.Strings(unused)
+	for _, key := range unused {
+		t.Errorf("%s has no consumer outside tests: delete it, or move it into a _test.go file", key)
+	}
+	for key := range internalExportAllowlist {
+		if !seen[key] {
+			t.Errorf("allowlist entry %s names no exported function or method", key)
+		}
+	}
+}
+
+// recvName returns the type name of a method's receiver.
+func recvName(fn *ast.FuncDecl) string {
+	e := fn.Recv.List[0].Type
+	if s, ok := e.(*ast.StarExpr); ok {
+		e = s.X
+	}
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = x.X
+	case *ast.IndexListExpr:
+		e = x.X
+	}
+	return e.(*ast.Ident).Name
 }
