@@ -676,7 +676,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 			if err != nil || out != tunecache.Hit {
 				b.Fatalf("lookup = %v (%v), want hit", out, err)
 			}
-			requests.Add(1)
+			requests.Inc()
 			latency.Observe(span.End().Seconds())
 		}
 	})

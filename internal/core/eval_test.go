@@ -33,70 +33,28 @@ func perConfigEval(t *Tuner, space Space, inst plan.Instance) (EvalPoint, error)
 	return e, err
 }
 
-// servedCandidates lists the plans the served decision of t's parallel
-// prediction pred chooses from, in order: the models' plan, the CPU-only
-// plan at its cpu-tile when the plan uses a GPU, the CPU-only plan at the
-// clamped doubled cpu-tile, and, when the plan uses a GPU, the models'
-// plan at band x0.8 and x1.25 that differ from it and pass plan.Check.
-// When the REP tree reads below 0.5 on a system with a GPU and t has a
-// band model, the last candidate is the plan the band and halo models
-// imply at gpu-tile 1, if it uses a GPU and passes plan.Check.
-func servedCandidates(t *Tuner, pred Prediction, inst plan.Instance) []Prediction {
-	cands := []Prediction{pred}
-	ct := pred.Par.CPUTile
-	if pred.Par.Band >= 0 {
-		cands = append(cands, Prediction{Par: engine.CPUOnlyParams(ct)})
-	}
-	if ct2 := clampTile(2*ct, inst.MaxSide()); ct2 != ct {
-		cands = append(cands, Prediction{Par: engine.CPUOnlyParams(ct2)})
-	}
-	if pred.Par.Band >= 0 {
-		for _, f := range []float64{0.8, 1.25} {
-			par := pred.Par
-			par.Band = min(int(float64(par.Band)*f), inst.NumDiags())
-			if par.Band == pred.Par.Band {
-				par.Band = min(par.Band+1, inst.NumDiags())
-			}
-			par.Halo = min(par.Halo, plan.MaxHaloFor(inst, par.Band))
-			if par = par.Normalize(); par != pred.Par && plan.Check(inst, par) == nil {
-				cands = append(cands, Prediction{Par: par})
-			}
-		}
-	}
-	x := []float64{math.Log(float64(inst.MaxSide())), math.Log(inst.TSize), float64(inst.DSize)}
-	if pred.Par.Band < 0 && t.Sys.MaxGPUs() >= 1 && t.Band != nil && t.GPUTile.Predict(x) < 0.5 {
-		par := plan.Params{CPUTile: ct, GPUTile: 1, Halo: -1}
-		par.Band = countOf(t.Band.Predict(append(x, 1)), inst.MaxUsefulBand())
-		if par.Band >= 0 && t.Sys.MaxGPUs() >= 2 {
-			par.Halo = countOf(t.Halo.Predict(x), plan.MaxHaloFor(inst, par.Band))
-		}
-		if par = par.Normalize(); par.Band >= 0 && plan.Check(inst, par) == nil {
-			cands = append(cands, Prediction{Par: par})
-		}
-	}
-	return cands
-}
-
 // servedLongWay builds the served decision without threshold bounds:
 // Predict's decision, and for a parallel one an unbounded Estimate of
-// each of servedCandidates, keeping the first fastest. It is the
-// independent check that the bounded estimates of Tuner.PredictTimed
-// pick the same plan.
+// its plan and of each move of its neighbourhood's ring, keeping the
+// first fastest. It is the independent check that the bounded estimates
+// of Tuner.PredictTimed pick the same plan.
 func servedLongWay(t *Tuner, inst plan.Instance) (Prediction, float64, error) {
 	sys := t.System()
 	pred := t.Predict(inst)
 	if pred.Serial {
 		return pred, engine.SerialNs(sys, inst), nil
 	}
+	var buf [maxMoves]plan.Params
+	moves, ring := t.neighbourhood(&buf, inst, pred.Par)
 	var best Prediction
 	bestNs := math.Inf(1)
-	for _, c := range servedCandidates(t, pred, inst) {
-		res, err := engine.Estimate(sys, inst, c.Par, engine.Options{})
+	for _, par := range append([]plan.Params{pred.Par}, moves[:ring]...) {
+		res, err := engine.Estimate(sys, inst, par, engine.Options{})
 		if err != nil {
 			return Prediction{}, 0, err
 		}
 		if res.RTimeNs < bestNs {
-			best, bestNs = c, res.RTimeNs
+			best, bestNs = Prediction{Par: par}, res.RTimeNs
 		}
 	}
 	return best, bestNs, nil

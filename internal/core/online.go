@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/engine"
+	"repro/internal/hw"
 	"repro/internal/plan"
 )
 
@@ -67,7 +69,7 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 		if err := ctx.Err(); err != nil {
 			return dec, RefineStats{}, err
 		}
-		alt := engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))
+		alt := serialPlan(inst)
 		res, err := engine.Estimate(o.Base.System(), inst, alt, engine.Options{})
 		if err != nil {
 			return dec, RefineStats{}, err
@@ -88,137 +90,171 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 	// even the refined parallel configuration loses to it, run serial.
 	if serialNs < st.FinalNs {
 		st.FinalNs = serialNs
-		return Prediction{Serial: true, Par: engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))}, st, nil
+		return Prediction{Serial: true, Par: serialPlan(inst)}, st, nil
 	}
 	return refined, st, nil
 }
 
 // refineFrom hill-climbs from an explicit starting configuration: each
-// round measures the neighbours of the incumbent and moves to the best
-// strict improvement, until budget probes are spent or a local optimum
-// is reached. ctx is checked before every probe measurement, and once
-// it is done the incumbent (best so far) is returned with the stats
-// accumulated up to that point and ctx's error.
+// pass runs the probe loop over the incumbent's neighbourhood, the
+// served check's ring and then the rest, until budget probes are spent
+// or a pass takes no move. The GPU move of a CPU-only plan comes from
+// the models of the *Tuner o wraps; another Predictor has none. ctx is
+// checked before every probe, and once it is done the incumbent (best so
+// far) is returned with the stats accumulated up to that point and
+// ctx's error.
 func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start plan.Params, budget int) (Prediction, RefineStats, error) {
 	sys := o.Base.System()
-	measure := func(p plan.Params) (float64, bool) {
-		if err := plan.Check(inst, p); err != nil {
-			return 0, false
-		}
-		if p.GPUCount() > sys.MaxGPUs() {
-			return 0, false
-		}
-		res, err := engine.Estimate(sys, inst, p, engine.Options{})
-		if err != nil {
-			return 0, false
-		}
-		return res.RTimeNs, true
-	}
-
-	if err := ctx.Err(); err != nil {
-		return Prediction{Par: start.Normalize()}, RefineStats{}, err
-	}
-	cur := start.Normalize()
-	curNs, ok := measure(cur)
+	t, ok := o.Base.(*Tuner)
 	if !ok {
-		return Prediction{}, RefineStats{}, fmt.Errorf("core: unmeasurable start %v for %v", start, inst)
+		t = &Tuner{Sys: sys}
 	}
-	st := RefineStats{Probes: 1, StartNs: curNs, FinalNs: curNs}
-
-	for st.Probes < budget {
-		improved := false
-		for _, cand := range neighbours(inst, cur) {
-			if st.Probes >= budget {
-				break
-			}
-			if err := ctx.Err(); err != nil {
-				st.FinalNs = curNs
-				return Prediction{Par: cur}, st, err
-			}
-			ns, ok := measure(cand)
-			if !ok {
-				continue
-			}
-			st.Probes++
-			if ns < curNs {
-				cur, curNs = cand, ns
-				improved = true
-				st.Moves++
-			}
-		}
-		if !improved {
+	inc := incumbent{par: start.Normalize()}
+	if err := ctx.Err(); err != nil {
+		return Prediction{Par: inc.par}, RefineStats{}, err
+	}
+	res, err := engine.Estimate(sys, inst, inc.par, engine.Options{})
+	if err != nil {
+		return Prediction{}, RefineStats{}, fmt.Errorf("core: unmeasurable start %v for %v: %w", start, inst, err)
+	}
+	inc.ns = res.RTimeNs
+	st := RefineStats{Probes: 1, StartNs: inc.ns}
+	var buf [maxMoves]plan.Params
+	for err == nil && st.Probes < budget {
+		var probes, taken int
+		moves, _ := t.neighbourhood(&buf, inst, inc.par)
+		probes, taken, err = inc.probe(ctx, sys, inst, moves[:min(len(moves), budget-st.Probes)])
+		st.Probes += probes
+		st.Moves += taken
+		if taken == 0 {
 			break
 		}
 	}
-	st.FinalNs = curNs
-	return Prediction{Par: cur}, st, nil
+	st.FinalNs = inc.ns
+	return Prediction{Par: inc.par}, st, err
 }
 
-// neighbours generates the local moves of the hill climber: scaling the
-// band (scaleBand), shifting the halo, swapping cpu-tile to adjacent
-// grid values, and toggling the GPU on or off entirely.
-func neighbours(inst plan.Instance, p plan.Params) []plan.Params {
-	var out []plan.Params
-	add := func(q plan.Params) { out = append(out, q.Normalize()) }
+// incumbent is the best plan of a probe loop so far, with its runtime in
+// nanoseconds.
+type incumbent struct {
+	par plan.Params
+	ns  float64
+}
 
-	// cpu-tile moves along the Table 3 grid, and above it back to the
-	// grid's top and on to the clamped doubled tile.
-	tiles := []int{1, 2, 4, 8, 10, 16}
-	if top := tiles[len(tiles)-1]; p.CPUTile > top {
-		for _, n := range []int{top, clampTile(2*p.CPUTile, inst.MaxSide())} {
-			if n != p.CPUTile {
-				q := p
-				q.CPUTile = n
-				add(q)
-			}
+// probe is the one probe loop of the served check and refine: it
+// estimates each of moves in order with the incumbent's runtime as
+// ThresholdNs, and takes a move only when its estimate is uncensored and
+// strictly faster. A loser stops at its first checkpoint past the
+// incumbent, and a taken move's runtime is its uncensored estimate,
+// bit-identical to an unbounded Estimate, so the moves taken are those
+// unbounded estimates would take. ctx is checked before each estimate.
+// It returns the number of moves estimated and taken.
+func (c *incumbent) probe(ctx context.Context, sys hw.System, inst plan.Instance, moves []plan.Params) (probes, taken int, err error) {
+	for _, q := range moves {
+		if err := ctx.Err(); err != nil {
+			return probes, taken, err
+		}
+		res, err := engine.Estimate(sys, inst, q, engine.Options{ThresholdNs: c.ns})
+		if err != nil {
+			return probes, taken, err
+		}
+		probes++
+		if !res.Censored && res.RTimeNs < c.ns {
+			c.par, c.ns = q, res.RTimeNs
+			taken++
 		}
 	}
-	for i, t := range tiles {
-		if t == p.CPUTile || (p.CPUTile < t && (i == 0 || tiles[i-1] < p.CPUTile)) {
-			for _, n := range []int{i - 1, i + 1} {
-				if n >= 0 && n < len(tiles) && tiles[n] != p.CPUTile && tiles[n] <= inst.MaxSide() {
-					q := p
-					q.CPUTile = tiles[n]
-					add(q)
-				}
-			}
-			break
+	return probes, taken, nil
+}
+
+// maxMoves bounds a neighbourhood: four ring moves, two cpu-tile moves
+// and four halo moves.
+const maxMoves = 10
+
+// cpuTiles is the Table 3 cpu-tile grid the cpu-tile moves step along.
+var cpuTiles = [...]int{1, 2, 4, 8, 10, 16}
+
+// neighbourhood writes into buf the moves of p, the plans next to it
+// that the served check (Tuner.PredictTimed) and refine (refineFrom)
+// probe, in order, and returns them with the length of their first ring.
+// The ring is the served check:
+//   - for a GPU plan, CPU-only at p's cpu-tile and at the clamped doubled
+//     cpu-tile, then p at band ×0.8 and ×1.25 (scaleBand);
+//   - for a CPU-only plan, CPU-only at the doubled cpu-tile, then the GPU
+//     plan the models imply at gpu-tile 1 (gpuCandidate).
+//
+// Refine's other moves follow: p at the adjacent Table 3 cpu-tiles (at
+// an off-grid tile, those of the first grid value above it; above the
+// grid, its top and the doubled tile), then for a dual-GPU plan its halo
+// moved by ±1 and ±4, for a single-GPU plan the second GPU at half the
+// maximum halo, and for a CPU-only plan the GPU switched on at half the
+// useful band. A move is dropped when it equals p or an earlier move,
+// fails plan.Check, offloads no diagonal (band 0, never faster than the
+// CPU-only plan at its cpu-tile) or needs more GPUs than t's system has.
+func (t *Tuner) neighbourhood(buf *[maxMoves]plan.Params, inst plan.Instance, p plan.Params) ([]plan.Params, int) {
+	p = p.Normalize()
+	moves := buf[:0]
+	add := func(q plan.Params) {
+		q = q.Normalize()
+		if q != p && q.Band != 0 && q.GPUCount() <= t.Sys.MaxGPUs() &&
+			plan.Check(inst, q) == nil && !slices.Contains(moves, q) {
+			moves = append(moves, q)
 		}
 	}
-
-	if p.Band < 0 {
-		// Try switching the GPU on with a mid-sized band.
-		q := p
-		q.Band = inst.MaxUsefulBand() / 2
-		q.Halo = -1
+	ct, gpu := p.CPUTile, p.Band >= 0
+	add(engine.CPUOnlyParams(ct)) // p itself when p is CPU-only
+	add(engine.CPUOnlyParams(clampTile(2*ct, inst.MaxSide())))
+	if gpu {
+		add(scaleBand(inst, p, 0.8))
+		add(scaleBand(inst, p, 1.25))
+	} else if q, ok := t.gpuCandidate(inst, ct); ok {
 		add(q)
-		return out
 	}
+	ring := len(moves)
 
-	for _, f := range bandSteps {
-		add(scaleBand(inst, p, f))
+	withTile := func(n int) {
+		q := p
+		q.CPUTile = n
+		add(q)
 	}
-	// GPU off.
-	add(plan.Params{CPUTile: p.CPUTile, Band: -1, GPUTile: 1, Halo: -1})
-
-	// Halo moves (dual GPU only).
-	if p.Halo >= 0 {
-		max := plan.MaxHaloFor(inst, p.Band)
-		for _, dh := range []int{-4, -1, 1, 4} {
-			nh := p.Halo + dh
-			if nh >= -1 && nh <= max {
-				q := p
-				q.Halo = nh
-				add(q)
-			}
-		}
+	if i, _ := slices.BinarySearch(cpuTiles[:], ct); i == len(cpuTiles) {
+		withTile(cpuTiles[i-1])
+		withTile(clampTile(2*ct, inst.MaxSide()))
 	} else {
-		// Try the second GPU.
-		if max := plan.MaxHaloFor(inst, p.Band); max >= 0 {
-			q := p
-			q.Halo = max / 2
+		if i > 0 {
+			withTile(cpuTiles[i-1])
+		}
+		if i+1 < len(cpuTiles) {
+			withTile(cpuTiles[i+1])
+		}
+	}
+
+	q := p
+	switch {
+	case !gpu: // the GPU on
+		q.Band, q.Halo = inst.MaxUsefulBand()/2, -1
+		add(q)
+	case p.Halo >= 0: // the halo moves
+		for _, dh := range [...]int{-4, -1, 1, 4} {
+			q.Halo = p.Halo + dh
 			add(q)
 		}
+	default: // the second GPU
+		q.Halo = plan.MaxHaloFor(inst, p.Band) / 2
+		add(q)
 	}
-	return out
+	return moves, ring
+}
+
+// scaleBand is the band move: p with its band scaled by f (by at least
+// one diagonal, at most inst's diagonal count) and its halo clamped to
+// the new band's maximum, normalized.
+func scaleBand(inst plan.Instance, p plan.Params, f float64) plan.Params {
+	nb := int(float64(p.Band) * f)
+	if nb == p.Band {
+		nb++
+	}
+	p.Band = min(nb, inst.NumDiags())
+	p.Halo = min(p.Halo, plan.MaxHaloFor(inst, p.Band))
+	return p.Normalize()
 }

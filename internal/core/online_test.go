@@ -98,7 +98,7 @@ func TestOnlineRecoversFromBadStart(t *testing.T) {
 
 func TestOnlineLocalOptimumStops(t *testing.T) {
 	// From the exhaustive optimum, refinement must stop without moving
-	// (neighbours cannot strictly improve... unless off-grid values do,
+	// (its moves cannot strictly improve... unless off-grid values do,
 	// which is acceptable — then FinalNs must still be <= the optimum).
 	sys := hw.I7_2600K()
 	sr, err := Exhaustive(sys, QuickSpace(), SearchOptions{})
@@ -159,8 +159,9 @@ func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 	online := NewOnlineTuner(tu)
 	inst := plan.Instance{Dim: 1500, TSize: 2000, DSize: 1}
 	start := plan.Params{CPUTile: 8, Band: 700, GPUTile: 4, Halo: 20}
-	if n := len(neighbours(inst, start.Normalize())); n < 2 {
-		t.Fatalf("start has only %d neighbours; the test needs a full neighbourhood", n)
+	var buf [maxMoves]plan.Params
+	if moves, _ := tu.neighbourhood(&buf, inst, start.Normalize()); len(moves) < 2 {
+		t.Fatalf("start has only %d moves; the test needs a full neighbourhood", len(moves))
 	}
 	_, st, err := online.refineFrom(context.Background(), inst, start, 2)
 	if err != nil {
@@ -174,14 +175,15 @@ func TestRefineFromBudgetMidNeighbourhood(t *testing.T) {
 }
 
 // TestNeighboursOffGridCPUTile: M5 predictions can start the climb from
-// cpu-tile values outside the Table 3 grid; neighbours must still move
-// to the adjacent grid values, or above the grid to its top and the
-// doubled tile (and produce only valid configurations).
+// cpu-tile values outside the Table 3 grid; the cpu-tile moves after the
+// ring must still move to the adjacent grid values, or above the grid to
+// its top and the doubled tile (and produce only valid configurations).
 func TestNeighboursOffGridCPUTile(t *testing.T) {
+	tu := &Tuner{Sys: hw.I7_2600K()}
 	inst := plan.Instance{Dim: 800, TSize: 100, DSize: 1}
 	cases := []struct {
 		cpuTile int
-		want    []int // expected cpu-tile moves among the neighbours
+		want    []int // expected cpu-tile moves after the ring
 	}{
 		// An off-grid start anchors at the smallest grid tile above it
 		// and moves to that anchor's index neighbours.
@@ -195,13 +197,14 @@ func TestNeighboursOffGridCPUTile(t *testing.T) {
 	}
 	for _, tc := range cases {
 		p := plan.Params{CPUTile: tc.cpuTile, Band: 300, GPUTile: 1, Halo: -1}
-		ns := neighbours(inst, p)
+		var buf [maxMoves]plan.Params
+		ns, ring := tu.neighbourhood(&buf, inst, p)
 		moves := map[int]bool{}
-		for _, n := range ns {
+		for i, n := range ns {
 			if _, err := plan.Build(inst, n); err != nil {
-				t.Errorf("cpu-tile %d: invalid neighbour %v: %v", tc.cpuTile, n, err)
+				t.Errorf("cpu-tile %d: invalid move %v: %v", tc.cpuTile, n, err)
 			}
-			if n.CPUTile != tc.cpuTile {
+			if i >= ring && n.CPUTile != tc.cpuTile {
 				moves[n.CPUTile] = true
 			}
 		}
@@ -326,16 +329,34 @@ func TestRefineFromContextCanceled(t *testing.T) {
 	}
 }
 
+// TestNeighboursValid: every move of a neighbourhood builds, fits the
+// system's GPUs, offloads a diagonal when it uses a GPU, and differs from
+// the plan and from every other move, on the QuickSpace tuner of each
+// system (whose CPU-only plans also get the models' GPU move).
 func TestNeighboursValid(t *testing.T) {
 	inst := plan.Instance{Dim: 800, TSize: 100, DSize: 1}
-	for _, p := range []plan.Params{
-		{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
-		{CPUTile: 4, Band: 300, GPUTile: 1, Halo: -1},
-		{CPUTile: 1, Band: 500, GPUTile: 1, Halo: 20},
-	} {
-		for _, n := range neighbours(inst, p) {
-			if _, err := plan.Build(inst, n); err != nil {
-				t.Errorf("invalid neighbour %v of %v: %v", n, p, err)
+	for _, sys := range hw.Systems() {
+		tu := trainedTuner(t, sys)
+		for _, p := range []plan.Params{
+			{CPUTile: 8, Band: -1, GPUTile: 1, Halo: -1},
+			{CPUTile: 4, Band: 300, GPUTile: 1, Halo: -1},
+			{CPUTile: 1, Band: 500, GPUTile: 1, Halo: 20},
+			{CPUTile: 16, Band: 1, GPUTile: 3, Halo: 0},
+		} {
+			var buf [maxMoves]plan.Params
+			moves, ring := tu.neighbourhood(&buf, inst, p)
+			if ring > len(moves) {
+				t.Errorf("%s %v: ring %d of %d moves", sys.Name, p, ring, len(moves))
+			}
+			seen := map[plan.Params]bool{p: true}
+			for _, n := range moves {
+				if _, err := plan.Build(inst, n); err != nil {
+					t.Errorf("%s: invalid move %v of %v: %v", sys.Name, n, p, err)
+				}
+				if n.GPUCount() > sys.MaxGPUs() || n.Band == 0 || seen[n] {
+					t.Errorf("%s: move %v of %v: %d GPUs of %d, band %d, repeated %v", sys.Name, n, p, n.GPUCount(), sys.MaxGPUs(), n.Band, seen[n])
+				}
+				seen[n] = true
 			}
 		}
 	}

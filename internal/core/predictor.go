@@ -24,11 +24,9 @@ type Predictor interface {
 	// validity and normalized (Params.Normalize).
 	Predict(inst plan.Instance) Prediction
 	// PredictTimed is the single-call deployment hook and the served
-	// decision: Predict's plan or a faster alternative the models imply
-	// (a CPU-only plan, for a GPU plan a scaled band, and for a CPU-only
-	// plan the GPU plan at gpu-tile 1; Tuner.PredictTimed), its modeled
-	// runtime and the serial baseline,
-	// in nanoseconds.
+	// decision: Predict's plan or a faster move of its neighbourhood's
+	// first ring (Tuner.PredictTimed), its modeled runtime and the serial
+	// baseline, in nanoseconds.
 	PredictTimed(inst plan.Instance) (Prediction, float64, float64, error)
 }
 

@@ -155,8 +155,8 @@ func TestServedPlanBandCheck(t *testing.T) {
 }
 
 // TestPredictTimedAllocations bounds the served decision's allocations
-// at one per estimate: the models' plan, its CPU-only alternatives and,
-// on GPU plans, its band neighbours.
+// at one per estimate: the models' plan and each move of its
+// neighbourhood's ring.
 func TestPredictTimedAllocations(t *testing.T) {
 	for _, k := range tuneColdWorst {
 		tuner := factoryTuner(t, k.sys)
@@ -203,18 +203,7 @@ func TestServedPlanGPUCandidate(t *testing.T) {
 		t.Errorf("efficiency %.4f below 1.0", e.Efficiency())
 	}
 
-	// Every configuration of this space is CPU-only, so the tuner's REP
-	// tree never employs the GPU and its band model learns from no rows.
-	space := core.QuickSpace()
-	space.Dims, space.BandFracs, space.HaloFracs = []int{500, 1100}, []float64{-1}, []float64{-1}
-	sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpuOnly, err := core.Train(sr, core.DefaultTrainOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cpuOnly := bandlessTuner(t, sys)
 	noBand := *cpuOnly
 	noBand.Band, noBand.Halo = nil, nil
 	for _, tuner := range []*core.Tuner{cpuOnly, &noBand} {
@@ -228,4 +217,22 @@ func TestServedPlanGPUCandidate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bandlessTuner trains a tuner for sys on a QuickSpace whose every
+// configuration is CPU-only, so its REP tree never employs the GPU and
+// its band model learns from no rows.
+func bandlessTuner(t *testing.T, sys hw.System) *core.Tuner {
+	t.Helper()
+	space := core.QuickSpace()
+	space.Dims, space.BandFracs, space.HaloFracs = []int{500, 1100}, []float64{-1}, []float64{-1}
+	sr, err := core.Exhaustive(sys, space, core.SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner, err := core.Train(sr, core.DefaultTrainOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tuner
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -172,7 +173,7 @@ func (t *Tuner) Predict(inst plan.Instance) Prediction {
 	var buf [4]float64
 	x := features(buf[:], inst)
 	if !t.Parallel.Classify(x) {
-		return Prediction{Serial: true, Par: engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))}
+		return Prediction{Serial: true, Par: serialPlan(inst)}
 	}
 
 	ct := clampTile(int(math.Round(t.CPUTile.Predict(x))), inst.MaxSide())
@@ -201,12 +202,12 @@ func (t *Tuner) gpuPlan(buf *[4]float64, inst plan.Instance, ct, gt int) plan.Pa
 	return par.Normalize()
 }
 
-// gpuCandidate returns the GPU plan PredictTimed checks beside a
-// CPU-only decision: when the REP tree reads below 0.5 on a system with a
-// GPU, the plan the band and halo models imply at gpu-tile 1. ok is false
-// when there is none: the REP tree chose the GPU (the models' plan is
-// CPU-only through its band), the system or the tuner has no GPU model,
-// or the plan fails plan.Check.
+// gpuCandidate returns the GPU move of a CPU-only plan at cpu-tile ct
+// (neighbourhood): when the REP tree reads below 0.5 on a system with a
+// GPU, the plan the band and halo models imply at gpu-tile 1. ok is
+// false when there is none: the REP tree chose the GPU (the models' plan
+// is CPU-only through its band), or the system or the tuner has no GPU
+// model.
 func (t *Tuner) gpuCandidate(inst plan.Instance, ct int) (par plan.Params, ok bool) {
 	if t.Sys.MaxGPUs() < 1 || t.Band == nil {
 		return plan.Params{}, false
@@ -215,8 +216,7 @@ func (t *Tuner) gpuCandidate(inst plan.Instance, ct int) (par plan.Params, ok bo
 	if t.GPUTile.Predict(features(buf[:], inst)) >= 0.5 {
 		return plan.Params{}, false
 	}
-	par = t.gpuPlan(&buf, inst, ct, 1)
-	return par, par.Band >= 0 && plan.Check(inst, par) == nil
+	return t.gpuPlan(&buf, inst, ct, 1), true
 }
 
 func clampTile(ct, dim int) int {
@@ -232,21 +232,10 @@ func clampTile(ct, dim int) int {
 	return ct
 }
 
-// bandSteps are the factors of the band move (scaleBand) that the
-// served check and refine both try: one step down, one step up.
-var bandSteps = [2]float64{0.8, 1.25}
-
-// scaleBand is the band move: p with its band scaled by f (by at least
-// one diagonal, at most inst's diagonal count) and its halo clamped to
-// the new band's maximum, normalized.
-func scaleBand(inst plan.Instance, p plan.Params, f float64) plan.Params {
-	nb := int(float64(p.Band) * f)
-	if nb == p.Band {
-		nb++
-	}
-	p.Band = min(nb, inst.NumDiags())
-	p.Halo = min(p.Halo, plan.MaxHaloFor(inst, p.Band))
-	return p.Normalize()
+// serialPlan is the plan of a serial decision: CPU-only at the
+// sequential baseline's tile.
+func serialPlan(inst plan.Instance) plan.Params {
+	return engine.CPUOnlyParams(clampTile(engine.SerialTile, inst.MaxSide()))
 }
 
 // PredictTimed is the served decision: the prediction for inst with its
@@ -254,58 +243,28 @@ func scaleBand(inst plan.Instance, p plan.Params, f float64) plan.Params {
 // the single-call deployment hook of the plan cache, the tuning service,
 // the CLI and Evaluate, so every consumer scores the plan it serves.
 //
-// A parallel decision is checked against the plans the models already
-// imply, with the estimator standing in for the machine (the paper's
-// future-work online tuning with a probe budget of at most four): the
-// CPU-only plan at the predicted cpu-tile when the models' plan uses a
-// GPU, the CPU-only plan at twice that tile, and, when it uses a GPU,
-// the models' plan at band x0.8 and x1.25 (scaleBand; a candidate equal
-// to the models' plan or failing plan.Check is skipped). When the REP
-// tree's "0" made the plan CPU-only, the GPU plan the band and halo
-// models imply at gpu-tile 1 is checked last (gpuCandidate): the paper's
-// overloaded gpu-tile otherwise hides a misclassified GPU instance. The
-// fastest is served; a tie keeps the incumbent. Each alternative is
-// estimated with the incumbent's runtime as its censoring threshold, so
-// a loser stops at its first checkpoint past it, and a winner's runtime
-// is its uncensored estimate, bit-identical to an unbounded Estimate of
-// the served params. A serial decision (the SVM gate) is served unchecked.
+// A parallel decision is checked against the first ring of the models'
+// plan's neighbourhood, with the estimator standing in for the machine
+// (the paper's future-work online tuning with a probe budget of at most
+// four): one pass of the probe loop refine also runs (incumbent.probe),
+// so the fastest is served, a tie keeps the incumbent, and the served
+// runtime is bit-identical to an unbounded Estimate of the served
+// params. A serial decision (the SVM gate) is served unchecked.
 func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, error) {
 	serial := engine.SerialNs(t.Sys, inst)
 	pred := t.Predict(inst)
 	if pred.Serial {
 		return pred, serial, serial, nil
 	}
-	model := pred.Par
-	res, err := engine.Estimate(t.Sys, inst, model, engine.Options{})
+	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
 	if err != nil {
 		return Prediction{}, 0, 0, err
 	}
-	best := res.RTimeNs
-	ct, gpu := model.CPUTile, model.Band >= 0
-	alts := make([]plan.Params, 0, 4)
-	if gpu {
-		alts = append(alts, engine.CPUOnlyParams(ct))
+	inc := incumbent{par: pred.Par, ns: res.RTimeNs}
+	var buf [maxMoves]plan.Params
+	moves, ring := t.neighbourhood(&buf, inst, inc.par)
+	if _, _, err := inc.probe(context.Background(), t.Sys, inst, moves[:ring]); err != nil {
+		return Prediction{}, 0, 0, err
 	}
-	if ct2 := clampTile(2*ct, inst.MaxSide()); ct2 != ct {
-		alts = append(alts, engine.CPUOnlyParams(ct2))
-	}
-	if gpu {
-		for _, f := range bandSteps {
-			if par := scaleBand(inst, model, f); par != model && plan.Check(inst, par) == nil {
-				alts = append(alts, par)
-			}
-		}
-	} else if par, ok := t.gpuCandidate(inst, ct); ok {
-		alts = append(alts, par)
-	}
-	for _, par := range alts {
-		res, err := engine.Estimate(t.Sys, inst, par, engine.Options{ThresholdNs: best})
-		if err != nil {
-			return Prediction{}, 0, 0, err
-		}
-		if !res.Censored && res.RTimeNs < best {
-			pred, best = Prediction{Par: par}, res.RTimeNs
-		}
-	}
-	return pred, best, serial, nil
+	return Prediction{Par: inc.par}, inc.ns, serial, nil
 }

@@ -55,9 +55,6 @@ func New(workers int) *Executor {
 // idempotent; subsequent Run calls return ErrClosed.
 func (e *Executor) Close() { e.pl.close() }
 
-// Workers returns the pool size.
-func (e *Executor) Workers() int { return e.workers }
-
 // Run computes the whole grid with square tiles of side ct. A kernel
 // whose stencil points only up and left — every catalog kernel — runs
 // through the tile dataflow scheduler. A kernel declaring any other

@@ -206,10 +206,10 @@ func TestRunRejectsBadTile(t *testing.T) {
 }
 
 func TestDefaultWorkerCount(t *testing.T) {
-	if New(0).Workers() < 1 {
+	if New(0).workers < 1 {
 		t.Error("default worker count must be positive")
 	}
-	if New(7).Workers() != 7 {
+	if New(7).workers != 7 {
 		t.Error("explicit worker count not honored")
 	}
 }

@@ -170,12 +170,6 @@ func (s *Sweep) sameWidths() bool {
 	return true
 }
 
-// Estimate is Estimate(sys, inst, par, opts) for the bound sys, inst and
-// opts.
-func (s *Sweep) Estimate(par plan.Params) (Result, error) {
-	return s.estimate(par, true)
-}
-
 // RTime returns the RTimeNs and Censored fields of Estimate(par) alone,
 // which is all the exhaustive search keeps. It skips the launch counters
 // of the breakdown, and with them the per-launch walk of every repeated

@@ -287,3 +287,9 @@ func TestSweepRTimeAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+// Estimate is Estimate(sys, inst, par, opts) for the bound sys, inst and
+// opts.
+func (s *Sweep) Estimate(par plan.Params) (Result, error) {
+	return s.estimate(par, true)
+}

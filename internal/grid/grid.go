@@ -72,17 +72,8 @@ func (g *Grid) Rows() int { return g.rows }
 // Cols returns the number of columns of the grid.
 func (g *Grid) Cols() int { return g.cols }
 
-// Square reports whether the grid has equal side lengths.
-func (g *Grid) Square() bool { return g.rows == g.cols }
-
 // DSize returns the number of floats per cell.
 func (g *Grid) DSize() int { return g.dsize }
-
-// Cells returns the total number of cells, rows*cols.
-func (g *Grid) Cells() int { return g.rows * g.cols }
-
-// NumDiags returns the number of anti-diagonals of the grid.
-func (g *Grid) NumDiags() int { return NumDiagsRect(g.rows, g.cols) }
 
 // Index returns the row-major index of cell (r, c).
 func (g *Grid) Index(r, c int) int { return r*g.cols + c }
@@ -117,9 +108,6 @@ func (g *Grid) SetB(r, c int, v int64) { g.IntB[g.Index(r, c)] = int32(v) }
 // 48-byte element and dsize=1 its 16-byte element. A Grid stores exactly
 // this many bytes per cell.
 func ElemBytes(dsize int) int { return 8 + 8*dsize }
-
-// ElemBytes returns the per-cell size of this grid in bytes.
-func (g *Grid) ElemBytes() int { return ElemBytes(g.dsize) }
 
 // NumDiagsRect returns the number of anti-diagonals of a rows x cols grid,
 // rows+cols-1.

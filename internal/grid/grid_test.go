@@ -138,7 +138,7 @@ func TestGridAccessors(t *testing.T) {
 	if g.A(3, 2) != 0 {
 		t.Error("unrelated cell modified")
 	}
-	if g.Rows() != 5 || g.DSize() != 3 || g.Cells() != 25 || g.ElemBytes() != 32 {
+	if g.Rows() != 5 || g.Cols() != 5 || g.DSize() != 3 || len(g.IntA) != 25 || len(g.Floats) != 75 {
 		t.Error("shape accessors wrong")
 	}
 }

@@ -102,11 +102,11 @@ func TestRectDiagCellsDistinct(t *testing.T) {
 
 func TestNewRectAccessors(t *testing.T) {
 	g := NewRect(3, 7, 2)
-	if g.Rows() != 3 || g.Cols() != 7 || g.Cells() != 21 || g.Square() {
+	if g.Rows() != 3 || g.Cols() != 7 || len(g.IntA) != 21 {
 		t.Error("rect shape accessors wrong")
 	}
-	if g.NumDiags() != 9 {
-		t.Errorf("NumDiags = %d, want 9", g.NumDiags())
+	if n := NumDiagsRect(g.Rows(), g.Cols()); n != 9 {
+		t.Errorf("NumDiagsRect = %d, want 9", n)
 	}
 	g.SetA(2, 6, 5)
 	g.SetFloat(0, 6, 1, 1.5)

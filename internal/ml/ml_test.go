@@ -224,13 +224,6 @@ func TestREPPruningControlsNoise(t *testing.T) {
 	}
 }
 
-func TestREPRender(t *testing.T) {
-	d := synthDataset(100, 0.1, 15)
-	if FitREP(d).Render() == "" {
-		t.Error("empty render")
-	}
-}
-
 func TestSVMSeparable(t *testing.T) {
 	// Linearly separable classes must be classified near-perfectly.
 	rng := rand.New(rand.NewSource(17))

@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // REP induction settings, WEKA's REPTree defaults.
 const (
@@ -174,22 +170,3 @@ func (t *REPTree) Predict(x []float64) float64 {
 // Classify thresholds the regression output at 0.5, for binary targets
 // such as the paper's "gpu-tile is effectively 1 or 0" decision.
 func (t *REPTree) Classify(x []float64) bool { return t.Predict(x) >= 0.5 }
-
-// Render prints the tree structure.
-func (t *REPTree) Render() string {
-	var b strings.Builder
-	var walk func(n *repNode, indent int)
-	walk = func(n *repNode, indent int) {
-		pad := strings.Repeat("|   ", indent)
-		if n.leaf {
-			fmt.Fprintf(&b, "%s-> %.4g (n=%d)\n", pad, n.mean, n.n)
-			return
-		}
-		fmt.Fprintf(&b, "%s%s <= %.4g:\n", pad, t.Names[n.feat], n.thresh)
-		walk(n.left, indent+1)
-		fmt.Fprintf(&b, "%s%s > %.4g:\n", pad, t.Names[n.feat], n.thresh)
-		walk(n.right, indent+1)
-	}
-	walk(t.root, 0)
-	return b.String()
-}

@@ -114,15 +114,6 @@ func (r *Registry) register(f *family) {
 	r.families[f.name] = f
 }
 
-// Counter registers and returns an unlabelled monotonic counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	c := &Counter{}
-	f := &family{name: name, help: help, typ: TypeCounter}
-	f.series = map[string]metric{"": c}
-	r.register(f)
-	return c
-}
-
 // CounterVec registers a counter family partitioned by labels.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	f := &family{name: name, help: help, typ: TypeCounter, labels: labels}
@@ -181,9 +172,6 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -191,9 +179,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add moves the value by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }

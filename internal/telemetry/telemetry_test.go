@@ -161,3 +161,18 @@ func TestRegistryConcurrentStress(t *testing.T) {
 		t.Fatalf("histogram vec count = %d, want %d", hvTotal, want)
 	}
 }
+
+// Counter registers and returns an unlabelled monotonic counter.
+func (r *Registry) Counter(name, help string) *Counter {
+	c := &Counter{}
+	f := &family{name: name, help: help, typ: TypeCounter}
+	f.series = map[string]metric{"": c}
+	r.register(f)
+	return c
+}
+
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
+// Set replaces the value.
+func (g *Gauge) Set(v int64) { g.v.Store(v) }

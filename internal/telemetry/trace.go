@@ -96,28 +96,6 @@ func (s *Span) End() time.Duration {
 	return s.dur
 }
 
-// Duration returns the recorded duration (time so far if still open),
-// or 0 on a nil span.
-func (s *Span) Duration() time.Duration {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.ended {
-		return time.Since(s.start)
-	}
-	return s.dur
-}
-
-// Name returns the span's name, or "" on a nil span.
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Annotate attaches a key=value attribute shown in the rendered tree.
 // The value is stored as-is and formatted only if the tree is rendered,
 // so callers should hand over immutable values. Annotating a nil span

@@ -145,3 +145,25 @@ func TestRequestIDRoundTrip(t *testing.T) {
 		t.Fatal("empty context should carry no request id")
 	}
 }
+
+// Duration returns the recorded duration (time so far if still open),
+// or 0 on a nil span.
+func (s *Span) Duration() time.Duration {
+	if s == nil {
+		return 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.ended {
+		return time.Since(s.start)
+	}
+	return s.dur
+}
+
+// Name returns the span's name, or "" on a nil span.
+func (s *Span) Name() string {
+	if s == nil {
+		return ""
+	}
+	return s.name
+}

@@ -26,8 +26,8 @@ func TestNewShardedClampsShardCount(t *testing.T) {
 			t.Errorf("NewShardedCtx(%d, %d) has %d shards, want %d",
 				tc.capacity, tc.shards, got, tc.want)
 		}
-		if c.Capacity() != tc.capacity {
-			t.Errorf("capacity %d mangled to %d", tc.capacity, c.Capacity())
+		if c.cap != tc.capacity {
+			t.Errorf("capacity %d mangled to %d", tc.capacity, c.cap)
 		}
 	}
 }
@@ -143,8 +143,8 @@ func TestShardedStress(t *testing.T) {
 						return
 					}
 				case 7:
-					if sys := c.SystemStats()["sys"]; sys.Size > c.Capacity() {
-						t.Errorf("system size %d exceeds capacity %d", sys.Size, c.Capacity())
+					if sys := c.SystemStats()["sys"]; sys.Size > c.cap {
+						t.Errorf("system size %d exceeds capacity %d", sys.Size, c.cap)
 						return
 					}
 				default:
@@ -164,8 +164,8 @@ func TestShardedStress(t *testing.T) {
 	}
 	wg.Wait()
 	st := c.Stats()
-	if st.Size > c.Capacity() {
-		t.Errorf("size %d exceeds capacity %d", st.Size, c.Capacity())
+	if st.Size > c.cap {
+		t.Errorf("size %d exceeds capacity %d", st.Size, c.cap)
 	}
 	if st.Errors != 0 {
 		t.Errorf("unexpected predict errors: %+v", st)

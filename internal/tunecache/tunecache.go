@@ -388,9 +388,6 @@ func (s *shard) evictLocked() {
 	}
 }
 
-// Capacity returns the total LRU bound across all shards.
-func (c *Cache) Capacity() int { return c.cap }
-
 // Stats returns a snapshot of the counters, aggregated across shards.
 func (c *Cache) Stats() Stats {
 	var out Stats

@@ -371,7 +371,7 @@ func TestSystemStatsBounded(t *testing.T) {
 	st := c.SystemStats()
 	// Bound: the tracked counters, the overflow bucket, and a Size-only
 	// row per resident entry whose counters landed in the overflow.
-	if limit := maxTrackedSystems + 1 + c.Capacity(); len(st) > limit {
+	if limit := maxTrackedSystems + 1 + c.cap; len(st) > limit {
 		t.Errorf("tracked systems = %d, want <= %d", len(st), limit)
 	}
 	over := st[OverflowSystem]

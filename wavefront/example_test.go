@@ -28,8 +28,8 @@ func ExampleNewRectGrid() {
 	g := wavefront.NewRectGrid(600, 1400, 1)
 	k := wavefront.NewSynthetic(10, 1)
 	inst := wavefront.RectInstanceOf(g.Rows(), g.Cols(), k)
-	fmt.Printf("shape %dx%d, square=%v\n", g.Rows(), g.Cols(), g.Square())
-	fmt.Printf("anti-diagonals: %d (widest %d cells)\n", g.NumDiags(), inst.MinSide())
+	fmt.Printf("shape %dx%d, square=%v\n", g.Rows(), g.Cols(), inst.Square())
+	fmt.Printf("anti-diagonals: %d (widest %d cells)\n", inst.NumDiags(), inst.MinSide())
 	// Output:
 	// shape 600x1400, square=false
 	// anti-diagonals: 1999 (widest 600 cells)

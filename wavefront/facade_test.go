@@ -2,8 +2,11 @@ package wavefront
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
@@ -244,6 +247,9 @@ var internalExportAllowlist = map[string]string{
 	"jobs.Manager.Await":           "test synchronisation on a job's end across three packages",
 	"jobs.Manager.AwaitPipeline":   "test synchronisation on a pipeline's end across three packages",
 	"stats.Heatmap.Complete":       "pins Figure 5's coverage in two packages",
+	"telemetry.Histogram.Count":    "tests in two packages read a histogram's observation count",
+	"grid.DiagFrontier.Steps":      "grid.Frontier's step count, which grid's and cpuexec's tests read through the interface",
+	"grid.IrregularFrontier.Steps": "grid.Frontier's step count; grid's tests pin the irregular levels against a reference propagation",
 	"kernels.DTW.Dist":             "reads the kernel's answer",
 	"kernels.LCS.Length":           "reads the kernel's answer",
 	"kernels.MorphRecon.Mass":      "reads the kernel's answer",
@@ -262,27 +268,26 @@ var stdInterfaceMethods = map[string]bool{
 }
 
 // TestInternalExportsHaveConsumers keeps ../internal from regrowing
-// exported code that only tests reach. An exported top-level function is
-// consumed when a non-test file in the repo writes it as pkg.Name, or
-// names it bare within its own package outside its own body. An exported
-// method is consumed when a non-test file outside its own declaration
-// selects a name equal to it. Everything else must be deleted or listed
-// in internalExportAllowlist, and every allowlist entry must still exist
-// and still lack a consumer.
+// exported code that only tests reach. Every package of the repo is
+// type-checked from its non-test files, so a reference is resolved to
+// the declaration it denotes. An exported top-level function is consumed
+// when a non-test file uses it outside its own body. An exported method
+// is consumed when a non-test file outside its own declaration selects
+// it on its receiver type, or calls a method of that name on an
+// interface its receiver type implements. Everything else must be
+// deleted or listed in internalExportAllowlist, and every allowlist
+// entry must still exist and still lack a consumer.
 func TestInternalExportsHaveConsumers(t *testing.T) {
 	const module = "repro"
 	root := ".."
-	// decl is one exported function or method: its allowlist key, and the
-	// key its references are recorded under in used ("importpath.Name"
-	// for a function, the bare name for a method).
-	type decl struct {
-		key, ref string
-		fn       *ast.FuncDecl
+	imp := &repoImporter{
+		fset:  token.NewFileSet(),
+		dirs:  map[string]string{},
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
 	}
-	var decls []decl
-	// used maps each reference key to the declarations it occurs in (nil
-	// outside any function).
-	used := map[string][]*ast.FuncDecl{}
+	imp.std = importer.ForCompiler(imp.fset, "source", nil)
 	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -294,62 +299,86 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		ipath := path.Join(module, filepath.ToSlash(rel))
-		for _, f := range parseNonTest(t, dir) {
-			imports := importNames(f)
-			for _, d := range f.Decls {
-				in, _ := d.(*ast.FuncDecl)
-				var visit func(ast.Node) bool
-				visit = func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.SelectorExpr:
-						used[n.Sel.Name] = append(used[n.Sel.Name], in)
-						if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
-							k := imports[x.Name] + "." + n.Sel.Name
-							used[k] = append(used[k], in)
-						}
-						ast.Inspect(n.X, visit)
-						return false
-					case *ast.Ident:
-						if in == nil || n != in.Name {
-							used[ipath+"."+n.Name] = append(used[ipath+"."+n.Name], in)
-						}
-					}
-					return true
-				}
-				ast.Inspect(d, visit)
-				if in == nil || !in.Name.IsExported() || !strings.HasPrefix(ipath, module+"/internal/") {
-					continue
-				}
-				pkg := ipath[strings.LastIndex(ipath, "/")+1:]
-				switch {
-				case in.Recv == nil:
-					decls = append(decls, decl{pkg + "." + in.Name.Name, ipath + "." + in.Name.Name, in})
-				case !stdInterfaceMethods[in.Name.Name]:
-					decls = append(decls, decl{pkg + "." + recvName(in) + "." + in.Name.Name, in.Name.Name, in})
-				}
-			}
+		if _, err := build.ImportDir(dir, 0); err == nil {
+			imp.dirs[path.Join(module, filepath.ToSlash(rel))] = dir
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for ipath := range imp.dirs {
+		if _, err := imp.Import(ipath); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// uses maps each function and method to where it is used; ifaceUses
+	// holds the interface methods used.
+	uses := map[*types.Func][]token.Pos{}
+	ifaceUses := map[*types.Func]bool{}
+	for id, obj := range imp.info.Uses {
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		fn = fn.Origin()
+		uses[fn] = append(uses[fn], id.Pos())
+		if recv := fn.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			ifaceUses[fn] = true
+		}
+	}
+	// consumed reports whether fn, declared by decl, is used outside decl.
+	consumed := func(fn *types.Func, decl *ast.FuncDecl) bool {
+		for _, pos := range uses[fn] {
+			if pos < decl.Pos() || pos >= decl.End() {
+				return true
+			}
+		}
+		recv := fn.Signature().Recv()
+		if recv == nil {
+			return false
+		}
+		for m := range ifaceUses {
+			iface := m.Signature().Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == fn.Name() && (types.Implements(recv.Type(), iface) ||
+				types.Implements(types.NewPointer(recv.Type()), iface)) {
+				return true
+			}
+		}
+		return false
+	}
 
 	seen := map[string]bool{}
 	var unused []string
-	for _, d := range decls {
-		seen[d.key] = true
-		consumed := false
-		for _, in := range used[d.ref] {
-			consumed = consumed || in != d.fn
+	for ipath, files := range imp.files {
+		if !strings.HasPrefix(ipath, module+"/internal/") {
+			continue
 		}
-		_, allowed := internalExportAllowlist[d.key]
-		switch {
-		case !consumed && !allowed:
-			unused = append(unused, d.key)
-		case consumed && allowed:
-			t.Errorf("%s is on the allowlist but has a consumer now: take it off", d.key)
+		pkg := ipath[strings.LastIndex(ipath, "/")+1:]
+		for _, f := range files {
+			for _, d := range f.Decls {
+				decl, ok := d.(*ast.FuncDecl)
+				if !ok || !decl.Name.IsExported() {
+					continue
+				}
+				key := pkg + "." + decl.Name.Name
+				if decl.Recv != nil {
+					if stdInterfaceMethods[decl.Name.Name] {
+						continue
+					}
+					key = pkg + "." + recvName(decl) + "." + decl.Name.Name
+				}
+				seen[key] = true
+				used := consumed(imp.info.Defs[decl.Name].(*types.Func), decl)
+				_, allowed := internalExportAllowlist[key]
+				switch {
+				case !used && !allowed:
+					unused = append(unused, key)
+				case used && allowed:
+					t.Errorf("%s is on the allowlist but has a consumer now: take it off", key)
+				}
+			}
 		}
 	}
 	sort.Strings(unused)
@@ -361,6 +390,47 @@ func TestInternalExportsHaveConsumers(t *testing.T) {
 			t.Errorf("allowlist entry %s names no exported function or method", key)
 		}
 	}
+}
+
+// repoImporter type-checks the repo's packages from their non-test files
+// into one types.Info, each package once, and imports the standard
+// library through one source importer shared by all of them.
+type repoImporter struct {
+	fset  *token.FileSet
+	dirs  map[string]string // import path to directory
+	std   types.Importer
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[string][]*ast.File // import path to its parsed files
+}
+
+func (r *repoImporter) Import(ipath string) (*types.Package, error) {
+	if p, ok := r.pkgs[ipath]; ok {
+		return p, nil
+	}
+	dir, ok := r.dirs[ipath]
+	if !ok {
+		return r.std.Import(ipath)
+	}
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(r.fset, filepath.Join(dir, name), nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: r}
+	p, err := conf.Check(ipath, r.fset, files, r.info)
+	if err != nil {
+		return nil, err
+	}
+	r.pkgs[ipath], r.files[ipath] = p, files
+	return p, nil
 }
 
 // recvName returns the type name of a method's receiver.
