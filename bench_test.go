@@ -369,19 +369,22 @@ func BenchmarkFrontierIrregular(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateHybrid times one Estimate of a GPU plan: a dual-GPU
-// plan with halo 20, and an i3-540 plan that offloads every diagonal of a
-// 3300x2000 grid to its one GPU.
+// BenchmarkEstimateHybrid times one Estimate of a GPU plan: dual-GPU
+// plans with halo 20, 0 and 3 (a swap every 20, 1 and 3 diagonals), and
+// an i3-540 plan that offloads every diagonal of a 3300x2000 grid to its
+// one GPU.
 func BenchmarkEstimateHybrid(b *testing.B) {
 	gpuOnly := plan.Instance{Rows: 3300, Cols: 2000, TSize: 100, DSize: 1}
+	dual := plan.Instance{Dim: 1900, TSize: 2000, DSize: 1}
 	for _, c := range []struct {
 		name string
 		sys  hw.System
 		inst plan.Instance
 		par  plan.Params
 	}{
-		{"i7-2600K-dual", hw.I7_2600K(), plan.Instance{Dim: 1900, TSize: 2000, DSize: 1},
-			plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}},
+		{"i7-2600K-dual", hw.I7_2600K(), dual, plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 20}},
+		{"i7-2600K-dual-halo0", hw.I7_2600K(), dual, plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 0}},
+		{"i7-2600K-dual-halo3", hw.I7_2600K(), dual, plan.Params{CPUTile: 8, Band: 1500, GPUTile: 1, Halo: 3}},
 		{"i3-540-gpu-only", hw.I3_540(), gpuOnly, engine.GPUOnlyParamsFor(gpuOnly)},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -415,10 +418,10 @@ func BenchmarkSimulateFunctional(b *testing.B) {
 // (core.ServingSpace).
 // The dual-GPU systems evaluate about three times as many configurations
 // as the single-GPU i3-540. With two workers on a 2-vCPU Xeon shared
-// with other load, the medians of six runs are 8.7 ms (i3-540) and
-// 24–25 ms (each dual-GPU system) for "full", and 2.6 ms and 9.1–9.3 ms
-// for "training"; with one worker, "training" reads 3.8 ms and
-// 11.3–11.6 ms.
+// with other load, the medians of five runs are 3.7 ms (i3-540) and
+// 8.2 ms (each dual-GPU system) for "full", and 1.1 ms and 3.0–3.2 ms
+// for "training"; with one worker, "training" reads 1.6 ms and
+// 4.1 ms (medians of three).
 func BenchmarkExhaustiveQuickSearch(b *testing.B) {
 	space := core.QuickSpace()
 	spaces := []struct {
@@ -780,7 +783,7 @@ func BenchmarkPredictBackend(b *testing.B) {
 }
 
 // BenchmarkPredictTimed times the served decision (Tuner.PredictTimed:
-// the models' plan and every alternative it is checked against) of each
+// the models' plan and the climb over its neighbourhood's ring) of each
 // shipped factory tuner over a spread of square, rectangular and masked
 // instances across the serving range, and reports microseconds per
 // instance.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/engine"
@@ -35,29 +34,42 @@ func perConfigEval(t *Tuner, space Space, inst plan.Instance) (EvalPoint, error)
 
 // servedLongWay builds the served decision without threshold bounds:
 // Predict's decision, and for a parallel one an unbounded Estimate of
-// its plan and of each move of its neighbourhood's ring, keeping the
-// first fastest. It is the independent check that the bounded estimates
-// of Tuner.PredictTimed pick the same plan.
+// its plan, then passes over its neighbourhood's ring from each new
+// incumbent, each move an unbounded Estimate taken when strictly faster,
+// until a pass takes none or servedBudget probes are spent. It is the
+// independent check that the bounded estimates of Tuner.PredictTimed
+// pick the same plan.
 func servedLongWay(t *Tuner, inst plan.Instance) (Prediction, float64, error) {
 	sys := t.System()
 	pred := t.Predict(inst)
 	if pred.Serial {
 		return pred, engine.SerialNs(sys, inst), nil
 	}
-	var buf [maxMoves]plan.Params
-	moves, ring := t.neighbourhood(&buf, inst, pred.Par)
-	var best Prediction
-	bestNs := math.Inf(1)
-	for _, par := range append([]plan.Params{pred.Par}, moves[:ring]...) {
-		res, err := engine.Estimate(sys, inst, par, engine.Options{})
-		if err != nil {
-			return Prediction{}, 0, err
-		}
-		if res.RTimeNs < bestNs {
-			best, bestNs = Prediction{Par: par}, res.RTimeNs
+	res, err := engine.Estimate(sys, inst, pred.Par, engine.Options{})
+	if err != nil {
+		return Prediction{}, 0, err
+	}
+	best, bestNs := pred.Par, res.RTimeNs
+	probes := 0
+	for improved := true; improved && probes < servedBudget; {
+		improved = false
+		var buf [maxMoves]plan.Params
+		moves, ring := t.neighbourhood(&buf, inst, best)
+		for _, par := range moves[:ring] {
+			if probes == servedBudget {
+				break
+			}
+			res, err := engine.Estimate(sys, inst, par, engine.Options{})
+			if err != nil {
+				return Prediction{}, 0, err
+			}
+			probes++
+			if res.RTimeNs < bestNs {
+				best, bestNs, improved = par, res.RTimeNs, true
+			}
 		}
 	}
-	return best, bestNs, nil
+	return Prediction{Par: best}, bestNs, nil
 }
 
 // TestEvaluateMatchesPerConfigEstimate: Evaluate's points equal, bit for

@@ -3,22 +3,34 @@ package core
 import (
 	"context"
 
+	"repro/internal/engine"
 	"repro/internal/plan"
 )
 
 // RefineBudget is refine's probe budget.
 const RefineBudget = refineBudget
 
+// ServedBudget is the served check's probe budget.
+const ServedBudget = servedBudget
+
 // ServedEstimates is the number of estimates Tuner.PredictTimed makes
 // for inst: none for a serial decision, otherwise one for the models'
-// plan and one per move of its neighbourhood's ring.
+// plan and one per ring move its climb probes.
 func ServedEstimates(t *Tuner, inst plan.Instance) int {
 	pred := t.Predict(inst)
 	if pred.Serial {
 		return 0
 	}
-	_, ring := t.Neighbourhood(inst, pred.Par)
-	return 1 + ring
+	res, err := engine.Estimate(t.Sys, inst, pred.Par, engine.Options{})
+	if err != nil {
+		panic(err)
+	}
+	inc := incumbent{par: pred.Par, ns: res.RTimeNs}
+	probes, _, err := inc.climb(context.Background(), t.Sys, inst, servedBudget, t.ring(inst))
+	if err != nil {
+		panic(err)
+	}
+	return 1 + probes
 }
 
 // Neighbourhood returns the moves of p and the length of their first

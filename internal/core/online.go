@@ -95,14 +95,13 @@ func (o *OnlineTuner) RefineDecisionContext(ctx context.Context, inst plan.Insta
 	return refined, st, nil
 }
 
-// refineFrom hill-climbs from an explicit starting configuration: each
-// pass runs the probe loop over the incumbent's neighbourhood, the
-// served check's ring and then the rest, until budget probes are spent
-// or a pass takes no move. The GPU move of a CPU-only plan comes from
-// the models of the *Tuner o wraps; another Predictor has none. ctx is
-// checked before every probe, and once it is done the incumbent (best so
-// far) is returned with the stats accumulated up to that point and
-// ctx's error.
+// refineFrom hill-climbs (climb) from an explicit starting configuration
+// over the incumbent's whole neighbourhood, the served check's ring and
+// then the rest, under budget probes, the start's estimate among them.
+// The GPU move of a CPU-only plan comes from the models of the *Tuner o
+// wraps; another Predictor has none. ctx is checked before every probe,
+// and once it is done the incumbent (best so far) is returned with the
+// stats accumulated up to that point and ctx's error.
 func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start plan.Params, budget int) (Prediction, RefineStats, error) {
 	sys := o.Base.System()
 	t, ok := o.Base.(*Tuner)
@@ -118,19 +117,11 @@ func (o *OnlineTuner) refineFrom(ctx context.Context, inst plan.Instance, start 
 		return Prediction{}, RefineStats{}, fmt.Errorf("core: unmeasurable start %v for %v: %w", start, inst, err)
 	}
 	inc.ns = res.RTimeNs
-	st := RefineStats{Probes: 1, StartNs: inc.ns}
-	var buf [maxMoves]plan.Params
-	for err == nil && st.Probes < budget {
-		var probes, taken int
-		moves, _ := t.neighbourhood(&buf, inst, inc.par)
-		probes, taken, err = inc.probe(ctx, sys, inst, moves[:min(len(moves), budget-st.Probes)])
-		st.Probes += probes
-		st.Moves += taken
-		if taken == 0 {
-			break
-		}
-	}
-	st.FinalNs = inc.ns
+	probes, moves, err := inc.climb(ctx, sys, inst, budget-1, func(p plan.Params) (moves [maxMoves]plan.Params, n int) {
+		all, _ := t.neighbourhood(&moves, inst, p)
+		return moves, len(all)
+	})
+	st := RefineStats{Probes: 1 + probes, StartNs: res.RTimeNs, FinalNs: inc.ns, Moves: moves}
 	return Prediction{Par: inc.par}, st, err
 }
 
@@ -141,14 +132,33 @@ type incumbent struct {
 	ns  float64
 }
 
-// probe is the one probe loop of the served check and refine: it
-// estimates each of moves in order with the incumbent's runtime as
-// ThresholdNs, and takes a move only when its estimate is uncensored and
-// strictly faster. A loser stops at its first checkpoint past the
-// incumbent, and a taken move's runtime is its uncensored estimate,
-// bit-identical to an unbounded Estimate, so the moves taken are those
-// unbounded estimates would take. ctx is checked before each estimate.
-// It returns the number of moves estimated and taken.
+// climb is the one hill climb of the served check and refine: from each
+// new incumbent it runs the probe loop over the first n moves that
+// moves(c.par) lists, until a pass takes no move or budget probes are
+// spent. The list comes back by value, so the climb allocates nothing.
+// ctx is checked before each estimate. It returns the number of moves
+// estimated and taken.
+func (c *incumbent) climb(ctx context.Context, sys hw.System, inst plan.Instance, budget int, moves func(plan.Params) ([maxMoves]plan.Params, int)) (probes, taken int, err error) {
+	for probes < budget {
+		ms, m := moves(c.par)
+		n, k, err := c.probe(ctx, sys, inst, ms[:min(m, budget-probes)])
+		probes += n
+		taken += k
+		if err != nil || k == 0 {
+			return probes, taken, err
+		}
+	}
+	return probes, taken, nil
+}
+
+// probe is one pass of the probe loop: it estimates each of moves in
+// order with the incumbent's runtime as ThresholdNs, and takes a move
+// only when its estimate is uncensored and strictly faster. A loser
+// stops at its first checkpoint past the incumbent, and a taken move's
+// runtime is its uncensored estimate, bit-identical to an unbounded
+// Estimate, so the moves taken are those unbounded estimates would take.
+// ctx is checked before each estimate. It returns the number of moves
+// estimated and taken.
 func (c *incumbent) probe(ctx context.Context, sys hw.System, inst plan.Instance, moves []plan.Params) (probes, taken int, err error) {
 	for _, q := range moves {
 		if err := ctx.Err(); err != nil {
@@ -167,9 +177,9 @@ func (c *incumbent) probe(ctx context.Context, sys hw.System, inst plan.Instance
 	return probes, taken, nil
 }
 
-// maxMoves bounds a neighbourhood: four ring moves, two cpu-tile moves
+// maxMoves bounds a neighbourhood: six ring moves, two cpu-tile moves
 // and four halo moves.
-const maxMoves = 10
+const maxMoves = 12
 
 // cpuTiles is the Table 3 cpu-tile grid the cpu-tile moves step along.
 var cpuTiles = [...]int{1, 2, 4, 8, 10, 16}
@@ -177,9 +187,11 @@ var cpuTiles = [...]int{1, 2, 4, 8, 10, 16}
 // neighbourhood writes into buf the moves of p, the plans next to it
 // that the served check (Tuner.PredictTimed) and refine (refineFrom)
 // probe, in order, and returns them with the length of their first ring.
-// The ring is the served check:
+// The ring is the served check's:
 //   - for a GPU plan, CPU-only at p's cpu-tile and at the clamped doubled
-//     cpu-tile, then p at band ×0.8 and ×1.25 (scaleBand);
+//     cpu-tile, then p at band ×0.8 and ×1.25 (scaleBand), then for a
+//     dual-GPU plan p at halo ×2 (at least +1, at most the band's
+//     maximum), then p at gpu-tile ×8 (clampGPUTile);
 //   - for a CPU-only plan, CPU-only at the doubled cpu-tile, then the GPU
 //     plan the models imply at gpu-tile 1 (gpuCandidate).
 //
@@ -207,6 +219,14 @@ func (t *Tuner) neighbourhood(buf *[maxMoves]plan.Params, inst plan.Instance, p 
 	if gpu {
 		add(scaleBand(inst, p, 0.8))
 		add(scaleBand(inst, p, 1.25))
+		if p.Halo >= 0 {
+			q := p
+			q.Halo = min(max(2*p.Halo, p.Halo+1), plan.MaxHaloFor(inst, p.Band))
+			add(q)
+		}
+		q := p
+		q.GPUTile = clampGPUTile(8 * p.GPUTile)
+		add(q)
 	} else if q, ok := t.gpuCandidate(inst, ct); ok {
 		add(q)
 	}

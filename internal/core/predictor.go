@@ -24,9 +24,9 @@ type Predictor interface {
 	// validity and normalized (Params.Normalize).
 	Predict(inst plan.Instance) Prediction
 	// PredictTimed is the single-call deployment hook and the served
-	// decision: Predict's plan or a faster move of its neighbourhood's
-	// first ring (Tuner.PredictTimed), its modeled runtime and the serial
-	// baseline, in nanoseconds.
+	// decision: Predict's plan or the faster plan a climb over its
+	// neighbourhood's first ring reaches (Tuner.PredictTimed), its
+	// modeled runtime and the serial baseline, in nanoseconds.
 	PredictTimed(inst plan.Instance) (Prediction, float64, float64, error)
 }
 

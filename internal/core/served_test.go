@@ -74,6 +74,42 @@ func TestServedPlanNeverSlower(t *testing.T) {
 	}
 }
 
+// TestServedPlanRingLocal: on the shipped tuners over servedGrid, no
+// move of a served plan's ring is strictly faster than it, unless its
+// climb spent the whole probe budget.
+func TestServedPlanRingLocal(t *testing.T) {
+	for _, sys := range hw.Systems() {
+		tuner := factoryTuner(t, sys)
+		spent, longest := 0, 0
+		for _, inst := range servedGrid() {
+			pred, rtime, _, err := tuner.PredictTimed(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pred.Serial {
+				continue
+			}
+			probes := core.ServedEstimates(tuner, inst) - 1
+			longest = max(longest, probes)
+			if probes == core.ServedBudget {
+				spent++
+				continue
+			}
+			moves, ring := tuner.Neighbourhood(inst, pred.Par)
+			for _, q := range moves[:ring] {
+				res, err := engine.Estimate(sys, inst, q, engine.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.RTimeNs < rtime {
+					t.Errorf("%s %v: served %v at %v ns, but its ring move %v takes %v ns", sys.Name, inst, pred, rtime, q, res.RTimeNs)
+				}
+			}
+		}
+		t.Logf("%s: longest climb %d probes, %d climbs spent the budget of %d", sys.Name, longest, spent, core.ServedBudget)
+	}
+}
+
 // tuneColdWorst are the three keys of wavebench's tune-cold efficiency
 // sample that lost most when the models' GPU plan was served unchecked
 // (0.498, 0.621 and 0.743): on each, CPU-only is optimal.
@@ -109,20 +145,22 @@ func TestServedPlanTuneColdWorst(t *testing.T) {
 
 // servedBandKeys are keys whose models' plan uses a GPU at a band the
 // served check moves: their efficiency on QuickSpace with the models'
-// plan, and with the served one.
+// plan, and with the served one. With one pass over the ring the
+// served plans read 0.9832, 1.000 and 0.9872; the climb also moves
+// their halo, and the last one's gpu-tile to 8.
 var servedBandKeys = []struct {
 	sys           hw.System
 	inst          plan.Instance
 	model, served float64
 }{
-	{hw.I7_3820(), plan.Instance{Rows: 810, Cols: 2213, TSize: 1400, DSize: 5}, 0.9297, 0.9832},
-	{hw.I7_2600K(), plan.Instance{Dim: 1572, TSize: 2160, DSize: 1}, 0.9727, 1.000},
-	{hw.I7_2600K(), plan.Instance{Rows: 500, Cols: 2700, TSize: kernels.NewNash(2).TSize(), DSize: kernels.NewNash(2).DSize()}, 0.9561, 0.9872},
+	{hw.I7_3820(), plan.Instance{Rows: 810, Cols: 2213, TSize: 1400, DSize: 5}, 0.9297, 0.9992},
+	{hw.I7_2600K(), plan.Instance{Dim: 1572, TSize: 2160, DSize: 1}, 0.9727, 1.0010},
+	{hw.I7_2600K(), plan.Instance{Rows: 500, Cols: 2700, TSize: kernels.NewNash(2).TSize(), DSize: kernels.NewNash(2).DSize()}, 0.9561, 1.0691},
 }
 
-// TestServedPlanBandCheck: on those keys the served plan is the models'
-// GPU plan at a scaled band, and reaches the efficiency the models' band
-// misses.
+// TestServedPlanBandCheck: on those keys the served plan is a GPU plan
+// at another band than the models', and reaches the efficiency the
+// models' band misses.
 func TestServedPlanBandCheck(t *testing.T) {
 	for _, k := range servedBandKeys {
 		tuner := factoryTuner(t, k.sys)
@@ -143,7 +181,7 @@ func TestServedPlanBandCheck(t *testing.T) {
 			t.Fatalf("%s %v: models' plan %v, want a GPU plan", k.sys.Name, k.inst, model)
 		}
 		if e.Pred.Serial || e.Pred.Par.Band < 0 || e.Pred.Par.Band == model.Par.Band {
-			t.Errorf("%s %v: served %v, want the models' GPU plan at another band", k.sys.Name, k.inst, e.Pred)
+			t.Errorf("%s %v: served %v, want a GPU plan at another band than the models'", k.sys.Name, k.inst, e.Pred)
 		}
 		if math.Abs(modelEff-k.model) > 5e-5 {
 			t.Errorf("%s %v: models' plan reads %.4f, want %.4f", k.sys.Name, k.inst, modelEff, k.model)
@@ -155,8 +193,8 @@ func TestServedPlanBandCheck(t *testing.T) {
 }
 
 // TestPredictTimedAllocations bounds the served decision's allocations
-// at one per estimate: the models' plan and each move of its
-// neighbourhood's ring.
+// at one per estimate: the models' plan and each ring move its climb
+// probes.
 func TestPredictTimedAllocations(t *testing.T) {
 	for _, k := range tuneColdWorst {
 		tuner := factoryTuner(t, k.sys)

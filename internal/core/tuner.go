@@ -243,11 +243,13 @@ func serialPlan(inst plan.Instance) plan.Params {
 // the single-call deployment hook of the plan cache, the tuning service,
 // the CLI and Evaluate, so every consumer scores the plan it serves.
 //
-// A parallel decision is checked against the first ring of the models'
-// plan's neighbourhood, with the estimator standing in for the machine
-// (the paper's future-work online tuning with a probe budget of at most
-// four): one pass of the probe loop refine also runs (incumbent.probe),
-// so the fastest is served, a tie keeps the incumbent, and the served
+// A parallel decision is checked against its neighbourhood's first ring,
+// with the estimator standing in for the machine (the paper's
+// future-work online tuning with a small probe budget): the hill climb
+// refine also runs (incumbent.climb), over ring moves only, from the
+// models' plan and then from each new incumbent until a pass takes no
+// move or servedBudget probes are spent. So the served plan is at least
+// as fast as the models' plan, a tie keeps the incumbent, and the served
 // runtime is bit-identical to an unbounded Estimate of the served
 // params. A serial decision (the SVM gate) is served unchecked.
 func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, error) {
@@ -261,10 +263,22 @@ func (t *Tuner) PredictTimed(inst plan.Instance) (Prediction, float64, float64, 
 		return Prediction{}, 0, 0, err
 	}
 	inc := incumbent{par: pred.Par, ns: res.RTimeNs}
-	var buf [maxMoves]plan.Params
-	moves, ring := t.neighbourhood(&buf, inst, inc.par)
-	if _, _, err := inc.probe(context.Background(), t.Sys, inst, moves[:ring]); err != nil {
+	if _, _, err := inc.climb(context.Background(), t.Sys, inst, servedBudget, t.ring(inst)); err != nil {
 		return Prediction{}, 0, 0, err
 	}
 	return Prediction{Par: inc.par}, inc.ns, serial, nil
 }
+
+// ring returns the moves of a served climb on inst: a plan's
+// neighbourhood's first ring.
+func (t *Tuner) ring(inst plan.Instance) func(plan.Params) ([maxMoves]plan.Params, int) {
+	return func(p plan.Params) (moves [maxMoves]plan.Params, n int) {
+		_, n = t.neighbourhood(&moves, inst, p)
+		return moves, n
+	}
+}
+
+// servedBudget caps the ring probes of one served decision, beyond the
+// models' plan. It is loose: the served climbs of wavebench's tune-cold
+// keys take at most 30 probes.
+const servedBudget = 64

@@ -3,8 +3,8 @@
 //
 //   - Estimate: a fast analytic walk of the plan that returns virtual time
 //     and a cost breakdown without touching any data. A Sweep gives the
-//     same answers for many configurations of one instance; the
-//     exhaustive search evaluates hundreds of thousands of
+//     same runtime and censoring for many configurations of one
+//     instance; the exhaustive search evaluates hundreds of thousands of
 //     configurations through it.
 //   - Simulate: a functional discrete-event simulation through the simcl
 //     runtime that computes real cell values while accumulating exactly
@@ -20,31 +20,37 @@
 // where a run ends by a binary search on the exact per-launch point
 // count within the ranges where the diagonal lengths, cut by the
 // period's partitions, make that count monotone, without visiting every
-// diagonal. Simulate expands each run into its launches' row segments
-// (devRows) and simcl kernel requests. For the analytic path a meter
-// folds the launches into period lengths, one launch at a time in walk
+// diagonal. One level up it yields runs of identical periods: between
+// the breakpoints of the diagonal profile each launch's pass count is
+// monotone in the period index, so it gallops and binary-searches over
+// the periods, comparing each with the run's first, and hands over the
+// first period's launch runs with the run's length. Simulate expands
+// each launch run, on every period of its run of periods, into its
+// launches' row segments (devRows) and simcl kernel requests. For the
+// analytic path a meter folds the launches into period lengths in walk
 // order, and a clock sums the run in execution order: Phase 1, GPU
 // start-up and input transfers, each period and its halo swap with the
 // censoring check at its end, output transfers, Phase 3. Estimate feeds
-// the clock from the live walk, timing each run once, without
-// allocating. A Sweep keeps a two-level tape per distinct GPU schedule,
-// since a schedule never depends on the cpu-tile. The shape tape holds
-// the walk's runs (each run's device, pass count and length, and the
-// period boundaries), which depend only on the grid shape; it is walked
-// once per shape, with consecutive identical periods stored once with a
-// repeat count. The instance tape replays it with the instance's launch
-// costs, reading each run's duration from a per-(device, gpu-tile)
-// table indexed by pass count, into period lengths, timing each run of
-// identical periods once; the launch counters are summed over the full
-// walk only when a breakdown first needs them. Every configuration
-// sharing the schedule replays the instance tape through the same clock
-// from its own Phase 1 time.
+// the clock from the live walk without allocating: it times each launch
+// run and each run of periods once, replays the run's periods through
+// the clock one by one, and counts the repeated periods' launches into
+// the breakdown one by one, in walk order. A Sweep keeps a two-level
+// tape per distinct GPU schedule, since a schedule never depends on the
+// cpu-tile. The shape tape holds the walk's runs (each launch run's
+// device, pass count and length, and each run of periods' length),
+// which depend only on the grid shape; it is walked once per shape. The
+// instance tape replays it with the instance's launch costs, reading
+// each run's duration from a per-(device, gpu-tile) table indexed by
+// pass count, into period lengths, timing each run of periods once.
+// Every configuration sharing the schedule replays the instance tape
+// through the same clock from its own Phase 1 time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
-// hash every quick-space search point and a set of full breakdowns,
-// through both Estimate and a Sweep, so any change to a float
-// expression or to a summation order must be deliberate. Trained tuners,
-// served runtimes and efficiencies all rest on those bits.
+// hash every quick-space search point and a set of full breakdowns, and
+// check a Sweep's runtime and censoring against Estimate at every point,
+// so any change to a float expression or to a summation order must be
+// deliberate. Trained tuners, served runtimes and efficiencies all rest
+// on those bits.
 package engine
 
 import (
@@ -265,48 +271,202 @@ func (s *gpuSchedule) xferOut(dev int) int {
 
 // walk runs the GPU phase in execution order: for each swap period, every
 // device's launches (device 0 first, each device's in diagonal order),
-// then endPeriod, told whether a halo exchange follows the period; each of
-// the nGPU-1 partition boundaries then moves swapByte bytes through the
-// host (2 transfers per boundary). The walk stops when endPeriod returns
-// false. It hands the launches to onRun as runs of consecutive launches
-// of equal pass count on costs' device widths, each with its period and
-// the index of its first launch there; launches with no points are left
-// out. The walk allocates nothing.
+// then the halo exchange, when one follows the period; each of the
+// nGPU-1 partition boundaries then moves swapByte bytes through the host
+// (2 transfers per boundary). It hands the periods over as runs of
+// identical periods: onRun gets the launches of a run's first period as
+// runs of consecutive launches of equal pass count on costs' device
+// widths, each with the index of its first launch in the period
+// (launches with no points are left out), and endPeriods then gets the
+// index q of that period (spanAt), the number n of periods from q that
+// launch exactly those pass counts, and how many of them, the first
+// swaps, a halo exchange follows. The walk stops when endPeriods returns
+// false. It allocates nothing.
 //
-// A launch's duration depends on its points only through its pass count,
-// so a run is timed once. Runs are found without visiting every launch:
-// pieces splits a device's launches into ranges of monotone pass count,
-// and runs binary-searches each range on the exact launchPoints.
-func (s *gpuSchedule) walk(costs []hw.LaunchCost, onRun func(p span, c int, r launchRun), endPeriod func(swapAfter bool) bool) {
+// A launch's duration depends on its points only through its pass
+// count, so a run is timed once, and a run of periods once. Neither is
+// found by visiting every launch. Within a period, pieces splits a
+// device's launches into ranges of monotone pass count, and runs
+// binary-searches each range on the exact launchPoints. Across periods,
+// repeats gallops and binary-searches the periods of one piece of the
+// diagonal profile, comparing each period's launch runs with the first's.
+func (s *gpuSchedule) walk(costs []hw.LaunchCost, onRun func(c int, r launchRun), endPeriods func(q, n, swaps int) bool) {
 	pl := s.pl
-	var cuts [11]int
-	for ds := pl.GLo; ds <= pl.GHi; ds += s.period {
-		p := span{
-			ds: ds, m: min(s.period, pl.GHi-ds+1),
-			a0: grid.DiagStartRowRect(s.rows, s.cols, ds),
-			l0: grid.DiagLenRect(s.rows, s.cols, ds),
-		}
-		nl := (p.m + s.gpuTile - 1) / s.gpuTile
-		for dev := 0; dev < s.nGPU; dev++ {
-			lc := &costs[dev]
-			if nl <= 3 {
-				// Too few launches to search: each is a run.
-				for c := range nl {
-					if v := lc.Passes(s.launchPoints(p, dev, c, nil)); v > 0 {
-						onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: 1})
-					}
-				}
-				continue
+	total := (pl.GPUDiags() + s.period - 1) / s.period
+	var head [maxPeriodRuns]launchRun
+	for q := 0; q < total; {
+		p := s.spanAt(q)
+		// Each run's first launch is the sum of its device's earlier
+		// runs' lengths, launches with no points included.
+		dev, c := int32(-1), 0
+		emit := func(r launchRun) bool {
+			if r.dev != dev {
+				dev, c = r.dev, 0
 			}
-			n := s.pieces(&cuts, p, dev, nl)
-			for i := 0; i+1 < n; i++ {
-				s.runs(p, dev, cuts[i], cuts[i+1], lc, onRun)
+			if r.passes > 0 {
+				onRun(c, r)
+			}
+			c += int(r.n)
+			return true
+		}
+		nh := 0
+		keep := func(r launchRun) bool {
+			if nh == len(head) {
+				return false
+			}
+			head[nh] = r
+			nh++
+			return true
+		}
+		n := 1
+		if last := s.lastTwin(q); last > q && s.periodRuns(costs, p, keep) {
+			n = s.repeats(costs, head[:nh], q, last)
+			for _, r := range head[:nh] {
+				emit(r)
+			}
+		} else {
+			// No later period can repeat this one, or it has too many
+			// runs to keep: it stands alone.
+			s.periodRuns(costs, p, emit)
+		}
+		swaps := 0
+		if s.nGPU >= 2 {
+			swaps = n
+			if q+n == total {
+				swaps--
 			}
 		}
-		if !endPeriod(s.nGPU >= 2 && ds+p.m <= pl.GHi) {
+		if !endPeriods(q, n, swaps) {
 			return
 		}
+		q += n
 	}
+}
+
+// maxPeriodRuns bounds the launch runs of a period that walk keeps to
+// compare with later periods. The modeled devices are wide enough that
+// a period holds a few runs per device; a period with more stands
+// alone.
+const maxPeriodRuns = 32
+
+// spanAt returns period q of the walk.
+func (s *gpuSchedule) spanAt(q int) span {
+	ds := s.pl.GLo + q*s.period
+	return span{
+		ds: ds, m: min(s.period, s.pl.GHi-ds+1),
+		a0: grid.DiagStartRowRect(s.rows, s.cols, ds),
+		l0: grid.DiagLenRect(s.rows, s.cols, ds),
+	}
+}
+
+// periodRuns hands yield the launch runs of period p in walk order,
+// device 0's first and each device's in launch order, launches with no
+// points included as runs of 0 passes and two adjacent runs of a device
+// with one pass count joined. The list spells out every launch's pass
+// count, so two periods with equal lists launch the same pass counts. It
+// stops, returning false, when yield returns false.
+func (s *gpuSchedule) periodRuns(costs []hw.LaunchCost, p span, yield func(launchRun) bool) bool {
+	var cur launchRun // the run not yet handed over
+	push := func(r launchRun) bool {
+		if cur.n > 0 && cur.dev == r.dev && cur.passes == r.passes {
+			cur.n += r.n
+			return true
+		}
+		if cur.n > 0 && !yield(cur) {
+			return false
+		}
+		cur = r
+		return true
+	}
+	var cuts [11]int
+	nl := (p.m + s.gpuTile - 1) / s.gpuTile
+	for dev := 0; dev < s.nGPU; dev++ {
+		lc := &costs[dev]
+		if nl <= 3 {
+			// Too few launches to search: each is a run.
+			for c := range nl {
+				if !push(launchRun{dev: int32(dev), passes: int32(lc.Passes(s.launchPoints(p, dev, c, nil))), n: 1}) {
+					return false
+				}
+			}
+			continue
+		}
+		n := s.pieces(&cuts, p, dev, nl)
+		for i := 0; i+1 < n; i++ {
+			if !s.runs(p, dev, cuts[i], cuts[i+1], lc, push) {
+				return false
+			}
+		}
+	}
+	return cur.n == 0 || yield(cur)
+}
+
+// lastTwin returns the last period that may launch what period q does.
+// Between the breakpoints of the diagonal profile (the diagonal where
+// the start row leaves row 0, cols-1, and where the end row reaches the
+// last row, rows-1) the start row, the length and each device's
+// partition cut of every diagonal of a period move linearly with the
+// period, so each launch's pass count is monotone in the period index.
+// A period holding a breakpoint strictly inside it, or the short last
+// period, stands alone. Five or more devices are left out: their cuts,
+// j*l0/nGPU rounded down, can make a device's share shrink as the
+// diagonals grow.
+func (s *gpuSchedule) lastTwin(q int) int {
+	pl := s.pl
+	last := pl.GPUDiags()/s.period - 1 // the last full period
+	if s.nGPU > 4 {
+		return q
+	}
+	ds := pl.GLo + q*s.period
+	end := ds + s.period - 1
+	for _, k := range [2]int{s.cols - 1, s.rows - 1} {
+		switch {
+		case k <= ds:
+			// Every later period lies past the breakpoint too.
+		case k < end:
+			return q
+		default:
+			last = min(last, q+(k-end)/s.period)
+		}
+	}
+	return max(last, q)
+}
+
+// repeats returns how many consecutive periods from q, up to period
+// last, launch the pass counts head lists, period q's runs. Up to last
+// each launch's pass count is monotone in the period index (lastTwin),
+// so a period that launches what q does vouches for every period
+// between: repeats gallops to a period that differs and binary-searches
+// the gap, as runs does over launches.
+func (s *gpuSchedule) repeats(costs []hw.LaunchCost, head []launchRun, q, last int) int {
+	same := func(k int) bool {
+		i := 0
+		return s.periodRuns(costs, s.spanAt(k), func(r launchRun) bool {
+			if i == len(head) || r != head[i] {
+				return false
+			}
+			i++
+			return true
+		}) && i == len(head)
+	}
+	// same(lo) holds, and hi is past last or the nearest period known to
+	// differ.
+	lo, hi := q, last+1
+	for step := 1; lo+step < hi; step *= 2 {
+		if !same(lo + step) {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; same(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo - q + 1
 }
 
 // pieces fills cuts with the launch indices that split device dev's nl
@@ -368,14 +528,15 @@ func (s *gpuSchedule) pieces(cuts *[11]int, p span, dev, nl int) int {
 	return out
 }
 
-// runs hands onRun device dev's runs over launches [c1, c2) of period p,
-// a range on which the pass count on lc's device is monotone. The
-// range's last launch is read first: a run that reaches it ends the
-// range. Otherwise, from each run's first launch, the search gallops to a
-// launch of another pass count and binary-searches the gap between, so a
-// run of n launches costs about 2*log2(n) evaluations, and a run of one
-// launch a single one.
-func (s *gpuSchedule) runs(p span, dev, c1, c2 int, lc *hw.LaunchCost, onRun func(p span, c int, r launchRun)) {
+// runs hands yield device dev's runs over launches [c1, c2) of period
+// p, a range on which the pass count on lc's device is monotone, runs of
+// no points included. The range's last launch is read first: a run that
+// reaches it ends the range. Otherwise, from each run's first launch,
+// the search gallops to a launch of another pass count and
+// binary-searches the gap between, so a run of n launches costs about
+// 2*log2(n) evaluations, and a run of one launch a single one. It stops,
+// returning false, when yield returns false.
+func (s *gpuSchedule) runs(p span, dev, c1, c2 int, lc *hw.LaunchCost, yield func(launchRun) bool) bool {
 	passes := func(c int) int { return lc.Passes(s.launchPoints(p, dev, c, nil)) }
 	c, v := c1, passes(c1)
 	last, lastV := c2-1, v
@@ -400,14 +561,12 @@ func (s *gpuSchedule) runs(p span, dev, c1, c2 int, lc *hw.LaunchCost, onRun fun
 				hi, next = mid, q
 			}
 		}
-		if v > 0 {
-			onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: int32(lo - c + 1)})
+		if !yield(launchRun{dev: int32(dev), passes: int32(v), n: int32(lo - c + 1)}) {
+			return false
 		}
 		c, v = hi, next
 	}
-	if v > 0 {
-		onRun(p, c, launchRun{dev: int32(dev), passes: int32(v), n: int32(c2 - c)})
-	}
+	return yield(launchRun{dev: int32(dev), passes: int32(v), n: int32(c2 - c)})
 }
 
 // launchPoints returns the points launch c of device dev in period p is
@@ -522,32 +681,43 @@ func (c *clock) startGPU(sys hw.System, sch *gpuSchedule) {
 	}
 }
 
-// replay adds swap periods in order: each period's time, then, for the
-// first swaps periods, the halo exchange that follows it. The running
-// sums stay in locals rather than being stored through res at every
-// period. Estimate replays one period at a time as its walk ends it, a
-// Sweep a recorded tape. It reports whether the run is censored.
+// replay adds a recorded tape's swap periods in order: each period's
+// time, then, for the first swaps periods, the halo exchange that
+// follows it. It reports whether the run is censored.
 func (c *clock) replay(ps []periodNs, swaps int) bool {
+	for _, p := range ps {
+		c.periods(p.ns, p.n, swaps)
+		if c.res.Censored {
+			return true
+		}
+		swaps -= p.n
+	}
+	return false
+}
+
+// periods adds n periods lasting ns each, the first swaps of them
+// followed by a halo exchange, with the censoring check at each period's
+// end, and returns how many it added: all n unless the run is censored
+// before the last. The running sums stay in locals rather than being
+// stored through res at every period.
+func (c *clock) periods(ns float64, n, swaps int) int {
 	res := c.res
 	rt, swapNs, nSwaps := res.RTimeNs, res.SwapNs, res.Swaps
-	k := 0
-	for _, p := range ps {
-		for range p.n {
-			rt += p.ns
-			if k < swaps {
-				swapNs += c.swapNs
-				rt += c.swapNs
-				nSwaps++
-			}
-			k++
-			if c.thresholdNs > 0 && rt > c.thresholdNs {
-				res.RTimeNs, res.SwapNs, res.Swaps = rt, swapNs, nSwaps
-				return c.over()
-			}
+	for k := range n {
+		rt += ns
+		if k < swaps {
+			swapNs += c.swapNs
+			rt += c.swapNs
+			nSwaps++
+		}
+		if c.thresholdNs > 0 && rt > c.thresholdNs {
+			res.RTimeNs, res.SwapNs, res.Swaps = rt, swapNs, nSwaps
+			c.over()
+			return k + 1
 		}
 	}
 	res.RTimeNs, res.SwapNs, res.Swaps = rt, swapNs, nSwaps
-	return false
+	return n
 }
 
 // finishGPU adds the output transfers and closes the GPU phase; it
@@ -564,25 +734,17 @@ func (c *clock) finishGPU(sys hw.System, sch *gpuSchedule) bool {
 	return c.over()
 }
 
-// launchTotals are the GPU phase's per-launch breakdown counters.
-type launchTotals struct {
-	kernels             int
-	launchNs, computeNs float64
-}
-
-// fold copies the counters into a breakdown.
-func (t launchTotals) fold(res *Result) {
-	res.Kernels, res.LaunchNs, res.ComputeNs = t.kernels, t.launchNs, t.computeNs
-}
-
 // meter times a walk's launches. Devices run each period in lockstep: the
 // period lasts as long as its busiest device (span), each device's time
-// being the sum of its launches (devNs).
+// being the sum of its launches (devNs). It also sums the breakdown's
+// launch counters.
 type meter struct {
 	costs       []hw.LaunchCost // per device, bound once rather than per launch
 	span, devNs float64
 	dev         int
-	launchTotals
+
+	kernels             int
+	launchNs, computeNs float64
 }
 
 // launchCosts binds sys's first n devices to inst's granularity,
@@ -594,20 +756,25 @@ func launchCosts(dst []hw.LaunchCost, sys hw.System, inst plan.Instance, n int) 
 	return dst
 }
 
-// add accounts one launch on device dev lasting dur. It is the only place
-// a launch is folded into a period and the breakdown counters, for the
-// live walk and a Sweep's replay alike.
-func (m *meter) add(dev int, dur float64) {
+// add accounts n launches on device dev lasting dur each. It is the only
+// place a launch is folded into a period, for the live walk and a
+// Sweep's replay alike. The sums run launch by launch in locals.
+func (m *meter) add(dev int, dur float64, n int) {
 	if dev != m.dev {
 		m.span = math.Max(m.span, m.devNs)
 		m.devNs = 0
 		m.dev = dev
 	}
 	launchNs := m.costs[dev].LaunchNs
-	m.devNs += dur
-	m.kernels++
-	m.launchNs += launchNs
-	m.computeNs += dur - launchNs
+	computeNs := dur - launchNs
+	devNs, lsum, csum := m.devNs, m.launchNs, m.computeNs
+	for range n {
+		devNs += dur
+		lsum += launchNs
+		csum += computeNs
+	}
+	m.devNs, m.launchNs, m.computeNs = devNs, lsum, csum
+	m.kernels += n
 }
 
 // endPeriod returns the finished period's duration and resets the span.
@@ -615,6 +782,35 @@ func (m *meter) endPeriod() float64 {
 	ns := math.Max(m.span, m.devNs)
 	m.span, m.devNs, m.dev = 0, 0, -1
 	return ns
+}
+
+// fold copies the launch counters into a breakdown.
+func (m *meter) fold(res *Result) {
+	res.Kernels, res.LaunchNs, res.ComputeNs = m.kernels, m.launchNs, m.computeNs
+}
+
+// countedRun is n launches as add counts each: its launch overhead and
+// the rest of its duration.
+type countedRun struct {
+	n                   int
+	launchNs, computeNs float64
+}
+
+// repeat counts the launches of a period, given as its runs, times more
+// times. The counters are float sums in walk order, so a repeated
+// period's launches are added one by one, as add adds them.
+func (m *meter) repeat(runs []countedRun, times int) {
+	kernels, launchNs, computeNs := m.kernels, m.launchNs, m.computeNs
+	for range times {
+		for _, r := range runs {
+			kernels += r.n
+			for range r.n {
+				launchNs += r.launchNs
+				computeNs += r.computeNs
+			}
+		}
+	}
+	m.kernels, m.launchNs, m.computeNs = kernels, launchNs, computeNs
 }
 
 // Estimate models a run of inst with parameters par on sys and returns
@@ -636,10 +832,11 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		// the stack.
 		var table [4]hw.LaunchCost
 		m := meter{costs: launchCosts(table[:0], sys, inst, sch.nGPU), dev: -1}
-		cut := false
 		// A run is timed once, and a device's pass count mostly repeats
-		// from one period to the next, so each device keeps its last
-		// run's duration.
+		// from one run of periods to the next, so each device keeps its
+		// last run's duration. The first period of a run of periods
+		// keeps its runs to count the launches of the periods repeating
+		// it.
 		type lastRun struct {
 			passes int32
 			ns     float64
@@ -649,25 +846,28 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 		for range sch.nGPU {
 			last = append(last, lastRun{passes: -1})
 		}
-		sch.walk(m.costs, func(_ span, _ int, r launchRun) {
+		var period [maxPeriodRuns]countedRun
+		nr := 0
+		sch.walk(m.costs, func(_ int, r launchRun) {
 			d := &last[r.dev]
+			c := &m.costs[r.dev]
 			if d.passes != r.passes {
-				c := &m.costs[r.dev]
 				d.passes, d.ns = r.passes, c.DurationNs(int(r.passes)*c.Width(), sch.syncSteps, sch.inflate)
 			}
-			for range r.n {
-				m.add(int(r.dev), d.ns)
+			m.add(int(r.dev), d.ns, int(r.n))
+			// walk repeats only periods whose runs it kept, no more
+			// than maxPeriodRuns.
+			if nr < len(period) {
+				period[nr] = countedRun{n: int(r.n), launchNs: c.LaunchNs, computeNs: d.ns - c.LaunchNs}
+				nr++
 			}
-		}, func(swapAfter bool) bool {
-			swaps := 0
-			if swapAfter {
-				swaps = 1
-			}
-			cut = clk.replay([]periodNs{{m.endPeriod(), 1}}, swaps)
-			return !cut
+		}, func(_, n, swaps int) bool {
+			m.repeat(period[:nr], clk.periods(m.endPeriod(), n, swaps)-1)
+			nr = 0
+			return !res.Censored
 		})
 		m.fold(&res)
-		if cut || clk.finishGPU(sys, &sch) {
+		if res.Censored || clk.finishGPU(sys, &sch) {
 			return res, nil
 		}
 	}
@@ -734,62 +934,73 @@ func Simulate(sys hw.System, inst plan.Instance, k kernels.Kernel, par plan.Para
 				}
 			})
 		// Each period enqueues its launches behind one barrier; a halo
-		// exchange, when due, follows as its own step. The walk's runs
-		// expand into their launches' row segments.
+		// exchange, when due, follows as its own step. A run of periods
+		// launches its first period's runs, each expanded into its
+		// launches' row segments on every period of the run.
 		type launch struct {
 			dev, points int
 			segs        []diagSeg
 		}
-		var launches []launch
+		type firstRun struct {
+			c int
+			r launchRun
+		}
+		var runs []firstRun
 		costs := launchCosts(nil, sys, inst, sch.nGPU)
-		sch.walk(costs, func(sp span, c int, r launchRun) {
-			for i := c; i < c+int(r.n); i++ {
-				l := launch{dev: int(r.dev)}
-				l.points = sch.launchPoints(sp, l.dev, i, &l.segs)
-				launches = append(launches, l)
-			}
-		}, func(swapAfter bool) bool {
-			period := launches
-			launches = nil
-			steps = append(steps, func(next func()) {
-				arrive := eng.Barrier(len(period), next)
-				for _, l := range period {
-					segs := l.segs
-					p.Devs[l.dev].EnqueueKernel(simcl.KernelReq{
-						Points:    l.points,
-						TSize:     inst.TSize,
-						DSize:     inst.DSize,
-						SyncSteps: sch.syncSteps,
-						Inflate:   sch.inflate,
-						Body: func() {
-							for _, s := range segs {
-								for r := s.rowLo; r <= s.rowHi; r++ {
-									k.Compute(g, r, s.d-r)
-								}
-							}
-						},
-					}, arrive)
-				}
-			})
-			if swapAfter {
-				steps = append(steps, func(next func()) {
-					// At each partition boundary the upper device's edge
-					// rows go to the host and on to the device below; the
-					// boundary exchanges chain on the shared link.
-					res.Swaps++
-					var chain func(b int)
-					chain = func(b int) {
-						if b >= sch.nGPU-1 {
-							next()
-							return
-						}
-						p.Devs[b].EnqueueXfer(sch.swapByte, func() {
-							p.Devs[b+1].EnqueueXfer(sch.swapByte, func() { chain(b + 1) })
-						})
+		sch.walk(costs, func(c int, r launchRun) {
+			runs = append(runs, firstRun{c, r})
+		}, func(q, n, swaps int) bool {
+			for j := range n {
+				sp := sch.spanAt(q + j)
+				var period []launch
+				for _, fr := range runs {
+					for i := fr.c; i < fr.c+int(fr.r.n); i++ {
+						l := launch{dev: int(fr.r.dev)}
+						l.points = sch.launchPoints(sp, l.dev, i, &l.segs)
+						period = append(period, l)
 					}
-					chain(0)
+				}
+				steps = append(steps, func(next func()) {
+					arrive := eng.Barrier(len(period), next)
+					for _, l := range period {
+						segs := l.segs
+						p.Devs[l.dev].EnqueueKernel(simcl.KernelReq{
+							Points:    l.points,
+							TSize:     inst.TSize,
+							DSize:     inst.DSize,
+							SyncSteps: sch.syncSteps,
+							Inflate:   sch.inflate,
+							Body: func() {
+								for _, s := range segs {
+									for r := s.rowLo; r <= s.rowHi; r++ {
+										k.Compute(g, r, s.d-r)
+									}
+								}
+							},
+						}, arrive)
+					}
 				})
+				if j < swaps {
+					steps = append(steps, func(next func()) {
+						// At each partition boundary the upper device's edge
+						// rows go to the host and on to the device below; the
+						// boundary exchanges chain on the shared link.
+						res.Swaps++
+						var chain func(b int)
+						chain = func(b int) {
+							if b >= sch.nGPU-1 {
+								next()
+								return
+							}
+							p.Devs[b].EnqueueXfer(sch.swapByte, func() {
+								p.Devs[b+1].EnqueueXfer(sch.swapByte, func() { chain(b + 1) })
+							})
+						}
+						chain(0)
+					})
+				}
 			}
+			runs = runs[:0]
 			return true
 		})
 		steps = append(steps, func(next func()) {

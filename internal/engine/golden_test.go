@@ -140,57 +140,38 @@ func TestGoldenEstimateBreakdowns(t *testing.T) {
 		{"dual-gpu-2700", hw.I7_2600K(), plan.Instance{Dim: 2700, TSize: 1000, DSize: 1}, engine.Options{}, 0x77cb7d85faa4d91f},
 	} {
 		configs := core.QuickSpace().Configs(c.inst, c.sys)
-		// The time-only entry point must give Estimate's runtime and
-		// censoring bits at every configuration. It runs first, so the
-		// Sweep path below counts launches on tapes RTime replayed.
+		// A Sweep's time-only entry point must give Estimate's runtime and
+		// censoring bits at every configuration.
 		var sw engine.Sweep
 		sw.Reset(c.sys, c.inst, c.opts)
+		g := newGoldenHash()
+		censored := 0
 		for _, par := range configs {
-			want, err := engine.Estimate(c.sys, c.inst, par, c.opts)
+			r, err := engine.Estimate(c.sys, c.inst, par, c.opts)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s %v: %v", c.name, par, err)
 			}
-			ns, censored, err := sw.RTime(par)
+			ns, cens, err := sw.RTime(par)
 			if err != nil {
 				t.Fatalf("%s RTime %v: %v", c.name, par, err)
 			}
-			if math.Float64bits(ns) != math.Float64bits(want.RTimeNs) || censored != want.Censored {
+			if math.Float64bits(ns) != math.Float64bits(r.RTimeNs) || cens != r.Censored {
 				t.Errorf("%s RTime %v: %v censored=%v, Estimate %v censored=%v",
-					c.name, par, ns, censored, want.RTimeNs, want.Censored)
+					c.name, par, ns, cens, r.RTimeNs, r.Censored)
+			}
+			g.par(par)
+			g.result(r)
+			if r.Censored {
+				censored++
 			}
 		}
-		// The same hash must come out of a single-point Estimate per
-		// configuration and out of one Sweep over the instance.
-		for _, path := range []struct {
-			name     string
-			estimate func(plan.Params) (engine.Result, error)
-		}{
-			{"Estimate", func(par plan.Params) (engine.Result, error) {
-				return engine.Estimate(c.sys, c.inst, par, c.opts)
-			}},
-			{"Sweep", sw.Estimate},
-		} {
-			g := newGoldenHash()
-			censored := 0
-			for _, par := range configs {
-				r, err := path.estimate(par)
-				if err != nil {
-					t.Fatalf("%s %s %v: %v", c.name, path.name, par, err)
-				}
-				g.par(par)
-				g.result(r)
-				if r.Censored {
-					censored++
-				}
-			}
-			if c.opts.ThresholdNs > 0 && (censored == 0 || censored == len(configs)) {
-				t.Errorf("%s: %d of %d configs censored; the case must cover both outcomes",
-					c.name, censored, len(configs))
-			}
-			if got := g.h.Sum64(); got != c.want {
-				t.Errorf("%s through %s: breakdown hash %#x, want %#x (%d configs)",
-					c.name, path.name, got, c.want, len(configs))
-			}
+		if c.opts.ThresholdNs > 0 && (censored == 0 || censored == len(configs)) {
+			t.Errorf("%s: %d of %d configs censored; the case must cover both outcomes",
+				c.name, censored, len(configs))
+		}
+		if got := g.h.Sum64(); got != c.want {
+			t.Errorf("%s: breakdown hash %#x, want %#x (%d configs)",
+				c.name, got, c.want, len(configs))
 		}
 	}
 }

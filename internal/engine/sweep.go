@@ -1,27 +1,24 @@
 package engine
 
 import (
-	"slices"
-
 	"repro/internal/hw"
 	"repro/internal/plan"
 )
 
-// A Sweep estimates many configurations of one instance, sharing the work
-// they have in common. A plan's GPU phase depends on its band, halo,
-// gpu-tile and device count but never on its cpu-tile, and a CPU phase
-// depends only on its cpu-tile and diagonal range. So a Sweep computes
-// each distinct CPU phase once and keeps a two-level tape of each distinct
-// GPU schedule:
+// A Sweep gives Estimate's runtime and censoring for many configurations
+// of one instance, sharing the work they have in common. A plan's GPU
+// phase depends on its band, halo, gpu-tile and device count but never on
+// its cpu-tile, and a CPU phase depends only on its cpu-tile and diagonal
+// range. So a Sweep computes each distinct CPU phase once and keeps a
+// two-level tape of each distinct GPU schedule:
 //
 //   - The shape tape holds the schedule's launch structure, which depends
 //     only on the grid shape: which device covers how many SIMT passes in
-//     each launch, and where the periods end. It is run-length encoded
-//     twice over: consecutive launches of one device with the same pass
-//     count form one run (the walk yields runs, and record joins two
-//     that meet), and consecutive periods with identical runs are
-//     stored once with a repeat count (on a halo-0 dual-GPU schedule every
-//     period is one diagonal, so most periods repeat their neighbour). A
+//     each launch, and where the periods end. It stores what the walk
+//     yields, run-length encoded twice over: consecutive launches of one
+//     device with the same pass count form one run (record also joins two
+//     that meet), and each run of identical periods is stored once with
+//     its length (on a dual-GPU schedule a run holds tens of periods). A
 //     schedule is walked once per shape: shape tapes survive Reset for as
 //     long as the rows, columns, live fraction, Options.GPUs and device
 //     widths stay the same, so the instances of one shape that differ
@@ -34,21 +31,13 @@ import (
 //     The meter resets at every period end, so each run of identical
 //     periods goes through it once: one pass gives the length, with the
 //     same bits, of every repetition.
-//   - The launch counters of the breakdown (Kernels, LaunchNs, ComputeNs)
-//     are float sums in walk order, so they need every launch of every
-//     repeated period. That counting pass runs once per instance tape,
-//     and only when Estimate first needs it; RTime, which the exhaustive
-//     search calls, never does.
 //
-// A configuration's estimate starts from its own Phase 1 time and adds the
+// A configuration's runtime starts from its own Phase 1 time and adds the
 // GPU phase in exactly the order Estimate does (start-up, input
 // transfers, then each period's lockstep time and halo exchange with the
 // censoring check at its end, then the output transfers), through the same
-// clock. Sweep.Estimate therefore returns what Estimate returns, bit for
-// bit, and RTime its runtime and censoring. The one exception would be a
-// run censored part-way through its GPU phase, whose breakdown holds
-// partial launch counters that a full-walk tape cannot give; such a point
-// is recomputed with Estimate.
+// clock. RTime therefore returns Estimate's runtime and censoring, bit for
+// bit. A Sweep keeps no launch counters, so it gives no breakdown.
 //
 // The zero value is ready for Reset. A Sweep is not safe for concurrent
 // use; give each worker its own, and reuse it across instances so its
@@ -104,13 +93,11 @@ type shapeTape struct {
 type periodSpan struct{ off, end, n int32 }
 
 // gpuTape is a shape tape replayed with the bound instance's launch
-// costs: its periods' lockstep durations, at Sweep.periods[off:end], and
-// the full walk's launch counters. ok is unset until the replay, and
-// counted until the counters are first needed.
+// costs: its periods' lockstep durations, at Sweep.periods[off:end]. ok
+// is unset until the replay.
 type gpuTape struct {
-	off, end    int
-	ok, counted bool
-	launchTotals
+	off, end int
+	ok       bool
 }
 
 // periodNs is n consecutive periods lasting ns each.
@@ -170,47 +157,28 @@ func (s *Sweep) sameWidths() bool {
 	return true
 }
 
-// RTime returns the RTimeNs and Censored fields of Estimate(par) alone,
-// which is all the exhaustive search keeps. It skips the launch counters
-// of the breakdown, and with them the per-launch walk of every repeated
-// period.
+// RTime returns the RTimeNs and Censored fields of Estimate(par), which
+// is all the exhaustive search keeps.
 func (s *Sweep) RTime(par plan.Params) (ns float64, censored bool, err error) {
-	res, err := s.estimate(par, false)
-	return res.RTimeNs, res.Censored, err
-}
-
-// estimate is Estimate; the launch counters (Kernels, LaunchNs,
-// ComputeNs) are filled only when counters is set.
-func (s *Sweep) estimate(par plan.Params, counters bool) (Result, error) {
 	pl, err := prepare(s.sys, s.inst, par, s.opts)
 	if err != nil {
-		return Result{}, err
+		return 0, false, err
 	}
-	res := Result{Plan: pl}
-	res.FrontierSteps = s.inst.NumDiags()
+	var res Result
 	clk := clock{res: &res, thresholdNs: s.opts.ThresholdNs}
 	if clk.cpuPhase(&res.Phase1Ns, s.cpuPhase(par.CPUTile, pl.P1Lo, pl.P1Hi)) {
-		return res, nil
+		return res.RTimeNs, true, nil
 	}
 	if sch, ok := buildGPUSchedule(pl, s.opts.GPUs); ok {
 		i := s.tape(&sch)
-		t, swaps := &s.tapes[i], s.shapes[i].swaps
+		t := s.tapes[i]
 		clk.startGPU(s.sys, &sch)
-		if clk.replay(s.periods[t.off:t.end], swaps) {
-			return Estimate(s.sys, s.inst, par, s.opts)
-		}
-		if counters {
-			if !t.counted {
-				t.launchTotals, t.counted = s.count(&sch, s.shapes[i]), true
-			}
-			t.fold(&res)
-		}
-		if clk.finishGPU(s.sys, &sch) {
-			return res, nil
+		if clk.replay(s.periods[t.off:t.end], s.shapes[i].swaps) || clk.finishGPU(s.sys, &sch) {
+			return res.RTimeNs, true, nil
 		}
 	}
 	clk.cpuPhase(&res.Phase3Ns, s.cpuPhase(par.CPUTile, pl.P3Lo, pl.P3Hi))
-	return res, nil
+	return res.RTimeNs, res.Censored, nil
 }
 
 // cpuPhase returns cpuPhaseNs for the bound instance, computing each
@@ -243,29 +211,20 @@ func (s *Sweep) tape(sch *gpuSchedule) int {
 	return i
 }
 
-// record walks sch and appends its runs to the shape-level buffers.
+// record walks sch and appends its runs to the shape-level buffers, one
+// span per run of identical periods.
 func (s *Sweep) record(sch *gpuSchedule) shapeTape {
 	t := shapeTape{off: len(s.spans)}
 	first := len(s.runs) // the current period's first run
-	sch.walk(s.costs, func(_ span, _ int, r launchRun) {
+	sch.walk(s.costs, func(_ int, r launchRun) {
 		if n := len(s.runs); n > first && s.runs[n-1].dev == r.dev && s.runs[n-1].passes == r.passes {
 			s.runs[n-1].n += r.n
 			return
 		}
 		s.runs = append(s.runs, r)
-	}, func(swapAfter bool) bool {
-		if swapAfter {
-			t.swaps++
-		}
-		if k := len(s.spans); k > t.off {
-			prev := &s.spans[k-1]
-			if slices.Equal(s.runs[prev.off:prev.end], s.runs[first:]) {
-				prev.n++
-				s.runs = s.runs[:first]
-				return true
-			}
-		}
-		s.spans = append(s.spans, periodSpan{off: int32(first), end: int32(len(s.runs)), n: 1})
+	}, func(_, n, swaps int) bool {
+		t.swaps += swaps
+		s.spans = append(s.spans, periodSpan{off: int32(first), end: int32(len(s.runs)), n: int32(n)})
 		first = len(s.runs)
 		return true
 	})
@@ -289,28 +248,10 @@ func (s *Sweep) replay(sch *gpuSchedule, sh shapeTape) gpuTape {
 	return t
 }
 
-// count returns the launch counters of schedule sch's full walk: every
-// launch of every repeated period goes through the meter, in walk order,
-// so the counters add up in the same order as in a live walk.
-func (s *Sweep) count(sch *gpuSchedule, sh shapeTape) launchTotals {
-	s.bindDurs(sch)
-	m := meter{costs: s.costs, dev: -1}
-	for _, sp := range s.spans[sh.off:sh.end] {
-		for range sp.n {
-			s.feed(&m, sch, s.runs[sp.off:sp.end])
-			m.endPeriod()
-		}
-	}
-	return m.launchTotals
-}
-
 // feed runs one period's launches of schedule sch through m.
 func (s *Sweep) feed(m *meter, sch *gpuSchedule, runs []launchRun) {
 	for _, r := range runs {
-		dur := s.durationNs(sch, r)
-		for range r.n {
-			m.add(int(r.dev), dur)
-		}
+		m.add(int(r.dev), s.durationNs(sch, r), int(r.n))
 	}
 }
 

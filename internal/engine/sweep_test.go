@@ -20,6 +20,12 @@ func sameResult(a, b Result) bool {
 	return fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
 }
 
+// sameRTime reports whether a Sweep's RTime output is want's runtime and
+// censoring, bit for bit.
+func sameRTime(ns float64, censored bool, want Result) bool {
+	return fmt.Sprintf("%#v %v", ns, censored) == fmt.Sprintf("%#v %v", want.RTimeNs, want.Censored)
+}
+
 // censorPoint names where a run was cut off, read from its breakdown.
 func censorPoint(r Result) string {
 	switch {
@@ -53,10 +59,11 @@ func outXferNs(t *testing.T, sys hw.System, inst plan.Instance, par plan.Params,
 	return ns
 }
 
-// TestSweepMatchesEstimate compares a Sweep with single-point Estimate on
-// random instances and configurations, field by field. Configurations
-// share GPU schedules across cpu-tiles so replays run, and the
-// thresholds are aimed at every point where a run can be censored.
+// TestSweepMatchesEstimate compares a Sweep's RTime with single-point
+// Estimate's runtime and censoring on random instances and
+// configurations. Configurations share GPU schedules across cpu-tiles so
+// replays run, and the thresholds are aimed at every point where a run
+// can be censored.
 func TestSweepMatchesEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	wide := hw.WithGPUCount(hw.I7_2600K(), 4)
@@ -123,23 +130,13 @@ func TestSweepMatchesEstimate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The time-only call replays the tape first, so the
-				// Estimate after it counts the launches lazily.
 				ns, censored, err := sw.RTime(par)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if fmt.Sprintf("%#v %v", ns, censored) != fmt.Sprintf("%#v %v", want.RTimeNs, want.Censored) {
+				if !sameRTime(ns, censored, want) {
 					t.Fatalf("%v %v %+v: RTime %v censored=%v, Estimate %v censored=%v",
 						inst, par, opts, ns, censored, want.RTimeNs, want.Censored)
-				}
-				got, err := sw.Estimate(par)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameResult(got, want) {
-					t.Fatalf("%v %v %+v:\nsweep    %+v\nestimate %+v\nplans %+v / %+v",
-						inst, par, opts, got, want, *got.Plan, *want.Plan)
 				}
 				censors[censorPoint(want)]++
 				compared++
@@ -169,7 +166,7 @@ func TestSweepErrorsMatchEstimate(t *testing.T) {
 		_, want := Estimate(c.sys, inst, c.par, c.opts)
 		var sw Sweep
 		sw.Reset(c.sys, inst, c.opts)
-		_, got := sw.Estimate(c.par)
+		_, _, got := sw.RTime(c.par)
 		if want == nil || got == nil || got.Error() != want.Error() {
 			t.Errorf("%v %+v: sweep error %v, Estimate error %v", c.par, c.opts, got, want)
 		}
@@ -178,10 +175,11 @@ func TestSweepErrorsMatchEstimate(t *testing.T) {
 
 // TestSweepAcrossResets drives one Sweep through a sequence of bindings
 // that keep, change and restore the shape tape's key, comparing every
-// configuration with Estimate field by field. Shape tapes must survive a
-// Reset that keeps the shape (only tsize or dsize change) and be dropped
-// on any change the tapes depend on: the shape, a masked live fraction,
-// Options.GPUs, or the devices of a system that keeps its name.
+// configuration's RTime with Estimate's runtime and censoring. Shape
+// tapes must survive a Reset that keeps the shape (only tsize or dsize
+// change) and be dropped on any change the tapes depend on: the shape, a
+// masked live fraction, Options.GPUs, or the devices of a system that
+// keeps its name.
 func TestSweepAcrossResets(t *testing.T) {
 	i7 := hw.I7_2600K()
 	wide := hw.WithGPUCount(i7, 4)
@@ -244,12 +242,13 @@ func TestSweepAcrossResets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sw.Estimate(par)
+			ns, censored, err := sw.RTime(par)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameResult(got, want) {
-				t.Fatalf("%s: %v %v:\nsweep    %+v\nestimate %+v", st.name, st.inst, par, got, want)
+			if !sameRTime(ns, censored, want) {
+				t.Fatalf("%s: %v %v: RTime %v censored=%v, Estimate %v censored=%v",
+					st.name, st.inst, par, ns, censored, want.RTimeNs, want.Censored)
 			}
 		}
 	}
@@ -286,10 +285,4 @@ func TestSweepRTimeAllocationFree(t *testing.T) {
 			t.Errorf("%v %v: RTime makes %v allocations per call, want <= 1", c.inst, c.par, allocs)
 		}
 	}
-}
-
-// Estimate is Estimate(sys, inst, par, opts) for the bound sys, inst and
-// opts.
-func (s *Sweep) Estimate(par plan.Params) (Result, error) {
-	return s.estimate(par, true)
 }

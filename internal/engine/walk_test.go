@@ -73,7 +73,7 @@ func refEstimate(sys hw.System, inst plan.Instance, par plan.Params, opts Option
 		m := meter{costs: launchCosts(nil, sys, inst, sch.nGPU), dev: -1}
 		cut := false
 		refWalk(&sch, func(l refLaunch) {
-			m.add(l.dev, m.costs[l.dev].DurationNs(l.points, sch.syncSteps, sch.inflate))
+			m.add(l.dev, m.costs[l.dev].DurationNs(l.points, sch.syncSteps, sch.inflate), 1)
 		}, func(swapAfter bool) bool {
 			swaps := 0
 			if swapAfter {
@@ -92,19 +92,36 @@ func refEstimate(sys hw.System, inst plan.Instance, par plan.Params, opts Option
 }
 
 // expandedLaunches lists a schedule's launches as the run walk's runs
-// expand them, as "dev:points:segs" strings, with "|" at each period end.
+// expand them on every period of their run of periods, as
+// "dev:points:segs" strings, with "|" at each period end.
 func expandedLaunches(sch *gpuSchedule, costs []hw.LaunchCost) []string {
+	type firstRun struct {
+		c int
+		r launchRun
+	}
 	var out []string
-	sch.walk(costs, func(p span, c int, r launchRun) {
-		for i := c; i < c+int(r.n); i++ {
-			var segs []diagSeg
-			points := sch.launchPoints(p, int(r.dev), i, &segs)
-			if int(r.passes) != costs[r.dev].Passes(points) {
-				out = append(out, fmt.Sprintf("run of %d passes holds a launch of %d points", r.passes, points))
+	var runs []firstRun
+	sch.walk(costs, func(c int, r launchRun) {
+		runs = append(runs, firstRun{c, r})
+	}, func(q, n, _ int) bool {
+		for j := range n {
+			p := sch.spanAt(q + j)
+			for _, fr := range runs {
+				r := fr.r
+				for i := fr.c; i < fr.c+int(r.n); i++ {
+					var segs []diagSeg
+					points := sch.launchPoints(p, int(r.dev), i, &segs)
+					if int(r.passes) != costs[r.dev].Passes(points) {
+						out = append(out, fmt.Sprintf("run of %d passes holds a launch of %d points", r.passes, points))
+					}
+					out = append(out, fmt.Sprintf("%d:%d:%v", r.dev, points, segs))
+				}
 			}
-			out = append(out, fmt.Sprintf("%d:%d:%v", r.dev, points, segs))
+			out = append(out, "|")
 		}
-	}, func(bool) bool { out = append(out, "|"); return true })
+		runs = runs[:0]
+		return true
+	})
 	return out
 }
 
@@ -121,8 +138,9 @@ func referenceLaunches(sch *gpuSchedule) []string {
 // rectangles, masked and dense, with 1 to 4 GPUs of the modeled or of
 // narrow SIMT widths, gpu-tiles 1 to 25,
 // halos from 0 to the band's maximum and full bands, the runs expand to
-// the reference walk's launches, and Estimate and a Sweep equal
-// refEstimate bit for bit in every field, censored runs included.
+// the reference walk's launches, Estimate equals refEstimate bit for bit
+// in every field and a Sweep's RTime its runtime and censoring, censored
+// runs included.
 func TestRunWalkMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	wide := hw.WithGPUCount(hw.I7_2600K(), 4)
@@ -206,11 +224,12 @@ func TestRunWalkMatchesReference(t *testing.T) {
 				t.Fatalf("%v %v %+v:\nEstimate  %+v\nreference %+v", inst, par, opts, got, want)
 			}
 			sw.Reset(s.sys, inst, opts)
-			if got, err = sw.Estimate(par); err != nil {
+			ns, censored, err := sw.RTime(par)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !sameResult(got, want) {
-				t.Fatalf("%v %v %+v:\nSweep     %+v\nreference %+v", inst, par, opts, got, want)
+			if !sameRTime(ns, censored, want) {
+				t.Fatalf("%v %v %+v: Sweep %v censored=%v, reference %v censored=%v", inst, par, opts, ns, censored, want.RTimeNs, want.Censored)
 			}
 			compared++
 		}
