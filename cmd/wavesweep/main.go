@@ -49,20 +49,6 @@ func main() {
 
 	sr, err := ctx.Search(sys)
 	if err != nil {
-		// A failure deep into a long sweep no longer discards the finished
-		// instances: persist whatever completed before exiting, so the
-		// partial CSV can seed a retry or a bug report. It goes to a
-		// distinct .partial path — the error path must never truncate a
-		// complete CSV from an earlier successful run.
-		if *csvPath != "" && sr != nil && sr.Evaluations() > 0 {
-			partial := *csvPath + ".partial"
-			if werr := writeCSV(sr, partial); werr != nil {
-				log.Printf("could not save partial results: %v", werr)
-			} else {
-				log.Printf("saved %d completed evaluations (%d instances) to %s",
-					sr.Evaluations(), len(sr.Instances), partial)
-			}
-		}
 		log.Fatal(err)
 	}
 	fmt.Printf("exhaustive search on %s: %d instances, %d evaluations\n\n",
@@ -84,8 +70,8 @@ func main() {
 	}
 }
 
-// writeCSV dumps every evaluated point of sr (complete or partial) to
-// path in the search-CSV format wavetrain -from reads.
+// writeCSV dumps every evaluated point of sr to path in the search-CSV
+// format wavetrain -from reads.
 func writeCSV(sr *core.SearchResult, path string) error {
 	f, err := os.Create(path)
 	if err != nil {

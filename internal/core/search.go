@@ -84,10 +84,6 @@ type SearchResult struct {
 type SearchOptions struct {
 	// Workers bounds host parallelism (default GOMAXPROCS).
 	Workers int
-
-	// estimate is a test seam for the point evaluator; nil selects each
-	// worker's engine.Sweep.
-	estimate func(hw.System, plan.Instance, plan.Params, engine.Options) (engine.Result, error)
 }
 
 // Exhaustive evaluates every configuration of the space for every
@@ -95,16 +91,10 @@ type SearchOptions struct {
 // cores, with deterministic output order. Each worker sweeps one instance
 // at a time with its own engine.Sweep, so configurations that differ only
 // in cpu-tile share one walk of their GPU schedule, and asks it for each
-// point's runtime and censoring alone (Sweep.RTime). The first estimation
-// error cancels the remaining work promptly: every worker checks before
-// each configuration and stops, and unstarted instances are never begun.
-//
-// On error the result is not discarded: the returned SearchResult holds
-// every instance whose full configuration sweep had already completed
-// (in the usual deterministic order), so a failure deep into a long
-// search leaves the caller with the finished work to persist (WriteCSV)
-// or inspect. Callers that only care about complete searches keep their
-// `if err != nil` handling unchanged.
+// point's runtime and censoring alone (Sweep.RTime). Space.Configs lists
+// only configurations sys can run, which are the ones RTime accepts, so
+// a search does not fail midway; if RTime ever does fail, Exhaustive
+// returns its error and no result.
 func Exhaustive(sys hw.System, space Space, opts SearchOptions) (*SearchResult, error) {
 	return search(sys, space, space.Instances(), opts)
 }
@@ -118,80 +108,45 @@ func search(sys hw.System, space Space, insts []plan.Instance, opts SearchOption
 		workers = runtime.GOMAXPROCS(0)
 	}
 	out := &SearchResult{Sys: sys, Space: space, Instances: make([]InstanceResult, len(insts))}
-	// completed marks instances whose full configuration sweep finished;
-	// each index is written by exactly one goroutine (like
-	// out.Instances) and read only after wg.Wait.
-	completed := make([]bool, len(insts))
-
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	var stop atomic.Bool
-	// sweep evaluates every configuration of instance i with the worker's
-	// sw, stopping early on the first error anywhere in the search.
-	sweep := func(sw *engine.Sweep, i int) {
+	// sweep evaluates every configuration of instance i with the worker's sw.
+	sweep := func(sw *engine.Sweep, i int) error {
 		inst := insts[i]
 		configs := space.Configs(inst, sys)
 		ir := InstanceResult{
 			Inst: inst, SerialNs: engine.SerialNs(sys, inst),
-			Points: make([]Point, 0, len(configs)),
+			Points: make([]Point, len(configs)),
 		}
 		sw.Reset(sys, inst, eopts)
-		for _, par := range configs {
-			if stop.Load() {
-				return
-			}
-			var p Point
-			var err error
-			if opts.estimate != nil {
-				var res engine.Result
-				res, err = opts.estimate(sys, inst, par, eopts)
-				p.RTimeNs, p.Censored = res.RTimeNs, res.Censored
-			} else {
-				p.RTimeNs, p.Censored, err = sw.RTime(par)
-			}
+		for j, par := range configs {
+			ns, censored, err := sw.RTime(par)
 			if err != nil {
-				stop.Store(true)
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("core: estimating %v %v: %w", inst, par, err)
-				}
-				mu.Unlock()
-				return
+				return fmt.Errorf("core: estimating %v %v: %w", inst, par, err)
 			}
-			p.Inst, p.Par = inst, par
-			ir.Points = append(ir.Points, p)
+			ir.Points[j] = Point{Inst: inst, Par: par, RTimeNs: ns, Censored: censored}
 		}
 		out.Instances[i] = ir
-		completed[i] = true
+		return nil
 	}
+	errs := make([]error, min(workers, len(insts)))
 	var next atomic.Int64
-	for range min(workers, len(insts)) {
+	var wg sync.WaitGroup
+	for w := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var sw engine.Sweep
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(insts) {
+			for i := int(next.Add(1)) - 1; i < len(insts); i = int(next.Add(1)) - 1 {
+				if errs[w] = sweep(&sw, i); errs[w] != nil {
 					return
 				}
-				sweep(&sw, i)
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		// Keep the finished instances (deterministic order preserved) so
-		// the completed work survives the failure.
-		kept := out.Instances[:0]
-		for i := range insts {
-			if completed[i] {
-				kept = append(kept, out.Instances[i])
-			}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out.Instances = kept
-		return out, firstErr
 	}
 	return out, nil
 }

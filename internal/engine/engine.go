@@ -30,20 +30,21 @@
 // analytic path a meter folds the launches into period lengths in walk
 // order, and a clock sums the run in execution order: Phase 1, GPU
 // start-up and input transfers, each period and its halo swap with the
-// censoring check at its end, output transfers, Phase 3. Estimate feeds
-// the clock from the live walk without allocating: it times each launch
-// run and each run of periods once, replays the run's periods through
-// the clock one by one, and counts the repeated periods' launches into
-// the breakdown one by one, in walk order. A Sweep keeps a two-level
-// tape per distinct GPU schedule, since a schedule never depends on the
+// censoring check at its end, output transfers, Phase 3. The meter times
+// each launch run, keeping each device's last timed run, so a run whose
+// pass count repeats its device's previous one is not timed again.
+// Estimate feeds the clock from the live walk without allocating: it
+// times each run of periods once, replays the run's periods through the
+// clock one by one, and counts the repeated periods' launches into the
+// breakdown one by one, in walk order. A Sweep keeps a two-level tape
+// per distinct GPU schedule, since a schedule never depends on the
 // cpu-tile. The shape tape holds the walk's runs (each launch run's
 // device, pass count and length, and each run of periods' length),
 // which depend only on the grid shape; it is walked once per shape. The
-// instance tape replays it with the instance's launch costs, reading
-// each run's duration from a per-(device, gpu-tile) table indexed by
-// pass count, into period lengths, timing each run of periods once.
-// Every configuration sharing the schedule replays the instance tape
-// through the same clock from its own Phase 1 time.
+// instance tape replays it through the meter with the instance's launch
+// costs into period lengths, timing each run of periods once. Every
+// configuration sharing the schedule replays the instance tape through
+// the same clock from its own Phase 1 time.
 //
 // Estimate's output is bit-identical across refactors: the golden tests
 // hash every quick-space search point and a set of full breakdowns, and
@@ -125,16 +126,6 @@ type Result struct {
 
 // RTimeSec returns the runtime in seconds.
 func (r Result) RTimeSec() float64 { return r.RTimeNs / 1e9 }
-
-// validate checks that the system can satisfy the plan's device demands.
-func validate(sys hw.System, par plan.Params) error {
-	need := par.GPUCount()
-	if need > sys.MaxGPUs() {
-		return fmt.Errorf("engine: config needs %d GPU(s) but %s has %d usable",
-			need, sys.Name, sys.MaxGPUs())
-	}
-	return nil
-}
 
 // cpuPhaseNs models a tiled parallel CPU phase over cell-diagonals
 // [lo, hi]: each tile-diagonal contributes its cells divided by the
@@ -617,10 +608,12 @@ func (s *gpuSchedule) devRows(d, dev, a0, l0, ov int) (lo, hi int) {
 	return lo, hi
 }
 
-// prepare validates a configuration against sys and builds its plan.
+// prepare checks that sys can satisfy a configuration's device demands
+// and builds its plan.
 func prepare(sys hw.System, inst plan.Instance, par plan.Params, opts Options) (*plan.Plan, error) {
-	if err := validate(sys, par); err != nil {
-		return nil, err
+	if need := par.GPUCount(); need > sys.MaxGPUs() {
+		return nil, fmt.Errorf("engine: config needs %d GPU(s) but %s has %d usable",
+			need, sys.Name, sys.MaxGPUs())
 	}
 	if opts.GPUs > len(sys.GPUs) {
 		return nil, fmt.Errorf("engine: %d GPUs requested but %s has %d",
@@ -740,11 +733,20 @@ func (c *clock) finishGPU(sys hw.System, sch *gpuSchedule) bool {
 // launch counters.
 type meter struct {
 	costs       []hw.LaunchCost // per device, bound once rather than per launch
+	last        []timedRun      // per device, its last timed run
+	syncSteps   int
+	inflate     float64
 	span, devNs float64
 	dev         int
 
 	kernels             int
 	launchNs, computeNs float64
+}
+
+// timedRun is the duration of one launch of passes SIMT passes.
+type timedRun struct {
+	passes int32
+	ns     float64
 }
 
 // launchCosts binds sys's first n devices to inst's granularity,
@@ -754,6 +756,38 @@ func launchCosts(dst []hw.LaunchCost, sys hw.System, inst plan.Instance, n int) 
 		dst = append(dst, g.LaunchCost(inst.TSize, sys.CPU.PerIterNs, inst.DSize))
 	}
 	return dst
+}
+
+// newMeter returns a meter for the devices of schedule sch, whose launch
+// costs are costs; it appends each device's memo of its last timed run
+// to last.
+func newMeter(sch *gpuSchedule, costs []hw.LaunchCost, last []timedRun) meter {
+	for range sch.nGPU {
+		last = append(last, timedRun{passes: -1})
+	}
+	return meter{costs: costs, last: last, syncSteps: sch.syncSteps, inflate: sch.inflate, dev: -1}
+}
+
+// duration returns the duration of one launch of run r. It is the one
+// place a launch run is timed, for the live walk and a Sweep's replay
+// alike. Each device keeps its last timed run: a device's first run in
+// a period often has the pass count of its last run in the period
+// before, and is then not timed again.
+func (m *meter) duration(r launchRun) float64 {
+	if l := m.last[r.dev]; l.passes == r.passes {
+		return l.ns
+	}
+	return m.time(r)
+}
+
+// time computes the duration of one launch of run r and keeps it as its
+// device's last timed run. It is duration's miss path, kept apart so
+// that duration inlines and a repeated pass count costs no call.
+func (m *meter) time(r launchRun) float64 {
+	c := &m.costs[r.dev]
+	ns := c.DurationNs(int(r.passes)*c.Width(), m.syncSteps, m.inflate)
+	m.last[r.dev] = timedRun{passes: r.passes, ns: ns}
+	return ns
 }
 
 // add accounts n launches on device dev lasting dur each. It is the only
@@ -828,37 +862,23 @@ func Estimate(sys hw.System, inst plan.Instance, par plan.Params, opts Options) 
 	}
 	if sch, ok := buildGPUSchedule(pl, opts.GPUs); ok {
 		clk.startGPU(sys, &sch)
-		// Systems have a handful of devices, so the cost table stays on
-		// the stack.
+		// Systems have a handful of devices, so the cost table and the
+		// memo of timed runs stay on the stack. The first period of a run
+		// of periods keeps its runs to count the launches of the periods
+		// repeating it.
 		var table [4]hw.LaunchCost
-		m := meter{costs: launchCosts(table[:0], sys, inst, sch.nGPU), dev: -1}
-		// A run is timed once, and a device's pass count mostly repeats
-		// from one run of periods to the next, so each device keeps its
-		// last run's duration. The first period of a run of periods
-		// keeps its runs to count the launches of the periods repeating
-		// it.
-		type lastRun struct {
-			passes int32
-			ns     float64
-		}
-		var lastBuf [4]lastRun
-		last := lastBuf[:0]
-		for range sch.nGPU {
-			last = append(last, lastRun{passes: -1})
-		}
+		var memo [4]timedRun
+		m := newMeter(&sch, launchCosts(table[:0], sys, inst, sch.nGPU), memo[:0])
 		var period [maxPeriodRuns]countedRun
 		nr := 0
 		sch.walk(m.costs, func(_ int, r launchRun) {
-			d := &last[r.dev]
-			c := &m.costs[r.dev]
-			if d.passes != r.passes {
-				d.passes, d.ns = r.passes, c.DurationNs(int(r.passes)*c.Width(), sch.syncSteps, sch.inflate)
-			}
-			m.add(int(r.dev), d.ns, int(r.n))
+			ns := m.duration(r)
+			m.add(int(r.dev), ns, int(r.n))
 			// walk repeats only periods whose runs it kept, no more
 			// than maxPeriodRuns.
 			if nr < len(period) {
-				period[nr] = countedRun{n: int(r.n), launchNs: c.LaunchNs, computeNs: d.ns - c.LaunchNs}
+				launchNs := m.costs[r.dev].LaunchNs
+				period[nr] = countedRun{n: int(r.n), launchNs: launchNs, computeNs: ns - launchNs}
 				nr++
 			}
 		}, func(_, n, swaps int) bool {

@@ -141,3 +141,32 @@ func TestWideningIgnoredForSingleGPUConfigs(t *testing.T) {
 		t.Error("widening must not affect single-GPU plans")
 	}
 }
+
+// TestEstimateBeyondFourGPUs: the launch costs and the memo of timed
+// runs start on the stack for four devices and grow past them, so a
+// six-device run estimates as its functional simulation runs, and a
+// Sweep's replay gives Estimate's runtime bits.
+func TestEstimateBeyondFourGPUs(t *testing.T) {
+	sys := hw.WithGPUCount(hw.I7_2600K(), 6)
+	dim := 96
+	k := kernels.NewSynthetic(40, 1)
+	inst := plan.Instance{Dim: dim, TSize: k.TSize(), DSize: k.DSize()}
+	par := plan.Params{CPUTile: 8, Band: 70, GPUTile: 2, Halo: 5}
+	opts := Options{GPUs: 6}
+	est, err := Estimate(sys, inst, par, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, _, err := Simulate(sys, plan.Instance{Dim: dim}, k, par, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !approxEq(est.RTimeNs, sim.RTimeNs, 1e-6) || est.Kernels != sim.Kernels {
+		t.Errorf("estimate %v (%d kernels) != simulate %v (%d kernels)", est.RTimeNs, est.Kernels, sim.RTimeNs, sim.Kernels)
+	}
+	var sw Sweep
+	sw.Reset(sys, inst, opts)
+	if ns, censored, err := sw.RTime(par); err != nil || ns != est.RTimeNs || censored {
+		t.Errorf("Sweep.RTime = %v, %v, %v; want %v", ns, censored, err, est.RTimeNs)
+	}
+}

@@ -24,13 +24,12 @@ import (
 //     widths stay the same, so the instances of one shape that differ
 //     only in tsize or dsize share them.
 //   - The instance tape replays a shape tape with the bound instance's
-//     launch costs into each period's lockstep duration. A launch's
-//     duration depends on its points only through its pass count, so it
-//     is read from a per-(device, gpu-tile) table indexed by passes, each
-//     entry computed once by hw.LaunchCost; the replay divides nothing.
-//     The meter resets at every period end, so each run of identical
-//     periods goes through it once: one pass gives the length, with the
-//     same bits, of every repetition.
+//     launch costs into each period's lockstep duration, through the
+//     meter Estimate's walk uses: each device's last timed run is kept,
+//     so a run is timed only when its pass count differs from the
+//     device's previous one. The meter resets at every period end, so
+//     each run of identical periods goes through it once: one pass gives
+//     the length, with the same bits, of every repetition.
 //
 // A configuration's runtime starts from its own Phase 1 time and adds the
 // GPU phase in exactly the order Estimate does (start-up, input
@@ -62,8 +61,7 @@ type Sweep struct {
 	cpu     map[cpuKey]float64
 	tapes   []gpuTape // tapes[i] replays shapes[i]
 	periods []periodNs
-	durs    []durTable
-	devDur  []int // per device, the durs entry of the schedule being replayed
+	memo    []timedRun // backs the replaying meter's memo
 }
 
 // cpuKey identifies a CPU phase of the bound instance.
@@ -106,14 +104,6 @@ type periodNs struct {
 	n  int
 }
 
-// durTable holds the durations of a launch on device dev of a schedule
-// with the given gpu-tile (which fixes its sync steps and inflation),
-// indexed by SIMT pass count.
-type durTable struct {
-	dev, gpuTile int
-	ns           []float64
-}
-
 // Reset binds the sweep to one instance, system and option set. Shape
 // tapes are kept when the shape key and device widths match the previous
 // binding; all storage is kept for reuse.
@@ -139,9 +129,6 @@ func (s *Sweep) Reset(sys hw.System, inst plan.Instance, opts Options) {
 	}
 	clear(s.tapes)
 	s.periods = s.periods[:0]
-	for i := range s.durs {
-		s.durs[i].ns = s.durs[i].ns[:0]
-	}
 }
 
 // sameWidths reports whether the bound devices have the recorded widths.
@@ -237,51 +224,15 @@ func (s *Sweep) record(sch *gpuSchedule) shapeTape {
 // meter resets at every period end, so one pass over a span's launches
 // gives the length of each of its identical periods.
 func (s *Sweep) replay(sch *gpuSchedule, sh shapeTape) gpuTape {
-	s.bindDurs(sch)
 	t := gpuTape{off: len(s.periods), ok: true}
-	m := meter{costs: s.costs, dev: -1}
+	m := newMeter(sch, s.costs, s.memo[:0])
 	for _, sp := range s.spans[sh.off:sh.end] {
-		s.feed(&m, sch, s.runs[sp.off:sp.end])
+		for _, r := range s.runs[sp.off:sp.end] {
+			m.add(int(r.dev), m.duration(r), int(r.n))
+		}
 		s.periods = append(s.periods, periodNs{ns: m.endPeriod(), n: int(sp.n)})
 	}
+	s.memo = m.last
 	t.end = len(s.periods)
 	return t
-}
-
-// feed runs one period's launches of schedule sch through m.
-func (s *Sweep) feed(m *meter, sch *gpuSchedule, runs []launchRun) {
-	for _, r := range runs {
-		m.add(int(r.dev), s.durationNs(sch, r), int(r.n))
-	}
-}
-
-// bindDurs points each of sch's devices at its duration table.
-func (s *Sweep) bindDurs(sch *gpuSchedule) {
-	s.devDur = s.devDur[:0]
-	for dev := 0; dev < sch.nGPU; dev++ {
-		s.devDur = append(s.devDur, s.durTable(dev, sch.gpuTile))
-	}
-}
-
-// durTable returns the index in durs of dev's table at gpuTile, adding an
-// empty one on first use.
-func (s *Sweep) durTable(dev, gpuTile int) int {
-	for i := range s.durs {
-		if s.durs[i].dev == dev && s.durs[i].gpuTile == gpuTile {
-			return i
-		}
-	}
-	s.durs = append(s.durs, durTable{dev: dev, gpuTile: gpuTile})
-	return len(s.durs) - 1
-}
-
-// durationNs returns the duration of one launch of run r of schedule sch,
-// filling the device's table up to r's pass count on first need.
-func (s *Sweep) durationNs(sch *gpuSchedule, r launchRun) float64 {
-	t := &s.durs[s.devDur[r.dev]]
-	c := &s.costs[r.dev]
-	for p := len(t.ns); p <= int(r.passes); p++ {
-		t.ns = append(t.ns, c.DurationNs(p*c.Width(), sch.syncSteps, sch.inflate))
-	}
-	return t.ns[r.passes]
 }

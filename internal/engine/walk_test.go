@@ -308,3 +308,99 @@ func TestDevRowsOverlapSize(t *testing.T) {
 		}
 	}
 }
+
+// guardSchedules returns the GPU schedules of random multi-GPU plans on
+// shapes up to side×side, on the modeled devices or on narrow ones, with
+// their launch costs.
+func guardSchedules(t *testing.T, rng *rand.Rand, n, side int) (schs []gpuSchedule, costs [][]hw.LaunchCost) {
+	wide := hw.WithGPUCount(hw.I7_2600K(), 4)
+	for len(schs) < n {
+		sys, gpus := hw.I7_2600K(), 0
+		if rng.Intn(2) == 0 {
+			sys, gpus = wide, 3+rng.Intn(2)
+		}
+		if rng.Intn(2) == 0 {
+			sys.GPUs = slices.Clone(sys.GPUs)
+			for i := range sys.GPUs {
+				sys.GPUs[i].CUs, sys.GPUs[i].Lanes = 1, 1+rng.Intn(4)
+			}
+		}
+		inst := plan.Instance{Rows: 1 + rng.Intn(side), Cols: 1 + rng.Intn(side), TSize: 10, DSize: 1}
+		band := rng.Intn(inst.MaxUsefulBand() + 1)
+		par := plan.Params{CPUTile: 1, Band: band, GPUTile: 1 + rng.Intn(5), Halo: rng.Intn(plan.MaxHaloFor(inst, band) + 1)}
+		if plan.Check(inst, par) != nil {
+			continue
+		}
+		pl, err := plan.Build(inst, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sch, ok := buildGPUSchedule(pl, gpus); ok {
+			schs = append(schs, sch)
+			costs = append(costs, launchCosts(nil, sys, inst, sch.nGPU))
+		}
+	}
+	return schs, costs
+}
+
+// TestLastTwinStopsAtLastFullPeriod: lastTwin never returns a period past
+// the last full one, so a short last period, whose launches cover fewer
+// diagonals, stands alone.
+func TestLastTwinStopsAtLastFullPeriod(t *testing.T) {
+	schs, _ := guardSchedules(t, rand.New(rand.NewSource(5)), 3000, 120)
+	short := 0
+	for _, sch := range schs {
+		full := sch.pl.GPUDiags() / sch.period
+		total := (sch.pl.GPUDiags() + sch.period - 1) / sch.period
+		if total > full {
+			short++
+		}
+		for q := range total {
+			if got := sch.lastTwin(q); got < q || got > max(q, full-1) {
+				t.Fatalf("%v %v on %d GPUs: lastTwin(%d) = %d of %d periods, %d of them full",
+					sch.pl.Inst, sch.pl.Par, sch.nGPU, q, got, total, full)
+			}
+		}
+	}
+	if short < 500 {
+		t.Errorf("only %d schedules end in a short period", short)
+	}
+}
+
+// TestPeriodRunsKeepsEmptyLaunches: periodRuns spells out every launch of
+// a period, one with no points as a run of 0 passes, so the list gives
+// each launch's pass count by its index and two periods with equal lists
+// launch the same pass counts.
+func TestPeriodRunsKeepsEmptyLaunches(t *testing.T) {
+	schs, costs := guardSchedules(t, rand.New(rand.NewSource(9)), 3000, 40)
+	empty := 0
+	for i, sch := range schs {
+		total := (sch.pl.GPUDiags() + sch.period - 1) / sch.period
+		for q := range total {
+			p := sch.spanAt(q)
+			var want, got []launchRun
+			for dev := range sch.nGPU {
+				for c := range (p.m + sch.gpuTile - 1) / sch.gpuTile {
+					passes := costs[i][dev].Passes(sch.launchPoints(p, dev, c, nil))
+					want = append(want, launchRun{dev: int32(dev), passes: int32(passes), n: 1})
+					if passes == 0 {
+						empty++
+					}
+				}
+			}
+			sch.periodRuns(costs[i], p, func(r launchRun) bool {
+				for range r.n {
+					got = append(got, launchRun{dev: r.dev, passes: r.passes, n: 1})
+				}
+				return true
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%v %v on %d GPUs, period %d: runs expand to\n%v\nlaunches\n%v",
+					sch.pl.Inst, sch.pl.Par, sch.nGPU, q, got, want)
+			}
+		}
+	}
+	if empty < 100 {
+		t.Errorf("only %d launches with no points", empty)
+	}
+}

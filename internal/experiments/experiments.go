@@ -75,9 +75,8 @@ func NewContext(cfg Config) *Context {
 }
 
 // Search returns the cached exhaustive search for sys, running it on
-// first use. On error the partial result (the instances that completed
-// before the failure) is returned alongside it, but never cached — the
-// next call retries the full search.
+// first use. A failed search is not cached, so the next call runs it
+// again.
 func (c *Context) Search(sys hw.System) (*core.SearchResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -86,7 +85,7 @@ func (c *Context) Search(sys hw.System) (*core.SearchResult, error) {
 	}
 	sr, err := core.Exhaustive(sys, c.Cfg.Space, core.SearchOptions{})
 	if err != nil {
-		return sr, err
+		return nil, err
 	}
 	c.searches[sys.Name] = sr
 	return sr, nil

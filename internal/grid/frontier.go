@@ -73,9 +73,6 @@ type Frontier interface {
 	// deliver. Executors compare it against the delivered count to
 	// detect frontiers that dead-end before covering their region.
 	Cells() int
-	// Steps returns the total number of steps when it is known without
-	// draining (closed-form diagonals, irregular levels), and -1 otherwise.
-	Steps() int
 }
 
 // DiagFrontier is the dense frontier: steps are the anti-diagonals of a
@@ -136,14 +133,6 @@ func (f *DiagFrontier) Next() ([]Cell, bool) {
 // Cells implements Frontier.
 func (f *DiagFrontier) Cells() int {
 	return CellsInDiagRangeRect(f.rows, f.cols, f.lo, f.hi)
-}
-
-// Steps implements Frontier: the closed-form diagonal count.
-func (f *DiagFrontier) Steps() int {
-	if f.hi < f.lo {
-		return 0
-	}
-	return f.hi - f.lo + 1
 }
 
 // unlevelled marks a dead cell, or a live one no step releases.
@@ -321,10 +310,6 @@ func (f *IrregularFrontier) Next() ([]Cell, bool) {
 
 // Cells implements Frontier: the size of the live region.
 func (f *IrregularFrontier) Cells() int { return f.total }
-
-// Steps implements Frontier: the exact number of levels, fewer than the
-// region needs when the frontier is stuck.
-func (f *IrregularFrontier) Steps() int { return f.steps }
 
 // CountFrontier returns the number of steps and cells a fresh f
 // delivers: the true step count of an irregular region, which progress

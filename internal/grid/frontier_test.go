@@ -7,10 +7,10 @@ import "testing"
 func TestDiagFrontierMatchesClosedForm(t *testing.T) {
 	for _, shape := range [][2]int{{1, 1}, {4, 6}, {6, 4}, {7, 7}, {1, 9}, {9, 1}} {
 		rows, cols := shape[0], shape[1]
-		f := NewDiagFrontier(rows, cols)
-		if f.Steps() != NumDiagsRect(rows, cols) {
-			t.Errorf("%dx%d: Steps = %d, want %d", rows, cols, f.Steps(), NumDiagsRect(rows, cols))
+		if steps, _ := CountFrontier(NewDiagFrontier(rows, cols)); steps != NumDiagsRect(rows, cols) {
+			t.Errorf("%dx%d: CountFrontier steps = %d, want %d", rows, cols, steps, NumDiagsRect(rows, cols))
 		}
+		f := NewDiagFrontier(rows, cols)
 		if f.Cells() != rows*cols {
 			t.Errorf("%dx%d: Cells = %d, want %d", rows, cols, f.Cells(), rows*cols)
 		}
@@ -52,8 +52,8 @@ func TestDiagRangeFrontierClamps(t *testing.T) {
 	if s, c := CountFrontier(empty); s != 0 || c != 0 {
 		t.Errorf("empty range delivered steps=%d cells=%d", s, c)
 	}
-	if empty.Steps() != 0 || empty.Cells() != 0 {
-		t.Errorf("empty range Steps=%d Cells=%d", empty.Steps(), empty.Cells())
+	if empty.Cells() != 0 {
+		t.Errorf("empty range Cells=%d", empty.Cells())
 	}
 }
 
@@ -65,9 +65,6 @@ func TestIrregularDenseEquivalence(t *testing.T) {
 	f := NewIrregularFrontier(rows, cols, DenseStencil(), nil)
 	if f.Cells() != rows*cols {
 		t.Fatalf("Cells = %d, want %d", f.Cells(), rows*cols)
-	}
-	if f.Steps() != NumDiagsRect(rows, cols) {
-		t.Errorf("Steps = %d, want %d", f.Steps(), NumDiagsRect(rows, cols))
 	}
 	if steps, cells := CountFrontier(f); steps != NumDiagsRect(rows, cols) || cells != rows*cols {
 		t.Errorf("CountFrontier = (%d, %d), want (%d, %d)", steps, cells, NumDiagsRect(rows, cols), rows*cols)
@@ -109,8 +106,8 @@ func TestIrregularMaskedTriangle(t *testing.T) {
 	}
 	// The triangle's boundary diagonal is entirely dependency-free, so
 	// the levels are diagonals n-1 .. 2n-2: n of them.
-	if steps != n || f.Steps() != n {
-		t.Errorf("steps = %d, Steps = %d, want %d", steps, f.Steps(), n)
+	if steps != n {
+		t.Errorf("steps = %d, want %d", steps, n)
 	}
 }
 

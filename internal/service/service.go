@@ -113,9 +113,6 @@ type JobOptions struct {
 	// TrainingLogDir, when set, appends refined jobs' measured
 	// observations as per-system search-CSV files (wavetrain -from).
 	TrainingLogDir string
-	// MaxRecords bounds retained finished job records (<= 0 selects the
-	// jobs default); the same bound retains finished pipeline records.
-	MaxRecords int
 	// MaxPipelines bounds concurrently active pipelines; overflowing
 	// submissions are rejected with 429 (<= 0 selects the jobs
 	// default).
@@ -232,7 +229,6 @@ func New(cfg Config) (*Server, error) {
 		QueueDepth:    cfg.Jobs.QueueDepth,
 		TrainingLog:   s.trainLog,
 		OnObservation: onObservation,
-		MaxRecords:    cfg.Jobs.MaxRecords,
 		MaxPipelines:  cfg.Jobs.MaxPipelines,
 		Logger:        cfg.Logger,
 		Metrics:       s.m.jobs,

@@ -248,8 +248,6 @@ var internalExportAllowlist = map[string]string{
 	"jobs.Manager.AwaitPipeline":   "test synchronisation on a pipeline's end across three packages",
 	"stats.Heatmap.Complete":       "pins Figure 5's coverage in two packages",
 	"telemetry.Histogram.Count":    "tests in two packages read a histogram's observation count",
-	"grid.DiagFrontier.Steps":      "grid.Frontier's step count, which grid's and cpuexec's tests read through the interface",
-	"grid.IrregularFrontier.Steps": "grid.Frontier's step count; grid's tests pin the irregular levels against a reference propagation",
 	"kernels.DTW.Dist":             "reads the kernel's answer",
 	"kernels.LCS.Length":           "reads the kernel's answer",
 	"kernels.MorphRecon.Mass":      "reads the kernel's answer",
